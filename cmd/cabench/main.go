@@ -22,21 +22,9 @@
 // -size 10485760); the trends are stable at much smaller settings, which
 // run in seconds.
 //
-// With -clients N (and -payload, -requests, -rounds, -batch-window,
-// -batch-max), cabench switches to the small-request serving
-// comparison instead: N concurrent clients fire 1-shot /match requests
-// at an in-process server with the request coalescer on and off, and a
-// JSON report (min-of-rounds, alternating order) goes to stdout —
-// results/batched-serving.json is the committed snapshot.
-//
-// With -cluster N (and -cluster-sessions, -cluster-chunks), cabench
-// runs the cluster failover drill instead: N in-process cad nodes
-// behind a router serve concurrent streaming sessions while one node is
-// killed and a replacement rejoined mid-stream. The JSON report on
-// stdout carries hand-off latency (from ca_cluster_handoff_seconds),
-// failure-detection and rejoin times, and a zero-loss verdict against a
-// fault-free single-node oracle — results/cluster-failover.json is the
-// committed snapshot, and the run exits non-zero on any match loss.
+// cabench measures the modeled hardware only. The serving stack (batched
+// vs per-request serving, cold start, cluster hops) is measured by the
+// bench/ ledger; see bench/README.md.
 //
 // With -metrics-addr, a telemetry endpoint serves /metrics (Prometheus
 // text), /debug/vars and /debug/pprof/ while the experiments run — the
@@ -51,7 +39,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"cacheautomaton/internal/experiments"
 	"cacheautomaton/internal/telemetry"
@@ -67,42 +54,7 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
 	parallel := flag.Int("parallel", 1, "prefetch pipeline runs over this many workers (0 = all cores)")
 	jsonOut := flag.Bool("json", false, "emit the machine-readable benchmark report instead of text tables")
-	clients := flag.Int("clients", 0, "small-request serving mode: this many concurrent clients, batched vs per-request (JSON to stdout)")
-	payloadB := flag.Int("payload", 1024, "serving mode: payload bytes per request")
-	requests := flag.Int("requests", 1, "serving mode: requests per client per round")
-	rounds := flag.Int("rounds", 5, "serving mode: rounds (min-of, alternating order)")
-	batchWindow := flag.Duration("batch-window", time.Millisecond, "serving mode: coalescing window for the batched server")
-	batchMax := flag.Int("batch-max", 256, "serving mode: max members per batch for the batched server")
-	coldstart := flag.Int("coldstart", 0, "cold-start mode: compile this many synthetic rules vs loading their caformat encoding (JSON to stdout)")
-	clusterNodes := flag.Int("cluster", 0, "cluster failover drill: this many in-process cad nodes behind a router, one killed and rejoined mid-stream (JSON to stdout)")
-	clusterSessions := flag.Int("cluster-sessions", 16, "cluster mode: concurrent streaming sessions")
-	clusterChunks := flag.Int("cluster-chunks", 24, "cluster mode: chunks per session")
-	minSpeedup := flag.Float64("min-speedup", 0, "cold-start mode: exit non-zero when load is not this many times faster than compile (0 disables)")
 	flag.Parse()
-
-	if *clusterNodes > 0 {
-		if err := runCluster(os.Stdout, *clusterNodes, *clusterSessions, *clusterChunks, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "cabench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *coldstart > 0 {
-		if err := runColdStart(os.Stdout, *coldstart, *seed, *minSpeedup); err != nil {
-			fmt.Fprintln(os.Stderr, "cabench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *clients > 0 {
-		if err := runServing(os.Stdout, *clients, *payloadB, *requests, *rounds, *batchWindow, *batchMax, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "cabench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	cfg := experiments.Config{Scale: *scale, InputBytes: *size, Seed: *seed}
 	if *bench != "" {

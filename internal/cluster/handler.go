@@ -2,265 +2,77 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 
 	"cacheautomaton/internal/server"
-	"cacheautomaton/internal/telemetry"
 )
 
-// Handler returns the router's HTTP/JSON API. It mirrors the node API —
-// cluster clients speak the same wire types to a router as to a single
-// cad — plus the cluster-control surface:
-//
-//	GET    /cluster              routing table (version, nodes, placements)
-//	POST   /cluster/join         register a node {"id": ..., "url": ...}
-//	DELETE /cluster/nodes/{id}   remove a node
-//	PUT    /rulesets/{name}      compile + replicate a rule set
-//	GET    /rulesets[,/{name}]   list / describe placements
-//	DELETE /rulesets/{name}      unplace a rule set
-//	POST   /match                one-shot scan (hedged replica fan-out)
-//	POST   /sessions             open (or resume) a cluster session
-//	GET    /sessions             list cluster sessions
-//	POST   /sessions/{id}/feed   feed a chunk (checkpoint-shipped)
-//	POST   /sessions/{id}/suspend suspend for external migration
-//	DELETE /sessions/{id}        close a session
-//	GET    /healthz              router liveness
-//	GET    /readyz               router readiness (503 while draining)
-//	GET    /debug/requests       the router's flight recorder
-//
+// Handler returns the router's HTTP/JSON API: the rows of the node's op
+// table that name a cluster op — cluster clients speak the same wire
+// types to a router as to a single cad — plus the cluster-control rows
+// below, router liveness and readiness, and the router's own flight
+// recorder (DESIGN.md "Match serving" lists the routes). The router
+// mints each trace id and every inter-node call the operation makes
+// carries it in X-CA-Trace-Id, so one client request can be followed
+// through the router's and each touched node's recorder under one id.
 // Every response, including every error, is a JSON object; shed
 // responses (overload, no quorum) carry a Retry-After header.
-func (r *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /cluster", func(w http.ResponseWriter, req *http.Request) {
-		r.reply(w, req, "cluster.table", func(context.Context) (any, error) { return r.ClusterTable(), nil })
-	})
-	mux.HandleFunc("POST /cluster/join", func(w http.ResponseWriter, req *http.Request) {
-		var body struct {
-			ID  string `json:"id"`
-			URL string `json:"url"`
+func (r *Router) Handler() http.Handler { return r.handler(256 << 20) }
+
+// handler is Handler under a given body cap (artifact and snapshot
+// payloads ride through the router, hence Handler's 256 MiB).
+func (r *Router) handler(maxBody int64) http.Handler {
+	rows := []server.Op{
+		{Name: "cluster.table", Method: "GET", Path: "/cluster",
+			Run: func(context.Context, server.API, string, any) (any, error) { return r.ClusterTable(), nil }},
+		{Name: "cluster.join", Method: "POST", Path: "/cluster/join", New: func() any { return new(joinRequest) },
+			Run: func(ctx context.Context, _ server.API, _ string, req any) (any, error) {
+				if err := r.AddNode(ctx, req.(*joinRequest).ID, req.(*joinRequest).URL); err != nil {
+					return nil, err
+				}
+				return r.ClusterTable(), nil
+			}},
+		{Name: "cluster.leave", Method: "DELETE", Path: "/cluster/nodes/{id}",
+			Run: func(_ context.Context, _ server.API, id string, _ any) (any, error) {
+				if err := r.RemoveNode(id); err != nil {
+					return nil, err
+				}
+				return r.ClusterTable(), nil
+			}},
+	}
+	for _, op := range server.Ops {
+		if op.Cluster != "" {
+			op.Name = "cluster." + op.Cluster
+			rows = append(rows, op)
 		}
-		if !r.decode(w, req, &body) {
-			return
-		}
-		r.reply(w, req, "cluster.join", func(ctx context.Context) (any, error) {
-			if err := r.AddNode(ctx, body.ID, body.URL); err != nil {
-				return nil, err
-			}
-			return r.ClusterTable(), nil
-		})
-	})
-	mux.HandleFunc("DELETE /cluster/nodes/{id}", func(w http.ResponseWriter, req *http.Request) {
-		r.reply(w, req, "cluster.leave", func(context.Context) (any, error) {
-			if err := r.RemoveNode(req.PathValue("id")); err != nil {
-				return nil, err
-			}
-			return r.ClusterTable(), nil
-		})
-	})
-	mux.HandleFunc("PUT /rulesets/{name}", func(w http.ResponseWriter, req *http.Request) {
-		var cr server.CompileRequest
-		if !r.decode(w, req, &cr) {
-			return
-		}
-		r.reply(w, req, "cluster.compile", func(ctx context.Context) (any, error) {
-			return r.Compile(ctx, req.PathValue("name"), cr)
-		})
-	})
-	mux.HandleFunc("GET /rulesets", func(w http.ResponseWriter, req *http.Request) {
-		r.reply(w, req, "cluster.rulesets", func(context.Context) (any, error) { return r.Rulesets(), nil })
-	})
-	mux.HandleFunc("GET /rulesets/{name}", func(w http.ResponseWriter, req *http.Request) {
-		r.reply(w, req, "cluster.ruleset", func(context.Context) (any, error) { return r.Ruleset(req.PathValue("name")) })
-	})
-	mux.HandleFunc("DELETE /rulesets/{name}", func(w http.ResponseWriter, req *http.Request) {
-		r.reply(w, req, "cluster.delete", func(ctx context.Context) (any, error) {
-			return okBody{}, r.DeleteRuleset(ctx, req.PathValue("name"))
-		})
-	})
-	mux.HandleFunc("POST /match", func(w http.ResponseWriter, req *http.Request) {
-		var mr server.MatchRequest
-		if !r.decode(w, req, &mr) {
-			return
-		}
-		r.reply(w, req, "cluster.match", func(ctx context.Context) (any, error) {
-			r.col.Proxied.Inc()
-			return r.Match(ctx, mr)
-		})
-	})
-	mux.HandleFunc("POST /sessions", func(w http.ResponseWriter, req *http.Request) {
-		var or server.OpenSessionRequest
-		if !r.decode(w, req, &or) {
-			return
-		}
-		r.reply(w, req, "cluster.sessions.open", func(ctx context.Context) (any, error) {
-			r.col.Proxied.Inc()
-			return r.OpenSession(ctx, or)
-		})
-	})
-	mux.HandleFunc("GET /sessions", func(w http.ResponseWriter, req *http.Request) {
-		r.reply(w, req, "cluster.sessions.list", func(context.Context) (any, error) { return r.Sessions(), nil })
-	})
-	mux.HandleFunc("POST /sessions/{id}/feed", func(w http.ResponseWriter, req *http.Request) {
-		var fr server.FeedRequest
-		if !r.decode(w, req, &fr) {
-			return
-		}
-		r.reply(w, req, "cluster.sessions.feed", func(ctx context.Context) (any, error) {
-			r.col.Proxied.Inc()
-			return r.Feed(ctx, req.PathValue("id"), fr)
-		})
-	})
-	mux.HandleFunc("POST /sessions/{id}/suspend", func(w http.ResponseWriter, req *http.Request) {
-		r.reply(w, req, "cluster.sessions.suspend", func(ctx context.Context) (any, error) {
-			return r.Suspend(ctx, req.PathValue("id"))
-		})
-	})
-	mux.HandleFunc("DELETE /sessions/{id}", func(w http.ResponseWriter, req *http.Request) {
-		r.reply(w, req, "cluster.sessions.close", func(ctx context.Context) (any, error) {
-			return okBody{}, r.CloseSession(ctx, req.PathValue("id"))
-		})
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
-		r.mu.RLock()
-		draining := r.draining
-		nodes := len(r.members)
-		sessions := len(r.sessions)
-		r.mu.RUnlock()
-		status, code := "ok", http.StatusOK
-		if draining {
-			status, code = "draining", http.StatusServiceUnavailable
-		}
-		writeJSON(w, code, map[string]any{"status": status, "nodes": nodes, "sessions": sessions})
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, req *http.Request) {
-		r.mu.RLock()
-		draining := r.draining
-		quorum := r.quorumLocked()
-		r.mu.RUnlock()
-		code := http.StatusOK
-		if draining {
-			code = http.StatusServiceUnavailable
-		}
-		writeJSON(w, code, map[string]any{"ready": !draining, "quorum": quorum})
-	})
-	mux.HandleFunc("GET /debug/requests", r.debugRequests)
-	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
-		writeErr(w, errStatus(http.StatusNotFound, "no route %s %s", req.Method, req.URL.Path))
-	})
-	return mux
+	}
+	host := &server.Host{
+		API:     r,
+		MaxBody: maxBody,
+		// A bare error out of a router op is a failed hop (hopStatus).
+		Fallback: http.StatusBadGateway,
+		Ring:     r.traces,
+	}
+	return host.Handler(rows, r.healthz, r.readyz)
 }
 
-type okBody struct{}
-
-func (okBody) MarshalJSON() ([]byte, error) { return []byte(`{"ok":true}`), nil }
-
-// reply runs one router operation with tracing: the router mints the
-// trace id here and every inter-node call this operation makes carries
-// it in X-CA-Trace-Id, so one client request can be followed through
-// the router's and each touched node's flight recorder under one id.
-func (r *Router) reply(w http.ResponseWriter, req *http.Request, op string, fn func(ctx context.Context) (any, error)) {
-	var rt *telemetry.ReqTrace
-	if r.traces != nil {
-		rt = telemetry.NewReqTrace(op)
-		w.Header().Set("X-CA-Trace-Id", rt.ID())
+func (r *Router) healthz() (ok bool, body any) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	status := "ok"
+	if r.draining {
+		status = "draining"
 	}
-	ctx := telemetry.WithReqTrace(req.Context(), rt)
-	out, err := fn(ctx)
-	if err != nil {
-		outcome := "error"
-		var ce *clusterError
-		if errors.As(err, &ce) && ce.retryAfter > 0 {
-			outcome = "shed"
-		}
-		rt.Finish(outcome, err.Error())
-		r.traces.Add(rt.Report())
-		writeErr(w, err)
-		return
-	}
-	rt.Finish("ok", "")
-	r.traces.Add(rt.Report())
-	writeJSON(w, http.StatusOK, out)
+	return !r.draining, map[string]any{"status": status, "nodes": len(r.members), "sessions": len(r.sessions)}
 }
 
-// decode reads a JSON request body (bounded at 256 MiB — artifact and
-// snapshot payloads ride through the router).
-func (r *Router) decode(w http.ResponseWriter, req *http.Request, into any) bool {
-	data, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 256<<20))
-	if err != nil {
-		writeErr(w, errStatus(http.StatusBadRequest, "read body: %v", err))
-		return false
-	}
-	if err := json.Unmarshal(data, into); err != nil {
-		writeErr(w, errStatus(http.StatusBadRequest, "bad JSON request: %v", err))
-		return false
-	}
-	return true
+func (r *Router) readyz() (ok bool, body any) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return !r.draining, map[string]any{"ready": !r.draining, "quorum": r.quorumLocked()}
 }
 
-// debugRequests serves the router's flight recorder, mirroring the node
-// endpoint: JSON snapshot, ?id= lookup, ?format=text dump.
-func (r *Router) debugRequests(w http.ResponseWriter, req *http.Request) {
-	if r.traces == nil {
-		writeErr(w, errStatus(http.StatusNotFound, "request tracing is disabled"))
-		return
-	}
-	text := req.URL.Query().Get("format") == "text"
-	if id := req.URL.Query().Get("id"); id != "" {
-		rep := r.traces.Find(id)
-		if rep == nil {
-			writeErr(w, errStatus(http.StatusNotFound, "no trace %q (evicted or never recorded)", id))
-			return
-		}
-		if text {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			_ = rep.Format(w)
-			return
-		}
-		writeJSON(w, http.StatusOK, rep)
-		return
-	}
-	snap := r.traces.Snapshot()
-	if text {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "router flight recorder: %d recent, %d pinned (slow >= %.0fms)\n\n",
-			len(snap.Recent), len(snap.Pinned), snap.SlowMS)
-		for _, section := range []struct {
-			name string
-			reps []*telemetry.ReqReport
-		}{{"pinned", snap.Pinned}, {"recent", snap.Recent}} {
-			fmt.Fprintf(w, "== %s ==\n", section.name)
-			for _, rep := range section.reps {
-				_ = rep.Format(w)
-				fmt.Fprintln(w)
-			}
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, err error) {
-	status := http.StatusBadGateway
-	var ce *clusterError
-	if errors.As(err, &ce) {
-		status = ce.status
-		if ce.retryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(ce.retryAfter))
-		}
-	} else if errors.Is(err, context.DeadlineExceeded) {
-		status = http.StatusGatewayTimeout
-	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+type joinRequest struct {
+	ID  string `json:"id"`
+	URL string `json:"url"`
 }

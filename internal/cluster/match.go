@@ -14,15 +14,16 @@ import (
 // is deterministic and read-only, so duplicate execution is safe and
 // invisible). A failed candidate immediately falls through to the next.
 func (r *Router) Match(ctx context.Context, req server.MatchRequest) (*server.MatchResponse, error) {
+	r.col.Proxied.Inc()
 	r.mu.RLock()
 	draining := r.draining
 	r.mu.RUnlock()
 	if draining {
-		return nil, errStatus(http.StatusServiceUnavailable, "router is draining")
+		return nil, server.Errorf(http.StatusServiceUnavailable, "router is draining")
 	}
 	candidates := r.matchCandidates(req.Ruleset)
 	if candidates == nil {
-		return nil, errStatus(http.StatusNotFound, "no rule set %q", req.Ruleset)
+		return nil, server.Errorf(http.StatusNotFound, "no rule set %q", req.Ruleset)
 	}
 	if len(candidates) == 0 {
 		return nil, errRetryAfter("no alive replica holds rule set %q", req.Ruleset)
@@ -39,7 +40,7 @@ func (r *Router) Match(ctx context.Context, req server.MatchRequest) (*server.Ma
 		node := candidates[next]
 		next++
 		go func() {
-			resp, err := r.nodeMatch(ctx, node, req)
+			resp, err := call[server.MatchResponse](ctx, r, node, "match", "", req)
 			ch <- result{node: node, resp: resp, err: err}
 		}()
 	}
@@ -56,7 +57,7 @@ func (r *Router) Match(ctx context.Context, req server.MatchRequest) (*server.Ma
 	for inflight > 0 {
 		select {
 		case <-ctx.Done():
-			return nil, errStatus(http.StatusServiceUnavailable, "match abandoned: %v", ctx.Err())
+			return nil, server.Errorf(http.StatusServiceUnavailable, "match abandoned: %v", ctx.Err())
 		case <-hedgeC:
 			hedgeC = nil
 			if next < len(candidates) {
@@ -74,7 +75,7 @@ func (r *Router) Match(ctx context.Context, req server.MatchRequest) (*server.Ma
 			}
 			lastErr = res.err
 			inflight--
-			if st, ok := statusOfRPC(res.err); ok && st < 500 && st != http.StatusTooManyRequests {
+			if st := hopStatus(res.err); st < 500 && st != http.StatusTooManyRequests {
 				// The node answered: the request itself is bad. No other
 				// replica will disagree — fail fast, don't burn the pool.
 				if inflight == 0 {
@@ -89,7 +90,7 @@ func (r *Router) Match(ctx context.Context, req server.MatchRequest) (*server.Ma
 		}
 	}
 	r.col.ProxyErrors.Inc()
-	if st, ok := statusOfRPC(lastErr); ok && st < 500 {
+	if hopStatus(lastErr) < 500 {
 		return nil, lastErr
 	}
 	return nil, errRetryAfter("match failed on all replicas: %v", lastErr)

@@ -1,0 +1,124 @@
+package cluster
+
+import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"cacheautomaton/internal/server"
+)
+
+// TestRouterMountsOpTable ranges over the node's op table: every row
+// that names a cluster op is reachable on the router and lands exactly
+// one trace under "cluster."+that name; every node-only row is absent.
+func TestRouterMountsOpTable(t *testing.T) {
+	inputs := map[string]struct {
+		key  string
+		body any
+	}{
+		"rulesets.compile": {"fresh", server.CompileRequest{Patterns: []string{"abc"}}},
+		"rulesets.list":    {},
+		"rulesets.get":     {key: "ids"},
+		"rulesets.delete":  {key: "ids"},
+		"match":            {body: server.MatchRequest{Ruleset: "ids", Input: "a needle"}},
+		"sessions.open":    {body: server.OpenSessionRequest{Ruleset: "ids"}},
+		"sessions.list":    {},
+		"sessions.feed":    {"c00000001", server.FeedRequest{Chunk: "xx needle"}},
+		"sessions.suspend": {key: "c00000001"},
+		"sessions.close":   {key: "c00000001"},
+	}
+	for _, op := range server.Ops {
+		if op.Method == "" {
+			continue
+		}
+		t.Run(op.Name, func(t *testing.T) {
+			tc := startCluster(t, 1, fastConfig(nil))
+			tc.waitTable("node alive", func(tab Table) bool { return tc.nodeState(tab, "n1") == stateAlive })
+			ctx := context.Background()
+			if _, err := tc.router.Compile(ctx, "ids", server.CompileRequest{Patterns: []string{"needle"}}); err != nil {
+				t.Fatal(err)
+			}
+			if info, err := tc.router.OpenSession(ctx, server.OpenSessionRequest{Ruleset: "ids"}); err != nil || info.Session != "c00000001" {
+				t.Fatalf("open fixture session: %+v, %v", info, err)
+			}
+			in, ok := inputs[op.Name]
+			if op.Cluster == "" {
+				if code, _ := tc.do(op.Method, op.URLPath("ids"), nil, nil); code != http.StatusNotFound {
+					t.Fatalf("node-only row answered %d on the router, want 404", code)
+				}
+				return
+			}
+			if !ok {
+				t.Fatalf("no test input for row %q", op.Name)
+			}
+			before := len(tc.router.Traces().All())
+			code, hdr := tc.do(op.Method, op.URLPath(in.key), in.body, nil)
+			if code != http.StatusOK {
+				t.Fatalf("%s %s = %d", op.Method, op.URLPath(in.key), code)
+			}
+			all := tc.router.Traces().All()
+			rep := tc.router.Traces().Find(hdr.Get("X-CA-Trace-Id"))
+			if len(all) != before+1 || rep == nil || rep.Op != "cluster."+op.Cluster {
+				t.Fatalf("%d new traces, the response's is %+v; want one with op %q", len(all)-before, rep, "cluster."+op.Cluster)
+			}
+		})
+	}
+}
+
+// panicOn is a transport that panics on any request whose path contains
+// its string and passes the rest (heartbeats included) through.
+type panicOn string
+
+func (p panicOn) RoundTrip(req *http.Request) (*http.Response, error) {
+	if strings.Contains(req.URL.Path, string(p)) {
+		panic("transport exploded on " + req.URL.Path)
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestRouterPanicIsolation: a panicking router op is a structured JSON
+// 500 and a trace with outcome "panic", like on a node — not a torn
+// connection.
+func TestRouterPanicIsolation(t *testing.T) {
+	cfg := fastConfig(nil)
+	cfg.Client = &http.Client{Transport: panicOn("boom")}
+	tc := startCluster(t, 1, cfg)
+	tc.waitTable("node alive", func(tab Table) bool { return tc.nodeState(tab, "n1") == stateAlive })
+
+	data, _ := json.Marshal(server.CompileRequest{Patterns: []string{"x"}})
+	req, _ := http.NewRequest(http.MethodPut, tc.front.URL+"/rulesets/boom", strings.NewReader(string(data)))
+	resp, err := tc.client.Do(req)
+	if err != nil {
+		t.Fatalf("panicking op tore the connection: %v", err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || resp.StatusCode != http.StatusInternalServerError || !strings.Contains(body.Error, "internal panic") {
+		t.Fatalf("panicking op = %d %+v (%v), want structured 500", resp.StatusCode, body, err)
+	}
+	rep := tc.router.Traces().Find(resp.Header.Get("X-CA-Trace-Id"))
+	if rep == nil || rep.Outcome != "panic" || rep.Op != "cluster.compile" {
+		t.Fatalf("trace of the panicking op = %+v, want outcome panic", rep)
+	}
+	// The router keeps serving.
+	if code, _ := tc.do(http.MethodPut, "/rulesets/fine", server.CompileRequest{Patterns: []string{"x"}}, nil); code != http.StatusOK {
+		t.Fatalf("compile after the panic: %d", code)
+	}
+}
+
+// TestRouterOversizedBody: a body over the router's cap is 413, the
+// status a node gives, not 400.
+func TestRouterOversizedBody(t *testing.T) {
+	tc := startCluster(t, 0, fastConfig(nil))
+	body := `{"ruleset":"ids","input":"` + strings.Repeat("x", 4096) + `"}`
+	rec := httptest.NewRecorder()
+	tc.router.handler(1024).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/match", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), `"error"`) {
+		t.Fatalf("oversized body = %d %s, want structured 413", rec.Code, rec.Body)
+	}
+}

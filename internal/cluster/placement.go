@@ -17,7 +17,7 @@ func (r *Router) Compile(ctx context.Context, name string, req server.CompileReq
 	draining, quorum := r.draining, r.quorumLocked()
 	r.mu.RUnlock()
 	if draining {
-		return nil, errStatus(http.StatusServiceUnavailable, "router is draining")
+		return nil, server.Errorf(http.StatusServiceUnavailable, "router is draining")
 	}
 	if !quorum {
 		r.col.PlacementsRefused.Inc()
@@ -28,11 +28,11 @@ func (r *Router) Compile(ctx context.Context, name string, req server.CompileReq
 		return nil, errRetryAfter("no alive node to place rule set %q", name)
 	}
 	primary := targets[0]
-	info, err := r.nodeCompile(ctx, primary, name, req)
+	info, err := call[server.RulesetInfo](ctx, r, primary, "rulesets.compile", name, req)
 	if err != nil {
 		return nil, err
 	}
-	art, err := r.nodeArtifact(ctx, primary, name)
+	art, err := call[server.Artifact](ctx, r, primary, "rulesets.artifact", name, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +53,7 @@ func (r *Router) Compile(ctx context.Context, name string, req server.CompileReq
 	r.mu.Unlock()
 
 	for _, node := range targets[1:] {
-		if _, ierr := r.nodeInstall(ctx, node, art); ierr != nil {
+		if ierr := r.rpc(ctx, node, "rulesets.install", name, art, nil); ierr != nil {
 			// The reconciler retries; the placement is already serving on
 			// the primary.
 			r.log.WarnContext(ctx, "replica install failed", "ruleset", name, "node", node, "error", ierr)
@@ -96,7 +96,7 @@ func (r *Router) ensureRuleset(ctx context.Context, node, name string) error {
 	pr := r.rulesets[name]
 	if pr == nil {
 		r.mu.RUnlock()
-		return errStatus(http.StatusNotFound, "rule set %q is not placed", name)
+		return server.Errorf(http.StatusNotFound, "rule set %q is not placed", name)
 	}
 	gen := pr.gen
 	req := pr.req
@@ -117,9 +117,9 @@ func (r *Router) ensureRuleset(ctx context.Context, node, name string) error {
 	r.mu.RUnlock()
 
 	if source != "" {
-		art, err := r.nodeArtifact(ctx, source, name)
+		art, err := call[server.Artifact](ctx, r, source, "rulesets.artifact", name, nil)
 		if err == nil {
-			if _, err = r.nodeInstall(ctx, node, art); err == nil {
+			if err = r.rpc(ctx, node, "rulesets.install", name, art, nil); err == nil {
 				r.col.ArtifactsShipped.Inc()
 				r.recordHolder(name, node, gen)
 				return nil
@@ -127,7 +127,7 @@ func (r *Router) ensureRuleset(ctx context.Context, node, name string) error {
 		}
 		r.log.WarnContext(ctx, "artifact ship failed, falling back to recompile", "ruleset", name, "from", source, "to", node, "error", err)
 	}
-	if _, err := r.nodeCompile(ctx, node, name, req); err != nil {
+	if err := r.rpc(ctx, node, "rulesets.compile", name, req, nil); err != nil {
 		return err
 	}
 	r.recordHolder(name, node, gen)
@@ -149,7 +149,7 @@ func (r *Router) DeleteRuleset(ctx context.Context, name string) error {
 	pr := r.rulesets[name]
 	if pr == nil {
 		r.mu.Unlock()
-		return errStatus(http.StatusNotFound, "no rule set %q", name)
+		return server.Errorf(http.StatusNotFound, "no rule set %q", name)
 	}
 	if !r.quorumLocked() {
 		r.col.PlacementsRefused.Inc()
@@ -166,8 +166,8 @@ func (r *Router) DeleteRuleset(ctx context.Context, name string) error {
 	r.mu.Unlock()
 
 	for _, node := range holders {
-		if err := r.nodeDelete(ctx, node, name); err != nil {
-			if st, ok := statusOfRPC(err); ok && st == http.StatusNotFound {
+		if err := r.rpc(ctx, node, "rulesets.delete", name, nil, nil); err != nil {
+			if hopStatus(err) == http.StatusNotFound {
 				continue
 			}
 			r.log.WarnContext(ctx, "delete fan-out failed", "ruleset", name, "node", node, "error", err)
@@ -195,7 +195,7 @@ func (r *Router) Ruleset(name string) (*server.RulesetInfo, error) {
 	defer r.mu.RUnlock()
 	pr := r.rulesets[name]
 	if pr == nil {
-		return nil, errStatus(http.StatusNotFound, "no rule set %q", name)
+		return nil, server.Errorf(http.StatusNotFound, "no rule set %q", name)
 	}
 	info := pr.info
 	return &info, nil

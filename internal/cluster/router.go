@@ -227,17 +227,17 @@ func (r *Router) Traces() *telemetry.TraceRing { return r.traces }
 // and are refused without quorum.
 func (r *Router) AddNode(ctx context.Context, id, url string) error {
 	if id == "" || url == "" {
-		return errStatus(http.StatusBadRequest, "node id and url are required")
+		return server.Errorf(http.StatusBadRequest, "node id and url are required")
 	}
 	r.mu.Lock()
 	if r.draining {
 		r.mu.Unlock()
-		return errStatus(http.StatusServiceUnavailable, "router is draining")
+		return server.Errorf(http.StatusServiceUnavailable, "router is draining")
 	}
 	if len(r.members) > 0 && !r.quorumLocked() {
 		r.col.PlacementsRefused.Inc()
 		r.mu.Unlock()
-		return errStatus(http.StatusServiceUnavailable, "no quorum: refusing membership change")
+		return server.Errorf(http.StatusServiceUnavailable, "no quorum: refusing membership change")
 	}
 	m, rejoin := r.members[id]
 	if !rejoin {
@@ -274,12 +274,12 @@ func (r *Router) RemoveNode(id string) error {
 	r.mu.Lock()
 	if _, ok := r.members[id]; !ok {
 		r.mu.Unlock()
-		return errStatus(http.StatusNotFound, "no node %q", id)
+		return server.Errorf(http.StatusNotFound, "no node %q", id)
 	}
 	if !r.quorumLocked() {
 		r.col.PlacementsRefused.Inc()
 		r.mu.Unlock()
-		return errStatus(http.StatusServiceUnavailable, "no quorum: refusing membership change")
+		return server.Errorf(http.StatusServiceUnavailable, "no quorum: refusing membership change")
 	}
 	delete(r.members, id)
 	r.ring.Remove(id)
@@ -472,7 +472,7 @@ func (r *Router) probe(ctx context.Context, id, url string) (server.ReadyDetail,
 	}
 	// A structured 503 is still an answer: the process is up. Transport
 	// errors (and injected partition faults) are the only misses.
-	if st, ok := statusOfRPC(err); ok && st == http.StatusServiceUnavailable {
+	if hopStatus(err) == http.StatusServiceUnavailable {
 		return detail, nil
 	}
 	return detail, err
@@ -627,7 +627,7 @@ func (r *Router) memberURL(id string) (string, error) {
 	defer r.mu.RUnlock()
 	m := r.members[id]
 	if m == nil {
-		return "", errStatus(http.StatusServiceUnavailable, "node %q left the cluster", id)
+		return "", server.Errorf(http.StatusServiceUnavailable, "node %q left the cluster", id)
 	}
 	return m.url, nil
 }
@@ -688,25 +688,9 @@ func (r *Router) ClusterTable() Table {
 	return t
 }
 
-// errStatus builds a status-carrying error (the cluster analog of the
-// server package's structured API errors).
-func errStatus(status int, format string, args ...any) error {
-	return &clusterError{status: status, msg: fmt.Sprintf(format, args...)}
-}
-
 // errRetryAfter is the overload/no-quorum shed: a 503 whose transport
 // rendering carries a Retry-After header, telling well-behaved clients
 // to back off instead of hammering a degraded cluster.
 func errRetryAfter(format string, args ...any) error {
-	return &clusterError{status: http.StatusServiceUnavailable, msg: fmt.Sprintf(format, args...), retryAfter: 1}
+	return &server.Error{Status: http.StatusServiceUnavailable, Msg: fmt.Sprintf(format, args...), RetryAfter: 1}
 }
-
-type clusterError struct {
-	status     int
-	msg        string
-	retryAfter int // seconds; > 0 emits a Retry-After response header
-	cause      error
-}
-
-func (e *clusterError) Error() string { return e.msg }
-func (e *clusterError) Unwrap() error { return e.cause }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -25,12 +24,14 @@ const (
 	faultRPCPrefix = "cluster.rpc."
 )
 
-// rpc issues one inter-node call under the router's retry policy
-// (jittered exponential backoff, per-attempt timeouts). The node's URL
-// re-resolves on every attempt so a rejoin mid-retry lands on the new
-// address. Use only for idempotent calls — feeds go through rpcOnce and
-// recover via checkpoint failover instead.
-func (r *Router) rpc(ctx context.Context, nodeID, method, path string, in, out any) error {
+// rpc issues one inter-node call — the op table's row named op, keyed
+// by a rule-set name or node-local session id — under the router's
+// retry policy (jittered exponential backoff, per-attempt timeouts).
+// The node's URL re-resolves on every attempt so a rejoin mid-retry
+// lands on the new address. Use only for idempotent calls — feeds go
+// through rpcOnce and recover via checkpoint failover instead.
+func (r *Router) rpc(ctx context.Context, nodeID, op, key string, in, out any) error {
+	route := server.Route(op)
 	policy := r.cfg.RPC
 	if policy.RetryIf == nil {
 		policy.RetryIf = retryableRPC
@@ -41,7 +42,7 @@ func (r *Router) rpc(ctx context.Context, nodeID, method, path string, in, out a
 		if uerr != nil {
 			return uerr
 		}
-		return r.rpcOnce(actx, nodeID, url, method, path, in, out)
+		return r.rpcOnce(actx, nodeID, url, route.Method, route.URLPath(key), in, out)
 	})
 	r.col.RPCs.Inc()
 	if attempts > 1 {
@@ -98,7 +99,7 @@ func (r *Router) rpcOnce(ctx context.Context, nodeID, url, method, path string, 
 		if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
 			msg = eb.Error
 		}
-		return &clusterError{status: resp.StatusCode, msg: fmt.Sprintf("%s: %s %s: %s", nodeID, method, path, msg)}
+		return server.Errorf(resp.StatusCode, "%s: %s %s: %s", nodeID, method, path, msg)
 	}
 	if out != nil {
 		if err := json.Unmarshal(data, out); err != nil {
@@ -108,71 +109,33 @@ func (r *Router) rpcOnce(ctx context.Context, nodeID, url, method, path string, 
 	return nil
 }
 
-// retryableRPC classifies inter-node errors: transport failures and
-// injected partition faults retry, server-side 5xx/429 retry (the node
-// may be shedding), any other structured status is terminal.
+// hopStatus is the status one inter-node call ended with: the node's own
+// answer, or 502 for a hop that never got a structured one (transport
+// failure, injected partition fault) — the status the router's own
+// transport renders such an error with.
+func hopStatus(err error) int { return server.StatusOf(err, http.StatusBadGateway) }
+
+// retryableRPC classifies inter-node errors: failed hops and server-side
+// 5xx/429 retry (the node may be shedding), any other structured status
+// is terminal.
 func retryableRPC(err error) bool {
-	if st, ok := statusOfRPC(err); ok {
-		return st >= 500 || st == http.StatusTooManyRequests
-	}
-	return true
+	st := hopStatus(err)
+	return st >= 500 || st == http.StatusTooManyRequests
 }
 
-// statusOfRPC extracts the HTTP status a node answered with (false for
-// transport-level failures that never got a structured response).
-func statusOfRPC(err error) (int, bool) {
-	var ce *clusterError
-	if errors.As(err, &ce) {
-		return ce.status, true
-	}
-	return 0, false
-}
-
-// Typed node calls. Each is a thin wrapper naming the endpoint and
-// wire types so call sites read as intent, not paths.
-
-func (r *Router) nodeCompile(ctx context.Context, node, name string, req server.CompileRequest) (*server.RulesetInfo, error) {
-	var info server.RulesetInfo
-	if err := r.rpc(ctx, node, http.MethodPut, "/rulesets/"+name, req, &info); err != nil {
+// call is rpc with a typed answer, so call sites name a row of the op
+// table and its response type rather than a path.
+func call[Out any](ctx context.Context, r *Router, node, op, key string, in any) (*Out, error) {
+	var out Out
+	if err := r.rpc(ctx, node, op, key, in, &out); err != nil {
 		return nil, err
 	}
-	return &info, nil
+	return &out, nil
 }
 
-func (r *Router) nodeArtifact(ctx context.Context, node, name string) (*server.Artifact, error) {
-	var art server.Artifact
-	if err := r.rpc(ctx, node, http.MethodGet, "/rulesets/"+name+"/artifact", nil, &art); err != nil {
-		return nil, err
-	}
-	return &art, nil
-}
-
-func (r *Router) nodeInstall(ctx context.Context, node string, art *server.Artifact) (*server.RulesetInfo, error) {
-	var info server.RulesetInfo
-	if err := r.rpc(ctx, node, http.MethodPut, "/rulesets/"+art.Name+"/artifact", art, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
-}
-
-func (r *Router) nodeDelete(ctx context.Context, node, name string) error {
-	return r.rpc(ctx, node, http.MethodDelete, "/rulesets/"+name, nil, nil)
-}
-
-func (r *Router) nodeMatch(ctx context.Context, node string, req server.MatchRequest) (*server.MatchResponse, error) {
-	var resp server.MatchResponse
-	if err := r.rpc(ctx, node, http.MethodPost, "/match", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-func (r *Router) nodeOpen(ctx context.Context, node string, req server.OpenSessionRequest) (*server.SessionInfo, error) {
-	var info server.SessionInfo
-	if err := r.rpc(ctx, node, http.MethodPost, "/sessions", req, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+// nodeOpen opens (or, with a snapshot, resumes) a node-local session.
+func (r *Router) nodeOpen(ctx context.Context, node, ruleset, snapshot string) (*server.SessionInfo, error) {
+	return call[server.SessionInfo](ctx, r, node, "sessions.open", "", server.OpenSessionRequest{Ruleset: ruleset, SnapshotB64: snapshot})
 }
 
 // nodeFeed is deliberately single-attempt: a feed mutates stream state,
@@ -192,7 +155,8 @@ func (r *Router) nodeFeed(ctx context.Context, node, localID string, req server.
 	}
 	start := time.Now()
 	var resp server.FeedResponse
-	ferr := r.rpcOnce(ctx, node, url, http.MethodPost, "/sessions/"+localID+"/feed", req, &resp)
+	route := server.Route("sessions.feed")
+	ferr := r.rpcOnce(ctx, node, url, route.Method, route.URLPath(localID), req, &resp)
 	r.col.RPCs.Inc()
 	r.col.RPCSeconds.Observe(time.Since(start).Seconds())
 	if ferr != nil {
@@ -200,24 +164,4 @@ func (r *Router) nodeFeed(ctx context.Context, node, localID string, req server.
 		return nil, ferr
 	}
 	return &resp, nil
-}
-
-func (r *Router) nodeCheckpoint(ctx context.Context, node, localID string) (*server.SuspendResponse, error) {
-	var resp server.SuspendResponse
-	if err := r.rpc(ctx, node, http.MethodPost, "/sessions/"+localID+"/checkpoint", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-func (r *Router) nodeSuspend(ctx context.Context, node, localID string) (*server.SuspendResponse, error) {
-	var resp server.SuspendResponse
-	if err := r.rpc(ctx, node, http.MethodPost, "/sessions/"+localID+"/suspend", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-func (r *Router) nodeClose(ctx context.Context, node, localID string) error {
-	return r.rpc(ctx, node, http.MethodDelete, "/sessions/"+localID, nil, nil)
 }

@@ -30,14 +30,15 @@ import (
 // behind it changes identity on every failover and migration, invisibly
 // to the client.
 func (r *Router) OpenSession(ctx context.Context, req server.OpenSessionRequest) (*server.SessionInfo, error) {
+	r.col.Proxied.Inc()
 	r.mu.Lock()
 	if r.draining {
 		r.mu.Unlock()
-		return nil, errStatus(http.StatusServiceUnavailable, "router is draining")
+		return nil, server.Errorf(http.StatusServiceUnavailable, "router is draining")
 	}
 	if r.rulesets[req.Ruleset] == nil {
 		r.mu.Unlock()
-		return nil, errStatus(http.StatusNotFound, "no rule set %q", req.Ruleset)
+		return nil, server.Errorf(http.StatusNotFound, "no rule set %q", req.Ruleset)
 	}
 	r.nextID++
 	cs := &csession{
@@ -53,7 +54,7 @@ func (r *Router) OpenSession(ctx context.Context, req server.OpenSessionRequest)
 			lastErr = err
 			continue
 		}
-		info, err := r.nodeOpen(ctx, node, server.OpenSessionRequest{Ruleset: cs.ruleset, SnapshotB64: req.SnapshotB64})
+		info, err := r.nodeOpen(ctx, node, cs.ruleset, req.SnapshotB64)
 		if err != nil {
 			lastErr = err
 			continue
@@ -76,15 +77,16 @@ func (r *Router) OpenSession(ctx context.Context, req server.OpenSessionRequest)
 // to a successor and the chunk replays there — bounded by the alive
 // member count, then shed with Retry-After.
 func (r *Router) Feed(ctx context.Context, id string, req server.FeedRequest) (*server.FeedResponse, error) {
+	r.col.Proxied.Inc()
 	cs := r.lookupSession(id)
 	if cs == nil {
-		return nil, errStatus(http.StatusNotFound, "no session %q", id)
+		return nil, server.Errorf(http.StatusNotFound, "no session %q", id)
 	}
 	req.Checkpoint = true
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if cs.closed {
-		return nil, errStatus(http.StatusNotFound, "no session %q", id)
+		return nil, server.Errorf(http.StatusNotFound, "no session %q", id)
 	}
 	var lastErr error
 	for attempt := 0; attempt <= r.memberCount(); attempt++ {
@@ -100,7 +102,7 @@ func (r *Router) Feed(ctx context.Context, id string, req server.FeedRequest) (*
 		if ctx.Err() != nil {
 			break
 		}
-		if st, ok := statusOfRPC(err); ok && st < 500 && st != http.StatusNotFound && st != http.StatusTooManyRequests {
+		if st := hopStatus(err); st < 500 && st != http.StatusNotFound && st != http.StatusTooManyRequests {
 			// The node answered with a client error (bad chunk, too
 			// large): the session is fine, the request is not.
 			return nil, err
@@ -112,7 +114,7 @@ func (r *Router) Feed(ctx context.Context, id string, req server.FeedRequest) (*
 		}
 	}
 	r.col.ProxyErrors.Inc()
-	return nil, errStatus(http.StatusServiceUnavailable, "feed failed after failover: %v", lastErr)
+	return nil, server.Errorf(http.StatusServiceUnavailable, "feed failed after failover: %v", lastErr)
 }
 
 // absorbCheckpoint updates the session's shipped checkpoint from a
@@ -131,7 +133,7 @@ func (r *Router) absorbCheckpoint(ctx context.Context, cs *csession, resp *serve
 		r.col.CheckpointBytes.Add(int64(len(resp.SnapshotB64)))
 		return
 	}
-	cp, err := r.nodeCheckpoint(ctx, cs.node, cs.localID)
+	cp, err := call[server.SuspendResponse](ctx, r, cs.node, "sessions.checkpoint", cs.localID, nil)
 	if err != nil {
 		cs.stale = true
 		r.log.WarnContext(ctx, "checkpoint refresh failed; session not exactly recoverable", "session", cs.id, "node", cs.node, "error", err)
@@ -155,7 +157,7 @@ func (r *Router) failoverLocked(ctx context.Context, cs *csession, failed string
 	}
 	if cs.stale || (cs.checkpoint == "" && cs.pos > 0) {
 		r.dropSession(cs)
-		return errStatus(http.StatusGone, "session %q lost: no recoverable checkpoint", cs.id)
+		return server.Errorf(http.StatusGone, "session %q lost: no recoverable checkpoint", cs.id)
 	}
 	start := time.Now()
 	oldNode, oldLocal := cs.node, cs.localID
@@ -165,7 +167,7 @@ func (r *Router) failoverLocked(ctx context.Context, cs *csession, failed string
 			lastErr = err
 			continue
 		}
-		info, err := r.nodeOpen(ctx, node, server.OpenSessionRequest{Ruleset: cs.ruleset, SnapshotB64: cs.checkpoint})
+		info, err := r.nodeOpen(ctx, node, cs.ruleset, cs.checkpoint)
 		if err != nil {
 			lastErr = err
 			continue
@@ -180,7 +182,7 @@ func (r *Router) failoverLocked(ctx context.Context, cs *csession, failed string
 		go func() {
 			cctx, cancel := context.WithTimeout(context.Background(), time.Second)
 			defer cancel()
-			_ = r.nodeClose(cctx, oldNode, oldLocal)
+			_ = r.rpc(cctx, oldNode, "sessions.close", oldLocal, nil, nil)
 		}()
 		return nil
 	}
@@ -205,7 +207,7 @@ func (r *Router) migrateLocked(ctx context.Context, cs *csession, target string)
 		return err
 	}
 	start := time.Now()
-	sus, err := r.nodeSuspend(ctx, cs.node, cs.localID)
+	sus, err := call[server.SuspendResponse](ctx, r, cs.node, "sessions.suspend", cs.localID, nil)
 	if err != nil {
 		// Owner died under us: this is no longer a migration, it is a
 		// failover from the last shipped checkpoint.
@@ -217,7 +219,7 @@ func (r *Router) migrateLocked(ctx context.Context, cs *csession, target string)
 	r.col.CheckpointsShipped.Inc()
 	r.col.CheckpointBytes.Add(int64(len(sus.SnapshotB64)))
 	oldNode := cs.node
-	info, err := r.nodeOpen(ctx, target, server.OpenSessionRequest{Ruleset: cs.ruleset, SnapshotB64: sus.SnapshotB64})
+	info, err := r.nodeOpen(ctx, target, cs.ruleset, sus.SnapshotB64)
 	if err != nil {
 		return r.failoverLocked(ctx, cs, target)
 	}
@@ -235,14 +237,14 @@ func (r *Router) migrateLocked(ctx context.Context, cs *csession, target string)
 func (r *Router) Suspend(ctx context.Context, id string) (*server.SuspendResponse, error) {
 	cs := r.lookupSession(id)
 	if cs == nil {
-		return nil, errStatus(http.StatusNotFound, "no session %q", id)
+		return nil, server.Errorf(http.StatusNotFound, "no session %q", id)
 	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if cs.closed {
-		return nil, errStatus(http.StatusNotFound, "no session %q", id)
+		return nil, server.Errorf(http.StatusNotFound, "no session %q", id)
 	}
-	sus, err := r.nodeSuspend(ctx, cs.node, cs.localID)
+	sus, err := call[server.SuspendResponse](ctx, r, cs.node, "sessions.suspend", cs.localID, nil)
 	if err != nil {
 		if cs.stale || cs.checkpoint == "" {
 			return nil, errRetryAfter("session %q owner unreachable and no shipped checkpoint", id)
@@ -258,16 +260,16 @@ func (r *Router) Suspend(ctx context.Context, id string) (*server.SuspendRespons
 func (r *Router) CloseSession(ctx context.Context, id string) error {
 	cs := r.lookupSession(id)
 	if cs == nil {
-		return errStatus(http.StatusNotFound, "no session %q", id)
+		return server.Errorf(http.StatusNotFound, "no session %q", id)
 	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if cs.closed {
-		return errStatus(http.StatusNotFound, "no session %q", id)
+		return server.Errorf(http.StatusNotFound, "no session %q", id)
 	}
 	node, local := cs.node, cs.localID
 	r.dropSession(cs)
-	if err := r.nodeClose(ctx, node, local); err != nil {
+	if err := r.rpc(ctx, node, "sessions.close", local, nil, nil); err != nil {
 		r.log.WarnContext(ctx, "node-local close failed", "session", id, "node", node, "error", err)
 	}
 	return nil

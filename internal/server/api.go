@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/base64"
 	"errors"
 	"fmt"
@@ -182,55 +183,66 @@ type Health struct {
 	Sessions int    `json:"sessions"`
 }
 
-// apiError is an error with an HTTP status. Transports render it as a
-// structured error payload ({"error": ...}), never as a panic or a bare
-// string. cause, when set, preserves the error chain so callers can
-// errors.As through the status wrapper (faults.IsInjected relies on it).
-type apiError struct {
-	status int
-	msg    string
-	cause  error
+// Error is the serving API's one structured error: an HTTP status, the
+// message transports render as {"error": ...}, the cause chain (so
+// callers can errors.As through the status wrapper — faults.IsInjected
+// relies on it) and, for sheds, the Retry-After seconds telling
+// well-behaved clients to back off. Nodes and the cluster router both
+// return it; no transport ever renders a panic or a bare string.
+type Error struct {
+	Status     int
+	Msg        string
+	Cause      error
+	RetryAfter int // seconds; > 0 emits a Retry-After response header
 }
 
-func (e *apiError) Error() string { return e.msg }
+func (e *Error) Error() string { return e.Msg }
 
-func (e *apiError) Unwrap() error { return e.cause }
+func (e *Error) Unwrap() error { return e.Cause }
 
-func errf(status int, format string, args ...any) error {
-	return &apiError{status: status, msg: fmt.Sprintf(format, args...)}
+// Errorf builds an Error with a status and a formatted message.
+func Errorf(status int, format string, args ...any) error {
+	return &Error{Status: status, Msg: fmt.Sprintf(format, args...)}
 }
 
-// errc is errf with a preserved cause chain.
+// errc is Errorf with a preserved cause chain.
 func errc(status int, cause error, format string, args ...any) error {
-	return &apiError{status: status, msg: fmt.Sprintf(format, args...), cause: cause}
+	return &Error{Status: status, Msg: fmt.Sprintf(format, args...), Cause: cause}
 }
 
-// statusOf maps an error to its HTTP status (500 for non-API errors).
-func statusOf(err error) int {
-	var ae *apiError
-	if errors.As(err, &ae) {
-		return ae.status
+// StatusOf maps an error to its HTTP status. An error that carries none
+// answers 504 when it is a bare deadline expiry and fallback otherwise
+// (500 on a node, 502 on the router, whose bare errors are failed hops).
+func StatusOf(err error, fallback int) int {
+	var e *Error
+	switch {
+	case errors.As(err, &e):
+		return e.Status
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
 	}
-	return http.StatusInternalServerError
+	return fallback
 }
+
+func statusOf(err error) int { return StatusOf(err, http.StatusInternalServerError) }
 
 // payload decodes the one-of text/base64 body of a match or feed request.
 func payload(text, b64 string, max int64) ([]byte, error) {
 	if text != "" && b64 != "" {
-		return nil, errf(http.StatusBadRequest, "set input or input_b64, not both")
+		return nil, Errorf(http.StatusBadRequest, "set input or input_b64, not both")
 	}
 	var data []byte
 	if b64 != "" {
 		var err error
 		data, err = base64.StdEncoding.DecodeString(b64)
 		if err != nil {
-			return nil, errf(http.StatusBadRequest, "bad base64 payload: %v", err)
+			return nil, Errorf(http.StatusBadRequest, "bad base64 payload: %v", err)
 		}
 	} else {
 		data = []byte(text)
 	}
 	if max > 0 && int64(len(data)) > max {
-		return nil, errf(http.StatusRequestEntityTooLarge, "payload of %d bytes exceeds limit %d", len(data), max)
+		return nil, Errorf(http.StatusRequestEntityTooLarge, "payload of %d bytes exceeds limit %d", len(data), max)
 	}
 	return data, nil
 }
@@ -240,7 +252,7 @@ func payload(text, b64 string, max int64) ([]byte, error) {
 // byte-slice materialization it never needs.
 func textPayloadErr(text string, max int64) error {
 	if max > 0 && int64(len(text)) > max {
-		return errf(http.StatusRequestEntityTooLarge, "payload of %d bytes exceeds limit %d", len(text), max)
+		return Errorf(http.StatusRequestEntityTooLarge, "payload of %d bytes exceeds limit %d", len(text), max)
 	}
 	return nil
 }

@@ -239,7 +239,7 @@ func (b *batcher) flush(g *batchGen) {
 		// the waiters: fail every member that has no outcome yet.
 		if r := recover(); r != nil {
 			s.col.Panics.Inc()
-			err := errf(http.StatusInternalServerError, "batch flush panic: %v", r)
+			err := Errorf(http.StatusInternalServerError, "batch flush panic: %v", r)
 			for i := range g.members {
 				if !g.members[i].out.settled {
 					g.members[i].out = batchOutcome{err: err, settled: true}
@@ -360,7 +360,7 @@ func (s *Server) checkBatchMember(mb *batchMember) (err error) {
 			if p, ok := r.(*faults.Panic); ok {
 				mb.rt.Annotate("fault", p.Point)
 			}
-			err = errf(http.StatusInternalServerError, "batch member panic: %v", r)
+			err = Errorf(http.StatusInternalServerError, "batch member panic: %v", r)
 		}
 	}()
 	if err := faults.Check("server.batch.flush"); err != nil {

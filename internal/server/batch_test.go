@@ -414,8 +414,8 @@ func TestBatchedThroughputSmoke(t *testing.T) {
 
 // BenchmarkBatchedServing10k is the acceptance benchmark: 10k
 // concurrent 1KB /match requests against one rule set, batched vs
-// per-request. cmd/cabench -clients reproduces this shape out of
-// process; results/batched-serving.json holds the committed snapshot.
+// per-request. The bench/ ledger's server.burst64_* rows measure the
+// same two paths on a 64-goroutine burst.
 func BenchmarkBatchedServing10k(b *testing.B) {
 	const concurrent, payload = 10000, 1024
 	input := smokeInput(rand.New(rand.NewSource(2)), payload)

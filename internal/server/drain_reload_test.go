@@ -70,15 +70,13 @@ func TestDrainReloadRace(t *testing.T) {
 				}
 				for j := 0; j < 4; j++ {
 					if _, err := s.Feed(ctx, info.Session, FeedRequest{Chunk: "xx aaa bbb "}); err != nil {
-						// The drain may close the session under us; both
-						// shed (503) and already-gone (404) are legal.
-						if st := statusOf(err); st != http.StatusServiceUnavailable && st != http.StatusNotFound {
+						if !drainedUnderUs(err) {
 							t.Errorf("feed: %v", err)
 						}
 						return
 					}
 				}
-				if err := s.CloseSession(ctx, info.Session); err != nil && statusOf(err) != http.StatusNotFound {
+				if err := s.CloseSession(ctx, info.Session); err != nil && !drainedUnderUs(err) {
 					t.Errorf("close: %v", err)
 				}
 			}
@@ -171,4 +169,15 @@ func TestDrainReloadRace(t *testing.T) {
 	if got := reg.Counter("ca_server_reloads_total", "").Value(); got != int64(total) {
 		t.Fatalf("ca_server_reloads_total = %d, want %d", got, total)
 	}
+}
+
+// drainedUnderUs reports whether a session op failed in one of the ways
+// a concurrent drain legally makes it fail: shed at begin() (503), the
+// session already removed (404), or found closed under its lock (409).
+func drainedUnderUs(err error) bool {
+	switch statusOf(err) {
+	case http.StatusServiceUnavailable, http.StatusNotFound, http.StatusConflict:
+		return true
+	}
+	return false
 }

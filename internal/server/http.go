@@ -1,345 +1,121 @@
 package server
 
 import (
-	"bytes"
-	"context"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
-	"time"
-
-	"cacheautomaton/internal/faults"
-	"cacheautomaton/internal/telemetry"
 )
 
-// Handler returns the HTTP/JSON API:
-//
-//	PUT    /rulesets/{name}       compile a named rule set
-//	POST   /rulesets/{name}/reload atomically swap a rule set (admin;
-//	                              empty body recompiles the stored
-//	                              definition; HTTP-only, not on TCP)
-//	GET    /rulesets              list rule sets
-//	GET    /rulesets/{name}       describe one rule set
-//	DELETE /rulesets/{name}       unload a rule set
-//	POST   /match                 one-shot scan (bounded worker pool)
-//	POST   /sessions              open (or resume) a streaming session
-//	GET    /sessions              list sessions
-//	POST   /sessions/{id}/feed    feed a chunk, get its matches
-//	POST   /sessions/{id}/suspend suspend for migration (closes session)
-//	DELETE /sessions/{id}         close a session
-//	GET    /healthz               liveness (200 ok, 503 draining)
-//	GET    /readyz                readiness (503 from drain start)
-//
-// Every response, including every error, is a JSON object.
-func (s *Server) Handler() http.Handler {
+// Handler returns the node's HTTP/JSON API: every row of the op table
+// that names an HTTP route (DESIGN.md "Match serving" lists them), plus
+// liveness, readiness and the flight recorder. Every response,
+// including every error, is a JSON object.
+func (s *Server) Handler() http.Handler { return s.host.Handler(Ops, s.healthz, s.readyz) }
+
+func (s *Server) healthz() (ok bool, body any) {
+	h := s.Healthz()
+	return h.Status == "ok", h
+}
+
+// readyz is separate from liveness: it flips 503 at drain start, before
+// any listener closes, so load balancers stop routing new traffic while
+// in-flight requests still complete. The body always carries the
+// per-ruleset readiness detail (compiling / reloading / cached / ready),
+// so a router's health checker can distinguish a node that is warming
+// from one that is dying.
+func (s *Server) readyz() (ok bool, body any) {
+	d := s.ReadyDetail()
+	return d.Ready, d
+}
+
+// Handler mounts the rows that name an HTTP route, the two probes
+// (each answers 200 or 503 with its body), GET /debug/requests on the
+// host's trace ring and a structured 404 for everything else.
+func (h *Host) Handler(rows []Op, healthz, readyz func() (ok bool, body any)) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("PUT /rulesets/{name}", func(w http.ResponseWriter, r *http.Request) {
-		var req CompileRequest
-		if err := s.decode(w, r, &req); err != nil {
-			return
+	for i := range rows {
+		if op := &rows[i]; op.Method != "" {
+			mux.HandleFunc(op.Method+" "+op.Path, h.handle(op))
 		}
-		s.reply(w, r, "rulesets.compile", func(ctx context.Context) (any, error) {
-			return s.Compile(ctx, r.PathValue("name"), req)
+	}
+	for pattern, probe := range map[string]func() (bool, any){"GET /healthz": healthz, "GET /readyz": readyz} {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, _ *http.Request) {
+			code := http.StatusOK
+			ok, body := probe()
+			if !ok {
+				code = http.StatusServiceUnavailable
+			}
+			writeJSON(w, code, body)
 		})
-	})
-	mux.HandleFunc("POST /rulesets/{name}/reload", func(w http.ResponseWriter, r *http.Request) {
-		if !s.authorize(w, r) {
-			return
-		}
-		req, err := s.decodeOptional(w, r)
-		if err != nil {
-			return
-		}
-		s.reply(w, r, "rulesets.reload", func(ctx context.Context) (any, error) {
-			return s.Reload(ctx, r.PathValue("name"), req)
-		})
-	})
-	mux.HandleFunc("GET /rulesets", func(w http.ResponseWriter, r *http.Request) {
-		s.reply(w, r, "rulesets.list", func(context.Context) (any, error) { return s.Rulesets(), nil })
-	})
-	mux.HandleFunc("GET /rulesets/{name}/artifact", func(w http.ResponseWriter, r *http.Request) {
-		s.reply(w, r, "rulesets.artifact", func(context.Context) (any, error) {
-			return s.Artifact(r.PathValue("name"))
-		})
-	})
-	mux.HandleFunc("PUT /rulesets/{name}/artifact", func(w http.ResponseWriter, r *http.Request) {
-		var art Artifact
-		if err := s.decode(w, r, &art); err != nil {
-			return
-		}
-		s.reply(w, r, "rulesets.install", func(ctx context.Context) (any, error) {
-			return s.InstallArtifact(ctx, r.PathValue("name"), art)
-		})
-	})
-	mux.HandleFunc("GET /rulesets/{name}", func(w http.ResponseWriter, r *http.Request) {
-		s.reply(w, r, "rulesets.get", func(context.Context) (any, error) { return s.Ruleset(r.PathValue("name")) })
-	})
-	mux.HandleFunc("DELETE /rulesets/{name}", func(w http.ResponseWriter, r *http.Request) {
-		s.reply(w, r, "rulesets.delete", func(context.Context) (any, error) {
-			return okBody{}, s.DeleteRuleset(r.PathValue("name"))
-		})
-	})
-	mux.HandleFunc("POST /match", func(w http.ResponseWriter, r *http.Request) {
-		var req MatchRequest
-		if err := s.decode(w, r, &req); err != nil {
-			return
-		}
-		s.reply(w, r, "match", func(ctx context.Context) (any, error) { return s.Match(ctx, req) })
-	})
-	mux.HandleFunc("POST /sessions", func(w http.ResponseWriter, r *http.Request) {
-		var req OpenSessionRequest
-		if err := s.decode(w, r, &req); err != nil {
-			return
-		}
-		s.reply(w, r, "sessions.open", func(ctx context.Context) (any, error) { return s.OpenSession(ctx, req) })
-	})
-	mux.HandleFunc("GET /sessions", func(w http.ResponseWriter, r *http.Request) {
-		s.reply(w, r, "sessions.list", func(context.Context) (any, error) { return s.Sessions(), nil })
-	})
-	mux.HandleFunc("POST /sessions/{id}/feed", func(w http.ResponseWriter, r *http.Request) {
-		var req FeedRequest
-		if err := s.decode(w, r, &req); err != nil {
-			return
-		}
-		s.reply(w, r, "sessions.feed", func(ctx context.Context) (any, error) {
-			return s.Feed(ctx, r.PathValue("id"), req)
-		})
-	})
-	mux.HandleFunc("POST /sessions/{id}/suspend", func(w http.ResponseWriter, r *http.Request) {
-		s.reply(w, r, "sessions.suspend", func(ctx context.Context) (any, error) {
-			return s.Suspend(ctx, r.PathValue("id"))
-		})
-	})
-	mux.HandleFunc("POST /sessions/{id}/checkpoint", func(w http.ResponseWriter, r *http.Request) {
-		s.reply(w, r, "sessions.checkpoint", func(ctx context.Context) (any, error) {
-			return s.Checkpoint(ctx, r.PathValue("id"))
-		})
-	})
-	mux.HandleFunc("DELETE /sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
-		s.reply(w, r, "sessions.close", func(ctx context.Context) (any, error) {
-			return okBody{}, s.CloseSession(ctx, r.PathValue("id"))
-		})
-	})
-	mux.HandleFunc("GET /debug/requests", s.debugRequests)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		h := s.Healthz()
-		code := http.StatusOK
-		if h.Status != "ok" {
-			code = http.StatusServiceUnavailable
-		}
-		writeJSON(w, code, h)
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		// Readiness is separate from liveness: it flips 503 at drain start,
-		// before any listener closes, so load balancers stop routing new
-		// traffic while in-flight requests still complete. The body always
-		// carries the per-ruleset readiness detail (compiling / reloading /
-		// cached / ready), so a router's health checker can distinguish a
-		// node that is warming from one that is dying.
-		d := s.ReadyDetail()
-		code := http.StatusOK
-		if !d.Ready {
-			code = http.StatusServiceUnavailable
-		}
-		writeJSON(w, code, d)
-	})
+	}
+	mux.Handle("GET /debug/requests", h.Ring)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, errf(http.StatusNotFound, "no route %s %s", r.Method, r.URL.Path))
+		h.writeError(w, Errorf(http.StatusNotFound, "no route %s %s", r.Method, r.URL.Path))
 	})
 	return mux
 }
 
-type okBody struct{}
-
-func (okBody) MarshalJSON() ([]byte, error) { return []byte(`{"ok":true}`), nil }
-
-// decode reads a JSON request body under the size cap. A malformed or
-// oversized body is a structured 400/413, never a panic.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) error {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	data, err := io.ReadAll(body)
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			err = errf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-		} else {
-			err = errf(http.StatusBadRequest, "read body: %v", err)
+// handle is the HTTP framing of one row: the admin gate, the body under
+// the size cap, the path wildcard as key, X-CA-Trace-Id in and out.
+// Every traced request echoes its trace id as the X-CA-Trace-Id
+// response header, so a client holding a failed response can fetch the
+// full stage breakdown from /debug/requests?id=… after the fact;
+// ?debug=1 on /match additionally inlines the completed trace into the
+// response body.
+func (h *Host) handle(op *Op) http.HandlerFunc {
+	_, wildcard, _ := op.split()
+	return func(w http.ResponseWriter, r *http.Request) {
+		var (
+			body []byte
+			ferr error
+		)
+		switch {
+		case op.Admin && !h.authorized(r):
+			ferr = Errorf(http.StatusUnauthorized, "missing or invalid admin token")
+		case op.New != nil:
+			body, ferr = readBody(w, r, h.MaxBody)
 		}
-		s.col.Requests.Inc()
-		s.col.RequestErrors.Inc()
-		writeError(w, err)
-		return err
+		rep := h.serve(r.Context(), op, r.Header.Get("X-CA-Trace-Id"), r.PathValue(wildcard), body, ferr)
+		if rep.traceID != "" {
+			w.Header().Set("X-CA-Trace-Id", rep.traceID)
+		}
+		if rep.err != nil {
+			h.writeError(w, rep.err)
+			return
+		}
+		if mr, ok := rep.out.(*MatchResponse); ok && rep.report != nil && r.URL.Query().Get("debug") == "1" {
+			mr.Trace = rep.report
+		}
+		writeJSON(w, http.StatusOK, rep.out)
 	}
-	if err := json.Unmarshal(data, into); err != nil {
-		s.col.Requests.Inc()
-		s.col.RequestErrors.Inc()
-		err = errf(http.StatusBadRequest, "bad JSON request: %v", err)
-		writeError(w, err)
-		return err
-	}
-	return nil
 }
 
-// authorize gates the admin endpoints on Config.AdminToken: empty token
-// leaves them open (the API's default trust model); otherwise the request
-// must carry "Authorization: Bearer <token>", compared in constant time.
-// A rejected request is a structured 401 counted like any other error.
-func (s *Server) authorize(w http.ResponseWriter, r *http.Request) bool {
-	if s.cfg.AdminToken == "" {
+// authorized checks "Authorization: Bearer <token>" against the host's
+// admin token in constant time.
+func (h *Host) authorized(r *http.Request) bool {
+	if h.AdminToken == "" {
 		return true
 	}
 	got, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-	if ok && subtle.ConstantTimeCompare([]byte(got), []byte(s.cfg.AdminToken)) == 1 {
-		return true
-	}
-	s.col.Requests.Inc()
-	s.col.RequestErrors.Inc()
-	writeError(w, errf(http.StatusUnauthorized, "missing or invalid admin token"))
-	return false
+	return ok && subtle.ConstantTimeCompare([]byte(got), []byte(h.AdminToken)) == 1
 }
 
-// decodeOptional reads an optional JSON request body: a missing or blank
-// body returns (nil, nil), anything else must parse as a CompileRequest.
-func (s *Server) decodeOptional(w http.ResponseWriter, r *http.Request) (*CompileRequest, error) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	data, err := io.ReadAll(body)
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			err = errf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-		} else {
-			err = errf(http.StatusBadRequest, "read body: %v", err)
-		}
-		s.col.Requests.Inc()
-		s.col.RequestErrors.Inc()
-		writeError(w, err)
-		return nil, err
+// readBody reads a request body under the size cap; an oversized or
+// torn body is a structured 413/400, never a panic.
+func readBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, error) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, max))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return nil, Errorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+	case err != nil:
+		return nil, Errorf(http.StatusBadRequest, "read body: %v", err)
 	}
-	if len(bytes.TrimSpace(data)) == 0 {
-		return nil, nil
-	}
-	var req CompileRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		s.col.Requests.Inc()
-		s.col.RequestErrors.Inc()
-		err = errf(http.StatusBadRequest, "bad JSON request: %v", err)
-		writeError(w, err)
-		return nil, err
-	}
-	return &req, nil
-}
-
-// reply runs one core operation with request metrics, panic isolation,
-// the flight recorder, and renders its JSON result or structured error.
-// A panicking handler becomes a structured 500 and an increment of
-// ca_server_panics_total instead of a killed process; the deferred
-// accounting and the machine pool's Reset-on-Get keep the server
-// consistent afterwards.
-//
-// Every traced request echoes its trace id as the X-CA-Trace-Id
-// response header, so a client holding a failed response can fetch the
-// full stage breakdown from /debug/requests?id=… after the fact.
-// ?debug=1 on /match additionally inlines the completed trace into the
-// response body.
-func (s *Server) reply(w http.ResponseWriter, r *http.Request, op string, fn func(ctx context.Context) (any, error)) {
-	s.col.Requests.Inc()
-	s.col.InFlight.Add(1)
-	start := time.Now()
-	rt := s.newTraceFor(op, r)
-	if rt != nil {
-		w.Header().Set("X-CA-Trace-Id", rt.ID())
-	}
-	ctx := telemetry.WithReqTrace(r.Context(), rt)
-	defer func() {
-		s.col.RequestSeconds.Observe(time.Since(start).Seconds())
-		s.col.InFlight.Add(-1)
-		if rec := recover(); rec != nil {
-			s.col.Panics.Inc()
-			s.col.RequestErrors.Inc()
-			if p, ok := rec.(*faults.Panic); ok {
-				rt.Annotate("fault", p.Point)
-			}
-			s.finishTrace(rt, "panic", fmt.Sprint(rec))
-			writeError(w, errf(http.StatusInternalServerError, "internal panic: %v", rec))
-		}
-	}()
-	out, err := fn(ctx)
-	if err != nil {
-		s.col.RequestErrors.Inc()
-		outcome, msg := outcomeOf(err)
-		s.finishTrace(rt, outcome, msg)
-		writeError(w, err)
-		return
-	}
-	rep := s.finishTrace(rt, "ok", "")
-	if rep != nil && r.URL.Query().Get("debug") == "1" {
-		if mr, ok := out.(*MatchResponse); ok {
-			mr.Trace = rep
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// newTraceFor opens the request trace, adopting a sane inbound
-// X-CA-Trace-Id — the cluster router's propagation header — so one
-// client request correlates across the router's and every node's
-// flight recorder under a single id.
-func (s *Server) newTraceFor(op string, r *http.Request) *telemetry.ReqTrace {
-	if s.ring == nil {
-		return nil
-	}
-	if id := r.Header.Get("X-CA-Trace-Id"); id != "" && len(id) <= 96 && !strings.ContainsAny(id, " \t\r\n") {
-		return telemetry.NewReqTraceWithID(op, id)
-	}
-	return telemetry.NewReqTrace(op)
-}
-
-// debugRequests serves the flight recorder: GET /debug/requests returns
-// the ring snapshot (recent plus pinned slow/error traces) as JSON, or
-// as a human-readable text dump with ?format=text. ?id= looks one trace
-// up by its X-CA-Trace-Id.
-func (s *Server) debugRequests(w http.ResponseWriter, r *http.Request) {
-	if s.ring == nil {
-		writeError(w, errf(http.StatusNotFound, "request tracing is disabled"))
-		return
-	}
-	text := r.URL.Query().Get("format") == "text"
-	if id := r.URL.Query().Get("id"); id != "" {
-		rep := s.ring.Find(id)
-		if rep == nil {
-			writeError(w, errf(http.StatusNotFound, "no trace %q (evicted or never recorded)", id))
-			return
-		}
-		if text {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			_ = rep.Format(w)
-			return
-		}
-		writeJSON(w, http.StatusOK, rep)
-		return
-	}
-	snap := s.ring.Snapshot()
-	if text {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "flight recorder: %d recent, %d pinned (slow >= %.0fms)\n\n",
-			len(snap.Recent), len(snap.Pinned), snap.SlowMS)
-		for _, section := range []struct {
-			name string
-			reps []*telemetry.ReqReport
-		}{{"pinned", snap.Pinned}, {"recent", snap.Recent}} {
-			fmt.Fprintf(w, "== %s ==\n", section.name)
-			for _, rep := range section.reps {
-				_ = rep.Format(w)
-				fmt.Fprintln(w)
-			}
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
+	return data, nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -348,15 +124,12 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-type errBody struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, err error) {
-	writeJSON(w, statusOf(err), errBody{Error: err.Error()})
-}
-
-// String renders a route summary (used by cad's startup log).
-func (s *Server) String() string {
-	return fmt.Sprintf("cad server: %d rulesets, %d sessions", len(s.Rulesets()), len(s.Sessions()))
+// writeError renders err as {"error": ...} under its status; a shed
+// carries its Retry-After header.
+func (h *Host) writeError(w http.ResponseWriter, err error) {
+	var e *Error
+	if errors.As(err, &e) && e.RetryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfter))
+	}
+	writeJSON(w, StatusOf(err, h.Fallback), map[string]string{"error": err.Error()})
 }

@@ -230,15 +230,14 @@ func TestPanicIsolationTCP(t *testing.T) {
 	}))
 	resp := tsrv.dispatch(context.Background(), []byte(`{"op":"match","ruleset":"ids","input":"xx needle"}`))
 	faults.Disable()
-	te, ok := resp.(tcpErr)
-	if !ok || te.Status != http.StatusInternalServerError || !strings.Contains(te.Error, "injected panic") {
+	if resp.OK || resp.Status != http.StatusInternalServerError || !strings.Contains(resp.Error, "injected panic") {
 		t.Fatalf("dispatch under panic = %+v, want structured 500", resp)
 	}
 	if got := collectorOf(s).Panics.Value(); got != 1 {
 		t.Fatalf("ca_server_panics_total = %d, want 1", got)
 	}
 	resp = tsrv.dispatch(context.Background(), []byte(`{"op":"match","ruleset":"ids","input":"xx needle"}`))
-	if okResp, ok := resp.(tcpOK); !ok || !okResp.OK {
+	if !resp.OK {
 		t.Fatalf("dispatch after panic = %+v, want success", resp)
 	}
 }

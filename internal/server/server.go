@@ -14,6 +14,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/base64"
 	"errors"
@@ -180,6 +181,8 @@ type Server struct {
 	// ring is the flight recorder: completed request traces land here
 	// (nil when Config.TraceRingSize < 0 disables tracing).
 	ring *telemetry.TraceRing
+	// host mounts the op table on this server for both transports.
+	host *Host
 
 	mu       sync.RWMutex
 	rulesets map[string]*ruleset
@@ -256,6 +259,10 @@ func New(cfg Config) *Server {
 		}
 		s.ring = telemetry.NewTraceRing(cfg.TraceRingSize, slow)
 	}
+	s.host = &Host{
+		API: s, MaxBody: cfg.MaxBodyBytes, AdminToken: cfg.AdminToken, Fallback: http.StatusInternalServerError,
+		Ring: s.ring, Col: s.col, Finish: s.finishTrace,
+	}
 	s.ready.Store(true)
 	if cfg.SessionIdle > 0 {
 		go s.reapIdleSessions()
@@ -282,22 +289,6 @@ func (s *Server) newTrace(op string) *telemetry.ReqTrace {
 		return nil
 	}
 	return telemetry.NewReqTrace(op)
-}
-
-// outcomeOf classifies an operation error for the trace record: injected
-// faults and deadline expiry are distinguished from ordinary errors so a
-// post-hoc /debug/requests lookup explains *why* a request failed.
-func outcomeOf(err error) (outcome, msg string) {
-	switch {
-	case err == nil:
-		return "ok", ""
-	case faults.IsInjected(err):
-		return "fault", err.Error()
-	case statusOf(err) == http.StatusGatewayTimeout:
-		return "timeout", err.Error()
-	default:
-		return "error", err.Error()
-	}
 }
 
 // finishTrace closes a request trace, lands it in the flight-recorder
@@ -585,7 +576,7 @@ func (s *Server) begin() (func(), error) {
 	s.mu.RUnlock()
 	if draining {
 		s.col.Rejected.Inc()
-		return nil, errf(http.StatusServiceUnavailable, "server is draining")
+		return nil, Errorf(http.StatusServiceUnavailable, "server is draining")
 	}
 	return s.ops.Done, nil
 }
@@ -603,7 +594,7 @@ func (s *Server) Compile(ctx context.Context, name string, req CompileRequest) (
 	rt := telemetry.ReqTraceFrom(ctx)
 	rt.SetRuleset(name)
 	if name == "" || strings.ContainsAny(name, "/ \t\n") {
-		return nil, errf(http.StatusBadRequest, "bad ruleset name %q", name)
+		return nil, Errorf(http.StatusBadRequest, "bad ruleset name %q", name)
 	}
 	opts := ca.Options{
 		CaseInsensitive:    req.CaseInsensitive,
@@ -616,7 +607,7 @@ func (s *Server) Compile(ctx context.Context, name string, req CompileRequest) (
 	case "space":
 		opts.Design = ca.Space
 	default:
-		return nil, errf(http.StatusBadRequest, "unknown design %q (want perf or space)", req.Design)
+		return nil, Errorf(http.StatusBadRequest, "unknown design %q (want perf or space)", req.Design)
 	}
 	format := req.Format
 	if format == "" {
@@ -627,14 +618,14 @@ func (s *Server) Compile(ctx context.Context, name string, req CompileRequest) (
 	switch format {
 	case "regex":
 		if len(req.Patterns) == 0 {
-			return nil, errf(http.StatusBadRequest, "regex format needs patterns")
+			return nil, Errorf(http.StatusBadRequest, "regex format needs patterns")
 		}
 	case "anml", "snort", "clamav":
 		if req.Text == "" {
-			return nil, errf(http.StatusBadRequest, "%s format needs text", format)
+			return nil, Errorf(http.StatusBadRequest, "%s format needs text", format)
 		}
 	default:
-		return nil, errf(http.StatusBadRequest, "unknown format %q (want regex, anml, snort or clamav)", format)
+		return nil, Errorf(http.StatusBadRequest, "unknown format %q (want regex, anml, snort or clamav)", format)
 	}
 	// From here the build is real work: surface it in the /readyz
 	// detail so a cluster health checker sees "warming", not silence.
@@ -692,7 +683,7 @@ func (s *Server) Compile(ctx context.Context, name string, req CompileRequest) (
 			a, names, err = ca.CompileClamAVDatabase(req.Text, opts)
 		}
 		if err != nil {
-			return nil, errf(http.StatusUnprocessableEntity, "compile: %v", err)
+			return nil, Errorf(http.StatusUnprocessableEntity, "compile: %v", err)
 		}
 		if cache != nil {
 			var buf bytes.Buffer
@@ -706,28 +697,7 @@ func (s *Server) Compile(ctx context.Context, name string, req CompileRequest) (
 			}
 		}
 	}
-	patterns := 0
-	switch format {
-	case "regex":
-		patterns = len(req.Patterns)
-	case "clamav":
-		patterns = len(names)
-	}
-	rs := &ruleset{
-		a:   a,
-		req: req,
-		info: RulesetInfo{
-			Name:           name,
-			Format:         format,
-			Patterns:       patterns,
-			States:         a.States(),
-			Partitions:     a.Partitions(),
-			CacheMB:        a.CacheUsageMB(),
-			CompileMS:      float64(time.Since(start).Microseconds()) / 1000,
-			SignatureNames: names,
-			Cached:         cached,
-		},
-	}
+	rs := &ruleset{a: a, req: req, info: describe(name, format, &req, a, names, cached, start)}
 	s.publish(name, rs, cached)
 	committed = true
 	reqCopy := req
@@ -771,6 +741,30 @@ func (s *Server) Reload(ctx context.Context, name string, req *CompileRequest) (
 	s.col.Reloads.Inc()
 	s.log.InfoContext(ctx, "ruleset reloaded", "ruleset", name, "version", info.Version)
 	return info, nil
+}
+
+// describe fills in the RulesetInfo of an automaton just compiled from
+// req or loaded (from the compile cache or a shipped artifact, whose req
+// may be absent) since start.
+func describe(name, format string, req *CompileRequest, a *ca.Automaton, names []string, cached bool, start time.Time) RulesetInfo {
+	patterns := 0
+	switch {
+	case req != nil && format == "regex":
+		patterns = len(req.Patterns)
+	case req != nil && format == "clamav":
+		patterns = len(names)
+	}
+	return RulesetInfo{
+		Name:           name,
+		Format:         format,
+		Patterns:       patterns,
+		States:         a.States(),
+		Partitions:     a.Partitions(),
+		CacheMB:        a.CacheUsageMB(),
+		CompileMS:      float64(time.Since(start).Microseconds()) / 1000,
+		SignatureNames: names,
+		Cached:         cached,
+	}
 }
 
 // markCompiling records the per-ruleset readiness detail while a build
@@ -834,7 +828,7 @@ func (s *Server) Artifact(name string) (*Artifact, error) {
 	}
 	var buf bytes.Buffer
 	if err := rs.a.Save(&buf); err != nil {
-		return nil, errf(http.StatusInternalServerError, "serialize %q: %v", name, err)
+		return nil, Errorf(http.StatusInternalServerError, "serialize %q: %v", name, err)
 	}
 	reqCopy := rs.req
 	return &Artifact{
@@ -860,14 +854,14 @@ func (s *Server) InstallArtifact(ctx context.Context, name string, art Artifact)
 	rt := telemetry.ReqTraceFrom(ctx)
 	rt.SetRuleset(name)
 	if name == "" || strings.ContainsAny(name, "/ \t\n") {
-		return nil, errf(http.StatusBadRequest, "bad ruleset name %q", name)
+		return nil, Errorf(http.StatusBadRequest, "bad ruleset name %q", name)
 	}
 	if art.ArtifactB64 == "" {
-		return nil, errf(http.StatusBadRequest, "missing artifact_b64")
+		return nil, Errorf(http.StatusBadRequest, "missing artifact_b64")
 	}
 	data, err := base64.StdEncoding.DecodeString(art.ArtifactB64)
 	if err != nil {
-		return nil, errf(http.StatusBadRequest, "bad artifact base64: %v", err)
+		return nil, Errorf(http.StatusBadRequest, "bad artifact base64: %v", err)
 	}
 	rollbackState := s.markCompiling(name)
 	committed := false
@@ -879,37 +873,13 @@ func (s *Server) InstallArtifact(ctx context.Context, name string, art Artifact)
 	start := time.Now()
 	a, err := ca.Load(bytes.NewReader(data), ca.Options{})
 	if err != nil {
-		return nil, errf(http.StatusUnprocessableEntity, "load artifact: %v", err)
+		return nil, Errorf(http.StatusUnprocessableEntity, "load artifact: %v", err)
 	}
-	names := a.SignatureNames()
 	format := "artifact"
-	patterns := 0
 	if art.Req != nil {
-		format = art.Req.Format
-		if format == "" {
-			format = "regex"
-		}
-		switch format {
-		case "regex":
-			patterns = len(art.Req.Patterns)
-		case "clamav":
-			patterns = len(names)
-		}
+		format = cmp.Or(art.Req.Format, "regex")
 	}
-	rs := &ruleset{
-		a: a,
-		info: RulesetInfo{
-			Name:           name,
-			Format:         format,
-			Patterns:       patterns,
-			States:         a.States(),
-			Partitions:     a.Partitions(),
-			CacheMB:        a.CacheUsageMB(),
-			CompileMS:      float64(time.Since(start).Microseconds()) / 1000,
-			SignatureNames: names,
-			Cached:         true,
-		},
-	}
+	rs := &ruleset{a: a, info: describe(name, format, art.Req, a, a.SignatureNames(), true, start)}
 	if art.Req != nil {
 		rs.req = *art.Req
 	}
@@ -974,17 +944,19 @@ func sortRulesets(rs []RulesetInfo) {
 }
 
 // DeleteRuleset unloads a rule set. Open sessions on it keep running.
-func (s *Server) DeleteRuleset(name string) error {
+func (s *Server) DeleteRuleset(ctx context.Context, name string) error {
+	rt := telemetry.ReqTraceFrom(ctx)
+	rt.SetRuleset(name)
 	s.mu.Lock()
 	if _, ok := s.rulesets[name]; !ok {
 		s.mu.Unlock()
-		return errf(http.StatusNotFound, "no ruleset %q", name)
+		return Errorf(http.StatusNotFound, "no ruleset %q", name)
 	}
 	delete(s.rulesets, name)
 	delete(s.states, name)
 	s.col.Rulesets.Set(int64(len(s.rulesets)))
 	s.mu.Unlock()
-	s.walAppend(nil, walRecord{Kind: "delete", Name: name})
+	s.walAppend(rt, walRecord{Kind: "delete", Name: name})
 	return nil
 }
 
@@ -993,7 +965,7 @@ func (s *Server) ruleset(name string) (*ruleset, error) {
 	defer s.mu.RUnlock()
 	rs, ok := s.rulesets[name]
 	if !ok {
-		return nil, errf(http.StatusNotFound, "no ruleset %q", name)
+		return nil, Errorf(http.StatusNotFound, "no ruleset %q", name)
 	}
 	return rs, nil
 }
@@ -1006,7 +978,7 @@ func (s *Server) acquireSlot(ctx context.Context) (func(), error) {
 	if s.queued >= int64(s.cfg.QueueDepth) {
 		s.qMu.Unlock()
 		s.col.Rejected.Inc()
-		return nil, errf(http.StatusServiceUnavailable, "overloaded: queue of %d match requests is full", s.cfg.QueueDepth)
+		return nil, Errorf(http.StatusServiceUnavailable, "overloaded: queue of %d match requests is full", s.cfg.QueueDepth)
 	}
 	s.queued++
 	s.col.QueueDepth.Set(s.queued)
@@ -1026,11 +998,11 @@ func (s *Server) acquireSlot(ctx context.Context) (func(), error) {
 	case <-timer.C:
 		dequeue()
 		s.col.Rejected.Inc()
-		return nil, errf(http.StatusServiceUnavailable, "overloaded: no worker slot within %v", s.cfg.QueueWait)
+		return nil, Errorf(http.StatusServiceUnavailable, "overloaded: no worker slot within %v", s.cfg.QueueWait)
 	case <-ctx.Done():
 		dequeue()
 		s.col.Rejected.Inc()
-		return nil, errf(http.StatusServiceUnavailable, "canceled while queued: %v", ctx.Err())
+		return nil, Errorf(http.StatusServiceUnavailable, "canceled while queued: %v", ctx.Err())
 	}
 }
 
@@ -1046,7 +1018,7 @@ func (s *Server) Match(ctx context.Context, req MatchRequest) (*MatchResponse, e
 	rt := telemetry.ReqTraceFrom(ctx)
 	rt.SetRuleset(req.Ruleset)
 	if req.Ruleset == "" {
-		return nil, errf(http.StatusBadRequest, "missing ruleset")
+		return nil, Errorf(http.StatusBadRequest, "missing ruleset")
 	}
 	// The payload stays a string here: the batched path scans it in
 	// place, so a text body reaches the sweep with no per-request copy.
@@ -1062,7 +1034,7 @@ func (s *Server) Match(ctx context.Context, req MatchRequest) (*MatchResponse, e
 		return nil, err
 	}
 	if req.Shards < 0 {
-		return nil, errf(http.StatusBadRequest, "negative shards")
+		return nil, Errorf(http.StatusBadRequest, "negative shards")
 	}
 	rs, err := s.ruleset(req.Ruleset)
 	if err != nil {
@@ -1132,7 +1104,7 @@ func (s *Server) OpenSession(ctx context.Context, req OpenSessionRequest) (*Sess
 	rt := telemetry.ReqTraceFrom(ctx)
 	rt.SetRuleset(req.Ruleset)
 	if req.Ruleset == "" {
-		return nil, errf(http.StatusBadRequest, "missing ruleset")
+		return nil, Errorf(http.StatusBadRequest, "missing ruleset")
 	}
 	if err := faults.Check("server.open"); err != nil {
 		rt.Annotate("fault", "server.open")
@@ -1147,17 +1119,17 @@ func (s *Server) OpenSession(ctx context.Context, req OpenSessionRequest) (*Sess
 	if req.SnapshotB64 != "" {
 		snap, err := base64.StdEncoding.DecodeString(req.SnapshotB64)
 		if err != nil {
-			return nil, errf(http.StatusBadRequest, "bad snapshot base64: %v", err)
+			return nil, Errorf(http.StatusBadRequest, "bad snapshot base64: %v", err)
 		}
 		stream, err = rs.a.ResumeStreamContext(ctx, bytes.NewReader(snap))
 		if err != nil {
-			return nil, errf(http.StatusUnprocessableEntity, "resume: %v", err)
+			return nil, Errorf(http.StatusUnprocessableEntity, "resume: %v", err)
 		}
 		resumed = true
 	} else {
 		stream, err = rs.a.StreamContext(ctx)
 		if err != nil {
-			return nil, errf(http.StatusInternalServerError, "stream: %v", err)
+			return nil, Errorf(http.StatusInternalServerError, "stream: %v", err)
 		}
 	}
 	s.mu.Lock()
@@ -1165,7 +1137,7 @@ func (s *Server) OpenSession(ctx context.Context, req OpenSessionRequest) (*Sess
 		s.mu.Unlock()
 		stream.Close()
 		s.col.Rejected.Inc()
-		return nil, errf(http.StatusServiceUnavailable, "session limit of %d reached", s.cfg.MaxSessions)
+		return nil, Errorf(http.StatusServiceUnavailable, "session limit of %d reached", s.cfg.MaxSessions)
 	}
 	s.nextID++
 	sess := &session{
@@ -1219,7 +1191,7 @@ func (s *Server) session(id string) (*session, error) {
 	defer s.mu.RUnlock()
 	sess, ok := s.sessions[id]
 	if !ok {
-		return nil, errf(http.StatusNotFound, "no session %q", id)
+		return nil, Errorf(http.StatusNotFound, "no session %q", id)
 	}
 	return sess, nil
 }
@@ -1259,7 +1231,7 @@ func (s *Server) Feed(ctx context.Context, id string, req FeedRequest) (*FeedRes
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.closed {
-		return nil, errf(http.StatusConflict, "session %q is closed", id)
+		return nil, Errorf(http.StatusConflict, "session %q is closed", id)
 	}
 	sess.lastUsed = time.Now()
 	before := sess.stream.Pos()
@@ -1301,36 +1273,7 @@ func (s *Server) Feed(ctx context.Context, id string, req FeedRequest) (*FeedRes
 // rule set; the session keeps serving here until the cluster layer
 // decides to move it.
 func (s *Server) Checkpoint(ctx context.Context, id string) (*SuspendResponse, error) {
-	done, err := s.begin()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	rt := telemetry.ReqTraceFrom(ctx)
-	if err := faults.Check("server.suspend"); err != nil {
-		rt.Annotate("fault", "server.suspend")
-		return nil, errc(http.StatusInternalServerError, err, "checkpoint: %v", err)
-	}
-	sess, err := s.session(id)
-	if err != nil {
-		return nil, err
-	}
-	rt.SetRuleset(sess.ruleset)
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.closed {
-		return nil, errf(http.StatusConflict, "session %q is closed", id)
-	}
-	sess.lastUsed = time.Now()
-	var buf bytes.Buffer
-	if err := sess.stream.Suspend(&buf); err != nil {
-		return nil, errf(http.StatusInternalServerError, "checkpoint: %v", err)
-	}
-	return &SuspendResponse{
-		Ruleset:     sess.ruleset,
-		Pos:         sess.stream.Pos(),
-		SnapshotB64: base64.StdEncoding.EncodeToString(buf.Bytes()),
-	}, nil
+	return s.snapshot(ctx, id, "checkpoint", false)
 }
 
 // Suspend serializes a session's architectural state, closes the session,
@@ -1339,6 +1282,13 @@ func (s *Server) Checkpoint(ctx context.Context, id string) (*SuspendResponse, e
 // same compiled rule set) continues the stream with no lost or duplicated
 // matches.
 func (s *Server) Suspend(ctx context.Context, id string) (*SuspendResponse, error) {
+	return s.snapshot(ctx, id, "suspend", true)
+}
+
+// snapshot is Checkpoint and, with suspend set, Suspend: the close
+// happens under the same session lock as the serialization, so no feed
+// can advance the stream after its snapshot was taken.
+func (s *Server) snapshot(ctx context.Context, id, verb string, suspend bool) (*SuspendResponse, error) {
 	done, err := s.begin()
 	if err != nil {
 		return nil, err
@@ -1347,7 +1297,7 @@ func (s *Server) Suspend(ctx context.Context, id string) (*SuspendResponse, erro
 	rt := telemetry.ReqTraceFrom(ctx)
 	if err := faults.Check("server.suspend"); err != nil {
 		rt.Annotate("fault", "server.suspend")
-		return nil, errc(http.StatusInternalServerError, err, "suspend: %v", err)
+		return nil, errc(http.StatusInternalServerError, err, "%s: %v", verb, err)
 	}
 	sess, err := s.session(id)
 	if err != nil {
@@ -1357,16 +1307,20 @@ func (s *Server) Suspend(ctx context.Context, id string) (*SuspendResponse, erro
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.closed {
-		return nil, errf(http.StatusConflict, "session %q is closed", id)
+		return nil, Errorf(http.StatusConflict, "session %q is closed", id)
 	}
 	var buf bytes.Buffer
 	if err := sess.stream.Suspend(&buf); err != nil {
-		return nil, errf(http.StatusInternalServerError, "suspend: %v", err)
+		return nil, Errorf(http.StatusInternalServerError, "%s: %v", verb, err)
 	}
 	resp := &SuspendResponse{
 		Ruleset:     sess.ruleset,
 		Pos:         sess.stream.Pos(),
 		SnapshotB64: base64.StdEncoding.EncodeToString(buf.Bytes()),
+	}
+	if !suspend {
+		sess.lastUsed = time.Now()
+		return resp, nil
 	}
 	s.removeSession(rt, sess, false)
 	s.col.SessionsSuspended.Inc()
@@ -1391,7 +1345,7 @@ func (s *Server) CloseSession(ctx context.Context, id string) error {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.closed {
-		return errf(http.StatusConflict, "session %q is closed", id)
+		return Errorf(http.StatusConflict, "session %q is closed", id)
 	}
 	s.removeSession(rt, sess, false)
 	return nil

@@ -2,75 +2,38 @@ package server
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
 	"sync"
 	"time"
 
 	"cacheautomaton/internal/faults"
-	"cacheautomaton/internal/telemetry"
 )
 
-// The TCP transport frames the same API as one JSON object per line: the
+// The TCP transport frames the op table as one JSON object per line: the
 // client writes {"op": "...", ...fields...}\n and reads one JSON line
 // back — {"ok":true, ...result...} or {"ok":false,"error":...,"status":N}.
-// Ops: compile (name + CompileRequest), match (MatchRequest), open
-// (OpenSessionRequest), feed (session + FeedRequest), suspend (session),
-// close (session), list_rulesets, list_sessions, health, ping.
+// The envelope names the op and its key ("name" for a rule set,
+// "session" for a session); the rest of the line is the row's request
+// object, exactly as the HTTP body would carry it (DESIGN.md "Match
+// serving" lists the ops).
 //
 // Line framing keeps the protocol trivially scriptable (nc, or any
 // language's readline + JSON) while still carrying binary payloads via
 // the *_b64 fields.
 
-// tcpRequest is the envelope of one line-framed request: the union of
-// every op's fields, flattened (embedding the HTTP request structs would
-// make their shared "ruleset" tags collide and silently decode to
-// nothing).
-type tcpRequest struct {
-	Op      string `json:"op"`
-	Name    string `json:"name,omitempty"`    // compile: ruleset name
-	ID      string `json:"session,omitempty"` // feed/suspend/close
-	Ruleset string `json:"ruleset,omitempty"` // match/open
-
-	// compile
-	Format             string   `json:"format,omitempty"`
-	Patterns           []string `json:"patterns,omitempty"`
-	Text               string   `json:"text,omitempty"`
-	Design             string   `json:"design,omitempty"`
-	CaseInsensitive    bool     `json:"case_insensitive,omitempty"`
-	DotExcludesNewline bool     `json:"dot_excludes_newline,omitempty"`
-	MaxRepeat          int      `json:"max_repeat,omitempty"`
-	Seed               int64    `json:"seed,omitempty"`
-
-	// match
-	Input    string `json:"input,omitempty"`
-	InputB64 string `json:"input_b64,omitempty"`
-	Shards   int    `json:"shards,omitempty"`
-
-	// open (resume)
-	SnapshotB64 string `json:"snapshot_b64,omitempty"`
-
-	// feed
-	Chunk    string `json:"chunk,omitempty"`
-	ChunkB64 string `json:"chunk_b64,omitempty"`
-}
-
-// tcpOK wraps a result with the ok flag. TraceID is the request's
-// flight-recorder id (the TCP analogue of the X-CA-Trace-Id header).
-type tcpOK struct {
+// tcpReply is the response envelope of one line: result when ok, error
+// and status when not. TraceID is the request's flight-recorder id (the
+// TCP analogue of the X-CA-Trace-Id header).
+type tcpReply struct {
 	OK      bool   `json:"ok"`
 	Result  any    `json:"result,omitempty"`
-	TraceID string `json:"trace_id,omitempty"`
-}
-
-type tcpErr struct {
-	OK      bool   `json:"ok"`
-	Error   string `json:"error"`
-	Status  int    `json:"status"`
+	Error   string `json:"error,omitempty"`
+	Status  int    `json:"status,omitempty"`
 	TraceID string `json:"trace_id,omitempty"`
 }
 
@@ -224,102 +187,42 @@ func (t *TCPServer) serveConn(conn *tcpConn) {
 	// Oversized or torn lines surface as a final structured error when
 	// the connection is still writable.
 	if err := sc.Err(); err != nil && !errors.Is(err, net.ErrClosed) {
-		_ = enc.Encode(tcpErr{Error: "read: " + err.Error(), Status: http.StatusBadRequest})
+		_ = enc.Encode(tcpReply{Error: "read: " + err.Error(), Status: http.StatusBadRequest})
 	}
 }
 
-// dispatch decodes and executes one line. Malformed input yields a
-// structured error line, never a dropped connection or a panic; a
-// panicking op is recovered into a structured 500 line (the same
-// isolation the HTTP transport's reply applies).
-func (t *TCPServer) dispatch(ctx context.Context, line []byte) (resp any) {
-	s := t.s
-	s.col.Requests.Inc()
-	s.col.InFlight.Add(1)
-	start := time.Now()
+// dispatch frames one line for serve: the envelope picks the row and
+// its key, and the same line is the row's request body. Malformed input
+// yields a structured error line, never a dropped connection or a panic.
+func (t *TCPServer) dispatch(ctx context.Context, line []byte) tcpReply {
+	var env struct {
+		Op      string `json:"op"`
+		Name    string `json:"name"`
+		Session string `json:"session"`
+	}
 	var (
-		rt      *telemetry.ReqTrace
-		traceID string
+		op   *Op
+		key  string
+		ferr error
 	)
-	defer func() {
-		s.col.RequestSeconds.Observe(time.Since(start).Seconds())
-		s.col.InFlight.Add(-1)
-		if r := recover(); r != nil {
-			s.col.Panics.Inc()
-			s.col.RequestErrors.Inc()
-			if p, ok := r.(*faults.Panic); ok {
-				rt.Annotate("fault", p.Point)
-			}
-			s.finishTrace(rt, "panic", fmt.Sprint(r))
-			resp = tcpErr{Error: fmt.Sprintf("internal panic: %v", r), Status: http.StatusInternalServerError, TraceID: traceID}
+	if err := json.Unmarshal(line, &env); err != nil {
+		op, ferr = &Op{}, Errorf(http.StatusBadRequest, "bad JSON request: %v", err) // nameless: no trace
+	} else if op = tcpOps[env.Op]; op == nil {
+		op = &Op{Name: "tcp." + cmp.Or(env.Op, "unknown")}
+		ferr = Errorf(http.StatusBadRequest, "unknown op %q", env.Op)
+		if env.Op == "" {
+			ferr = Errorf(http.StatusBadRequest, "missing op")
 		}
-	}()
-	var req tcpRequest
-	if err := json.Unmarshal(line, &req); err != nil {
-		s.col.RequestErrors.Inc()
-		return tcpErr{Error: "bad JSON request: " + err.Error(), Status: http.StatusBadRequest}
+	} else if _, wildcard, _ := op.split(); wildcard == "name" {
+		key = env.Name
+	} else {
+		key = env.Session
 	}
-	op := req.Op
-	if op == "" {
-		op = "unknown"
+	rep := t.s.host.serve(ctx, op, "", key, line, ferr)
+	if rep.err != nil {
+		return tcpReply{Error: rep.err.Error(), Status: statusOf(rep.err), TraceID: rep.traceID}
 	}
-	rt = s.newTrace("tcp." + op)
-	if rt != nil {
-		traceID = rt.ID()
-	}
-	out, err := t.execute(telemetry.WithReqTrace(ctx, rt), &req)
-	if err != nil {
-		s.col.RequestErrors.Inc()
-		outcome, msg := outcomeOf(err)
-		s.finishTrace(rt, outcome, msg)
-		return tcpErr{Error: err.Error(), Status: statusOf(err), TraceID: traceID}
-	}
-	s.finishTrace(rt, "ok", "")
-	return tcpOK{OK: true, Result: out, TraceID: traceID}
-}
-
-func (t *TCPServer) execute(ctx context.Context, req *tcpRequest) (any, error) {
-	s := t.s
-	switch req.Op {
-	case "compile":
-		return s.Compile(ctx, req.Name, CompileRequest{
-			Format:             req.Format,
-			Patterns:           req.Patterns,
-			Text:               req.Text,
-			Design:             req.Design,
-			CaseInsensitive:    req.CaseInsensitive,
-			DotExcludesNewline: req.DotExcludesNewline,
-			MaxRepeat:          req.MaxRepeat,
-			Seed:               req.Seed,
-		})
-	case "match":
-		return s.Match(ctx, MatchRequest{
-			Ruleset:  req.Ruleset,
-			Input:    req.Input,
-			InputB64: req.InputB64,
-			Shards:   req.Shards,
-		})
-	case "open":
-		return s.OpenSession(ctx, OpenSessionRequest{Ruleset: req.Ruleset, SnapshotB64: req.SnapshotB64})
-	case "feed":
-		return s.Feed(ctx, req.ID, FeedRequest{Chunk: req.Chunk, ChunkB64: req.ChunkB64})
-	case "suspend":
-		return s.Suspend(ctx, req.ID)
-	case "close":
-		return okBody{}, s.CloseSession(ctx, req.ID)
-	case "list_rulesets":
-		return s.Rulesets(), nil
-	case "list_sessions":
-		return s.Sessions(), nil
-	case "health":
-		return s.Healthz(), nil
-	case "ping":
-		return "pong", nil
-	case "":
-		return nil, errf(http.StatusBadRequest, "missing op")
-	default:
-		return nil, errf(http.StatusBadRequest, "unknown op %q", req.Op)
-	}
+	return tcpReply{OK: true, Result: rep.out, TraceID: rep.traceID}
 }
 
 // Shutdown stops accepting, closes idle connections immediately (like

@@ -270,8 +270,8 @@ func TestTCPTraceID(t *testing.T) {
 	tcp := &TCPServer{s: s}
 
 	out := tcp.dispatch(context.Background(), []byte(`{"op":"match","ruleset":"ids","input":"a needle"}`))
-	ok, isOK := out.(tcpOK)
-	if !isOK || ok.TraceID == "" {
+	ok := out
+	if !ok.OK || ok.TraceID == "" {
 		t.Fatalf("tcp ok response = %#v, want trace id", out)
 	}
 	if rep := s.Ring().Find(ok.TraceID); rep == nil || rep.Op != "tcp.match" {
@@ -279,8 +279,8 @@ func TestTCPTraceID(t *testing.T) {
 	}
 
 	out = tcp.dispatch(context.Background(), []byte(`{"op":"match","ruleset":"nope"}`))
-	fail, isErr := out.(tcpErr)
-	if !isErr || fail.TraceID == "" {
+	fail := out
+	if fail.OK || fail.TraceID == "" {
 		t.Fatalf("tcp error response = %#v, want trace id", out)
 	}
 	if rep := s.Ring().Find(fail.TraceID); rep == nil || rep.Outcome != "error" {

@@ -91,19 +91,16 @@ func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1; last is +Inf
-	sum    atomic.Int64   // scaled by sumScale for float observations
+	sum    FloatGauge     // float64 bits under CAS: sub-millisecond observations add exactly
 	count  atomic.Int64
 	help   string
 }
-
-// sumScale keeps histogram sums integral while preserving three decimals.
-const sumScale = 1000
 
 // Observe records one observation.
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
-	h.sum.Add(int64(v * sumScale))
+	h.sum.Add(v)
 	h.count.Add(1)
 }
 
@@ -114,7 +111,7 @@ func (h *Histogram) ObserveInt(v int64) { h.Observe(float64(v)) }
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return float64(h.sum.Load()) / sumScale }
+func (h *Histogram) Sum() float64 { return h.sum.Value() }
 
 // Mean returns the average observation (0 when empty).
 func (h *Histogram) Mean() float64 {

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -84,6 +86,49 @@ func TestHistogramBucketsAndStats(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestHistogramSubMillisecondSum is the regression test for the sum that
+// was kept as int64(v*1000): every observation under 1 ms added zero, so
+// _sum and Mean() of the *_seconds histograms read 0 in a system whose
+// typical request takes a fraction of a millisecond.
+func TestHistogramSubMillisecondSum(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("lat_seconds", "", []float64{0.001, 0.01})
+	for i := 0; i < 1000; i++ {
+		h.Observe(0.0003)
+	}
+	if got := h.Sum(); math.Abs(got-0.3) > 1e-9 {
+		t.Fatalf("Sum() = %v, want 0.3", got)
+	}
+	if got := h.Mean(); math.Abs(got-0.0003) > 1e-12 {
+		t.Fatalf("Mean() = %v, want 0.0003", got)
+	}
+	var prom, js bytes.Buffer
+	if err := r.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	var promSum float64
+	for _, line := range strings.Split(prom.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "lat_seconds_sum "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("unparseable _sum line %q: %v", line, err)
+			}
+			promSum = v
+		}
+	}
+	var obj map[string]map[string]any
+	if err := json.Unmarshal(js.Bytes(), &obj); err != nil {
+		t.Fatal(err)
+	}
+	jsonSum, _ := obj["lat_seconds"]["sum"].(float64)
+	if math.Abs(promSum-0.3) > 1e-9 || math.Abs(jsonSum-0.3) > 1e-9 {
+		t.Fatalf("exposed sums: prometheus %v, JSON %v, want 0.3 from both", promSum, jsonSum)
 	}
 }
 

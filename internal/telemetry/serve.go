@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"expvar"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -58,3 +60,52 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close shuts the endpoint down.
 func (s *Server) Close() error { return s.srv.Close() }
+
+// ServeHTTP serves the flight recorder — the one /debug/requests handler
+// behind a cad node and the cluster router alike: the ring snapshot
+// (recent plus pinned slow/error traces) as JSON, or as a human-readable
+// text dump with ?format=text. ?id= looks one trace up by its
+// X-CA-Trace-Id. A nil ring (tracing disabled) and an unknown id answer
+// a structured 404.
+func (r *TraceRing) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	writeJSON := func(code int, v any) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(code)
+		_ = json.NewEncoder(w).Encode(v)
+	}
+	text := req.URL.Query().Get("format") == "text"
+	if text { // writeJSON overrides it
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	}
+	id := req.URL.Query().Get("id")
+	var rep *ReqReport
+	if id != "" {
+		rep = r.Find(id)
+	}
+	switch {
+	case r == nil:
+		writeJSON(http.StatusNotFound, map[string]string{"error": "request tracing is disabled"})
+	case id != "" && rep == nil:
+		writeJSON(http.StatusNotFound, map[string]string{"error": fmt.Sprintf("no trace %q (evicted or never recorded)", id)})
+	case id != "" && text:
+		_ = rep.Format(w)
+	case id != "":
+		writeJSON(http.StatusOK, rep)
+	case !text:
+		writeJSON(http.StatusOK, r.Snapshot())
+	default:
+		snap := r.Snapshot()
+		fmt.Fprintf(w, "flight recorder: %d recent, %d pinned (slow >= %.0fms)\n\n",
+			len(snap.Recent), len(snap.Pinned), snap.SlowMS)
+		for _, section := range []struct {
+			name string
+			reps []*ReqReport
+		}{{"pinned", snap.Pinned}, {"recent", snap.Recent}} {
+			fmt.Fprintf(w, "== %s ==\n", section.name)
+			for _, rep := range section.reps {
+				_ = rep.Format(w)
+				fmt.Fprintln(w)
+			}
+		}
+	}
+}

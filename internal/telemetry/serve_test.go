@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -92,5 +93,37 @@ func TestMachineCollector(t *testing.T) {
 	c2 := NewMachineCollector(reg)
 	if c2.Symbols != c.Symbols {
 		t.Error("collectors on one registry should share counters")
+	}
+}
+
+// TestTraceRingServeHTTP drives the flight recorder's handler through
+// every answer it can give: snapshot and single trace, JSON and text,
+// unknown id and a nil (tracing disabled) ring as structured 404s.
+func TestTraceRingServeHTTP(t *testing.T) {
+	ring := NewTraceRing(4, 0)
+	ring.Add(rep(1, "error", 2))
+	ring.Add(rep(2, "ok", 1))
+	id := rep(1, "error", 2).ID
+	for _, c := range []struct {
+		ring  *TraceRing
+		query string
+		code  int
+		ctype string
+		want  string
+	}{
+		{ring, "", 200, "application/json", `"pinned":[{"id":"` + id},
+		{ring, "?id=" + id, 200, "application/json", `"outcome":"error"`},
+		{ring, "?format=text", 200, "text/plain; charset=utf-8", "flight recorder: 2 recent, 1 pinned"},
+		{ring, "?format=text&id=" + id, 200, "text/plain; charset=utf-8", id},
+		{ring, "?id=bogus", 404, "application/json", `{"error":"no trace \"bogus\" (evicted or never recorded)"}`},
+		{ring, "?format=text&id=bogus", 404, "application/json", `"error"`},
+		{nil, "", 404, "application/json", `{"error":"request tracing is disabled"}`},
+	} {
+		rec := httptest.NewRecorder()
+		c.ring.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/requests"+c.query, nil))
+		if rec.Code != c.code || rec.Header().Get("Content-Type") != c.ctype || !strings.Contains(rec.Body.String(), c.want) {
+			t.Errorf("GET /debug/requests%s = %d %q %q, want %d %q containing %q",
+				c.query, rec.Code, rec.Header().Get("Content-Type"), rec.Body.String(), c.code, c.ctype, c.want)
+		}
 	}
 }
