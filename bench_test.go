@@ -8,6 +8,7 @@
 package cacheautomaton
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -203,7 +204,7 @@ func BenchmarkHostSimulatorThroughput(b *testing.B) {
 	b.SetBytes(int64(len(in)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.Count(in); err != nil {
+		if _, err := a.Count(context.Background(), in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -227,7 +228,7 @@ func BenchmarkRunParallelThroughput(b *testing.B) {
 			b.SetBytes(int64(len(in)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := a.RunParallel(in, shards); err != nil {
+				if _, _, err := a.RunParallelContext(context.Background(), in, shards); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,7 +10,7 @@
 //
 //	a, err := cacheautomaton.CompileRegex([]string{"cat", "dog.*food"}, cacheautomaton.Options{})
 //	if err != nil { ... }
-//	matches, stats, err := a.Run([]byte("the cat ate dog food"))
+//	matches, stats, err := a.RunContext(ctx, []byte("the cat ate dog food"))
 //
 // Every match reports the rule index and the input offset of its last
 // symbol. Stats carries the modeled hardware metrics: cache footprint,
@@ -83,7 +83,7 @@ type Options struct {
 	// unless you need state-to-pattern attribution).
 	KeepPerPatternStates bool
 	// RunObserver, when non-nil, receives run telemetry from every machine
-	// this automaton creates (Run, Count, Leases and Streams). The hook is
+	// this automaton creates (runs, counts, leases and streams). The hook is
 	// nil-checked on the symbol hot path, so leaving it nil costs one
 	// branch per cycle and no allocation. Because an Automaton may be used
 	// from many goroutines (each leasing its own machine), the observer's
@@ -106,7 +106,7 @@ type RunObserver interface {
 	ObserveMatches(n int64)
 	// ObserveOverflow reports one output-buffer interrupt.
 	ObserveOverflow()
-	// ObserveRun reports a completed Run: symbols processed, host
+	// ObserveRun reports a completed run: symbols processed, host
 	// wall-clock seconds, and the output-buffer high-water mark.
 	ObserveRun(symbols int64, seconds float64, outputBufferPeak int64)
 }
@@ -120,7 +120,7 @@ type Match struct {
 	Pattern int
 }
 
-// Stats summarizes a Run with the paper's metrics.
+// Stats summarizes a run with the paper's metrics.
 type Stats struct {
 	// Cycles is the number of symbols processed (one per cycle).
 	Cycles int64
@@ -144,23 +144,24 @@ type Stats struct {
 // multiple goroutines. The compiled artifacts (design, NFA, placement)
 // are immutable after compilation; every execution entry point leases a
 // private simulator machine from an internal pool for the duration of the
-// call, so concurrent Run/RunParallel/Lease/Stream callers never share
-// mutable machine state. Count is the one serialized path: it reuses a
-// single cached non-collecting machine under a mutex, so concurrent Count
-// calls execute one at a time (deterministically — they queue, they do
-// not race). Streams and Leases are themselves single-owner: one Stream
-// or Lease must not be used from two goroutines at once, but any number
-// of them may run side by side.
+// call, so concurrent RunContext/RunParallelContext/LeaseContext/
+// StreamContext callers never share mutable machine state. Count is the
+// one serialized path: it reuses a single cached non-collecting machine
+// under a mutex, so concurrent Count calls execute one at a time
+// (deterministically — they queue, they do not race). Streams and Leases
+// are themselves single-owner: one Stream or Lease must not be used from
+// two goroutines at once, but any number of them may run side by side.
 type Automaton struct {
 	design    *arch.Design
 	nfa       *nfa.NFA
 	placement *mapper.Placement
 	report    *telemetry.CompileReport
 	observer  RunObserver
-	// runPool leases the collecting machines behind Run, Lease and Stream.
+	// runPool leases the collecting machines behind RunContext,
+	// LeaseContext and StreamContext.
 	runPool *machine.Pool
-	// shardPool leases the replicated machines behind RunParallel
-	// (collecting, no observer: RunSharded delivers no per-cycle
+	// shardPool leases the replicated machines behind RunParallelContext
+	// (collecting, no observer: the sharded engine delivers no per-cycle
 	// telemetry).
 	shardPool *machine.Pool
 	// countMachine is the cached non-collecting machine behind Count,
@@ -232,8 +233,10 @@ func newAutomaton(pl *mapper.Placement, opts Options, tr *telemetry.Trace) (*Aut
 	sb := tr.StartPhase("machine.build")
 	runPool := machine.NewPool(pl, machine.Options{CollectMatches: true, Observer: opts.RunObserver}, 0)
 	// Build (and pool) one machine eagerly so placement problems surface at
-	// compile time, not on the first Run.
-	m, err := runPool.Get()
+	// compile time, not on the first run. The compile entry points'
+	// signatures carry no ctx, and there is no request to attribute this
+	// checkout to.
+	m, err := runPool.GetContext(context.TODO())
 	if err != nil {
 		return nil, fmt.Errorf("cacheautomaton: %w", err)
 	}
@@ -379,22 +382,13 @@ func matchesFrom(ms []machine.Match) []Match {
 	return matches
 }
 
-// Run processes input from offset 0 and returns the matches with the
-// modeled hardware statistics. Each call leases a private machine, so Run
-// is safe to call from any number of goroutines concurrently.
-func (a *Automaton) Run(input []byte) ([]Match, *Stats, error) {
-	l, err := a.Lease()
-	if err != nil {
-		return nil, nil, err
-	}
-	defer l.Release()
-	return l.Run(input)
-}
-
-// RunContext is Run with deadline-aware cancellation (see
-// Lease.RunContext). A ctx that can never be canceled costs nothing.
-// When ctx carries a telemetry.ReqTrace, the machine checkout and the
-// scan are recorded as "lease" and "run" stage spans.
+// RunContext processes input from offset 0 and returns the matches with
+// the modeled hardware statistics. Each call leases a private machine, so
+// it is safe to call from any number of goroutines concurrently. The scan
+// is deadline-aware (see Lease.RunContext); a ctx that can never be
+// canceled costs nothing. When ctx carries a telemetry.ReqTrace, the
+// machine checkout and the scan are recorded as "lease" and "run" stage
+// spans.
 func (a *Automaton) RunContext(ctx context.Context, input []byte) ([]Match, *Stats, error) {
 	l, err := a.LeaseContext(ctx)
 	if err != nil {
@@ -404,23 +398,14 @@ func (a *Automaton) RunContext(ctx context.Context, input []byte) ([]Match, *Sta
 	return l.RunContext(ctx, input)
 }
 
-// Lease checks a private machine out of the automaton's pool for repeated
-// one-shot runs without per-call pool traffic (a server handling a burst
-// of requests on one connection, for example). The lease is single-owner:
-// use it from one goroutine, and Release it when done — an unreleased
-// lease is not an error, but its machine is garbage instead of being
-// recycled. Any number of leases may be live at once.
-func (a *Automaton) Lease() (*Lease, error) {
-	m, err := a.runPool.Get()
-	if err != nil {
-		return nil, fmt.Errorf("cacheautomaton: %w", err)
-	}
-	return &Lease{a: a, m: m}, nil
-}
-
-// LeaseContext is Lease with the request-scoped flight recorder threaded
-// through: a telemetry.ReqTrace carried by ctx records the checkout as a
-// "lease" stage span. With no trace in ctx it is exactly Lease.
+// LeaseContext checks a private machine out of the automaton's pool for
+// repeated one-shot runs without per-call pool traffic (a server handling
+// a burst of requests on one connection, for example). The lease is
+// single-owner: use it from one goroutine, and Release it when done — an
+// unreleased lease is not an error, but its machine is garbage instead of
+// being recycled. Any number of leases may be live at once. A
+// telemetry.ReqTrace carried by ctx records the checkout as a "lease"
+// stage span.
 func (a *Automaton) LeaseContext(ctx context.Context) (*Lease, error) {
 	m, err := a.runPool.GetContext(ctx)
 	if err != nil {
@@ -430,28 +415,18 @@ func (a *Automaton) LeaseContext(ctx context.Context) (*Lease, error) {
 }
 
 // Lease is an exclusively-held executable instance of an Automaton: the
-// per-session machine checkout behind Run, Stream and the serving layer.
+// per-session machine checkout behind RunContext and the serving layer.
 type Lease struct {
 	a *Automaton
 	m *machine.Machine
 }
 
-// Run resets the leased machine, processes input from offset 0, and
-// returns the matches with the modeled hardware statistics.
-func (l *Lease) Run(input []byte) ([]Match, *Stats, error) {
-	if l.m == nil {
-		return nil, nil, fmt.Errorf("cacheautomaton: use of released lease")
-	}
-	l.m.Reset()
-	res := l.m.Run(input)
-	return matchesFrom(res.Matches), l.a.statsFrom(res), nil
-}
-
-// RunContext is Run with deadline-aware cancellation: the scan checks
-// ctx between machine.ContextCheckBytes sub-batches, so a canceled or
-// timed-out request stops within one sub-batch instead of scanning its
-// whole input. On cancellation the partial result is discarded and
-// ctx's error is returned (the run is one-shot; nothing is lost).
+// RunContext resets the leased machine, processes input from offset 0,
+// and returns the matches with the modeled hardware statistics. The scan
+// checks ctx between machine.ContextCheckBytes sub-batches, so a canceled
+// or timed-out request stops within one sub-batch instead of scanning its
+// whole input. On cancellation the partial result is discarded and ctx's
+// error is returned (the run is one-shot; nothing is lost).
 func (l *Lease) RunContext(ctx context.Context, input []byte) ([]Match, *Stats, error) {
 	if l.m == nil {
 		return nil, nil, fmt.Errorf("cacheautomaton: use of released lease")
@@ -480,13 +455,13 @@ type BatchItem struct {
 // RunBatch resets the leased machine and scans every input independently
 // from offset 0 through it in one batched sweep, returning one item per
 // input in order. Match sets, offsets, and statistics are bit-identical
-// to running each input with Run on its own lease; only the execution is
-// shared (the batch runner interleaves streams across sub-batches, or
-// lane-packs up to four streams through the row arrays word-wise when
-// the automaton's state fits one word — see machine.RunBatch). Inputs
-// are strings so serving paths avoid a per-request byte-slice copy; the
-// sweep only reads them. A canceled ctx abandons the whole batch and
-// returns its error.
+// to running each input with RunContext on its own lease; only the
+// execution is shared (the batch runner lane-packs up to four streams
+// through the row arrays word-wise when the automaton's state fits one
+// word, and otherwise scans them one after another — see
+// machine.RunBatch). Inputs are strings so serving paths avoid a
+// per-request byte-slice copy; the sweep only reads them. A canceled ctx
+// abandons the whole batch and returns its error.
 func (l *Lease) RunBatch(ctx context.Context, inputs []string) ([]BatchItem, error) {
 	if l.m == nil {
 		return nil, fmt.Errorf("cacheautomaton: use of released lease")
@@ -530,30 +505,26 @@ func (l *Lease) Release() {
 	}
 }
 
-// RunParallel resets the automaton and scans input with up to shards
+// RunParallelContext scans input from offset 0 with up to shards
 // replicated machines running concurrently — the software analogue of the
 // paper's §3.4 input-stream replication across C-BOXes, with the stream
 // divided into contiguous shards instead of duplicated. Matches and
-// statistics are bit-identical to Run (shards speculate their start state
-// and a repair pass re-runs any shard whose speculation missed; see
-// machine.RunSharded). shards < 1 uses GOMAXPROCS; shards == 1, or an
-// input too short to be worth sharding, falls back to the sequential path.
+// statistics are bit-identical to RunContext (shards speculate their start
+// state and a repair pass re-runs any shard whose speculation missed; see
+// machine.RunShardedContext). shards < 1 uses GOMAXPROCS; shards == 1, or
+// an input too short to be worth sharding, falls back to the sequential
+// path.
 //
 // Per-cycle RunObserver telemetry is not delivered on the parallel path
 // (the shard machines would observe speculative warm-up cycles); the
 // ObserveRun end-of-run summary still fires once.
 //
-// RunParallel leases its shard machines per call, so concurrent
-// RunParallel (and mixed Run/RunParallel) callers are safe.
-func (a *Automaton) RunParallel(input []byte, shards int) ([]Match, *Stats, error) {
-	return a.RunParallelContext(context.Background(), input, shards)
-}
-
-// RunParallelContext is RunParallel with deadline-aware cancellation:
-// every shard worker checks ctx at sub-batch granularity, so canceling
-// the request stops all shards promptly and returns their machines to
-// the pool. A worker panic is recovered inside the sharded engine and
-// surfaces here as an error, never as a process crash.
+// The shard machines are leased per call, so concurrent (and mixed
+// RunContext/RunParallelContext) callers are safe. Every shard worker
+// checks ctx at sub-batch granularity, so canceling the request stops all
+// shards promptly and returns their machines to the pool. A worker panic
+// is recovered inside the sharded engine and surfaces here as an error,
+// never as a process crash.
 func (a *Automaton) RunParallelContext(ctx context.Context, input []byte, shards int) ([]Match, *Stats, error) {
 	if shards < 1 {
 		shards = runtime.GOMAXPROCS(0)
@@ -590,7 +561,7 @@ func (a *Automaton) RunParallelContext(ctx context.Context, input []byte, shards
 
 // LeaseStats reports the automaton's machine-pool checkout balance
 // across the run and shard pools. A healthy process keeps Gets == Puts
-// whenever no Run/Stream/Lease is in flight; the chaos harness asserts
+// whenever no run, stream or lease is in flight; the chaos harness asserts
 // exactly that after every fault drill.
 type LeaseStats struct {
 	Gets, Puts int64
@@ -607,8 +578,9 @@ func (a *Automaton) LeaseStats() LeaseStats {
 // streams), returning only statistics. The non-collecting machine is built
 // once and reused across calls under a mutex, so concurrent Count calls
 // serialize (safely and deterministically) rather than each paying for a
-// private machine.
-func (a *Automaton) Count(input []byte) (*Stats, error) {
+// private machine. On cancellation the partial statistics are discarded
+// and ctx's error is returned.
+func (a *Automaton) Count(ctx context.Context, input []byte) (*Stats, error) {
 	a.countMu.Lock()
 	defer a.countMu.Unlock()
 	if a.countMachine == nil {
@@ -619,7 +591,11 @@ func (a *Automaton) Count(input []byte) (*Stats, error) {
 		a.countMachine = m
 	}
 	a.countMachine.Reset()
-	return a.statsFrom(a.countMachine.Run(input)), nil
+	res, err := a.countMachine.RunContext(ctx, input)
+	if err != nil {
+		return nil, err
+	}
+	return a.statsFrom(res), nil
 }
 
 // States returns the mapped NFA's state count (after CA_S merging).
@@ -689,19 +665,9 @@ type Stream struct {
 	m *machine.Machine
 }
 
-// Stream opens an independent scanner positioned at offset 0.
-func (a *Automaton) Stream() (*Stream, error) {
-	m, err := a.runPool.Get()
-	if err != nil {
-		return nil, err
-	}
-	return &Stream{a: a, m: m}, nil
-}
-
-// StreamContext is Stream with the request-scoped flight recorder
-// threaded through: a telemetry.ReqTrace carried by ctx records the
-// machine checkout as a "lease" stage span. With no trace in ctx it is
-// exactly Stream.
+// StreamContext opens an independent scanner positioned at offset 0. A
+// telemetry.ReqTrace carried by ctx records the machine checkout as a
+// "lease" stage span.
 func (a *Automaton) StreamContext(ctx context.Context) (*Stream, error) {
 	m, err := a.runPool.GetContext(ctx)
 	if err != nil {
@@ -710,44 +676,24 @@ func (a *Automaton) StreamContext(ctx context.Context) (*Stream, error) {
 	return &Stream{a: a, m: m}, nil
 }
 
-// Feed consumes the next chunk and returns the matches it produced
+// FeedContext consumes the next chunk and returns the matches it produced
 // (offsets are absolute within the whole stream). Delivered matches are
 // drained from the underlying machine, so a long-lived stream retains only
-// the matches of the chunk in flight, not every match ever seen. Feeding a
-// closed stream returns nil.
-func (s *Stream) Feed(chunk []byte) []Match {
-	if s.m == nil {
-		return nil
-	}
-	s.m.Run(chunk)
-	fresh := s.m.DrainMatches()
-	out := make([]Match, 0, len(fresh))
-	for _, m := range fresh {
-		out = append(out, Match{Offset: m.Offset, Pattern: int(m.Code)})
-	}
-	return out
-}
-
-// FeedContext is Feed with deadline-aware cancellation: the chunk is
-// scanned in machine.ContextCheckBytes sub-batches with a ctx check
+// the matches of the chunk in flight, not every match ever seen. The chunk
+// is scanned in machine.ContextCheckBytes sub-batches with a ctx check
 // between each. On cancellation it returns the matches produced so far
 // together with ctx's error; Pos() then reports exactly how much of the
-// chunk was consumed, so the caller can resume from the cut point
-// without losing or duplicating matches. A ctx that can never be
-// canceled behaves exactly like Feed.
+// chunk was consumed, so the caller can resume from the cut point without
+// losing or duplicating matches. Feeding a closed stream is an error.
 func (s *Stream) FeedContext(ctx context.Context, chunk []byte) ([]Match, error) {
 	if s.m == nil {
-		return nil, nil
+		return nil, fmt.Errorf("cacheautomaton: feed of closed stream")
 	}
 	sp := telemetry.ReqTraceFrom(ctx).StartStage("run")
 	sp.SetAttr("bytes", int64(len(chunk)))
 	defer sp.End()
 	_, err := s.m.RunContext(ctx, chunk)
-	fresh := s.m.DrainMatches()
-	out := make([]Match, 0, len(fresh))
-	for _, m := range fresh {
-		out = append(out, Match{Offset: m.Offset, Pattern: int(m.Code)})
-	}
+	out := matchesFrom(s.m.DrainMatches())
 	sp.SetAttr("matches", int64(len(out)))
 	return out, err
 }
@@ -779,27 +725,10 @@ func (s *Stream) Close() {
 	}
 }
 
-// ResumeStream reopens a stream from a Suspend-serialized state. The
-// automaton must be the same one (same rules, design and seed).
-func (a *Automaton) ResumeStream(r io.Reader) (*Stream, error) {
-	snap, err := machine.ReadSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	s, err := a.Stream()
-	if err != nil {
-		return nil, err
-	}
-	if err := s.m.Restore(snap); err != nil {
-		s.Close() // return the leased machine; otherwise the checkout leaks
-		return nil, err
-	}
-	return s, nil
-}
-
-// ResumeStreamContext is ResumeStream with the request-scoped flight
-// recorder threaded through (the machine checkout becomes a "lease"
-// stage span on the trace carried by ctx).
+// ResumeStreamContext reopens a stream from a Suspend-serialized state.
+// The automaton must be the same one (same rules, design and seed). The
+// machine checkout becomes a "lease" stage span on the trace carried by
+// ctx.
 func (a *Automaton) ResumeStreamContext(ctx context.Context, r io.Reader) (*Stream, error) {
 	snap, err := machine.ReadSnapshot(r)
 	if err != nil {

@@ -2,18 +2,36 @@ package cacheautomaton
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"reflect"
 	"strings"
 	"testing"
 
 	"cacheautomaton/internal/machine"
 )
 
+// feed is FeedContext on a context that cannot be canceled, so an error
+// is a bug: it fails the test (Errorf, safe off the test goroutine).
+func feed(t testing.TB, s *Stream, chunk []byte) []Match {
+	t.Helper()
+	ms, err := s.FeedContext(context.Background(), chunk)
+	if err != nil {
+		t.Errorf("FeedContext: %v", err)
+	}
+	return ms
+}
+
 func TestCompileRegexAndRun(t *testing.T) {
 	a, err := CompileRegex([]string{"cat", "dog.*food"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, stats, err := a.Run([]byte("the cat ate dog brand food"))
+	matches, stats, err := a.RunContext(context.Background(), []byte("the cat ate dog brand food"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +58,7 @@ func TestRunIsRepeatable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		ms, _, err := a.Run([]byte("xababab"))
+		ms, _, err := a.RunContext(context.Background(), []byte("xababab"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,8 +88,8 @@ func TestDesigns(t *testing.T) {
 		t.Errorf("Space design should merge states: %d vs %d", space.States(), perf.States())
 	}
 	in := []byte("prefix123 and shared-tail-two here") // ^-anchored rule needs offset 0
-	mp, _, _ := perf.Run(in)
-	msp, _, _ := space.Run(in)
+	mp, _, _ := perf.RunContext(context.Background(), in)
+	msp, _, _ := space.RunContext(context.Background(), in)
 	if len(mp) != 2 || len(msp) != 2 {
 		t.Fatalf("both designs should find 2 matches: %v vs %v", mp, msp)
 	}
@@ -114,8 +132,8 @@ func TestANMLRoundTripThroughFacade(t *testing.T) {
 		t.Fatalf("re-import failed: %v", err)
 	}
 	in := []byte("hello workd")
-	m1, _, _ := a.Run(in)
-	m2, _, _ := b.Run(in)
+	m1, _, _ := a.RunContext(context.Background(), in)
+	m2, _, _ := b.RunContext(context.Background(), in)
 	if len(m1) != len(m2) || len(m1) != 2 {
 		t.Fatalf("round trip changed matches: %v vs %v", m1, m2)
 	}
@@ -126,7 +144,7 @@ func TestCaseInsensitive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, _, _ := a.Run([]byte("VIRUS virus ViRuS"))
+	ms, _, _ := a.RunContext(context.Background(), []byte("VIRUS virus ViRuS"))
 	if len(ms) != 3 {
 		t.Fatalf("matches = %v, want 3", ms)
 	}
@@ -138,7 +156,7 @@ func TestCountLongStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := bytes.Repeat([]byte("haystack needle "), 1000)
-	st, err := a.Count(in)
+	st, err := a.Count(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +165,11 @@ func TestCountLongStream(t *testing.T) {
 	}
 	if st.Cycles != int64(len(in)) {
 		t.Errorf("cycles = %d, want %d", st.Cycles, len(in))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if st, err := a.Count(ctx, in); !errors.Is(err, context.Canceled) || st != nil {
+		t.Errorf("canceled Count = %v, %v; want nil, context.Canceled", st, err)
 	}
 }
 
@@ -175,11 +198,11 @@ func TestStreamFeedAndSuspendResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := a.Stream()
+	s, err := a.StreamContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Feed([]byte("...hand")); len(got) != 0 {
+	if got := feed(t, s, []byte("...hand")); len(got) != 0 {
 		t.Fatalf("premature matches: %v", got)
 	}
 	// Suspend mid-match, resume in a "new process".
@@ -187,14 +210,14 @@ func TestStreamFeedAndSuspendResume(t *testing.T) {
 	if err := s.Suspend(&state); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := a.ResumeStream(&state)
+	s2, err := a.ResumeStreamContext(context.Background(), &state)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2.Pos() != 7 {
 		t.Fatalf("resumed Pos = %d, want 7", s2.Pos())
 	}
-	got := s2.Feed([]byte("off..."))
+	got := feed(t, s2, []byte("off..."))
 	if len(got) != 1 || got[0].Offset != 9 || got[0].Pattern != 0 {
 		t.Fatalf("resumed stream matches = %v, want one at offset 9", got)
 	}
@@ -219,7 +242,7 @@ func TestResumeStreamRestoreFailureReturnsMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := a.runPool.Stats()
-	if _, err := a.ResumeStream(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := a.ResumeStreamContext(context.Background(), bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("ResumeStream accepted a snapshot with the wrong partition count")
 	}
 	after := a.runPool.Stats()
@@ -233,16 +256,16 @@ func TestStreamIncrementalDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _ := a.Stream()
+	s, _ := a.StreamContext(context.Background())
 	total := 0
 	for _, chunk := range []string{"ab", "ab", "xxab"} {
-		total += len(s.Feed([]byte(chunk)))
+		total += len(feed(t, s, []byte(chunk)))
 	}
 	if total != 3 {
 		t.Fatalf("delivered %d matches, want 3", total)
 	}
 	// No duplicates on empty feed.
-	if got := s.Feed(nil); len(got) != 0 {
+	if got := feed(t, s, nil); len(got) != 0 {
 		t.Fatalf("empty feed returned %v", got)
 	}
 }
@@ -274,7 +297,7 @@ alert tcp any any (pcre:"/exploit[0-9]+z/i"; sid:43;)`
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, _, _ := a.Run([]byte("GET /cgi-bin/phf and EXPLOIT99z"))
+	ms, _, _ := a.RunContext(context.Background(), []byte("GET /cgi-bin/phf and EXPLOIT99z"))
 	sids := map[int]bool{}
 	for _, m := range ms {
 		sids[m.Pattern] = true
@@ -295,7 +318,7 @@ func TestCompileClamAVFacade(t *testing.T) {
 	if len(names) != 2 || names[0] != "Sig.A" {
 		t.Fatalf("names = %v", names)
 	}
-	ms, _, _ := a.Run([]byte("..ABC..XqZ.."))
+	ms, _, _ := a.RunContext(context.Background(), []byte("..ABC..XqZ.."))
 	if len(ms) != 2 {
 		t.Fatalf("matches = %v, want both signatures", ms)
 	}
@@ -306,18 +329,18 @@ func TestStreamFeedBoundedRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := a.Stream()
+	s, err := a.StreamContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	chunk := bytes.Repeat([]byte("a"), 50)
 	for i := 0; i < 20; i++ {
-		if got := s.Feed(chunk); len(got) != len(chunk) {
+		if got := feed(t, s, chunk); len(got) != len(chunk) {
 			t.Fatalf("feed %d delivered %d matches, want %d", i, len(got), len(chunk))
 		}
 		// Regression: delivered matches must be drained from the machine,
 		// not retained for the lifetime of the stream.
-		if kept := len(s.m.Run(nil).Matches); kept != 0 {
+		if kept := len(s.m.DrainMatches()); kept != 0 {
 			t.Fatalf("feed %d: stream machine retains %d delivered matches", i, kept)
 		}
 	}
@@ -332,7 +355,7 @@ func TestCountReusesMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := []byte("a needle in a haystack")
-	st1, err := a.Count(in)
+	st1, err := a.Count(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +363,7 @@ func TestCountReusesMachine(t *testing.T) {
 	if m == nil {
 		t.Fatal("Count did not cache its machine")
 	}
-	st2, err := a.Count(in)
+	st2, err := a.Count(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +374,7 @@ func TestCountReusesMachine(t *testing.T) {
 		t.Errorf("cached Count diverged: %+v vs %+v", st1, st2)
 	}
 	// Count and Run must agree.
-	_, rst, err := a.Run(in)
+	_, rst, err := a.RunContext(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,25 +449,72 @@ func TestRunObserverWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := []byte("the cat sat")
-	if _, _, err := a.Run(in); err != nil {
+	if _, _, err := a.RunContext(context.Background(), in); err != nil {
 		t.Fatal(err)
 	}
 	if obs.cycles != int64(len(in)) || obs.matches != 1 || obs.runs != 1 {
 		t.Errorf("observer saw cycles=%d matches=%d runs=%d", obs.cycles, obs.matches, obs.runs)
 	}
 	// Count and Stream machines inherit the observer.
-	if _, err := a.Count(in); err != nil {
+	if _, err := a.Count(context.Background(), in); err != nil {
 		t.Fatal(err)
 	}
 	if obs.runs != 2 {
 		t.Errorf("Count did not report to the observer (runs=%d)", obs.runs)
 	}
-	s, err := a.Stream()
+	s, err := a.StreamContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Feed(in)
+	feed(t, s, in)
 	if obs.runs != 3 {
 		t.Errorf("Stream did not report to the observer (runs=%d)", obs.runs)
+	}
+}
+
+// TestNoContextBlindTwins keeps the execution surface at one entry point
+// each: no exported X may sit beside an XContext, on the facade types, the
+// machine types, or either package's top-level functions.
+func TestNoContextBlindTwins(t *testing.T) {
+	check := func(where string, names []string) {
+		has := map[string]bool{}
+		for _, n := range names {
+			has[n] = true
+		}
+		for _, n := range names {
+			if has[n+"Context"] {
+				t.Errorf("%s: %s has a twin %sContext; keep only the ctx form", where, n, n)
+			}
+		}
+	}
+	for _, v := range []any{&Automaton{}, &Lease{}, &Stream{}, &machine.Machine{}, &machine.Pool{}} {
+		typ := reflect.TypeOf(v)
+		var names []string
+		for i := 0; i < typ.NumMethod(); i++ {
+			names = append(names, typ.Method(i).Name)
+		}
+		check(typ.String(), names)
+	}
+	for _, dir := range []string{".", "internal/machine"} {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, pkg := range pkgs {
+			for _, file := range pkg.Files {
+				for _, d := range file.Decls {
+					if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() {
+						names = append(names, fd.Name.Name)
+					}
+				}
+			}
+		}
+		if len(names) == 0 {
+			t.Fatalf("%s: found no exported functions", dir)
+		}
+		check(dir, names)
 	}
 }

@@ -71,20 +71,20 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 			return true
 		}
 
-		runM, _, runErr := loaded.Run(input)
-		parM, _, parErr := loaded.RunParallel(input, 4)
+		runM, _, runErr := loaded.RunContext(context.Background(), input)
+		parM, _, parErr := loaded.RunParallelContext(context.Background(), input, 4)
 
-		s, err := loaded.Stream()
+		s, err := loaded.StreamContext(context.Background())
 		if err != nil {
 			t.Fatalf("stream: %v", err)
 		}
 		var streamM []Match
 		for _, chunk := range g.Chunks(input) {
-			streamM = append(streamM, s.Feed(chunk)...)
+			streamM = append(streamM, feed(t, s, chunk)...)
 		}
 		s.Close()
 
-		l, err := loaded.Lease()
+		l, err := loaded.LeaseContext(context.Background())
 		if err != nil {
 			t.Fatalf("lease: %v", err)
 		}

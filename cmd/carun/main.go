@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -30,12 +31,12 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
 // run is the testable body of carun: parses args, compiles, executes, and
 // prints; returns the process exit code.
-func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("carun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	rules := fs.String("rules", "", "file with one regex per line")
@@ -110,9 +111,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var matches []ca.Match
 	var stats *ca.Stats
 	if *parallel == 1 {
-		matches, stats, err = a.Run(data)
+		matches, stats, err = a.RunContext(ctx, data)
 	} else {
-		matches, stats, err = a.RunParallel(data, *parallel)
+		matches, stats, err = a.RunParallelContext(ctx, data, *parallel)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "carun:", err)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,7 +25,7 @@ func writeFile(t *testing.T, name, content string) string {
 func runCapture(t *testing.T, args []string, stdin string) (int, string, string) {
 	t.Helper()
 	var out, errb bytes.Buffer
-	code := run(args, strings.NewReader(stdin), &out, &errb)
+	code := run(context.Background(), args, strings.NewReader(stdin), &out, &errb)
 	return code, out.String(), errb.String()
 }
 
@@ -132,7 +133,7 @@ func TestRunMetricsEndpoint(t *testing.T) {
 	// on stdin until the probe finishes.
 	pr, pw := io.Pipe()
 	go func() {
-		done <- run([]string{"-rules", rules, "-metrics-addr", "127.0.0.1:0", "-trace-compile", "-in", "-"},
+		done <- run(context.Background(), []string{"-rules", rules, "-metrics-addr", "127.0.0.1:0", "-trace-compile", "-in", "-"},
 			pr, &syncWriter{buf: &out, addrCh: addrCh}, &errb)
 	}()
 	addr := <-addrCh

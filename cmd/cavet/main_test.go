@@ -32,8 +32,8 @@ func (m *Machine) RunContext(ctx context.Context, in []byte) error {
 
 type Pool struct{}
 
-func (p *Pool) Get() (*Machine, error) { return &Machine{}, nil }
-func (p *Pool) Put(m *Machine)         {}
+func (p *Pool) GetContext(ctx context.Context) (*Machine, error) { return &Machine{}, nil }
+func (p *Pool) Put(m *Machine)                                   {}
 `,
 
 	// The PR 3 deadlock: session.mu acquired while Server.mu is held.
@@ -69,7 +69,7 @@ import (
 )
 
 func (s *Server) Match(ctx context.Context, p *machine.Pool, in []byte) error {
-	m, err := p.Get()
+	m, err := p.GetContext(ctx)
 	if err != nil {
 		return err
 	}
@@ -78,9 +78,9 @@ func (s *Server) Match(ctx context.Context, p *machine.Pool, in []byte) error {
 	return nil
 }
 
-func (s *Server) Lease(p *machine.Pool) {
-	m, _ := p.Get() // SEED:leasebalance
-	m.Run(nil)
+func (s *Server) Lease(ctx context.Context, p *machine.Pool) {
+	m, _ := p.GetContext(ctx) // SEED:leasebalance
+	m.RunContext(ctx, nil)
 }
 
 type wal struct{}

@@ -2,6 +2,7 @@ package cacheautomaton
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -20,7 +21,7 @@ func TestConcurrentRunSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := []byte("the cat ate dog brand food while x42y watched the cat")
-	want, wantStats, err := a.Run(input)
+	want, wantStats, err := a.RunContext(context.Background(), input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestConcurrentRunSafe(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				got, gotStats, err := a.Run(input)
+				got, gotStats, err := a.RunContext(context.Background(), input)
 				if err != nil {
 					errs <- err
 					return
@@ -76,7 +77,7 @@ func TestConcurrentMixedWorkloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := bytes.Repeat([]byte("hay needle7 stack "), 40)
-	want, _, err := a.Run(input)
+	want, _, err := a.RunContext(context.Background(), input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestConcurrentMixedWorkloads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				ms, _, err := a.Run(input)
+				ms, _, err := a.RunContext(context.Background(), input)
 				if err != nil {
 					errs <- err
 					return
@@ -105,7 +106,7 @@ func TestConcurrentMixedWorkloads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				ms, _, err := a.RunParallel(input, 4)
+				ms, _, err := a.RunParallelContext(context.Background(), input, 4)
 				if err != nil {
 					errs <- err
 					return
@@ -116,7 +117,7 @@ func TestConcurrentMixedWorkloads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				st, err := a.Count(input)
+				st, err := a.Count(context.Background(), input)
 				if err != nil {
 					errs <- err
 					return
@@ -127,7 +128,7 @@ func TestConcurrentMixedWorkloads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				s, err := a.Stream()
+				s, err := a.StreamContext(context.Background())
 				if err != nil {
 					errs <- err
 					return
@@ -138,7 +139,7 @@ func TestConcurrentMixedWorkloads(t *testing.T) {
 					if end > len(input) {
 						end = len(input)
 					}
-					total += len(s.Feed(input[off:end]))
+					total += len(feed(t, s, input[off:end]))
 				}
 				s.Close()
 				check("Stream", total)
@@ -160,17 +161,17 @@ func TestStreamClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := a.Stream()
+	s, err := a.StreamContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Feed([]byte("abab")); len(got) != 2 {
+	if got := feed(t, s, []byte("abab")); len(got) != 2 {
 		t.Fatalf("feed = %v", got)
 	}
 	s.Close()
 	s.Close() // idempotent
-	if got := s.Feed([]byte("ab")); got != nil {
-		t.Errorf("closed stream fed matches: %v", got)
+	if got, err := s.FeedContext(context.Background(), []byte("ab")); err == nil {
+		t.Errorf("feed of closed stream should error, fed %v", got)
 	}
 	if s.Pos() != 0 {
 		t.Errorf("closed stream Pos = %d", s.Pos())
@@ -179,7 +180,7 @@ func TestStreamClose(t *testing.T) {
 		t.Error("suspend of closed stream should error")
 	}
 	// A fresh stream after Close starts at offset 0 (the pool Reset it).
-	s2, err := a.Stream()
+	s2, err := a.StreamContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestStreamClose(t *testing.T) {
 	if s2.Pos() != 0 {
 		t.Errorf("recycled stream Pos = %d", s2.Pos())
 	}
-	if got := s2.Feed([]byte("xxab")); len(got) != 1 || got[0].Offset != 3 {
+	if got := feed(t, s2, []byte("xxab")); len(got) != 1 || got[0].Offset != 3 {
 		t.Errorf("recycled stream feed = %v", got)
 	}
 }
@@ -199,12 +200,12 @@ func TestLeaseLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := a.Lease()
+	l, err := a.LeaseContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		ms, st, err := l.Run([]byte("the cat"))
+		ms, st, err := l.RunContext(context.Background(), []byte("the cat"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +215,7 @@ func TestLeaseLifecycle(t *testing.T) {
 	}
 	l.Release()
 	l.Release() // idempotent
-	if _, _, err := l.Run([]byte("cat")); err == nil {
+	if _, _, err := l.RunContext(context.Background(), []byte("cat")); err == nil {
 		t.Error("released lease should error")
 	}
 }

@@ -2,6 +2,7 @@ package cacheautomaton_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 
 	ca "cacheautomaton"
@@ -13,7 +14,7 @@ func ExampleCompileRegex() {
 	if err != nil {
 		panic(err)
 	}
-	matches, _, _ := a.Run([]byte("the cat ate dog food"))
+	matches, _, _ := a.RunContext(context.Background(), []byte("the cat ate dog food"))
 	for _, m := range matches {
 		fmt.Printf("rule %d at offset %d\n", m.Pattern, m.Offset)
 	}
@@ -40,23 +41,25 @@ func ExampleCompileFuzzy() {
 	if err != nil {
 		panic(err)
 	}
-	matches, _, _ := a.Run([]byte("an automatIn appears")) // 1 substitution
+	matches, _, _ := a.RunContext(context.Background(), []byte("an automatIn appears")) // 1 substitution
 	fmt.Println(len(matches) > 0)
 	// Output:
 	// true
 }
 
 // Streaming with suspend/resume: a match can span the suspension point.
-func ExampleAutomaton_Stream() {
+func ExampleAutomaton_StreamContext() {
+	ctx := context.Background()
 	a, _ := ca.CompileRegex([]string{"handoff"}, ca.Options{})
-	s, _ := a.Stream()
-	s.Feed([]byte("...hand"))
+	s, _ := a.StreamContext(ctx)
+	_, _ = s.FeedContext(ctx, []byte("...hand"))
 
 	var state bytes.Buffer
 	_ = s.Suspend(&state) // e.g. persist per-connection state
 
-	resumed, _ := a.ResumeStream(&state)
-	for _, m := range resumed.Feed([]byte("off...")) {
+	resumed, _ := a.ResumeStreamContext(ctx, &state)
+	matches, _ := resumed.FeedContext(ctx, []byte("off..."))
+	for _, m := range matches {
 		fmt.Printf("rule %d completed at offset %d\n", m.Pattern, m.Offset)
 	}
 	// Output:

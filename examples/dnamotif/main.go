@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -36,7 +37,7 @@ func main() {
 	copy(genome[50000:], "CACGTG")
 	copy(genome[77777:], "GGTCAATCT")
 
-	matches, stats, err := a.Run(genome)
+	matches, stats, err := a.RunContext(context.Background(), genome)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -22,6 +23,7 @@ type packet struct {
 }
 
 func main() {
+	ctx := context.Background()
 	rules := `alert tcp any any (msg:"split exploit"; content:"EXPLOIT-MARKER"; sid:2001;)
 alert tcp any any (msg:"beacon"; pcre:"/beacon[0-9]{4}ping/"; sid:2002;)`
 	a, err := ca.CompileSnortRules(rules, ca.Options{})
@@ -55,14 +57,18 @@ alert tcp any any (msg:"beacon"; pcre:"/beacon[0-9]{4}ping/"; sid:2002;)`
 	for i, pkt := range packets {
 		var s *ca.Stream
 		if blob, ok := suspended[pkt.flow]; ok {
-			s, err = a.ResumeStream(bytes.NewReader(blob))
+			s, err = a.ResumeStreamContext(ctx, bytes.NewReader(blob))
 		} else {
-			s, err = a.Stream()
+			s, err = a.StreamContext(ctx)
 		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, m := range s.Feed(pkt.payload) {
+		matches, err := s.FeedContext(ctx, pkt.payload)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, m := range matches {
 			alerts++
 			fmt.Printf("packet %d (flow %d): ALERT sid %d at flow offset %d\n",
 				i, pkt.flow, m.Pattern, m.Offset)

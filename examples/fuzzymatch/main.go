@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,7 +21,7 @@ func main() {
 	// Misspellings: "automatan" (1 sub), "procesor" (1 del),
 	// "cachee" (1 ins), "koshar" (3 edits — should NOT match).
 	text := []byte("the automatan inside a procesor has a cachee but not a koshar")
-	matches, stats, err := a.Run(text)
+	matches, stats, err := a.RunContext(context.Background(), text)
 	if err != nil {
 		log.Fatal(err)
 	}

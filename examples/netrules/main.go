@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -41,7 +42,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		matches, stats, err := a.Run(traffic)
+		matches, stats, err := a.RunContext(context.Background(), traffic)
 		if err != nil {
 			log.Fatal(err)
 		}

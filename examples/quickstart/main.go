@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,7 +22,7 @@ func main() {
 	}
 
 	input := []byte("the cat watched a dog eat bird food; then the dog found cat food")
-	matches, stats, err := a.Run(input)
+	matches, stats, err := a.RunContext(context.Background(), input)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package cacheautomaton
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 )
@@ -55,12 +56,12 @@ func FuzzStreamChunking(f *testing.F) {
 			input = input[:1<<16]
 		}
 		a := fuzzTargets(t)[int(sel)%4]
-		want, _, err := a.Run(input)
+		want, _, err := a.RunContext(context.Background(), input)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		s, err := a.Stream()
+		s, err := a.StreamContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +73,7 @@ func FuzzStreamChunking(f *testing.F) {
 			if pos+n > len(input) {
 				n = len(input) - pos
 			}
-			got = append(got, s.Feed(input[pos:pos+n])...)
+			got = append(got, feed(t, s, input[pos:pos+n])...)
 			pos += n
 			chunk++
 			if chunk == int(suspendAt)%8+1 {
@@ -81,12 +82,12 @@ func FuzzStreamChunking(f *testing.F) {
 					t.Fatal(err)
 				}
 				s.Close()
-				if s, err = a.ResumeStream(&state); err != nil {
+				if s, err = a.ResumeStreamContext(context.Background(), &state); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		got = append(got, s.Feed(input[pos:])...)
+		got = append(got, feed(t, s, input[pos:])...)
 
 		if len(got) != len(want) {
 			t.Fatalf("chunked stream: %d matches, one-shot Run: %d\ninput=%q cuts=%v\ngot=%v\nwant=%v",

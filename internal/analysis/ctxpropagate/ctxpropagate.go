@@ -1,7 +1,7 @@
 // Package ctxpropagate enforces deadline propagation through the
 // serving stack. Inside a function that already carries a
 // context.Context, calling the context-blind variant of an operation
-// that has a *Context twin (Run vs RunContext, Feed vs FeedContext, …)
+// that has a *Context twin (slog's Info vs InfoContext, …)
 // silently detaches the work from the caller's deadline and
 // cancellation — the bug class PR 4's cancellation layer exists to
 // prevent. Likewise, minting a fresh context.Background()/TODO() for a

@@ -1,11 +1,13 @@
 // Package leasebalance flags machine leases taken from a Pool that can
-// leak: a pool.Get (or GetN) whose result is never given back with Put
-// (or PutAll) and never escapes the function. A leaked lease shrinks
-// the pool until Get blocks every caller — the failure mode is a stall,
-// not a crash, which is exactly why it needs a mechanical check.
+// leak: a pool.GetContext (or GetNContext) whose result is never given
+// back with Put (or PutAll) and never escapes the function. A leaked
+// lease shrinks the pool until checkouts stall every caller — the failure
+// mode is a stall, not a crash, which is exactly why it needs a
+// mechanical check.
 //
 // The discharge engine lives in analysis.CheckBalance, shared with
-// spanbalance; this package only supplies the Pool.Get/GetN matcher.
+// spanbalance; this package only supplies the Pool.GetContext/
+// GetNContext matcher.
 package leasebalance
 
 import (
@@ -20,7 +22,7 @@ import (
 func Analyzer() *analysis.Analyzer {
 	return &analysis.Analyzer{
 		Name: "leasebalance",
-		Doc:  "every Pool.Get/GetN must be returned with Put/PutAll or escape the function",
+		Doc:  "every Pool.GetContext/GetNContext must be returned with Put/PutAll or escape the function",
 		Run:  run,
 	}
 }
@@ -41,7 +43,8 @@ func run(u *analysis.Unit) []analysis.Finding {
 	return fs
 }
 
-// beginLease matches Get/GetN method calls on a type named Pool.
+// beginLease matches GetContext/GetNContext method calls on a type named
+// Pool — the only checkout forms the pool has.
 // Put/PutAll are not ends on the lease value itself (they are methods on
 // the pool taking the lease as an argument), so the generic
 // passed-to-a-call escape covers them.
@@ -51,7 +54,7 @@ func beginLease(info *types.Info, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	switch fn.Name() {
-	case "Get", "GetN":
+	case "GetContext", "GetNContext":
 		return "Pool." + fn.Name(), true
 	}
 	return "", false

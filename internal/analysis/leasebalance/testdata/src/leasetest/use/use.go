@@ -1,38 +1,42 @@
 package use
 
-import "example.com/leasetest/machine"
+import (
+	"context"
+
+	"example.com/leasetest/machine"
+)
 
 // Leak takes a lease, runs it, and forgets it: the machine never goes
 // back to the free list.
-func Leak(p *machine.Pool) {
-	m, _ := p.Get() // want "never returned"
-	m.Run(nil)
+func Leak(ctx context.Context, p *machine.Pool) {
+	m, _ := p.GetContext(ctx) // want "never returned"
+	m.RunContext(ctx, nil)
 }
 
 // Drop discards the lease at the call site.
-func Drop(p *machine.Pool) {
-	p.Get() // want "never returned"
+func Drop(ctx context.Context, p *machine.Pool) {
+	p.GetContext(ctx) // want "never returned"
 }
 
 // Blank leaks through the blank identifier.
-func Blank(p *machine.Pool) {
-	_, _ = p.Get() // want "never returned"
+func Blank(ctx context.Context, p *machine.Pool) {
+	_, _ = p.GetContext(ctx) // want "never returned"
 }
 
 // Balanced is the canonical shape; no finding.
-func Balanced(p *machine.Pool) error {
-	m, err := p.Get()
+func Balanced(ctx context.Context, p *machine.Pool) error {
+	m, err := p.GetContext(ctx)
 	if err != nil {
 		return err
 	}
 	defer p.Put(m)
-	m.Run(nil)
+	m.RunContext(ctx, nil)
 	return nil
 }
 
 // BalancedN returns a batch with PutAll; no finding.
-func BalancedN(p *machine.Pool) error {
-	ms, err := p.GetN(3)
+func BalancedN(ctx context.Context, p *machine.Pool) error {
+	ms, err := p.GetNContext(ctx, 3)
 	if err != nil {
 		return err
 	}
@@ -41,12 +45,12 @@ func BalancedN(p *machine.Pool) error {
 }
 
 // Escapes hands the lease to the caller, who owns it now; no finding.
-func Escapes(p *machine.Pool) (*machine.Machine, error) {
-	return p.Get()
+func Escapes(ctx context.Context, p *machine.Pool) (*machine.Machine, error) {
+	return p.GetContext(ctx)
 }
 
-func EscapesVar(p *machine.Pool) *machine.Machine {
-	m, _ := p.Get()
+func EscapesVar(ctx context.Context, p *machine.Pool) *machine.Machine {
+	m, _ := p.GetContext(ctx)
 	return m
 }
 
@@ -56,21 +60,21 @@ type stream struct {
 
 // Stored parks the lease in a long-lived struct; its Close path owns
 // the Put. No finding.
-func Stored(p *machine.Pool) *stream {
-	m, _ := p.Get()
+func Stored(ctx context.Context, p *machine.Pool) *stream {
+	m, _ := p.GetContext(ctx)
 	return &stream{m: m}
 }
 
 // Captured defers the Put through a closure; no finding.
-func Captured(p *machine.Pool) {
-	m, _ := p.Get()
+func Captured(ctx context.Context, p *machine.Pool) {
+	m, _ := p.GetContext(ctx)
 	defer func() { p.Put(m) }()
-	m.Run(nil)
+	m.RunContext(ctx, nil)
 }
 
 // Intentional leaks on purpose, with a justified suppression.
-func Intentional(p *machine.Pool) {
+func Intentional(ctx context.Context, p *machine.Pool) {
 	//cavet:ignore leasebalance fixture: the leak is this test's subject
-	m, _ := p.Get()
-	m.Run(nil)
+	m, _ := p.GetContext(ctx)
+	m.RunContext(ctx, nil)
 }

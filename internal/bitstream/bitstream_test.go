@@ -2,6 +2,7 @@ package bitstream
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -74,8 +75,12 @@ func TestRoundTripBehaviour(t *testing.T) {
 			in[i] = byte("sigafxy0123 "[r.Intn(12)])
 		}
 		copy(in[100:], "sig07afxxxy")
-		e1 := eventSet(m1.Run(in).Matches)
-		e2 := eventSet(m2.Run(in).Matches)
+		r1, err1 := m1.RunContext(context.Background(), in)
+		r2, err2 := m2.RunContext(context.Background(), in)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%v: run errors %v, %v", kind, err1, err2)
+		}
+		e1, e2 := eventSet(r1.Matches), eventSet(r2.Matches)
 		if len(e1) != len(e2) || len(e1) == 0 {
 			t.Fatalf("%v: events %d vs %d", kind, len(e1), len(e2))
 		}

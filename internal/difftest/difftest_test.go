@@ -5,6 +5,7 @@
 package difftest_test
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -52,7 +53,7 @@ func TestDifferentialGeneratedCases(t *testing.T) {
 			t.Fatalf("case %d: CompileRegex(%q): %v", i, patterns, err)
 		}
 
-		ms, _, err := a.Run(input)
+		ms, _, err := a.RunContext(context.Background(), input)
 		if err != nil {
 			t.Fatalf("case %d: Run: %v", i, err)
 		}
@@ -62,13 +63,17 @@ func TestDifferentialGeneratedCases(t *testing.T) {
 
 		// Stream: the same input in random chunks must deliver the same
 		// set, with absolute offsets.
-		s, err := a.Stream()
+		s, err := a.StreamContext(context.Background())
 		if err != nil {
 			t.Fatalf("case %d: Stream: %v", i, err)
 		}
 		var streamed []difftest.Report
 		for _, chunk := range g.Chunks(input) {
-			streamed = append(streamed, toReports(s.Feed(chunk))...)
+			ms, err := s.FeedContext(context.Background(), chunk)
+			if err != nil {
+				t.Fatalf("case %d: FeedContext: %v", i, err)
+			}
+			streamed = append(streamed, toReports(ms)...)
 		}
 		s.Close()
 		if d := difftest.Diff(want, difftest.Set(streamed)); d != "" {
@@ -96,7 +101,7 @@ func TestDifferentialRunParallel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: CompileRegex(%q): %v", i, patterns, err)
 		}
-		ms, _, err := a.RunParallel(input, 4)
+		ms, _, err := a.RunParallelContext(context.Background(), input, 4)
 		if err != nil {
 			t.Fatalf("case %d: RunParallel: %v", i, err)
 		}
@@ -138,7 +143,7 @@ func TestDifferentialTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", tc.patterns, err)
 		}
-		ms, _, err := a.Run([]byte(tc.input))
+		ms, _, err := a.RunContext(context.Background(), []byte(tc.input))
 		if err != nil {
 			t.Fatalf("%q: %v", tc.patterns, err)
 		}
@@ -164,7 +169,7 @@ func TestDifferentialQuick(t *testing.T) {
 	g := difftest.New(3)
 	property := func(n uint16) bool {
 		input := g.Input(int(n % 512))
-		ms, _, err := a.Run(input)
+		ms, _, err := a.RunContext(context.Background(), input)
 		if err != nil {
 			t.Logf("Run: %v", err)
 			return false

@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -211,7 +212,11 @@ func (r *Runner) execute(spec *workload.Spec, kind arch.DesignKind) *Run {
 	}
 	input := spec.Input(r.Cfg.Seed, r.Cfg.inputBytes())
 	start := time.Now()
-	res := m.Run(input)
+	res, err := m.RunContext(context.Background(), input)
+	if err != nil {
+		run.Err = fmt.Errorf("run: %w", err)
+		return run
+	}
 	run.HostSimTime = time.Since(start)
 	run.Activity = res.Activity
 	run.MatchCount = res.MatchCount

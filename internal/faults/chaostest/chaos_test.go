@@ -158,7 +158,7 @@ func TestChaosServingStack(t *testing.T) {
 			n = 64 << 10
 		}
 		inputs[c] = chaosInput(rng, n)
-		if wants[c], _, err = ref.Run(inputs[c]); err != nil {
+		if wants[c], _, err = ref.RunContext(context.Background(), inputs[c]); err != nil {
 			t.Fatalf("client %d reference: %v", c, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package gatesim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -62,8 +63,12 @@ func crossValidate(t *testing.T, pl *mapper.Placement, input []byte, label strin
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := fast.RunContext(context.Background(), input)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
 	g := gateKeys(gate.Run(input))
-	f := vecKeys(fast.Run(input).Matches)
+	f := vecKeys(res.Matches)
 	if len(g) != len(f) {
 		t.Fatalf("%s: gate %d matches, vector %d", label, len(g), len(f))
 	}

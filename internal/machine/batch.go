@@ -4,15 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"time"
 )
-
-// batchQuantum is the interleaved batch runner's rotation granularity in
-// symbols: each stream advances by one quantum before the machine's state
-// is parked and the next stream is restored. 4 KiB keeps the row arrays
-// hot across the rotation while bounding how stale any stream's progress
-// can get; results are quantum-size-invariant (see runBatchInterleaved).
-const batchQuantum = 4 << 10
 
 // laneCount is how many independent streams the lane-packed fast path
 // drives at once: one stream per 64-bit word of the row arrays.
@@ -37,20 +29,16 @@ type BatchResult struct {
 // whole architectural state fits one 64-bit word (single partition, all
 // used slots below 64) and no per-cycle Observer is attached, up to
 // four streams ride the [256][4]uint64 row arrays word-wise, one stream
-// per lane, so one pass over the rows serves four inputs. Otherwise
-// streams are interleaved across sub-batches: each stream's enabled
-// vectors, stream position, and accumulators are saved and restored
-// around a batchQuantum-sized slice of its input, reusing the snapshot
-// invariant the sharded runner relies on (the hot loop commits enabled'
-// and zeroes next every symbol, so enabled+position is the entire
-// architectural state between symbols).
+// per lane, so one pass over the rows serves four inputs. Otherwise the
+// contract is executed as written: Reset, scan, take the result, one
+// input after another (runBatchSequential).
 //
 // Inputs are strings so serving paths can hand request payloads down
 // without materializing a byte-slice copy per request; the scan only
 // ever reads them. The lane-packed path indexes the strings directly;
-// the interleaved path converts each stream once at setup (it needs a
-// sliceable chunk view, and one copy per multi-partition stream is the
-// same cost callers previously paid up front).
+// the sequential path converts each stream as it reaches it (the symbol
+// loop needs a byte slice, and one copy per multi-partition stream is
+// the same cost callers previously paid up front).
 //
 // A canceled ctx abandons the whole batch and returns its error; the
 // machine is Reset before returning on every path, so the caller can
@@ -61,7 +49,7 @@ func (m *Machine) RunBatch(ctx context.Context, inputs []string) ([]BatchResult,
 	if m.lanePacked {
 		err = m.runBatchLanes(ctx, inputs, out)
 	} else {
-		err = m.runBatchInterleaved(ctx, inputs, out)
+		err = m.runBatchSequential(ctx, inputs, out)
 	}
 	m.Reset()
 	if err != nil {
@@ -363,166 +351,30 @@ func (m *Machine) laneReport(res *Result, outBuf *int, p *partition, rb uint64, 
 	}
 }
 
-// streamState parks one stream's complete machine context between
-// quanta: architectural state (enabled vectors), stream position, FIFO
-// and output-buffer cursors, and the accumulated Result.
-type streamState struct {
-	input        []byte
-	off          int
-	enabled      []uint64
-	pos          int64
-	fifoNextLine int64
-	outBuffered  int
-	res          Result
-	elapsed      time.Duration
-	err          error
-	finished     bool
-}
-
-// runBatchInterleaved rotates the machine through the streams one
-// quantum at a time. Because the hot loop commits enabled' = next|always
-// and zeroes next after every symbol, and FIFO refills are tracked by
-// absolute position, a stream chopped into quanta accumulates exactly
-// the totals of one uninterrupted run — the same invariant RunContext
-// and the sharded runner already depend on. A panic inside one stream's
-// quantum is recovered and fails only that stream; the next restore
-// rebuilds the machine's derived state (active lists, next vectors)
-// from scratch, so the other streams never see the wreckage.
-func (m *Machine) runBatchInterleaved(ctx context.Context, inputs []string, out []BatchResult) error {
-	obs := m.opts.Observer
-	canCancel := ctx.Done() != nil
-	states := make([]streamState, len(inputs))
+// runBatchSequential is the batch contract spelled out: every input gets
+// a Reset machine and one guarded scan.
+func (m *Machine) runBatchSequential(ctx context.Context, inputs []string, out []BatchResult) error {
 	for i, in := range inputs {
-		st := &states[i]
-		st.input = []byte(in)
-		st.enabled = make([]uint64, len(m.parts)*wordsPerPartition)
-		for pi := range m.parts {
-			p := &m.parts[pi]
-			for w := 0; w < wordsPerPartition; w++ {
-				st.enabled[pi*wordsPerPartition+w] = p.always[w] | p.startOfData[w]
-			}
+		m.Reset()
+		if err := m.runStream(ctx, []byte(in), &out[i]); err != nil {
+			return err
 		}
-	}
-
-	remaining := len(states)
-	for remaining > 0 {
-		for i := range states {
-			st := &states[i]
-			if st.finished || st.err != nil {
-				continue
-			}
-			if canCancel {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			end := st.off + batchQuantum
-			if end > len(st.input) {
-				end = len(st.input)
-			}
-			chunk := st.input[st.off:end]
-			var t0 time.Time
-			if obs != nil {
-				t0 = time.Now()
-			}
-			m.restoreStream(st)
-			err := m.runChunkGuarded(chunk)
-			m.saveStream(st)
-			if obs != nil {
-				st.elapsed += time.Since(t0)
-			}
-			st.off = end
-			if err != nil {
-				st.err = err
-				remaining--
-				continue
-			}
-			if obs == nil && st.off < len(st.input) && allZero(st.enabled) {
-				// Dead stream: without always-on starts the remainder can
-				// produce no activity, only cycle and refill accounting.
-				// Fast-forward it the way runBatch1's early-out does.
-				n := int64(len(st.input) - st.off)
-				first := st.pos / cacheLineBytes
-				last := (st.pos + n - 1) / cacheLineBytes
-				if first < st.fifoNextLine {
-					first = st.fifoNextLine
-				}
-				if last >= first {
-					st.res.FIFORefills += last - first + 1
-					st.fifoNextLine = last + 1
-				}
-				st.res.Activity.Cycles += n
-				st.pos += n
-				st.off = len(st.input)
-			}
-			if st.off >= len(st.input) {
-				st.finished = true
-				remaining--
-				if obs != nil {
-					obs.ObserveRun(int64(len(st.input)), st.elapsed.Seconds(),
-						st.res.OutputBufferPeak)
-				}
-			}
-		}
-	}
-	for i := range states {
-		st := &states[i]
-		if st.err != nil {
-			out[i] = BatchResult{Err: st.err}
-			continue
-		}
-		out[i] = BatchResult{Result: st.res}
 	}
 	return nil
 }
 
-// runChunkGuarded advances the restored stream by one chunk, converting
-// a panic anywhere under the hot loop into this stream's error. The
-// machine may be left inconsistent by the panic; that is acceptable
-// because the failed stream's state is discarded and the next stream's
-// restore rebuilds everything the loop derives.
-func (m *Machine) runChunkGuarded(chunk []byte) (err error) {
+// runStream is RunContext into out with a panic anywhere under the hot
+// loop converted into that stream's error: the next stream's Reset
+// rebuilds everything the loop derives (active lists, next vectors), so
+// the other streams never see the wreckage. Only ctx's error — which
+// abandons the whole batch — is returned.
+func (m *Machine) runStream(ctx context.Context, input []byte, out *BatchResult) error {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("machine: batch stream panic: %v", r)
+			*out = BatchResult{Err: fmt.Errorf("machine: batch stream panic: %v", r)}
 		}
 	}()
-	m.accountRefills(chunk)
-	m.runBatch(chunk)
-	return nil
-}
-
-// restoreStream loads st's parked context into the machine.
-func (m *Machine) restoreStream(st *streamState) {
-	m.pos = st.pos
-	m.fifoNextLine = st.fifoNextLine
-	m.outBuffered = st.outBuffered
-	m.res = st.res
-	for pi := range m.parts {
-		p := &m.parts[pi]
-		copy(p.enabled[:], st.enabled[pi*wordsPerPartition:(pi+1)*wordsPerPartition])
-		p.next = [wordsPerPartition]uint64{}
-	}
-	m.setActive()
-}
-
-// saveStream parks the machine's context back into st.
-func (m *Machine) saveStream(st *streamState) {
-	st.pos = m.pos
-	st.fifoNextLine = m.fifoNextLine
-	st.outBuffered = m.outBuffered
-	st.res = m.res
-	m.res = Result{}
-	for pi := range m.parts {
-		copy(st.enabled[pi*wordsPerPartition:], m.parts[pi].enabled[:])
-	}
-}
-
-func allZero(ws []uint64) bool {
-	for _, w := range ws {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
+	res, err := m.RunContext(ctx, input)
+	out.Result = *res
+	return err
 }

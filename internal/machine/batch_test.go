@@ -13,7 +13,7 @@ import (
 	"cacheautomaton/internal/regexc"
 )
 
-// batchReference runs each input through its own Reset+Run sweep on a
+// batchReference runs each input through its own Reset+RunContext sweep on a
 // machine built from the same placement — the per-request serving path
 // RunBatch must reproduce bit for bit.
 func batchReference(t *testing.T, m *Machine, inputs []string) []Result {
@@ -21,7 +21,7 @@ func batchReference(t *testing.T, m *Machine, inputs []string) []Result {
 	out := make([]Result, len(inputs))
 	for i, in := range inputs {
 		m.Reset()
-		out[i] = *m.Run([]byte(in))
+		out[i] = *mustRun(m, []byte(in))
 	}
 	m.Reset()
 	return out
@@ -37,7 +37,7 @@ func batchInputs(rng *rand.Rand, sizes []int, frags []string) []string {
 
 // TestRunBatchMatchesSequential is the batch runner's differential test:
 // for both execution strategies, every stream of a batch must reproduce
-// the per-input Reset+Run Result exactly — matches, offsets, activity,
+// the per-input Reset+RunContext Result exactly — matches, offsets, activity,
 // FIFO and output-buffer accounting.
 func TestRunBatchMatchesSequential(t *testing.T) {
 	cases := []struct {
@@ -56,7 +56,7 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 		},
 		{
 			// `x.*y` pins a state bit forever, so streams stay live with
-			// different enabled vectors across quanta.
+			// different enabled vectors to the end of their inputs.
 			name:     "persistent-state",
 			patterns: []string{"x.*yz", "begin.*end", "hay.{2}stack"},
 			frags:    []string{"x", "yz", "begin", "end", "haynostack"},
@@ -64,17 +64,17 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 		},
 		{
 			// 60 merged literals overflow one 64-slot word, forcing the
-			// interleaved save/restore path.
-			name:     "interleaved",
+			// sequential fallback.
+			name:     "sequential",
 			patterns: manyLiteralPatterns(60),
 			frags:    []string{"common07head", "common59head", "common"},
 			wantLane: false,
 		},
 	}
-	// Sizes cross every boundary that matters: empty, sub-line,
-	// sub-quantum, exactly one quantum, and multi-quantum; mismatched
+	// Sizes cross every boundary that matters: empty, sub-line, a whole
+	// number of cache lines, and many lines plus a remainder; mismatched
 	// lengths exercise the ragged-lane and early-finish paths.
-	sizes := []int{0, 17, 300, 1024, batchQuantum, 3*batchQuantum + 311, 64, 1}
+	sizes := []int{0, 17, 300, 1024, 4096, 3*4096 + 311, 64, 1}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -123,7 +123,7 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 			}
 			other := make([]BatchResult, len(inputs))
 			if tc.wantLane {
-				if err := m.runBatchInterleaved(context.Background(), inputs, other); err != nil {
+				if err := m.runBatchSequential(context.Background(), inputs, other); err != nil {
 					t.Fatal(err)
 				}
 			} else if len(m.parts) == 1 {
@@ -147,10 +147,10 @@ func manyLiteralPatterns(k int) []string {
 	return pats
 }
 
-// TestRunBatchDeadStreams covers the dead-stream fast-forward: an
-// automaton whose only start state fires at start-of-data goes quiet
-// after a few symbols, and the remaining input must still contribute
-// exact cycle and FIFO-refill accounting.
+// TestRunBatchDeadStreams covers dead streams: an automaton whose only
+// start state fires at start-of-data goes quiet after a few symbols (the
+// lanes and runBatch1 stop scanning there), and the remaining input must
+// still contribute exact cycle and FIFO-refill accounting.
 func TestRunBatchDeadStreams(t *testing.T) {
 	a := nfa.New()
 	s0 := a.AddState(nfa.State{Class: bitvec.ClassOf('a'), Start: nfa.StartOfData})
@@ -168,7 +168,7 @@ func TestRunBatchDeadStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	long := make([]byte, 2*batchQuantum+77)
+	long := make([]byte, 2*4096+77)
 	for i := range long {
 		long[i] = 'z'
 	}
@@ -176,7 +176,7 @@ func TestRunBatchDeadStreams(t *testing.T) {
 	inputs := []string{string(long), string(hit), "a", ""}
 	want := batchReference(t, m, inputs)
 
-	for _, forced := range []string{"auto", "interleaved"} {
+	for _, forced := range []string{"auto", "sequential"} {
 		got := make([]BatchResult, len(inputs))
 		if forced == "auto" {
 			res, err := m.RunBatch(context.Background(), inputs)
@@ -185,7 +185,7 @@ func TestRunBatchDeadStreams(t *testing.T) {
 			}
 			got = res
 		} else {
-			if err := m.runBatchInterleaved(context.Background(), inputs, got); err != nil {
+			if err := m.runBatchSequential(context.Background(), inputs, got); err != nil {
 				t.Fatal(err)
 			}
 			m.Reset()
@@ -217,14 +217,14 @@ func TestRunBatchContextCancel(t *testing.T) {
 	// The machine must be clean: a fresh run matches the reference.
 	small := []byte(inputs[0][:4096])
 	seq.Reset()
-	want := *seq.Run(small)
+	want := *mustRun(seq, small)
 	m.Reset()
-	got := *m.Run(small)
+	got := *mustRun(m, small)
 	assertResultsEqual(t, "post-cancel run", &want, &got)
 }
 
 // panicOnceObserver panics on its nth ObserveCycle call — a way to blow
-// up inside exactly one stream's quantum of an interleaved batch.
+// up inside exactly one stream of a sequentially scanned batch.
 type panicOnceObserver struct {
 	at    int
 	calls int
@@ -240,7 +240,7 @@ func (o *panicOnceObserver) ObserveMatches(int64)             {}
 func (o *panicOnceObserver) ObserveOverflow()                 {}
 func (o *panicOnceObserver) ObserveRun(int64, float64, int64) {}
 
-// TestRunBatchStreamPanicIsolation: a panic inside one stream's quantum
+// TestRunBatchStreamPanicIsolation: a panic inside one stream's scan
 // fails only that stream — the others still reproduce their reference
 // results exactly, on the same machine, in the same batch.
 func TestRunBatchStreamPanicIsolation(t *testing.T) {
@@ -261,8 +261,8 @@ func TestRunBatchStreamPanicIsolation(t *testing.T) {
 	inputs := batchInputs(rng, []int{1000, 1000, 1000}, []string{"needle7", "xaby"})
 	want := batchReference(t, ref, inputs)
 
-	// An Observer forces the interleaved path; sub-quantum inputs mean
-	// one quantum per stream, so cycle 1500 lands inside stream 1.
+	// An Observer forces the sequential path; 1000-symbol inputs put
+	// cycle 1500 inside stream 1.
 	obs := &panicOnceObserver{at: 1500}
 	m, err := New(pl, Options{CollectMatches: true, Observer: obs})
 	if err != nil {

@@ -5,71 +5,55 @@ import (
 	"time"
 )
 
-// ContextCheckBytes is the cancellation granularity of the
-// context-aware run paths: RunContext and RunShardedContext test
-// ctx.Err() between sub-batches of this many symbols, so a canceled
-// request stops within one sub-batch instead of scanning its whole
-// input. 64 KiB costs one predictable branch per ~64k symbols — noise
-// against the hot loop — while bounding the post-cancel overrun to
+// ContextCheckBytes is the cancellation granularity of every scan:
+// ctx.Err() is tested between sub-batches of this many symbols, so a
+// canceled request stops within one sub-batch instead of scanning its
+// whole input. 64 KiB costs one predictable branch per ~64k symbols —
+// noise against the hot loop — while bounding the post-cancel overrun to
 // well under a millisecond at host simulation speed.
 const ContextCheckBytes = 64 << 10
 
-// RunContext is Run with deadline-aware cancellation: it processes
-// input in ContextCheckBytes sub-batches, checking ctx between them.
-// On cancellation it returns the result accumulated so far together
-// with ctx's error; the machine keeps its stream position (Pos tells
-// the caller exactly how much input was consumed), so a streaming
-// caller loses no matches and a one-shot caller can simply discard the
-// partial result. A ctx that can never be canceled (Done() == nil)
-// takes the plain Run path with zero added checks.
-func (m *Machine) RunContext(ctx context.Context, input []byte) (*Result, error) {
-	if ctx.Done() == nil {
-		return m.Run(input), nil
+// scan is the one chunked scan loop, under RunContext, the shard workers
+// and their repair pass, and the sequential batch fallback: a ctx check,
+// the FIFO refill accounting and the symbol loop per ContextCheckBytes
+// sub-batch. A ctx that can never be canceled (Done() == nil) scans the
+// input as a single sub-batch. On cancellation the machine keeps the
+// position it reached.
+func (m *Machine) scan(ctx context.Context, input []byte) error {
+	step := len(input)
+	if ctx.Done() != nil {
+		step = ContextCheckBytes
 	}
+	for len(input) > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		n := min(step, len(input))
+		m.accountRefills(input[:n])
+		m.runBatch(input[:n])
+		input = input[n:]
+	}
+	return nil
+}
+
+// RunContext processes the input and returns a snapshot of the
+// accumulated result. The machine keeps its stream position, so
+// consecutive runs continue the stream; call Reset to start over. On
+// cancellation it returns the result accumulated so far together with
+// ctx's error (Pos tells the caller exactly how much input was
+// consumed), so a streaming caller loses no matches and a one-shot
+// caller can simply discard the partial result.
+func (m *Machine) RunContext(ctx context.Context, input []byte) (*Result, error) {
 	var start time.Time
 	if m.opts.Observer != nil {
 		start = time.Now()
 	}
-	consumed := 0
-	var err error
-	for consumed < len(input) {
-		if err = ctx.Err(); err != nil {
-			break
-		}
-		end := consumed + ContextCheckBytes
-		if end > len(input) {
-			end = len(input)
-		}
-		m.accountRefills(input[consumed:end])
-		m.runBatch(input[consumed:end])
-		consumed = end
-	}
+	from := m.pos
+	err := m.scan(ctx, input)
 	if m.opts.Observer != nil {
-		m.opts.Observer.ObserveRun(int64(consumed), time.Since(start).Seconds(),
+		m.opts.Observer.ObserveRun(m.pos-from, time.Since(start).Seconds(),
 			m.res.OutputBufferPeak)
 	}
 	r := m.res
 	return &r, err
-}
-
-// runBatchContext is the shard-worker flavor: runBatch over
-// ContextCheckBytes sub-batches with a ctx check between each, without
-// any refill or observer accounting (the sharded merge recomputes
-// those globally).
-func (m *Machine) runBatchContext(ctx context.Context, input []byte) error {
-	if ctx.Done() == nil {
-		m.runBatch(input)
-		return nil
-	}
-	for pos := 0; pos < len(input); pos += ContextCheckBytes {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		end := pos + ContextCheckBytes
-		if end > len(input) {
-			end = len(input)
-		}
-		m.runBatch(input[pos:end])
-	}
-	return nil
 }

@@ -9,26 +9,20 @@ import (
 	"cacheautomaton/internal/faults"
 )
 
-// TestRunContextMatchesRun checks the context path is bit-identical to
-// the plain path when the context never fires.
+// TestRunContextMatchesRun checks chunking is invisible: a cancelable ctx
+// that never fires scans in ContextCheckBytes sub-batches and must be
+// bit-identical to the single-chunk run a context.Background() gets.
 func TestRunContextMatchesRun(t *testing.T) {
 	seq, pool := buildPool(t, []string{"needle", "ab+c"}, 1)
 	input := []byte(strings.Repeat("xx needle abc yy ", 40<<10)) // several sub-batches
-	want := seq.Run(input)
-
-	m := pool[0]
-	m.Reset()
-	got, err := m.RunContext(context.Background(), input)
+	want, err := seq.RunContext(context.Background(), input)
 	if err != nil {
 		t.Fatalf("background ctx: %v", err)
 	}
-	assertResultsEqual(t, "background ctx", want, got)
 
-	// A cancelable-but-never-canceled ctx exercises the chunked loop.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	m.Reset()
-	got, err = m.RunContext(ctx, input)
+	got, err := pool[0].RunContext(ctx, input)
 	if err != nil {
 		t.Fatalf("cancelable ctx: %v", err)
 	}
@@ -95,15 +89,15 @@ func TestRunShardedWorkerPanicIsolated(t *testing.T) {
 	faults.Enable(faults.NewInjector(7, map[string]faults.Rule{
 		"machine.shard.worker": {Rate: 1, Kinds: faults.KindPanic},
 	}))
-	_, err := RunSharded(pool, input)
+	_, err := RunShardedContext(context.Background(), pool, input)
 	faults.Disable()
 	if err == nil || !strings.Contains(err.Error(), "worker panic") {
 		t.Fatalf("err = %v, want shard worker panic error", err)
 	}
 
 	// The pool machines must still produce correct results.
-	want := seq.Run(input)
-	got, err := RunSharded(pool, input)
+	want := mustRun(seq, input)
+	got, err := RunShardedContext(context.Background(), pool, input)
 	if err != nil {
 		t.Fatalf("rerun after panic: %v", err)
 	}

@@ -59,7 +59,7 @@ func TestFIFORefillsChunkedMatchesWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := whole.Run(input).FIFORefills
+	want := mustRun(whole, input).FIFORefills
 	if expect := int64((len(input) + 63) / 64); want != expect {
 		t.Fatalf("whole-input refills = %d, want ceil(%d/64) = %d", want, len(input), expect)
 	}
@@ -80,7 +80,7 @@ func TestFIFORefillsChunkedMatchesWhole(t *testing.T) {
 			if off+size > len(input) {
 				size = len(input) - off
 			}
-			res = m.Run(input[off : off+size])
+			res = mustRun(m, input[off:off+size])
 			off += size
 		}
 		if res.FIFORefills != want {

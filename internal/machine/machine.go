@@ -27,7 +27,6 @@ package machine
 import (
 	"fmt"
 	"math/bits"
-	"time"
 
 	"cacheautomaton/internal/arch"
 	"cacheautomaton/internal/mapper"
@@ -88,7 +87,7 @@ type Observer interface {
 	ObserveMatches(n int64)
 	// ObserveOverflow is called on each output-buffer interrupt (§2.8).
 	ObserveOverflow()
-	// ObserveRun is called at the end of each Run with the symbol count,
+	// ObserveRun is called at the end of each run with the symbol count,
 	// the host wall-clock seconds spent, and the output-buffer high-water
 	// mark so far.
 	ObserveRun(symbols int64, seconds float64, outputPeak int64)
@@ -167,7 +166,7 @@ func (s ActivityStats) AvgActivity() arch.ActivityCounts {
 	}
 }
 
-// Result summarizes a Run.
+// Result summarizes a run.
 type Result struct {
 	// Matches holds collected report events (when Options.CollectMatches).
 	Matches []Match
@@ -721,24 +720,6 @@ func (m *Machine) accountRefills(input []byte) {
 		m.res.FIFORefills += last - first + 1
 		m.fifoNextLine = last + 1
 	}
-}
-
-// Run processes the input and returns a snapshot of the accumulated
-// result. The machine keeps its stream position, so consecutive Runs
-// continue the stream; call Reset to start over.
-func (m *Machine) Run(input []byte) *Result {
-	m.accountRefills(input)
-	var start time.Time
-	if m.opts.Observer != nil {
-		start = time.Now()
-	}
-	m.runBatch(input)
-	if m.opts.Observer != nil {
-		m.opts.Observer.ObserveRun(int64(len(input)), time.Since(start).Seconds(),
-			m.res.OutputBufferPeak)
-	}
-	r := m.res
-	return &r
 }
 
 // DrainMatches hands over the collected matches and releases the machine's

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -13,6 +14,16 @@ import (
 	"cacheautomaton/internal/regexc"
 	"cacheautomaton/internal/spaceopt"
 )
+
+// mustRun is RunContext on a context that cannot be canceled, where the
+// error is always nil.
+func mustRun(m *Machine, input []byte) *Result {
+	res, err := m.RunContext(context.Background(), input)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
 
 func buildMachine(t *testing.T, n *nfa.NFA, kind arch.DesignKind) *Machine {
 	t.Helper()
@@ -65,7 +76,7 @@ func assertEquivalent(t *testing.T, n *nfa.NFA, m *Machine, input []byte, label 
 	t.Helper()
 	want := refKeys(nfa.RunAll(n, input))
 	m.Reset()
-	res := m.Run(input)
+	res := mustRun(m, input)
 	got := machineKeys(res.Matches)
 	if len(got) != len(want) {
 		t.Fatalf("%s: machine found %d matches, reference %d", label, len(got), len(want))
@@ -114,7 +125,7 @@ func TestMachineMatchesReferenceAcrossPartitions(t *testing.T) {
 		assertEquivalent(t, a, m, in, kind.String())
 		// The chain reports from offset 1499 onward, each cycle.
 		m.Reset()
-		res := m.Run(in)
+		res := mustRun(m, in)
 		if res.MatchCount != 2000-1499 {
 			t.Errorf("%v: matches = %d, want %d", kind, res.MatchCount, 2000-1499)
 		}
@@ -171,7 +182,7 @@ func TestMachineSpaceOptimizedEquivalence(t *testing.T) {
 	for _, mm := range nfa.RunAll(n, in) {
 		wantSet[[2]int64{int64(mm.Offset), int64(mm.Code)}] = true
 	}
-	res := m.Run(in)
+	res := mustRun(m, in)
 	gotSet := map[[2]int64]bool{}
 	for _, mm := range res.Matches {
 		gotSet[[2]int64{mm.Offset, int64(mm.Code)}] = true
@@ -198,7 +209,7 @@ func TestActivityStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := buildMachine(t, n, arch.PerfOpt)
-	res := m.Run([]byte("zzzzzzzzzz"))
+	res := mustRun(m, []byte("zzzzzzzzzz"))
 	if res.Activity.Cycles != 10 {
 		t.Fatalf("cycles = %d", res.Activity.Cycles)
 	}
@@ -220,7 +231,7 @@ func TestActivityAlwaysStartsStayActive(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := buildMachine(t, n, arch.PerfOpt)
-	res := m.Run([]byte("zzzzzzzzzz"))
+	res := mustRun(m, []byte("zzzzzzzzzz"))
 	// The all-input 'a' state is enabled every cycle.
 	if res.Activity.SumActiveStates != 10 {
 		t.Errorf("SumActiveStates = %d, want 10", res.Activity.SumActiveStates)
@@ -245,7 +256,7 @@ func TestG1CrossingStats(t *testing.T) {
 	for i := range in {
 		in[i] = 'a'
 	}
-	res := m.Run(in)
+	res := mustRun(m, in)
 	if res.Activity.SumG1Crossings == 0 {
 		t.Error("expected G1 crossings on a multi-partition chain")
 	}
@@ -271,7 +282,7 @@ func TestOutputBufferInterrupts(t *testing.T) {
 	}
 	m := buildMachine(t, n, arch.PerfOpt)
 	in := make([]byte, 1000)
-	res := m.Run(in)
+	res := mustRun(m, in)
 	if res.MatchCount != 1000 {
 		t.Fatalf("matches = %d, want 1000", res.MatchCount)
 	}
@@ -283,7 +294,7 @@ func TestOutputBufferInterrupts(t *testing.T) {
 func TestFIFORefills(t *testing.T) {
 	n, _ := regexc.CompileSet([]string{"x"}, regexc.Options{})
 	m := buildMachine(t, n, arch.PerfOpt)
-	res := m.Run(make([]byte, 130))
+	res := mustRun(m, make([]byte, 130))
 	if want := int64(arch.CeilDiv(130, 64)); res.FIFORefills != want {
 		t.Errorf("refills = %d, want %d", res.FIFORefills, want)
 	}
@@ -292,8 +303,8 @@ func TestFIFORefills(t *testing.T) {
 func TestRunContinuesStream(t *testing.T) {
 	n, _ := regexc.CompileSet([]string{"ab"}, regexc.Options{})
 	m := buildMachine(t, n, arch.PerfOpt)
-	m.Run([]byte("a"))
-	res := m.Run([]byte("b")) // match spans the two Run calls
+	mustRun(m, []byte("a"))
+	res := mustRun(m, []byte("b")) // match spans the two Run calls
 	if res.MatchCount != 1 {
 		t.Errorf("split-stream match count = %d, want 1", res.MatchCount)
 	}
@@ -312,7 +323,7 @@ func TestMatchLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := m.Run(make([]byte, 100))
+	res := mustRun(m, make([]byte, 100))
 	if len(res.Matches) != 10 {
 		t.Errorf("collected = %d, want 10", len(res.Matches))
 	}
@@ -347,6 +358,6 @@ func BenchmarkMachineSnortLike(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Reset()
-		m.Run(in)
+		mustRun(m, in)
 	}
 }

@@ -57,7 +57,7 @@ func TestObserverSeesCyclesMatchesAndRuns(t *testing.T) {
 	obs := &testObserver{}
 	m := buildObserved(t, []string{"ab", "b"}, obs)
 	input := []byte("ababab")
-	res := m.Run(input)
+	res := mustRun(m, input)
 
 	if obs.cycles != int64(len(input)) {
 		t.Errorf("observed cycles = %d, want %d", obs.cycles, len(input))
@@ -87,7 +87,7 @@ func TestOutputBufferPeakAndOverflow(t *testing.T) {
 	// so the buffer fills every OutputBufferEntries cycles.
 	m := buildObserved(t, []string{"a"}, obs)
 	input := bytes.Repeat([]byte("a"), 3*OutputBufferEntries)
-	res := m.Run(input)
+	res := mustRun(m, input)
 	if res.OutputBufferInterrupts != 3 {
 		t.Errorf("interrupts = %d, want 3", res.OutputBufferInterrupts)
 	}
@@ -104,7 +104,7 @@ func TestDrainMatchesBoundsRetention(t *testing.T) {
 	chunk := bytes.Repeat([]byte("a"), 10)
 	var total int
 	for i := 0; i < 5; i++ {
-		m.Run(chunk)
+		mustRun(m, chunk)
 		got := m.DrainMatches()
 		if len(got) != len(chunk) {
 			t.Fatalf("feed %d: drained %d matches, want %d", i, len(got), len(chunk))
@@ -113,10 +113,10 @@ func TestDrainMatchesBoundsRetention(t *testing.T) {
 	}
 	// After draining, the machine retains nothing: a zero-symbol Run
 	// snapshots the live result.
-	if leftover := m.Run(nil).Matches; len(leftover) != 0 {
+	if leftover := mustRun(m, nil).Matches; len(leftover) != 0 {
 		t.Errorf("machine retained %d matches after drain", len(leftover))
 	}
-	if got := m.Run(nil).MatchCount; got != int64(total) {
+	if got := mustRun(m, nil).MatchCount; got != int64(total) {
 		t.Errorf("MatchCount = %d, want %d (drain must not reset counts)", got, total)
 	}
 }
@@ -125,7 +125,7 @@ func TestObserverNilHasNoEffectOnResults(t *testing.T) {
 	input := []byte(strings.Repeat("xyzzy", 100))
 	withObs := buildObserved(t, []string{"zz", "xy"}, &testObserver{})
 	without := buildObserved(t, []string{"zz", "xy"}, nil)
-	a, b := withObs.Run(input), without.Run(input)
+	a, b := mustRun(withObs, input), mustRun(without, input)
 	if a.MatchCount != b.MatchCount || a.Activity != b.Activity {
 		t.Errorf("observer changed results: %+v vs %+v", a, b)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"cacheautomaton/internal/faults"
@@ -17,16 +18,17 @@ import (
 // idle state (only always-on start states enabled) a little early and let
 // the automaton converge while scanning the warm-up bytes. Runs whose
 // active state has longer memory than the overlap (e.g. `a.*b` holding a
-// bit set indefinitely) are caught by the repair pass in RunSharded, so
-// the overlap length only affects speed, never correctness.
+// bit set indefinitely) are caught by the repair pass in
+// RunShardedContext, so the overlap length only affects speed, never
+// correctness.
 const DefaultShardOverlap = 2048
 
 // minShardBytes is the smallest shard worth the warm-up cost; inputs
 // shorter than two of these run sequentially.
 const minShardBytes = 4 * DefaultShardOverlap
 
-// ShardsFor returns how many of the requested shards RunSharded would
-// actually use for an input of the given length.
+// ShardsFor returns how many of the requested shards RunShardedContext
+// would actually use for an input of the given length.
 func ShardsFor(requested, inputLen int) int {
 	n := requested
 	if max := inputLen / minShardBytes; n > max {
@@ -38,16 +40,16 @@ func ShardsFor(requested, inputLen int) int {
 	return n
 }
 
-// RunSharded resets the machines and scans input from offset 0, split into
-// len(ms) contiguous shards executed concurrently — the software analogue
-// of the paper's §3.4 input-stream replication across C-BOXes, with the
-// stream divided instead of duplicated. All machines must share one
-// placement. The returned Result is bit-identical to a sequential
-// ms[0].Reset(); ms[0].Run(input):
+// RunShardedContext resets the machines and scans input from offset 0,
+// split into len(ms) contiguous shards executed concurrently — the software
+// analogue of the paper's §3.4 input-stream replication across C-BOXes,
+// with the stream divided instead of duplicated. All machines must share
+// one placement. The returned Result is bit-identical to a sequential
+// ms[0].Reset(); ms[0].RunContext(ctx, input):
 //
 //   - Shard i>0 speculatively warms up from the idle state over the
-//     DefaultShardOverlap bytes preceding its range, then records the
-//     active-state vector it assumed at its start offset.
+//     DefaultShardOverlap bytes preceding its range, then snapshots the
+//     architectural state it assumed at its start offset.
 //   - A sequential repair pass compares each shard's assumed start state
 //     with its predecessor's actual end state and re-runs the shard from
 //     the true state on mismatch. State evolution depends only on the
@@ -62,24 +64,20 @@ func ShardsFor(requested, inputLen int) int {
 //
 // Per-cycle Observer telemetry is not delivered on this path (shard
 // machines would observe speculative warm-up cycles); use the sequential
-// Run when cycle-level observation matters.
-func RunSharded(ms []*Machine, input []byte) (*Result, error) {
-	return RunShardedContext(context.Background(), ms, input)
-}
-
-// RunShardedContext is RunSharded with resilience threaded through: each
-// shard worker checks ctx at ContextCheckBytes granularity (a canceled
-// request stops all shards within one sub-batch) and recovers its own
-// panics, so a fault in one worker surfaces as an error from this call
+// RunContext when cycle-level observation matters.
+//
+// Each shard worker checks ctx at ContextCheckBytes granularity (a
+// canceled request stops all shards within one sub-batch) and recovers its
+// own panics, so a fault in one worker surfaces as an error from this call
 // instead of killing the process. The machines are safe to return to
-// their pool after any failure — Pool.Get resets them before reuse.
+// their pool after any failure — the pool resets them before reuse.
 func RunShardedContext(ctx context.Context, ms []*Machine, input []byte) (*Result, error) {
 	if len(ms) == 0 {
-		return nil, errors.New("machine: RunSharded needs at least one machine")
+		return nil, errors.New("machine: RunShardedContext needs at least one machine")
 	}
 	for _, m := range ms[1:] {
 		if m.pl != ms[0].pl {
-			return nil, errors.New("machine: RunSharded machines must share one placement")
+			return nil, errors.New("machine: RunShardedContext machines must share one placement")
 		}
 	}
 	n := ShardsFor(len(ms), len(input))
@@ -93,9 +91,17 @@ func RunShardedContext(ctx context.Context, ms []*Machine, input []byte) (*Resul
 		bounds[i] = i * len(input) / n
 	}
 	results := make([]Result, n)
-	assumed := make([][]uint64, n) // speculated enabled state at shard start
-	endSt := make([][]uint64, n)   // enabled state at shard end
+	assumed := make([]*Snapshot, n) // speculated state at shard start
+	endSt := make([]*Snapshot, n)   // state at shard end
 	errs := make([]error, n)
+	// Restore re-asserts the always-on start mask, so an all-zero snapshot
+	// is the idle state: only the always-on start states enabled
+	// (startOfData states matter only at offset 0, which Reset handles).
+	zero := make([]uint64, wordsPerPartition)
+	idle := make([][]uint64, ms[0].NumPartitions())
+	for p := range idle {
+		idle[p] = zero
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -122,22 +128,15 @@ func RunShardedContext(ctx context.Context, ms []*Machine, input []byte) (*Resul
 			m := ms[i]
 			if i == 0 {
 				m.Reset()
+				assumed[i] = m.Snapshot()
 			} else {
-				warm := bounds[i] - DefaultShardOverlap
-				if warm < 0 {
-					warm = 0
+				warm := max(bounds[i]-DefaultShardOverlap, 0)
+				idleAt := &Snapshot{Pos: int64(warm), Enabled: idle}
+				if _, assumed[i], errs[i] = m.scanFrom(ctx, idleAt, input[warm:bounds[i]]); errs[i] != nil {
+					return
 				}
-				m.resumeIdle(int64(warm))
-				m.runBatch(input[warm:bounds[i]])
-				m.clearAccum()
 			}
-			assumed[i] = m.captureEnabled()
-			if err := m.runBatchContext(ctx, input[bounds[i]:bounds[i+1]]); err != nil {
-				errs[i] = err
-				return
-			}
-			results[i] = m.takeResult()
-			endSt[i] = m.captureEnabled()
+			results[i], endSt[i], errs[i] = m.scanFrom(ctx, assumed[i], input[bounds[i]:bounds[i+1]])
 		}(i)
 	}
 	wg.Wait()
@@ -152,16 +151,14 @@ func RunShardedContext(ctx context.Context, ms []*Machine, input []byte) (*Resul
 	// end state. Worst case this re-does each shard once — bounded at ~2×
 	// the sequential work — and it is what makes the result exact.
 	for i := 1; i < n; i++ {
-		if wordsEqual(assumed[i], endSt[i-1]) {
+		if slices.EqualFunc(assumed[i].Enabled, endSt[i-1].Enabled, slices.Equal[[]uint64]) {
 			continue
 		}
-		m := ms[i]
-		m.resumeAt(int64(bounds[i]), endSt[i-1])
-		if err := m.runBatchContext(ctx, input[bounds[i]:bounds[i+1]]); err != nil {
+		var err error
+		results[i], endSt[i], err = ms[i].scanFrom(ctx, endSt[i-1], input[bounds[i]:bounds[i+1]])
+		if err != nil {
 			return nil, err
 		}
-		results[i] = m.takeResult()
-		endSt[i] = m.captureEnabled()
 	}
 
 	out := &Result{}
@@ -184,69 +181,18 @@ func RunShardedContext(ctx context.Context, ms []*Machine, input []byte) (*Resul
 	return out, nil
 }
 
-// captureEnabled flattens the partitions' enabled vectors into one slice
-// (len(parts)*wordsPerPartition words).
-func (m *Machine) captureEnabled() []uint64 {
-	out := make([]uint64, len(m.parts)*wordsPerPartition)
-	for i := range m.parts {
-		copy(out[i*wordsPerPartition:], m.parts[i].enabled[:])
+// scanFrom re-seats the machine on the given architectural state — with
+// fresh accumulators: Restore drops whatever a warm-up or a mis-speculated
+// first attempt collected — scans input, and returns what that range
+// produced together with the state it ended in.
+func (m *Machine) scanFrom(ctx context.Context, from *Snapshot, input []byte) (Result, *Snapshot, error) {
+	if err := m.Restore(from); err != nil {
+		return Result{}, nil, err
 	}
-	return out
-}
-
-func wordsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
+	if err := m.scan(ctx, input); err != nil {
+		return Result{}, nil, err
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// resumeIdle positions the machine at pos in the idle state: only the
-// always-on start states enabled (startOfData states matter only at
-// offset 0, which Reset handles).
-func (m *Machine) resumeIdle(pos int64) {
-	m.pos = pos
-	m.fifoNextLine = 0
-	m.outBuffered = 0
-	m.res = Result{}
-	for i := range m.parts {
-		p := &m.parts[i]
-		p.enabled = p.always
-		p.next = [wordsPerPartition]uint64{}
-	}
-	m.setActive()
-}
-
-// resumeAt positions the machine at pos with the given flattened enabled
-// vectors (as returned by captureEnabled) and clears all accumulators.
-func (m *Machine) resumeAt(pos int64, enabled []uint64) {
-	m.pos = pos
-	m.fifoNextLine = 0
-	m.outBuffered = 0
-	m.res = Result{}
-	for i := range m.parts {
-		p := &m.parts[i]
-		copy(p.enabled[:], enabled[i*wordsPerPartition:(i+1)*wordsPerPartition])
-		p.next = [wordsPerPartition]uint64{}
-	}
-	m.setActive()
-}
-
-// clearAccum discards accumulated results, matches and buffer occupancy
-// without touching the architectural state (used to drop warm-up effects).
-func (m *Machine) clearAccum() {
-	m.res = Result{}
-	m.outBuffered = 0
-}
-
-// takeResult moves the accumulated result out of the machine.
-func (m *Machine) takeResult() Result {
-	r := m.res
-	m.res = Result{}
-	return r
+	res := m.res
+	m.res = Result{} // an idle pooled machine must not pin the shard's matches
+	return res, m.Snapshot(), nil
 }

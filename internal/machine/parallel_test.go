@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -106,12 +107,12 @@ func TestRunShardedMatchesSequential(t *testing.T) {
 			for trial := 0; trial < 3; trial++ {
 				input := randomText(rng, 3*minShardBytes+rng.Intn(5000), tc.frags)
 				seq.Reset()
-				want := seq.Run(input)
+				want := mustRun(seq, input)
 				if want.MatchCount == 0 {
 					t.Fatalf("trial %d: degenerate test, no matches", trial)
 				}
 				for _, shards := range []int{2, 3, 8} {
-					got, err := RunSharded(pool[:shards], input)
+					got, err := RunShardedContext(context.Background(), pool[:shards], input)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -122,14 +123,38 @@ func TestRunShardedMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestRunShardedRepairsThroughRestore pins the repair pass on a
+// multi-partition automaton: the only 'a' is the first byte, so `a.*b`
+// holds its bit for the rest of the stream while every later shard warms
+// up on a-free text and speculates the idle state. Each of them must be
+// re-seated on its predecessor's snapshot, or its 'b' matches are lost.
+func TestRunShardedRepairsThroughRestore(t *testing.T) {
+	seq, pool := buildPool(t, append(manyLiteralPatterns(60), "a.*b"), 4)
+	if seq.NumPartitions() < 2 {
+		t.Fatalf("want a multi-partition automaton, got %d", seq.NumPartitions())
+	}
+	input := []byte("a")
+	for len(input) < 4*minShardBytes {
+		input = append(input, "common07he b common59h "...)
+	}
+	want := mustRun(seq, input)
+	for _, shards := range []int{2, 4} {
+		got, err := RunShardedContext(context.Background(), pool[:shards], input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertResultsEqual(t, fmt.Sprintf("shards %d", shards), want, got)
+	}
+}
+
 // TestRunShardedSmallInputFallsBack checks the sequential fallback for
 // inputs too short to shard.
 func TestRunShardedSmallInputFallsBack(t *testing.T) {
 	seq, pool := buildPool(t, []string{"ab+a"}, 4)
 	input := []byte("xxabbbbaxxabay")
 	seq.Reset()
-	want := seq.Run(input)
-	got, err := RunSharded(pool, input)
+	want := mustRun(seq, input)
+	got, err := RunShardedContext(context.Background(), pool, input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +168,12 @@ func TestRunShardedReusesMachines(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randomText(rng, 2*minShardBytes, []string{"cat", "dog"})
 	b := randomText(rng, 2*minShardBytes, []string{"cat", "dog"})
-	if _, err := RunSharded(pool, a); err != nil {
+	if _, err := RunShardedContext(context.Background(), pool, a); err != nil {
 		t.Fatal(err)
 	}
 	seq.Reset()
-	want := seq.Run(b)
-	got, err := RunSharded(pool, b)
+	want := mustRun(seq, b)
+	got, err := RunShardedContext(context.Background(), pool, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +183,7 @@ func TestRunShardedReusesMachines(t *testing.T) {
 func TestRunShardedRejectsMixedPlacements(t *testing.T) {
 	_, poolA := buildPool(t, []string{"aa"}, 1)
 	_, poolB := buildPool(t, []string{"bb"}, 1)
-	if _, err := RunSharded([]*Machine{poolA[0], poolB[0]}, make([]byte, 3*minShardBytes)); err == nil {
+	if _, err := RunShardedContext(context.Background(), []*Machine{poolA[0], poolB[0]}, make([]byte, 3*minShardBytes)); err == nil {
 		t.Fatal("RunSharded accepted machines with different placements")
 	}
 }

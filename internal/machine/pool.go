@@ -24,7 +24,7 @@ type PoolStats struct {
 }
 
 // Pool is a concurrency-safe checkout pool of replicated machines over one
-// placement. It backs the facade's machine leasing: every Get hands the
+// placement. It backs the facade's machine leasing: every checkout hands the
 // caller an exclusively-owned, freshly Reset machine, so concurrent
 // borrowers never share mutable simulator state. Machines are built lazily
 // on demand and recycled through Put up to a bounded idle depth (returns
@@ -54,72 +54,65 @@ func NewPool(pl *mapper.Placement, opts Options, maxIdle int) *Pool {
 	return &Pool{pl: pl, opts: opts, maxIdle: maxIdle}
 }
 
-// Get checks a machine out of the pool, building one if the free list is
-// empty. The machine comes back Reset (offset 0, start states enabled) and
-// is exclusively the caller's until Put.
-func (p *Pool) Get() (*Machine, error) { return p.get() }
-
-// GetContext is Get with the request-scoped flight recorder threaded
-// through: when ctx carries a telemetry.ReqTrace, the checkout is
-// recorded as a "lease" stage span (with whether it hit the free list
-// or built cold) and an injected lease refusal is annotated onto the
-// trace. With no trace in ctx it is exactly Get.
+// GetContext checks a machine out of the pool, building one if the free
+// list is empty. The machine comes back Reset (offset 0, start states
+// enabled) and is exclusively the caller's until Put. When ctx carries a
+// telemetry.ReqTrace, the checkout is recorded as a "lease" stage span
+// (with whether it hit the free list or built cold) and an injected lease
+// refusal is annotated onto the trace.
 func (p *Pool) GetContext(ctx context.Context) (*Machine, error) {
-	rt := telemetry.ReqTraceFrom(ctx)
-	if rt == nil {
-		return p.get()
-	}
-	sp := rt.StartStage("lease")
-	sp.SetAttr("machines", 1)
-	before := p.Stats()
-	m, err := p.get()
-	if err != nil {
-		sp.End()
-		if faults.IsInjected(err) {
-			rt.Annotate("fault", "machine.pool.get")
-		}
+	var one [1]*Machine
+	if err := p.lease(ctx, one[:]); err != nil {
 		return nil, err
 	}
-	sp.SetAttr("built", p.Stats().Built-before.Built)
-	sp.End()
-	return m, nil
+	return one[0], nil
 }
 
 // GetNContext checks out n machines at once for a sharded run, recording
 // one "lease" stage span on the trace carried by ctx. On error the
 // machines acquired so far are returned to the pool.
 func (p *Pool) GetNContext(ctx context.Context, n int) ([]*Machine, error) {
-	rt := telemetry.ReqTraceFrom(ctx)
-	if rt == nil {
-		return p.GetN(n)
+	ms := make([]*Machine, n)
+	if err := p.lease(ctx, ms); err != nil {
+		return nil, err
 	}
-	sp := rt.StartStage("lease")
-	sp.SetAttr("machines", int64(n))
-	defer sp.End()
-	before := p.Stats()
-	ms := make([]*Machine, 0, n)
-	for i := 0; i < n; i++ {
-		m, err := p.get()
-		if err != nil {
-			p.PutAll(ms)
-			if faults.IsInjected(err) {
-				rt.Annotate("fault", "machine.pool.get")
-			}
-			return nil, err
-		}
-		ms = append(ms, m)
-	}
-	sp.SetAttr("built", p.Stats().Built-before.Built)
 	return ms, nil
 }
 
-// get is the shared checkout core behind Get and the *Context variants.
-func (p *Pool) get() (*Machine, error) {
+// lease fills ms with checked-out machines under one "lease" stage span.
+// The span's built attribute counts the cold builds of this checkout
+// alone, however many other borrowers are building concurrently.
+func (p *Pool) lease(ctx context.Context, ms []*Machine) error {
+	rt := telemetry.ReqTraceFrom(ctx)
+	sp := rt.StartStage("lease")
+	defer sp.End()
+	sp.SetAttr("machines", int64(len(ms)))
+	var built int64
+	for i := range ms {
+		m, cold, err := p.get()
+		if err != nil {
+			p.PutAll(ms[:i])
+			if faults.IsInjected(err) {
+				rt.Annotate("fault", "machine.pool.get")
+			}
+			return err
+		}
+		if cold {
+			built++
+		}
+		ms[i] = m
+	}
+	sp.SetAttr("built", built)
+	return nil
+}
+
+// get is the checkout core: one machine, and whether it was built cold.
+func (p *Pool) get() (*Machine, bool, error) {
 	// Lease-exhaustion injection point. Placed before any accounting so a
 	// refused checkout leaves Gets == Puts — an injected failure must look
 	// exactly like the pool never being asked.
 	if err := faults.Check("machine.pool.get"); err != nil {
-		return nil, fmt.Errorf("machine: lease refused: %w", err)
+		return nil, false, fmt.Errorf("machine: lease refused: %w", err)
 	}
 	p.mu.Lock()
 	p.stats.Gets++
@@ -130,29 +123,15 @@ func (p *Pool) get() (*Machine, error) {
 		p.stats.Hits++
 		p.mu.Unlock()
 		m.Reset()
-		return m, nil
+		return m, false, nil
 	}
 	p.stats.Built++
 	p.mu.Unlock()
 	// Build outside the lock: machine construction programs every SRAM row
 	// and switch table, and concurrent cold-start borrowers should not
 	// serialize on it.
-	return New(p.pl, p.opts)
-}
-
-// GetN checks out n machines at once (for sharded runs). On error the
-// machines acquired so far are returned to the pool.
-func (p *Pool) GetN(n int) ([]*Machine, error) {
-	ms := make([]*Machine, 0, n)
-	for i := 0; i < n; i++ {
-		m, err := p.Get()
-		if err != nil {
-			p.PutAll(ms)
-			return nil, err
-		}
-		ms = append(ms, m)
-	}
-	return ms, nil
+	m, err := New(p.pl, p.opts)
+	return m, true, err
 }
 
 // Put returns a machine to the free list (dropped if the list is at its

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -24,25 +25,25 @@ func poolPlacement(t *testing.T) *mapper.Placement {
 
 func TestPoolGetPutRecycles(t *testing.T) {
 	p := NewPool(poolPlacement(t), Options{CollectMatches: true}, 4)
-	m1, err := p.Get()
+	m1, err := p.GetContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Dirty the machine, return it, and check the next Get hands it back
 	// Reset.
-	m1.Run([]byte("the cat"))
+	mustRun(m1, []byte("the cat"))
 	if m1.Pos() == 0 {
 		t.Fatal("machine did not advance")
 	}
 	p.Put(m1)
-	m2, err := p.Get()
+	m2, err := p.GetContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m2 != m1 {
 		t.Error("free-list machine was not recycled")
 	}
-	if m2.Pos() != 0 || len(m2.Run(nil).Matches) != 0 {
+	if m2.Pos() != 0 || len(mustRun(m2, nil).Matches) != 0 {
 		t.Errorf("recycled machine not reset: pos=%d", m2.Pos())
 	}
 	st := p.Stats()
@@ -53,7 +54,7 @@ func TestPoolGetPutRecycles(t *testing.T) {
 
 func TestPoolIdleBound(t *testing.T) {
 	p := NewPool(poolPlacement(t), Options{}, 2)
-	ms, err := p.GetN(5)
+	ms, err := p.GetNContext(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +85,12 @@ func TestPoolConcurrentCheckout(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				m, err := p.Get()
+				m, err := p.GetContext(context.Background())
 				if err != nil {
 					errs <- err.Error()
 					return
 				}
-				if got := len(m.Run(input).Matches); got != 2 {
+				if got := len(mustRun(m, input).Matches); got != 2 {
 					errs <- "wrong match count"
 				}
 				p.Put(m)

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"cacheautomaton/internal/faults"
@@ -59,6 +60,39 @@ func TestPoolGetContextRecordsLeaseSpan(t *testing.T) {
 	if v, ok := attr(s, "built"); !ok || v != 1 {
 		t.Fatalf("lease built attr = %d (%v), want 1 (cold pool)", v, ok)
 	}
+
+	// Concurrent borrowers on a cold pool: each span must count its own
+	// cold build only, so the built attributes sum to the pool's total.
+	p = NewPool(poolPlacement(t), Options{}, 4)
+	const borrowers = 8
+	reports := make([]*telemetry.ReqReport, borrowers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range reports {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt := telemetry.NewReqTrace("test")
+			<-start
+			m, err := p.GetContext(telemetry.WithReqTrace(context.Background(), rt))
+			if err != nil {
+				t.Error(err)
+			}
+			p.Put(m)
+			rt.Finish("ok", "")
+			reports[i] = rt.Report()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	var built int64
+	for _, r := range reports {
+		v, _ := attr(leaseStage(t, r), "built")
+		built += v
+	}
+	if st := p.Stats(); built != st.Built {
+		t.Fatalf("lease built attrs sum to %d, pool built %d machines", built, st.Built)
+	}
 }
 
 func TestPoolGetNContextRecordsLeaseSpan(t *testing.T) {
@@ -88,10 +122,12 @@ func TestPoolGetContextAnnotatesInjectedFault(t *testing.T) {
 	t.Cleanup(faults.Disable)
 	p := NewPool(poolPlacement(t), Options{}, 4)
 	r := traceStages(t, func(ctx context.Context) error {
-		if _, err := p.GetContext(ctx); err == nil {
+		if m, err := p.GetContext(ctx); err == nil {
+			p.Put(m)
 			t.Fatal("injected fault did not surface")
 		}
-		if _, err := p.GetNContext(ctx, 2); err == nil {
+		if ms, err := p.GetNContext(ctx, 2); err == nil {
+			p.PutAll(ms)
 			t.Fatal("injected fault did not surface from GetNContext")
 		}
 		return nil

@@ -99,40 +99,51 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// ReadSnapshot deserializes a snapshot written by WriteTo.
+// snapshotPartitionBytes is one partition's encoding: its word count and
+// its wordsPerPartition words.
+const snapshotPartitionBytes = 8 + 8*wordsPerPartition
+
+// ReadSnapshot deserializes a snapshot written by WriteTo. The bytes may
+// come from a client (a session resume), so every header field is checked
+// against what a machine can produce before anything is sized from it, and
+// when r reports its remaining length (bytes.Reader, bytes.Buffer,
+// strings.Reader) the partition count must fit in it.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	var magic [8]byte
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
+	var hdr struct {
+		Magic              [8]byte
+		Pos, OutBuf, Parts int64
+	}
+	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
 		return nil, fmt.Errorf("machine: snapshot header: %w", err)
 	}
-	if magic != snapshotMagic {
-		return nil, fmt.Errorf("machine: not a snapshot (bad magic %q)", magic)
+	if hdr.Magic != snapshotMagic {
+		return nil, fmt.Errorf("machine: not a snapshot (bad magic %q)", hdr.Magic)
 	}
-	s := &Snapshot{}
-	var outBuf, parts int64
-	if err := binary.Read(r, binary.LittleEndian, &s.Pos); err != nil {
-		return nil, err
+	if hdr.Pos < 0 {
+		return nil, fmt.Errorf("machine: snapshot position %d is negative", hdr.Pos)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &outBuf); err != nil {
-		return nil, err
+	if hdr.OutBuf < 0 || hdr.OutBuf >= OutputBufferEntries {
+		return nil, fmt.Errorf("machine: snapshot output-buffer occupancy %d outside [0,%d)",
+			hdr.OutBuf, OutputBufferEntries)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &parts); err != nil {
-		return nil, err
+	maxParts := int64(1 << 20)
+	if l, ok := r.(interface{ Len() int }); ok {
+		maxParts = min(maxParts, int64(l.Len())/snapshotPartitionBytes)
 	}
-	if parts < 0 || parts > 1<<20 {
-		return nil, fmt.Errorf("machine: implausible partition count %d", parts)
+	if hdr.Parts < 0 || hdr.Parts > maxParts {
+		return nil, fmt.Errorf("machine: implausible partition count %d", hdr.Parts)
 	}
-	s.OutBuffered = int(outBuf)
-	s.Enabled = make([][]uint64, parts)
+	s := &Snapshot{Pos: hdr.Pos, OutBuffered: int(hdr.OutBuf), Enabled: make([][]uint64, hdr.Parts)}
 	for i := range s.Enabled {
 		var words int64
 		if err := binary.Read(r, binary.LittleEndian, &words); err != nil {
 			return nil, err
 		}
-		if words < 0 || words > 1<<16 {
-			return nil, fmt.Errorf("machine: implausible word count %d", words)
+		if words != wordsPerPartition {
+			return nil, fmt.Errorf("machine: snapshot partition %d has %d words, want %d",
+				i, words, wordsPerPartition)
 		}
-		s.Enabled[i] = make([]uint64, words)
+		s.Enabled[i] = make([]uint64, wordsPerPartition)
 		if err := binary.Read(r, binary.LittleEndian, s.Enabled[i]); err != nil {
 			return nil, err
 		}

@@ -2,6 +2,8 @@ package machine
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -24,11 +26,11 @@ func TestSuspendResumeMidMatch(t *testing.T) {
 	input := []byte("..abcdef..xyzyw..abcdef")
 
 	ref, _ := New(pl, Options{CollectMatches: true})
-	want := ref.Run(input)
+	want := mustRun(ref, input)
 
 	for cut := 1; cut < len(input)-1; cut++ {
 		m1, _ := New(pl, Options{CollectMatches: true})
-		r1 := m1.Run(input[:cut])
+		r1 := mustRun(m1, input[:cut])
 		snap := m1.Snapshot()
 
 		// Serialize + deserialize the snapshot.
@@ -48,7 +50,7 @@ func TestSuspendResumeMidMatch(t *testing.T) {
 		if m2.Pos() != int64(cut) {
 			t.Fatalf("cut %d: resumed Pos = %d", cut, m2.Pos())
 		}
-		r2 := m2.Run(input[cut:])
+		r2 := mustRun(m2, input[cut:])
 
 		total := int64(len(r1.Matches) + len(r2.Matches))
 		if total != want.MatchCount {
@@ -88,14 +90,58 @@ func TestSnapshotExcludesStatistics(t *testing.T) {
 	n, _ := regexc.CompileSet([]string{"aa"}, regexc.Options{})
 	pl, _ := mapper.Map(n, mapper.Config{Design: arch.NewDesign(arch.PerfOpt)})
 	m, _ := New(pl, Options{CollectMatches: true})
-	m.Run([]byte("aaaa"))
+	mustRun(m, []byte("aaaa"))
 	snap := m.Snapshot()
 	m2, _ := New(pl, Options{CollectMatches: true})
 	if err := m2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	res := m2.Run(nil)
+	res := mustRun(m2, nil)
 	if res.MatchCount != 0 || res.Activity.Cycles != 0 {
 		t.Error("restored machine should start with clean statistics")
 	}
+}
+
+// FuzzReadSnapshot feeds the snapshot decoder what a client can send in
+// OpenSessionRequest.SnapshotB64: it must never panic, never size an
+// allocation from a header the payload does not back, and accept only
+// canonical encodings of states a machine can be in.
+func FuzzReadSnapshot(f *testing.F) {
+	var valid bytes.Buffer
+	snap := &Snapshot{Pos: 4242, OutBuffered: 7, Enabled: [][]uint64{{1, 2, 3, 4}, {0, 0, 1 << 63, 0}}}
+	if _, err := snap.WriteTo(&valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:len(valid.Bytes())-5]) // truncated mid-partition
+	flipped := bytes.Clone(valid.Bytes())
+	flipped[32] ^= 0x04 // first partition's word count: 4 becomes 0
+	f.Add(flipped)
+	hostile := bytes.Clone(valid.Bytes()[:32])
+	binary.LittleEndian.PutUint64(hostile[24:], 1<<20) // a million partitions, no payload
+	f.Add(hostile)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := bytes.NewReader(data)
+		s, err := ReadSnapshot(r)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(16*len(data))+64<<10 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		if s.Pos < 0 || s.OutBuffered < 0 || s.OutBuffered >= OutputBufferEntries {
+			t.Fatalf("accepted impossible state: pos %d, out-buffered %d", s.Pos, s.OutBuffered)
+		}
+		var again bytes.Buffer
+		if _, err := s.WriteTo(&again); err != nil {
+			t.Fatal(err)
+		}
+		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(again.Bytes(), consumed) {
+			t.Fatalf("accepted a non-canonical encoding: %x re-encodes as %x", consumed, again.Bytes())
+		}
+	})
 }

@@ -16,6 +16,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -117,6 +118,8 @@ func (s *Scheduler) Submit(j *Job) error {
 // Run executes all submitted jobs to completion and returns their results
 // in completion order.
 func (s *Scheduler) Run() []Result {
+	// The simulated timeline has no caller that could cancel it.
+	ctx := context.Background()
 	var timeline int64
 	var done []Result
 	pending := append([]*Job(nil), s.jobs...)
@@ -186,7 +189,7 @@ func (s *Scheduler) Run() []Result {
 			if rem := len(j.Input) - j.consumed; chunk > rem {
 				chunk = rem
 			}
-			res := j.m.Run(j.Input[j.consumed : j.consumed+chunk])
+			res, _ := j.m.RunContext(ctx, j.Input[j.consumed:j.consumed+chunk])
 			j.consumed += chunk
 			j.lastRan = timeline + 1
 			j.matches += res.MatchCount - j.sinceRestore

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -143,7 +144,11 @@ func TestSchedulerMatchesEqualUnscheduledRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := m.Run(in).MatchCount
+	res, err := m.RunContext(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.MatchCount
 
 	s, _ := New(Config{Slices: 1, NFAWaysPerSlice: 8, TDPWatts: pl.PeakPowerHintW() * 1.4, QuantumBytes: 100})
 	j1 := &Job{ID: "j1", Placement: pl, Input: in, Priority: 1}

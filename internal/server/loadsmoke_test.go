@@ -68,7 +68,7 @@ func TestLoadSmoke64Clients(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(c) * 7919))
 			input := smokeInput(rng, inputLen)
-			want, _, err := ref.Run(input)
+			want, _, err := ref.RunContext(context.Background(), input)
 			if err != nil {
 				errs <- fmt.Errorf("client %d: reference: %v", c, err)
 				return
@@ -206,7 +206,7 @@ func TestDrainDoesNotDropMatches(t *testing.T) {
 			}
 			// Every match the reference finds in the fed prefix must have
 			// been delivered, and nothing else.
-			want, _, err := ref.Run(input[:fed])
+			want, _, err := ref.RunContext(context.Background(), input[:fed])
 			if err != nil {
 				errs <- fmt.Errorf("client %d: reference: %v", c, err)
 				return

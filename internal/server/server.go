@@ -448,7 +448,7 @@ func (s *Server) resumeFromWAL(rec *walRecord) bool {
 	if err != nil {
 		return false
 	}
-	stream, err := rs.a.ResumeStream(bytes.NewReader(snap))
+	stream, err := rs.a.ResumeStreamContext(context.Background(), bytes.NewReader(snap))
 	if err != nil {
 		return false
 	}

@@ -1,6 +1,7 @@
 package cacheautomaton
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -31,7 +32,7 @@ func TestRunParallelMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := parallelTestInput(3, 200_000, []string{"needle07", "x", "yz", "abba", "needle"})
-	wantMatches, wantStats, err := a.Run(input)
+	wantMatches, wantStats, err := a.RunContext(context.Background(), input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestRunParallelMatchesRun(t *testing.T) {
 		t.Fatal("degenerate test: no matches")
 	}
 	for _, shards := range []int{2, 3, 8, 0} {
-		gotMatches, gotStats, err := a.RunParallel(input, shards)
+		gotMatches, gotStats, err := a.RunParallelContext(context.Background(), input, shards)
 		if err != nil {
 			t.Fatalf("shards %d: %v", shards, err)
 		}
@@ -65,11 +66,11 @@ func TestRunParallelSmallInputFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := []byte("the cat ate dog brand food, the cat approved")
-	wantMatches, wantStats, err := a.Run(input)
+	wantMatches, wantStats, err := a.RunContext(context.Background(), input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotMatches, gotStats, err := a.RunParallel(input, 8)
+	gotMatches, gotStats, err := a.RunParallelContext(context.Background(), input, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +88,11 @@ func TestRunParallelRepeatable(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := parallelTestInput(9, 120_000, []string{"begin", "end"})
-	m1, s1, err := a.RunParallel(input, 4)
+	m1, s1, err := a.RunParallelContext(context.Background(), input, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, s2, err := a.RunParallel(input, 4)
+	m2, s2, err := a.RunParallelContext(context.Background(), input, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

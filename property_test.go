@@ -2,6 +2,7 @@ package cacheautomaton
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -29,16 +30,16 @@ func TestSuspendResumeRoundTripProperty(t *testing.T) {
 		}
 		cut := int(rawCut) % n
 
-		want, _, err := a.Run(input)
+		want, _, err := a.RunContext(context.Background(), input)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		s, err := a.Stream()
+		s, err := a.StreamContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := s.Feed(input[:cut])
+		got := feed(t, s, input[:cut])
 		var state bytes.Buffer
 		if err := s.Suspend(&state); err != nil {
 			t.Fatal(err)
@@ -47,7 +48,7 @@ func TestSuspendResumeRoundTripProperty(t *testing.T) {
 		if s.Pos() != 0 {
 			t.Fatal("closed stream Pos != 0")
 		}
-		s2, err := a.ResumeStream(bytes.NewReader(state.Bytes()))
+		s2, err := a.ResumeStreamContext(context.Background(), bytes.NewReader(state.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +56,7 @@ func TestSuspendResumeRoundTripProperty(t *testing.T) {
 		if s2.Pos() != int64(cut) {
 			t.Fatalf("resumed Pos = %d, want %d", s2.Pos(), cut)
 		}
-		got = append(got, s2.Feed(input[cut:])...)
+		got = append(got, feed(t, s2, input[cut:])...)
 
 		if len(got) != len(want) {
 			t.Logf("cut=%d input=%q: got %v, want %v", cut, input, got, want)
@@ -93,11 +94,11 @@ func TestSuspendResumeChainedMigrations(t *testing.T) {
 		for i := range input {
 			input[i] = "ab "[rng.Intn(3)]
 		}
-		want, _, err := a.Run(input)
+		want, _, err := a.RunContext(context.Background(), input)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := a.Stream()
+		s, err := a.StreamContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,18 +106,18 @@ func TestSuspendResumeChainedMigrations(t *testing.T) {
 		pos := 0
 		for hop := 0; hop < 4 && pos < len(input); hop++ {
 			next := pos + rng.Intn(len(input)-pos+1)
-			got = append(got, s.Feed(input[pos:next])...)
+			got = append(got, feed(t, s, input[pos:next])...)
 			pos = next
 			var state bytes.Buffer
 			if err := s.Suspend(&state); err != nil {
 				t.Fatal(err)
 			}
 			s.Close()
-			if s, err = a.ResumeStream(&state); err != nil {
+			if s, err = a.ResumeStreamContext(context.Background(), &state); err != nil {
 				t.Fatal(err)
 			}
 		}
-		got = append(got, s.Feed(input[pos:])...)
+		got = append(got, feed(t, s, input[pos:])...)
 		s.Close()
 
 		if len(got) != len(want) {
