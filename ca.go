@@ -25,7 +25,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"cacheautomaton/internal/anml"
@@ -82,33 +81,28 @@ type Options struct {
 	// (merging is what makes CA_S space-optimized, so leave this false
 	// unless you need state-to-pattern attribution).
 	KeepPerPatternStates bool
-	// RunObserver, when non-nil, receives run telemetry from every machine
-	// this automaton creates (runs, counts, leases and streams). The hook is
-	// nil-checked on the symbol hot path, so leaving it nil costs one
-	// branch per cycle and no allocation. Because an Automaton may be used
-	// from many goroutines (each leasing its own machine), the observer's
-	// methods must be safe for concurrent use; telemetry.MachineCollector
-	// is (all its instruments are atomic).
+	// RunObserver, when non-nil, receives one summary per run from every
+	// machine this automaton leases (runs, batches, sharded runs, counts
+	// and stream feeds). Nothing is reported from inside the symbol loops.
+	// Because an Automaton may be used from many goroutines (each leasing
+	// its own machine), ObserveRun must be safe for concurrent use;
+	// telemetry.MachineCollector is (all its instruments are atomic).
 	RunObserver RunObserver
 }
 
-// RunObserver is the run-telemetry hook: implementations receive per-cycle
-// activity, report events, output-buffer interrupts, and end-of-run
-// summaries. internal/telemetry's MachineCollector (as used by carun's
-// -metrics-addr flag) satisfies it; external implementations only need
-// these four methods.
+// RunSummary is what a run reports to a RunObserver: symbols, host
+// seconds, matches, output-buffer events and the activity sums the energy
+// model averages — the numbers of the Stats the run returned, before
+// modeling.
+type RunSummary = telemetry.RunSummary
+
+// RunObserver is the run-telemetry hook. internal/telemetry's
+// MachineCollector (as used by carun's -metrics-addr flag and by cad)
+// satisfies it.
 type RunObserver interface {
-	// ObserveCycle reports one simulated cycle: the enabled-state count,
-	// the number of partitions with at least one enabled state, and the
-	// active G-Switch-1/-4 source-signal counts.
-	ObserveCycle(activeStates, activePartitions, g1, g4 int64)
-	// ObserveMatches reports the match count of a reporting cycle.
-	ObserveMatches(n int64)
-	// ObserveOverflow reports one output-buffer interrupt.
-	ObserveOverflow()
-	// ObserveRun reports a completed run: symbols processed, host
-	// wall-clock seconds, and the output-buffer high-water mark.
-	ObserveRun(symbols int64, seconds float64, outputBufferPeak int64)
+	// ObserveRun reports one completed run: a one-shot or sharded run, one
+	// input of a batch, one feed of a stream, or one sub-batch of a Count.
+	ObserveRun(RunSummary)
 }
 
 // Match is one report event.
@@ -145,29 +139,18 @@ type Stats struct {
 // are immutable after compilation; every execution entry point leases a
 // private simulator machine from an internal pool for the duration of the
 // call, so concurrent RunContext/RunParallelContext/LeaseContext/
-// StreamContext callers never share mutable machine state. Count is the
-// one serialized path: it reuses a single cached non-collecting machine
-// under a mutex, so concurrent Count calls execute one at a time
-// (deterministically — they queue, they do not race). Streams and Leases
-// are themselves single-owner: one Stream or Lease must not be used from
-// two goroutines at once, but any number of them may run side by side.
+// StreamContext/Count callers never share mutable machine state. Streams
+// and Leases are themselves single-owner: one Stream or Lease must not be
+// used from two goroutines at once, but any number of them may run side by
+// side.
 type Automaton struct {
 	design    *arch.Design
 	nfa       *nfa.NFA
 	placement *mapper.Placement
 	report    *telemetry.CompileReport
-	observer  RunObserver
-	// runPool leases the collecting machines behind RunContext,
-	// LeaseContext and StreamContext.
-	runPool *machine.Pool
-	// shardPool leases the replicated machines behind RunParallelContext
-	// (collecting, no observer: the sharded engine delivers no per-cycle
-	// telemetry).
-	shardPool *machine.Pool
-	// countMachine is the cached non-collecting machine behind Count,
-	// guarded by countMu.
-	countMu      sync.Mutex
-	countMachine *machine.Machine
+	// pool leases every machine the automaton runs on: one for a run, a
+	// lease, a stream or a count, N for a sharded run.
+	pool *machine.Pool
 	// sigNames carries auxiliary per-report-code names (today: ClamAV
 	// signature names indexed by Match.Pattern) so Save/Load round-trips
 	// everything a server needs to re-serve the rule set.
@@ -226,21 +209,22 @@ func fromNFA(n *nfa.NFA, opts Options, tr *telemetry.Trace) (*Automaton, error) 
 	return newAutomaton(pl, opts, tr)
 }
 
-// newAutomaton builds the executable wrapper (machine pools, report)
+// newAutomaton builds the executable wrapper (machine pool, report)
 // around a verified placement — the shared tail of every compile path and
 // of Load.
 func newAutomaton(pl *mapper.Placement, opts Options, tr *telemetry.Trace) (*Automaton, error) {
 	sb := tr.StartPhase("machine.build")
-	runPool := machine.NewPool(pl, machine.Options{CollectMatches: true, Observer: opts.RunObserver}, 0)
+	pool := machine.NewPool(pl, machine.Options{CollectMatches: true}, 0)
+	pool.Observer = opts.RunObserver
 	// Build (and pool) one machine eagerly so placement problems surface at
 	// compile time, not on the first run. The compile entry points'
 	// signatures carry no ctx, and there is no request to attribute this
 	// checkout to.
-	m, err := runPool.GetContext(context.TODO())
+	m, err := pool.GetContext(context.TODO())
 	if err != nil {
 		return nil, fmt.Errorf("cacheautomaton: %w", err)
 	}
-	runPool.Put(m)
+	pool.Put(m)
 	sb.SetAttr("partitions", int64(pl.NumPartitions()))
 	sb.End()
 	return &Automaton{
@@ -248,9 +232,7 @@ func newAutomaton(pl *mapper.Placement, opts Options, tr *telemetry.Trace) (*Aut
 		nfa:       pl.NFA,
 		placement: pl,
 		report:    tr.Report(),
-		observer:  opts.RunObserver,
-		runPool:   runPool,
-		shardPool: machine.NewPool(pl, machine.Options{CollectMatches: true}, 0),
+		pool:      pool,
 	}, nil
 }
 
@@ -259,12 +241,9 @@ func newAutomaton(pl *mapper.Placement, opts Options, tr *telemetry.Trace) (*Aut
 // bit-identical match sets: state IDs, report codes and partition layout
 // are preserved exactly. The encoding is deterministic, which is what
 // makes the content-addressed compile cache stable.
-func Save(a *Automaton, w io.Writer) error {
+func (a *Automaton) Save(w io.Writer) error {
 	return caformat.Encode(w, a.placement, a.sigNames)
 }
-
-// Save serializes the automaton to w; see the package-level Save.
-func (a *Automaton) Save(w io.Writer) error { return Save(a, w) }
 
 // Load reconstructs an automaton from a caformat container written by
 // Save. The artifact is self-describing: the design (CA_P/CA_S) and
@@ -407,7 +386,7 @@ func (a *Automaton) RunContext(ctx context.Context, input []byte) ([]Match, *Sta
 // telemetry.ReqTrace carried by ctx records the checkout as a "lease"
 // stage span.
 func (a *Automaton) LeaseContext(ctx context.Context) (*Lease, error) {
-	m, err := a.runPool.GetContext(ctx)
+	m, err := a.pool.GetContext(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("cacheautomaton: %w", err)
 	}
@@ -474,7 +453,6 @@ func (l *Lease) RunBatch(ctx context.Context, inputs []string) ([]BatchItem, err
 	sp.SetAttr("bytes", total)
 	sp.SetAttr("streams", int64(len(inputs)))
 	defer sp.End()
-	l.m.Reset()
 	rs, err := l.m.RunBatch(ctx, inputs)
 	if err != nil {
 		return nil, err
@@ -500,7 +478,7 @@ func (l *Lease) RunBatch(ctx context.Context, inputs []string) ([]BatchItem, err
 // idempotent; the lease is unusable afterwards.
 func (l *Lease) Release() {
 	if l.m != nil {
-		l.a.runPool.Put(l.m)
+		l.a.pool.Put(l.m)
 		l.m = nil
 	}
 }
@@ -512,12 +490,7 @@ func (l *Lease) Release() {
 // statistics are bit-identical to RunContext (shards speculate their start
 // state and a repair pass re-runs any shard whose speculation missed; see
 // machine.RunShardedContext). shards < 1 uses GOMAXPROCS; shards == 1, or
-// an input too short to be worth sharding, falls back to the sequential
-// path.
-//
-// Per-cycle RunObserver telemetry is not delivered on the parallel path
-// (the shard machines would observe speculative warm-up cycles); the
-// ObserveRun end-of-run summary still fires once.
+// an input too short to be worth sharding, is one sequential scan.
 //
 // The shard machines are leased per call, so concurrent (and mixed
 // RunContext/RunParallelContext) callers are safe. Every shard worker
@@ -529,73 +502,55 @@ func (a *Automaton) RunParallelContext(ctx context.Context, input []byte, shards
 	if shards < 1 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	shards = machine.ShardsFor(shards, len(input))
-	if shards == 1 {
-		return a.RunContext(ctx, input)
-	}
-	var start time.Time
-	if a.observer != nil {
-		start = time.Now()
-	}
-	pool, err := a.shardPool.GetNContext(ctx, shards)
+	ms, err := a.pool.GetNContext(ctx, machine.ShardsFor(shards, len(input)))
 	if err != nil {
 		return nil, nil, fmt.Errorf("cacheautomaton: %w", err)
 	}
-	defer a.shardPool.PutAll(pool)
+	defer a.pool.PutAll(ms)
 	sp := telemetry.ReqTraceFrom(ctx).StartStage("run")
 	sp.SetAttr("bytes", int64(len(input)))
-	sp.SetAttr("shards", int64(shards))
-	res, err := machine.RunShardedContext(ctx, pool, input)
+	sp.SetAttr("shards", int64(len(ms)))
+	defer sp.End()
+	res, err := machine.RunShardedContext(ctx, ms, input)
 	if err != nil {
-		sp.End()
 		return nil, nil, fmt.Errorf("cacheautomaton: %w", err)
 	}
 	sp.SetAttr("matches", res.MatchCount)
-	sp.End()
-	if a.observer != nil {
-		a.observer.ObserveRun(int64(len(input)), time.Since(start).Seconds(),
-			res.OutputBufferPeak)
-	}
 	return matchesFrom(res.Matches), a.statsFrom(res), nil
 }
 
-// LeaseStats reports the automaton's machine-pool checkout balance
-// across the run and shard pools. A healthy process keeps Gets == Puts
-// whenever no run, stream or lease is in flight; the chaos harness asserts
-// exactly that after every fault drill.
-type LeaseStats struct {
-	Gets, Puts int64
-}
+// LeaseStats is the checkout accounting of the automaton's one machine
+// pool. A healthy process keeps Gets == Puts whenever no run, stream or
+// lease is in flight; the chaos harness asserts exactly that after every
+// fault drill.
+type LeaseStats = machine.PoolStats
 
-// LeaseStats snapshots the pool checkout balance.
-func (a *Automaton) LeaseStats() LeaseStats {
-	r := a.runPool.Stats()
-	s := a.shardPool.Stats()
-	return LeaseStats{Gets: r.Gets + s.Gets, Puts: r.Puts + s.Puts}
-}
+// LeaseStats snapshots the pool's checkout accounting.
+func (a *Automaton) LeaseStats() LeaseStats { return a.pool.Stats() }
 
-// Count processes input without collecting match records (for long
-// streams), returning only statistics. The non-collecting machine is built
-// once and reused across calls under a mutex, so concurrent Count calls
-// serialize (safely and deterministically) rather than each paying for a
-// private machine. On cancellation the partial statistics are discarded
-// and ctx's error is returned.
+// Count processes input without retaining match records (for long
+// streams), returning only statistics. It leases a machine like any other
+// run and feeds it machine.ContextCheckBytes at a time, dropping each
+// sub-batch's matches as it goes, so memory stays O(1) in the match count
+// and concurrent Count calls run side by side. On cancellation the
+// partial statistics are discarded and ctx's error is returned.
 func (a *Automaton) Count(ctx context.Context, input []byte) (*Stats, error) {
-	a.countMu.Lock()
-	defer a.countMu.Unlock()
-	if a.countMachine == nil {
-		m, err := machine.New(a.placement, machine.Options{Observer: a.observer})
-		if err != nil {
-			return nil, fmt.Errorf("cacheautomaton: %w", err)
-		}
-		a.countMachine = m
-	}
-	a.countMachine.Reset()
-	res, err := a.countMachine.RunContext(ctx, input)
+	m, err := a.pool.GetContext(ctx)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cacheautomaton: %w", err)
 	}
-	return a.statsFrom(res), nil
+	defer a.pool.Put(m)
+	for {
+		n := min(len(input), machine.ContextCheckBytes)
+		res, err := m.RunContext(ctx, input[:n])
+		m.DrainMatches() // also leaves nothing for the idle pooled machine to pin
+		if err != nil {
+			return nil, err
+		}
+		if input = input[n:]; len(input) == 0 {
+			return a.statsFrom(res), nil
+		}
+	}
 }
 
 // States returns the mapped NFA's state count (after CA_S merging).
@@ -657,23 +612,18 @@ func CompileFuzzy(patterns []string, maxDist int, opts Options) (*Automaton, err
 // number of input symbols processed and the active state vector to
 // memory").
 //
-// A Stream holds a machine leased from the automaton's pool; Close
-// returns it for recycling. Streams are single-owner (one goroutine at a
-// time), but any number of Streams on one Automaton may run concurrently.
-type Stream struct {
-	a *Automaton
-	m *machine.Machine
-}
+// A Stream is a Lease by another name — one machine out of the automaton's
+// pool — that keeps the machine's position between calls; Close returns
+// it for recycling. Streams are single-owner (one goroutine at a time),
+// but any number of Streams on one Automaton may run concurrently.
+type Stream Lease
 
 // StreamContext opens an independent scanner positioned at offset 0. A
 // telemetry.ReqTrace carried by ctx records the machine checkout as a
 // "lease" stage span.
 func (a *Automaton) StreamContext(ctx context.Context) (*Stream, error) {
-	m, err := a.runPool.GetContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &Stream{a: a, m: m}, nil
+	l, err := a.LeaseContext(ctx)
+	return (*Stream)(l), err
 }
 
 // FeedContext consumes the next chunk and returns the matches it produced
@@ -718,12 +668,7 @@ func (s *Stream) Suspend(w io.Writer) error {
 
 // Close returns the stream's machine to the automaton's pool. Close is
 // idempotent; the stream is unusable afterwards.
-func (s *Stream) Close() {
-	if s.m != nil {
-		s.a.runPool.Put(s.m)
-		s.m = nil
-	}
-}
+func (s *Stream) Close() { (*Lease)(s).Release() }
 
 // ResumeStreamContext reopens a stream from a Suspend-serialized state.
 // The automaton must be the same one (same rules, design and seed). The

@@ -9,7 +9,9 @@ import (
 	"go/token"
 	"io/fs"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"cacheautomaton/internal/machine"
@@ -171,6 +173,38 @@ func TestCountLongStream(t *testing.T) {
 	if st, err := a.Count(ctx, in); !errors.Is(err, context.Canceled) || st != nil {
 		t.Errorf("canceled Count = %v, %v; want nil, context.Canceled", st, err)
 	}
+	if ls := a.LeaseStats(); ls.Gets != ls.Puts {
+		t.Errorf("Count leaked a lease: %+v", ls)
+	}
+}
+
+// TestCountRetainsNoMatches: Count drops matches as it goes, and the
+// machine it hands back to the pool pins none of them — not even the last
+// sub-batch's (65536 matches here, 1.5 MB of records).
+func TestCountRetainsNoMatches(t *testing.T) {
+	a, err := CompileRegex([]string{"a"}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := bytes.Repeat([]byte("a"), 4*machine.ContextCheckBytes)
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	st, err := a.Count(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Matches != int64(len(in)) {
+		t.Fatalf("matches = %d, want %d", st.Matches, len(in))
+	}
+	if grew := heap() - before; grew > 256<<10 {
+		t.Errorf("heap grew %d bytes across Count; the pooled machine is pinning match records", grew)
+	}
+	runtime.KeepAlive(a)
 }
 
 func TestInfoMethods(t *testing.T) {
@@ -241,11 +275,11 @@ func TestResumeStreamRestoreFailureReturnsMachine(t *testing.T) {
 	if _, err := snap.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	before := a.runPool.Stats()
+	before := a.pool.Stats()
 	if _, err := a.ResumeStreamContext(context.Background(), bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("ResumeStream accepted a snapshot with the wrong partition count")
 	}
-	after := a.runPool.Stats()
+	after := a.pool.Stats()
 	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
 		t.Fatalf("failed resume leaked a machine: %d gets vs %d puts", gets, puts)
 	}
@@ -359,27 +393,48 @@ func TestCountReusesMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := a.countMachine
-	if m == nil {
-		t.Fatal("Count did not cache its machine")
-	}
 	st2, err := a.Count(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.countMachine != m {
-		t.Error("Count rebuilt the machine on the second call")
+	if built := a.pool.Stats().Built; built != 1 {
+		t.Errorf("two Counts left %d machines built; want the one compile pooled", built)
 	}
-	if st1.Matches != 1 || st2.Matches != st1.Matches || st2.Cycles != st1.Cycles {
-		t.Errorf("cached Count diverged: %+v vs %+v", st1, st2)
+	if st1.Matches != 1 || *st2 != *st1 {
+		t.Errorf("Count on a recycled machine diverged: %+v vs %+v", st1, st2)
 	}
 	// Count and Run must agree.
 	_, rst, err := a.RunContext(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rst.Matches != st1.Matches || rst.AvgActiveStates != st1.AvgActiveStates {
+	if *rst != *st1 {
 		t.Errorf("Count = %+v disagrees with Run = %+v", st1, rst)
+	}
+}
+
+// TestOnePoolServesRunsAndShards: a sequential run and a 2-shard run on a
+// fresh automaton lease from the same free list, so two machines exist
+// afterwards (the one compile built plus the second shard's), all idle.
+func TestOnePoolServesRunsAndShards(t *testing.T) {
+	a, err := CompileRegex([]string{"needle"}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := bytes.Repeat([]byte("haystack needle "), 2048)
+	want, _, err := a.RunContext(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := a.RunParallelContext(context.Background(), in, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("sharded run found %d matches, sequential %d", len(got), len(want))
+	}
+	if ps := a.pool.Stats(); ps.Built != 2 || ps.Idle != 2 || ps.Gets != ps.Puts {
+		t.Errorf("pool after a run and a 2-shard run = %+v; want Built 2, Idle 2, Gets == Puts", ps)
 	}
 }
 
@@ -430,45 +485,121 @@ func TestCompileReport(t *testing.T) {
 	}
 }
 
-// countingObserver verifies the RunObserver wiring end to end.
-type countingObserver struct {
-	cycles, matches, runs int64
+// recObserver keeps every summary an automaton's machines report.
+type recObserver struct{ runs []RunSummary }
+
+func (o *recObserver) ObserveRun(r RunSummary) { o.runs = append(o.runs, r) }
+
+// take returns the summaries recorded since the last take.
+func (o *recObserver) take() []RunSummary {
+	runs := o.runs
+	o.runs = nil
+	return runs
 }
 
-func (o *countingObserver) ObserveCycle(states, parts, g1, g4 int64) { o.cycles++ }
-func (o *countingObserver) ObserveMatches(n int64)                   { o.matches += n }
-func (o *countingObserver) ObserveOverflow()                         {}
-func (o *countingObserver) ObserveRun(symbols int64, seconds float64, peak int64) {
-	o.runs++
+// statsOfRuns adds summaries back up into a machine.Result and models it
+// the way the automaton models a run's own Result.
+func statsOfRuns(a *Automaton, runs ...RunSummary) Stats {
+	var sum machine.Result
+	for _, r := range runs {
+		sum.MatchCount += r.Matches
+		sum.Activity.Cycles += r.Symbols
+		sum.Activity.SumDynamicStates += r.SumDynamicStates
+		sum.Activity.SumActivePartitions += r.SumActivePartitions
+		sum.Activity.SumG1Crossings += r.SumG1Crossings
+		sum.Activity.SumG4Crossings += r.SumG4Crossings
+	}
+	return *a.statsFrom(&sum)
 }
 
+// TestRunObserverWiring: every way of running an automaton reports
+// summaries that add up to the Stats it returned — one per one-shot run,
+// per sharded run, per batch input (lane-packed or not) and per stream
+// feed, one per sub-batch of a Count.
 func TestRunObserverWiring(t *testing.T) {
-	obs := &countingObserver{}
-	a, err := CompileRegex([]string{"cat"}, Options{RunObserver: obs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := []byte("the cat sat")
-	if _, _, err := a.RunContext(context.Background(), in); err != nil {
-		t.Fatal(err)
-	}
-	if obs.cycles != int64(len(in)) || obs.matches != 1 || obs.runs != 1 {
-		t.Errorf("observer saw cycles=%d matches=%d runs=%d", obs.cycles, obs.matches, obs.runs)
-	}
-	// Count and Stream machines inherit the observer.
-	if _, err := a.Count(context.Background(), in); err != nil {
-		t.Fatal(err)
-	}
-	if obs.runs != 2 {
-		t.Errorf("Count did not report to the observer (runs=%d)", obs.runs)
-	}
-	s, err := a.StreamContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(t, s, in)
-	if obs.runs != 3 {
-		t.Errorf("Stream did not report to the observer (runs=%d)", obs.runs)
+	ctx := context.Background()
+	obs := &recObserver{}
+	// "cat" alone fits one word (lane-packed batches); the 70-state
+	// literal beside it forces the sequential batch path.
+	for _, patterns := range [][]string{{"cat"}, {"cat", strings.Repeat("z", 70)}} {
+		a, err := CompileRegex(patterns, Options{RunObserver: obs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(what string, wantRuns int, want *Stats) {
+			t.Helper()
+			runs := obs.take()
+			if len(runs) != wantRuns {
+				t.Errorf("%d patterns, %s: %d summaries, want %d", len(patterns), what, len(runs), wantRuns)
+			}
+			if got := statsOfRuns(a, runs...); got != *want {
+				t.Errorf("%d patterns, %s: summaries add up to %+v, run returned %+v", len(patterns), what, got, want)
+			}
+		}
+		in := bytes.Repeat([]byte("the cat sat on the zzz mat. "), 1000)
+
+		_, st, err := a.RunContext(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Matches != 1000 {
+			t.Fatalf("matches = %d, want 1000", st.Matches)
+		}
+		check("RunContext", 1, st)
+
+		if machine.ShardsFor(2, len(in)) != 2 {
+			t.Fatal("input too short to shard")
+		}
+		_, pst, err := a.RunParallelContext(ctx, in, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("RunParallelContext", 1, pst)
+
+		l, err := a.LeaseContext(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs := []string{"a cat", "", "cat cat cat", "no match here", "concat"}
+		items, err := l.RunBatch(ctx, inputs)
+		l.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := obs.take()
+		if len(runs) != len(inputs) {
+			t.Fatalf("%d patterns, RunBatch: %d summaries, want %d", len(patterns), len(runs), len(inputs))
+		}
+		for i, it := range items {
+			if it.Err != nil {
+				t.Fatal(it.Err)
+			}
+			if got := statsOfRuns(a, runs[i]); got != *it.Stats {
+				t.Errorf("%d patterns, RunBatch input %d: summary says %+v, item %+v", len(patterns), i, got, it.Stats)
+			}
+		}
+
+		s, err := a.StreamContext(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		half := len(in)/2 + 1 // cuts a "cat" in two
+		fed := len(feed(t, s, in[:half])) + len(feed(t, s, in[half:]))
+		s.Close()
+		if len(obs.runs) != 2 || obs.runs[0].Symbols != int64(half) || obs.runs[1].Symbols != int64(len(in)-half) {
+			t.Errorf("%d patterns, stream feeds reported %+v", len(patterns), obs.runs)
+		}
+		if fed != 1000 {
+			t.Errorf("stream delivered %d matches, want 1000", fed)
+		}
+		check("two stream feeds", 2, st)
+
+		long := bytes.Repeat(in, 3) // more than one ContextCheckBytes sub-batch
+		cst, err := a.Count(ctx, long)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("Count", (len(long)+machine.ContextCheckBytes-1)/machine.ContextCheckBytes, cst)
 	}
 }
 
@@ -516,5 +647,71 @@ func TestNoContextBlindTwins(t *testing.T) {
 			t.Fatalf("%s: found no exported functions", dir)
 		}
 		check(dir, names)
+	}
+}
+
+// TestOneMachineConfiguration keeps the kernel at one configuration per
+// automaton: machine.Options is the one field CollectMatches, nothing in
+// the symbol loops or the report path reads any other option, and an
+// Automaton owns one pool and no machine of its own.
+func TestOneMachineConfiguration(t *testing.T) {
+	if n := reflect.TypeOf(machine.Options{}).NumField(); n != 1 {
+		t.Errorf("machine.Options has %d fields, want 1 (CollectMatches)", n)
+	}
+	pools := 0
+	at := reflect.TypeOf(Automaton{})
+	for i := 0; i < at.NumField(); i++ {
+		switch at.Field(i).Type {
+		case reflect.TypeOf(&machine.Pool{}):
+			pools++
+		case reflect.TypeOf(&machine.Machine{}), reflect.TypeOf(sync.Mutex{}):
+			t.Errorf("Automaton.%s: machines come from the pool, and nothing needs a lock", at.Field(i).Name)
+		}
+	}
+	if pools != 1 {
+		t.Errorf("Automaton holds %d pools, want 1", pools)
+	}
+
+	pkgs, err := parser.ParseDir(token.NewFileSet(), "internal/machine", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel := map[string]bool{"runBatch": false, "runBatch1": false, "runLaneGroup": false,
+		"runLaneScalar": false, "report": false, "reportTo": false, "laneReport": false}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, d := range file.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				if _, ok := kernel[fd.Name.Name]; !ok {
+					continue
+				}
+				kernel[fd.Name.Name] = true
+				// An opts selector is fine only as the X of .CollectMatches.
+				allowed := map[ast.Node]bool{}
+				ast.Inspect(fd, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if sel.Sel.Name == "CollectMatches" {
+						allowed[sel.X] = true
+					}
+					if sel.Sel.Name == "opts" && !allowed[sel] {
+						t.Errorf("%s reads an option other than CollectMatches", fd.Name.Name)
+					}
+					return true
+				})
+			}
+		}
+	}
+	for name, found := range kernel {
+		if !found {
+			t.Errorf("internal/machine has no %s; update this test's list of kernel functions", name)
+		}
 	}
 }

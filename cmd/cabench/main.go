@@ -7,16 +7,14 @@
 //	cabench [-scale 1.0] [-size 1048576] [-seed 1] [-bench Snort,Brill]
 //	        [-exp all|summary|table1|table2|table3|table4|table5|
 //	              figure7|figure8|figure9|figure10|case-er]
-//	        [-parallel 0] [-json]
+//	        [-parallel 0]
 //	        [-metrics-addr :8080] [-trace-compile]
 //
 // With -parallel N, the 20 benchmarks × 2 designs pipeline runs are
 // prefetched over N workers before any table is rendered (N=0 uses all
 // cores; the default 1 keeps the sequential behavior). The rendered
 // output is byte-identical to a sequential run — only wall-clock time
-// changes. With -json, the machine-readable benchmark report (the
-// BENCH_*.json perf-trajectory format, including host-simulator
-// throughput per run) is printed instead of the text tables.
+// changes.
 //
 // The paper's runs use 10 MB inputs and full-size rule sets (-scale 1
 // -size 10485760); the trends are stable at much smaller settings, which
@@ -53,7 +51,6 @@ func main() {
 	traceCompile := flag.Bool("trace-compile", false, "print each benchmark's compile phase breakdown to stderr")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
 	parallel := flag.Int("parallel", 1, "prefetch pipeline runs over this many workers (0 = all cores)")
-	jsonOut := flag.Bool("json", false, "emit the machine-readable benchmark report instead of text tables")
 	flag.Parse()
 
 	cfg := experiments.Config{Scale: *scale, InputBytes: *size, Seed: *seed}
@@ -78,13 +75,6 @@ func main() {
 	r := experiments.NewRunner(cfg)
 	if *parallel != 1 {
 		r.PrefetchAll(*parallel)
-	}
-	if *jsonOut {
-		if err := r.JSONReport().WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "cabench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	type entry struct {

@@ -205,11 +205,12 @@ func (r *Runner) execute(spec *workload.Spec, kind arch.DesignKind) *Run {
 	run.MergeLevel = level
 	run.Stats = pl.NFA.ComputeStats()
 	run.Mapping = pl.ComputeStats()
-	m, err := machine.New(pl, machine.Options{Observer: r.Cfg.Observer})
+	m, err := machine.New(pl, machine.Options{})
 	if err != nil {
 		run.Err = fmt.Errorf("machine: %w", err)
 		return run
 	}
+	m.Observer = r.Cfg.Observer
 	input := spec.Input(r.Cfg.Seed, r.Cfg.inputBytes())
 	start := time.Now()
 	res, err := m.RunContext(context.Background(), input)

@@ -75,33 +75,3 @@ func TestPrefetchAllWithTraceSink(t *testing.T) {
 		t.Fatalf("trace sink called %d times, want %d (%v)", len(names), want, names)
 	}
 }
-
-// TestJSONReport sanity-checks the machine-readable emitter.
-func TestJSONReport(t *testing.T) {
-	r := NewRunner(Config{Scale: 0.05, InputBytes: 8192, Seed: 1, Benchmarks: benchSubset})
-	rep := r.JSONReport()
-	if want := 2 * len(benchSubset); len(rep.Runs) != want {
-		t.Fatalf("%d runs, want %d", len(rep.Runs), want)
-	}
-	for _, br := range rep.Runs {
-		if br.Err != "" {
-			continue
-		}
-		if br.States <= 0 || br.Partitions <= 0 {
-			t.Errorf("%s/%s: empty mapping in report: %+v", br.Benchmark, br.Design, br)
-		}
-		if br.HostSimSeconds <= 0 || br.HostMBPerSec <= 0 {
-			t.Errorf("%s/%s: missing host perf numbers: %+v", br.Benchmark, br.Design, br)
-		}
-	}
-	if rep.TotalHostSeconds <= 0 || rep.AggregateHostMBPerSec <= 0 {
-		t.Errorf("missing totals: %+v", rep)
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"host_mb_per_sec"`)) {
-		t.Errorf("JSON missing host_mb_per_sec field:\n%s", buf.String())
-	}
-}

@@ -27,11 +27,11 @@ type BatchResult struct {
 //
 // Two execution strategies share that contract. When the automaton's
 // whole architectural state fits one 64-bit word (single partition, all
-// used slots below 64) and no per-cycle Observer is attached, up to
-// four streams ride the [256][4]uint64 row arrays word-wise, one stream
-// per lane, so one pass over the rows serves four inputs. Otherwise the
-// contract is executed as written: Reset, scan, take the result, one
-// input after another (runBatchSequential).
+// used slots below 64), up to four streams ride the [256][4]uint64 row
+// arrays word-wise, one stream per lane, so one pass over the rows
+// serves four inputs. Otherwise the contract is executed as written:
+// Reset, scan, take the result, one input after another
+// (runBatchSequential).
 //
 // Inputs are strings so serving paths can hand request payloads down
 // without materializing a byte-slice copy per request; the scan only
@@ -67,25 +67,19 @@ func (m *Machine) RunBatch(ctx context.Context, inputs []string) ([]BatchResult,
 // the sweep itself: one traversal of the symbol index serves four
 // streams' bookkeeping and branch structure.
 func (m *Machine) runBatchLanes(ctx context.Context, inputs []string, out []BatchResult) error {
+	start := m.began()
 	if m.opts.CollectMatches {
 		// Pre-size each stream's match buffer: append growth from a nil
 		// slice is the lane loop's dominant allocation cost otherwise.
 		// Capacity is invisible in the result contract; a stream that ends
 		// up empty is normalized back to nil below to stay bit-identical
 		// with the per-input Reset+Run sequence.
-		c := 32
-		if m.opts.MatchLimit > 0 && m.opts.MatchLimit < c {
-			c = m.opts.MatchLimit
-		}
 		for i := range out {
-			out[i].Result.Matches = make([]Match, 0, c)
+			out[i].Result.Matches = make([]Match, 0, 32)
 		}
 	}
 	for base := 0; base < len(inputs); base += laneCount {
-		n := len(inputs) - base
-		if n > laneCount {
-			n = laneCount
-		}
+		n := min(laneCount, len(inputs)-base)
 		if err := m.runLaneGroup(ctx, inputs[base:base+n], out[base:base+n]); err != nil {
 			return err
 		}
@@ -94,6 +88,9 @@ func (m *Machine) runBatchLanes(ctx context.Context, inputs []string, out []Batc
 		if len(out[i].Result.Matches) == 0 {
 			out[i].Result.Matches = nil
 		}
+		// One summary per input, as the sequential path's RunContext
+		// gives; the lanes share the sweep, so they share its time.
+		m.observe(&Result{}, &out[i].Result, start, len(out))
 	}
 	return nil
 }
@@ -324,31 +321,11 @@ func (m *Machine) runLaneScalar(ctx context.Context, in string, from int, a *lan
 	return nil
 }
 
-// laneReport is the rare reporting path of one lane's cycle, mirroring
-// report() exactly (ascending slot order, output-buffer interrupts at
-// OutputBufferEntries, collection under CollectMatches/MatchLimit) with
-// the lane's private Result and buffer occupancy.
+// laneReport is the rare reporting path of one lane's cycle: reportTo
+// on the single partition's word 0, with the lane's private Result and
+// buffer occupancy.
 func (m *Machine) laneReport(res *Result, outBuf *int, p *partition, rb uint64, off int64) {
-	for ; rb != 0; rb &= rb - 1 {
-		slot := bits.TrailingZeros64(rb)
-		res.MatchCount++
-		*outBuf++
-		if int64(*outBuf) > res.OutputBufferPeak {
-			res.OutputBufferPeak = int64(*outBuf)
-		}
-		if *outBuf >= OutputBufferEntries {
-			res.OutputBufferInterrupts++
-			*outBuf = 0
-		}
-		if m.opts.CollectMatches &&
-			(m.opts.MatchLimit == 0 || len(res.Matches) < m.opts.MatchLimit) {
-			res.Matches = append(res.Matches, Match{
-				Offset: off,
-				Code:   p.code[slot],
-				State:  p.state[slot],
-			})
-		}
-	}
+	m.reportTo(res, outBuf, p, 0, [wordsPerPartition]uint64{rb}, off)
 }
 
 // runBatchSequential is the batch contract spelled out: every input gets

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cacheautomaton/internal/arch"
@@ -11,6 +12,7 @@ import (
 	"cacheautomaton/internal/mapper"
 	"cacheautomaton/internal/nfa"
 	"cacheautomaton/internal/regexc"
+	"cacheautomaton/internal/telemetry"
 )
 
 // batchReference runs each input through its own Reset+RunContext sweep on a
@@ -223,28 +225,27 @@ func TestRunBatchContextCancel(t *testing.T) {
 	assertResultsEqual(t, "post-cancel run", &want, &got)
 }
 
-// panicOnceObserver panics on its nth ObserveCycle call — a way to blow
+// panicOnceObserver panics on its nth ObserveRun call — a way to blow
 // up inside exactly one stream of a sequentially scanned batch.
 type panicOnceObserver struct {
 	at    int
 	calls int
 }
 
-func (o *panicOnceObserver) ObserveCycle(a, p, g1, g4 int64) {
+func (o *panicOnceObserver) ObserveRun(telemetry.RunSummary) {
 	o.calls++
 	if o.calls == o.at {
 		panic("observer blew up")
 	}
 }
-func (o *panicOnceObserver) ObserveMatches(int64)             {}
-func (o *panicOnceObserver) ObserveOverflow()                 {}
-func (o *panicOnceObserver) ObserveRun(int64, float64, int64) {}
 
 // TestRunBatchStreamPanicIsolation: a panic inside one stream's scan
 // fails only that stream — the others still reproduce their reference
 // results exactly, on the same machine, in the same batch.
 func TestRunBatchStreamPanicIsolation(t *testing.T) {
-	patterns := []string{"needle[0-9]", "x[abc]+y"}
+	// The 70-state literal keeps the machine off the lane-packed path,
+	// whose summaries are delivered outside the per-stream recover.
+	patterns := []string{"needle[0-9]", "x[abc]+y", strings.Repeat("z", 70)}
 	n, err := regexc.CompileSet(patterns, regexc.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -261,15 +262,15 @@ func TestRunBatchStreamPanicIsolation(t *testing.T) {
 	inputs := batchInputs(rng, []int{1000, 1000, 1000}, []string{"needle7", "xaby"})
 	want := batchReference(t, ref, inputs)
 
-	// An Observer forces the sequential path; 1000-symbol inputs put
-	// cycle 1500 inside stream 1.
-	obs := &panicOnceObserver{at: 1500}
-	m, err := New(pl, Options{CollectMatches: true, Observer: obs})
+	// The sequential path reports once per stream, from inside the
+	// stream's guarded scan: the second ObserveRun is stream 1's.
+	m, err := New(pl, Options{CollectMatches: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Observer = &panicOnceObserver{at: 2}
 	if m.lanePacked {
-		t.Fatal("observer-equipped machine must not be lane-packed")
+		t.Fatal("test needs the sequential batch path")
 	}
 	got, err := m.RunBatch(context.Background(), inputs)
 	if err != nil {

@@ -3,6 +3,8 @@ package machine
 import (
 	"context"
 	"time"
+
+	"cacheautomaton/internal/telemetry"
 )
 
 // ContextCheckBytes is the cancellation granularity of every scan:
@@ -43,17 +45,44 @@ func (m *Machine) scan(ctx context.Context, input []byte) error {
 // ctx's error (Pos tells the caller exactly how much input was
 // consumed), so a streaming caller loses no matches and a one-shot
 // caller can simply discard the partial result.
+//
+// An Observer hears about the call's own symbols — the activity delta
+// across it — so each feed of a stream reports its own chunk.
 func (m *Machine) RunContext(ctx context.Context, input []byte) (*Result, error) {
-	var start time.Time
-	if m.opts.Observer != nil {
+	start, before := m.began(), m.res
+	err := m.scan(ctx, input)
+	r := m.res
+	m.observe(&before, &r, start, 1)
+	return &r, err
+}
+
+// began reads the clock for observe, if anyone is observing.
+func (m *Machine) began() (start time.Time) {
+	if m.Observer != nil {
 		start = time.Now()
 	}
-	from := m.pos
-	err := m.scan(ctx, input)
-	if m.opts.Observer != nil {
-		m.opts.Observer.ObserveRun(m.pos-from, time.Since(start).Seconds(),
-			m.res.OutputBufferPeak)
+	return start
+}
+
+// observe is where numbers leave the kernel other than in a Result: it
+// hands m's Observer what res accumulated since before (a zero Result
+// for a run that started from Reset), charged one part in parts of the
+// host time since start.
+func (m *Machine) observe(before, res *Result, start time.Time, parts int) {
+	if m.Observer == nil {
+		return
 	}
-	r := m.res
-	return &r, err
+	a, b := &res.Activity, &before.Activity
+	m.Observer.ObserveRun(telemetry.RunSummary{
+		Symbols:                a.Cycles - b.Cycles,
+		Seconds:                time.Since(start).Seconds() / float64(parts),
+		Matches:                res.MatchCount - before.MatchCount,
+		OutputBufferInterrupts: res.OutputBufferInterrupts - before.OutputBufferInterrupts,
+		OutputBufferPeak:       res.OutputBufferPeak,
+		SumActiveStates:        a.SumActiveStates - b.SumActiveStates,
+		SumDynamicStates:       a.SumDynamicStates - b.SumDynamicStates,
+		SumActivePartitions:    a.SumActivePartitions - b.SumActivePartitions,
+		SumG1Crossings:         a.SumG1Crossings - b.SumG1Crossings,
+		SumG4Crossings:         a.SumG4Crossings - b.SumG4Crossings,
+	})
 }

@@ -21,7 +21,7 @@
 // 4-word arrays, and the hot loop is raw word arithmetic — AND/OR over
 // words, popcount for the activity counters, and TrailingZeros64 to walk
 // matched slots. Nothing on the symbol path allocates or calls through an
-// interface when Options.Observer is nil.
+// interface.
 package machine
 
 import (
@@ -31,15 +31,12 @@ import (
 	"cacheautomaton/internal/arch"
 	"cacheautomaton/internal/mapper"
 	"cacheautomaton/internal/nfa"
+	"cacheautomaton/internal/telemetry"
 )
 
 // OutputBufferEntries is the size of the output event buffer in the CBOX
 // (§2.8: "An output buffer has 64 entries").
 const OutputBufferEntries = 64
-
-// InputFIFOEntries is the input symbol FIFO depth (§2.8: "a small 128
-// entry FIFO in the C-BOX").
-const InputFIFOEntries = 128
 
 // cacheLineBytes is the refill granularity of the input FIFO.
 const cacheLineBytes = 64
@@ -66,31 +63,14 @@ type Options struct {
 	// CollectMatches stores every match in Result.Matches. Disable for
 	// long streams where only counts and activity statistics matter.
 	CollectMatches bool
-	// MatchLimit caps collected matches (0 = unlimited).
-	MatchLimit int
-	// Observer receives run telemetry. Nil (the default) costs one
-	// predictable branch per cycle and allocates nothing on the symbol
-	// hot path. telemetry.MachineCollector satisfies this interface.
-	Observer Observer
 }
 
-// Observer is the machine's run-telemetry hook. The method set is
-// primitives-only so implementations (internal/telemetry, and the root
-// package's exported RunObserver) need no machine types.
+// Observer is the machine's run-telemetry hook: one call wherever a
+// Result is handed out, saying what that Result says (see observe);
+// nothing is reported from inside the symbol loops.
+// telemetry.MachineCollector satisfies it.
 type Observer interface {
-	// ObserveCycle is called once per input symbol with that cycle's
-	// enabled-state count, active-partition count, and G-switch source
-	// signal counts.
-	ObserveCycle(activeStates, activePartitions, g1, g4 int64)
-	// ObserveMatches is called with the report count of each reporting
-	// cycle/partition.
-	ObserveMatches(n int64)
-	// ObserveOverflow is called on each output-buffer interrupt (§2.8).
-	ObserveOverflow()
-	// ObserveRun is called at the end of each run with the symbol count,
-	// the host wall-clock seconds spent, and the output-buffer high-water
-	// mark so far.
-	ObserveRun(symbols int64, seconds float64, outputPeak int64)
+	ObserveRun(telemetry.RunSummary)
 }
 
 // ActivityStats accumulates the per-cycle statistics the energy model
@@ -127,12 +107,8 @@ func (s *ActivityStats) merge(o *ActivityStats) {
 	s.SumActivePartitions += o.SumActivePartitions
 	s.SumG1Crossings += o.SumG1Crossings
 	s.SumG4Crossings += o.SumG4Crossings
-	if o.MaxActiveStates > s.MaxActiveStates {
-		s.MaxActiveStates = o.MaxActiveStates
-	}
-	if o.MaxActivePartitions > s.MaxActivePartitions {
-		s.MaxActivePartitions = o.MaxActivePartitions
-	}
+	s.MaxActiveStates = max(s.MaxActiveStates, o.MaxActiveStates)
+	s.MaxActivePartitions = max(s.MaxActivePartitions, o.MaxActivePartitions)
 }
 
 // AvgActiveStates returns the Table-1 activity metric (dynamically
@@ -253,10 +229,9 @@ type Machine struct {
 	outBuffered  int
 	res          Result
 	// lanePacked marks a machine whose whole architectural state fits one
-	// 64-bit word (single partition, every used slot below 64) and that
-	// has no per-cycle Observer: RunBatch may then drive up to four
-	// independent streams through the row arrays word-wise, one stream
-	// per lane (see batch.go).
+	// 64-bit word (single partition, every used slot below 64): RunBatch
+	// may then drive up to four independent streams through the row arrays
+	// word-wise, one stream per lane (see batch.go).
 	lanePacked bool
 	// laneShift/laneSelf/laneOther decompose the local switch of a
 	// lane-packed machine for branch-free fan-out. A matched slot s whose
@@ -265,6 +240,10 @@ type Machine struct {
 	// covered by ((mm&laneShift)<<1) | (mm&laneSelf); the rare slots with
 	// any other target land in laneOther and take the per-slot walk.
 	laneShift, laneSelf, laneOther uint64
+
+	// Observer, when non-nil, hears about every RunContext and RunBatch
+	// of this machine. A Pool sets it on the machines it builds.
+	Observer Observer
 }
 
 // New builds a machine from a placement (which it verifies first; the
@@ -300,9 +279,7 @@ func New(pl *mapper.Placement, opts Options) (*Machine, error) {
 	for s := range n.States {
 		st := &n.States[s]
 		pi, slot := int(pl.PartitionOf[s]), int(pl.SlotOf[s])
-		if slot > maxSlot {
-			maxSlot = slot
-		}
+		maxSlot = max(maxSlot, slot)
 		p := &m.parts[pi]
 		wi, bit := slot>>6, uint64(1)<<(slot&63)
 		p.state[slot] = nfa.StateID(s)
@@ -369,7 +346,7 @@ func New(pl *mapper.Placement, opts Options) (*Machine, error) {
 		p.hasAlways = anyAlways != 0
 	}
 	m.activeFlag = make([]bool, len(m.parts))
-	m.lanePacked = len(m.parts) == 1 && maxSlot < 64 && opts.Observer == nil
+	m.lanePacked = len(m.parts) == 1 && maxSlot < 64
 	if m.lanePacked {
 		p := &m.parts[0]
 		for lm := p.hasLocal[0]; lm != 0; lm &= lm - 1 {
@@ -436,13 +413,6 @@ func (m *Machine) Pos() int64 { return m.pos }
 // NumPartitions returns the mapped partition count.
 func (m *Machine) NumPartitions() int { return len(m.parts) }
 
-// Step processes one input symbol.
-func (m *Machine) Step(sym byte) {
-	var buf [1]byte
-	buf[0] = sym
-	m.runBatch(buf[:])
-}
-
 // The hot loop is hand-unrolled over the partition's four words; this
 // compile-time assertion trips if the partition geometry ever changes.
 var _ = [1]struct{}{}[wordsPerPartition-4]
@@ -451,13 +421,12 @@ var _ = [1]struct{}{}[wordsPerPartition-4]
 // loop-invariant state hoisted into locals, the four-word vector sweeps
 // unrolled into registers, and the activity sums accumulated locally and
 // written back once per batch. It performs no allocations (the scratch
-// lists are reused fields) and, with a nil Observer, no interface calls.
+// lists are reused fields) and no interface calls.
 func (m *Machine) runBatch(input []byte) {
 	if len(m.parts) == 1 {
 		m.runBatch1(input)
 		return
 	}
-	obs := m.opts.Observer
 	parts := m.parts
 	flags := m.activeFlag
 	cur := m.curActive
@@ -534,9 +503,6 @@ func (m *Machine) runBatch(input []byte) {
 		if activeParts > maxParts {
 			maxParts = activeParts
 		}
-		if obs != nil {
-			obs.ObserveCycle(activeStates, activeParts, cycG1, cycG4)
-		}
 
 		// Commit: enabled' = next ∪ always for every active or newly
 		// cross-activated partition (always is all-zero in partitions
@@ -594,7 +560,6 @@ func (m *Machine) runBatch(input []byte) {
 // the commit phase is register renaming instead of loads and stores.
 func (m *Machine) runBatch1(input []byte) {
 	p := &m.parts[0]
-	obs := m.opts.Observer
 	pos := m.pos
 
 	st := &m.res.Activity
@@ -610,11 +575,6 @@ func (m *Machine) runBatch1(input []byte) {
 		if e0|e1|e2|e3 == 0 {
 			// A partition without always-on starts that goes quiet is dead
 			// for the rest of the stream: no matches, zero activity.
-			if obs != nil {
-				for range input[i:] {
-					obs.ObserveCycle(0, 0, 0, 0)
-				}
-			}
 			pos += int64(len(input) - i)
 			break
 		}
@@ -645,9 +605,6 @@ func (m *Machine) runBatch1(input []byte) {
 				}
 			}
 		}
-		if obs != nil {
-			obs.ObserveCycle(enCnt, 1, 0, 0)
-		}
 		e0, e1, e2, e3 = n0|a0, n1|a1, n2|a2, n3|a3
 		pos++
 	}
@@ -666,40 +623,44 @@ func (m *Machine) runBatch1(input []byte) {
 	m.setActive()
 }
 
-// report records matched reporting slots of partition p. The caller
-// passes the cycle's match words (they live in registers in the hot
-// loop and are not stored anywhere else).
+// report records the matched reporting slots of partition p at m.pos.
+// The caller passes the cycle's match words (they live in registers in
+// the hot loop and are not stored anywhere else). It is kept out of
+// line: inlined, reportTo's six arguments cost the symbol loops registers
+// at every call site (−5 % scan_mb_per_s on the ledger's compile-cold).
+//
+//go:noinline
 func (m *Machine) report(p *partition, pi int, matched [wordsPerPartition]uint64) {
-	var reported int64
-	for w := 0; w < wordsPerPartition; w++ {
-		for rm := matched[w] & p.reports[w]; rm != 0; rm &= rm - 1 {
-			slot := w<<6 + bits.TrailingZeros64(rm)
-			m.res.MatchCount++
-			reported++
-			m.outBuffered++
-			if int64(m.outBuffered) > m.res.OutputBufferPeak {
-				m.res.OutputBufferPeak = int64(m.outBuffered)
+	m.reportTo(&m.res, &m.outBuffered, p, pi, matched, m.pos)
+}
+
+// reportTo is the one reporting loop, under report and the lane-packed
+// sweep's laneReport: partition pi's reporting slots among matched, in
+// ascending slot order, counted into res, pushed through the output
+// buffer whose occupancy is *outBuf (an interrupt drains it at
+// OutputBufferEntries), and collected under CollectMatches.
+func (m *Machine) reportTo(res *Result, outBuf *int, p *partition, pi int, matched [wordsPerPartition]uint64, off int64) {
+	for w, mw := range matched {
+		for rb := mw & p.reports[w]; rb != 0; rb &= rb - 1 {
+			slot := w<<6 + bits.TrailingZeros64(rb)
+			res.MatchCount++
+			*outBuf++
+			if int64(*outBuf) > res.OutputBufferPeak {
+				res.OutputBufferPeak = int64(*outBuf)
 			}
-			if m.outBuffered >= OutputBufferEntries {
-				m.res.OutputBufferInterrupts++
-				m.outBuffered = 0
-				if m.opts.Observer != nil {
-					m.opts.Observer.ObserveOverflow()
-				}
+			if *outBuf >= OutputBufferEntries {
+				res.OutputBufferInterrupts++
+				*outBuf = 0
 			}
-			if m.opts.CollectMatches &&
-				(m.opts.MatchLimit == 0 || len(m.res.Matches) < m.opts.MatchLimit) {
-				m.res.Matches = append(m.res.Matches, Match{
-					Offset:    m.pos,
+			if m.opts.CollectMatches {
+				res.Matches = append(res.Matches, Match{
+					Offset:    off,
 					Code:      p.code[slot],
 					State:     p.state[slot],
 					Partition: pi,
 				})
 			}
 		}
-	}
-	if m.opts.Observer != nil && reported > 0 {
-		m.opts.Observer.ObserveMatches(reported)
 	}
 }
 
@@ -711,11 +672,8 @@ func (m *Machine) accountRefills(input []byte) {
 	if len(input) == 0 {
 		return
 	}
-	first := m.pos / cacheLineBytes
+	first := max(m.pos/cacheLineBytes, m.fifoNextLine)
 	last := (m.pos + int64(len(input)) - 1) / cacheLineBytes
-	if first < m.fifoNextLine {
-		first = m.fifoNextLine
-	}
 	if last >= first {
 		m.res.FIFORefills += last - first + 1
 		m.fifoNextLine = last + 1

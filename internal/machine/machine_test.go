@@ -313,25 +313,6 @@ func TestRunContinuesStream(t *testing.T) {
 	}
 }
 
-func TestMatchLimit(t *testing.T) {
-	n, _ := regexc.CompileSet([]string{"."}, regexc.Options{})
-	pl, err := mapper.Map(n, mapper.Config{Design: arch.NewDesign(arch.PerfOpt)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(pl, Options{CollectMatches: true, MatchLimit: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := mustRun(m, make([]byte, 100))
-	if len(res.Matches) != 10 {
-		t.Errorf("collected = %d, want 10", len(res.Matches))
-	}
-	if res.MatchCount != 100 {
-		t.Errorf("counted = %d, want 100", res.MatchCount)
-	}
-}
-
 func BenchmarkMachineSnortLike(b *testing.B) {
 	var pats []string
 	for i := 0; i < 200; i++ {

@@ -8,32 +8,28 @@ import (
 	"cacheautomaton/internal/arch"
 	"cacheautomaton/internal/mapper"
 	"cacheautomaton/internal/regexc"
+	"cacheautomaton/internal/telemetry"
 )
 
-// testObserver records everything the machine reports through the hook.
-type testObserver struct {
-	cycles       int64
-	activeStates int64
-	g1, g4       int64
-	matches      int64
-	overflows    int64
-	runs         int64
-	runSymbols   int64
-	runPeak      int64
-}
+// testObserver keeps every summary the machine hands the hook.
+type testObserver struct{ runs []telemetry.RunSummary }
 
-func (o *testObserver) ObserveCycle(activeStates, activeParts, g1, g4 int64) {
-	o.cycles++
-	o.activeStates += activeStates
-	o.g1 += g1
-	o.g4 += g4
-}
-func (o *testObserver) ObserveMatches(n int64) { o.matches += n }
-func (o *testObserver) ObserveOverflow()       { o.overflows++ }
-func (o *testObserver) ObserveRun(symbols int64, seconds float64, peak int64) {
-	o.runs++
-	o.runSymbols += symbols
-	o.runPeak = peak
+func (o *testObserver) ObserveRun(r telemetry.RunSummary) { o.runs = append(o.runs, r) }
+
+// wantSummary is the summary a run from Reset producing res must deliver
+// (Seconds aside).
+func wantSummary(res *Result) telemetry.RunSummary {
+	return telemetry.RunSummary{
+		Symbols:                res.Activity.Cycles,
+		Matches:                res.MatchCount,
+		OutputBufferInterrupts: res.OutputBufferInterrupts,
+		OutputBufferPeak:       res.OutputBufferPeak,
+		SumActiveStates:        res.Activity.SumActiveStates,
+		SumDynamicStates:       res.Activity.SumDynamicStates,
+		SumActivePartitions:    res.Activity.SumActivePartitions,
+		SumG1Crossings:         res.Activity.SumG1Crossings,
+		SumG4Crossings:         res.Activity.SumG4Crossings,
+	}
 }
 
 func buildObserved(t *testing.T, patterns []string, obs Observer) *Machine {
@@ -46,38 +42,40 @@ func buildObserved(t *testing.T, patterns []string, obs Observer) *Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(pl, Options{CollectMatches: true, Observer: obs})
+	m, err := New(pl, Options{CollectMatches: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Observer = obs
 	return m
 }
 
+// TestObserverSeesCyclesMatchesAndRuns: one summary per RunContext, equal
+// to the Result for a run from Reset and to the delta for a continued
+// stream, so the summaries of a stream's feeds add up to its Result.
 func TestObserverSeesCyclesMatchesAndRuns(t *testing.T) {
 	obs := &testObserver{}
 	m := buildObserved(t, []string{"ab", "b"}, obs)
-	input := []byte("ababab")
-	res := mustRun(m, input)
-
-	if obs.cycles != int64(len(input)) {
-		t.Errorf("observed cycles = %d, want %d", obs.cycles, len(input))
+	first := *mustRun(m, []byte("ababab"))
+	if len(obs.runs) != 1 {
+		t.Fatalf("observed %d runs, want 1", len(obs.runs))
 	}
-	if obs.matches != res.MatchCount {
-		t.Errorf("observed matches = %d, machine counted %d", obs.matches, res.MatchCount)
+	got := obs.runs[0]
+	if got.Seconds <= 0 {
+		t.Errorf("seconds = %v, want > 0", got.Seconds)
 	}
-	if obs.runs != 1 || obs.runSymbols != int64(len(input)) {
-		t.Errorf("observed runs = %d symbols = %d", obs.runs, obs.runSymbols)
+	got.Seconds = 0
+	if want := wantSummary(&first); got != want {
+		t.Errorf("first run summary = %+v, want %+v", got, want)
 	}
-	if obs.activeStates != res.Activity.SumActiveStates {
-		t.Errorf("observed active states = %d, activity sum = %d",
-			obs.activeStates, res.Activity.SumActiveStates)
+	total := *mustRun(m, []byte("abb"))
+	if len(obs.runs) != 2 {
+		t.Fatalf("observed %d runs, want 2", len(obs.runs))
 	}
-	if obs.g1 != res.Activity.SumG1Crossings || obs.g4 != res.Activity.SumG4Crossings {
-		t.Errorf("observed crossings g1=%d g4=%d, activity g1=%d g4=%d",
-			obs.g1, obs.g4, res.Activity.SumG1Crossings, res.Activity.SumG4Crossings)
-	}
-	if obs.runPeak != res.OutputBufferPeak {
-		t.Errorf("observed peak = %d, result peak = %d", obs.runPeak, res.OutputBufferPeak)
+	got = obs.runs[1]
+	if got.Symbols != 3 || got.Matches != total.MatchCount-first.MatchCount ||
+		got.SumActiveStates != total.Activity.SumActiveStates-first.Activity.SumActiveStates {
+		t.Errorf("second feed summary %+v is not the delta %+v → %+v", got, first, total)
 	}
 }
 
@@ -91,11 +89,11 @@ func TestOutputBufferPeakAndOverflow(t *testing.T) {
 	if res.OutputBufferInterrupts != 3 {
 		t.Errorf("interrupts = %d, want 3", res.OutputBufferInterrupts)
 	}
-	if obs.overflows != 3 {
-		t.Errorf("observed overflows = %d, want 3", obs.overflows)
+	if got := obs.runs[0].OutputBufferInterrupts; got != 3 {
+		t.Errorf("observed overflows = %d, want 3", got)
 	}
-	if res.OutputBufferPeak != OutputBufferEntries {
-		t.Errorf("peak = %d, want %d", res.OutputBufferPeak, OutputBufferEntries)
+	if res.OutputBufferPeak != OutputBufferEntries || obs.runs[0].OutputBufferPeak != OutputBufferEntries {
+		t.Errorf("peak = %d (observed %d), want %d", res.OutputBufferPeak, obs.runs[0].OutputBufferPeak, OutputBufferEntries)
 	}
 }
 

@@ -30,14 +30,7 @@ const minShardBytes = 4 * DefaultShardOverlap
 // ShardsFor returns how many of the requested shards RunShardedContext
 // would actually use for an input of the given length.
 func ShardsFor(requested, inputLen int) int {
-	n := requested
-	if max := inputLen / minShardBytes; n > max {
-		n = max
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(1, min(requested, inputLen/minShardBytes))
 }
 
 // RunShardedContext resets the machines and scans input from offset 0,
@@ -62,9 +55,9 @@ func ShardsFor(requested, inputLen int) int {
 //     interrupt count and high-water mark are pure functions of the total
 //     match count.
 //
-// Per-cycle Observer telemetry is not delivered on this path (shard
-// machines would observe speculative warm-up cycles); use the sequential
-// RunContext when cycle-level observation matters.
+// ms[0]'s Observer hears about the merged result, once; the shard workers
+// (whose warm-up and mis-speculated cycles are not the run's) report
+// nothing.
 //
 // Each shard worker checks ctx at ContextCheckBytes granularity (a
 // canceled request stops all shards within one sub-batch) and recovers its
@@ -85,6 +78,7 @@ func RunShardedContext(ctx context.Context, ms []*Machine, input []byte) (*Resul
 		ms[0].Reset()
 		return ms[0].RunContext(ctx, input)
 	}
+	start := ms[0].began()
 
 	bounds := make([]int, n+1)
 	for i := 0; i <= n; i++ {
@@ -167,17 +161,10 @@ func RunShardedContext(ctx context.Context, ms []*Machine, input []byte) (*Resul
 		out.Matches = append(out.Matches, results[i].Matches...)
 		out.Activity.merge(&results[i].Activity)
 	}
-	if lim := ms[0].opts.MatchLimit; lim > 0 && len(out.Matches) > lim {
-		out.Matches = out.Matches[:lim]
-	}
-	if len(input) > 0 {
-		out.FIFORefills = (int64(len(input)) + cacheLineBytes - 1) / cacheLineBytes
-	}
+	out.FIFORefills = (int64(len(input)) + cacheLineBytes - 1) / cacheLineBytes
 	out.OutputBufferInterrupts = out.MatchCount / OutputBufferEntries
-	out.OutputBufferPeak = out.MatchCount
-	if out.OutputBufferPeak > OutputBufferEntries {
-		out.OutputBufferPeak = OutputBufferEntries
-	}
+	out.OutputBufferPeak = min(out.MatchCount, OutputBufferEntries)
+	ms[0].observe(&Result{}, out, start, 1)
 	return out, nil
 }
 

@@ -32,6 +32,10 @@ type PoolStats struct {
 // pool's steady-state memory at maxIdle partitionful of SRAM arrays while
 // letting bursts grow arbitrarily wide.
 type Pool struct {
+	// Observer, when non-nil, is attached to every machine the pool
+	// builds; set it before the first checkout.
+	Observer Observer
+
 	pl   *mapper.Placement
 	opts Options
 
@@ -62,10 +66,8 @@ func NewPool(pl *mapper.Placement, opts Options, maxIdle int) *Pool {
 // refusal is annotated onto the trace.
 func (p *Pool) GetContext(ctx context.Context) (*Machine, error) {
 	var one [1]*Machine
-	if err := p.lease(ctx, one[:]); err != nil {
-		return nil, err
-	}
-	return one[0], nil
+	err := p.lease(ctx, one[:]) // fills nothing when it fails
+	return one[0], err
 }
 
 // GetNContext checks out n machines at once for a sharded run, recording
@@ -131,6 +133,9 @@ func (p *Pool) get() (*Machine, bool, error) {
 	// and switch table, and concurrent cold-start borrowers should not
 	// serialize on it.
 	m, err := New(p.pl, p.opts)
+	if err == nil {
+		m.Observer = p.Observer
+	}
 	return m, true, err
 }
 

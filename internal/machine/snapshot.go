@@ -9,6 +9,13 @@ import (
 // snapshotMagic guards snapshot decoding.
 var snapshotMagic = [8]byte{'C', 'A', 'S', 'N', 'A', 'P', '0', '1'}
 
+// snapshotHeader is the fixed head of the encoding; Parts partitions
+// follow, each as its word count and its words.
+type snapshotHeader struct {
+	Magic              [8]byte
+	Pos, OutBuf, Parts int64
+}
+
 // Snapshot captures the machine's execution state: the input-symbol
 // counter and every partition's active-state vector. This implements the
 // paper's §2.9 suspend/resume: "the NFA process may also be suspended and
@@ -76,16 +83,7 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 		n += int64(binary.Size(v))
 		return nil
 	}
-	if err := write(snapshotMagic); err != nil {
-		return n, err
-	}
-	if err := write(s.Pos); err != nil {
-		return n, err
-	}
-	if err := write(int64(s.OutBuffered)); err != nil {
-		return n, err
-	}
-	if err := write(int64(len(s.Enabled))); err != nil {
+	if err := write(snapshotHeader{snapshotMagic, s.Pos, int64(s.OutBuffered), int64(len(s.Enabled))}); err != nil {
 		return n, err
 	}
 	for _, words := range s.Enabled {
@@ -109,10 +107,7 @@ const snapshotPartitionBytes = 8 + 8*wordsPerPartition
 // when r reports its remaining length (bytes.Reader, bytes.Buffer,
 // strings.Reader) the partition count must fit in it.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	var hdr struct {
-		Magic              [8]byte
-		Pos, OutBuf, Parts int64
-	}
+	var hdr snapshotHeader
 	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
 		return nil, fmt.Errorf("machine: snapshot header: %w", err)
 	}

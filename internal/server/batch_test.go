@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -223,6 +224,54 @@ func TestBatchBypass(t *testing.T) {
 	sort.Strings(names)
 	if fmt.Sprint(names) != "[lease queue run]" {
 		t.Fatalf("window-off stages = %v, want the per-request [lease queue run]", names)
+	}
+}
+
+// TestKernelMetricsExported: the node's registry carries the kernel layer.
+// One per-request, one sharded and one coalesced /match are three runs
+// whose symbols are exactly the bytes sent, whichever engine scanned them.
+func TestKernelMetricsExported(t *testing.T) {
+	cfg := batchedConfig()
+	cfg.BatchBytes = 512
+	cfg.MaxShards = 2
+	s, _ := testServer(t, cfg)
+	if _, err := s.Compile(context.Background(), "smoke", CompileRequest{Patterns: smokePatterns}); err != nil {
+		t.Fatal(err)
+	}
+	in := smokeInput(rand.New(rand.NewSource(5)), 32<<10)
+	var sent, matches int64
+	for _, req := range []MatchRequest{
+		{Ruleset: "smoke", Input: string(in[:2048])}, // over BatchBytes: per-request
+		{Ruleset: "smoke", Input: string(in), Shards: 2},
+		{Ruleset: "smoke", Input: string(in[:256])}, // a batch of one
+	} {
+		resp, err := s.Match(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent += int64(len(req.Input))
+		matches += int64(len(resp.Matches))
+	}
+	if n := s.col.BatchedRequests.Value(); n != 1 {
+		t.Fatalf("%d requests were batched, want 1", n)
+	}
+	if got := s.runs.Runs.Value(); got != 3 {
+		t.Errorf("ca_runs_total = %d, want 3", got)
+	}
+	if got := s.runs.Symbols.Value(); got != sent {
+		t.Errorf("ca_run_symbols_total = %d, want the %d bytes sent", got, sent)
+	}
+	if got := s.runs.Matches.Value(); got != matches || matches == 0 {
+		t.Errorf("ca_matches_total = %d, responses carried %d", got, matches)
+	}
+	var text strings.Builder
+	if err := cfg.Registry.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"ca_run_symbols_total", "ca_run_seconds_total", "ca_active_states_bucket", "ca_g1_crossings_total"} {
+		if !strings.Contains(text.String(), "\n"+name) {
+			t.Errorf("/metrics exposition lacks %s", name)
+		}
 	}
 }
 

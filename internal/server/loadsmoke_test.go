@@ -51,7 +51,11 @@ func TestLoadSmoke64Clients(t *testing.T) {
 		inputLen = 1024
 	}
 
-	_, ts := testServer(t, Config{})
+	// The queue is sized so every client is admitted whatever GOMAXPROCS
+	// the runner has: with the defaults a 2-core host has 2 workers and 8
+	// queue slots, and the one-shot half of the clients arriving at once
+	// is shed by design (503), which is not what this test is about.
+	_, ts := testServer(t, Config{QueueDepth: 2 * clients, QueueWait: time.Minute})
 	compileRules(t, ts, "smoke", smokePatterns...)
 
 	// Sequential reference on an automaton the server never touches.

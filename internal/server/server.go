@@ -177,7 +177,11 @@ type session struct {
 type Server struct {
 	cfg Config
 	col *telemetry.ServerCollector
-	log *slog.Logger
+	// runs is the RunObserver of every automaton the server builds or
+	// loads, so /metrics carries the kernel layer (ca_run_*, ca_matches_total,
+	// the activity histograms, the G-switch counters) beside ca_server_*.
+	runs *telemetry.MachineCollector
+	log  *slog.Logger
 	// ring is the flight recorder: completed request traces land here
 	// (nil when Config.TraceRingSize < 0 disables tracing).
 	ring *telemetry.TraceRing
@@ -244,6 +248,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		col:        telemetry.NewServerCollector(cfg.Registry),
+		runs:       telemetry.NewMachineCollector(cfg.Registry),
 		log:        cfg.Logger,
 		rulesets:   make(map[string]*ruleset),
 		sessions:   make(map[string]*session),
@@ -597,6 +602,7 @@ func (s *Server) Compile(ctx context.Context, name string, req CompileRequest) (
 		return nil, Errorf(http.StatusBadRequest, "bad ruleset name %q", name)
 	}
 	opts := ca.Options{
+		RunObserver:        s.runs,
 		CaseInsensitive:    req.CaseInsensitive,
 		DotExcludesNewline: req.DotExcludesNewline,
 		MaxRepeat:          req.MaxRepeat,
@@ -650,7 +656,7 @@ func (s *Server) Compile(ctx context.Context, name string, req CompileRequest) (
 	if cache != nil {
 		key = cacheKey(format, &req)
 		if data, cerr := cache.Get(key); cerr == nil {
-			la, lerr := ca.Load(bytes.NewReader(data), ca.Options{})
+			la, lerr := ca.Load(bytes.NewReader(data), opts)
 			if lerr == nil {
 				a, cached = la, true
 				names = a.SignatureNames()
@@ -871,7 +877,7 @@ func (s *Server) InstallArtifact(ctx context.Context, name string, art Artifact)
 		}
 	}()
 	start := time.Now()
-	a, err := ca.Load(bytes.NewReader(data), ca.Options{})
+	a, err := ca.Load(bytes.NewReader(data), ca.Options{RunObserver: s.runs})
 	if err != nil {
 		return nil, Errorf(http.StatusUnprocessableEntity, "load artifact: %v", err)
 	}
@@ -1372,7 +1378,7 @@ func (s *Server) removeSession(rt *telemetry.ReqTrace, sess *session, keepCheckp
 }
 
 // LeaseStats sums the machine-lease accounting of every loaded rule
-// set's pools. The serving invariant — checked by the chaos harness —
+// set's pool. The serving invariant — checked by the chaos harness —
 // is Gets == Puts + open sessions: every one-shot lease returned, every
 // open session holding exactly one machine, nothing stranded by faults,
 // panics or cancellations.
@@ -1382,8 +1388,11 @@ func (s *Server) LeaseStats() ca.LeaseStats {
 	var total ca.LeaseStats
 	for _, rs := range s.rulesets {
 		st := rs.a.LeaseStats()
+		total.Built += st.Built
 		total.Gets += st.Gets
 		total.Puts += st.Puts
+		total.Hits += st.Hits
+		total.Idle += st.Idle
 	}
 	return total
 }

@@ -1,21 +1,42 @@
 package telemetry
 
+// RunSummary is what one run hands its observer, cut from the
+// machine.Result the run produced anyway: the symbols it consumed, the
+// host time it took, and what the kernel counted over them. A stream feed
+// reports its own chunk, a sharded run its merged result, a batch one
+// summary per input. It is a plain struct so this package stays a leaf.
+type RunSummary struct {
+	// Symbols is the number of input symbols (= cycles) of the run.
+	Symbols int64
+	// Seconds is the host wall time; a lane-packed batch sweep's is split
+	// evenly among its inputs.
+	Seconds float64
+	// Matches and OutputBufferInterrupts count report events and 64-entry
+	// output-buffer fills (§2.8); OutputBufferPeak is the buffer's
+	// high-water mark.
+	Matches, OutputBufferInterrupts, OutputBufferPeak int64
+	// The Sum fields are machine.ActivityStats' per-cycle totals over the
+	// run's symbols (the paper's Fig. 9/10 signals).
+	SumActiveStates, SumDynamicStates, SumActivePartitions int64
+	SumG1Crossings, SumG4Crossings                         int64
+}
+
 // MachineCollector aggregates machine-level run telemetry into a registry.
 // It satisfies the machine package's Observer hook interface (and the root
-// package's RunObserver) structurally — the method set uses only
-// primitives, so this package stays dependency-free.
+// package's RunObserver).
 //
 // All instruments are atomic, so one collector may be shared by machines
 // running on different goroutines.
 type MachineCollector struct {
 	// Symbols counts input symbols processed across runs.
 	Symbols *Counter
-	// RunSeconds accumulates host wall time spent in Machine.Run.
+	// RunSeconds accumulates host wall time spent scanning.
 	RunSeconds *FloatGauge
 	// SymbolsPerSecond is the host-throughput of the most recent run.
 	SymbolsPerSecond *FloatGauge
-	// ActiveStates and ActivePartitions are per-cycle activity histograms —
-	// the paper's Fig. 9/10 signals.
+	// ActiveStates and ActivePartitions are activity histograms over runs,
+	// one observation per run: its per-cycle mean (the paper's Fig. 9/10
+	// signals, at the granularity the energy model consumes them).
 	ActiveStates     *Histogram
 	ActivePartitions *Histogram
 	// G1Crossings and G4Crossings count active G-switch source signals.
@@ -27,7 +48,7 @@ type MachineCollector struct {
 	OutputBufferInterrupts *Counter
 	// OutputBufferHighWater is the peak buffered-report count seen.
 	OutputBufferHighWater *Gauge
-	// Runs counts completed Machine.Run calls.
+	// Runs counts completed runs.
 	Runs *Counter
 }
 
@@ -44,9 +65,9 @@ func NewMachineCollector(reg *Registry) *MachineCollector {
 		RunSeconds:       reg.FloatGauge("ca_run_seconds_total", "Host wall time spent simulating."),
 		SymbolsPerSecond: reg.FloatGauge("ca_run_symbols_per_second", "Host throughput of the last run."),
 		ActiveStates: reg.Histogram("ca_active_states",
-			"Per-cycle enabled-state count (includes always-enabled starts).", stateBuckets),
+			"Mean enabled-state count per cycle of a run (includes always-enabled starts).", stateBuckets),
 		ActivePartitions: reg.Histogram("ca_active_partitions",
-			"Per-cycle partitions with at least one enabled state.", partBuckets),
+			"Mean partitions with at least one enabled state per cycle of a run.", partBuckets),
 		G1Crossings: reg.Counter("ca_g1_crossings_total", "Active G-Switch-1 source signals."),
 		G4Crossings: reg.Counter("ca_g4_crossings_total", "Active G-Switch-4 source signals (chained hops count twice)."),
 		Matches:     reg.Counter("ca_matches_total", "Report events."),
@@ -54,36 +75,27 @@ func NewMachineCollector(reg *Registry) *MachineCollector {
 			"CPU interrupts raised by output-buffer fills."),
 		OutputBufferHighWater: reg.Gauge("ca_output_buffer_highwater",
 			"Peak entries buffered in the 64-deep output buffer."),
-		Runs: reg.Counter("ca_runs_total", "Completed Machine.Run calls."),
+		Runs: reg.Counter("ca_runs_total", "Completed runs."),
 	}
 }
 
-// ObserveCycle records one simulated cycle's activity.
-func (c *MachineCollector) ObserveCycle(activeStates, activePartitions, g1, g4 int64) {
-	c.ActiveStates.ObserveInt(activeStates)
-	c.ActivePartitions.ObserveInt(activePartitions)
-	if g1 != 0 {
-		c.G1Crossings.Add(g1)
-	}
-	if g4 != 0 {
-		c.G4Crossings.Add(g4)
-	}
-}
-
-// ObserveMatches records n report events.
-func (c *MachineCollector) ObserveMatches(n int64) { c.Matches.Add(n) }
-
-// ObserveOverflow records one output-buffer interrupt.
-func (c *MachineCollector) ObserveOverflow() { c.OutputBufferInterrupts.Inc() }
-
-// ObserveRun records a completed run: symbol count, host wall seconds, and
-// the output-buffer high-water mark.
-func (c *MachineCollector) ObserveRun(symbols int64, seconds float64, outputPeak int64) {
+// ObserveRun folds one run's summary into the registry. The two activity
+// histograms take one observation per run — the run's per-cycle mean — so a
+// run of no symbols leaves them untouched.
+func (c *MachineCollector) ObserveRun(r RunSummary) {
 	c.Runs.Inc()
-	c.Symbols.Add(symbols)
-	c.RunSeconds.Add(seconds)
-	if seconds > 0 {
-		c.SymbolsPerSecond.Set(float64(symbols) / seconds)
+	c.Symbols.Add(r.Symbols)
+	c.RunSeconds.Add(r.Seconds)
+	if r.Seconds > 0 {
+		c.SymbolsPerSecond.Set(float64(r.Symbols) / r.Seconds)
 	}
-	c.OutputBufferHighWater.SetMax(outputPeak)
+	if r.Symbols > 0 {
+		c.ActiveStates.Observe(float64(r.SumActiveStates) / float64(r.Symbols))
+		c.ActivePartitions.Observe(float64(r.SumActivePartitions) / float64(r.Symbols))
+	}
+	c.G1Crossings.Add(r.SumG1Crossings)
+	c.G4Crossings.Add(r.SumG4Crossings)
+	c.Matches.Add(r.Matches)
+	c.OutputBufferInterrupts.Add(r.OutputBufferInterrupts)
+	c.OutputBufferHighWater.SetMax(r.OutputBufferPeak)
 }

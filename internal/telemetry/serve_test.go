@@ -69,11 +69,23 @@ func TestServeEndpoints(t *testing.T) {
 func TestMachineCollector(t *testing.T) {
 	reg := NewRegistry()
 	c := NewMachineCollector(reg)
-	c.ObserveCycle(10, 2, 1, 3)
-	c.ObserveCycle(20, 3, 0, 0)
-	c.ObserveMatches(5)
-	c.ObserveOverflow()
-	c.ObserveRun(2, 0.5, 40)
+	// Two cycles: 10 then 20 enabled states, 2 then 3 active partitions.
+	c.ObserveRun(RunSummary{Symbols: 2, Seconds: 0.5, Matches: 5,
+		OutputBufferInterrupts: 1, OutputBufferPeak: 40,
+		SumActiveStates: 30, SumActivePartitions: 5, SumG1Crossings: 1, SumG4Crossings: 3})
+	c.ObserveRun(RunSummary{}) // an empty run: counted, no histogram sample
+	if got := c.Runs.Value(); got != 2 {
+		t.Errorf("runs = %d", got)
+	}
+	if got := c.ActiveStates.Count(); got != 1 {
+		t.Errorf("active-state observations = %d, want 1 (one per non-empty run)", got)
+	}
+	if got := c.ActivePartitions.Mean(); got != 2.5 {
+		t.Errorf("active-partition mean = %v, want 2.5", got)
+	}
+	if c.Matches.Value() != 5 || c.OutputBufferInterrupts.Value() != 1 {
+		t.Errorf("matches = %d interrupts = %d", c.Matches.Value(), c.OutputBufferInterrupts.Value())
+	}
 	if got := c.Symbols.Value(); got != 2 {
 		t.Errorf("symbols = %d", got)
 	}
