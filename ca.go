@@ -77,10 +77,6 @@ type Options struct {
 	MaxRepeat int
 	// Seed makes the graph partitioner deterministic (default 0).
 	Seed int64
-	// KeepPerPatternStates disables state merging for the Space design
-	// (merging is what makes CA_S space-optimized, so leave this false
-	// unless you need state-to-pattern attribution).
-	KeepPerPatternStates bool
 	// RunObserver, when non-nil, receives one summary per run from every
 	// machine this automaton leases (runs, batches, sharded runs, counts
 	// and stream feeds). Nothing is reported from inside the symbol loops.
@@ -195,14 +191,9 @@ func fromNFA(n *nfa.NFA, opts Options, tr *telemetry.Trace) (*Automaton, error) 
 		AllowChainedG4: opts.Design == Space,
 		Trace:          tr,
 	}
-	var pl *mapper.Placement
-	var err error
-	if opts.Design == Space && !opts.KeepPerPatternStates {
-		// CA_S: state-merge with the compiler's back-off ladder.
-		pl, _, err = mapper.MapOptimized(n, cfg)
-	} else {
-		pl, err = mapper.Map(n, cfg)
-	}
+	// CA_S state-merges with the compiler's back-off ladder; CA_P maps
+	// the NFA as it is.
+	pl, _, err := mapper.MapOptimized(n, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("cacheautomaton: %w", err)
 	}

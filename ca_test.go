@@ -267,10 +267,7 @@ func TestResumeStreamRestoreFailureReturnsMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := &machine.Snapshot{Enabled: make([][]uint64, a.Partitions()+1)}
-	for i := range snap.Enabled {
-		snap.Enabled[i] = []uint64{}
-	}
+	snap := &machine.Snapshot{Enabled: make([][4]uint64, a.Partitions()+1)}
 	var buf bytes.Buffer
 	if _, err := snap.WriteTo(&buf); err != nil {
 		t.Fatal(err)

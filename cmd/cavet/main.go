@@ -8,10 +8,7 @@
 // Findings print as path:line:col: analyzer: message (or as SARIF
 // 2.1.0, flat JSON, or GitHub workflow annotations via -format). Exit
 // status is 0 when clean, 1 when there are findings, 2 on usage or
-// load errors. With -baseline, grandfathered findings stay visible but
-// only NEW findings (not matched by the baseline) fail the run;
-// -write-baseline regenerates the grandfather file. Suppress a single
-// finding with a justified directive:
+// load errors. Suppress a single finding with a justified directive:
 //
 //	//cavet:ignore <analyzer>[,<analyzer>] <reason>
 //
@@ -44,10 +41,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	dir := fs.String("C", "", "change to this directory before resolving packages")
 	format := fs.String("format", "text", "output format: text, json, sarif, or github")
-	baselinePath := fs.String("baseline", "", "baseline file; findings matched by it are reported but non-fatal")
-	writeBaseline := fs.String("write-baseline", "", "write the current findings to this baseline file and exit 0")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: cavet [-tests] [-tags tag,tag] [-C dir] [-format text|json|sarif|github] [-baseline file | -write-baseline file] [./...]\n")
+		fmt.Fprintf(stderr, "usage: cavet [-tests] [-tags tag,tag] [-C dir] [-format text|json|sarif|github] [./...]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -111,75 +106,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return name
 	}
 
-	if *writeBaseline != "" {
-		b := analysis.NewBaseline(findings, relPath)
-		if err := b.Write(*writeBaseline); err != nil {
-			fmt.Fprintf(stderr, "cavet: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "cavet: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return 0
-	}
-
-	// Baseline diff: grandfathered findings stay visible but non-fatal.
-	baselined := make(map[int]bool)
-	newCount := len(findings)
-	if *baselinePath != "" {
-		b, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "cavet: %v\n", err)
-			return 2
-		}
-		_, oldF, stale := b.Diff(findings, relPath)
-		oldSet := make(map[string]int)
-		for _, f := range oldF {
-			oldSet[f.String()]++
-		}
-		for i, f := range findings {
-			if oldSet[f.String()] > 0 {
-				oldSet[f.String()]--
-				baselined[i] = true
-			}
-		}
-		newCount = len(findings) - len(baselined)
-		for _, e := range stale {
-			fmt.Fprintf(stderr, "cavet: baseline entry matches nothing (remove it): %s: %s: %s\n", e.File, e.Analyzer, e.Message)
-		}
-	}
-	isOld := func(i int) bool { return baselined[i] }
-
-	var err2 error
 	switch *format {
 	case "text":
-		for i, f := range findings {
+		for _, f := range findings {
 			f.Pos.Filename = relPath(f.Pos.Filename)
-			suffix := ""
-			if isOld(i) {
-				suffix = " (baselined)"
-			}
-			fmt.Fprintln(stdout, f.String()+suffix)
+			fmt.Fprintln(stdout, f.String())
 		}
 	case "json":
-		err2 = analysis.WriteJSON(stdout, findings, isOld, relPath)
+		err = analysis.WriteJSON(stdout, findings, relPath)
 	case "sarif":
-		err2 = analysis.WriteSARIF(stdout, suite.All(), findings, isOld, relPath)
+		err = analysis.WriteSARIF(stdout, suite.All(), findings, relPath)
 	case "github":
-		err2 = analysis.WriteGitHub(stdout, findings, isOld, relPath)
+		err = analysis.WriteGitHub(stdout, findings, relPath)
 	}
-	if err2 != nil {
-		fmt.Fprintf(stderr, "cavet: %v\n", err2)
+	if err != nil {
+		fmt.Fprintf(stderr, "cavet: %v\n", err)
 		return 2
 	}
-	if newCount > 0 {
-		fmt.Fprintf(stderr, "cavet: %d new finding(s)", newCount)
-		if len(baselined) > 0 {
-			fmt.Fprintf(stderr, " (+%d baselined)", len(baselined))
-		}
-		fmt.Fprintln(stderr)
+	if len(findings) > 0 {
+		fmt.Fprintf(stderr, "cavet: %d finding(s)\n", len(findings))
 		return 1
-	}
-	if len(baselined) > 0 {
-		fmt.Fprintf(stderr, "cavet: %d baselined finding(s), none new\n", len(baselined))
 	}
 	return 0
 }

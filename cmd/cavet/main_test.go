@@ -352,12 +352,11 @@ func TestFormatJSON(t *testing.T) {
 		t.Fatalf("exit = %d, want 1\nstderr:\n%s", code, &stderr)
 	}
 	var findings []struct {
-		File      string `json:"file"`
-		Line      int    `json:"line"`
-		Column    int    `json:"column"`
-		Analyzer  string `json:"analyzer"`
-		Message   string `json:"message"`
-		Baselined bool   `json:"baselined"`
+		File     string `json:"file"`
+		Line     int    `json:"line"`
+		Column   int    `json:"column"`
+		Analyzer string `json:"analyzer"`
+		Message  string `json:"message"`
 	}
 	if err := json.Unmarshal(stdout.Bytes(), &findings); err != nil {
 		t.Fatalf("output is not JSON: %v\n%s", err, &stdout)
@@ -418,7 +417,6 @@ func TestFormatSARIF(t *testing.T) {
 						} `json:"region"`
 					} `json:"physicalLocation"`
 				} `json:"locations"`
-				BaselineState string `json:"baselineState"`
 			} `json:"results"`
 		} `json:"runs"`
 	}
@@ -449,14 +447,11 @@ func TestFormatSARIF(t *testing.T) {
 		if !rules[res.RuleID] {
 			t.Errorf("result ruleId %q has no matching rule declaration", res.RuleID)
 		}
-		if res.Level != "error" && res.Level != "note" {
-			t.Errorf("result level = %q, want error or note", res.Level)
+		if res.Level != "error" {
+			t.Errorf("result level = %q, want error", res.Level)
 		}
 		if res.Message.Text == "" {
 			t.Error("result with empty message.text")
-		}
-		if res.BaselineState != "new" {
-			t.Errorf("baselineState = %q, want new (no baseline given)", res.BaselineState)
 		}
 		if len(res.Locations) != 1 {
 			t.Errorf("result has %d locations, want 1", len(res.Locations))
@@ -484,90 +479,5 @@ func TestFormatGitHub(t *testing.T) {
 	}
 	if !strings.Contains(out, "title=cavet/lockorder") {
 		t.Errorf("github format missing analyzer title:\n%s", out)
-	}
-}
-
-// TestBaselineRoundTrip exercises the full grandfathering cycle:
-// -write-baseline swallows the current findings, -baseline turns them
-// non-fatal, a new bug on top still fails, and fixing a baselined bug
-// reports the leftover entry as removable.
-func TestBaselineRoundTrip(t *testing.T) {
-	dir := writeModule(t, seededModule)
-	base := filepath.Join(t.TempDir(), "cavet.baseline.json")
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-C", dir, "-write-baseline", base, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-write-baseline: exit = %d, want 0\nstderr:\n%s", code, &stderr)
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-C", dir, "-baseline", base, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("all-baselined run: exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
-	}
-	if !strings.Contains(stdout.String(), "(baselined)") {
-		t.Errorf("baselined findings not marked in text output:\n%s", &stdout)
-	}
-	if !strings.Contains(stderr.String(), "none new") {
-		t.Errorf("missing none-new summary on stderr:\n%s", &stderr)
-	}
-
-	// A fresh bug must fail even with every old finding grandfathered.
-	newBug := filepath.Join(dir, "server", "extra.go")
-	if err := os.WriteFile(newBug, []byte(`package server
-
-func (s *Server) snapshotTwice(w *wal) {
-	w.Append(nil)
-}
-`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-C", dir, "-baseline", base, "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("new-bug run: exit = %d, want 1\nstdout:\n%s", code, &stdout)
-	}
-	if !strings.Contains(stderr.String(), "new finding") {
-		t.Errorf("missing new-finding summary on stderr:\n%s", &stderr)
-	}
-
-	// Fix a baselined bug: its entry now matches nothing and should be
-	// called out for removal, without failing the run.
-	if err := os.Remove(newBug); err != nil {
-		t.Fatal(err)
-	}
-	fixed := strings.Replace(seededModule["server/serve.go"],
-		"w.Append(nil) // SEED:errdrop",
-		"if err := w.Append(nil); err != nil {\n\t\tpanic(err)\n\t}", 1)
-	if err := os.WriteFile(filepath.Join(dir, "server", "serve.go"), []byte(fixed), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-C", dir, "-baseline", base, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("fixed-bug run: exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
-	}
-	if !strings.Contains(stderr.String(), "matches nothing") {
-		t.Errorf("stale baseline entry not reported:\n%s", &stderr)
-	}
-}
-
-func TestBaselineSARIFMarksUnchanged(t *testing.T) {
-	dir := writeModule(t, seededModule)
-	base := filepath.Join(t.TempDir(), "cavet.baseline.json")
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-C", dir, "-write-baseline", base, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-write-baseline: exit = %d, want 0", code)
-	}
-	stdout.Reset()
-	if code := run([]string{"-C", dir, "-baseline", base, "-format", "sarif", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit = %d, want 0", code)
-	}
-	out := stdout.String()
-	if !strings.Contains(out, `"baselineState": "unchanged"`) {
-		t.Errorf("SARIF output missing unchanged baselineState:\n%s", out)
-	}
-	if strings.Contains(out, `"baselineState": "new"`) {
-		t.Errorf("fully-baselined run still marks results new:\n%s", out)
 	}
 }

@@ -82,8 +82,7 @@ type CallEdge struct {
 type CallGraph struct {
 	// ByName maps a full name to its declaration.
 	ByName map[string]*FuncInfo
-	// Callees and Callers index the edges both ways.
-	Callees map[string][]CallEdge
+	// Callers indexes the edges by callee.
 	Callers map[string][]CallEdge
 }
 
@@ -95,7 +94,6 @@ func (u *Unit) CallGraph() *CallGraph {
 		funcs := u.Functions()
 		g := &CallGraph{
 			ByName:  make(map[string]*FuncInfo, len(funcs)),
-			Callees: make(map[string][]CallEdge),
 			Callers: make(map[string][]CallEdge),
 		}
 		for _, fi := range funcs {
@@ -134,7 +132,6 @@ func (u *Unit) CallGraph() *CallGraph {
 		wg.Wait()
 		for _, es := range edges {
 			for _, e := range es {
-				g.Callees[e.Caller] = append(g.Callees[e.Caller], e)
 				g.Callers[e.Callee] = append(g.Callers[e.Callee], e)
 			}
 		}
@@ -170,24 +167,6 @@ func (g *CallGraph) ReverseReachable(seeds []string) map[string]bool {
 			if !reach[e.Caller] {
 				reach[e.Caller] = true
 				queue = append(queue, e.Caller)
-			}
-		}
-	}
-	return reach
-}
-
-// ForwardReachable returns every function reachable from start through
-// static calls, start included.
-func (g *CallGraph) ForwardReachable(start string) map[string]bool {
-	reach := map[string]bool{start: true}
-	queue := []string{start}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, e := range g.Callees[cur] {
-			if !reach[e.Callee] {
-				reach[e.Callee] = true
-				queue = append(queue, e.Callee)
 			}
 		}
 	}

@@ -45,11 +45,10 @@ type sarifMessage struct {
 }
 
 type sarifResult struct {
-	RuleID        string          `json:"ruleId"`
-	Level         string          `json:"level"`
-	Message       sarifMessage    `json:"message"`
-	BaselineState string          `json:"baselineState,omitempty"`
-	Locations     []sarifLocation `json:"locations"`
+	RuleID    string          `json:"ruleId"`
+	Level     string          `json:"level"`
+	Message   sarifMessage    `json:"message"`
+	Locations []sarifLocation `json:"locations"`
 }
 
 type sarifLocation struct {
@@ -70,12 +69,9 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
-// WriteSARIF encodes the findings as a SARIF 2.1.0 log. baselined
-// reports whether a finding is grandfathered (baselineState
-// "unchanged" vs "new"; grandfathered findings downgrade to "note"
-// level so code-scanning views match the CI gate). rel maps absolute
+// WriteSARIF encodes the findings as a SARIF 2.1.0 log. rel maps absolute
 // filenames to module-relative paths.
-func WriteSARIF(w io.Writer, analyzers []*Analyzer, findings []Finding, baselined func(int) bool, rel func(string) string) error {
+func WriteSARIF(w io.Writer, analyzers []*Analyzer, findings []Finding, rel func(string) string) error {
 	rules := []sarifRule{{
 		ID:               "cavet",
 		ShortDescription: sarifMessage{Text: "framework findings: malformed or stale suppressions"},
@@ -84,20 +80,15 @@ func WriteSARIF(w io.Writer, analyzers []*Analyzer, findings []Finding, baseline
 		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifMessage{Text: a.Doc}})
 	}
 	results := []sarifResult{}
-	for i, f := range findings {
-		level, state := "error", "new"
-		if baselined != nil && baselined(i) {
-			level, state = "note", "unchanged"
-		}
+	for _, f := range findings {
 		line := f.Pos.Line
 		if line < 1 {
 			line = 1 // SARIF regions are 1-based
 		}
 		results = append(results, sarifResult{
-			RuleID:        f.Analyzer,
-			Level:         level,
-			Message:       sarifMessage{Text: f.Message},
-			BaselineState: state,
+			RuleID:  f.Analyzer,
+			Level:   "error",
+			Message: sarifMessage{Text: f.Message},
 			Locations: []sarifLocation{{
 				PhysicalLocation: sarifPhysical{
 					ArtifactLocation: sarifArtifact{URI: filepath.ToSlash(rel(f.Pos.Filename))},
@@ -121,25 +112,23 @@ func WriteSARIF(w io.Writer, analyzers []*Analyzer, findings []Finding, baseline
 
 // jsonFinding is the plain -format json record.
 type jsonFinding struct {
-	File      string `json:"file"`
-	Line      int    `json:"line"`
-	Column    int    `json:"column"`
-	Analyzer  string `json:"analyzer"`
-	Message   string `json:"message"`
-	Baselined bool   `json:"baselined,omitempty"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Column   int    `json:"column"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
 }
 
 // WriteJSON encodes the findings as a flat JSON array.
-func WriteJSON(w io.Writer, findings []Finding, baselined func(int) bool, rel func(string) string) error {
+func WriteJSON(w io.Writer, findings []Finding, rel func(string) string) error {
 	out := []jsonFinding{}
-	for i, f := range findings {
+	for _, f := range findings {
 		out = append(out, jsonFinding{
-			File:      filepath.ToSlash(rel(f.Pos.Filename)),
-			Line:      f.Pos.Line,
-			Column:    f.Pos.Column,
-			Analyzer:  f.Analyzer,
-			Message:   f.Message,
-			Baselined: baselined != nil && baselined(i),
+			File:     filepath.ToSlash(rel(f.Pos.Filename)),
+			Line:     f.Pos.Line,
+			Column:   f.Pos.Column,
+			Analyzer: f.Analyzer,
+			Message:  f.Message,
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -147,17 +136,12 @@ func WriteJSON(w io.Writer, findings []Finding, baselined func(int) bool, rel fu
 	return enc.Encode(out)
 }
 
-// WriteGitHub emits GitHub Actions workflow annotations: ::error for
-// new findings, ::notice for grandfathered ones, so PRs get inline
-// comments at the finding positions.
-func WriteGitHub(w io.Writer, findings []Finding, baselined func(int) bool, rel func(string) string) error {
-	for i, f := range findings {
-		cmd := "error"
-		if baselined != nil && baselined(i) {
-			cmd = "notice"
-		}
-		_, err := fmt.Fprintf(w, "::%s file=%s,line=%d,col=%d,title=cavet/%s::%s\n",
-			cmd, filepath.ToSlash(rel(f.Pos.Filename)), f.Pos.Line, f.Pos.Column,
+// WriteGitHub emits GitHub Actions workflow annotations, so PRs get
+// inline ::error comments at the finding positions.
+func WriteGitHub(w io.Writer, findings []Finding, rel func(string) string) error {
+	for _, f := range findings {
+		_, err := fmt.Fprintf(w, "::error file=%s,line=%d,col=%d,title=cavet/%s::%s\n",
+			filepath.ToSlash(rel(f.Pos.Filename)), f.Pos.Line, f.Pos.Column,
 			f.Analyzer, escapeGitHub(f.Message))
 		if err != nil {
 			return err

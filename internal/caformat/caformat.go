@@ -34,9 +34,8 @@
 //	name      := u32 length | bytes                  (aux signature names)
 //
 // Cross edges are NOT serialized: they are fully determined by the NFA's
-// edges plus the location tables and way geometry (same way → G1, same
-// G4 group → G4, else chained — exactly the derivation Placement.Verify
-// enforces), so the decoder reconstructs them and runs Verify before
+// edges plus the location tables and way geometry, so the decoder
+// reconstructs them (Placement.DeriveCross) and runs Verify before
 // returning. The decoder validates every count against the bytes
 // actually present before allocating, so arbitrary, bit-flipped or
 // truncated input returns a structured error — never a panic or an
@@ -233,14 +232,6 @@ func (c *cursor) u32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
-func (c *cursor) u64() uint64 {
-	b := c.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
 func (c *cursor) remaining() int { return len(c.b) - c.off }
 
 // Per-record minimum sizes, used to bound every count by the bytes
@@ -426,40 +417,8 @@ func decodeBody(b []byte) (*mapper.Placement, []string, error) {
 		return nil, nil, fmt.Errorf("caformat: %d trailing bytes after the last section", c.remaining())
 	}
 
-	// Cross edges are derived, not stored: the placement fully determines
-	// the switch level of every inter-partition edge. Counted first so the
-	// slice is allocated once.
-	nCross := 0
-	for u := 0; u < int(numStates); u++ {
-		for _, v := range pl.NFA.States[u].Out {
-			if pl.PartitionOf[u] != pl.PartitionOf[v] {
-				nCross++
-			}
-		}
-	}
-	pl.Cross = make([]mapper.CrossEdge, 0, nCross)
-	for u := 0; u < int(numStates); u++ {
-		for _, v := range pl.NFA.States[u].Out {
-			srcP, dstP := pl.PartitionOf[u], pl.PartitionOf[v]
-			if srcP == dstP {
-				continue
-			}
-			sw, dw := pl.Partitions[srcP].Way, pl.Partitions[dstP].Way
-			via := mapper.ViaChained
-			switch {
-			case sw == dw:
-				via = mapper.ViaG1
-			case sw/4 == dw/4:
-				via = mapper.ViaG4
-			}
-			pl.Cross = append(pl.Cross, mapper.CrossEdge{
-				Src: nfa.StateID(u), Dst: v,
-				SrcPartition: int(srcP), DstPartition: int(dstP),
-				SrcSlot: int(pl.SlotOf[u]), DstSlot: int(pl.SlotOf[v]),
-				Via: via,
-			})
-		}
-	}
+	// Cross edges are derived, not stored.
+	pl.DeriveCross()
 	if err := pl.VerifyOnce(); err != nil {
 		return nil, nil, fmt.Errorf("caformat: decoded placement fails verification: %w", err)
 	}

@@ -86,16 +86,6 @@ func (r *Ring) Remove(node string) {
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.nodes) }
 
-// Members returns the member ids, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Owners returns up to n distinct members for key, clockwise from the
 // key's ring position: the first is the primary, the rest are the
 // successor replicas in failover order. Fewer than n members yields

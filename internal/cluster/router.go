@@ -15,21 +15,23 @@ import (
 	"cacheautomaton/internal/telemetry"
 )
 
+// virtualNodes is the consistent-hash ring's virtual-node count per
+// member; suspectAfter and deadAfter are the missed-heartbeat thresholds
+// for the alive → suspect → dead transitions.
+const (
+	virtualNodes = 64
+	suspectAfter = 2
+	deadAfter    = 4
+)
+
 // Config tunes a Router. The zero value serves with sensible defaults.
 type Config struct {
 	// Replicas is how many nodes hold each rule set (default 2; clamped
 	// to the member count at placement time). The primary compiles, the
 	// rest install the shipped caformat artifact and never recompile.
 	Replicas int
-	// VirtualNodes is the consistent-hash ring's virtual-node count per
-	// member (default 64).
-	VirtualNodes int
 	// HeartbeatInterval paces the health checker (default 250ms).
 	HeartbeatInterval time.Duration
-	// SuspectAfter and DeadAfter are the missed-heartbeat thresholds
-	// for the alive → suspect → dead transitions (defaults 2 and 4).
-	SuspectAfter int
-	DeadAfter    int
 	// HedgeDelay is how long a one-shot /match waits on the primary
 	// before also asking a replica (default 30ms; negative disables
 	// hedging).
@@ -59,17 +61,8 @@ func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 2
 	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 64
-	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 250 * time.Millisecond
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 2
-	}
-	if c.DeadAfter <= c.SuspectAfter {
-		c.DeadAfter = c.SuspectAfter + 2
 	}
 	if c.HedgeDelay == 0 {
 		c.HedgeDelay = 30 * time.Millisecond
@@ -198,7 +191,7 @@ func NewRouter(cfg Config) *Router {
 		log:      cfg.Logger,
 		client:   cfg.Client,
 		members:  make(map[string]*member),
-		ring:     NewRing(cfg.VirtualNodes),
+		ring:     NewRing(virtualNodes),
 		rulesets: make(map[string]*placedRuleset),
 		sessions: make(map[string]*csession),
 		stopHB:   make(chan struct{}),
@@ -446,9 +439,9 @@ func (r *Router) heartbeatRound() bool {
 			r.col.HeartbeatFailures.Inc()
 			m.misses++
 			switch {
-			case m.misses >= r.cfg.DeadAfter:
+			case m.misses >= deadAfter:
 				r.transition(m, stateDead, server.ReadyDetail{})
-			case m.misses >= r.cfg.SuspectAfter:
+			case m.misses >= suspectAfter:
 				r.transition(m, stateSuspect, server.ReadyDetail{})
 			}
 		}

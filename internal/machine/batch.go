@@ -88,8 +88,10 @@ func (m *Machine) runBatchLanes(ctx context.Context, inputs []string, out []Batc
 		if len(out[i].Result.Matches) == 0 {
 			out[i].Result.Matches = nil
 		}
-		// One summary per input, as the sequential path's RunContext
-		// gives; the lanes share the sweep, so they share its time.
+		// Each lane is a stream from Reset. One summary per input, as the
+		// sequential path's RunContext gives; the lanes share the sweep,
+		// so they share its time.
+		m.derive(&out[i].Result, 0, 0)
 		m.observe(&Result{}, &out[i].Result, start, len(out))
 	}
 	return nil
@@ -97,15 +99,13 @@ func (m *Machine) runBatchLanes(ctx context.Context, inputs []string, out []Batc
 
 // laneAcc is one lane's in-flight accumulators. sumActive and live
 // (cycles with a non-empty enabled vector) are enough to reconstruct the
-// full activity block: SumDynamicStates = sumActive - alwaysCnt·live and
-// SumActivePartitions = live, because the single partition is active on
-// exactly the live cycles.
+// activity block: SumActivePartitions = live, because the single
+// partition is active on exactly the live cycles.
 type laneAcc struct {
 	e         uint64
 	sumActive int
 	maxActive int
 	live      int
-	outBuf    int
 }
 
 // runLaneGroup drives up to four streams through the partition's word-0
@@ -175,7 +175,7 @@ func (m *Machine) runLaneGroup(ctx context.Context, inputs []string, out []Batch
 				nx := ((mm & shiftM) << 1) | (mm & selfM)
 				if mm&rareM != 0 {
 					if rb := mm & r0; rb != 0 {
-						m.laneReport(&out[0].Result, &acc[0].outBuf, p, rb, int64(i))
+						m.laneReport(&out[0].Result, p, rb, int64(i))
 					}
 					for om := mm & otherM; om != 0; om &= om - 1 {
 						nx |= localRows[bits.TrailingZeros64(om)][0]
@@ -193,7 +193,7 @@ func (m *Machine) runLaneGroup(ctx context.Context, inputs []string, out []Batch
 				nx := ((mm & shiftM) << 1) | (mm & selfM)
 				if mm&rareM != 0 {
 					if rb := mm & r0; rb != 0 {
-						m.laneReport(&out[1].Result, &acc[1].outBuf, p, rb, int64(i))
+						m.laneReport(&out[1].Result, p, rb, int64(i))
 					}
 					for om := mm & otherM; om != 0; om &= om - 1 {
 						nx |= localRows[bits.TrailingZeros64(om)][0]
@@ -211,7 +211,7 @@ func (m *Machine) runLaneGroup(ctx context.Context, inputs []string, out []Batch
 				nx := ((mm & shiftM) << 1) | (mm & selfM)
 				if mm&rareM != 0 {
 					if rb := mm & r0; rb != 0 {
-						m.laneReport(&out[2].Result, &acc[2].outBuf, p, rb, int64(i))
+						m.laneReport(&out[2].Result, p, rb, int64(i))
 					}
 					for om := mm & otherM; om != 0; om &= om - 1 {
 						nx |= localRows[bits.TrailingZeros64(om)][0]
@@ -229,7 +229,7 @@ func (m *Machine) runLaneGroup(ctx context.Context, inputs []string, out []Batch
 				nx := ((mm & shiftM) << 1) | (mm & selfM)
 				if mm&rareM != 0 {
 					if rb := mm & r0; rb != 0 {
-						m.laneReport(&out[3].Result, &acc[3].outBuf, p, rb, int64(i))
+						m.laneReport(&out[3].Result, p, rb, int64(i))
 					}
 					for om := mm & otherM; om != 0; om &= om - 1 {
 						nx |= localRows[bits.TrailingZeros64(om)][0]
@@ -244,7 +244,6 @@ func (m *Machine) runLaneGroup(ctx context.Context, inputs []string, out []Batch
 	acc[2].e, acc[2].sumActive, acc[2].maxActive, acc[2].live = e2, sa2, mx2, minLen
 	acc[3].e, acc[3].sumActive, acc[3].maxActive, acc[3].live = e3, sa3, mx3, minLen
 
-	alwaysCnt := int(p.alwaysCnt)
 	for l := range inputs {
 		in := inputs[l]
 		if minLen < len(in) {
@@ -257,14 +256,10 @@ func (m *Machine) runLaneGroup(ctx context.Context, inputs []string, out []Batch
 		n := int64(len(in))
 		res.Activity.Cycles = n
 		res.Activity.SumActiveStates = int64(a.sumActive)
-		res.Activity.SumDynamicStates = int64(a.sumActive - alwaysCnt*a.live)
 		res.Activity.SumActivePartitions = int64(a.live)
 		res.Activity.MaxActiveStates = int64(a.maxActive)
 		if a.live > 0 {
 			res.Activity.MaxActivePartitions = 1
-		}
-		if n > 0 {
-			res.FIFORefills = (n + cacheLineBytes - 1) / cacheLineBytes
 		}
 	}
 	return nil
@@ -306,7 +301,7 @@ func (m *Machine) runLaneScalar(ctx context.Context, in string, from int, a *lan
 			mm := rows[in[i]][0] & e
 			nx := ((mm & shiftM) << 1) | (mm & selfM)
 			if rb := mm & r0; rb != 0 {
-				m.laneReport(res, &a.outBuf, p, rb, int64(i))
+				m.laneReport(res, p, rb, int64(i))
 			}
 			for om := mm & otherM; om != 0; om &= om - 1 {
 				nx |= localRows[bits.TrailingZeros64(om)][0]
@@ -322,10 +317,9 @@ func (m *Machine) runLaneScalar(ctx context.Context, in string, from int, a *lan
 }
 
 // laneReport is the rare reporting path of one lane's cycle: reportTo
-// on the single partition's word 0, with the lane's private Result and
-// buffer occupancy.
-func (m *Machine) laneReport(res *Result, outBuf *int, p *partition, rb uint64, off int64) {
-	m.reportTo(res, outBuf, p, 0, [wordsPerPartition]uint64{rb}, off)
+// on the single partition's word 0, with the lane's private Result.
+func (m *Machine) laneReport(res *Result, p *partition, rb uint64, off int64) {
+	m.reportTo(res, p, 0, [wordsPerPartition]uint64{rb}, off)
 }
 
 // runBatchSequential is the batch contract spelled out: every input gets

@@ -16,26 +16,27 @@ import (
 const ContextCheckBytes = 64 << 10
 
 // scan is the one chunked scan loop, under RunContext, the shard workers
-// and their repair pass, and the sequential batch fallback: a ctx check,
-// the FIFO refill accounting and the symbol loop per ContextCheckBytes
-// sub-batch. A ctx that can never be canceled (Done() == nil) scans the
-// input as a single sub-batch. On cancellation the machine keeps the
-// position it reached.
+// and their repair pass, and the sequential batch fallback: a ctx check
+// and the symbol loop per ContextCheckBytes sub-batch, then the derived
+// numbers of m.res brought up to where the loop stopped. A ctx that can
+// never be canceled (Done() == nil) scans the input as a single
+// sub-batch. On cancellation the machine keeps the position it reached.
 func (m *Machine) scan(ctx context.Context, input []byte) error {
 	step := len(input)
 	if ctx.Done() != nil {
 		step = ContextCheckBytes
 	}
+	var err error
 	for len(input) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
+		if err = ctx.Err(); err != nil {
+			break
 		}
 		n := min(step, len(input))
-		m.accountRefills(input[:n])
 		m.runBatch(input[:n])
 		input = input[n:]
 	}
-	return nil
+	m.derive(&m.res, m.basePos, m.baseBuf)
+	return err
 }
 
 // RunContext processes the input and returns a snapshot of the

@@ -16,9 +16,9 @@
 // the arch energy model.
 //
 // The simulator mirrors the SRAM's word-parallel nature in its data
-// layout: each partition's 256×256-bit array is one contiguous []uint64
-// (a 4-word stride per symbol row), the active/match vectors are fixed
-// 4-word arrays, and the hot loop is raw word arithmetic — AND/OR over
+// layout: each partition's 256×256-bit array is a [256][4]uint64 (one
+// four-word row per symbol), the active/match vectors are fixed 4-word
+// arrays, and the hot loop is raw word arithmetic — AND/OR over
 // words, popcount for the activity counters, and TrailingZeros64 to walk
 // matched slots. Nothing on the symbol path allocates or calls through an
 // interface.
@@ -99,11 +99,11 @@ type ActivityStats struct {
 
 // merge folds o's totals into s (peaks take the max). Used to combine the
 // per-shard statistics of a parallel run; on exact shard handoffs the sums
-// equal the sequential run's bit for bit.
+// equal the sequential run's bit for bit. SumDynamicStates is derived from
+// the merged sums (see derive), not merged.
 func (s *ActivityStats) merge(o *ActivityStats) {
 	s.Cycles += o.Cycles
 	s.SumActiveStates += o.SumActiveStates
-	s.SumDynamicStates += o.SumDynamicStates
 	s.SumActivePartitions += o.SumActivePartitions
 	s.SumG1Crossings += o.SumG1Crossings
 	s.SumG4Crossings += o.SumG4Crossings
@@ -152,7 +152,7 @@ type Result struct {
 	// fills (§2.8).
 	OutputBufferInterrupts int64
 	// FIFORefills counts cache-line reads refilling the input FIFO (§2.8).
-	// Refills are tracked by absolute stream position, so feeding a stream
+	// It follows from the absolute stream position, so feeding a stream
 	// in unaligned chunks counts each 64-byte line exactly once.
 	FIFORefills int64
 	// OutputBufferPeak is the high-water mark of buffered report entries
@@ -223,11 +223,13 @@ type Machine struct {
 	crossed        []int32
 	curActiveSpare []int32
 	pos            int64
-	// fifoNextLine is the absolute index of the next cache line the input
-	// FIFO will fetch; it makes FIFORefills chunking-invariant.
-	fifoNextLine int64
-	outBuffered  int
-	res          Result
+	// basePos/baseBuf are the stream position and output-buffer occupancy
+	// at the last Reset or Restore — where res started accumulating, and
+	// with it all derive needs. alwaysCnt totals the partitions' alwaysCnt.
+	basePos   int64
+	baseBuf   int
+	alwaysCnt int64
+	res       Result
 	// lanePacked marks a machine whose whole architectural state fits one
 	// 64-bit word (single partition, every used slot below 64): RunBatch
 	// may then drive up to four independent streams through the row arrays
@@ -344,6 +346,7 @@ func New(pl *mapper.Placement, opts Options) (*Machine, error) {
 			p.alwaysCnt += int64(bits.OnesCount64(p.always[w]))
 		}
 		p.hasAlways = anyAlways != 0
+		m.alwaysCnt += p.alwaysCnt
 	}
 	m.activeFlag = make([]bool, len(m.parts))
 	m.lanePacked = len(m.parts) == 1 && maxSlot < 64
@@ -393,9 +396,7 @@ func (m *Machine) setActive() {
 // Reset rewinds the machine to input offset 0 (§2.10's configuration step
 // leaves exactly this state: start states enabled).
 func (m *Machine) Reset() {
-	m.pos = 0
-	m.fifoNextLine = 0
-	m.outBuffered = 0
+	m.pos, m.basePos, m.baseBuf = 0, 0, 0
 	m.res = Result{}
 	for i := range m.parts {
 		p := &m.parts[i]
@@ -435,11 +436,11 @@ func (m *Machine) runBatch(input []byte) {
 	pos := m.pos
 
 	st := &m.res.Activity
-	var sumActive, sumDynamic, sumParts, sumG1, sumG4 int64
+	var sumActive, sumParts, sumG1, sumG4 int64
 	maxActive, maxParts := st.MaxActiveStates, st.MaxActivePartitions
 
 	for _, sym := range input {
-		var activeStates, dynamicStates, activeParts, cycG1, cycG4 int64
+		var activeStates, activeParts, cycG1, cycG4 int64
 
 		for _, pi := range cur {
 			p := &parts[pi]
@@ -452,7 +453,6 @@ func (m *Machine) runBatch(input []byte) {
 				bits.OnesCount64(e2) + bits.OnesCount64(e3)
 			m0, m1, m2, m3 := row[0]&e0, row[1]&e1, row[2]&e2, row[3]&e3
 			activeStates += int64(enCnt)
-			dynamicStates += int64(enCnt) - p.alwaysCnt
 			activeParts++
 			if m0|m1|m2|m3 == 0 {
 				continue
@@ -495,7 +495,6 @@ func (m *Machine) runBatch(input []byte) {
 		sumG1 += cycG1
 		sumG4 += cycG4
 		sumActive += activeStates
-		sumDynamic += dynamicStates
 		sumParts += activeParts
 		if activeStates > maxActive {
 			maxActive = activeStates
@@ -545,7 +544,6 @@ func (m *Machine) runBatch(input []byte) {
 	m.crossed = crossed
 	st.Cycles += int64(len(input))
 	st.SumActiveStates += sumActive
-	st.SumDynamicStates += sumDynamic
 	st.SumActivePartitions += sumParts
 	st.SumG1Crossings += sumG1
 	st.SumG4Crossings += sumG4
@@ -563,13 +561,12 @@ func (m *Machine) runBatch1(input []byte) {
 	pos := m.pos
 
 	st := &m.res.Activity
-	var sumActive, sumDynamic, sumParts int64
+	var sumActive, sumParts int64
 	maxActive, maxParts := st.MaxActiveStates, st.MaxActivePartitions
 
 	e0, e1, e2, e3 := p.enabled[0], p.enabled[1], p.enabled[2], p.enabled[3]
 	a0, a1, a2, a3 := p.always[0], p.always[1], p.always[2], p.always[3]
 	r0, r1, r2, r3 := p.reports[0], p.reports[1], p.reports[2], p.reports[3]
-	alwaysCnt := p.alwaysCnt
 
 	for i, sym := range input {
 		if e0|e1|e2|e3 == 0 {
@@ -583,7 +580,6 @@ func (m *Machine) runBatch1(input []byte) {
 			bits.OnesCount64(e2) + bits.OnesCount64(e3))
 		m0, m1, m2, m3 := row[0]&e0, row[1]&e1, row[2]&e2, row[3]&e3
 		sumActive += enCnt
-		sumDynamic += enCnt - alwaysCnt
 		sumParts++
 		if enCnt > maxActive {
 			maxActive = enCnt
@@ -616,7 +612,6 @@ func (m *Machine) runBatch1(input []byte) {
 	m.pos = pos
 	st.Cycles += int64(len(input))
 	st.SumActiveStates += sumActive
-	st.SumDynamicStates += sumDynamic
 	st.SumActivePartitions += sumParts
 	st.MaxActiveStates = maxActive
 	st.MaxActivePartitions = maxParts
@@ -626,32 +621,24 @@ func (m *Machine) runBatch1(input []byte) {
 // report records the matched reporting slots of partition p at m.pos.
 // The caller passes the cycle's match words (they live in registers in
 // the hot loop and are not stored anywhere else). It is kept out of
-// line: inlined, reportTo's six arguments cost the symbol loops registers
-// at every call site (−5 % scan_mb_per_s on the ledger's compile-cold).
+// line: inlined, reportTo's arguments cost the symbol loops registers at
+// every call site (−5 % scan_mb_per_s on the ledger's compile-cold).
 //
 //go:noinline
 func (m *Machine) report(p *partition, pi int, matched [wordsPerPartition]uint64) {
-	m.reportTo(&m.res, &m.outBuffered, p, pi, matched, m.pos)
+	m.reportTo(&m.res, p, pi, matched, m.pos)
 }
 
 // reportTo is the one reporting loop, under report and the lane-packed
 // sweep's laneReport: partition pi's reporting slots among matched, in
-// ascending slot order, counted into res, pushed through the output
-// buffer whose occupancy is *outBuf (an interrupt drains it at
-// OutputBufferEntries), and collected under CollectMatches.
-func (m *Machine) reportTo(res *Result, outBuf *int, p *partition, pi int, matched [wordsPerPartition]uint64, off int64) {
+// ascending slot order, counted into res and collected under
+// CollectMatches. What the output buffer did with them is derived from
+// the count (see derive).
+func (m *Machine) reportTo(res *Result, p *partition, pi int, matched [wordsPerPartition]uint64, off int64) {
 	for w, mw := range matched {
 		for rb := mw & p.reports[w]; rb != 0; rb &= rb - 1 {
 			slot := w<<6 + bits.TrailingZeros64(rb)
 			res.MatchCount++
-			*outBuf++
-			if int64(*outBuf) > res.OutputBufferPeak {
-				res.OutputBufferPeak = int64(*outBuf)
-			}
-			if *outBuf >= OutputBufferEntries {
-				res.OutputBufferInterrupts++
-				*outBuf = 0
-			}
 			if m.opts.CollectMatches {
 				res.Matches = append(res.Matches, Match{
 					Offset:    off,
@@ -664,20 +651,32 @@ func (m *Machine) reportTo(res *Result, outBuf *int, p *partition, pi int, match
 	}
 }
 
-// accountRefills charges the input FIFO for the cache lines the next
-// len(input) symbols will pull in. Refills are tracked by absolute
-// stream position: count each 64-byte line once however the stream is
-// chunked.
-func (m *Machine) accountRefills(input []byte) {
-	if len(input) == 0 {
-		return
+// derive fills the numbers of r that the symbol loops do not carry
+// because they are functions of what the loops do carry. r accumulated
+// from stream position base with b0 entries in the output buffer, so it
+// ends at pos = base + Cycles having pushed MatchCount more:
+//
+//   - the input FIFO (§2.8) fetches each cache line once, when the stream
+//     first touches it, however the stream is chunked; the lines up to
+//     base, a partly consumed one included, were fetched before r began;
+//   - the 64-entry output buffer (§2.8) interrupts and drains each time it
+//     fills, so interrupts, high-water mark and the occupancy left over
+//     (returned: it is architectural state, not a statistic) follow from
+//     b0 + MatchCount;
+//   - a partition holding always-on starts is active every cycle and a
+//     partition holding none adds nothing, so the dynamic-state sum is
+//     the active-state sum less the always-on count per cycle.
+func (m *Machine) derive(r *Result, base int64, b0 int) (buffered int) {
+	lines := func(pos int64) int64 { return (pos + cacheLineBytes - 1) / cacheLineBytes }
+	a := &r.Activity
+	a.SumDynamicStates = a.SumActiveStates - a.Cycles*m.alwaysCnt
+	r.FIFORefills = lines(base+a.Cycles) - lines(base)
+	pushed := int64(b0) + r.MatchCount
+	r.OutputBufferInterrupts = pushed / OutputBufferEntries
+	if r.MatchCount > 0 {
+		r.OutputBufferPeak = min(pushed, OutputBufferEntries)
 	}
-	first := max(m.pos/cacheLineBytes, m.fifoNextLine)
-	last := (m.pos + int64(len(input)) - 1) / cacheLineBytes
-	if last >= first {
-		m.res.FIFORefills += last - first + 1
-		m.fifoNextLine = last + 1
-	}
+	return int(pushed % OutputBufferEntries)
 }
 
 // DrainMatches hands over the collected matches and releases the machine's

@@ -49,11 +49,9 @@ func ShardsFor(requested, inputLen int) int {
 //     enabled vectors and the input bytes, so matching vectors guarantee
 //     identical per-cycle behavior.
 //   - Matches concatenate in shard order (= ascending offsets = sequential
-//     order), activity statistics sum (peaks take the max), and the FIFO
-//     and output-buffer counters are recomputed globally: refills are
-//     ceil(len/64) for a contiguous stream, and the 64-deep output buffer's
-//     interrupt count and high-water mark are pure functions of the total
-//     match count.
+//     order), activity statistics sum (peaks take the max), and derive
+//     fills the rest from the merged totals exactly as it does for a
+//     sequential run from offset 0.
 //
 // ms[0]'s Observer hears about the merged result, once; the shard workers
 // (whose warm-up and mis-speculated cycles are not the run's) report
@@ -91,11 +89,7 @@ func RunShardedContext(ctx context.Context, ms []*Machine, input []byte) (*Resul
 	// Restore re-asserts the always-on start mask, so an all-zero snapshot
 	// is the idle state: only the always-on start states enabled
 	// (startOfData states matter only at offset 0, which Reset handles).
-	zero := make([]uint64, wordsPerPartition)
-	idle := make([][]uint64, ms[0].NumPartitions())
-	for p := range idle {
-		idle[p] = zero
-	}
+	idle := make([][wordsPerPartition]uint64, ms[0].NumPartitions())
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -145,7 +139,7 @@ func RunShardedContext(ctx context.Context, ms []*Machine, input []byte) (*Resul
 	// end state. Worst case this re-does each shard once — bounded at ~2×
 	// the sequential work — and it is what makes the result exact.
 	for i := 1; i < n; i++ {
-		if slices.EqualFunc(assumed[i].Enabled, endSt[i-1].Enabled, slices.Equal[[]uint64]) {
+		if slices.Equal(assumed[i].Enabled, endSt[i-1].Enabled) {
 			continue
 		}
 		var err error
@@ -161,9 +155,7 @@ func RunShardedContext(ctx context.Context, ms []*Machine, input []byte) (*Resul
 		out.Matches = append(out.Matches, results[i].Matches...)
 		out.Activity.merge(&results[i].Activity)
 	}
-	out.FIFORefills = (int64(len(input)) + cacheLineBytes - 1) / cacheLineBytes
-	out.OutputBufferInterrupts = out.MatchCount / OutputBufferEntries
-	out.OutputBufferPeak = min(out.MatchCount, OutputBufferEntries)
+	ms[0].derive(out, 0, 0)
 	ms[0].observe(&Result{}, out, start, 1)
 	return out, nil
 }

@@ -24,8 +24,8 @@ type snapshotHeader struct {
 type Snapshot struct {
 	// Pos is the input offset of the next symbol.
 	Pos int64
-	// Enabled holds each partition's active-state vector words.
-	Enabled [][]uint64
+	// Enabled holds each partition's active-state vector.
+	Enabled [][wordsPerPartition]uint64
 	// OutBuffered is the current output-buffer occupancy.
 	OutBuffered int
 }
@@ -34,31 +34,21 @@ type Snapshot struct {
 // and collected matches are NOT part of the snapshot (they belong to the
 // monitoring side, not the architectural state).
 func (m *Machine) Snapshot() *Snapshot {
-	s := &Snapshot{Pos: m.pos, OutBuffered: m.outBuffered}
-	s.Enabled = make([][]uint64, len(m.parts))
+	s := &Snapshot{Pos: m.pos, OutBuffered: m.derive(&m.res, m.basePos, m.baseBuf)}
+	s.Enabled = make([][wordsPerPartition]uint64, len(m.parts))
 	for i := range m.parts {
-		s.Enabled[i] = append([]uint64(nil), m.parts[i].enabled[:]...)
+		s.Enabled[i] = m.parts[i].enabled
 	}
 	return s
 }
 
 // Restore resumes execution from a snapshot taken on a machine with the
-// same placement (same partition count and sizes).
+// same placement (same partition count).
 func (m *Machine) Restore(s *Snapshot) error {
 	if len(s.Enabled) != len(m.parts) {
 		return fmt.Errorf("machine: snapshot has %d partitions, machine has %d", len(s.Enabled), len(m.parts))
 	}
-	for i, words := range s.Enabled {
-		if len(words) != wordsPerPartition {
-			return fmt.Errorf("machine: snapshot partition %d has %d words, want %d",
-				i, len(words), wordsPerPartition)
-		}
-	}
-	m.pos = s.Pos
-	// A resumed contiguous stream has already fetched every line before
-	// Pos, including a partially-consumed one.
-	m.fifoNextLine = (s.Pos + cacheLineBytes - 1) / cacheLineBytes
-	m.outBuffered = s.OutBuffered
+	m.pos, m.basePos, m.baseBuf = s.Pos, s.Pos, s.OutBuffered
 	m.res = Result{}
 	for i := range m.parts {
 		p := &m.parts[i]
@@ -86,11 +76,11 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	if err := write(snapshotHeader{snapshotMagic, s.Pos, int64(s.OutBuffered), int64(len(s.Enabled))}); err != nil {
 		return n, err
 	}
-	for _, words := range s.Enabled {
-		if err := write(int64(len(words))); err != nil {
+	for i := range s.Enabled {
+		if err := write(int64(wordsPerPartition)); err != nil {
 			return n, err
 		}
-		if err := write(words); err != nil {
+		if err := write(s.Enabled[i][:]); err != nil {
 			return n, err
 		}
 	}
@@ -128,7 +118,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if hdr.Parts < 0 || hdr.Parts > maxParts {
 		return nil, fmt.Errorf("machine: implausible partition count %d", hdr.Parts)
 	}
-	s := &Snapshot{Pos: hdr.Pos, OutBuffered: int(hdr.OutBuf), Enabled: make([][]uint64, hdr.Parts)}
+	s := &Snapshot{Pos: hdr.Pos, OutBuffered: int(hdr.OutBuf), Enabled: make([][wordsPerPartition]uint64, hdr.Parts)}
 	for i := range s.Enabled {
 		var words int64
 		if err := binary.Read(r, binary.LittleEndian, &words); err != nil {
@@ -138,8 +128,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 			return nil, fmt.Errorf("machine: snapshot partition %d has %d words, want %d",
 				i, words, wordsPerPartition)
 		}
-		s.Enabled[i] = make([]uint64, wordsPerPartition)
-		if err := binary.Read(r, binary.LittleEndian, s.Enabled[i]); err != nil {
+		if err := binary.Read(r, binary.LittleEndian, s.Enabled[i][:]); err != nil {
 			return nil, err
 		}
 	}

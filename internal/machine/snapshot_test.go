@@ -3,6 +3,8 @@ package machine
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -102,13 +104,43 @@ func TestSnapshotExcludesStatistics(t *testing.T) {
 	}
 }
 
+// TestSnapshotWireFormatGolden holds the snapshot encoding to the bytes
+// WALs and clients already have: magic, position, occupancy, partition
+// count, then each partition as its word count and its words, all
+// little-endian. The bytes were written by the commit before Enabled
+// became an array type; both directions must keep agreeing with them.
+func TestSnapshotWireFormatGolden(t *testing.T) {
+	snap := &Snapshot{Pos: 4242, OutBuffered: 7, Enabled: [][4]uint64{{1, 2, 3, 4}, {0, 0, 1 << 63, 0}}}
+	golden, err := hex.DecodeString("" +
+		"4341534e41503031" + "9210000000000000" + "0700000000000000" + "0200000000000000" +
+		"0400000000000000" + "0100000000000000" + "0200000000000000" + "0300000000000000" + "0400000000000000" +
+		"0400000000000000" + "0000000000000000" + "0000000000000000" + "0000000000000080" + "0000000000000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire bytes.Buffer
+	if n, err := snap.WriteTo(&wire); err != nil || n != int64(len(golden)) {
+		t.Fatalf("WriteTo = %d, %v; want %d bytes", n, err, len(golden))
+	}
+	if !bytes.Equal(wire.Bytes(), golden) {
+		t.Fatalf("wire format moved:\n got %x\nwant %x", wire.Bytes(), golden)
+	}
+	back, err := ReadSnapshot(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, snap) {
+		t.Fatalf("golden bytes decode to %+v, want %+v", back, snap)
+	}
+}
+
 // FuzzReadSnapshot feeds the snapshot decoder what a client can send in
 // OpenSessionRequest.SnapshotB64: it must never panic, never size an
 // allocation from a header the payload does not back, and accept only
 // canonical encodings of states a machine can be in.
 func FuzzReadSnapshot(f *testing.F) {
 	var valid bytes.Buffer
-	snap := &Snapshot{Pos: 4242, OutBuffered: 7, Enabled: [][]uint64{{1, 2, 3, 4}, {0, 0, 1 << 63, 0}}}
+	snap := &Snapshot{Pos: 4242, OutBuffered: 7, Enabled: [][4]uint64{{1, 2, 3, 4}, {0, 0, 1 << 63, 0}}}
 	if _, err := snap.WriteTo(&valid); err != nil {
 		f.Fatal(err)
 	}

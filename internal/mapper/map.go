@@ -14,14 +14,8 @@ import (
 type Config struct {
 	// Design selects CA_P or CA_S parameters (required).
 	Design *arch.Design
-	// WaysPerSlice is how many ways per slice the NFA may occupy
-	// (default 8, §2.9).
-	WaysPerSlice int
 	// Seed makes the k-way partitioner deterministic.
 	Seed int64
-	// MaxSplitRetries bounds how often a large connected component is
-	// re-split with larger k when switch budgets fail (default 8).
-	MaxSplitRetries int
 	// AllowChainedG4 permits mapping components larger than one G-Switch-4
 	// group (64 partitions) by modeling cross-group edges as chained G4
 	// hops. The paper's switches have no switch-to-switch wiring; this
@@ -34,19 +28,12 @@ type Config struct {
 	Trace *telemetry.Trace
 }
 
-func (c Config) waysPerSlice() int {
-	if c.WaysPerSlice <= 0 {
-		return 8
-	}
-	return c.WaysPerSlice
-}
+// waysPerSlice is how many ways per slice the NFA may occupy (§2.9).
+const waysPerSlice = 8
 
-func (c Config) maxRetries() int {
-	if c.MaxSplitRetries <= 0 {
-		return 12
-	}
-	return c.MaxSplitRetries
-}
+// maxSplitRetries bounds how often a large connected component is
+// re-split with another k when switch budgets fail.
+const maxSplitRetries = 12
 
 // partitionsPerWay returns the way capacity for the design: CA_P uses only
 // the A[16]=0 arrays of each 16 KB sub-array (§3.1), i.e. 8 partitions per
@@ -73,7 +60,7 @@ func Map(n *nfa.NFA, cfg Config) (*Placement, error) {
 			Design:           cfg.Design,
 			PartitionOf:      make([]int32, n.NumStates()),
 			SlotOf:           make([]int32, n.NumStates()),
-			WaysPerSlice:     cfg.waysPerSlice(),
+			WaysPerSlice:     waysPerSlice,
 			PartitionsPerWay: partitionsPerWay(cfg.Design),
 		},
 	}
@@ -120,7 +107,10 @@ func Map(n *nfa.NFA, cfg Config) (*Placement, error) {
 	sp.End()
 
 	sx := cfg.Trace.StartPhase("map.cross")
-	if err := m.computeCrossEdges(); err != nil {
+	m.pl.DeriveCross()
+	// The physical budgets are re-checked after final placement; memoized,
+	// so the machines built from this placement do not check again.
+	if err := m.pl.VerifyOnce(); err != nil {
 		return nil, err
 	}
 	sx.SetAttr("cross_edges", int64(len(m.pl.Cross)))
@@ -236,7 +226,7 @@ func (m *builder) mapLargeComponent(c nfa.Component) error {
 	k := arch.CeilDiv(c.Size(), slack)
 	kMin := arch.CeilDiv(c.Size(), arch.PartitionSTEs)
 	var lastErr error
-	for attempt := 0; attempt < m.cfg.maxRetries(); attempt++ {
+	for attempt := 0; attempt < maxSplitRetries; attempt++ {
 		m.splitRetries++
 		tryK := k
 		if attempt%2 == 1 && kMin < k {
@@ -294,7 +284,7 @@ func (m *builder) mapLargeComponent(c nfa.Component) error {
 		k++
 	}
 	return fmt.Errorf("mapper: cannot satisfy switch budgets for component of %d states after %d attempts (design %v): %v",
-		c.Size(), m.cfg.maxRetries(), d.Kind, lastErr)
+		c.Size(), maxSplitRetries, d.Kind, lastErr)
 }
 
 // tryCommit validates (and budget-repairs) one candidate split; on success
@@ -463,35 +453,4 @@ func (m *builder) assignWaysForUnplaced() {
 		m.wayFill[way]++
 	}
 	m.pending = nil
-}
-
-// computeCrossEdges records every inter-partition NFA edge with its switch
-// assignment, and re-verifies the physical budgets after final placement.
-func (m *builder) computeCrossEdges() error {
-	pl := m.pl
-	for u := range pl.NFA.States {
-		for _, v := range pl.NFA.States[u].Out {
-			pu, pv := pl.PartitionOf[u], pl.PartitionOf[v]
-			if pu == pv {
-				continue
-			}
-			sw, dw := pl.Partitions[pu].Way, pl.Partitions[pv].Way
-			var via Via
-			switch {
-			case sw == dw:
-				via = ViaG1
-			case pl.g4Group(sw) == pl.g4Group(dw):
-				via = ViaG4
-			default:
-				via = ViaChained
-			}
-			pl.Cross = append(pl.Cross, CrossEdge{
-				Src: nfa.StateID(u), Dst: v,
-				SrcPartition: int(pu), DstPartition: int(pv),
-				SrcSlot: int(pl.SlotOf[u]), DstSlot: int(pl.SlotOf[v]),
-				Via: via,
-			})
-		}
-	}
-	return pl.Verify()
 }

@@ -145,8 +145,50 @@ func (p *Placement) SlicesUsed() int {
 	return arch.CeilDiv(p.WaysUsed(), p.WaysPerSlice)
 }
 
-// g4Group returns the G-Switch-4 group of a way (groups of 4 ways, §2.4).
-func (p *Placement) g4Group(way int) int { return way / 4 }
+// via is the cross-edge rule (§2.4): partitions of one way meet in its
+// G-Switch-1, ways of one group of four in their G-Switch-4, and anything
+// farther apart needs chained G4 hops.
+func (p *Placement) via(src, dst int32) Via {
+	sw, dw := p.Partitions[src].Way, p.Partitions[dst].Way
+	switch {
+	case sw == dw:
+		return ViaG1
+	case sw/4 == dw/4:
+		return ViaG4
+	}
+	return ViaChained
+}
+
+// DeriveCross programs Cross: one entry, in state order, for every NFA
+// edge whose ends sit in different partitions, at the switch level the
+// final way assignment implies. Cross holds nothing the NFA, the location
+// tables and the ways do not determine, which is why caformat does not
+// store it.
+func (p *Placement) DeriveCross() {
+	crossing := 0
+	for u := range p.NFA.States {
+		for _, v := range p.NFA.States[u].Out {
+			if p.PartitionOf[u] != p.PartitionOf[v] {
+				crossing++
+			}
+		}
+	}
+	p.Cross = make([]CrossEdge, 0, crossing)
+	for u := range p.NFA.States {
+		for _, v := range p.NFA.States[u].Out {
+			pu, pv := p.PartitionOf[u], p.PartitionOf[v]
+			if pu == pv {
+				continue
+			}
+			p.Cross = append(p.Cross, CrossEdge{
+				Src: nfa.StateID(u), Dst: v,
+				SrcPartition: int(pu), DstPartition: int(pv),
+				SrcSlot: int(p.SlotOf[u]), DstSlot: int(p.SlotOf[v]),
+				Via: p.via(pu, pv),
+			})
+		}
+	}
+}
 
 // Stats summarizes a placement.
 type Stats struct {
@@ -257,20 +299,11 @@ func (p *Placement) Verify() error {
 			return fmt.Errorf("mapper: duplicate cross edge %d→%d", ce.Src, ce.Dst)
 		}
 		crossSet[key] = ce.Via
-		// Via must match the physical placement.
-		sw, dw := p.Partitions[ce.SrcPartition].Way, p.Partitions[ce.DstPartition].Way
-		var want Via
-		switch {
-		case ce.SrcPartition == ce.DstPartition:
+		if ce.SrcPartition == ce.DstPartition {
 			return fmt.Errorf("mapper: cross edge %d→%d within one partition", ce.Src, ce.Dst)
-		case sw == dw:
-			want = ViaG1
-		case p.g4Group(sw) == p.g4Group(dw):
-			want = ViaG4
-		default:
-			want = ViaChained
 		}
-		if ce.Via != want {
+		// Via must match the physical placement.
+		if want := p.via(int32(ce.SrcPartition), int32(ce.DstPartition)); ce.Via != want {
 			return fmt.Errorf("mapper: cross edge %d→%d via %v, placement implies %v", ce.Src, ce.Dst, ce.Via, want)
 		}
 	}

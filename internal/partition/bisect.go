@@ -5,10 +5,14 @@ import (
 	"math/rand"
 )
 
+// ubFactor bounds a part's weight at ubFactor × its target share (5%
+// imbalance).
+const ubFactor = 1.05
+
 // bisect splits g into parts {0,1} with part-0 target weight targetW0,
-// allowing imbalance up to ubFactor (e.g. 1.05 = 5% over target). It runs
-// the full multilevel pipeline on g.
-func bisect(g *Graph, targetW0 int64, ubFactor float64, rng *rand.Rand, tries int) []int32 {
+// allowing imbalance up to ubFactor. It runs the full multilevel pipeline
+// on g.
+func bisect(g *Graph, targetW0 int64, rng *rand.Rand, tries int) []int32 {
 	levels := coarsen(g, 64, rng)
 	coarsest := g
 	if len(levels) > 0 {
@@ -20,7 +24,7 @@ func bisect(g *Graph, targetW0 int64, ubFactor float64, rng *rand.Rand, tries in
 	var bestCut int64 = 1 << 62
 	for t := 0; t < tries; t++ {
 		part := growBisection(coarsest, targetW0, rng)
-		fmRefine(coarsest, part, targetW0, total, ubFactor, 6)
+		fmRefine(coarsest, part, targetW0, total, 6)
 		cut := Cut(coarsest, part)
 		if cut < bestCut || best == nil {
 			bestCut = cut
@@ -39,7 +43,7 @@ func bisect(g *Graph, targetW0 int64, ubFactor float64, rng *rand.Rand, tries in
 			fine[v] = part[levels[i].fineToCoarse[v]]
 		}
 		part = fine
-		fmRefine(finer, part, targetW0, total, ubFactor, 4)
+		fmRefine(finer, part, targetW0, total, 4)
 	}
 	return part
 }
@@ -130,7 +134,7 @@ func (h *gainHeap) Pop() interface{} {
 // move the highest-gain movable vertex (respecting balance), lock it, and
 // at the end of the pass keep the best prefix of moves. Stops after
 // maxPasses or when a pass yields no improvement.
-func fmRefine(g *Graph, part []int32, targetW0, totalW int64, ubFactor float64, maxPasses int) {
+func fmRefine(g *Graph, part []int32, targetW0, totalW int64, maxPasses int) {
 	n := g.NumVertices()
 	maxW0 := int64(float64(targetW0) * ubFactor)
 	maxW1 := int64(float64(totalW-targetW0) * ubFactor)

@@ -7,22 +7,12 @@ import (
 
 // Options tune the partitioner.
 type Options struct {
-	// UBFactor bounds part weight at UBFactor × its target share
-	// (default 1.05, i.e. 5% imbalance).
-	UBFactor float64
 	// Seed drives the internal RNG; partitioning is deterministic for a
 	// given seed.
 	Seed int64
 	// Tries is the number of random initial bisections attempted at the
 	// coarsest level (default 4); the best cut wins.
 	Tries int
-}
-
-func (o Options) ub() float64 {
-	if o.UBFactor <= 1 {
-		return 1.05
-	}
-	return o.UBFactor
 }
 
 func (o Options) tries() int {
@@ -52,7 +42,7 @@ func KWay(g *Graph, k int, opts Options) ([]int32, error) {
 	for i := range verts {
 		verts[i] = int32(i)
 	}
-	recursiveBisect(g, verts, 0, k, part, opts.ub(), opts.tries(), rng)
+	recursiveBisect(g, verts, 0, k, part, opts.tries(), rng)
 	if err := Validate(g, part, k); err != nil {
 		return nil, err
 	}
@@ -61,7 +51,7 @@ func KWay(g *Graph, k int, opts Options) ([]int32, error) {
 
 // recursiveBisect splits the subgraph induced by verts into parts
 // [base, base+k), writing assignments into part.
-func recursiveBisect(g *Graph, verts []int32, base, k int, part []int32, ub float64, tries int, rng *rand.Rand) {
+func recursiveBisect(g *Graph, verts []int32, base, k int, part []int32, tries int, rng *rand.Rand) {
 	if k == 1 {
 		for _, v := range verts {
 			part[v] = int32(base)
@@ -73,7 +63,7 @@ func recursiveBisect(g *Graph, verts []int32, base, k int, part []int32, ub floa
 	sub, orig := induced(g, verts)
 	total := sub.TotalVW()
 	target0 := total * int64(kl) / int64(k)
-	assign := bisect(sub, target0, ub, rng, tries)
+	assign := bisect(sub, target0, rng, tries)
 	var left, right []int32
 	for i, p := range assign {
 		if p == 0 {
@@ -86,8 +76,8 @@ func recursiveBisect(g *Graph, verts []int32, base, k int, part []int32, ub floa
 	if len(left) == 0 || len(right) == 0 {
 		left, right = forcedSplit(g, verts, target0)
 	}
-	recursiveBisect(g, left, base, kl, part, ub, tries, rng)
-	recursiveBisect(g, right, base+kl, kr, part, ub, tries, rng)
+	recursiveBisect(g, left, base, kl, part, tries, rng)
+	recursiveBisect(g, right, base+kl, kr, part, tries, rng)
 }
 
 // forcedSplit deterministically splits verts by cumulative weight when the

@@ -534,32 +534,47 @@ func (s *Server) walAppendRetry(rt *telemetry.ReqTrace, w *wal, rec walRecord) {
 	}
 }
 
+// snapshotB64 serializes the session's architectural state in the one
+// form the WAL, the router and clients hold it in, and says how many
+// bytes it was before base64. Caller must hold sess.mu (or otherwise own
+// the stream exclusively).
+func (sess *session) snapshotB64() (snap string, size int, err error) {
+	var buf bytes.Buffer
+	if err := sess.stream.Suspend(&buf); err != nil {
+		return "", 0, err
+	}
+	return base64.StdEncoding.EncodeToString(buf.Bytes()), buf.Len(), nil
+}
+
 // walCheckpoint logs a session's current architectural state so a
 // crashed server resumes it from exactly this point, recorded as one
-// "wal" stage span on rt (serialization plus append). Caller must hold
-// sess.mu (or otherwise own the stream exclusively); the Suspend —
-// which the paper's tiny state vectors make cheap — is skipped
-// entirely when no WAL is attached.
-func (s *Server) walCheckpoint(rt *telemetry.ReqTrace, sess *session) {
+// "wal" stage span on rt (serialization plus append), and returns the
+// snapshot it logged so a caller under the same lock need not serialize
+// the same state again. Caller must hold sess.mu (or otherwise own the
+// stream exclusively); the Suspend — which the paper's tiny state
+// vectors make cheap — is skipped entirely, and "" returned, when no WAL
+// is attached.
+func (s *Server) walCheckpoint(rt *telemetry.ReqTrace, sess *session) string {
 	s.mu.RLock()
 	w := s.wal
 	s.mu.RUnlock()
 	if w == nil {
-		return
+		return ""
 	}
 	sp := rt.StartStage("wal")
 	defer sp.End()
-	var buf bytes.Buffer
-	if err := sess.stream.Suspend(&buf); err != nil {
-		return
+	snap, size, err := sess.snapshotB64()
+	if err != nil {
+		return ""
 	}
-	sp.SetAttr("bytes", int64(buf.Len()))
+	sp.SetAttr("bytes", int64(size))
 	s.walAppendRetry(rt, w, walRecord{
 		Kind:    "checkpoint",
 		ID:      sess.id,
 		Ruleset: sess.ruleset,
-		SnapB64: base64.StdEncoding.EncodeToString(buf.Bytes()),
+		SnapB64: snap,
 	})
+	return snap
 }
 
 // opCtx applies the server-side execution deadline, when configured.
@@ -1245,8 +1260,9 @@ func (s *Server) Feed(ctx context.Context, id string, req FeedRequest) (*FeedRes
 	consumed := sess.stream.Pos() - before
 	s.col.SessionBytes.Add(consumed)
 	s.col.MatchReports.Add(int64(len(ms)))
+	var snap string // the post-feed state, serialized at most once
 	if consumed > 0 {
-		s.walCheckpoint(rt, sess)
+		snap = s.walCheckpoint(rt, sess)
 	}
 	if ferr != nil {
 		s.col.Timeouts.Inc()
@@ -1264,10 +1280,10 @@ func (s *Server) Feed(ctx context.Context, id string, req FeedRequest) (*FeedRes
 		// checkpoint shipping. A failed suspend just omits it — the
 		// router keeps shipping the previous checkpoint, trading a
 		// slightly older resume point, never a failed feed.
-		var buf bytes.Buffer
-		if err := sess.stream.Suspend(&buf); err == nil {
-			resp.SnapshotB64 = base64.StdEncoding.EncodeToString(buf.Bytes())
+		if snap == "" {
+			snap, _, _ = sess.snapshotB64()
 		}
+		resp.SnapshotB64 = snap
 	}
 	return resp, nil
 }
@@ -1315,14 +1331,14 @@ func (s *Server) snapshot(ctx context.Context, id, verb string, suspend bool) (*
 	if sess.closed {
 		return nil, Errorf(http.StatusConflict, "session %q is closed", id)
 	}
-	var buf bytes.Buffer
-	if err := sess.stream.Suspend(&buf); err != nil {
+	snap, _, err := sess.snapshotB64()
+	if err != nil {
 		return nil, Errorf(http.StatusInternalServerError, "%s: %v", verb, err)
 	}
 	resp := &SuspendResponse{
 		Ruleset:     sess.ruleset,
 		Pos:         sess.stream.Pos(),
-		SnapshotB64: base64.StdEncoding.EncodeToString(buf.Bytes()),
+		SnapshotB64: snap,
 	}
 	if !suspend {
 		sess.lastUsed = time.Now()

@@ -354,3 +354,44 @@ func TestShutdownKeepsCheckpoints(t *testing.T) {
 		t.Fatalf("sessions after graceful restart = %+v", got)
 	}
 }
+
+// TestFeedCheckpointIsTheLoggedCheckpoint pins the router-facing feed:
+// the snapshot a checkpointing feed hands back is the one it logged —
+// the same string, serialized once under the session lock — and a server
+// without a WAL still hands one back.
+func TestFeedCheckpointIsTheLoggedCheckpoint(t *testing.T) {
+	for _, withWAL := range []bool{true, false} {
+		s := New(Config{Registry: telemetry.NewRegistry()})
+		if withWAL {
+			if _, err := s.AttachWAL(t.TempDir()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Compile(context.Background(), "ids", CompileRequest{Patterns: []string{"needle"}}); err != nil {
+			t.Fatal(err)
+		}
+		info, err := s.OpenSession(context.Background(), OpenSessionRequest{Ruleset: "ids"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, err := s.Feed(context.Background(), info.Session, FeedRequest{Chunk: "xx need", Checkpoint: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.SnapshotB64 == "" {
+			t.Fatalf("wal=%v: checkpointing feed returned no snapshot", withWAL)
+		}
+		if !withWAL {
+			continue
+		}
+		var logged []string
+		for _, rec := range s.wal.liveRecords() {
+			if rec.Kind == "checkpoint" && rec.ID == info.Session {
+				logged = append(logged, rec.SnapB64)
+			}
+		}
+		if len(logged) != 1 || logged[0] != fr.SnapshotB64 {
+			t.Fatalf("feed returned %q, the WAL holds %q", fr.SnapshotB64, logged)
+		}
+	}
+}

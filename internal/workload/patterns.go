@@ -173,7 +173,6 @@ func prositeElement(r *rand.Rand) (elem string, witness byte) {
 
 // Input symbol drawers.
 func symUniform(r *rand.Rand) byte { return byte(r.Intn(256)) }
-func symHex(r *rand.Rand) byte     { return randFrom(r, hexDigits) }
 func symAmino(r *rand.Rand) byte   { return randFrom(r, aminoAcids) }
 
 // symText draws English-like text: letters weighted by a rough frequency

@@ -93,12 +93,6 @@ func scaleCount(n int, scale float64) int {
 	return v
 }
 
-// numCCs computes the connected-component count (helper for tests/tools).
-func numCCs(n *nfa.NFA) int {
-	comps, _ := n.ConnectedComponents()
-	return len(comps)
-}
-
 // All returns the 20 benchmark specs in Table 1 order.
 func All() []*Spec { return registry }
 
