@@ -190,29 +190,57 @@ func BenchmarkPipelineSnortPerf(b *testing.B) {
 }
 
 // BenchmarkHostSimulatorThroughput measures the functional simulator's
-// host-side speed (bytes/s) and reports the modeled hardware line rate for
-// contrast.
+// host-side speed (bytes/s), one sub-benchmark per symbol loop — the
+// machine shape picks the loop: a state that fits one 64-bit word, one
+// partition, many partitions — and reports the modeled hardware line rate
+// for contrast.
 func BenchmarkHostSimulatorThroughput(b *testing.B) {
-	a, err := CompileRegex([]string{"needle[0-9]{4}", "other.*thing"}, Options{})
-	if err != nil {
-		b.Fatal(err)
+	dozen := make([]string, 12)
+	for i := range dozen {
+		dozen[i] = fmt.Sprintf("common%02dhead", i)
+	}
+	snortLike := make([]string, 200)
+	for i := range snortLike {
+		snortLike[i] = fmt.Sprintf("attack%03d[a-f0-9]{4}", i)
 	}
 	in := make([]byte, 1<<20)
 	for i := range in {
 		in[i] = byte(i * 131)
 	}
-	b.SetBytes(int64(len(in)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.Count(context.Background(), in); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range []struct {
+		name     string
+		patterns []string
+		is       func(a *Automaton) bool
+	}{
+		{"words=1", []string{"needle[0-9]{4}", "other.*thing"},
+			func(a *Automaton) bool { return a.Partitions() == 1 && a.States() <= 64 }},
+		{"words=4", dozen,
+			func(a *Automaton) bool { return a.Partitions() == 1 && a.States() > 64 }},
+		{"partitions=N", snortLike,
+			func(a *Automaton) bool { return a.Partitions() > 1 }},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			a, err := CompileRegex(shape.patterns, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !shape.is(a) {
+				b.Fatalf("%d states in %d partitions is not the shape this row times", a.States(), a.Partitions())
+			}
+			b.SetBytes(int64(len(in)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := a.Count(context.Background(), in); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(a.ThroughputGbps(), "modeled-Gb/s")
+		})
 	}
-	b.ReportMetric(a.ThroughputGbps(), "modeled-Gb/s")
 }
 
 // BenchmarkRunParallelThroughput measures the parallel engine's host
-// throughput across shard counts on the same workload as
+// throughput across shard counts on the words=1 workload of
 // BenchmarkHostSimulatorThroughput; speedup tracks GOMAXPROCS.
 func BenchmarkRunParallelThroughput(b *testing.B) {
 	a, err := CompileRegex([]string{"needle[0-9]{4}", "other.*thing"}, Options{})

@@ -422,16 +422,13 @@ type BatchItem struct {
 	Err     error
 }
 
-// RunBatch resets the leased machine and scans every input independently
-// from offset 0 through it in one batched sweep, returning one item per
-// input in order. Match sets, offsets, and statistics are bit-identical
-// to running each input with RunContext on its own lease; only the
-// execution is shared (the batch runner lane-packs up to four streams
-// through the row arrays word-wise when the automaton's state fits one
-// word, and otherwise scans them one after another — see
-// machine.RunBatch). Inputs are strings so serving paths avoid a
-// per-request byte-slice copy; the sweep only reads them. A canceled ctx
-// abandons the whole batch and returns its error.
+// RunBatch scans every input independently from offset 0 through the
+// leased machine, one after another, returning one item per input in
+// order. Match sets, offsets, and statistics are those of running each
+// input with RunContext on its own lease; what the batch shares is the
+// lease (see machine.RunBatch). Inputs are strings so serving paths avoid
+// a per-request byte-slice copy up front; the scan only reads them. A
+// canceled ctx abandons the whole batch and returns its error.
 func (l *Lease) RunBatch(ctx context.Context, inputs []string) ([]BatchItem, error) {
 	if l.m == nil {
 		return nil, fmt.Errorf("cacheautomaton: use of released lease")

@@ -511,13 +511,13 @@ func statsOfRuns(a *Automaton, runs ...RunSummary) Stats {
 
 // TestRunObserverWiring: every way of running an automaton reports
 // summaries that add up to the Stats it returned — one per one-shot run,
-// per sharded run, per batch input (lane-packed or not) and per stream
-// feed, one per sub-batch of a Count.
+// per sharded run, per batch input and per stream feed, one per
+// sub-batch of a Count.
 func TestRunObserverWiring(t *testing.T) {
 	ctx := context.Background()
 	obs := &recObserver{}
-	// "cat" alone fits one word (lane-packed batches); the 70-state
-	// literal beside it forces the sequential batch path.
+	// "cat" alone fits one word; the 70-state literal beside it takes the
+	// one-partition loop.
 	for _, patterns := range [][]string{{"cat"}, {"cat", strings.Repeat("z", 70)}} {
 		a, err := CompileRegex(patterns, Options{RunObserver: obs})
 		if err != nil {
@@ -675,8 +675,8 @@ func TestOneMachineConfiguration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kernel := map[string]bool{"runBatch": false, "runBatch1": false, "runLaneGroup": false,
-		"runLaneScalar": false, "report": false, "reportTo": false, "laneReport": false}
+	kernel := map[string]bool{"runBatch": false, "runBatchN": false, "runBatch1": false,
+		"runBatchWord": false, "report": false}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, d := range file.Decls {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"cacheautomaton/internal/arch"
@@ -37,24 +36,36 @@ func batchInputs(rng *rand.Rand, sizes []int, frags []string) []string {
 	return inputs
 }
 
-// TestRunBatchMatchesSequential is the batch runner's differential test:
-// for both execution strategies, every stream of a batch must reproduce
-// the per-input Reset+RunContext Result exactly — matches, offsets, activity,
-// FIFO and output-buffer accounting.
+// assertBatch holds every stream of a batch to its reference Result.
+func assertBatch(t *testing.T, label string, want []Result, got []BatchResult) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results for %d inputs", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Err != nil {
+			t.Fatalf("%s: stream %d failed: %v", label, i, got[i].Err)
+		}
+		assertResultsEqual(t, fmt.Sprintf("%s stream %d", label, i), &want[i], &got[i].Result)
+	}
+}
+
+// TestRunBatchMatchesSequential is RunBatch's contract test: every stream
+// of a batch must reproduce the per-input Reset+RunContext Result exactly
+// — matches, offsets, activity, FIFO and output-buffer accounting — and
+// the machine must come back clean. (Both sides run the same symbol loop;
+// TestKernelLoopsAgree compares the loops over these streams.)
 func TestRunBatchMatchesSequential(t *testing.T) {
 	cases := []struct {
 		name     string
 		patterns []string
 		frags    []string
-		wantLane bool
 	}{
 		{
-			// Few states in one partition, all slots below 64: the
-			// lane-packed path must engage.
-			name:     "lane-packed",
+			// Few states in one partition, all slots below 64.
+			name:     "one-word",
 			patterns: []string{"needle[0-9]", "x[abc]+y"},
 			frags:    []string{"needle7", "xaby", "xcccy", "need", "xq"},
-			wantLane: true,
 		},
 		{
 			// `x.*y` pins a state bit forever, so streams stay live with
@@ -62,21 +73,14 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 			name:     "persistent-state",
 			patterns: []string{"x.*yz", "begin.*end", "hay.{2}stack"},
 			frags:    []string{"x", "yz", "begin", "end", "haynostack"},
-			wantLane: true,
 		},
 		{
-			// 60 merged literals overflow one 64-slot word, forcing the
-			// sequential fallback.
-			name:     "sequential",
+			// 60 merged literals spread over several partitions.
+			name:     "multi-partition",
 			patterns: manyLiteralPatterns(60),
 			frags:    []string{"common07head", "common59head", "common"},
-			wantLane: false,
 		},
 	}
-	// Sizes cross every boundary that matters: empty, sub-line, a whole
-	// number of cache lines, and many lines plus a remainder; mismatched
-	// lengths exercise the ragged-lane and early-finish paths.
-	sizes := []int{0, 17, 300, 1024, 4096, 3*4096 + 311, 64, 1}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -92,51 +96,18 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.lanePacked != tc.wantLane {
-				t.Fatalf("lanePacked = %v, want %v", m.lanePacked, tc.wantLane)
-			}
 			rng := rand.New(rand.NewSource(42))
-			inputs := batchInputs(rng, sizes, tc.frags)
+			inputs := batchInputs(rng, raggedSizes, tc.frags)
 			want := batchReference(t, m, inputs)
 
-			check := func(label string, got []BatchResult) {
-				t.Helper()
-				if len(got) != len(inputs) {
-					t.Fatalf("%s: %d results for %d inputs", label, len(got), len(inputs))
-				}
-				for i := range got {
-					if got[i].Err != nil {
-						t.Fatalf("%s: stream %d failed: %v", label, i, got[i].Err)
-					}
-					r := got[i].Result
-					assertResultsEqual(t, fmt.Sprintf("%s stream %d", label, i), &want[i], &r)
-				}
-			}
-
-			// The default strategy (twice — the machine must come back
-			// clean), then the other strategy forced directly so both are
-			// exercised whatever shape the placement took.
+			// Twice: the machine must come back clean.
 			for round := 0; round < 2; round++ {
 				got, err := m.RunBatch(context.Background(), inputs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				check(fmt.Sprintf("RunBatch round %d", round), got)
+				assertBatch(t, fmt.Sprintf("RunBatch round %d", round), want, got)
 			}
-			other := make([]BatchResult, len(inputs))
-			if tc.wantLane {
-				if err := m.runBatchSequential(context.Background(), inputs, other); err != nil {
-					t.Fatal(err)
-				}
-			} else if len(m.parts) == 1 {
-				if err := m.runBatchLanes(context.Background(), inputs, other); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				return
-			}
-			m.Reset()
-			check("forced other path", other)
 		})
 	}
 }
@@ -151,7 +122,7 @@ func manyLiteralPatterns(k int) []string {
 
 // TestRunBatchDeadStreams covers dead streams: an automaton whose only
 // start state fires at start-of-data goes quiet after a few symbols (the
-// lanes and runBatch1 stop scanning there), and the remaining input must
+// one-partition loops stop scanning there), and the remaining input must
 // still contribute exact cycle and FIFO-refill accounting.
 func TestRunBatchDeadStreams(t *testing.T) {
 	a := nfa.New()
@@ -170,36 +141,16 @@ func TestRunBatchDeadStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	long := make([]byte, 2*4096+77)
-	for i := range long {
-		long[i] = 'z'
+	var inputs []string
+	for _, in := range deadStreamInputs() {
+		inputs = append(inputs, string(in))
 	}
-	hit := append([]byte("ab"), long...)
-	inputs := []string{string(long), string(hit), "a", ""}
 	want := batchReference(t, m, inputs)
-
-	for _, forced := range []string{"auto", "sequential"} {
-		got := make([]BatchResult, len(inputs))
-		if forced == "auto" {
-			res, err := m.RunBatch(context.Background(), inputs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = res
-		} else {
-			if err := m.runBatchSequential(context.Background(), inputs, got); err != nil {
-				t.Fatal(err)
-			}
-			m.Reset()
-		}
-		for i := range got {
-			if got[i].Err != nil {
-				t.Fatalf("%s: stream %d failed: %v", forced, i, got[i].Err)
-			}
-			r := got[i].Result
-			assertResultsEqual(t, fmt.Sprintf("%s dead stream %d", forced, i), &want[i], &r)
-		}
+	got, err := m.RunBatch(context.Background(), inputs)
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertBatch(t, "dead", want, got)
 }
 
 // TestRunBatchContextCancel: a canceled ctx abandons the batch with its
@@ -226,7 +177,7 @@ func TestRunBatchContextCancel(t *testing.T) {
 }
 
 // panicOnceObserver panics on its nth ObserveRun call — a way to blow
-// up inside exactly one stream of a sequentially scanned batch.
+// up inside exactly one stream of a batch.
 type panicOnceObserver struct {
 	at    int
 	calls int
@@ -243,9 +194,7 @@ func (o *panicOnceObserver) ObserveRun(telemetry.RunSummary) {
 // fails only that stream — the others still reproduce their reference
 // results exactly, on the same machine, in the same batch.
 func TestRunBatchStreamPanicIsolation(t *testing.T) {
-	// The 70-state literal keeps the machine off the lane-packed path,
-	// whose summaries are delivered outside the per-stream recover.
-	patterns := []string{"needle[0-9]", "x[abc]+y", strings.Repeat("z", 70)}
+	patterns := []string{"needle[0-9]", "x[abc]+y"}
 	n, err := regexc.CompileSet(patterns, regexc.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -262,16 +211,13 @@ func TestRunBatchStreamPanicIsolation(t *testing.T) {
 	inputs := batchInputs(rng, []int{1000, 1000, 1000}, []string{"needle7", "xaby"})
 	want := batchReference(t, ref, inputs)
 
-	// The sequential path reports once per stream, from inside the
-	// stream's guarded scan: the second ObserveRun is stream 1's.
+	// RunBatch reports once per stream, from inside the stream's guarded
+	// scan: the second ObserveRun is stream 1's.
 	m, err := New(pl, Options{CollectMatches: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Observer = &panicOnceObserver{at: 2}
-	if m.lanePacked {
-		t.Fatal("test needs the sequential batch path")
-	}
 	got, err := m.RunBatch(context.Background(), inputs)
 	if err != nil {
 		t.Fatal(err)
@@ -324,12 +270,6 @@ func TestRunBatchRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range got {
-			if got[i].Err != nil {
-				t.Fatalf("trial %d stream %d: %v", trial, i, got[i].Err)
-			}
-			res := got[i].Result
-			assertResultsEqual(t, fmt.Sprintf("trial %d stream %d (lane=%v)", trial, i, m.lanePacked), &want[i], &res)
-		}
+		assertBatch(t, fmt.Sprintf("trial %d", trial), want, got)
 	}
 }

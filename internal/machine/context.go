@@ -15,12 +15,12 @@ import (
 // well under a millisecond at host simulation speed.
 const ContextCheckBytes = 64 << 10
 
-// scan is the one chunked scan loop, under RunContext, the shard workers
-// and their repair pass, and the sequential batch fallback: a ctx check
-// and the symbol loop per ContextCheckBytes sub-batch, then the derived
-// numbers of m.res brought up to where the loop stopped. A ctx that can
-// never be canceled (Done() == nil) scans the input as a single
-// sub-batch. On cancellation the machine keeps the position it reached.
+// scan is the one chunked scan loop, under RunContext (and so RunBatch),
+// the shard workers and their repair pass: a ctx check and the symbol
+// loop per ContextCheckBytes sub-batch, then the derived numbers of m.res
+// brought up to where the loop stopped. A ctx that can never be canceled
+// (Done() == nil) scans the input as a single sub-batch. On cancellation
+// the machine keeps the position it reached.
 func (m *Machine) scan(ctx context.Context, input []byte) error {
 	step := len(input)
 	if ctx.Done() != nil {
@@ -53,7 +53,7 @@ func (m *Machine) RunContext(ctx context.Context, input []byte) (*Result, error)
 	start, before := m.began(), m.res
 	err := m.scan(ctx, input)
 	r := m.res
-	m.observe(&before, &r, start, 1)
+	m.observe(&before, &r, start)
 	return &r, err
 }
 
@@ -67,16 +67,15 @@ func (m *Machine) began() (start time.Time) {
 
 // observe is where numbers leave the kernel other than in a Result: it
 // hands m's Observer what res accumulated since before (a zero Result
-// for a run that started from Reset), charged one part in parts of the
-// host time since start.
-func (m *Machine) observe(before, res *Result, start time.Time, parts int) {
+// for a run that started from Reset) and the host time since start.
+func (m *Machine) observe(before, res *Result, start time.Time) {
 	if m.Observer == nil {
 		return
 	}
 	a, b := &res.Activity, &before.Activity
 	m.Observer.ObserveRun(telemetry.RunSummary{
 		Symbols:                a.Cycles - b.Cycles,
-		Seconds:                time.Since(start).Seconds() / float64(parts),
+		Seconds:                time.Since(start).Seconds(),
 		Matches:                res.MatchCount - before.MatchCount,
 		OutputBufferInterrupts: res.OutputBufferInterrupts - before.OutputBufferInterrupts,
 		OutputBufferPeak:       res.OutputBufferPeak,

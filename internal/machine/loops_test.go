@@ -1,0 +1,189 @@
+package machine
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// raggedSizes cross every boundary that matters to a stream's
+// accounting: empty, sub-line, a whole number of cache lines, and many
+// lines plus a remainder.
+var raggedSizes = []int{0, 17, 300, 1024, 4096, 3*4096 + 311, 64, 1}
+
+// deadStreamInputs are streams over which an anchored-only automaton
+// (^ab) goes quiet after a few symbols: never started, matched then dead,
+// cut short while alive, and empty.
+func deadStreamInputs() [][]byte {
+	long := bytes.Repeat([]byte("z"), 2*4096+77)
+	return [][]byte{long, append([]byte("ab"), long...), []byte("a"), nil}
+}
+
+// loopRow is one one-partition rule set and the streams the symbol loops
+// are compared over. oneWord says which side of the 64-slot boundary it
+// must land on.
+type loopRow struct {
+	name     string
+	patterns []string
+	inputs   [][]byte
+	oneWord  bool
+}
+
+// literal is a pattern of n states: n alphanumeric symbols.
+func literal(n int) string {
+	const alnum = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+	return strings.Repeat(alnum, n/len(alnum)+1)[:n]
+}
+
+// loopTable is what TestKernelLoopsAgree sweeps and FuzzKernelLoopsAgree
+// is seeded from.
+func loopTable() []loopRow {
+	rng := rand.New(rand.NewSource(17))
+	text := func(frags ...string) [][]byte {
+		ins := [][]byte{randomText(rng, ContextCheckBytes+1000, frags)}
+		for _, n := range raggedSizes {
+			ins = append(ins, randomText(rng, n, frags))
+		}
+		return ins
+	}
+	ring := literal(64)
+	rows := []loopRow{
+		// bench's scan-sparse and serving rule sets.
+		{"bench sparse", []string{"needle[0-9]{4}", "other.*thing"},
+			text("needle1234", "needle12x", "other", "thing"), true},
+		{"bench small", []string{"needle[0-9]", "hay.{2}stack", "x[abc]+y"},
+			text("needle7", "haynostack", "xaby", "xcccy", "need", "xq"), true},
+		// x.*yz pins a bit forever: streams stay live, with different
+		// enabled vectors, to the end of their inputs.
+		{"a bit that never clears", []string{"x.*yz", "begin.*end", "hay.{2}stack"},
+			text("x", "yz", "begin", "end", "haynostack"), true},
+		{"anchored, partition dies", []string{"^ab"}, deadStreamInputs(), true},
+		{"a report every symbol", []string{"a"}, [][]byte{bytes.Repeat([]byte("a"), 200)}, true},
+		// Slot 63 loops back to slot 0: the one fan-out <<1 cannot carry.
+		{"64-state ring", []string{"(" + ring + ")+"}, text(ring, ring+ring, ring[:63]), true},
+		// A dozen 12-symbol literals: one partition, three of its four words.
+		{"a dozen literals", manyLiteralPatterns(12), text("common07head", "common11head", "common"), false},
+	}
+	for n := 62; n <= 66; n++ {
+		lit := literal(n)
+		rows = append(rows, loopRow{fmt.Sprintf("literal of %d", n), []string{lit},
+			text(lit, lit[:n-1], lit[1:]), n <= 64})
+	}
+	return rows
+}
+
+// symbolLoops are the three places the AND-row/OR-fan-out rule is
+// written, by the machine shape New selects each for.
+var symbolLoops = []struct {
+	name string
+	run  func(*Machine, []byte)
+}{
+	{"runBatchN", (*Machine).runBatchN},
+	{"runBatch1", (*Machine).runBatch1},
+	{"runBatchWord", (*Machine).runBatchWord},
+}
+
+// loopMachine builds row's machine and holds it to the shape the row is
+// in the table for.
+func loopMachine(t testing.TB, row loopRow) *Machine {
+	t.Helper()
+	m, _ := buildPool(t, row.patterns, 0)
+	if m.NumPartitions() != 1 || m.oneWord != row.oneWord {
+		t.Fatalf("%s: %d partitions, oneWord %v; the table wants 1 and %v",
+			row.name, m.NumPartitions(), m.oneWord, row.oneWord)
+	}
+	return m
+}
+
+// loopOutcome is everything a scan leaves behind.
+type loopOutcome struct {
+	res  Result
+	snap *Snapshot
+	pos  int64
+}
+
+// driveLoop is scan with the loop named instead of dispatched: from
+// Reset, input through loop in chunk-sized calls, then derive.
+func driveLoop(m *Machine, loop func(*Machine, []byte), input []byte, chunk int) loopOutcome {
+	m.Reset()
+	for len(input) > 0 {
+		n := min(chunk, len(input))
+		loop(m, input[:n])
+		input = input[n:]
+	}
+	m.derive(&m.res, m.basePos, m.baseBuf)
+	return loopOutcome{m.res, m.Snapshot(), m.Pos()}
+}
+
+// assertLoopsAgree runs input through every loop m's shape admits, in
+// each chunking, and holds each outcome to the general loop's over the
+// whole input.
+func assertLoopsAgree(t *testing.T, label string, m *Machine, input []byte, chunks []int) {
+	t.Helper()
+	loops := symbolLoops
+	if !m.oneWord {
+		loops = loops[:2] // runBatchWord sees word 0 only
+	}
+	want := driveLoop(m, loops[0].run, input, max(1, len(input)))
+	for _, l := range loops {
+		for _, chunk := range chunks {
+			got := driveLoop(m, l.run, input, chunk)
+			at := fmt.Sprintf("%s, %d bytes, %s in chunks of %d", label, len(input), l.name, chunk)
+			assertResultsEqual(t, at, &want.res, &got.res)
+			if !reflect.DeepEqual(want.snap, got.snap) {
+				t.Fatalf("%s: ends in %+v, the general loop in %+v", at, got.snap, want.snap)
+			}
+			if want.pos != got.pos {
+				t.Fatalf("%s: Pos %d, the general loop's %d", at, got.pos, want.pos)
+			}
+		}
+	}
+}
+
+// TestKernelLoopsAgree holds the three symbol loops to one behaviour:
+// one-word machines through all three, wider one-partition machines
+// through runBatch1 and the general loop, each over every chunking —
+// identical Result, Snapshot and Pos. Dispatch picks one loop per
+// machine, so without this nothing would compare them.
+func TestKernelLoopsAgree(t *testing.T) {
+	for _, row := range loopTable() {
+		t.Run(row.name, func(t *testing.T) {
+			m := loopMachine(t, row)
+			if row.name == "64-state ring" && m.otherMask>>63 != 1 {
+				t.Fatalf("slot 63 is not on the per-slot walk (otherMask %#x)", m.otherMask)
+			}
+			for i, in := range row.inputs {
+				assertLoopsAgree(t, fmt.Sprintf("input %d", i), m, in,
+					[]int{1, 63, ContextCheckBytes, max(1, len(in))})
+			}
+		})
+	}
+}
+
+// FuzzKernelLoopsAgree is the same comparison on inputs the table does
+// not hold: every rule set of the table over the fuzzed input, in the
+// fuzzed chunking.
+func FuzzKernelLoopsAgree(f *testing.F) {
+	rows := loopTable()
+	ms := make([]*Machine, len(rows))
+	for i, row := range rows {
+		ms[i] = loopMachine(f, row)
+		for j, in := range row.inputs {
+			if len(in) >= 128 && len(in) <= 512 {
+				f.Add(in, uint16(j%2*62)) // chunks of 1 and of 63
+			}
+		}
+	}
+	f.Add([]byte("ab"+strings.Repeat("z", 200)), uint16(0)) // the anchored row's death
+	f.Fuzz(func(t *testing.T, input []byte, chunk uint16) {
+		// Every exec is some forty scans; keep the ones the engine spends
+		// minimizing an input short.
+		input = input[:min(len(input), 512)]
+		for i, m := range ms {
+			assertLoopsAgree(t, rows[i].name, m, input, []int{int(chunk) + 1})
+		}
+	})
+}

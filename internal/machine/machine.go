@@ -54,8 +54,6 @@ type Match struct {
 	Code int32
 	// State is the matching state's ID.
 	State nfa.StateID
-	// Partition is where the state is mapped.
-	Partition int
 }
 
 // Options configure a simulation.
@@ -198,9 +196,6 @@ type partition struct {
 	// contributions when it matches (G1: 1 if any within-way target; G4:
 	// 2 if any chained hop, else 1 if any cross-way target).
 	crossG1, crossG4 []int8
-	// hasAlways caches always != 0; alwaysCnt its popcount.
-	hasAlways bool
-	alwaysCnt int64
 	// code/state look up report metadata by slot.
 	code  []int32
 	state []nfa.StateID
@@ -211,6 +206,12 @@ type Machine struct {
 	pl    *mapper.Placement
 	opts  Options
 	parts []partition
+	// programmed marks, per partition, the slots that hold a state. Starts,
+	// local rows and cross targets only ever name such slots, so no run can
+	// enable a bit outside it — and Restore admits no snapshot that does.
+	// It is kept out of partition, which the symbol loops stride over (in
+	// it, the ledger's 231-partition compile-cold scan read 5 % slower).
+	programmed [][wordsPerPartition]uint64
 	// curActive lists partitions with any enabled bits this cycle;
 	// activeFlag mirrors membership (activeFlag[pi] ⇔ pi ∈ curActive) so
 	// the cross-activation path dedups with one flag load. Partitions with
@@ -225,23 +226,22 @@ type Machine struct {
 	pos            int64
 	// basePos/baseBuf are the stream position and output-buffer occupancy
 	// at the last Reset or Restore — where res started accumulating, and
-	// with it all derive needs. alwaysCnt totals the partitions' alwaysCnt.
+	// with it all derive needs. alwaysCnt counts the all-input start states.
 	basePos   int64
 	baseBuf   int
 	alwaysCnt int64
 	res       Result
-	// lanePacked marks a machine whose whole architectural state fits one
-	// 64-bit word (single partition, every used slot below 64): RunBatch
-	// may then drive up to four independent streams through the row arrays
-	// word-wise, one stream per lane (see batch.go).
-	lanePacked bool
-	// laneShift/laneSelf/laneOther decompose the local switch of a
-	// lane-packed machine for branch-free fan-out. A matched slot s whose
-	// entire fan-out is {s+1} and/or {s} — the concatenation chains and
+	// oneWord marks a machine whose whole architectural state fits one
+	// 64-bit word (single partition, every programmed slot below 64): the
+	// symbol loop then touches word 0 of the rows only (runBatchWord).
+	oneWord bool
+	// shiftMask/selfMask/otherMask decompose the local switch of a oneWord
+	// machine for branch-free fan-out. A matched slot s whose entire
+	// fan-out is {s+1} and/or {s} — the concatenation chains and
 	// counter/repetition self-loops that dominate compiled regexes — is
-	// covered by ((mm&laneShift)<<1) | (mm&laneSelf); the rare slots with
-	// any other target land in laneOther and take the per-slot walk.
-	laneShift, laneSelf, laneOther uint64
+	// covered by ((mm&shiftMask)<<1) | (mm&selfMask); the rare slots with
+	// any other target land in otherMask and take the per-slot walk.
+	shiftMask, selfMask, otherMask uint64
 
 	// Observer, when non-nil, hears about every RunContext and RunBatch
 	// of this machine. A Pool sets it on the machines it builds.
@@ -258,6 +258,7 @@ func New(pl *mapper.Placement, opts Options) (*Machine, error) {
 	n := pl.NFA
 	size := arch.PartitionSTEs
 	m.parts = make([]partition, len(pl.Partitions))
+	m.programmed = make([][wordsPerPartition]uint64, len(pl.Partitions))
 	cross := make([][][]crossTarget, len(pl.Partitions))
 	// Slab the per-partition arrays: one large allocation per kind instead
 	// of five small ones per partition. Construction is on the cold-start
@@ -284,6 +285,7 @@ func New(pl *mapper.Placement, opts Options) (*Machine, error) {
 		maxSlot = max(maxSlot, slot)
 		p := &m.parts[pi]
 		wi, bit := slot>>6, uint64(1)<<(slot&63)
+		m.programmed[pi][wi] |= bit
 		p.state[slot] = nfa.StateID(s)
 		p.code[slot] = st.ReportCode
 		for w4 := 0; w4 < 4; w4++ { // inline Class.Symbols: no per-state slice
@@ -340,17 +342,13 @@ func New(pl *mapper.Placement, opts Options) (*Machine, error) {
 				p.hasCross[slot>>6] |= 1 << (slot & 63)
 			}
 		}
-		var anyAlways uint64
-		for w := 0; w < wordsPerPartition; w++ {
-			anyAlways |= p.always[w]
-			p.alwaysCnt += int64(bits.OnesCount64(p.always[w]))
+		for _, w := range p.always {
+			m.alwaysCnt += int64(bits.OnesCount64(w))
 		}
-		p.hasAlways = anyAlways != 0
-		m.alwaysCnt += p.alwaysCnt
 	}
 	m.activeFlag = make([]bool, len(m.parts))
-	m.lanePacked = len(m.parts) == 1 && maxSlot < 64
-	if m.lanePacked {
+	m.oneWord = len(m.parts) == 1 && maxSlot < 64
+	if m.oneWord {
 		p := &m.parts[0]
 		for lm := p.hasLocal[0]; lm != 0; lm &= lm - 1 {
 			s := bits.TrailingZeros64(lm)
@@ -362,13 +360,13 @@ func New(pl *mapper.Placement, opts Options) (*Machine, error) {
 			self := uint64(1) << s
 			if t&^(succ|self) == 0 {
 				if t&succ != 0 {
-					m.laneShift |= 1 << s
+					m.shiftMask |= 1 << s
 				}
 				if t&self != 0 {
-					m.laneSelf |= 1 << s
+					m.selfMask |= 1 << s
 				}
 			} else {
-				m.laneOther |= 1 << s
+				m.otherMask |= 1 << s
 			}
 		}
 	}
@@ -418,16 +416,28 @@ func (m *Machine) NumPartitions() int { return len(m.parts) }
 // compile-time assertion trips if the partition geometry ever changes.
 var _ = [1]struct{}{}[wordsPerPartition-4]
 
-// runBatch is the symbol hot loop: one iteration per input byte with all
+// runBatch runs the symbol loop written for the machine's shape, which
+// New fixed: the whole state in one word, one partition, or many. The
+// three are the same rule — AND the symbol's row with the enabled vector,
+// OR the matched slots' fan-out into next — and differ only in how much
+// state the rule ranges over (TestKernelLoopsAgree).
+func (m *Machine) runBatch(input []byte) {
+	switch {
+	case m.oneWord:
+		m.runBatchWord(input)
+	case len(m.parts) == 1:
+		m.runBatch1(input)
+	default:
+		m.runBatchN(input)
+	}
+}
+
+// runBatchN is the symbol hot loop: one iteration per input byte with all
 // loop-invariant state hoisted into locals, the four-word vector sweeps
 // unrolled into registers, and the activity sums accumulated locally and
 // written back once per batch. It performs no allocations (the scratch
 // lists are reused fields) and no interface calls.
-func (m *Machine) runBatch(input []byte) {
-	if len(m.parts) == 1 {
-		m.runBatch1(input)
-		return
-	}
+func (m *Machine) runBatchN(input []byte) {
 	parts := m.parts
 	flags := m.activeFlag
 	cur := m.curActive
@@ -459,7 +469,7 @@ func (m *Machine) runBatch(input []byte) {
 			}
 			if m0&p.reports[0]|m1&p.reports[1]|m2&p.reports[2]|m3&p.reports[3] != 0 {
 				m.pos = pos
-				m.report(p, int(pi), [wordsPerPartition]uint64{m0, m1, m2, m3})
+				m.report(p, [wordsPerPartition]uint64{m0, m1, m2, m3})
 			}
 			var g1, g4 int64
 			mws := [wordsPerPartition]uint64{m0, m1, m2, m3}
@@ -588,7 +598,7 @@ func (m *Machine) runBatch1(input []byte) {
 		if m0|m1|m2|m3 != 0 {
 			if m0&r0|m1&r1|m2&r2|m3&r3 != 0 {
 				m.pos = pos
-				m.report(p, 0, [wordsPerPartition]uint64{m0, m1, m2, m3})
+				m.report(p, [wordsPerPartition]uint64{m0, m1, m2, m3})
 			}
 			mws := [wordsPerPartition]uint64{m0, m1, m2, m3}
 			for w, mw := range mws {
@@ -618,33 +628,79 @@ func (m *Machine) runBatch1(input []byte) {
 	m.setActive()
 }
 
-// report records the matched reporting slots of partition p at m.pos.
-// The caller passes the cycle's match words (they live in registers in
-// the hot loop and are not stored anywhere else). It is kept out of
-// line: inlined, reportTo's arguments cost the symbol loops registers at
-// every call site (−5 % scan_mb_per_s on the ledger's compile-cold).
-//
-//go:noinline
-func (m *Machine) report(p *partition, pi int, matched [wordsPerPartition]uint64) {
-	m.reportTo(&m.res, p, pi, matched, m.pos)
+// runBatchWord is runBatch1 for a machine whose state fits word 0: one
+// enabled word in a register, one word of the row read per symbol, and
+// the local switch reduced to a shift and two masks (see shiftMask). The
+// host pays per 64-bit word it sweeps, not per partition it models.
+func (m *Machine) runBatchWord(input []byte) {
+	p := &m.parts[0]
+	pos := m.pos
+
+	st := &m.res.Activity
+	var sumActive int64
+	maxActive := st.MaxActiveStates
+
+	e, a0 := p.enabled[0], p.always[0]
+	shiftM, selfM, otherM := m.shiftMask, m.selfMask, m.otherMask
+	rareM := p.reports[0] | otherM
+	live := len(input)
+
+	for i, sym := range input {
+		if e == 0 {
+			// Dead for the rest of the stream, as in runBatch1.
+			live = i
+			break
+		}
+		enCnt := int64(bits.OnesCount64(e))
+		sumActive += enCnt
+		if enCnt > maxActive {
+			maxActive = enCnt
+		}
+		mm := p.rows[sym][0] & e
+		nx := (mm&shiftM)<<1 | mm&selfM
+		if mm&rareM != 0 {
+			if mm&p.reports[0] != 0 {
+				m.pos = pos + int64(i)
+				m.report(p, [wordsPerPartition]uint64{mm})
+			}
+			for om := mm & otherM; om != 0; om &= om - 1 {
+				nx |= p.localRows[bits.TrailingZeros64(om)][0]
+			}
+		}
+		e = nx | a0
+	}
+
+	p.enabled[0] = e
+	m.pos = pos + int64(len(input))
+	st.Cycles += int64(len(input))
+	st.SumActiveStates += sumActive
+	st.SumActivePartitions += int64(live)
+	st.MaxActiveStates = maxActive
+	if live > 0 {
+		st.MaxActivePartitions = 1
+	}
+	m.setActive()
 }
 
-// reportTo is the one reporting loop, under report and the lane-packed
-// sweep's laneReport: partition pi's reporting slots among matched, in
-// ascending slot order, counted into res and collected under
-// CollectMatches. What the output buffer did with them is derived from
-// the count (see derive).
-func (m *Machine) reportTo(res *Result, p *partition, pi int, matched [wordsPerPartition]uint64, off int64) {
+// report records the matched reporting slots of partition p at m.pos, in
+// ascending slot order: counted, and collected under CollectMatches. What
+// the output buffer did with them is derived from the count (see derive).
+// The caller passes the cycle's match words (they live in registers in
+// the hot loop and are not stored anywhere else). It is kept out of
+// line: inlined, its arguments cost the symbol loops registers at every
+// call site (−5 % scan_mb_per_s on the ledger's compile-cold).
+//
+//go:noinline
+func (m *Machine) report(p *partition, matched [wordsPerPartition]uint64) {
 	for w, mw := range matched {
 		for rb := mw & p.reports[w]; rb != 0; rb &= rb - 1 {
 			slot := w<<6 + bits.TrailingZeros64(rb)
-			res.MatchCount++
+			m.res.MatchCount++
 			if m.opts.CollectMatches {
-				res.Matches = append(res.Matches, Match{
-					Offset:    off,
-					Code:      p.code[slot],
-					State:     p.state[slot],
-					Partition: pi,
+				m.res.Matches = append(m.res.Matches, Match{
+					Offset: m.pos,
+					Code:   p.code[slot],
+					State:  p.state[slot],
 				})
 			}
 		}

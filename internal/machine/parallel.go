@@ -156,7 +156,7 @@ func RunShardedContext(ctx context.Context, ms []*Machine, input []byte) (*Resul
 		out.Activity.merge(&results[i].Activity)
 	}
 	ms[0].derive(out, 0, 0)
-	ms[0].observe(&Result{}, out, start, 1)
+	ms[0].observe(&Result{}, out, start)
 	return out, nil
 }
 

@@ -13,7 +13,7 @@ import (
 
 // buildPool compiles patterns and returns one sequential reference machine
 // plus k pool machines, all sharing the placement.
-func buildPool(t *testing.T, patterns []string, k int) (*Machine, []*Machine) {
+func buildPool(t testing.TB, patterns []string, k int) (*Machine, []*Machine) {
 	t.Helper()
 	n, err := regexc.CompileSet(patterns, regexc.Options{})
 	if err != nil {

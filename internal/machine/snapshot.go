@@ -2,6 +2,7 @@ package machine
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -43,10 +44,21 @@ func (m *Machine) Snapshot() *Snapshot {
 }
 
 // Restore resumes execution from a snapshot taken on a machine with the
-// same placement (same partition count).
+// same placement. The snapshot may come from a client (a session resume)
+// or a WAL, so it is held to what a run of this automaton can produce:
+// the same partition count, and no enabled bit on a slot that holds no
+// state. A rejected snapshot leaves the machine as it was.
 func (m *Machine) Restore(s *Snapshot) error {
 	if len(s.Enabled) != len(m.parts) {
 		return fmt.Errorf("machine: snapshot has %d partitions, machine has %d", len(s.Enabled), len(m.parts))
+	}
+	var stray uint64
+	for i := range m.parts {
+		e, ok := &s.Enabled[i], &m.programmed[i]
+		stray |= e[0]&^ok[0] | e[1]&^ok[1] | e[2]&^ok[2] | e[3]&^ok[3]
+	}
+	if stray != 0 {
+		return errors.New("machine: snapshot is not from this automaton: it enables slots that hold no state")
 	}
 	m.pos, m.basePos, m.baseBuf = s.Pos, s.Pos, s.OutBuffered
 	m.res = Result{}

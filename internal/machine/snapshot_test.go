@@ -79,6 +79,79 @@ func TestRestoreRejectsMismatchedPlacement(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsStrayBits: a snapshot arrives over the wire or out of
+// a WAL, and one that enables a slot holding no state cannot have been
+// taken on this automaton. It is refused — in word 0, in the words a
+// one-word machine never sweeps, and in a partition's unused tail — and
+// the machine keeps the state it had.
+func TestRestoreRejectsStrayBits(t *testing.T) {
+	small, _ := buildPool(t, []string{"needle[0-9]", "x[abc]+y"}, 0)
+	wide, _ := buildPool(t, manyLiteralPatterns(60), 0)
+	if !small.oneWord || wide.NumPartitions() < 2 {
+		t.Fatalf("want a one-word and a multi-partition machine, got oneWord=%v and %d partitions",
+			small.oneWord, wide.NumPartitions())
+	}
+	last := wide.NumPartitions() - 1
+	if wide.programmed[last][3]>>63 != 0 {
+		t.Fatalf("partition %d is full; the test needs an unused tail", last)
+	}
+	for _, tc := range []struct {
+		name       string
+		m          *Machine
+		part, word int
+		bit        uint
+	}{
+		{"word 0 of a one-word machine", small, 0, 0, 63},
+		{"word 1 of a one-word machine", small, 0, 1, 0},
+		{"word 3 of a one-word machine", small, 0, 3, 17},
+		{"unused tail of a partition", wide, last, 3, 63},
+	} {
+		mustRun(tc.m, []byte("xab need common07he"))
+		before := tc.m.Snapshot()
+		bad := tc.m.Snapshot()
+		bad.Pos++
+		bad.Enabled[tc.part][tc.word] |= 1 << tc.bit
+		if err := tc.m.Restore(bad); err == nil {
+			t.Errorf("%s: a snapshot enabling a slot that holds no state was restored", tc.name)
+		}
+		if after := tc.m.Snapshot(); !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: a refused snapshot moved the machine from %+v to %+v", tc.name, before, after)
+		}
+	}
+}
+
+// TestRestoreAcceptsParentSnapshot: the bytes are a mid-match snapshot
+// ("xab need", then suspend) written by the commit before Restore checked
+// enabled bits; they must restore, re-encode to themselves, and finish
+// the match.
+func TestRestoreAcceptsParentSnapshot(t *testing.T) {
+	golden, err := hex.DecodeString("" +
+		"4341534e41503031" + "0800000000000000" + "0000000000000000" + "0100000000000000" +
+		"0400000000000000" + "8900000000000000" + "0000000000000000" + "0000000000000000" + "0000000000000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ReadSnapshot(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := buildPool(t, []string{"needle[0-9]", "x[abc]+y"}, 0)
+	if err := m.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	var wire bytes.Buffer
+	if _, err := m.Snapshot().WriteTo(&wire); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wire.Bytes(), golden) {
+		t.Fatalf("restored state re-encodes as\n%x, was\n%x", wire.Bytes(), golden)
+	}
+	res := mustRun(m, []byte("le7 cy"))
+	if len(res.Matches) != 1 || res.Matches[0].Offset != 10 || res.Matches[0].Code != 0 {
+		t.Fatalf("resumed stream reported %+v, want needle[0-9] at offset 10", res.Matches)
+	}
+}
+
 func TestReadSnapshotRejectsGarbage(t *testing.T) {
 	if _, err := ReadSnapshot(bytes.NewReader([]byte("not a snapshot at all"))); err == nil {
 		t.Error("garbage should not decode")
@@ -137,7 +210,8 @@ func TestSnapshotWireFormatGolden(t *testing.T) {
 // FuzzReadSnapshot feeds the snapshot decoder what a client can send in
 // OpenSessionRequest.SnapshotB64: it must never panic, never size an
 // allocation from a header the payload does not back, and accept only
-// canonical encodings of states a machine can be in.
+// canonical encodings of states a machine can be in — and Restore must
+// survive whatever it accepts.
 func FuzzReadSnapshot(f *testing.F) {
 	var valid bytes.Buffer
 	snap := &Snapshot{Pos: 4242, OutBuffered: 7, Enabled: [][4]uint64{{1, 2, 3, 4}, {0, 0, 1 << 63, 0}}}
@@ -152,6 +226,8 @@ func FuzzReadSnapshot(f *testing.F) {
 	hostile := bytes.Clone(valid.Bytes()[:32])
 	binary.LittleEndian.PutUint64(hostile[24:], 1<<20) // a million partitions, no payload
 	f.Add(hostile)
+
+	m, _ := buildPool(f, []string{"needle[0-9]", "x[abc]+y"}, 0)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -174,6 +250,11 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(again.Bytes(), consumed) {
 			t.Fatalf("accepted a non-canonical encoding: %x re-encodes as %x", consumed, again.Bytes())
+		}
+		// What decodes goes on to Restore: a machine must refuse it or run
+		// from it, never fall over.
+		if m.Restore(s) == nil {
+			mustRun(m, []byte("xab needle7"))
 		}
 	})
 }

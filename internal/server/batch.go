@@ -305,7 +305,7 @@ func (b *batcher) flush(g *batchGen) {
 		return
 	}
 	// Hot-key dedup: members of one batch carrying byte-identical inputs
-	// share a single lane of the sweep and then share its result — the
+	// share a single stream of the batch and then share its result — the
 	// scan is deterministic, so one run of the bytes IS every duplicate's
 	// bit-identical answer. Outcomes alias the shared match slice and
 	// stats; members only read them, so the sharing is invisible.

@@ -387,9 +387,16 @@ func batchLoad(t *testing.T, s *Server, clients, perClient int, input []byte) ti
 
 // TestBatchedThroughputSmoke is the CI bench-smoke for the coalescer:
 // on the 64-client 1KB shape, the batched server must beat the
-// per-request server by at least 3x. Min-of-N rounds with alternating
+// per-request server by at least 2x. Min-of-N rounds with alternating
 // order and one retry, exactly like TestFlightRecorderOverhead, so a
 // noise spike on a shared runner cannot decide the verdict.
+//
+// The floor was 3x while the per-request side pushed this one-word rule
+// set through the four-word loop. The one-word loop halved the
+// denominator (per-request best-of-5 18-21 ms -> 9-12 ms on the
+// reference host; batched 3-4 ms on both sides, since all 64 clients
+// send the same bytes and a batch scans them once), so the ratio reads
+// 2.6-3.4x where it read 4.9-6.3x and 3x had become a coin flip.
 func TestBatchedThroughputSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing assertion; skipped in -short")
@@ -450,11 +457,11 @@ func TestBatchedThroughputSmoke(t *testing.T) {
 		return speedup
 	}
 	speedup := measure()
-	if speedup < 3 {
+	if speedup < 2 {
 		speedup = measure()
 	}
-	if speedup < 3 {
-		t.Fatalf("batched serving speedup %.2fx < 3x floor after retry", speedup)
+	if speedup < 2 {
+		t.Fatalf("batched serving speedup %.2fx < 2x floor after retry", speedup)
 	}
 	if batched.col.BatchedRequests.Value() == 0 {
 		t.Fatal("batched server never batched anything")

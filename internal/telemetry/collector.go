@@ -8,8 +8,7 @@ package telemetry
 type RunSummary struct {
 	// Symbols is the number of input symbols (= cycles) of the run.
 	Symbols int64
-	// Seconds is the host wall time; a lane-packed batch sweep's is split
-	// evenly among its inputs.
+	// Seconds is the host wall time.
 	Seconds float64
 	// Matches and OutputBufferInterrupts count report events and 64-entry
 	// output-buffer fills (§2.8); OutputBufferPeak is the buffer's
