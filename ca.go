@@ -23,9 +23,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
-	"strings"
-	"time"
 
 	"cacheautomaton/internal/anml"
 	"cacheautomaton/internal/arch"
@@ -143,7 +140,7 @@ type Automaton struct {
 	design    *arch.Design
 	nfa       *nfa.NFA
 	placement *mapper.Placement
-	report    *telemetry.CompileReport
+	report    *CompileReport
 	// pool leases every machine the automaton runs on: one for a run, a
 	// lease, a stream or a count, N for a sharded run.
 	pool *machine.Pool
@@ -156,7 +153,7 @@ type Automaton struct {
 // CompileRegex compiles a rule set (one pattern per entry; matches report
 // the pattern index) and maps it onto the selected design.
 func CompileRegex(patterns []string, opts Options) (*Automaton, error) {
-	tr := telemetry.NewTrace("compile-regex")
+	tr := telemetry.NewReqTrace("compile-regex")
 	n, err := regexc.CompileSet(patterns, regexc.Options{
 		CaseInsensitive:    opts.CaseInsensitive,
 		DotExcludesNewline: opts.DotExcludesNewline,
@@ -172,10 +169,11 @@ func CompileRegex(patterns []string, opts Options) (*Automaton, error) {
 // CompileANML reads an ANML automata network (the Automata Processor's
 // XML interchange format) and maps it.
 func CompileANML(r io.Reader, opts Options) (*Automaton, error) {
-	tr := telemetry.NewTrace("compile-anml")
-	sp := tr.StartPhase("anml.read")
+	tr := telemetry.NewReqTrace("compile-anml")
+	sp := tr.StartStage("anml.read")
 	net, err := anml.Read(r)
 	if err != nil {
+		sp.End()
 		return nil, err
 	}
 	sp.SetAttr("states", int64(net.NFA.NumStates()))
@@ -183,7 +181,7 @@ func CompileANML(r io.Reader, opts Options) (*Automaton, error) {
 	return fromNFA(net.NFA, opts, tr)
 }
 
-func fromNFA(n *nfa.NFA, opts Options, tr *telemetry.Trace) (*Automaton, error) {
+func fromNFA(n *nfa.NFA, opts Options, tr *telemetry.ReqTrace) (*Automaton, error) {
 	design := arch.NewDesign(opts.Design.kind())
 	cfg := mapper.Config{
 		Design:         design,
@@ -203,8 +201,8 @@ func fromNFA(n *nfa.NFA, opts Options, tr *telemetry.Trace) (*Automaton, error) 
 // newAutomaton builds the executable wrapper (machine pool, report)
 // around a verified placement — the shared tail of every compile path and
 // of Load.
-func newAutomaton(pl *mapper.Placement, opts Options, tr *telemetry.Trace) (*Automaton, error) {
-	sb := tr.StartPhase("machine.build")
+func newAutomaton(pl *mapper.Placement, opts Options, tr *telemetry.ReqTrace) (*Automaton, error) {
+	sb := tr.StartStage("machine.build")
 	pool := machine.NewPool(pl, machine.Options{CollectMatches: true}, 0)
 	pool.Observer = opts.RunObserver
 	// Build (and pool) one machine eagerly so placement problems surface at
@@ -213,6 +211,7 @@ func newAutomaton(pl *mapper.Placement, opts Options, tr *telemetry.Trace) (*Aut
 	// checkout to.
 	m, err := pool.GetContext(context.TODO())
 	if err != nil {
+		sb.End()
 		return nil, fmt.Errorf("cacheautomaton: %w", err)
 	}
 	pool.Put(m)
@@ -222,7 +221,7 @@ func newAutomaton(pl *mapper.Placement, opts Options, tr *telemetry.Trace) (*Aut
 		design:    pl.Design,
 		nfa:       pl.NFA,
 		placement: pl,
-		report:    tr.Report(),
+		report:    tr.Done(nil),
 		pool:      pool,
 	}, nil
 }
@@ -242,10 +241,11 @@ func (a *Automaton) Save(w io.Writer) error {
 // options are ignored — only runtime options (RunObserver) apply.
 // Corrupted input returns a structured error, never a panic.
 func Load(r io.Reader, opts Options) (*Automaton, error) {
-	tr := telemetry.NewTrace("load-caformat")
-	sp := tr.StartPhase("caformat.decode")
+	tr := telemetry.NewReqTrace("load-caformat")
+	sp := tr.StartStage("caformat.decode")
 	pl, names, err := caformat.Decode(r)
 	if err != nil {
+		sp.End()
 		return nil, fmt.Errorf("cacheautomaton: %w", err)
 	}
 	sp.SetAttr("states", int64(pl.NFA.NumStates()))
@@ -264,70 +264,19 @@ func Load(r io.Reader, opts Options) (*Automaton, error) {
 // returned slice must not be mutated.
 func (a *Automaton) SignatureNames() []string { return a.sigNames }
 
-// CompilePhase is one timed phase of the compile pipeline.
-type CompilePhase struct {
-	// Name identifies the phase ("regexc.parse", "map.large",
-	// "backoff.full-merge", "machine.build", …).
-	Name string
-	// Duration is the phase's wall time.
-	Duration time.Duration
-	// Stats carries phase counters: state counts in/out, partition counts,
-	// split retries, budget-repair moves, back-off outcomes.
-	Stats map[string]int64
-}
+// CompileReport is the stage breakdown of the compilation (or Load) that
+// produced an Automaton — regex parse, Glushkov construction, component
+// packing, k-way splitting with retries, budget repair, the CA_S back-off
+// ladder, machine construction — in the flight recorder's report type,
+// the one a served request gets: Op is the entry point ("compile-regex"),
+// Stages the phases in start order ("regexc.parse", "map.large",
+// "machine.build", …) with their counters as attributes.
+type CompileReport = telemetry.ReqReport
 
-// CompileReport is the phase breakdown of the compilation that produced an
-// Automaton — the compiler's pipeline made visible: regex parse, Glushkov
-// construction, connected-component packing, k-way splitting with retries,
-// budget repair, the CA_S back-off ladder, and machine construction.
-type CompileReport struct {
-	// Name is the entry point ("compile-regex", "compile-anml").
-	Name string
-	// Total is the end-to-end compile wall time.
-	Total time.Duration
-	// Phases lists the recorded phases in execution order.
-	Phases []CompilePhase
-}
-
-// String renders the report as an aligned per-phase breakdown.
-func (r *CompileReport) String() string {
-	if r == nil {
-		return "(no compile report)\n"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %9.3fms total\n", r.Name, float64(r.Total)/1e6)
-	for _, p := range r.Phases {
-		keys := make([]string, 0, len(p.Stats))
-		for k := range p.Stats {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var stats strings.Builder
-		for _, k := range keys {
-			fmt.Fprintf(&stats, " %s=%d", k, p.Stats[k])
-		}
-		fmt.Fprintf(&b, "  %-28s %9.3fms%s\n", p.Name, float64(p.Duration)/1e6, stats.String())
-	}
-	return b.String()
-}
-
-// CompileReport returns the phase breakdown recorded while this automaton
+// CompileReport returns the stage breakdown recorded while this automaton
 // was compiled. It is always available; recording costs a few small
-// allocations per compile.
-func (a *Automaton) CompileReport() *CompileReport {
-	if a.report == nil {
-		return nil
-	}
-	out := &CompileReport{Name: a.report.Name, Total: a.report.Total}
-	for _, p := range a.report.Phases {
-		cp := CompilePhase{Name: p.Name, Duration: p.Duration, Stats: make(map[string]int64, len(p.Attrs))}
-		for _, at := range p.Attrs {
-			cp.Stats[at.Key] = at.Value
-		}
-		out.Phases = append(out.Phases, cp)
-	}
-	return out
-}
+// allocations per compile. The report is shared: do not modify it.
+func (a *Automaton) CompileReport() *CompileReport { return a.report }
 
 // statsFrom converts a machine result into the paper's modeled metrics.
 func (a *Automaton) statsFrom(res *machine.Result) *Stats {
@@ -576,8 +525,9 @@ func (a *Automaton) WriteDOT(w io.Writer, name string) error {
 // Levenshtein workload of the paper's Table 1, exposed as a library
 // feature; matches report the pattern index.
 func CompileFuzzy(patterns []string, maxDist int, opts Options) (*Automaton, error) {
-	tr := telemetry.NewTrace("compile-fuzzy")
-	sp := tr.StartPhase("fuzzy.build")
+	tr := telemetry.NewReqTrace("compile-fuzzy")
+	sp := tr.StartStage("fuzzy.build")
+	defer sp.End() // first End wins: the error returns below still close it
 	n := nfa.New()
 	for i, p := range patterns {
 		if len(p) == 0 || maxDist < 0 || maxDist >= len(p) {
@@ -705,8 +655,9 @@ func (a *Automaton) ReplicationFactor(cacheBudgetMB float64) int {
 // sid options) into an automaton whose matches report each rule's sid as
 // the Pattern field.
 func CompileSnortRules(text string, opts Options) (*Automaton, error) {
-	tr := telemetry.NewTrace("compile-snort")
-	sp := tr.StartPhase("snort.parse+compile")
+	tr := telemetry.NewReqTrace("compile-snort")
+	sp := tr.StartStage("snort.parse+compile")
+	defer sp.End() // first End wins: the error returns below still close it
 	rules, err := rulefmt.ParseSnortRules(text)
 	if err != nil {
 		return nil, err
@@ -725,10 +676,11 @@ func CompileSnortRules(text string, opts Options) (*Automaton, error) {
 // (one "Name:hexsig" per line; ?? wildcards and {n} skips supported).
 // Matches report the signature's index into the returned name list.
 func CompileClamAVDatabase(text string, opts Options) (*Automaton, []string, error) {
-	tr := telemetry.NewTrace("compile-clamav")
-	sp := tr.StartPhase("clamav.parse+compile")
+	tr := telemetry.NewReqTrace("compile-clamav")
+	sp := tr.StartStage("clamav.parse+compile")
 	n, names, err := rulefmt.CompileClamAV(text)
 	if err != nil {
+		sp.End()
 		return nil, nil, err
 	}
 	sp.SetAttr("signatures", int64(len(names)))

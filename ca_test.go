@@ -441,29 +441,32 @@ func TestCompileReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := a.CompileReport()
-	if r == nil || r.Name != "compile-regex" {
+	if r == nil || r.Op != "compile-regex" || r.Outcome != "ok" || r.ID == "" {
 		t.Fatalf("report = %+v", r)
 	}
-	byName := map[string]CompilePhase{}
-	for _, p := range r.Phases {
-		byName[p.Name] = p
-	}
 	for _, want := range []string{"regexc.parse", "regexc.glushkov", "map.components", "map.pack", "map.cross", "machine.build"} {
-		if _, ok := byName[want]; !ok {
-			t.Errorf("report missing phase %q (have %v)", want, r.Phases)
+		if r.Stage(want) == nil {
+			t.Fatalf("report missing stage %q (have %v)", want, r.Stages)
 		}
 	}
-	if got := byName["regexc.parse"].Stats["patterns"]; got != 2 {
+	if got := r.Stage("regexc.parse").Attr("patterns"); got != 2 {
 		t.Errorf("patterns = %d, want 2", got)
 	}
-	if got := byName["regexc.glushkov"].Stats["states"]; got != int64(a.States()) {
+	if got := r.Stage("regexc.glushkov").Attr("states"); got != int64(a.States()) {
 		t.Errorf("glushkov states = %d, want %d", got, a.States())
 	}
-	if got := byName["machine.build"].Stats["partitions"]; got != int64(a.Partitions()) {
+	if got := r.Stage("machine.build").Attr("partitions"); got != int64(a.Partitions()) {
 		t.Errorf("machine.build partitions = %d, want %d", got, a.Partitions())
 	}
+	// Stages are in execution order on the compile's own clock, inside its
+	// total.
+	for i, st := range r.Stages {
+		if st.StartMS < 0 || st.StartMS+st.DurationMS > r.DurationMS+1e-6 || (i > 0 && st.StartMS < r.Stages[i-1].StartMS) {
+			t.Errorf("stage %d %+v outside [0, %vms] or out of order", i, st, r.DurationMS)
+		}
+	}
 	out := r.String()
-	if !strings.Contains(out, "compile-regex") || !strings.Contains(out, "regexc.parse") {
+	if !strings.Contains(out, "compile-regex") || !strings.Contains(out, "regexc.parse") || !strings.Contains(out, "patterns=2") {
 		t.Errorf("formatted report:\n%s", out)
 	}
 	// The CA_S back-off ladder shows up in space-design reports.
@@ -472,13 +475,25 @@ func TestCompileReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, p := range as.CompileReport().Phases {
-		if strings.HasPrefix(p.Name, "backoff.") {
+	for _, st := range as.CompileReport().Stages {
+		if strings.HasPrefix(st.Name, "backoff.") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("space-design report has no backoff phases: %+v", as.CompileReport().Phases)
+		t.Errorf("space-design report has no backoff stages: %+v", as.CompileReport().Stages)
+	}
+	// Load records its own stages the same way.
+	var buf bytes.Buffer
+	if err := a.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	la, err := Load(&buf, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lr := la.CompileReport(); lr.Op != "load-caformat" || lr.Stage("caformat.decode").Attr("partitions") != int64(a.Partitions()) || lr.Stage("machine.build") == nil {
+		t.Errorf("load report = %+v", lr)
 	}
 }
 

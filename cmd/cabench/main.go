@@ -68,7 +68,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics, /debug/vars, /debug/pprof on http://%s\n", srv.Addr())
 	}
 	if *traceCompile {
-		cfg.TraceSink = func(name string, r *telemetry.CompileReport) {
+		cfg.TraceSink = func(r *telemetry.ReqReport) {
 			fmt.Fprint(os.Stderr, r.String())
 		}
 	}

@@ -19,8 +19,8 @@
 // Batched serving: -batch-window turns on the request coalescer —
 // concurrent small unsharded /match requests against one rule set wait
 // up to the window and run through one leased machine as a single
-// batched sweep (-batch-max and -batch-bytes bound a batch; oversize or
-// deadline-critical requests bypass and serve per-request). Match sets
+// batched sweep (-batch-max bounds a batch; requests over 256 KiB and
+// deadline-critical ones bypass and serve per-request). Match sets
 // are bit-identical to per-request serving; see the README's "Batched
 // serving" walkthrough.
 //
@@ -110,7 +110,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 	logFormat := fs.String("log-format", "text", "structured log format on stderr: text or json")
 	batchWindow := fs.Duration("batch-window", 0, "coalesce concurrent small matches into shared batched sweeps, waiting up to this long to fill a batch (0 disables)")
 	batchMax := fs.Int("batch-max", 0, "max requests per batch (0 = 64; needs -batch-window)")
-	batchBytes := fs.Int64("batch-bytes", 0, "per-request size cap and batch byte budget for coalescing (0 = 256 KiB; needs -batch-window)")
 	nodes := fs.String("nodes", "", "router mode: comma-separated id=url cad nodes to route across (e.g. n1=http://10.0.0.1:8480,n2=http://10.0.0.2:8480); -http serves the cluster API instead of a node")
 	replicas := fs.Int("replicas", 0, "router mode: nodes holding each rule set (0 = 2)")
 	heartbeat := fs.Duration("heartbeat", 0, "router mode: health-check interval (0 = 250ms)")
@@ -167,7 +166,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 		Logger:         logger,
 		BatchWindow:    *batchWindow,
 		BatchMax:       *batchMax,
-		BatchBytes:     *batchBytes,
 		AdminToken:     *adminToken,
 	})
 

@@ -47,19 +47,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cagen: nothing to do (pass -anml and/or -trace)")
 		os.Exit(2)
 	}
-	var tr *telemetry.Trace
+	var tr *telemetry.ReqTrace
 	if *timings {
-		tr = telemetry.NewTrace("cagen/" + spec.Name)
+		tr = telemetry.NewReqTrace("cagen/" + spec.Name)
 	}
 	if *anmlOut != "" {
-		sb := tr.StartPhase("build-nfa")
+		sb := tr.StartStage("build-nfa")
 		n, err := spec.Build(*seed, *scale)
 		if err != nil {
 			fatal(err)
 		}
 		sb.SetAttr("states", int64(n.NumStates()))
 		sb.End()
-		sw := tr.StartPhase("write-anml")
+		sw := tr.StartStage("write-anml")
 		f, err := os.Create(*anmlOut)
 		if err != nil {
 			fatal(err)
@@ -75,7 +75,7 @@ func main() {
 		fmt.Printf("wrote %s: %d states, %d CCs\n", *anmlOut, st.States, st.ConnectedComponents)
 	}
 	if *traceOut != "" {
-		sg := tr.StartPhase("generate-trace")
+		sg := tr.StartStage("generate-trace")
 		input := spec.Input(*seed, *size)
 		sg.SetAttr("bytes", int64(len(input)))
 		sg.End()
@@ -85,7 +85,7 @@ func main() {
 		fmt.Printf("wrote %s: %d bytes\n", *traceOut, *size)
 	}
 	if *timings {
-		fmt.Fprint(os.Stderr, tr.Report().String())
+		fmt.Fprint(os.Stderr, tr.Done(nil).String())
 	}
 }
 

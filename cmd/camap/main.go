@@ -72,9 +72,9 @@ func main() {
 			kind = arch.SpaceOpt
 		}
 		before := n.ComputeStats()
-		var tr *telemetry.Trace
+		var tr *telemetry.ReqTrace
 		if *traceCompile {
-			tr = telemetry.NewTrace("camap/" + kind.String())
+			tr = telemetry.NewReqTrace("camap/" + kind.String())
 		}
 		var level mapper.OptimizeLevel
 		pl, level, err = mapper.MapOptimized(n, mapper.Config{
@@ -84,7 +84,7 @@ func main() {
 			Trace:          tr,
 		})
 		if *traceCompile {
-			fmt.Print(tr.Report().String())
+			fmt.Print(tr.Done(err).String())
 		}
 		if err != nil {
 			fatal(err)

@@ -38,13 +38,13 @@ func main() {
 			pats = append(pats, line)
 		}
 	}
-	var tr *telemetry.Trace
+	var tr *telemetry.ReqTrace
 	if *traceCompile {
-		tr = telemetry.NewTrace("caregex")
+		tr = telemetry.NewReqTrace("caregex")
 	}
 	n, err := regexc.CompileSet(pats, regexc.Options{CaseInsensitive: *caseIns, Trace: tr})
 	if *traceCompile {
-		fmt.Fprint(os.Stderr, tr.Report().String())
+		fmt.Fprint(os.Stderr, tr.Done(err).String())
 	}
 	if err != nil {
 		fatal(err)

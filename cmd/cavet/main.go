@@ -6,7 +6,7 @@
 //	go run ./cmd/cavet -tests ./...
 //
 // Findings print as path:line:col: analyzer: message (or as SARIF
-// 2.1.0, flat JSON, or GitHub workflow annotations via -format). Exit
+// 2.1.0 or GitHub workflow annotations via -format). Exit
 // status is 0 when clean, 1 when there are findings, 2 on usage or
 // load errors. Suppress a single finding with a justified directive:
 //
@@ -40,18 +40,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tags := fs.String("tags", "", "comma-separated build tags to satisfy during file selection")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	dir := fs.String("C", "", "change to this directory before resolving packages")
-	format := fs.String("format", "text", "output format: text, json, sarif, or github")
+	format := fs.String("format", "text", "output format: text, sarif, or github")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: cavet [-tests] [-tags tag,tag] [-C dir] [-format text|json|sarif|github] [./...]\n")
+		fmt.Fprintf(stderr, "usage: cavet [-tests] [-tags tag,tag] [-C dir] [-format text|sarif|github] [./...]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	switch *format {
-	case "text", "json", "sarif", "github":
+	case "text", "sarif", "github":
 	default:
-		fmt.Fprintf(stderr, "cavet: unknown -format %q (want text, json, sarif, or github)\n", *format)
+		fmt.Fprintf(stderr, "cavet: unknown -format %q (want text, sarif, or github)\n", *format)
 		return 2
 	}
 	if *list {
@@ -112,8 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			f.Pos.Filename = relPath(f.Pos.Filename)
 			fmt.Fprintln(stdout, f.String())
 		}
-	case "json":
-		err = analysis.WriteJSON(stdout, findings, relPath)
 	case "sarif":
 		err = analysis.WriteSARIF(stdout, suite.All(), findings, relPath)
 	case "github":

@@ -48,7 +48,7 @@ var Order = []Level{
 	{Class: "server.wal.mu", Rank: 80,
 		Note: "WAL framing; callers may append under session or server locks"},
 	{Class: "telemetry.ReqTrace.mu", Rank: 82,
-		Note: "flight-recorder trace state; stage spans start under session.mu (walCheckpoint), and Report locks each Span under it"},
+		Note: "trace state, request or compile; stage spans start under session.mu (walCheckpoint) and under Server.reloadMu (reload compiles inline), and Report locks each Span under it"},
 	{Class: "telemetry.Span.mu", Rank: 84,
 		Note: "per-span attrs/duration; innermost of the tracing pair"},
 	{Class: "machine.Pool.mu", Rank: 85,
@@ -59,8 +59,6 @@ var Order = []Level{
 		Note: "match queue counter; leaf-only"},
 	{Class: "telemetry.Registry.mu", Rank: 85,
 		Note: "metric name table; leaf-only"},
-	{Class: "telemetry.Trace.mu", Rank: 83,
-		Note: "compile-trace phase list; locks each phase Span under it, and nests under Server.reloadMu since reload compiles inline"},
 	{Class: "faults.Injector.mu", Rank: 90,
 		Note: "unknown-point tracking inside faults.Check; innermost of all"},
 }

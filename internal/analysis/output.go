@@ -9,8 +9,8 @@ import (
 )
 
 // Output encoders for cavet: SARIF 2.1.0 (build artifacts, code
-// scanning upload), plain JSON (scripting), and GitHub workflow
-// annotations (inline PR comments). The text format stays in cmd/cavet
+// scanning upload) and GitHub workflow annotations (inline PR
+// comments). The text format stays in cmd/cavet
 // because it is just Finding.String.
 
 // sarifLog is the minimal SARIF 2.1.0 document cavet emits.
@@ -108,32 +108,6 @@ func WriteSARIF(w io.Writer, analyzers []*Analyzer, findings []Finding, rel func
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(log)
-}
-
-// jsonFinding is the plain -format json record.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// WriteJSON encodes the findings as a flat JSON array.
-func WriteJSON(w io.Writer, findings []Finding, rel func(string) string) error {
-	out := []jsonFinding{}
-	for _, f := range findings {
-		out = append(out, jsonFinding{
-			File:     filepath.ToSlash(rel(f.Pos.Filename)),
-			Line:     f.Pos.Line,
-			Column:   f.Pos.Column,
-			Analyzer: f.Analyzer,
-			Message:  f.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // WriteGitHub emits GitHub Actions workflow annotations, so PRs get

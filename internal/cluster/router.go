@@ -88,9 +88,6 @@ func (c Config) withDefaults() Config {
 	if c.SlowRequest == 0 {
 		c.SlowRequest = 250 * time.Millisecond
 	}
-	if c.TraceRingSize == 0 {
-		c.TraceRingSize = telemetry.DefaultTraceRingSize
-	}
 	return c
 }
 
@@ -190,6 +187,7 @@ func NewRouter(cfg Config) *Router {
 		col:      telemetry.NewClusterCollector(cfg.Registry),
 		log:      cfg.Logger,
 		client:   cfg.Client,
+		traces:   telemetry.NewTraceRing(cfg.TraceRingSize, cfg.SlowRequest),
 		members:  make(map[string]*member),
 		ring:     NewRing(virtualNodes),
 		rulesets: make(map[string]*placedRuleset),
@@ -197,13 +195,6 @@ func NewRouter(cfg Config) *Router {
 		stopHB:   make(chan struct{}),
 		hbDone:   make(chan struct{}),
 		kick:     make(chan struct{}, 1),
-	}
-	if cfg.TraceRingSize > 0 {
-		slow := cfg.SlowRequest
-		if slow < 0 {
-			slow = 0
-		}
-		r.traces = telemetry.NewTraceRing(cfg.TraceRingSize, slow)
 	}
 	go r.healthLoop()
 	return r

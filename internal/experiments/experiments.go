@@ -40,9 +40,10 @@ type Config struct {
 	// Observer, when non-nil, receives run telemetry from every simulated
 	// machine (cabench -metrics-addr feeds a telemetry.MachineCollector).
 	Observer machine.Observer
-	// TraceSink, when non-nil, receives the compile-pipeline phase
-	// breakdown of each (benchmark, design) mapping as it completes.
-	TraceSink func(name string, r *telemetry.CompileReport)
+	// TraceSink, when non-nil, receives the compile-pipeline stage
+	// breakdown of each (benchmark, design) mapping as it completes; the
+	// report's Op names the pair ("Snort/CA_P").
+	TraceSink func(r *telemetry.ReqReport)
 }
 
 func (c Config) scale() float64 {
@@ -183,9 +184,9 @@ func (r *Runner) execute(spec *workload.Spec, kind arch.DesignKind) *Run {
 		return run
 	}
 	design := arch.NewDesign(kind)
-	var tr *telemetry.Trace
+	var tr *telemetry.ReqTrace
 	if r.Cfg.TraceSink != nil {
-		tr = telemetry.NewTrace(spec.Name + "/" + kind.String())
+		tr = telemetry.NewReqTrace(spec.Name + "/" + kind.String())
 	}
 	pl, level, err := mapper.MapOptimized(n, mapper.Config{
 		Design:         design,
@@ -195,7 +196,7 @@ func (r *Runner) execute(spec *workload.Spec, kind arch.DesignKind) *Run {
 	})
 	if r.Cfg.TraceSink != nil {
 		r.traceMu.Lock()
-		r.Cfg.TraceSink(spec.Name+"/"+kind.String(), tr.Report())
+		r.Cfg.TraceSink(tr.Done(err))
 		r.traceMu.Unlock()
 	}
 	if err != nil {

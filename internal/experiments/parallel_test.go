@@ -67,8 +67,8 @@ func TestConcurrentGetsSingleFlight(t *testing.T) {
 func TestPrefetchAllWithTraceSink(t *testing.T) {
 	var names []string
 	cfg := Config{Scale: 0.05, InputBytes: 4096, Seed: 1, Benchmarks: benchSubset,
-		TraceSink: func(name string, r *telemetry.CompileReport) {
-			names = append(names, name)
+		TraceSink: func(r *telemetry.ReqReport) {
+			names = append(names, r.Op)
 		}}
 	NewRunner(cfg).PrefetchAll(4)
 	if want := 2 * len(benchSubset); len(names) != want {

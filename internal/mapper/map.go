@@ -22,10 +22,11 @@ type Config struct {
 	// relaxation is documented in DESIGN.md. Default true for the space
 	// design; ignored for CA_P (which never uses G4).
 	AllowChainedG4 bool
-	// Trace, when non-nil, records the mapping phases (component analysis,
-	// large-component splitting, small-component packing, cross-edge
-	// computation) with state counts, split retries and repair moves.
-	Trace *telemetry.Trace
+	// Trace, when non-nil, receives the mapping stages as spans —
+	// "map.components", "map.large", "map.pack", "map.cross", and a
+	// "backoff.<level>" span around each rung MapOptimized tries — with
+	// state counts, split retries and repair moves as attributes.
+	Trace *telemetry.ReqTrace
 }
 
 // waysPerSlice is how many ways per slice the NFA may occupy (§2.9).
@@ -69,7 +70,7 @@ func Map(n *nfa.NFA, cfg Config) (*Placement, error) {
 		m.pl.SlotOf[i] = -1
 	}
 
-	sc := cfg.Trace.StartPhase("map.components")
+	sc := cfg.Trace.StartStage("map.components")
 	comps, _ := n.ConnectedComponents() // ascending by size
 	var small, big []nfa.Component
 	for _, c := range comps {
@@ -87,7 +88,7 @@ func Map(n *nfa.NFA, cfg Config) (*Placement, error) {
 	// Large components first: they need contiguous way real estate.
 	// Process largest first so alignment holes are created early and then
 	// backfilled by small components.
-	sl := cfg.Trace.StartPhase("map.large")
+	sl := cfg.Trace.StartStage("map.large")
 	sort.SliceStable(big, func(a, b int) bool { return big[a].Size() > big[b].Size() })
 	for _, c := range big {
 		if err := m.mapLargeComponent(c); err != nil {
@@ -98,7 +99,7 @@ func Map(n *nfa.NFA, cfg Config) (*Placement, error) {
 	sl.SetAttr("repair_moves", int64(m.repairMoves))
 	sl.End()
 
-	sp := cfg.Trace.StartPhase("map.pack")
+	sp := cfg.Trace.StartStage("map.pack")
 	m.packSmallComponents(small)
 	m.assignWaysForUnplaced()
 	m.consolidate()
@@ -106,7 +107,7 @@ func Map(n *nfa.NFA, cfg Config) (*Placement, error) {
 	sp.SetAttr("ways", int64(len(m.wayFill)))
 	sp.End()
 
-	sx := cfg.Trace.StartPhase("map.cross")
+	sx := cfg.Trace.StartStage("map.cross")
 	m.pl.DeriveCross()
 	// The physical budgets are re-checked after final placement; memoized,
 	// so the machines built from this placement do not check again.

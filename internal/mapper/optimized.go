@@ -47,7 +47,7 @@ func MapOptimized(n *nfa.NFA, cfg Config) (*Placement, OptimizeLevel, error) {
 	}
 	var lastErr error
 	for _, level := range []OptimizeLevel{FullMerge, PrefixMerge, NoMerge} {
-		sp := cfg.Trace.StartPhase("backoff." + level.String())
+		sp := cfg.Trace.StartStage("backoff." + level.String())
 		candidate := n
 		switch level {
 		case FullMerge:

@@ -191,9 +191,9 @@ func Compile(pattern string, reportCode int32, opts Options) (*nfa.NFA, error) {
 // per-pattern automata, with report code i for patterns[i]. This mirrors how
 // AP rule sets bundle hundreds-to-thousands of patterns into one machine
 // (paper §1). With Options.Trace set, the parse and Glushkov phases are
-// recorded as separate spans.
+// recorded as separate stage spans.
 func CompileSet(patterns []string, opts Options) (*nfa.NFA, error) {
-	sp := opts.Trace.StartPhase("regexc.parse")
+	sp := opts.Trace.StartStage("regexc.parse")
 	parsed := make([]*Parsed, len(patterns))
 	for i, pat := range patterns {
 		p, err := Parse(pat, opts)
@@ -205,7 +205,7 @@ func CompileSet(patterns []string, opts Options) (*nfa.NFA, error) {
 	sp.SetAttr("patterns", int64(len(patterns)))
 	sp.End()
 
-	sg := opts.Trace.StartPhase("regexc.glushkov")
+	sg := opts.Trace.StartStage("regexc.glushkov")
 	out := nfa.New()
 	for i, p := range parsed {
 		one, err := CompileParsed(p, int32(i))

@@ -20,9 +20,10 @@ type Options struct {
 	// structurally, so this bounds state blow-up). 0 means the default of
 	// 256.
 	MaxRepeat int
-	// Trace, when non-nil, records the parse and Glushkov-construction
-	// phases of CompileSet (wall time, pattern and state counts).
-	Trace *telemetry.Trace
+	// Trace, when non-nil, receives CompileSet's "regexc.parse" and
+	// "regexc.glushkov" stage spans (wall time, pattern and state counts)
+	// — the same trace type a served request is recorded on.
+	Trace *telemetry.ReqTrace
 }
 
 func (o Options) maxRepeat() int {

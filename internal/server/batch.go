@@ -49,7 +49,7 @@ type batchGen struct {
 	// too-late Stop is harmless — flushTimer no-ops on detached gens).
 	timer    atomic.Pointer[time.Timer]
 	detached atomic.Bool
-	// ready is closed by the flusher after every member's outcome is
+	// ready is closed by the flush after every member's outcome is
 	// final AND the machine lease is back in the pool; members read
 	// their slot only after the close, so the array is never appended
 	// to and read concurrently.
@@ -57,7 +57,7 @@ type batchGen struct {
 }
 
 // batchMember is one enqueued request. The member goroutine owns rt and
-// sp; out is written by the flusher before ready is closed and read by
+// sp; out is written by the flush before ready is closed and read by
 // the member after, with the close as the ordering edge. input is the
 // request's payload kept as a string: the sweep only reads it, so the
 // text-body serving path hands it down with no per-request copy.
@@ -85,46 +85,17 @@ type batchOutcome struct {
 	settled bool
 }
 
-// batchFlush is one detached generation queued for the server's
-// persistent flusher goroutine.
-type batchFlush struct {
-	b *batcher
-	g *batchGen
-}
-
-// dispatchFlush hands a detached generation to the persistent flusher,
-// or flushes it on the calling goroutine when the queue is full (natural
-// backpressure: a busy flusher regains parallelism from its callers).
-func (s *Server) dispatchFlush(b *batcher, g *batchGen) {
-	select {
-	case s.flushq <- batchFlush{b, g}:
-	default:
-		b.flush(g)
-	}
-}
-
-// runFlusher drains flushq until the server stops it after a successful
-// drain. Running every flush on one long-lived goroutine keeps the
-// machine call chain on an already-grown stack — a fresh goroutine per
-// flush would pay several stack copies growing through the sweep.
-func (s *Server) runFlusher() {
-	defer close(s.flusherDone)
-	for {
-		select {
-		case f := <-s.flushq:
-			f.b.flush(f.g)
-		case <-s.stopFlusher:
-			return
-		}
-	}
-}
+// batchBytes bounds batching eligibility and flush size: a request
+// larger than this bypasses the batcher, and a batch whose total payload
+// reaches it flushes immediately.
+const batchBytes = 256 << 10
 
 // batchEligible decides whether a match request may coalesce. Sharded
 // and oversize requests bypass; so do deadline-critical ones — a
 // request whose remaining budget is within a few windows of expiry
 // cannot afford to sit out the coalescing wait.
 func (s *Server) batchEligible(ctx context.Context, req MatchRequest, n int64) bool {
-	if req.Shards > 1 || n > s.cfg.BatchBytes {
+	if req.Shards > 1 || n > batchBytes {
 		return false
 	}
 	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < 4*s.cfg.BatchWindow {
@@ -150,7 +121,7 @@ func (s *Server) matchBatched(ctx context.Context, rt *telemetry.ReqTrace, b *ba
 		s.col.MatchReports.Add(int64(len(out.resp.Matches)))
 		return out.resp, nil
 	case <-ctx.Done():
-		// The flusher still settles this member's slot; only this waiter
+		// The flush still settles this member's slot; only this waiter
 		// gives up. Its place in the sweep is wasted, not corrupted.
 		sp.End()
 		s.col.Timeouts.Inc()
@@ -161,8 +132,10 @@ func (s *Server) matchBatched(ctx context.Context, rt *telemetry.ReqTrace, b *ba
 // enqueue adds a member to the current generation, opening a new one
 // (with its window timer) when none is accumulating, and returns the
 // generation plus the member's slot index. The member whose arrival
-// trips the size or byte cap detaches the generation and hands it to
-// the flusher.
+// trips the size or byte cap detaches the generation and starts its
+// flush on a goroutine of its own (the member itself must stay
+// cancellable while it waits on g.ready), as the window path flushes on
+// time.AfterFunc's.
 func (b *batcher) enqueue(input string, rt *telemetry.ReqTrace, sp *telemetry.Span) (*batchGen, int) {
 	b.mu.Lock()
 	g := b.cur
@@ -184,7 +157,7 @@ func (b *batcher) enqueue(input string, rt *telemetry.ReqTrace, sp *telemetry.Sp
 	idx := len(g.members)
 	g.members = append(g.members, batchMember{input: input, rt: rt, sp: sp, enq: time.Now()})
 	g.bytes += int64(len(input))
-	full := len(g.members) >= b.s.cfg.BatchMax || g.bytes >= b.s.cfg.BatchBytes
+	full := len(g.members) >= b.s.cfg.BatchMax || g.bytes >= batchBytes
 	if full {
 		b.cur = nil
 	}
@@ -204,7 +177,7 @@ func (b *batcher) enqueue(input string, rt *telemetry.ReqTrace, sp *telemetry.Sp
 		if tm := g.timer.Load(); tm != nil {
 			tm.Stop()
 		}
-		b.s.dispatchFlush(b, g)
+		go b.flush(g) // holds the generation's s.ops entry until it returns, so a drain waits for it
 	}
 	return g, idx
 }
@@ -219,7 +192,7 @@ func (b *batcher) flushTimer(g *batchGen) {
 	}
 	b.mu.Unlock()
 	if own {
-		b.s.dispatchFlush(b, g)
+		b.flush(g)
 	}
 }
 

@@ -169,12 +169,11 @@ func TestBatchTraceSpan(t *testing.T) {
 // batcher must not exist at all.
 func TestBatchBypass(t *testing.T) {
 	cfg := batchedConfig()
-	cfg.BatchBytes = 512
 	s, _ := testServer(t, cfg)
 	if _, err := s.Compile(context.Background(), "smoke", CompileRequest{Patterns: smokePatterns}); err != nil {
 		t.Fatal(err)
 	}
-	big := smokeInput(rand.New(rand.NewSource(4)), 2048)
+	big := smokeInput(rand.New(rand.NewSource(4)), batchBytes+1)
 	small := big[:256]
 
 	check := func(s *Server, label string, req MatchRequest, ctx context.Context) *telemetry.ReqReport {
@@ -232,17 +231,16 @@ func TestBatchBypass(t *testing.T) {
 // whose symbols are exactly the bytes sent, whichever engine scanned them.
 func TestKernelMetricsExported(t *testing.T) {
 	cfg := batchedConfig()
-	cfg.BatchBytes = 512
 	cfg.MaxShards = 2
 	s, _ := testServer(t, cfg)
 	if _, err := s.Compile(context.Background(), "smoke", CompileRequest{Patterns: smokePatterns}); err != nil {
 		t.Fatal(err)
 	}
-	in := smokeInput(rand.New(rand.NewSource(5)), 32<<10)
+	in := smokeInput(rand.New(rand.NewSource(5)), batchBytes+1)
 	var sent, matches int64
 	for _, req := range []MatchRequest{
-		{Ruleset: "smoke", Input: string(in[:2048])}, // over BatchBytes: per-request
-		{Ruleset: "smoke", Input: string(in), Shards: 2},
+		{Ruleset: "smoke", Input: string(in)}, // over batchBytes: per-request
+		{Ruleset: "smoke", Input: string(in[:32<<10]), Shards: 2},
 		{Ruleset: "smoke", Input: string(in[:256])}, // a batch of one
 	} {
 		resp, err := s.Match(context.Background(), req)
@@ -486,7 +484,6 @@ func BenchmarkBatchedServing10k(b *testing.B) {
 		if batched {
 			cfg.BatchWindow = time.Millisecond
 			cfg.BatchMax = 256
-			cfg.BatchBytes = 256 << 10
 		}
 		s := New(cfg)
 		b.Cleanup(func() {

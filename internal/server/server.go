@@ -14,18 +14,14 @@ package server
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/base64"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,10 +85,6 @@ type Config struct {
 	// BatchMax caps how many requests one batch packs; reaching it
 	// flushes immediately without waiting out the window (default 64).
 	BatchMax int
-	// BatchBytes bounds batching eligibility and flush size: a request
-	// larger than this bypasses the batcher, and a batch whose total
-	// payload reaches it flushes immediately (default 256 KiB).
-	BatchBytes int64
 	// AdminToken guards the mutating admin endpoints (today: rule-set
 	// reload). Empty leaves them open — matching the trust model of the
 	// rest of the API; set, they require "Authorization: Bearer <token>".
@@ -124,34 +116,13 @@ func (c Config) withDefaults() Config {
 	if c.SlowRequest == 0 {
 		c.SlowRequest = 250 * time.Millisecond
 	}
-	if c.TraceRingSize == 0 {
-		c.TraceRingSize = telemetry.DefaultTraceRingSize
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	if c.BatchWindow > 0 {
-		if c.BatchMax <= 0 {
-			c.BatchMax = 64
-		}
-		if c.BatchBytes <= 0 {
-			c.BatchBytes = 256 << 10
-		}
+	if c.BatchWindow > 0 && c.BatchMax <= 0 {
+		c.BatchMax = 64
 	}
 	return c
-}
-
-// ruleset is one compiled, immutable rule set. b is its request
-// coalescer, nil unless Config.BatchWindow > 0; replacing a rule set
-// replaces the batcher with it (pending batches on the old one still
-// flush against the automaton their members were admitted to).
-type ruleset struct {
-	info RulesetInfo
-	a    *ca.Automaton
-	b    *batcher
-	// req is the compile request that produced this rule set, kept so
-	// Reload with an empty body can rebuild from the stored definition.
-	req CompileRequest
 }
 
 // session is one streaming session. The mutex serializes feeds (the
@@ -191,10 +162,9 @@ type Server struct {
 	mu       sync.RWMutex
 	rulesets map[string]*ruleset
 	sessions map[string]*session
-	// states is the per-ruleset readiness detail behind /readyz:
-	// "compiling" / "reloading" while a build is in progress,
-	// "ready" / "cached" once published (see ReadyDetail).
-	states   map[string]string
+	// building counts the installs in progress per rule-set name — what
+	// /readyz reports as "compiling" / "reloading" (see ReadyDetail).
+	building map[string]int
 	draining bool
 	nextID   uint64
 	// wal, when non-nil, is the session write-ahead log (AttachWAL).
@@ -202,15 +172,15 @@ type Server struct {
 	wal *wal
 	// cache, when non-nil, is the content-addressed compile cache
 	// (AttachCache). Set once before serving; guarded by mu for the
-	// attach itself. Compile consults it before recompiling, so WAL
-	// replay of N sessions on one rule set loads the automaton instead
-	// of paying the compile again.
+	// attach itself. install consults it before compiling and stores what
+	// it compiled or was shipped, so WAL replay loads the automaton
+	// instead of paying the compile again.
 	cache *caformat.Cache
 
 	// reloadMu serializes rule-set reloads so concurrent reloads of the
 	// same name can't interleave compile-then-swap and publish a stale
 	// version. It ranks above every other lock (see the cavet lockorder
-	// table): Reload acquires it before delegating to Compile, which
+	// table): Reload acquires it before delegating to install, which
 	// takes Server.mu and the WAL lock.
 	reloadMu sync.Mutex
 
@@ -230,16 +200,6 @@ type Server struct {
 	// reaper lifecycle.
 	stopReaper chan struct{}
 	reaperDone chan struct{}
-
-	// Batch-flusher lifecycle (nil channels when batching is off). One
-	// persistent goroutine drains flushq so batch sweeps run on a warm
-	// stack instead of growing a fresh 2 KiB goroutine stack through the
-	// whole machine call chain on every flush; dispatchFlush falls back
-	// to flushing on the caller when the queue is full.
-	flushq      chan batchFlush
-	stopFlusher chan struct{}
-	flusherDone chan struct{}
-	flusherStop sync.Once
 }
 
 // New builds a Server.
@@ -252,17 +212,11 @@ func New(cfg Config) *Server {
 		log:        cfg.Logger,
 		rulesets:   make(map[string]*ruleset),
 		sessions:   make(map[string]*session),
-		states:     make(map[string]string),
+		building:   make(map[string]int),
+		ring:       telemetry.NewTraceRing(cfg.TraceRingSize, cfg.SlowRequest),
 		slots:      make(chan struct{}, cfg.MatchWorkers),
 		stopReaper: make(chan struct{}),
 		reaperDone: make(chan struct{}),
-	}
-	if cfg.TraceRingSize > 0 {
-		slow := cfg.SlowRequest
-		if slow < 0 {
-			slow = 0
-		}
-		s.ring = telemetry.NewTraceRing(cfg.TraceRingSize, slow)
 	}
 	s.host = &Host{
 		API: s, MaxBody: cfg.MaxBodyBytes, AdminToken: cfg.AdminToken, Fallback: http.StatusInternalServerError,
@@ -273,12 +227,6 @@ func New(cfg Config) *Server {
 		go s.reapIdleSessions()
 	} else {
 		close(s.reaperDone)
-	}
-	if cfg.BatchWindow > 0 {
-		s.flushq = make(chan batchFlush, 64)
-		s.stopFlusher = make(chan struct{})
-		s.flusherDone = make(chan struct{})
-		go s.runFlusher()
 	}
 	return s
 }
@@ -406,10 +354,11 @@ func (s *Server) AttachWAL(dir string) (*ReplayStats, error) {
 }
 
 // AttachCache opens (creating if needed) the content-addressed compile
-// cache in dir and wires it into Compile: every compile first looks up
+// cache in dir and wires it into install: every compile first looks up
 // hash(rules, front-end, compile options) and loads the serialized
 // automaton on a hit; misses compile and store the encoding for the next
-// start. Attach it before AttachWAL so WAL replay's recompiles hit the
+// start, and a shipped artifact is stored under its definition's key the
+// same way. Attach it before AttachWAL so WAL replay's recompiles hit the
 // cache. Corrupted entries are evicted and recompiled (counted by
 // ca_cache_errors_total), never a failed boot.
 func (s *Server) AttachCache(dir string) error {
@@ -424,22 +373,6 @@ func (s *Server) AttachCache(dir string) error {
 	}
 	s.cache = c
 	return nil
-}
-
-// cacheKey derives the content address of a compile request: the rule
-// text, front-end and every compile-shaping option, length-prefixed and
-// format-version-bound inside caformat.NewKey. The rule-set *name* is
-// deliberately excluded — two names over identical rules share one entry.
-func cacheKey(format string, req *CompileRequest) caformat.Key {
-	parts := []string{
-		format,
-		req.Design,
-		fmt.Sprintf("ci=%t dot=%t rep=%d seed=%d", req.CaseInsensitive, req.DotExcludesNewline, req.MaxRepeat, req.Seed),
-		strconv.Itoa(len(req.Patterns)),
-	}
-	parts = append(parts, req.Patterns...)
-	parts = append(parts, req.Text)
-	return caformat.NewKey(parts...)
 }
 
 // resumeFromWAL restores one checkpointed session, preserving its id so
@@ -599,396 +532,6 @@ func (s *Server) begin() (func(), error) {
 		return nil, Errorf(http.StatusServiceUnavailable, "server is draining")
 	}
 	return s.ops.Done, nil
-}
-
-// Compile compiles req into a named rule set, replacing any previous set
-// under that name (sessions opened against the old set keep running on
-// it). A telemetry.ReqTrace carried by ctx records the WAL append and
-// tags the trace with the rule-set name.
-func (s *Server) Compile(ctx context.Context, name string, req CompileRequest) (*RulesetInfo, error) {
-	done, err := s.begin()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	rt := telemetry.ReqTraceFrom(ctx)
-	rt.SetRuleset(name)
-	if name == "" || strings.ContainsAny(name, "/ \t\n") {
-		return nil, Errorf(http.StatusBadRequest, "bad ruleset name %q", name)
-	}
-	opts := ca.Options{
-		RunObserver:        s.runs,
-		CaseInsensitive:    req.CaseInsensitive,
-		DotExcludesNewline: req.DotExcludesNewline,
-		MaxRepeat:          req.MaxRepeat,
-		Seed:               req.Seed,
-	}
-	switch req.Design {
-	case "", "perf":
-	case "space":
-		opts.Design = ca.Space
-	default:
-		return nil, Errorf(http.StatusBadRequest, "unknown design %q (want perf or space)", req.Design)
-	}
-	format := req.Format
-	if format == "" {
-		format = "regex"
-	}
-	// Validate inputs before consulting the cache so malformed requests
-	// fail identically with and without a cache attached.
-	switch format {
-	case "regex":
-		if len(req.Patterns) == 0 {
-			return nil, Errorf(http.StatusBadRequest, "regex format needs patterns")
-		}
-	case "anml", "snort", "clamav":
-		if req.Text == "" {
-			return nil, Errorf(http.StatusBadRequest, "%s format needs text", format)
-		}
-	default:
-		return nil, Errorf(http.StatusBadRequest, "unknown format %q (want regex, anml, snort or clamav)", format)
-	}
-	// From here the build is real work: surface it in the /readyz
-	// detail so a cluster health checker sees "warming", not silence.
-	rollbackState := s.markCompiling(name)
-	committed := false
-	defer func() {
-		if !committed {
-			rollbackState()
-		}
-	}()
-	s.mu.RLock()
-	cache := s.cache
-	s.mu.RUnlock()
-
-	var (
-		a      *ca.Automaton
-		names  []string
-		cached bool
-		key    caformat.Key
-	)
-	start := time.Now()
-	if cache != nil {
-		key = cacheKey(format, &req)
-		if data, cerr := cache.Get(key); cerr == nil {
-			la, lerr := ca.Load(bytes.NewReader(data), opts)
-			if lerr == nil {
-				a, cached = la, true
-				names = a.SignatureNames()
-				s.col.CacheHits.Inc()
-			} else {
-				// A corrupted entry falls back to a full compile (which
-				// re-stores it), never a failed boot or request.
-				s.col.CacheErrors.Inc()
-				rmErr := cache.Remove(key)
-				s.log.WarnContext(ctx, "compile cache: corrupted entry evicted",
-					"ruleset", name, "key", key.String(), "error", lerr, "remove_error", rmErr)
-			}
-		} else if !errors.Is(cerr, os.ErrNotExist) {
-			s.col.CacheErrors.Inc()
-			s.log.WarnContext(ctx, "compile cache: read failed", "ruleset", name, "key", key.String(), "error", cerr)
-		}
-		if !cached {
-			s.col.CacheMisses.Inc()
-		}
-	}
-	if a == nil {
-		switch format {
-		case "regex":
-			a, err = ca.CompileRegex(req.Patterns, opts)
-		case "anml":
-			a, err = ca.CompileANML(strings.NewReader(req.Text), opts)
-		case "snort":
-			a, err = ca.CompileSnortRules(req.Text, opts)
-		case "clamav":
-			a, names, err = ca.CompileClamAVDatabase(req.Text, opts)
-		}
-		if err != nil {
-			return nil, Errorf(http.StatusUnprocessableEntity, "compile: %v", err)
-		}
-		if cache != nil {
-			var buf bytes.Buffer
-			serr := a.Save(&buf)
-			if serr == nil {
-				serr = cache.Put(key, buf.Bytes())
-			}
-			if serr != nil {
-				s.col.CacheErrors.Inc()
-				s.log.WarnContext(ctx, "compile cache: store failed", "ruleset", name, "key", key.String(), "error", serr)
-			}
-		}
-	}
-	rs := &ruleset{a: a, req: req, info: describe(name, format, &req, a, names, cached, start)}
-	s.publish(name, rs, cached)
-	committed = true
-	reqCopy := req
-	s.walAppend(rt, walRecord{Kind: "compile", Name: name, Req: &reqCopy})
-	s.log.InfoContext(ctx, "ruleset compiled",
-		"ruleset", name, "format", format, "states", rs.info.States,
-		"partitions", rs.info.Partitions, "compile_ms", rs.info.CompileMS,
-		"cached", cached, "version", rs.info.Version)
-	info := rs.info
-	return &info, nil
-}
-
-// Reload atomically swaps the named rule set under live traffic. A nil
-// req recompiles (or cache-loads) the stored definition — the common
-// "pick up a cache/config change" case; a non-nil req replaces the
-// definition, like Compile, but 404s instead of creating a new name.
-// reloadMu serializes reloads so two concurrent reloads of one name
-// cannot publish versions out of order; the swap itself is Compile's
-// single map store under Server.mu, so readers never observe a partial
-// state: in-flight leases finish on the old automaton, everything after
-// the swap gets the new one.
-func (s *Server) Reload(ctx context.Context, name string, req *CompileRequest) (*RulesetInfo, error) {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	if req == nil {
-		rs, err := s.ruleset(name)
-		if err != nil {
-			return nil, err
-		}
-		r := rs.req
-		req = &r
-	} else {
-		if _, err := s.ruleset(name); err != nil {
-			return nil, err
-		}
-	}
-	info, err := s.Compile(ctx, name, *req)
-	if err != nil {
-		return nil, err
-	}
-	s.col.Reloads.Inc()
-	s.log.InfoContext(ctx, "ruleset reloaded", "ruleset", name, "version", info.Version)
-	return info, nil
-}
-
-// describe fills in the RulesetInfo of an automaton just compiled from
-// req or loaded (from the compile cache or a shipped artifact, whose req
-// may be absent) since start.
-func describe(name, format string, req *CompileRequest, a *ca.Automaton, names []string, cached bool, start time.Time) RulesetInfo {
-	patterns := 0
-	switch {
-	case req != nil && format == "regex":
-		patterns = len(req.Patterns)
-	case req != nil && format == "clamav":
-		patterns = len(names)
-	}
-	return RulesetInfo{
-		Name:           name,
-		Format:         format,
-		Patterns:       patterns,
-		States:         a.States(),
-		Partitions:     a.Partitions(),
-		CacheMB:        a.CacheUsageMB(),
-		CompileMS:      float64(time.Since(start).Microseconds()) / 1000,
-		SignatureNames: names,
-		Cached:         cached,
-	}
-}
-
-// markCompiling records the per-ruleset readiness detail while a build
-// runs ("compiling" for a new name, "reloading" for a replacing one)
-// and returns the rollback that restores the previous state when the
-// build fails. The successful path overwrites the state in publish.
-func (s *Server) markCompiling(name string) (rollback func()) {
-	s.mu.Lock()
-	prev, existed := s.states[name]
-	next := "compiling"
-	if _, loaded := s.rulesets[name]; loaded {
-		next = "reloading"
-	}
-	s.states[name] = next
-	s.mu.Unlock()
-	return func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if existed {
-			s.states[name] = prev
-		} else {
-			delete(s.states, name)
-		}
-	}
-}
-
-// publish atomically swaps the named rule set in. The single map store
-// under Server.mu is the atomicity point of compile, reload and
-// artifact install alike: in-flight requests that already resolved the
-// old *ruleset finish on the old automaton; every later lookup — new
-// matches, sessions, batched flushes — gets the new one; sessions
-// opened against the old version hold its Automaton pointer and keep
-// it until close.
-func (s *Server) publish(name string, rs *ruleset, cached bool) {
-	if s.cfg.BatchWindow > 0 {
-		rs.b = &batcher{s: s, rs: rs}
-	}
-	state := "ready"
-	if cached {
-		state = "cached"
-	}
-	s.mu.Lock()
-	rs.info.Version = 1
-	if old := s.rulesets[name]; old != nil {
-		rs.info.Version = old.info.Version + 1
-	}
-	s.rulesets[name] = rs
-	s.states[name] = state
-	s.col.Rulesets.Set(int64(len(s.rulesets)))
-	s.mu.Unlock()
-}
-
-// Artifact exports the named rule set as a shippable Artifact: its
-// serialized caformat encoding plus the originating compile request.
-// The cluster router fetches it from any holder and installs it on the
-// nodes the placement ring assigns, so replicas never recompile.
-func (s *Server) Artifact(name string) (*Artifact, error) {
-	rs, err := s.ruleset(name)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := rs.a.Save(&buf); err != nil {
-		return nil, Errorf(http.StatusInternalServerError, "serialize %q: %v", name, err)
-	}
-	reqCopy := rs.req
-	return &Artifact{
-		Name:        name,
-		Version:     rs.info.Version,
-		Req:         &reqCopy,
-		ArtifactB64: base64.StdEncoding.EncodeToString(buf.Bytes()),
-	}, nil
-}
-
-// InstallArtifact publishes a rule set from its shipped caformat
-// artifact — the receiving half of cluster placement. The mapped
-// automaton is loaded, never recompiled; the artifact's compile
-// request is logged to the WAL (when present) so replay, empty-body
-// reload and cache keys on this node behave exactly as if the node had
-// compiled the rules itself.
-func (s *Server) InstallArtifact(ctx context.Context, name string, art Artifact) (*RulesetInfo, error) {
-	done, err := s.begin()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	rt := telemetry.ReqTraceFrom(ctx)
-	rt.SetRuleset(name)
-	if name == "" || strings.ContainsAny(name, "/ \t\n") {
-		return nil, Errorf(http.StatusBadRequest, "bad ruleset name %q", name)
-	}
-	if art.ArtifactB64 == "" {
-		return nil, Errorf(http.StatusBadRequest, "missing artifact_b64")
-	}
-	data, err := base64.StdEncoding.DecodeString(art.ArtifactB64)
-	if err != nil {
-		return nil, Errorf(http.StatusBadRequest, "bad artifact base64: %v", err)
-	}
-	rollbackState := s.markCompiling(name)
-	committed := false
-	defer func() {
-		if !committed {
-			rollbackState()
-		}
-	}()
-	start := time.Now()
-	a, err := ca.Load(bytes.NewReader(data), ca.Options{RunObserver: s.runs})
-	if err != nil {
-		return nil, Errorf(http.StatusUnprocessableEntity, "load artifact: %v", err)
-	}
-	format := "artifact"
-	if art.Req != nil {
-		format = cmp.Or(art.Req.Format, "regex")
-	}
-	rs := &ruleset{a: a, info: describe(name, format, art.Req, a, a.SignatureNames(), true, start)}
-	if art.Req != nil {
-		rs.req = *art.Req
-	}
-	s.publish(name, rs, true)
-	committed = true
-	if art.Req != nil {
-		reqCopy := *art.Req
-		s.walAppend(rt, walRecord{Kind: "compile", Name: name, Req: &reqCopy})
-	}
-	s.log.InfoContext(ctx, "ruleset installed from artifact",
-		"ruleset", name, "states", rs.info.States, "partitions", rs.info.Partitions,
-		"load_ms", rs.info.CompileMS, "version", rs.info.Version)
-	info := rs.info
-	return &info, nil
-}
-
-// ReadyDetail reports readiness with per-ruleset compile states — the
-// structured body behind /readyz that lets a cluster health checker
-// distinguish a warming node from a dying one.
-func (s *Server) ReadyDetail() ReadyDetail {
-	ready := s.Readyz()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	d := ReadyDetail{Ready: ready, Draining: s.draining}
-	if len(s.states) > 0 {
-		d.Rulesets = make(map[string]string, len(s.states))
-		for name, st := range s.states {
-			d.Rulesets[name] = st
-		}
-	}
-	return d
-}
-
-// Ruleset returns one rule set's description.
-func (s *Server) Ruleset(name string) (*RulesetInfo, error) {
-	rs, err := s.ruleset(name)
-	if err != nil {
-		return nil, err
-	}
-	info := rs.info
-	return &info, nil
-}
-
-// Rulesets lists the loaded rule sets sorted by name.
-func (s *Server) Rulesets() []RulesetInfo {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]RulesetInfo, 0, len(s.rulesets))
-	for _, rs := range s.rulesets {
-		out = append(out, rs.info)
-	}
-	sortRulesets(out)
-	return out
-}
-
-func sortRulesets(rs []RulesetInfo) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].Name < rs[j-1].Name; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
-}
-
-// DeleteRuleset unloads a rule set. Open sessions on it keep running.
-func (s *Server) DeleteRuleset(ctx context.Context, name string) error {
-	rt := telemetry.ReqTraceFrom(ctx)
-	rt.SetRuleset(name)
-	s.mu.Lock()
-	if _, ok := s.rulesets[name]; !ok {
-		s.mu.Unlock()
-		return Errorf(http.StatusNotFound, "no ruleset %q", name)
-	}
-	delete(s.rulesets, name)
-	delete(s.states, name)
-	s.col.Rulesets.Set(int64(len(s.rulesets)))
-	s.mu.Unlock()
-	s.walAppend(rt, walRecord{Kind: "delete", Name: name})
-	return nil
-}
-
-func (s *Server) ruleset(name string) (*ruleset, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	rs, ok := s.rulesets[name]
-	if !ok {
-		return nil, Errorf(http.StatusNotFound, "no ruleset %q", name)
-	}
-	return rs, nil
 }
 
 // acquireSlot implements match backpressure: shed immediately when the
@@ -1509,16 +1052,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		default:
 			err = ctx.Err()
 		}
-	}
-
-	// Every batch generation holds an in-flight op until its flush
-	// completes, so a successful drain implies flushq is empty and no new
-	// sends can happen: the flusher goroutine can stop safely.
-	if err == nil && s.flushq != nil {
-		s.flusherStop.Do(func() {
-			close(s.stopFlusher)
-			<-s.flusherDone
-		})
 	}
 
 	s.mu.RLock()

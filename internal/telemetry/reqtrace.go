@@ -1,26 +1,31 @@
 package telemetry
 
 import (
+	"cmp"
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// ReqTrace is the request-scoped flight recorder: one trace rides a
-// request's context.Context from the transport entry point (HTTP
-// handler or TCP line dispatch) through worker-queue admission, machine
-// leasing, the scan itself and the WAL append, collecting per-stage
-// spans and string annotations (injected faults, outcomes) along the
-// way. Completed traces are snapshotted into a TraceRing, so a slow,
-// failed or faulted request is explainable after the fact by the trace
-// id the client received.
+// ReqTrace is the one trace type: the timed stages of one operation. As
+// the request-scoped flight recorder it rides a request's
+// context.Context from the transport entry point (HTTP handler or TCP
+// line dispatch) through worker-queue admission, machine leasing, the
+// scan itself and the WAL append, collecting per-stage spans and string
+// annotations (injected faults, outcomes) along the way; completed
+// traces are snapshotted into a TraceRing, so a slow, failed or faulted
+// request is explainable after the fact by the trace id the client
+// received. A compile is traced the same way (regexc.Options.Trace,
+// mapper.Config.Trace, the ca.Compile* entry points): its report is what
+// Automaton.CompileReport returns and -trace-compile prints, and the
+// serving node Adopts it into the request that compiled.
 //
 // A nil *ReqTrace is valid everywhere and makes every method a no-op,
 // so instrumented code paths need no "is tracing on" conditionals —
@@ -63,23 +68,17 @@ var (
 )
 
 // NewReqTrace opens a trace for one request of the given operation.
-func NewReqTrace(op string) *ReqTrace {
-	return &ReqTrace{
-		id:    fmt.Sprintf("%s-%08d", traceProc, traceSeq.Add(1)),
-		op:    op,
-		start: time.Now(),
-	}
-}
+func NewReqTrace(op string) *ReqTrace { return NewReqTraceWithID(op, "") }
 
 // NewReqTraceWithID opens a trace under a caller-supplied id — the
 // cross-node propagation path: a cluster router mints the id once and
 // every node adopting it (via the X-CA-Trace-Id request header) records
 // its local stages under the same id, so one client request can be
-// followed across every flight recorder it touched. An empty id falls
-// back to a fresh one.
+// followed across every flight recorder it touched. An empty id mints a
+// fresh one.
 func NewReqTraceWithID(op, id string) *ReqTrace {
 	if id == "" {
-		return NewReqTrace(op)
+		id = fmt.Sprintf("%s-%08d", traceProc, traceSeq.Add(1))
 	}
 	return &ReqTrace{id: id, op: op, start: time.Now()}
 }
@@ -93,9 +92,10 @@ func (t *ReqTrace) ID() string {
 	return t.id
 }
 
-// StartStage opens a named stage span (queue, lease, run, wal). Stages
-// may nest or overlap; the report orders them by start time. Safe on a
-// nil trace (returns a nil span whose methods are no-ops).
+// StartStage opens a named stage span (queue, lease, run, wal;
+// regexc.parse, map.pack, machine.build). Stages may nest or overlap; the
+// report orders them by start time. Safe on a nil trace (returns a nil
+// span whose methods are no-ops).
 func (t *ReqTrace) StartStage(name string) *Span {
 	if t == nil {
 		return nil
@@ -105,6 +105,79 @@ func (t *ReqTrace) StartStage(name string) *Span {
 	t.stages = append(t.stages, s)
 	t.mu.Unlock()
 	return s
+}
+
+// Span is one timed stage of a ReqTrace — a request's queue wait, lease,
+// run or WAL append, or a compile's parse, Glushkov, mapping and
+// machine-build phases — with integer attributes (byte counts, state
+// counts, partition counts, repair iterations, …). A nil *Span is valid
+// and makes every method a no-op.
+type Span struct {
+	mu    sync.Mutex
+	name  string
+	start time.Time
+	dur   time.Duration
+	done  bool
+	attrs []Attr
+}
+
+// Attr is one integer annotation on a span.
+type Attr struct {
+	Key   string
+	Value int64
+}
+
+// SetAttr records (or overwrites) an attribute. Safe on a nil span.
+func (s *Span) SetAttr(key string, v int64) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.attrs {
+		if s.attrs[i].Key == key {
+			s.attrs[i].Value = v
+			return
+		}
+	}
+	s.attrs = append(s.attrs, Attr{Key: key, Value: v})
+}
+
+// End closes the span. Ending twice keeps the first duration. Safe on a
+// nil span.
+func (s *Span) End() {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	if !s.done {
+		s.dur = time.Since(s.start)
+		s.done = true
+	}
+	s.mu.Unlock()
+}
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// Adopt copies the stages of a finished report — the compile a request
+// ran, recorded on the compiler's own trace — into t. Each keeps its
+// wall-clock start (r.Start plus its offset), so on t's clock it lands
+// where it happened. Safe on a nil trace and a nil report.
+func (t *ReqTrace) Adopt(r *ReqReport) {
+	if t == nil || r == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, st := range r.Stages {
+		t.stages = append(t.stages, &Span{
+			name:  st.Name,
+			start: r.Start.Add(time.Duration(st.StartMS * float64(time.Millisecond))),
+			dur:   time.Duration(st.DurationMS * float64(time.Millisecond)),
+			done:  true,
+			attrs: st.Attrs,
+		})
+	}
 }
 
 // SetRuleset records which rule set the request targeted.
@@ -144,6 +217,17 @@ func (t *ReqTrace) Finish(outcome, errmsg string) {
 		t.total = time.Since(t.start)
 	}
 	t.mu.Unlock()
+}
+
+// Done finishes the trace — "ok", or "error" with err's message — and
+// returns its report: how a compile closes its trace. Nil-safe.
+func (t *ReqTrace) Done(err error) *ReqReport {
+	if err != nil {
+		t.Finish("error", err.Error())
+	} else {
+		t.Finish("ok", "")
+	}
+	return t.Report()
 }
 
 // ReqReport is the immutable snapshot of one trace — what the TraceRing
@@ -196,13 +280,11 @@ func (t *ReqTrace) Report() *ReqReport {
 		Error:      t.errmsg,
 		Notes:      append([]StrAttr(nil), t.notes...),
 	}
-	stages := append([]*Span(nil), t.stages...)
-	sort.SliceStable(stages, func(i, j int) bool {
-		if stages[i].start.Equal(stages[j].start) {
-			return stages[i].name < stages[j].name
-		}
-		return stages[i].start.Before(stages[j].start)
+	stages := slices.Clone(t.stages)
+	slices.SortStableFunc(stages, func(a, b *Span) int {
+		return cmp.Or(a.start.Compare(b.start), strings.Compare(a.name, b.name))
 	})
+	r.Stages = make([]StageReport, 0, len(stages))
 	for _, s := range stages {
 		s.mu.Lock()
 		d := s.dur
@@ -220,6 +302,29 @@ func (t *ReqTrace) Report() *ReqReport {
 	return r
 }
 
+// Stage returns the first stage with the given name, or nil.
+func (r *ReqReport) Stage(name string) *StageReport {
+	if r == nil {
+		return nil
+	}
+	for i := range r.Stages {
+		if r.Stages[i].Name == name {
+			return &r.Stages[i]
+		}
+	}
+	return nil
+}
+
+// Attr returns the value of the stage's attribute key, or 0.
+func (s StageReport) Attr(key string) int64 {
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return 0
+}
+
 // Faulted reports whether the trace carries at least one injected-fault
 // annotation; the TraceRing pins such traces alongside slow and error
 // ones.
@@ -235,12 +340,13 @@ func (r *ReqReport) Faulted() bool {
 	return false
 }
 
-// Format writes a human-readable breakdown:
+// Format writes a human-readable breakdown; the name column grows to fit
+// a compile's longer stage names (regexc.glushkov, map.components):
 //
-//	a1b2c3d4-00000042  match  ruleset=ids  ok  12.41ms
-//	  queue    +0.00ms   0.03ms
-//	  lease    +0.04ms   0.11ms  machines=1
-//	  run      +0.15ms  12.02ms  bytes=65536 matches=3
+//	a1b2c3d4-00000042  match  ruleset=ids  ok  12.410ms
+//	  queue        +0.000ms      0.030ms
+//	  lease        +0.040ms      0.110ms  machines=1
+//	  run          +0.150ms     12.020ms  bytes=65536 matches=3
 func (r *ReqReport) Format(w io.Writer) error {
 	if r == nil {
 		_, err := fmt.Fprintln(w, "(no trace)")
@@ -250,25 +356,29 @@ func (r *ReqReport) Format(w io.Writer) error {
 	if r.Ruleset != "" {
 		rs = "  ruleset=" + r.Ruleset
 	}
-	if _, err := fmt.Fprintf(w, "%s  %s%s  %s  %.2fms\n", r.ID, r.Op, rs, r.Outcome, r.DurationMS); err != nil {
+	if _, err := fmt.Fprintf(w, "%s  %s%s  %s  %.3fms\n", r.ID, r.Op, rs, r.Outcome, r.DurationMS); err != nil {
 		return err
+	}
+	width := 8
+	for _, s := range r.Stages {
+		width = max(width, len(s.Name))
 	}
 	for _, s := range r.Stages {
 		var attrs strings.Builder
 		for _, a := range s.Attrs {
 			fmt.Fprintf(&attrs, " %s=%d", a.Key, a.Value)
 		}
-		if _, err := fmt.Fprintf(w, "  %-8s %+9.2fms %9.2fms %s\n", s.Name, s.StartMS, s.DurationMS, attrs.String()); err != nil {
+		if _, err := fmt.Fprintf(w, "  %-*s %+10.3fms %10.3fms %s\n", width, s.Name, s.StartMS, s.DurationMS, attrs.String()); err != nil {
 			return err
 		}
 	}
 	for _, n := range r.Notes {
-		if _, err := fmt.Fprintf(w, "  note     %s=%s\n", n.Key, n.Value); err != nil {
+		if _, err := fmt.Fprintf(w, "  %-*s %s=%s\n", width, "note", n.Key, n.Value); err != nil {
 			return err
 		}
 	}
 	if r.Error != "" {
-		if _, err := fmt.Fprintf(w, "  error    %s\n", r.Error); err != nil {
+		if _, err := fmt.Fprintf(w, "  %-*s %s\n", width, "error", r.Error); err != nil {
 			return err
 		}
 	}
@@ -343,26 +453,23 @@ func (r *ringSlots) snapshot() []*ReqReport {
 // DefaultTraceRingSize is the per-ring capacity when none is given.
 const DefaultTraceRingSize = 256
 
-// NewTraceRing builds a ring of n recent plus n pinned slots (n <= 0
-// uses DefaultTraceRingSize). Traces at least slow long are pinned;
-// slow <= 0 disables slowness pinning (errors and faults still pin).
+// NewTraceRing builds a ring of n recent plus n pinned slots, taking the
+// configured values as they stand: n == 0 uses DefaultTraceRingSize, and
+// n < 0 disables tracing by returning the nil ring. Traces at least slow
+// long are pinned; slow <= 0 disables slowness pinning (errors and
+// faults still pin).
 func NewTraceRing(n int, slow time.Duration) *TraceRing {
-	if n <= 0 {
+	if n < 0 {
+		return nil
+	}
+	if n == 0 {
 		n = DefaultTraceRingSize
 	}
 	return &TraceRing{
-		slow:   slow,
+		slow:   max(slow, 0),
 		recent: ringSlots{slots: make([]atomic.Pointer[ReqReport], n)},
 		pinned: ringSlots{slots: make([]atomic.Pointer[ReqReport], n)},
 	}
-}
-
-// SlowThreshold returns the pinning threshold.
-func (r *TraceRing) SlowThreshold() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.slow
 }
 
 // Add records one completed trace. Safe on a nil ring and a nil report.
@@ -392,12 +499,7 @@ func (r *TraceRing) Find(id string) *ReqReport {
 	if r == nil {
 		return nil
 	}
-	for _, rep := range r.pinned.snapshot() {
-		if rep.ID == id {
-			return rep
-		}
-	}
-	for _, rep := range r.recent.snapshot() {
+	for _, rep := range append(r.pinned.snapshot(), r.recent.snapshot()...) {
 		if rep.ID == id {
 			return rep
 		}
@@ -420,12 +522,11 @@ func (r *TraceRing) Snapshot() *RingSnapshot {
 	if r == nil {
 		return &RingSnapshot{}
 	}
-	s := &RingSnapshot{
+	return &RingSnapshot{
 		SlowMS: ms(r.slow),
 		Recent: sortReports(r.recent.snapshot()),
 		Pinned: sortReports(r.pinned.snapshot()),
 	}
-	return s
 }
 
 // All returns every retained trace exactly once (a trace held by both
@@ -446,11 +547,8 @@ func (r *TraceRing) All() []*ReqReport {
 }
 
 func sortReports(reps []*ReqReport) []*ReqReport {
-	sort.SliceStable(reps, func(i, j int) bool {
-		if reps[i].Start.Equal(reps[j].Start) {
-			return reps[i].ID > reps[j].ID
-		}
-		return reps[i].Start.After(reps[j].Start)
+	slices.SortStableFunc(reps, func(a, b *ReqReport) int {
+		return cmp.Or(b.Start.Compare(a.Start), strings.Compare(b.ID, a.ID))
 	})
 	return reps
 }

@@ -84,13 +84,112 @@ func TestNilReqTraceIsNoop(t *testing.T) {
 	}
 	sp := rt.StartStage("queue") // nil span
 	sp.SetAttr("k", 1)
-	sp.AddAttr("k", 1)
 	sp.End()
 	rt.SetRuleset("x")
 	rt.Annotate("fault", "p")
+	rt.Adopt(NewReqTrace("compile").Done(nil))
 	rt.Finish("ok", "")
-	if rt.Report() != nil {
+	if rt.Report() != nil || rt.Done(nil) != nil {
 		t.Fatal("nil trace must report nil")
+	}
+	if rt.Report().Stage("x") != nil {
+		t.Fatal("nil report Stage must be nil")
+	}
+}
+
+// TestReqReportStageLookup covers what a compile report's readers use:
+// Stage and Attr look-ups, SetAttr overwriting, and Done's two outcomes.
+func TestReqReportStageLookup(t *testing.T) {
+	tr := NewReqTrace("compile")
+	s := tr.StartStage("parse")
+	s.SetAttr("patterns", 3)
+	s.SetAttr("patterns", 5)
+	s.SetAttr("states", 40)
+	time.Sleep(time.Millisecond)
+	s.End()
+	tr.StartStage("map").End()
+
+	r := tr.Done(nil)
+	if r.Op != "compile" || r.Outcome != "ok" || len(r.Stages) != 2 {
+		t.Fatalf("report = %+v", r)
+	}
+	p := r.Stage("parse")
+	if p == nil || r.Stage("missing") != nil {
+		t.Fatalf("Stage(parse) = %v, Stage(missing) = %v", p, r.Stage("missing"))
+	}
+	if p.Attr("patterns") != 5 || p.Attr("states") != 40 || p.Attr("missing") != 0 {
+		t.Errorf("attrs = %v", p.Attrs)
+	}
+	if p.DurationMS <= 0 || r.DurationMS < p.DurationMS {
+		t.Errorf("durations: stage %vms total %vms", p.DurationMS, r.DurationMS)
+	}
+	failed := NewReqTrace("compile").Done(fmt.Errorf("pattern 0: bad"))
+	if failed.Outcome != "error" || failed.Error != "pattern 0: bad" {
+		t.Errorf("Done(err) = %q %q", failed.Outcome, failed.Error)
+	}
+}
+
+// TestReqTraceAdopt: a finished compile's stages land in the request
+// that ran it at the wall-clock offsets they happened at, attributes and
+// durations intact, sorted in with the request's own stages.
+func TestReqTraceAdopt(t *testing.T) {
+	req := NewReqTrace("rulesets.compile")
+	time.Sleep(2 * time.Millisecond) // the request is this old when the compile starts
+	compile := NewReqTrace("compile-regex")
+	sp := compile.StartStage("regexc.parse")
+	sp.SetAttr("patterns", 3)
+	time.Sleep(time.Millisecond)
+	sp.End()
+	compile.StartStage("machine.build").End()
+	rep := compile.Done(nil)
+
+	req.Adopt(rep)
+	req.StartStage("wal").End()
+	req.Finish("ok", "")
+	got := req.Report()
+	var names []string
+	for _, st := range got.Stages {
+		names = append(names, st.Name)
+	}
+	if strings.Join(names, ",") != "regexc.parse,machine.build,wal" {
+		t.Fatalf("stages = %v", names)
+	}
+	parse, orig := got.Stage("regexc.parse"), rep.Stage("regexc.parse")
+	if parse.Attr("patterns") != 3 {
+		t.Errorf("adopted attrs = %v", parse.Attrs)
+	}
+	if d := parse.DurationMS - orig.DurationMS; d > 1e-3 || d < -1e-3 {
+		t.Errorf("adopted duration %vms, recorded %vms", parse.DurationMS, orig.DurationMS)
+	}
+	// Re-based onto the request's clock: the compile began ≥ 2 ms in.
+	if parse.StartMS < 2 || parse.StartMS < orig.StartMS {
+		t.Errorf("adopted start +%vms (compile-relative +%vms), want ≥ 2ms into the request", parse.StartMS, orig.StartMS)
+	}
+	if len(rep.Stages) != 2 {
+		t.Errorf("Adopt changed the adopted report: %+v", rep.Stages)
+	}
+}
+
+// TestTraceConcurrentSpans opens, annotates, ends and snapshots spans of
+// one trace from many goroutines (under -race).
+func TestTraceConcurrentSpans(t *testing.T) {
+	tr := NewReqTrace("t")
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				s := tr.StartStage("p")
+				s.SetAttr("n", 1)
+				s.End()
+				_ = tr.Report()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(tr.Report().Stages); got != 800 {
+		t.Errorf("stages = %d, want 800", got)
 	}
 }
 
@@ -212,13 +311,22 @@ func TestTraceRingNilSafe(t *testing.T) {
 	var r *TraceRing
 	r.Add(rep(0, "ok", 1))
 	r.Add(nil)
-	if r.Find("x") != nil || r.All() != nil || r.SlowThreshold() != 0 {
+	if r.Find("x") != nil || r.All() != nil {
 		t.Fatal("nil ring must be inert")
 	}
 	if s := r.Snapshot(); s == nil || len(s.Recent) != 0 {
 		t.Fatal("nil ring snapshot must be empty, not nil")
 	}
 	NewTraceRing(4, 0).Add(nil) // nil report is ignored
+	// The constructor takes the configured values as they stand: a negative
+	// size is "tracing off" (the nil ring), zero the default size, and a
+	// negative slow threshold "no slow pinning".
+	if NewTraceRing(-1, time.Second) != nil {
+		t.Fatal("negative size must yield the nil (disabled) ring")
+	}
+	if def := NewTraceRing(0, -time.Second); len(def.recent.slots) != DefaultTraceRingSize || def.Snapshot().SlowMS != 0 {
+		t.Fatalf("NewTraceRing(0, <0) = %d slots, slow %vms", len(def.recent.slots), def.Snapshot().SlowMS)
+	}
 }
 
 // TestTraceRingConcurrent exercises the lock-free rings under -race:
@@ -234,7 +342,7 @@ func TestTraceRingConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				rt := NewReqTrace("match")
 				sp := rt.StartStage("run")
-				sp.AddAttr("bytes", 64)
+				sp.SetAttr("bytes", 64)
 				sp.End()
 				outcome := "ok"
 				if i%7 == 0 {
