@@ -193,8 +193,18 @@ func BenchmarkPipelineSnortPerf(b *testing.B) {
 // host-side speed (bytes/s), one sub-benchmark per symbol loop — the
 // machine shape picks the loop: a state that fits one 64-bit word, one
 // partition, many partitions — and reports the modeled hardware line rate
-// for contrast.
+// for contrast. The many-partition loop costs per partition a symbol
+// wakes, so it gets both ends: partitions=N scans bytes that match no
+// rule's first symbol — the floor of the loop, every partition asleep
+// and the walk empty (128–130 MB/s on the 2-vCPU reference host; 8.4–8.6
+// while every partition was visited every symbol) — and
+// partitions=N/busy is the ledger's scan-dense shape, the registry's
+// Snort rule set over its own input, where a byte visits 9.25 of the 27
+// partitions (8.2–8.3 MB/s; 2.2–2.3 before).
 func BenchmarkHostSimulatorThroughput(b *testing.B) {
+	regex := func(patterns ...string) func() (*Automaton, error) {
+		return func() (*Automaton, error) { return CompileRegex(patterns, Options{}) }
+	}
 	dozen := make([]string, 12)
 	for i := range dozen {
 		dozen[i] = fmt.Sprintf("common%02dhead", i)
@@ -207,30 +217,40 @@ func BenchmarkHostSimulatorThroughput(b *testing.B) {
 	for i := range in {
 		in[i] = byte(i * 131)
 	}
+	snort := workload.ByName("Snort")
 	for _, shape := range []struct {
-		name     string
-		patterns []string
-		is       func(a *Automaton) bool
+		name    string
+		compile func() (*Automaton, error)
+		input   []byte
+		is      func(a *Automaton) bool
 	}{
-		{"words=1", []string{"needle[0-9]{4}", "other.*thing"},
+		{"words=1", regex("needle[0-9]{4}", "other.*thing"), in,
 			func(a *Automaton) bool { return a.Partitions() == 1 && a.States() <= 64 }},
-		{"words=4", dozen,
+		{"words=4", regex(dozen...), in,
 			func(a *Automaton) bool { return a.Partitions() == 1 && a.States() > 64 }},
-		{"partitions=N", snortLike,
+		{"partitions=N", regex(snortLike...), in,
+			func(a *Automaton) bool { return a.Partitions() > 1 }},
+		{"partitions=N/busy", func() (*Automaton, error) {
+			n, err := snort.Build(1, 0.1)
+			if err != nil {
+				return nil, err
+			}
+			return fromNFA(n, Options{}, nil)
+		}, snort.Input(1, 256<<10),
 			func(a *Automaton) bool { return a.Partitions() > 1 }},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
-			a, err := CompileRegex(shape.patterns, Options{})
+			a, err := shape.compile()
 			if err != nil {
 				b.Fatal(err)
 			}
 			if !shape.is(a) {
 				b.Fatalf("%d states in %d partitions is not the shape this row times", a.States(), a.Partitions())
 			}
-			b.SetBytes(int64(len(in)))
+			b.SetBytes(int64(len(shape.input)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := a.Count(context.Background(), in); err != nil {
+				if _, err := a.Count(context.Background(), shape.input); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,8 +7,9 @@
 // 8 from G-Switch-4.
 //
 // It is orders of magnitude slower than package machine's vector
-// simulator and exists as its electrical ground truth: the two are
-// cross-validated cycle-for-cycle in tests.
+// simulator and exists as its electrical ground truth: the tests step the
+// two side by side and compare every cycle's matches, enabled-state count
+// and active-partition count.
 package gatesim
 
 import (
@@ -242,6 +243,19 @@ func (m *Machine) Reset() {
 		p.enabled.CopyFrom(p.always)
 		p.enabled.OrWith(p.startOD)
 	}
+}
+
+// Active returns what is powered in the cycle the next Step will run:
+// the enabled states, and the partitions holding at least one — the two
+// per-cycle counts the vector simulator sums for the energy model.
+func (m *Machine) Active() (states, partitions int) {
+	for _, p := range m.parts {
+		if n := p.enabled.Count(); n > 0 {
+			states += n
+			partitions++
+		}
+	}
+	return states, partitions
 }
 
 // Step processes one symbol at gate level and returns its matches.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"cacheautomaton/internal/arch"
@@ -15,44 +14,12 @@ import (
 	"cacheautomaton/internal/spaceopt"
 )
 
-type key struct {
-	off   int64
-	code  int32
-	state nfa.StateID
-}
-
-func gateKeys(ms []Match) []key {
-	out := make([]key, len(ms))
-	for i, m := range ms {
-		out[i] = key{m.Offset, m.Code, m.State}
-	}
-	sortKeys(out)
-	return out
-}
-
-func vecKeys(ms []machine.Match) []key {
-	out := make([]key, len(ms))
-	for i, m := range ms {
-		out[i] = key{m.Offset, m.Code, m.State}
-	}
-	sortKeys(out)
-	return out
-}
-
-func sortKeys(ks []key) {
-	sort.Slice(ks, func(a, b int) bool {
-		if ks[a].off != ks[b].off {
-			return ks[a].off < ks[b].off
-		}
-		if ks[a].code != ks[b].code {
-			return ks[a].code < ks[b].code
-		}
-		return ks[a].state < ks[b].state
-	})
-}
-
-// crossValidate runs the same placement through the gate-level and
-// vector simulators and demands identical matches.
+// crossValidate steps the same placement through the gate-level and
+// vector simulators one symbol at a time and demands, of every cycle,
+// identical matches in identical order (both report by partition, then
+// slot) and identical counts of enabled states and active partitions —
+// the vector simulator's from the Activity of a one-symbol run, which for
+// the partitions it left asleep is closed-form arithmetic.
 func crossValidate(t *testing.T, pl *mapper.Placement, input []byte, label string) {
 	t.Helper()
 	gate, err := New(pl)
@@ -63,18 +30,27 @@ func crossValidate(t *testing.T, pl *mapper.Placement, input []byte, label strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := fast.RunContext(context.Background(), input)
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-	g := gateKeys(gate.Run(input))
-	f := vecKeys(res.Matches)
-	if len(g) != len(f) {
-		t.Fatalf("%s: gate %d matches, vector %d", label, len(g), len(f))
-	}
-	for i := range g {
-		if g[i] != f[i] {
-			t.Fatalf("%s: match %d differs: %+v vs %+v", label, i, g[i], f[i])
+	var before machine.ActivityStats
+	for i := range input {
+		states, parts := gate.Active()
+		g := gate.Step(input[i])
+		res, err := fast.RunContext(context.Background(), input[i:i+1])
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		a := res.Activity
+		if s, p := a.SumActiveStates-before.SumActiveStates, a.SumActivePartitions-before.SumActivePartitions; s != int64(states) || p != int64(parts) {
+			t.Fatalf("%s: cycle %d: gate has %d states enabled in %d partitions, vector %d in %d", label, i, states, parts, s, p)
+		}
+		before = a
+		f := fast.DrainMatches()
+		if len(g) != len(f) {
+			t.Fatalf("%s: cycle %d: gate %d matches, vector %d", label, i, len(g), len(f))
+		}
+		for k := range g {
+			if g[k] != Match(f[k]) {
+				t.Fatalf("%s: cycle %d: match %d differs: %+v vs %+v", label, i, k, g[k], f[k])
+			}
 		}
 	}
 }

@@ -152,8 +152,8 @@ func TestKernelLoopsAgree(t *testing.T) {
 	for _, row := range loopTable() {
 		t.Run(row.name, func(t *testing.T) {
 			m := loopMachine(t, row)
-			if row.name == "64-state ring" && m.otherMask>>63 != 1 {
-				t.Fatalf("slot 63 is not on the per-slot walk (otherMask %#x)", m.otherMask)
+			if row.name == "64-state ring" && m.parts[0].otherM[0]>>63 != 1 {
+				t.Fatalf("slot 63 is not on the per-slot walk (otherM %#x)", m.parts[0].otherM[0])
 			}
 			for i, in := range row.inputs {
 				assertLoopsAgree(t, fmt.Sprintf("input %d", i), m, in,

@@ -18,10 +18,18 @@
 // The simulator mirrors the SRAM's word-parallel nature in its data
 // layout: each partition's 256×256-bit array is a [256][4]uint64 (one
 // four-word row per symbol), the active/match vectors are fixed 4-word
-// arrays, and the hot loop is raw word arithmetic — AND/OR over
-// words, popcount for the activity counters, and TrailingZeros64 to walk
-// matched slots. Nothing on the symbol path allocates or calls through an
-// interface.
+// arrays, and the hot loop is raw word arithmetic — AND/OR over words, a
+// shift for the local switch's successor chains, popcount for the
+// activity counters, and TrailingZeros64 to walk the few matched slots
+// that need more. Nothing on the symbol path allocates or calls through
+// an interface.
+//
+// The hardware clock-gates a partition with nothing to do (§5.3); the host
+// goes one step further and does not visit a partition that holds nothing
+// but its always-on start states when the symbol matches none of them.
+// What such a partition contributes to the per-cycle statistics is a
+// constant, added in closed form (see runBatchN), so the energy model sees
+// every powered partition and the host simulates only the busy ones.
 package machine
 
 import (
@@ -46,7 +54,9 @@ const cacheLineBytes = 64
 // small compile-time constant.
 const wordsPerPartition = arch.PartitionSTEs / 64
 
-// Match is one report event.
+// Match is one report event. Matches are delivered in one order whatever
+// the machine's history — chunking, sharding, suspend/resume: by Offset,
+// then by the reporting state's partition, then by its slot.
 type Match struct {
 	// Offset is the input offset of the symbol that triggered the report.
 	Offset int64
@@ -142,7 +152,8 @@ func (s ActivityStats) AvgActivity() arch.ActivityCounts {
 
 // Result summarizes a run.
 type Result struct {
-	// Matches holds collected report events (when Options.CollectMatches).
+	// Matches holds collected report events (when Options.CollectMatches),
+	// ordered by (offset, partition, slot); see Match.
 	Matches []Match
 	// MatchCount counts all report events regardless of collection.
 	MatchCount int64
@@ -167,24 +178,36 @@ type crossTarget struct {
 }
 
 // partition is the runtime state of one 256-STE partition, laid out as
-// flat word arrays so the symbol loop is pure 64-bit arithmetic.
+// flat word arrays so the symbol loop is pure 64-bit arithmetic. The
+// fields a visit reads come first, in the order it reads them.
 type partition struct {
 	// rows is the SRAM content: rows[sym] is the 256-bit match vector for
 	// symbol sym (one bit per slot) — exactly the 256×256 bit layout of
 	// the two 4 KB arrays, stored contiguously. The pointer-to-array type
 	// lets a byte index through without a bounds check.
 	rows *[256][wordsPerPartition]uint64
-	// enabled is the active-state vector; next accumulates activations for
-	// the following cycle.
-	enabled, next [wordsPerPartition]uint64
-	// always marks all-input start slots (OR-ed into enabled every cycle);
+	// enabled is the active-state vector; always marks all-input start
+	// slots, OR-ed into enabled at every commit, so always ⊆ enabled in
+	// every architectural state. A partition with enabled == always is
+	// asleep (see Machine.awake).
+	enabled, always [wordsPerPartition]uint64
+	// shiftM/selfM/otherM are the local switch by where a slot's edges
+	// go: slot s+1 (the concatenation chains that are nearly all of a
+	// compiled regex), s itself (repetition self-loops), anywhere else.
+	// The first two are a shift (with carries between the words) and a
+	// mask over the whole match vector; only otherM slots walk localRows.
+	shiftM, selfM [wordsPerPartition]uint64
+	// slowM = reports | otherM | hasCross: the matched slots that need
+	// per-slot work, tested with one AND per word (OR-ed together per
+	// visit instead, the ledger's scan-dense shape read 8 % slower).
+	// reports marks reporting slots, hasCross slots with G-switch
+	// cross-points.
+	slowM, otherM, reports, hasCross [wordsPerPartition]uint64
+	// next accumulates the cycle's cross-activations from other
+	// partitions, merged into enabled when the cycle ends.
+	next [wordsPerPartition]uint64
 	// startOfData marks slots enabled only for the first symbol.
-	always, startOfData [wordsPerPartition]uint64
-	// reports marks reporting slots.
-	reports [wordsPerPartition]uint64
-	// hasLocal/hasCross mark slots with any local/cross fan-out, so the
-	// matched-slot walk skips slots with nothing programmed.
-	hasLocal, hasCross [wordsPerPartition]uint64
+	startOfData [wordsPerPartition]uint64
 	// localRows is the local-switch content, laid out like rows:
 	// localRows[s] is slot s's within-partition fan-out vector.
 	localRows *[arch.PartitionSTEs][wordsPerPartition]uint64
@@ -212,36 +235,32 @@ type Machine struct {
 	// It is kept out of partition, which the symbol loops stride over (in
 	// it, the ledger's 231-partition compile-cold scan read 5 % slower).
 	programmed [][wordsPerPartition]uint64
-	// curActive lists partitions with any enabled bits this cycle;
-	// activeFlag mirrors membership (activeFlag[pi] ⇔ pi ∈ curActive) so
-	// the cross-activation path dedups with one flag load. Partitions with
-	// all-input starts are invariantly members: their enabled vector
-	// contains the always mask after every commit.
-	curActive  []int32
-	activeFlag []bool
-	// crossed and curActiveSpare are commit-phase scratch lists (newly
-	// cross-activated partitions; the double buffer for curActive).
-	crossed        []int32
-	curActiveSpare []int32
-	pos            int64
+	// awake and wake are bitsets over partitions, and their union is what
+	// a symbol visits. awake: bit pi ⇔ parts[pi].enabled != always — some
+	// state beyond the always-on starts is enabled. wake[sym] (static, laid
+	// out wake[sym*len(awake)+w]): bit pi ⇔ an all-input start of pi accepts
+	// sym. Any other partition is asleep and sym matches nothing in it: it
+	// reports nothing, drives no wire and commits to the vector it already
+	// holds, so the host skips it, and what it adds to the activity
+	// statistics is a constant — its always-on states, and itself if it has
+	// any (alwaysCnt, alwaysParts; startless marks the partitions that have
+	// none).
+	awake, wake, startless []uint64
+	// crossed lists the partitions cross-activated in the current cycle.
+	crossed []int32
+	pos     int64
 	// basePos/baseBuf are the stream position and output-buffer occupancy
 	// at the last Reset or Restore — where res started accumulating, and
-	// with it all derive needs. alwaysCnt counts the all-input start states.
-	basePos   int64
-	baseBuf   int
-	alwaysCnt int64
-	res       Result
+	// with it all derive needs. alwaysCnt counts the all-input start states,
+	// alwaysParts the partitions holding one.
+	basePos                int64
+	baseBuf                int
+	alwaysCnt, alwaysParts int64
+	res                    Result
 	// oneWord marks a machine whose whole architectural state fits one
 	// 64-bit word (single partition, every programmed slot below 64): the
 	// symbol loop then touches word 0 of the rows only (runBatchWord).
 	oneWord bool
-	// shiftMask/selfMask/otherMask decompose the local switch of a oneWord
-	// machine for branch-free fan-out. A matched slot s whose entire
-	// fan-out is {s+1} and/or {s} — the concatenation chains and
-	// counter/repetition self-loops that dominate compiled regexes — is
-	// covered by ((mm&shiftMask)<<1) | (mm&selfMask); the rare slots with
-	// any other target land in otherMask and take the per-slot walk.
-	shiftMask, selfMask, otherMask uint64
 
 	// Observer, when non-nil, hears about every RunContext and RunBatch
 	// of this machine. A Pool sets it on the machines it builds.
@@ -259,6 +278,9 @@ func New(pl *mapper.Placement, opts Options) (*Machine, error) {
 	size := arch.PartitionSTEs
 	m.parts = make([]partition, len(pl.Partitions))
 	m.programmed = make([][wordsPerPartition]uint64, len(pl.Partitions))
+	nw := (len(m.parts) + 63) / 64
+	sets := make([]uint64, (2+256)*nw)
+	m.awake, m.startless, m.wake = sets[:nw:nw], sets[nw:2*nw:2*nw], sets[2*nw:]
 	cross := make([][][]crossTarget, len(pl.Partitions))
 	// Slab the per-partition arrays: one large allocation per kind instead
 	// of five small ones per partition. Construction is on the cold-start
@@ -277,7 +299,7 @@ func New(pl *mapper.Placement, opts Options) (*Machine, error) {
 		p.state = stateSlab[i*size : (i+1)*size : (i+1)*size]
 		cross[i] = crossSlab[i*size : (i+1)*size : (i+1)*size]
 	}
-	// Program SRAM rows, start/report masks, and local switches.
+	// Program SRAM rows, start/report masks, local switches and wake sets.
 	maxSlot := 0
 	for s := range n.States {
 		st := &n.States[s]
@@ -296,6 +318,11 @@ func New(pl *mapper.Placement, opts Options) (*Machine, error) {
 		switch st.Start {
 		case nfa.AllInput:
 			p.always[wi] |= bit
+			for w4 := 0; w4 < 4; w4++ {
+				for word := st.Class[w4]; word != 0; word &= word - 1 {
+					m.wake[(w4<<6|bits.TrailingZeros64(word))*nw+pi>>6] |= 1 << (pi & 63)
+				}
+			}
 		case nfa.StartOfData:
 			p.startOfData[wi] |= bit
 		}
@@ -306,7 +333,14 @@ func New(pl *mapper.Placement, opts Options) (*Machine, error) {
 			if pl.PartitionOf[v] == int32(pi) {
 				dst := int(pl.SlotOf[v])
 				p.localRows[slot][dst>>6] |= 1 << (dst & 63)
-				p.hasLocal[wi] |= bit
+				switch dst {
+				case slot + 1:
+					p.shiftM[wi] |= bit
+				case slot:
+					p.selfM[wi] |= bit
+				default:
+					p.otherM[wi] |= bit
+				}
 			}
 		}
 	}
@@ -342,51 +376,30 @@ func New(pl *mapper.Placement, opts Options) (*Machine, error) {
 				p.hasCross[slot>>6] |= 1 << (slot & 63)
 			}
 		}
-		for _, w := range p.always {
-			m.alwaysCnt += int64(bits.OnesCount64(w))
+		for w := range p.slowM {
+			p.slowM[w] = p.reports[w] | p.otherM[w] | p.hasCross[w]
+		}
+		starts := bits.OnesCount64(p.always[0]) + bits.OnesCount64(p.always[1]) +
+			bits.OnesCount64(p.always[2]) + bits.OnesCount64(p.always[3])
+		m.alwaysCnt += int64(starts)
+		if starts > 0 {
+			m.alwaysParts++
+		} else {
+			m.startless[i>>6] |= 1 << (i & 63)
 		}
 	}
-	m.activeFlag = make([]bool, len(m.parts))
 	m.oneWord = len(m.parts) == 1 && maxSlot < 64
-	if m.oneWord {
-		p := &m.parts[0]
-		for lm := p.hasLocal[0]; lm != 0; lm &= lm - 1 {
-			s := bits.TrailingZeros64(lm)
-			t := p.localRows[s][0]
-			succ := uint64(0)
-			if s < 63 {
-				succ = 1 << (s + 1)
-			}
-			self := uint64(1) << s
-			if t&^(succ|self) == 0 {
-				if t&succ != 0 {
-					m.shiftMask |= 1 << s
-				}
-				if t&self != 0 {
-					m.selfMask |= 1 << s
-				}
-			} else {
-				m.otherMask |= 1 << s
-			}
-		}
-	}
 	m.Reset()
 	return m, nil
 }
 
-// setActive rebuilds curActive (and its membership flags) from the current
-// enabled vectors. Cold path: Reset/Restore only.
+// setActive rebuilds awake from the enabled vectors: after Reset and
+// Restore, and behind the one-partition loops, which do not keep it.
 func (m *Machine) setActive() {
-	m.curActive = m.curActive[:0]
+	clear(m.awake)
 	for i := range m.parts {
-		p := &m.parts[i]
-		var any uint64
-		for w := 0; w < wordsPerPartition; w++ {
-			any |= p.enabled[w]
-		}
-		m.activeFlag[i] = any != 0
-		if any != 0 {
-			m.curActive = append(m.curActive, int32(i))
+		if p := &m.parts[i]; p.enabled != p.always {
+			m.awake[i>>6] |= 1 << (i & 63)
 		}
 	}
 }
@@ -435,130 +448,134 @@ func (m *Machine) runBatch(input []byte) {
 // runBatchN is the symbol hot loop: one iteration per input byte with all
 // loop-invariant state hoisted into locals, the four-word vector sweeps
 // unrolled into registers, and the activity sums accumulated locally and
-// written back once per batch. It performs no allocations (the scratch
-// lists are reused fields) and no interface calls.
+// written back once per batch. It performs no allocations (crossed is a
+// reused field) and no interface calls.
+//
+// A symbol visits the partitions of awake ∪ wake[sym], in ascending
+// order — which makes a cycle's matches come out by (partition, slot)
+// whatever the machine's history. One pass per visit: match, local
+// fan-out into registers, commit enabled' = fan-out ∪ always, and the
+// awake bit kept iff enabled' ≠ always. Cross-activations land in the
+// target's next and are merged when the cycle ends, so a partition
+// visited later in the same cycle still reads this cycle's vector.
+//
+// The activity of the partitions not visited is closed-form. always ⊆
+// enabled after every commit, so each cycle
+//
+//	active states     = alwaysCnt   + Σ visited popcount(enabled &^ always)
+//	active partitions = alwaysParts + #visited holding no all-input start
+//
+// exactly: an unvisited partition has enabled == always, and a visited
+// startless one is awake, so has an enabled state. The loop carries the
+// right-hand terms and the constants are added per batch.
 func (m *Machine) runBatchN(input []byte) {
 	parts := m.parts
-	flags := m.activeFlag
-	cur := m.curActive
-	spare := m.curActiveSpare[:0]
+	awake, startless := m.awake, m.startless
+	nw := len(awake)
 	crossed := m.crossed[:0]
 	pos := m.pos
 
 	st := &m.res.Activity
 	var sumActive, sumParts, sumG1, sumG4 int64
-	maxActive, maxParts := st.MaxActiveStates, st.MaxActivePartitions
+	maxActive, maxParts := st.MaxActiveStates-m.alwaysCnt, st.MaxActivePartitions-m.alwaysParts
 
 	for _, sym := range input {
 		var activeStates, activeParts, cycG1, cycG4 int64
+		wake := m.wake[int(sym)*nw:][:nw]
 
-		for _, pi := range cur {
-			p := &parts[pi]
-			row := &p.rows[sym]
-			// One sweep computes the enabled count AND the match vector
-			// (activity counting rides the same word pass), entirely in
-			// registers.
-			e0, e1, e2, e3 := p.enabled[0], p.enabled[1], p.enabled[2], p.enabled[3]
-			enCnt := bits.OnesCount64(e0) + bits.OnesCount64(e1) +
-				bits.OnesCount64(e2) + bits.OnesCount64(e3)
-			m0, m1, m2, m3 := row[0]&e0, row[1]&e1, row[2]&e2, row[3]&e3
-			activeStates += int64(enCnt)
-			activeParts++
-			if m0|m1|m2|m3 == 0 {
-				continue
-			}
-			if m0&p.reports[0]|m1&p.reports[1]|m2&p.reports[2]|m3&p.reports[3] != 0 {
-				m.pos = pos
-				m.report(p, [wordsPerPartition]uint64{m0, m1, m2, m3})
-			}
-			var g1, g4 int64
-			mws := [wordsPerPartition]uint64{m0, m1, m2, m3}
-			for w, mw := range mws {
-				if mw == 0 {
-					continue
-				}
-				base := w << 6
-				for lm := mw & p.hasLocal[w]; lm != 0; lm &= lm - 1 {
-					lr := &p.localRows[base+bits.TrailingZeros64(lm)]
-					p.next[0] |= lr[0]
-					p.next[1] |= lr[1]
-					p.next[2] |= lr[2]
-					p.next[3] |= lr[3]
-				}
-				for cm := mw & p.hasCross[w]; cm != 0; cm &= cm - 1 {
-					slot := base + bits.TrailingZeros64(cm)
-					g1 += int64(p.crossG1[slot])
-					g4 += int64(p.crossG4[slot])
-					for _, ct := range p.crossTargets[p.crossStart[slot]:p.crossStart[slot+1]] {
-						parts[ct.part].next[ct.slot>>6] |= 1 << uint(ct.slot&63)
-						if !flags[ct.part] {
-							flags[ct.part] = true
-							crossed = append(crossed, ct.part)
+		for wi, aw := range awake {
+			visit := aw | wake[wi]
+			activeParts += int64(bits.OnesCount64(visit & startless[wi]))
+			for ; visit != 0; visit &= visit - 1 {
+				pi := wi<<6 | bits.TrailingZeros64(visit)
+				p := &parts[pi]
+				row := &p.rows[sym]
+				e0, e1, e2, e3 := p.enabled[0], p.enabled[1], p.enabled[2], p.enabled[3]
+				a0, a1, a2, a3 := p.always[0], p.always[1], p.always[2], p.always[3]
+				activeStates += int64(bits.OnesCount64(e0&^a0) + bits.OnesCount64(e1&^a1) +
+					bits.OnesCount64(e2&^a2) + bits.OnesCount64(e3&^a3))
+				m0, m1, m2, m3 := row[0]&e0, row[1]&e1, row[2]&e2, row[3]&e3
+				n0, n1, n2, n3 := a0, a1, a2, a3
+				if m0|m1|m2|m3 != 0 {
+					s0, s1, s2, s3 := m0&p.shiftM[0], m1&p.shiftM[1], m2&p.shiftM[2], m3&p.shiftM[3]
+					n0 |= s0<<1 | m0&p.selfM[0]
+					n1 |= s1<<1 | s0>>63 | m1&p.selfM[1]
+					n2 |= s2<<1 | s1>>63 | m2&p.selfM[2]
+					n3 |= s3<<1 | s2>>63 | m3&p.selfM[3]
+					if m0&p.slowM[0]|m1&p.slowM[1]|m2&p.slowM[2]|m3&p.slowM[3] != 0 {
+						if m0&p.reports[0]|m1&p.reports[1]|m2&p.reports[2]|m3&p.reports[3] != 0 {
+							m.pos = pos
+							m.report(p, [wordsPerPartition]uint64{m0, m1, m2, m3})
+						}
+						for w, mw := range [wordsPerPartition]uint64{m0, m1, m2, m3} {
+							base := w << 6
+							for om := mw & p.otherM[w]; om != 0; om &= om - 1 {
+								lr := &p.localRows[base+bits.TrailingZeros64(om)]
+								n0 |= lr[0]
+								n1 |= lr[1]
+								n2 |= lr[2]
+								n3 |= lr[3]
+							}
+							for cm := mw & p.hasCross[w]; cm != 0; cm &= cm - 1 {
+								slot := base + bits.TrailingZeros64(cm)
+								cycG1 += int64(p.crossG1[slot])
+								cycG4 += int64(p.crossG4[slot])
+								for _, ct := range p.crossTargets[p.crossStart[slot]:p.crossStart[slot+1]] {
+									nx := &parts[ct.part].next
+									if nx[0]|nx[1]|nx[2]|nx[3] == 0 {
+										crossed = append(crossed, ct.part)
+									}
+									nx[ct.slot>>6] |= 1 << uint(ct.slot&63)
+								}
+							}
 						}
 					}
 				}
+				p.enabled[0], p.enabled[1], p.enabled[2], p.enabled[3] = n0, n1, n2, n3
+				bit := uint64(1) << (pi & 63)
+				if n0&^a0|n1&^a1|n2&^a2|n3&^a3 != 0 {
+					aw |= bit
+				} else {
+					aw &^= bit
+				}
 			}
-			cycG1 += g1
-			cycG4 += g4
+			awake[wi] = aw
 		}
+
+		// Merge the cycle's cross-activations. A target already visited
+		// holds its committed vector, one not visited its unchanged one;
+		// either way next is OR-ed in and may wake it.
+		for _, pi := range crossed {
+			p := &parts[pi]
+			for w := range p.next {
+				p.enabled[w] |= p.next[w]
+				p.next[w] = 0
+			}
+			if p.enabled != p.always {
+				awake[pi>>6] |= 1 << (pi & 63)
+			}
+		}
+		crossed = crossed[:0]
 
 		sumG1 += cycG1
 		sumG4 += cycG4
 		sumActive += activeStates
 		sumParts += activeParts
-		if activeStates > maxActive {
-			maxActive = activeStates
-		}
-		if activeParts > maxParts {
-			maxParts = activeParts
-		}
-
-		// Commit: enabled' = next ∪ always for every active or newly
-		// cross-activated partition (always is all-zero in partitions
-		// without all-input starts, so the OR is unconditional). Members
-		// of cur that go quiet drop their membership flag; cross-activated
-		// partitions always survive (their next vector is non-zero).
-		next := spare
-		for _, pi := range cur {
-			p := &parts[pi]
-			e0 := p.next[0] | p.always[0]
-			e1 := p.next[1] | p.always[1]
-			e2 := p.next[2] | p.always[2]
-			e3 := p.next[3] | p.always[3]
-			p.enabled[0], p.enabled[1], p.enabled[2], p.enabled[3] = e0, e1, e2, e3
-			p.next[0], p.next[1], p.next[2], p.next[3] = 0, 0, 0, 0
-			if e0|e1|e2|e3 != 0 {
-				next = append(next, pi)
-			} else {
-				flags[pi] = false
-			}
-		}
-		for _, pi := range crossed {
-			p := &parts[pi]
-			p.enabled[0] = p.next[0] | p.always[0]
-			p.enabled[1] = p.next[1] | p.always[1]
-			p.enabled[2] = p.next[2] | p.always[2]
-			p.enabled[3] = p.next[3] | p.always[3]
-			p.next[0], p.next[1], p.next[2], p.next[3] = 0, 0, 0, 0
-			next = append(next, pi)
-		}
-		crossed = crossed[:0]
-		spare = cur[:0]
-		cur = next
+		maxActive = max(maxActive, activeStates)
+		maxParts = max(maxParts, activeParts)
 		pos++
 	}
 
 	m.pos = pos
-	m.curActive = cur
-	m.curActiveSpare = spare
 	m.crossed = crossed
-	st.Cycles += int64(len(input))
-	st.SumActiveStates += sumActive
-	st.SumActivePartitions += sumParts
+	cycles := int64(len(input))
+	st.Cycles += cycles
+	st.SumActiveStates += sumActive + cycles*m.alwaysCnt
+	st.SumActivePartitions += sumParts + cycles*m.alwaysParts
 	st.SumG1Crossings += sumG1
 	st.SumG4Crossings += sumG4
-	st.MaxActiveStates = maxActive
-	st.MaxActivePartitions = maxParts
+	st.MaxActiveStates = maxActive + m.alwaysCnt
+	st.MaxActivePartitions = maxParts + m.alwaysParts
 }
 
 // runBatch1 is the single-partition specialization of the hot loop. A
@@ -600,10 +617,15 @@ func (m *Machine) runBatch1(input []byte) {
 				m.pos = pos
 				m.report(p, [wordsPerPartition]uint64{m0, m1, m2, m3})
 			}
+			s0, s1, s2, s3 := m0&p.shiftM[0], m1&p.shiftM[1], m2&p.shiftM[2], m3&p.shiftM[3]
+			n0 = s0<<1 | m0&p.selfM[0]
+			n1 = s1<<1 | s0>>63 | m1&p.selfM[1]
+			n2 = s2<<1 | s1>>63 | m2&p.selfM[2]
+			n3 = s3<<1 | s2>>63 | m3&p.selfM[3]
 			mws := [wordsPerPartition]uint64{m0, m1, m2, m3}
 			for w, mw := range mws {
-				for lm := mw & p.hasLocal[w]; lm != 0; lm &= lm - 1 {
-					lr := &p.localRows[w<<6+bits.TrailingZeros64(lm)]
+				for om := mw & p.otherM[w]; om != 0; om &= om - 1 {
+					lr := &p.localRows[w<<6+bits.TrailingZeros64(om)]
 					n0 |= lr[0]
 					n1 |= lr[1]
 					n2 |= lr[2]
@@ -630,8 +652,8 @@ func (m *Machine) runBatch1(input []byte) {
 
 // runBatchWord is runBatch1 for a machine whose state fits word 0: one
 // enabled word in a register, one word of the row read per symbol, and
-// the local switch reduced to a shift and two masks (see shiftMask). The
-// host pays per 64-bit word it sweeps, not per partition it models.
+// the local switch's shift and masks (see partition.shiftM) one word wide.
+// The host pays per 64-bit word it sweeps, not per partition it models.
 func (m *Machine) runBatchWord(input []byte) {
 	p := &m.parts[0]
 	pos := m.pos
@@ -641,7 +663,7 @@ func (m *Machine) runBatchWord(input []byte) {
 	maxActive := st.MaxActiveStates
 
 	e, a0 := p.enabled[0], p.always[0]
-	shiftM, selfM, otherM := m.shiftMask, m.selfMask, m.otherMask
+	shiftM, selfM, otherM := p.shiftM[0], p.selfM[0], p.otherM[0]
 	rareM := p.reports[0] | otherM
 	live := len(input)
 
