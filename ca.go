@@ -230,7 +230,9 @@ func newAutomaton(pl *mapper.Placement, opts Options, tr *telemetry.ReqTrace) (*
 // signature names) in the caformat container. Load(Save(a)) serves
 // bit-identical match sets: state IDs, report codes and partition layout
 // are preserved exactly. The encoding is deterministic, which is what
-// makes the content-addressed compile cache stable.
+// makes the content-addressed compile cache stable. The artifact is built
+// in one buffer of its exact size and reaches w in a single Write, so w
+// needs no buffering of its own.
 func (a *Automaton) Save(w io.Writer) error {
 	return caformat.Encode(w, a.placement, a.sigNames)
 }
@@ -528,13 +530,15 @@ func CompileFuzzy(patterns []string, maxDist int, opts Options) (*Automaton, err
 	tr := telemetry.NewReqTrace("compile-fuzzy")
 	sp := tr.StartStage("fuzzy.build")
 	defer sp.End() // first End wins: the error returns below still close it
-	n := nfa.New()
+	parts := make([]*nfa.NFA, len(patterns))
 	for i, p := range patterns {
 		if len(p) == 0 || maxDist < 0 || maxDist >= len(p) {
 			return nil, fmt.Errorf("cacheautomaton: pattern %d: need 0 ≤ maxDist < len(pattern)", i)
 		}
-		n.Union(workload.LevenshteinNFA(p, maxDist, int32(i)))
+		parts[i] = workload.LevenshteinNFA(p, maxDist, int32(i))
 	}
+	n := nfa.New()
+	n.Union(parts...)
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}

@@ -3,11 +3,109 @@ package cacheautomaton
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"cacheautomaton/internal/difftest"
+	"cacheautomaton/internal/workload"
 )
+
+// TestRuleSetPathBytesUnchanged pins the artifact Save writes for a fixed
+// table of rule sets — one per front-end, design and shape — by its
+// length and SHA-256. Everything on the rule-set path reaches those
+// bytes: the order the front-ends union their parts in, the order of
+// every state's Out list, the mapper's placement and the encoder's
+// layout. The path is tuned for speed without changing a byte, so a
+// change to any of them fails here and names the rule set. The values
+// were recorded from the reflection-based encoder and per-rule unions
+// that the current code replaced.
+func TestRuleSetPathBytesUnchanged(t *testing.T) {
+	thousand := make([]string, 1000) // regexc's BenchmarkCompile1000Patterns set
+	for i := range thousand {
+		thousand[i] = fmt.Sprintf("pat%04d[a-f]{2}x+", i)
+	}
+	const snortText = `alert tcp any any -> any 80 (msg:"PHF probe"; content:"/cgi-bin/phf"; sid:1001;)
+alert tcp any any -> any 80 (msg:"shellcode"; content:"|90 90|AAAA"; nocase; sid:1002;)
+alert tcp any any -> any any (msg:"regex rule"; pcre:"/attack[0-9]{2}x/i"; sid:1003;)
+alert tcp any any -> any any (msg:"both"; content:"prefix"; pcre:"/suf.fix/"; sid:1004;)
+alert tcp any any -> any any (msg:"loop"; pcre:"/(ab|cd)+e[^;]*f/"; sid:1005;)`
+	const clamText = "Eicar.Test:58354f2150\nTrojan.Foo:dead??beef\nWin.Skip:4d5a??90{3}50\n"
+	snort := workload.ByName("Snort")
+
+	for _, tc := range []struct {
+		name    string
+		compile func() (*Automaton, error)
+		// shape, when set, checks the rule set still has the shape the
+		// row is there for.
+		shape  func(a *Automaton) error
+		bytes  int
+		sha256 string
+	}{
+		{"regex/1000-patterns", func() (*Automaton, error) { return CompileRegex(thousand, Options{}) }, nil,
+			540200, "e50dba2efd17d45f5cb0e1330f7471ea69087f9bf7fdd2d5c2e791f311d85081"},
+		{"snort", func() (*Automaton, error) { return CompileSnortRules(snortText, Options{}) }, nil,
+			2582, "4e6b08b9f54d72d8ed886c887d39656af215f791887c90107efefd2bc32bacc1"},
+		{"clamav", func() (*Automaton, error) {
+			a, _, err := CompileClamAVDatabase(clamText, Options{})
+			return a, err
+		}, nil,
+			1044, "56a0489eb83c8709639a4156182c1132773c835fbeb43fa5aa6d3677da038899"},
+		{"fuzzy", func() (*Automaton, error) {
+			return CompileFuzzy([]string{"kitten", "sitting", "automaton"}, 2, Options{})
+		}, nil,
+			7160, "8b56edb5e6d21105c4c6da5acdf489ffd39646ef469b94c45127700a0f1d10a6"},
+		{"space", func() (*Automaton, error) {
+			return CompileRegex([]string{"needle[0-9]+", "needle[a-z]+", "(foo|bar)baz", "foo.*bar", "start[a-f]{3}end"},
+				Options{Design: Space})
+		}, nil,
+			1776, "677a4e29d0f4f106ffb2c689ec037af179e01fb09e0af698587e4a397e9eb74a"},
+		{"registry/Snort@0.1", func() (*Automaton, error) {
+			n, err := snort.Build(1, 0.1)
+			if err != nil {
+				return nil, err
+			}
+			return fromNFA(n, Options{}, nil)
+		}, func(a *Automaton) error {
+			if a.Partitions() != 27 {
+				return fmt.Errorf("%d partitions, want 27", a.Partitions())
+			}
+			return nil
+		},
+			347952, "8d11736479139e7c261d0158582b0fa2b1dcb85228816b57e5e0208acbb7709b"},
+		{"a{700}", func() (*Automaton, error) { return CompileRegex([]string{"a{700}"}, Options{MaxRepeat: 700}) },
+			func(a *Automaton) error {
+				if a.Partitions() < 3 {
+					return fmt.Errorf("%d partitions, want a chain across at least 3", a.Partitions())
+				}
+				return nil
+			},
+			37848, "4ea56a96fb4941fc6649809f8f061e38f00b6cad5d6a53e915353533131a920f"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := tc.compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.shape != nil {
+				if err := tc.shape(a); err != nil {
+					t.Fatalf("not the rule set this row pins: %v", err)
+				}
+			}
+			var art bytes.Buffer
+			if err := a.Save(&art); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(art.Bytes())
+			if got := hex.EncodeToString(sum[:]); art.Len() != tc.bytes || got != tc.sha256 {
+				t.Errorf("%s: Save wrote %d bytes, sha256 %s; want %d bytes, sha256 %s",
+					tc.name, art.Len(), got, tc.bytes, tc.sha256)
+			}
+		})
+	}
+}
 
 // TestSaveLoadRoundTripProperty: for random pattern sets and inputs,
 // Load(Save(a)) is indistinguishable from the freshly compiled automaton

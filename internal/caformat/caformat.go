@@ -33,6 +33,10 @@
 //	partition := u32 way                             (one per partition)
 //	name      := u32 length | bytes                  (aux signature names)
 //
+// Flags and reserved must be 0 and the decoder rejects anything else, so a
+// body it accepts is exactly the bytes Encode writes for the placement it
+// decodes to (FuzzCaformatDecode checks Encode(Decode(b)) == b).
+//
 // Cross edges are NOT serialized: they are fully determined by the NFA's
 // edges plus the location tables and way geometry, so the decoder
 // reconstructs them (Placement.DeriveCross) and runs Verify before
@@ -74,59 +78,65 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // caformat container. The encoding is deterministic: the same placement
 // always produces the same bytes, which is what makes content-addressed
 // cache entries stable.
+//
+// Every size is known from counts before a byte is written, so the whole
+// container is appended into one buffer allocated at its exact length and
+// handed to w in one Write.
 func Encode(w io.Writer, pl *mapper.Placement, names []string) error {
-	var body bytes.Buffer
 	le := binary.LittleEndian
-	put := func(v any) { _ = binary.Write(&body, le, v) } // Buffer writes cannot fail
-
 	n := pl.NFA.NumStates()
-	put(uint8(pl.Design.Kind))
-	put(uint8(0))  // flags, reserved
-	put(uint16(0)) // reserved
-	put(uint32(pl.WaysPerSlice))
-	put(uint32(pl.PartitionsPerWay))
-	put(uint32(n))
-	put(uint32(len(pl.Partitions)))
-	put(uint32(len(names)))
-	for s := 0; s < n; s++ {
+	size := 16 + bodyHeaderBytes + n*(minStateBytes+locationBytes) + 4*pl.NFA.NumEdges() +
+		wayBytes*len(pl.Partitions)
+	for _, name := range names {
+		size += minNameBytes + len(name)
+	}
+	if size-16 > maxBody {
+		return fmt.Errorf("caformat: encoded body of %d bytes exceeds the format limit", size-16)
+	}
+
+	// The header's CRC and body length are filled in once the body is there.
+	buf := make([]byte, 16, size)
+	copy(buf, magic[:])
+	buf = append(buf, uint8(pl.Design.Kind), 0) // flags
+	buf = le.AppendUint16(buf, 0)               // reserved
+	buf = le.AppendUint32(buf, uint32(pl.WaysPerSlice))
+	buf = le.AppendUint32(buf, uint32(pl.PartitionsPerWay))
+	buf = le.AppendUint32(buf, uint32(n))
+	buf = le.AppendUint32(buf, uint32(len(pl.Partitions)))
+	buf = le.AppendUint32(buf, uint32(len(names)))
+	for s := range pl.NFA.States {
 		st := &pl.NFA.States[s]
-		put([4]uint64(st.Class))
-		put(uint8(st.Start))
+		for _, word := range st.Class {
+			buf = le.AppendUint64(buf, word)
+		}
 		rep := uint8(0)
 		if st.Report {
 			rep = 1
 		}
-		put(rep)
-		put(st.ReportCode)
-		put(uint32(len(st.Out)))
+		buf = append(buf, uint8(st.Start), rep)
+		buf = le.AppendUint32(buf, uint32(st.ReportCode))
+		buf = le.AppendUint32(buf, uint32(len(st.Out)))
 		for _, v := range st.Out {
-			put(uint32(v))
+			buf = le.AppendUint32(buf, uint32(v))
 		}
 	}
 	for s := 0; s < n; s++ {
-		put(uint32(pl.PartitionOf[s]))
-		put(uint32(pl.SlotOf[s]))
+		buf = le.AppendUint32(buf, uint32(pl.PartitionOf[s]))
+		buf = le.AppendUint32(buf, uint32(pl.SlotOf[s]))
 	}
 	for i := range pl.Partitions {
-		put(uint32(pl.Partitions[i].Way))
+		buf = le.AppendUint32(buf, uint32(pl.Partitions[i].Way))
 	}
 	for _, name := range names {
-		put(uint32(len(name)))
-		body.WriteString(name)
-	}
-	if body.Len() > maxBody {
-		return fmt.Errorf("caformat: encoded body of %d bytes exceeds the format limit", body.Len())
+		buf = le.AppendUint32(buf, uint32(len(name)))
+		buf = append(buf, name...)
 	}
 
-	var hdr [16]byte
-	copy(hdr[:8], magic[:])
-	le.PutUint32(hdr[8:], crc32.Checksum(body.Bytes(), crcTable))
-	le.PutUint32(hdr[12:], uint32(body.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("caformat: write header: %w", err)
-	}
-	if _, err := w.Write(body.Bytes()); err != nil {
-		return fmt.Errorf("caformat: write body: %w", err)
+	body := buf[16:]
+	le.PutUint32(buf[8:], crc32.Checksum(body, crcTable))
+	le.PutUint32(buf[12:], uint32(len(body)))
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("caformat: write: %w", err)
 	}
 	return nil
 }
@@ -235,12 +245,13 @@ func (c *cursor) u32() uint32 {
 func (c *cursor) remaining() int { return len(c.b) - c.off }
 
 // Per-record minimum sizes, used to bound every count by the bytes
-// actually present before allocating.
+// actually present before allocating, and by Encode to size its buffer.
 const (
-	minStateBytes = 32 + 1 + 1 + 4 + 4 // class + start + report + code + outDegree
-	locationBytes = 8                  // partition + slot
-	wayBytes      = 4
-	minNameBytes  = 4
+	bodyHeaderBytes = 1 + 1 + 2 + 5*4    // kind, flags, reserved, geometry and counts
+	minStateBytes   = 32 + 1 + 1 + 4 + 4 // class + start + report + code + outDegree
+	locationBytes   = 8                  // partition + slot
+	wayBytes        = 4
+	minNameBytes    = 4
 )
 
 func decodeBody(b []byte) (*mapper.Placement, []string, error) {
@@ -249,7 +260,11 @@ func decodeBody(b []byte) (*mapper.Placement, []string, error) {
 	if flags := c.u8(); flags != 0 && c.err == nil {
 		return nil, nil, fmt.Errorf("caformat: unknown flags %#x", flags)
 	}
-	c.u16() // reserved
+	// Reserved is 0 in everything Encode writes; accepting anything else
+	// would let two different artifacts decode to one placement.
+	if reserved := c.u16(); reserved != 0 && c.err == nil {
+		return nil, nil, fmt.Errorf("caformat: reserved field is %#x, want 0", reserved)
+	}
 	waysPerSlice := c.u32()
 	partitionsPerWay := c.u32()
 	numStates := c.u32()

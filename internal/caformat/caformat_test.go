@@ -160,6 +160,16 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			t.Fatalf("err = %v, want implausible-length error", err)
 		}
 	})
+	t.Run("reserved field set", func(t *testing.T) {
+		// The layout says reserved is 0. A decoder that skipped it would
+		// accept a body Encode never writes — one that re-encodes to other
+		// bytes than it came in as.
+		body := append([]byte(nil), data[16:]...)
+		body[2], body[3] = 0xff, 0xff
+		if _, _, err := Decode(bytes.NewReader(Frame(body))); err == nil || !strings.Contains(err.Error(), "reserved") {
+			t.Fatalf("err = %v, want reserved-field error", err)
+		}
+	})
 	t.Run("empty body", func(t *testing.T) {
 		if _, _, err := Decode(bytes.NewReader(Frame(nil))); err == nil {
 			t.Fatal("decode accepted empty body")

@@ -15,7 +15,9 @@ import (
 // once raw (exercising the magic/length/CRC gates) and once re-framed in
 // a valid container (exercising the section parser on bodies the CRC
 // would otherwise reject). A successful decode must produce a placement
-// that passes full verification.
+// that passes full verification, and encoding it again must give back
+// the blob byte for byte: the decoder admits no input Encode would not
+// write, so it is the oracle for the encoder.
 func FuzzCaformatDecode(f *testing.F) {
 	// Seed corpus: encodings of real rule sets across both designs, plus
 	// truncated/flipped variants and degenerate frames.
@@ -47,18 +49,29 @@ func FuzzCaformatDecode(f *testing.F) {
 	f.Add([]byte("CAFMT001"))
 	f.Add(Frame(nil))
 	f.Add(Frame(bytes.Repeat([]byte{0xff}, 64)))
+	reserved := append([]byte(nil), a[16:]...)
+	reserved[2], reserved[3] = 0xff, 0xff
+	f.Add(reserved)        // re-framed by the target: the body parser sees it
+	f.Add(Frame(reserved)) // raw: past the CRC gate as it stands
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			return
 		}
 		for _, blob := range [][]byte{data, Frame(data)} {
-			pl, _, err := Decode(bytes.NewReader(blob))
+			pl, names, err := Decode(bytes.NewReader(blob))
 			if err != nil {
 				continue
 			}
 			if verr := pl.Verify(); verr != nil {
 				t.Fatalf("decode succeeded but placement fails verification: %v", verr)
+			}
+			var again bytes.Buffer
+			if err := Encode(&again, pl, names); err != nil {
+				t.Fatalf("decoded placement does not encode: %v", err)
+			}
+			if !bytes.Equal(again.Bytes(), blob) {
+				t.Fatalf("Encode(Decode(b)) != b: %d bytes in, %d out", len(blob), again.Len())
 			}
 		}
 	})

@@ -212,7 +212,8 @@ type partition struct {
 	// localRows[s] is slot s's within-partition fan-out vector.
 	localRows *[arch.PartitionSTEs][wordsPerPartition]uint64
 	// crossStart/crossTargets hold slot s's G-switch cross-points in CSR
-	// form: crossTargets[crossStart[s]:crossStart[s+1]].
+	// form: crossTargets[crossStart[s]:crossStart[s+1]]. crossTargets is
+	// the machine's one slab of them, shared by every partition.
 	crossStart   []int32
 	crossTargets []crossTarget
 	// crossG1/crossG4 are slot s's precomputed G-switch source-signal
@@ -281,7 +282,6 @@ func New(pl *mapper.Placement, opts Options) (*Machine, error) {
 	nw := (len(m.parts) + 63) / 64
 	sets := make([]uint64, (2+256)*nw)
 	m.awake, m.startless, m.wake = sets[:nw:nw], sets[nw:2*nw:2*nw], sets[2*nw:]
-	cross := make([][][]crossTarget, len(pl.Partitions))
 	// Slab the per-partition arrays: one large allocation per kind instead
 	// of five small ones per partition. Construction is on the cold-start
 	// path (pool misses, cached preload), where hundreds of separate 8 KB
@@ -290,14 +290,12 @@ func New(pl *mapper.Placement, opts Options) (*Machine, error) {
 	localSlab := make([][arch.PartitionSTEs][wordsPerPartition]uint64, len(pl.Partitions))
 	codeSlab := make([]int32, len(pl.Partitions)*size)
 	stateSlab := make([]nfa.StateID, len(pl.Partitions)*size)
-	crossSlab := make([][]crossTarget, len(pl.Partitions)*size)
 	for i := range m.parts {
 		p := &m.parts[i]
 		p.rows = &rowSlab[i]
 		p.localRows = &localSlab[i]
 		p.code = codeSlab[i*size : (i+1)*size : (i+1)*size]
 		p.state = stateSlab[i*size : (i+1)*size : (i+1)*size]
-		cross[i] = crossSlab[i*size : (i+1)*size : (i+1)*size]
 	}
 	// Program SRAM rows, start/report masks, local switches and wake sets.
 	maxSlot := 0
@@ -344,12 +342,20 @@ func New(pl *mapper.Placement, opts Options) (*Machine, error) {
 			}
 		}
 	}
-	// Collect G-switch cross-points, then freeze them in CSR form with the
-	// per-slot G1/G4 signal contributions precomputed.
+	// Index the G-switch cross-points by source slot in CSR form with one
+	// stable counting sort over pl.Cross: count per slot (numbered
+	// partition-major, g = pi*size + slot) into start, sum to each slot's
+	// end, then place every cross-point by walking pl.Cross backwards and
+	// decrementing its slot's entry, which leaves start[g] at slot g's
+	// first target. Partition pi's crossStart is its window of start, one
+	// entry longer than its slots (the next partition's first entry is its
+	// end). The per-slot G1/G4 signal contributions are precomputed in the
+	// counting pass.
+	start := make([]int32, len(m.parts)*size+1)
 	for _, ce := range pl.Cross {
-		cross[ce.SrcPartition][ce.SrcSlot] = append(cross[ce.SrcPartition][ce.SrcSlot],
-			crossTarget{part: int32(ce.DstPartition), slot: int32(ce.DstSlot)})
+		start[ce.SrcPartition*size+ce.SrcSlot]++
 		p := &m.parts[ce.SrcPartition]
+		p.hasCross[ce.SrcSlot>>6] |= 1 << (ce.SrcSlot & 63)
 		if p.crossG1 == nil {
 			p.crossG1 = make([]int8, size)
 			p.crossG4 = make([]int8, size)
@@ -365,17 +371,20 @@ func New(pl *mapper.Placement, opts Options) (*Machine, error) {
 			p.crossG4[ce.SrcSlot] = 2
 		}
 	}
-	startSlab := make([]int32, len(m.parts)*(size+1))
+	for g := 1; g < len(start); g++ {
+		start[g] += start[g-1]
+	}
+	targets := make([]crossTarget, len(pl.Cross))
+	for k := len(pl.Cross) - 1; k >= 0; k-- {
+		ce := &pl.Cross[k]
+		g := ce.SrcPartition*size + ce.SrcSlot
+		start[g]--
+		targets[start[g]] = crossTarget{part: int32(ce.DstPartition), slot: int32(ce.DstSlot)}
+	}
 	for i := range m.parts {
 		p := &m.parts[i]
-		p.crossStart = startSlab[i*(size+1) : (i+1)*(size+1) : (i+1)*(size+1)]
-		for slot, cts := range cross[i] {
-			p.crossStart[slot+1] = p.crossStart[slot] + int32(len(cts))
-			p.crossTargets = append(p.crossTargets, cts...)
-			if len(cts) > 0 {
-				p.hasCross[slot>>6] |= 1 << (slot & 63)
-			}
-		}
+		p.crossStart = start[i*size : (i+1)*size+1 : (i+1)*size+1]
+		p.crossTargets = targets
 		for w := range p.slowM {
 			p.slowM[w] = p.reports[w] | p.otherM[w] | p.hasCross[w]
 		}

@@ -18,6 +18,7 @@ package nfa
 
 import (
 	"fmt"
+	"slices"
 
 	"cacheautomaton/internal/bitvec"
 )
@@ -185,20 +186,37 @@ func (n *NFA) Validate() error {
 	return nil
 }
 
-// Union appends all states of o (remapped) into n, returning the ID offset
-// at which o's states were inserted. The two automata remain disconnected —
-// this is the disjoint union used to combine patterns into one machine.
-func (n *NFA) Union(o *NFA) StateID {
-	off := StateID(len(n.States))
-	for _, s := range o.States {
-		cs := s
-		cs.Out = make([]StateID, len(s.Out))
-		for j, v := range s.Out {
-			cs.Out[j] = v + off
-		}
-		n.States = append(n.States, cs)
+// Union appends the states of every part, in order and each remapped by
+// its offset, into n, and returns the offset of the first part (where it
+// would go when there is none). The automata remain disconnected — this
+// is the disjoint union used to combine patterns into one machine — and
+// the result is the same as one call per part, but a rule set that
+// collects its parts and unions them in one call grows States once and
+// cuts every copied Out from one edge slab. Each Out's capacity is
+// clipped to its length, so an AddEdge after the union copies that list
+// instead of writing into its neighbour's.
+func (n *NFA) Union(parts ...*NFA) StateID {
+	first := StateID(len(n.States))
+	states, edges := 0, 0
+	for _, o := range parts {
+		states += len(o.States)
+		edges += o.NumEdges()
 	}
-	return off
+	n.States = slices.Grow(n.States, states)
+	slab := make([]StateID, edges)
+	for _, o := range parts {
+		off := StateID(len(n.States))
+		for _, s := range o.States {
+			out := slab[:len(s.Out):len(s.Out)]
+			slab = slab[len(s.Out):]
+			for j, v := range s.Out {
+				out[j] = v + off
+			}
+			s.Out = out
+			n.States = append(n.States, s)
+		}
+	}
+	return first
 }
 
 // RemoveUnreachable drops states not reachable from any start state and

@@ -2,6 +2,8 @@ package nfa
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -219,6 +221,51 @@ func TestUnionDoesNotAliasEdges(t *testing.T) {
 	a.AddEdge(StateID(a.NumStates()-1), 0)
 	if len(b.States[b.NumStates()-1].Out) != 0 {
 		t.Fatal("Union must deep-copy Out slices")
+	}
+}
+
+// TestUnionMany: one Union of three parts is three Unions of one, and the
+// shared edge slab it cuts every Out from does not leak between parts.
+func TestUnionMany(t *testing.T) {
+	// ring gives every state an edge, so each copied Out borders the next
+	// state's in the slab.
+	ring := func(k int, code int32) *NFA {
+		n := New()
+		for i := 0; i < k; i++ {
+			n.AddState(State{Class: bitvec.ClassOf(byte('a' + i)), Start: AllInput, Report: i == k-1, ReportCode: code})
+		}
+		for i := 0; i < k; i++ {
+			n.AddEdge(StateID(i), StateID((i+1)%k))
+		}
+		return n
+	}
+	a, b, c := ring(3, 1), ring(4, 2), ring(5, 3)
+	base := func() *NFA {
+		n := New()
+		n.AddState(State{Class: bitvec.ClassOf('z'), Start: AllInput})
+		return n
+	}
+
+	seq := base()
+	for _, p := range []*NFA{a, b, c} {
+		seq.Union(p)
+	}
+	all := base()
+	if off := all.Union(a, b, c); off != 1 {
+		t.Fatalf("Union(a, b, c) = %d, want the first part's offset 1", off)
+	}
+	if !reflect.DeepEqual(all.States, seq.States) {
+		t.Fatalf("Union(a, b, c) differs from three single-part unions:\n%v\n%v", all.States, seq.States)
+	}
+
+	lastA, firstB := StateID(a.NumStates()), StateID(a.NumStates()+1)
+	wantB := slices.Clone(all.States[firstB].Out)
+	all.AddEdge(lastA, 0)
+	if got := all.States[firstB].Out; !slices.Equal(got, wantB) {
+		t.Fatalf("AddEdge on part a's last state changed part b's first Out: %v, want %v", got, wantB)
+	}
+	if off := all.Union(); off != StateID(all.NumStates()) {
+		t.Fatalf("Union() = %d, want %d", off, all.NumStates())
 	}
 }
 

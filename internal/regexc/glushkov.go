@@ -38,9 +38,9 @@ func CompileParsed(p *Parsed, reportCode int32) (*nfa.NFA, error) {
 	if p.Anchored {
 		start = nfa.StartOfData
 	}
-	out := nfa.New()
-	for _, leaf := range g.leaves {
-		out.AddState(nfa.State{Class: leaf.Class})
+	out := &nfa.NFA{States: make([]nfa.State, len(g.leaves))}
+	for i, leaf := range g.leaves {
+		out.States[i].Class = leaf.Class
 	}
 	for _, f := range info.first {
 		out.States[f-1].Start = start
@@ -49,10 +49,23 @@ func CompileParsed(p *Parsed, reportCode int32) (*nfa.NFA, error) {
 		out.States[l-1].Report = true
 		out.States[l-1].ReportCode = reportCode
 	}
+	// A follow list is ascending and duplicate-free — already the Out list
+	// AddEdge would build — so every Out is cut from one slab.
+	edges := 0
+	for _, fs := range g.follow {
+		edges += len(fs)
+	}
+	slab := make([]nfa.StateID, edges)
 	for p0, fs := range g.follow {
-		for _, f := range fs {
-			out.AddEdge(nfa.StateID(p0), nfa.StateID(f-1))
+		if len(fs) == 0 {
+			continue
 		}
+		o := slab[:len(fs):len(fs)]
+		slab = slab[len(fs):]
+		for j, f := range fs {
+			o[j] = nfa.StateID(f - 1)
+		}
+		out.States[p0].Out = o
 	}
 	return out, nil
 }
@@ -206,14 +219,16 @@ func CompileSet(patterns []string, opts Options) (*nfa.NFA, error) {
 	sp.End()
 
 	sg := opts.Trace.StartStage("regexc.glushkov")
-	out := nfa.New()
+	parts := make([]*nfa.NFA, len(parsed))
 	for i, p := range parsed {
 		one, err := CompileParsed(p, int32(i))
 		if err != nil {
 			return nil, fmt.Errorf("pattern %d: %w", i, err)
 		}
-		out.Union(one)
+		parts[i] = one
 	}
+	out := nfa.New()
+	out.Union(parts...)
 	if err := out.Validate(); err != nil {
 		return nil, err
 	}

@@ -232,23 +232,25 @@ func escapeLiteral(s string) string {
 // CompileSnort builds one NFA for a rule set: every content literal and
 // every pcre becomes a connected component reporting the rule's sid.
 func CompileSnort(rules []SnortRule) (*nfa.NFA, error) {
-	out := nfa.New()
+	var parts []*nfa.NFA
 	for _, rule := range rules {
 		for _, c := range rule.Contents {
 			one, err := regexc.Compile(escapeLiteral(c), rule.SID, regexc.Options{CaseInsensitive: rule.NoCase})
 			if err != nil {
 				return nil, fmt.Errorf("rulefmt: sid %d content %q: %v", rule.SID, c, err)
 			}
-			out.Union(one)
+			parts = append(parts, one)
 		}
 		for _, p := range rule.PCREs {
 			one, err := regexc.Compile(p.Pattern, rule.SID, regexc.Options{CaseInsensitive: p.CaseInsensitive})
 			if err != nil {
 				return nil, fmt.Errorf("rulefmt: sid %d pcre %q: %v", rule.SID, p.Pattern, err)
 			}
-			out.Union(one)
+			parts = append(parts, one)
 		}
 	}
+	out := nfa.New()
+	out.Union(parts...)
 	if err := out.Validate(); err != nil {
 		return nil, err
 	}
@@ -321,7 +323,7 @@ func ParseClamAVSignature(sig string, code int32) (*nfa.NFA, string, error) {
 // into one NFA; signature i reports code i. It returns the NFA and the
 // signature names in code order.
 func CompileClamAV(text string) (*nfa.NFA, []string, error) {
-	out := nfa.New()
+	var parts []*nfa.NFA
 	var names []string
 	for lineNo, line := range strings.Split(text, "\n") {
 		line = strings.TrimSpace(line)
@@ -332,9 +334,11 @@ func CompileClamAV(text string) (*nfa.NFA, []string, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("line %d: %w", lineNo+1, err)
 		}
-		out.Union(one)
+		parts = append(parts, one)
 		names = append(names, name)
 	}
+	out := nfa.New()
+	out.Union(parts...)
 	if err := out.Validate(); err != nil {
 		return nil, nil, err
 	}

@@ -121,7 +121,8 @@ func (s *Server) Reload(ctx context.Context, name string, req *CompileRequest) (
 // publish, log the definition to the WAL. Whichever way the automaton
 // was produced, its stages (regexc.parse … machine.build, or
 // caformat.decode on a load) are adopted into the request trace carried
-// by ctx, so /debug/requests explains a slow PUT.
+// by ctx beside the cache's own (cache.get, cache.store) and the wal, so
+// /debug/requests explains a slow PUT.
 func (s *Server) install(ctx context.Context, name string, req CompileRequest, art []byte) (*RulesetInfo, error) {
 	done, err := s.begin()
 	if err != nil {
@@ -207,7 +208,9 @@ func (s *Server) install(ctx context.Context, name string, req CompileRequest, a
 	if cache != nil && (!cached || art != nil) {
 		// Compiled here or shipped here: either way the cache has not seen
 		// these bytes, and the next start of this node should.
-		s.cacheStore(ctx, cache, key, name, a, art)
+		sp := rt.StartStage("cache.store")
+		sp.SetAttr("bytes", int64(s.cacheStore(ctx, cache, key, name, a, art)))
+		sp.End()
 	}
 
 	names := a.SignatureNames()
@@ -242,31 +245,43 @@ func (s *Server) install(ctx context.Context, name string, req CompileRequest, a
 // cacheLoad returns the automaton cached under key, or nil: a miss, an
 // unreadable entry, or a corrupted one — which is evicted and falls back
 // to a full compile (which re-stores it), never a failed boot or request.
+// The read is the request's cache.get stage, marked with its outcome:
+// hit, miss, or corrupt (an entry that is there but unreadable or does
+// not decode); the decode of a hit is the caformat.decode stage after it.
 func (s *Server) cacheLoad(ctx context.Context, cache *caformat.Cache, key caformat.Key, name string, opts ca.Options) *ca.Automaton {
+	sp := telemetry.ReqTraceFrom(ctx).StartStage("cache.get")
 	data, err := cache.Get(key)
+	sp.End()
 	switch {
 	case err == nil:
+		sp.SetAttr("bytes", int64(len(data)))
 		a, lerr := ca.Load(bytes.NewReader(data), opts)
 		if lerr == nil {
+			sp.SetAttr("hit", 1)
 			s.col.CacheHits.Inc()
 			return a
 		}
+		sp.SetAttr("corrupt", 1)
 		s.col.CacheErrors.Inc()
 		rmErr := cache.Remove(key)
 		s.log.WarnContext(ctx, "compile cache: corrupted entry evicted",
 			"ruleset", name, "key", key.String(), "error", lerr, "remove_error", rmErr)
 	case !errors.Is(err, os.ErrNotExist):
+		sp.SetAttr("corrupt", 1)
 		s.col.CacheErrors.Inc()
 		s.log.WarnContext(ctx, "compile cache: read failed", "ruleset", name, "key", key.String(), "error", err)
+	default:
+		sp.SetAttr("miss", 1)
 	}
 	s.col.CacheMisses.Inc()
 	return nil
 }
 
-// cacheStore puts a's encoding under key: the bytes the wire brought
-// when there are any (they decoded to a), else a's own Save. A failed
-// store costs the next start a compile, not this request its answer.
-func (s *Server) cacheStore(ctx context.Context, cache *caformat.Cache, key caformat.Key, name string, a *ca.Automaton, data []byte) {
+// cacheStore puts a's encoding under key — the bytes the wire brought
+// when there are any (they decoded to a), else a's own Save — and returns
+// how many bytes it stored. A failed store costs the next start a
+// compile, not this request its answer.
+func (s *Server) cacheStore(ctx context.Context, cache *caformat.Cache, key caformat.Key, name string, a *ca.Automaton, data []byte) int {
 	var err error
 	if data == nil {
 		var buf bytes.Buffer
@@ -279,7 +294,9 @@ func (s *Server) cacheStore(ctx context.Context, cache *caformat.Cache, key cafo
 	if err != nil {
 		s.col.CacheErrors.Inc()
 		s.log.WarnContext(ctx, "compile cache: store failed", "ruleset", name, "key", key.String(), "error", err)
+		return 0
 	}
+	return len(data)
 }
 
 // publish atomically swaps the named rule set in. The single map store

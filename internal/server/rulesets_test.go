@@ -185,8 +185,9 @@ func TestCompileStagesInRequestTrace(t *testing.T) {
 		return s, ts.URL
 	}
 	def := CompileRequest{Patterns: []string{"needle", "ha+y"}}
-	compiled := []string{"regexc.parse", "regexc.glushkov", "map.components", "map.large", "map.pack", "map.cross", "machine.build", "wal"}
-	loaded := []string{"caformat.decode", "machine.build", "wal"}
+	compiled := []string{"cache.get", "regexc.parse", "regexc.glushkov", "map.components", "map.large", "map.pack", "map.cross", "machine.build", "cache.store", "wal"}
+	cachedPut := []string{"cache.get", "caformat.decode", "machine.build", "wal"}
+	shipped := []string{"caformat.decode", "machine.build", "cache.store", "wal"}
 
 	check := func(s *Server, what string, code int, rep *telemetry.ReqReport, op string, want []string) {
 		t.Helper()
@@ -214,24 +215,37 @@ func TestCompileStagesInRequestTrace(t *testing.T) {
 	if got := rep.Stage("regexc.parse").Attr("patterns"); got != 2 {
 		t.Errorf("adopted regexc.parse patterns = %d, want 2", got)
 	}
+	if got := rep.Stage("cache.get").Attr("miss"); got != 1 {
+		t.Errorf("first node's cache.get miss = %d, want 1", got)
+	}
+	stored := rep.Stage("cache.store").Attr("bytes")
+	if stored <= 0 {
+		t.Errorf("cache.store bytes = %d", stored)
+	}
 
 	// A second node on the same cache directory: the same PUT is a load.
 	s2, url2 := boot()
 	code, rep = putTraced(t, url2, "/rulesets/ids", def)
-	check(s2, "cached", code, rep, "rulesets.compile", loaded)
+	check(s2, "cached", code, rep, "rulesets.compile", cachedPut)
 	if h := s2.col.CacheHits.Value(); h != 1 {
 		t.Errorf("second node's cache hits = %d, want 1", h)
 	}
+	if get := rep.Stage("cache.get"); get.Attr("hit") != 1 || get.Attr("bytes") != stored {
+		t.Errorf("second node's cache.get = %+v, want a hit on the %d bytes stored", get, stored)
+	}
 
-	// And a shipped artifact is a load too.
+	// And a shipped artifact is a load too, which this node then stores.
 	art, err := s1.Artifact("ids")
 	if err != nil {
 		t.Fatal(err)
 	}
 	code, rep = putTraced(t, url2, "/rulesets/copy/artifact", art)
-	check(s2, "shipped", code, rep, "rulesets.install", loaded)
+	check(s2, "shipped", code, rep, "rulesets.install", shipped)
 	if got := rep.Stage("caformat.decode").Attr("partitions"); got < 1 {
 		t.Errorf("adopted caformat.decode partitions = %d", got)
+	}
+	if got := rep.Stage("cache.store").Attr("bytes"); got != stored {
+		t.Errorf("shipped cache.store bytes = %d, want %d", got, stored)
 	}
 }
 

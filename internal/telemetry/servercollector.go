@@ -57,8 +57,9 @@ type ServerCollector struct {
 	BatchWait       *Histogram
 	BatchedRequests *Counter
 	// StageSeconds breaks serving latency down by pipeline stage
-	// (stage = queue | batch | lease | run | wal), fed from the flight
-	// recorder's per-request stage spans.
+	// (stage = queue | batch | lease | run | wal; a rule-set PUT adds its
+	// compile or decode stages and cache.get | cache.store), fed from the
+	// flight recorder's per-request stage spans.
 	StageSeconds *HistogramVec
 	// RulesetSeconds is end-to-end request latency per rule set, for
 	// match and feed operations (cardinality-bounded; overflow lands in

@@ -279,7 +279,7 @@ func clamAVSpec() *Spec {
 		Paper: PaperRow{49538, 515, 542, 82.84, 42543, 41, 11965, 4.30},
 		build: func(r *rand.Rand, scale float64) (*nfa.NFA, []string) {
 			count := scaleCount(515, scale)
-			out := nfa.New()
+			parts := make([]*nfa.NFA, count)
 			lits := make([]string, count)
 			for i := 0; i < count; i++ {
 				n := 60 + r.Intn(70)
@@ -296,9 +296,11 @@ func clamAVSpec() *Spec {
 						wild[k] = true
 					}
 				}
-				out.Union(byteChainNFA(sig, wild, int32(i)))
+				parts[i] = byteChainNFA(sig, wild, int32(i))
 				lits[i] = string(sig)
 			}
+			out := nfa.New()
+			out.Union(parts...)
 			return out, lits
 		},
 		inputSym:   symUniform,
@@ -401,16 +403,18 @@ func levenshteinSpec() *Spec {
 		Paper: PaperRow{2784, 24, 116, 114.21, 2784, 1, 2605, 114.21},
 		build: func(r *rand.Rand, scale float64) (*nfa.NFA, []string) {
 			count := scaleCount(24, scale)
-			out := nfa.New()
+			parts := make([]*nfa.NFA, count)
 			lits := make([]string, count)
 			for i := 0; i < count; i++ {
 				p := randWord(r, 16, 16, "ACGT")
-				out.Union(LevenshteinNFA(p, 3, int32(i)))
+				parts[i] = LevenshteinNFA(p, 3, int32(i))
 				// Plant a 1-edit corruption so fuzzy matches fire.
 				b := []byte(p)
 				b[r.Intn(len(b))] = randFrom(r, "ACGT")
 				lits[i] = string(b)
 			}
+			out := nfa.New()
+			out.Union(parts...)
 			return out, lits
 		},
 		inputSym:   func(r *rand.Rand) byte { return randFrom(r, "ACGT") },
@@ -426,15 +430,17 @@ func hammingSpec() *Spec {
 		Paper: PaperRow{11346, 93, 122, 285.1, 11254, 69, 11254, 240.09},
 		build: func(r *rand.Rand, scale float64) (*nfa.NFA, []string) {
 			count := scaleCount(93, scale)
-			out := nfa.New()
+			parts := make([]*nfa.NFA, count)
 			lits := make([]string, count)
 			for i := 0; i < count; i++ {
 				p := randWord(r, 24, 24, "ACGT")
-				out.Union(HammingNFA(p, 2, int32(i)))
+				parts[i] = HammingNFA(p, 2, int32(i))
 				b := []byte(p)
 				b[r.Intn(len(b))] = randFrom(r, "ACGT")
 				lits[i] = string(b)
 			}
+			out := nfa.New()
+			out.Union(parts...)
 			return out, lits
 		},
 		inputSym:   func(r *rand.Rand) byte { return randFrom(r, "ACGT") },
@@ -454,7 +460,7 @@ func fermiSpec() *Spec {
 		Paper: PaperRow{40783, 2399, 17, 4715.96, 39032, 648, 39038, 4715.96},
 		build: func(r *rand.Rand, scale float64) (*nfa.NFA, []string) {
 			count := scaleCount(2399, scale)
-			out := nfa.New()
+			parts := make([]*nfa.NFA, count)
 			lits := make([]string, count)
 			for i := 0; i < count; i++ {
 				chain := nfa.New()
@@ -485,9 +491,11 @@ func fermiSpec() *Spec {
 					chain.AddEdge(prev, cur)
 					prev = cur
 				}
-				out.Union(chain)
+				parts[i] = chain
 				lits[i] = string(witness)
 			}
+			out := nfa.New()
+			out.Union(parts...)
 			return out, lits
 		},
 		inputSym:   symUniform,
@@ -564,13 +572,13 @@ func randomForestSpec() *Spec {
 		Paper: PaperRow{33220, 1661, 20, 398.24, 33220, 1, 33220, 398.24},
 		build: func(r *rand.Rand, scale float64) (*nfa.NFA, []string) {
 			count := scaleCount(1661, scale)
-			out := nfa.New()
+			parts := make([]*nfa.NFA, count)
 			lits := make([]string, count)
 			for i := 0; i < count; i++ {
-				chain, witness := rangeChainNFA(r, 20, 0.2, int32(i))
-				out.Union(chain)
-				lits[i] = witness
+				parts[i], lits[i] = rangeChainNFA(r, 20, 0.2, int32(i))
 			}
+			out := nfa.New()
+			out.Union(parts...)
 			return out, lits
 		},
 		inputSym:   symUniform,
