@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"cacheautomaton/internal/difftest"
+	"cacheautomaton/internal/telemetry"
 	"cacheautomaton/internal/workload"
 )
 
@@ -21,7 +22,10 @@ import (
 // layout. The path is tuned for speed without changing a byte, so a
 // change to any of them fails here and names the rule set. The values
 // were recorded from the reflection-based encoder and per-rule unions
-// that the current code replaced.
+// that the current code replaced; the four CA_S registry rows — one per
+// mapper path: tight-packed and raw k-way splits rescued by repair,
+// consolidation, and each lower rung of the back-off ladder — from the
+// mapper that still counted the switch budgets four separate ways.
 func TestRuleSetPathBytesUnchanged(t *testing.T) {
 	thousand := make([]string, 1000) // regexc's BenchmarkCompile1000Patterns set
 	for i := range thousand {
@@ -34,6 +38,30 @@ alert tcp any any -> any any (msg:"both"; content:"prefix"; pcre:"/suf.fix/"; si
 alert tcp any any -> any any (msg:"loop"; pcre:"/(ab|cd)+e[^;]*f/"; sid:1005;)`
 	const clamText = "Eicar.Test:58354f2150\nTrojan.Foo:dead??beef\nWin.Skip:4d5a??90{3}50\n"
 	snort := workload.ByName("Snort")
+	// space maps a registry benchmark on CA_S, seeding the build and the
+	// mapper alike, with the compile report recorded for the row's shape.
+	space := func(name string, scale float64, seed int64) func() (*Automaton, error) {
+		return func() (*Automaton, error) {
+			n, err := workload.ByName(name).Build(seed, scale)
+			if err != nil {
+				return nil, err
+			}
+			return fromNFA(n, Options{Design: Space, Seed: seed}, telemetry.NewReqTrace("test"))
+		}
+	}
+	// counted checks that every named attribute of the compile report's
+	// first stage called stage is positive: the mapper took those paths.
+	counted := func(stage string, attrs ...string) func(a *Automaton) error {
+		return func(a *Automaton) error {
+			st := a.CompileReport().Stage(stage)
+			for _, attr := range attrs {
+				if st == nil || st.Attr(attr) <= 0 {
+					return fmt.Errorf("%s %s is not positive: %+v", stage, attr, st)
+				}
+			}
+			return nil
+		}
+	}
 
 	for _, tc := range []struct {
 		name    string
@@ -83,6 +111,15 @@ alert tcp any any -> any any (msg:"loop"; pcre:"/(ab|cd)+e[^;]*f/"; sid:1005;)`
 				return nil
 			},
 			37848, "4ea56a96fb4941fc6649809f8f061e38f00b6cad5d6a53e915353533131a920f"},
+		{"registry/Hamming@0.3/space/seed2", space("Hamming", 0.3, 2),
+			counted("map.large", "packed_commits", "kway_commits", "rescued"),
+			170492, "5aa579a5b7f9d63329740457eb25a9c961805ffd8338f9b3579176ecb458af17"},
+		{"registry/SPM@0.1/space/seed1", space("SPM", 0.1, 1), counted("map.pack", "merges"),
+			250242, "4c0c51e1ee2f6d655f10c257d8e25daeeab5855d0767b36b14e32466681d9777"},
+		{"registry/Hamming@0.5/space/seed3", space("Hamming", 0.5, 3), counted("backoff.prefix-merge", "mapped"),
+			291412, "ead1b84608f34ff48b5e7c57ba0d73a3d4e2802dc876bf229635467fce75898e"},
+		{"registry/Levenshtein@0.5/space/seed3", space("Levenshtein", 0.5, 3), counted("backoff.no-merge", "mapped"),
+			93400, "563e90cdcd0242f0a39cbba3c2e7d2c9d88077f04d81fed2d5ccc9de51e2ed8a"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, err := tc.compile()

@@ -35,41 +35,55 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"cacheautomaton/internal/experiments"
 	"cacheautomaton/internal/telemetry"
+	"cacheautomaton/internal/workload"
 )
 
-func main() {
-	scale := flag.Float64("scale", 1.0, "benchmark scale (1.0 = paper-sized NFAs)")
-	size := flag.Int("size", 1<<20, "input stream bytes to simulate")
-	seed := flag.Int64("seed", 1, "generator seed")
-	bench := flag.String("bench", "", "comma-separated benchmark subset (default all 20)")
-	exp := flag.String("exp", "all", "experiment to run: all, summary, table1-5, figure7-10, case-er, replication")
-	traceCompile := flag.Bool("trace-compile", false, "print each benchmark's compile phase breakdown to stderr")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
-	parallel := flag.Int("parallel", 1, "prefetch pipeline runs over this many workers (0 = all cores)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cabench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.Float64("scale", 1.0, "benchmark scale (1.0 = paper-sized NFAs)")
+	size := fs.Int("size", 1<<20, "input stream bytes to simulate")
+	seed := fs.Int64("seed", 1, "generator seed")
+	bench := fs.String("bench", "", "comma-separated benchmark subset (default all 20)")
+	exp := fs.String("exp", "all", "experiment to run: all, summary, table1-5, figure7-10, case-er, replication")
+	traceCompile := fs.Bool("trace-compile", false, "print each benchmark's compile phase breakdown to stderr")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
+	parallel := fs.Int("parallel", 1, "prefetch pipeline runs over this many workers (0 = all cores)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	cfg := experiments.Config{Scale: *scale, InputBytes: *size, Seed: *seed}
 	if *bench != "" {
 		cfg.Benchmarks = strings.Split(*bench, ",")
+		for _, name := range cfg.Benchmarks {
+			if workload.ByName(name) == nil {
+				fmt.Fprintf(stderr, "cabench: unknown benchmark %q (have: %s)\n", name, strings.Join(workload.Names(), ", "))
+				return 2
+			}
+		}
 	}
 	if *metricsAddr != "" {
 		cfg.Observer = telemetry.NewMachineCollector(nil)
 		srv, err := telemetry.Serve(*metricsAddr, nil)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cabench:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "cabench:", err)
+			return 1
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics, /debug/vars, /debug/pprof on http://%s\n", srv.Addr())
+		fmt.Fprintf(stderr, "telemetry: serving /metrics, /debug/vars, /debug/pprof on http://%s\n", srv.Addr())
 	}
 	if *traceCompile {
 		cfg.TraceSink = func(r *telemetry.ReqReport) {
-			fmt.Fprint(os.Stderr, r.String())
+			fmt.Fprint(stderr, r.String())
 		}
 	}
 	r := experiments.NewRunner(cfg)
@@ -102,15 +116,16 @@ func main() {
 		if want != "all" && want != e.name {
 			continue
 		}
-		if err := e.fn().Render(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "cabench:", err)
-			os.Exit(1)
+		if err := e.fn().Render(stdout); err != nil {
+			fmt.Fprintln(stderr, "cabench:", err)
+			return 1
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "cabench: unknown experiment %q\n", *exp)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "cabench: unknown experiment %q\n", *exp)
+		return 2
 	}
+	return 0
 }

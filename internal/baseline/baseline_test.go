@@ -204,67 +204,3 @@ func BenchmarkDFAEngine10Rules(b *testing.B) {
 		d.Run(in, false)
 	}
 }
-
-func TestMinimizeEquivalence(t *testing.T) {
-	// Redundant rule set: duplicates force equivalent DFA states.
-	n := compile(t, []string{"abc", "abd", "xbc", "xbd"})
-	d, err := NewDFAEngine(n, 1<<16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := d.Minimize()
-	if m.NumStates() > d.NumStates() {
-		t.Fatalf("minimize grew the DFA: %d → %d", d.NumStates(), m.NumStates())
-	}
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 30; trial++ {
-		in := make([]byte, 200)
-		for i := range in {
-			in[i] = byte("abcdx"[r.Intn(5)])
-		}
-		d.Reset()
-		m.Reset()
-		dm, dTotal := d.Run(in, true)
-		mm, mTotal := m.Run(in, true)
-		if dTotal != mTotal || len(dm) != len(mm) {
-			t.Fatalf("trial %d: totals differ %d vs %d", trial, dTotal, mTotal)
-		}
-		for i := range dm {
-			if dm[i].Offset != mm[i].Offset || len(dm[i].Codes) != len(mm[i].Codes) {
-				t.Fatalf("trial %d: match %d differs", trial, i)
-			}
-		}
-	}
-}
-
-func TestMinimizeCollapsesRedundancy(t *testing.T) {
-	// Same-code duplicate patterns: states along the duplicate path are
-	// equivalent and must merge.
-	a, _ := regexc.Compile("hello", 0, regexc.Options{})
-	b, _ := regexc.Compile("hello", 0, regexc.Options{})
-	u := a.Clone()
-	u.Union(b)
-	d, err := NewDFAEngine(u, 1<<16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := NewDFAEngine(a, 1<<16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := d.Minimize()
-	if m.NumStates() != single.Minimize().NumStates() {
-		t.Errorf("duplicated pattern should minimize to the single-pattern DFA: %d vs %d",
-			m.NumStates(), single.Minimize().NumStates())
-	}
-}
-
-func TestMinimizeIdempotent(t *testing.T) {
-	n := compile(t, []string{"ca[tr]s?", "dog"})
-	d, _ := NewDFAEngine(n, 1<<16)
-	m1 := d.Minimize()
-	m2 := m1.Minimize()
-	if m1.NumStates() != m2.NumStates() {
-		t.Errorf("second minimize changed size: %d → %d", m1.NumStates(), m2.NumStates())
-	}
-}

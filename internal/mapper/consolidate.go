@@ -61,12 +61,6 @@ func peelSplit(sub *nfa.NFA, chunkSize int) [][]int32 {
 	return parts
 }
 
-// partitionBudgets holds the distinct-source signal sets of one placed
-// partition, used by the consolidation pass.
-type partitionBudgets struct {
-	outG1, outG4, inG1, inG4 map[nfa.StateID]bool
-}
-
 // consolidate merges same-way partitions whose occupancies fit together
 // and whose combined switch budgets still hold. Merging two same-way
 // partitions never affects any other partition's budgets (sources keep
@@ -76,30 +70,7 @@ type partitionBudgets struct {
 // produced by large-component splitting.
 func (m *builder) consolidate() {
 	pl := m.pl
-	d := pl.Design
-	// Current signal sets per partition.
-	bud := make([]partitionBudgets, len(pl.Partitions))
-	for i := range bud {
-		bud[i] = partitionBudgets{
-			outG1: map[nfa.StateID]bool{}, outG4: map[nfa.StateID]bool{},
-			inG1: map[nfa.StateID]bool{}, inG4: map[nfa.StateID]bool{},
-		}
-	}
-	for u := range pl.NFA.States {
-		for _, v := range pl.NFA.States[u].Out {
-			pu, pv := pl.PartitionOf[u], pl.PartitionOf[v]
-			if pu == pv {
-				continue
-			}
-			if pl.Partitions[pu].Way == pl.Partitions[pv].Way {
-				bud[pu].outG1[nfa.StateID(u)] = true
-				bud[pv].inG1[nfa.StateID(u)] = true
-			} else {
-				bud[pu].outG4[nfa.StateID(u)] = true
-				bud[pv].inG4[nfa.StateID(u)] = true
-			}
-		}
-	}
+	sig := pl.signals()
 	// Group partitions by way, smallest first.
 	byWay := map[int][]int{}
 	for pi := range pl.Partitions {
@@ -123,10 +94,11 @@ func (m *builder) consolidate() {
 				if dead[i] || pl.Partitions[i].Used+pl.Partitions[j].Used > arch.PartitionSTEs {
 					continue
 				}
-				if !m.mergeOK(i, j, bud, d) {
+				if !sig.merge(i, j, pl.Design) {
 					continue
 				}
-				m.mergePartitions(i, j, bud)
+				m.mergePartitions(i, j)
+				m.merges++
 				dead[j] = true
 				break
 			}
@@ -151,136 +123,15 @@ func (m *builder) consolidate() {
 	// builder is done allocating at this point.
 }
 
-// mergeOK checks the combined budgets of merging partition j into i
-// (same way).
-func (m *builder) mergeOK(i, j int, bud []partitionBudgets, d *arch.Design) bool {
-	pl := m.pl
-	// Count set unions, minus signals that become local (sources whose
-	// remaining external targets all fall inside the merged pair).
-	countOut := func(a, b map[nfa.StateID]bool) int {
-		seen := map[nfa.StateID]bool{}
-		for s := range a {
-			seen[s] = true
-		}
-		for s := range b {
-			seen[s] = true
-		}
-		n := 0
-		for s := range seen {
-			// Does s still have a target outside the merged pair?
-			for _, v := range pl.NFA.States[s].Out {
-				pv := int(pl.PartitionOf[v])
-				if pv != i && pv != j && pl.Partitions[pv].Way == pl.Partitions[i].Way {
-					n++
-					break
-				}
-			}
-		}
-		return n
-	}
-	countOutG4 := func(a, b map[nfa.StateID]bool) int {
-		seen := map[nfa.StateID]bool{}
-		for s := range a {
-			seen[s] = true
-		}
-		for s := range b {
-			seen[s] = true
-		}
-		n := 0
-		for s := range seen {
-			for _, v := range pl.NFA.States[s].Out {
-				pv := int(pl.PartitionOf[v])
-				if pv != i && pv != j && pl.Partitions[pv].Way != pl.Partitions[i].Way {
-					n++
-					break
-				}
-			}
-		}
-		return n
-	}
-	countIn := func(a, b map[nfa.StateID]bool) int {
-		seen := map[nfa.StateID]bool{}
-		for s := range a {
-			seen[s] = true
-		}
-		for s := range b {
-			seen[s] = true
-		}
-		n := 0
-		for s := range seen {
-			ps := int(pl.PartitionOf[s])
-			if ps != i && ps != j {
-				n++
-			}
-		}
-		return n
-	}
-	if countOut(bud[i].outG1, bud[j].outG1) > d.G1SignalsPerPartition {
-		return false
-	}
-	if countOutG4(bud[i].outG4, bud[j].outG4) > d.G4SignalsPerPartition {
-		return false
-	}
-	if countIn(bud[i].inG1, bud[j].inG1) > d.G1SignalsPerPartition {
-		return false
-	}
-	if countIn(bud[i].inG4, bud[j].inG4) > d.G4SignalsPerPartition {
-		return false
-	}
-	return true
-}
-
-// mergePartitions moves partition j's states into i and refreshes the two
-// partitions' budget sets.
-func (m *builder) mergePartitions(i, j int, bud []partitionBudgets) {
-	pl := m.pl
-	for slot, s := range pl.Partitions[j].Slots {
-		if s == nfa.None {
-			continue
-		}
-		_ = slot
-		p := &pl.Partitions[i]
-		newSlot := p.Used
-		p.Slots[newSlot] = s
-		p.Used++
-		pl.PartitionOf[s] = int32(i)
-		pl.SlotOf[s] = int32(newSlot)
-	}
-	pl.Partitions[j].Used = 0
-	for k := range pl.Partitions[j].Slots {
-		pl.Partitions[j].Slots[k] = nfa.None
-	}
-	// Recompute the merged partition's sets exactly.
-	bud[i] = partitionBudgets{
-		outG1: map[nfa.StateID]bool{}, outG4: map[nfa.StateID]bool{},
-		inG1: map[nfa.StateID]bool{}, inG4: map[nfa.StateID]bool{},
-	}
-	bud[j] = partitionBudgets{
-		outG1: map[nfa.StateID]bool{}, outG4: map[nfa.StateID]bool{},
-		inG1: map[nfa.StateID]bool{}, inG4: map[nfa.StateID]bool{},
-	}
-	for u := range pl.NFA.States {
-		pu := int(pl.PartitionOf[u])
-		for _, v := range pl.NFA.States[u].Out {
-			pv := int(pl.PartitionOf[v])
-			if pu == pv {
-				continue
-			}
-			sameWay := pl.Partitions[pu].Way == pl.Partitions[pv].Way
-			if pu == i {
-				if sameWay {
-					bud[i].outG1[nfa.StateID(u)] = true
-				} else {
-					bud[i].outG4[nfa.StateID(u)] = true
-				}
-			}
-			if pv == i {
-				if sameWay {
-					bud[i].inG1[nfa.StateID(u)] = true
-				} else {
-					bud[i].inG4[nfa.StateID(u)] = true
-				}
-			}
+// mergePartitions moves partition j's states, in slot order, into the
+// next free slots of partition i.
+func (m *builder) mergePartitions(i, j int) {
+	pj := &m.pl.Partitions[j]
+	for slot, s := range pj.Slots {
+		if s != nfa.None {
+			m.place(s, i)
+			pj.Slots[slot] = nfa.None
 		}
 	}
+	pj.Used = 0
 }

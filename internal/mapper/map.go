@@ -25,7 +25,8 @@ type Config struct {
 	// Trace, when non-nil, receives the mapping stages as spans —
 	// "map.components", "map.large", "map.pack", "map.cross", and a
 	// "backoff.<level>" span around each rung MapOptimized tries — with
-	// state counts, split retries and repair moves as attributes.
+	// state counts, split retries, repair moves, k-way commits, repair
+	// rescues and consolidation merges as attributes.
 	Trace *telemetry.ReqTrace
 }
 
@@ -97,6 +98,9 @@ func Map(n *nfa.NFA, cfg Config) (*Placement, error) {
 	}
 	sl.SetAttr("split_retries", int64(m.splitRetries))
 	sl.SetAttr("repair_moves", int64(m.repairMoves))
+	sl.SetAttr("packed_commits", int64(m.packedCommits))
+	sl.SetAttr("kway_commits", int64(m.kwayCommits))
+	sl.SetAttr("rescued", int64(m.rescued))
 	sl.End()
 
 	sp := cfg.Trace.StartStage("map.pack")
@@ -105,6 +109,7 @@ func Map(n *nfa.NFA, cfg Config) (*Placement, error) {
 	m.consolidate()
 	sp.SetAttr("partitions", int64(len(m.pl.Partitions)))
 	sp.SetAttr("ways", int64(len(m.wayFill)))
+	sp.SetAttr("merges", int64(m.merges))
 	sp.End()
 
 	sx := cfg.Trace.StartStage("map.cross")
@@ -128,10 +133,11 @@ type builder struct {
 	// pending are partition indices not yet assigned a way (small-CC
 	// partitions, placed last into any free slot).
 	pending []int
-	// splitRetries and repairMoves accumulate compile-telemetry counts
-	// across all large components.
-	splitRetries int
-	repairMoves  int
+	// Compile-telemetry counts across all large components: k-way
+	// re-splits, repair moves, commits of a tight-packed and of a raw
+	// k-way split (the rest are peel splits), commits that needed repair,
+	// and partition pairs consolidation merged.
+	splitRetries, repairMoves, packedCommits, kwayCommits, rescued, merges int
 }
 
 // newPartition allocates a partition; way < 0 defers way assignment.
@@ -264,22 +270,13 @@ func (m *builder) mapLargeComponent(c nfa.Component) error {
 			continue
 		}
 		// Tight-packed layout first, then the raw balanced split.
-		committed := false
-		for _, pack := range []bool{true, false} {
-			cand := deepCopyParts(parts)
-			if pack {
-				bsPack := newBudgetState(sub, cand, orderByConnectivity(sub, cand), ppw)
-				tightPack(bsPack)
-				cand = bsPack.parts
-			}
-			if err := m.tryCommit(sub, orig, cand, ppw); err != nil {
-				lastErr = err
-				continue
-			}
-			committed = true
-			break
+		packed := tightPack(newBudgetState(sub, deepCopyParts(parts)))
+		if lastErr = m.tryCommit(sub, orig, packed, ppw); lastErr == nil {
+			m.packedCommits++
+			return nil
 		}
-		if committed {
+		if lastErr = m.tryCommit(sub, orig, parts, ppw); lastErr == nil {
+			m.kwayCommits++
 			return nil
 		}
 		k++
@@ -302,20 +299,23 @@ func (m *builder) tryCommit(sub *nfa.NFA, orig []nfa.StateID, parts [][]int32, p
 	if g4Groups := arch.CeilDiv(len(parts), ppw*4); g4Groups > 1 && !m.cfg.AllowChainedG4 {
 		return fmt.Errorf("component spans %d G4 groups and chained-G4 mode is disabled", g4Groups)
 	}
-	order := orderByConnectivity(sub, parts)
-	bs := newBudgetState(sub, parts, order, ppw)
-	err := repairBudgets(bs, d.G1SignalsPerPartition, d.G4SignalsPerPartition, 400)
+	bs := newBudgetState(sub, parts)
+	for oi, pi := range bs.order() {
+		bs.wayOf[pi] = oi / ppw
+	}
+	err := repairBudgets(bs, d, 400)
 	m.repairMoves += bs.moves
 	if err != nil {
 		return err
 	}
-	parts = bs.parts
-	order = orderByConnectivity(sub, parts)
-	ways := m.allocateWays(len(parts), ppw)
-	for oi, pi := range order {
+	if bs.moves > 0 {
+		m.rescued++
+	}
+	ways := m.allocateWays(len(bs.parts), ppw)
+	for oi, pi := range bs.order() {
 		way := ways[oi/ppw]
 		np := m.newPartition(way)
-		for _, v := range parts[pi] {
+		for _, v := range bs.parts[pi] {
 			m.place(orig[v], np)
 		}
 	}
@@ -347,66 +347,6 @@ func oversized(parts [][]int32) int {
 		}
 	}
 	return -1
-}
-
-// orderByConnectivity linearizes parts so heavily-communicating parts land
-// in the same way ("the densely connected arrays for CC4 ... are also
-// allocated to arrays in the same way", §3.3): greedy max-connectivity-to-
-// placed ordering.
-func orderByConnectivity(sub *nfa.NFA, parts [][]int32) []int {
-	k := len(parts)
-	partOf := make([]int, sub.NumStates())
-	for pi, vs := range parts {
-		for _, v := range vs {
-			partOf[v] = pi
-		}
-	}
-	conn := make([][]int, k)
-	for i := range conn {
-		conn[i] = make([]int, k)
-	}
-	for u := range sub.States {
-		for _, v := range sub.States[u].Out {
-			pu, pv := partOf[u], partOf[int(v)]
-			if pu != pv {
-				conn[pu][pv]++
-				conn[pv][pu]++
-			}
-		}
-	}
-	placed := make([]bool, k)
-	order := make([]int, 0, k)
-	// Start from the part with highest total connectivity.
-	best, bestC := 0, -1
-	for i := 0; i < k; i++ {
-		t := 0
-		for j := 0; j < k; j++ {
-			t += conn[i][j]
-		}
-		if t > bestC {
-			best, bestC = i, t
-		}
-	}
-	order = append(order, best)
-	placed[best] = true
-	for len(order) < k {
-		next, nextC := -1, -1
-		for i := 0; i < k; i++ {
-			if placed[i] {
-				continue
-			}
-			t := 0
-			for _, o := range order {
-				t += conn[i][o]
-			}
-			if t > nextC {
-				next, nextC = i, t
-			}
-		}
-		order = append(order, next)
-		placed[next] = true
-	}
-	return order
 }
 
 // allocateWays reserves ways for nParts partitions of a large component:

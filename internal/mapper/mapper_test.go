@@ -10,6 +10,8 @@ import (
 	"cacheautomaton/internal/bitvec"
 	"cacheautomaton/internal/nfa"
 	"cacheautomaton/internal/regexc"
+	"cacheautomaton/internal/telemetry"
+	"cacheautomaton/internal/workload"
 )
 
 func perfCfg() Config { return Config{Design: arch.NewDesign(arch.PerfOpt), Seed: 1} }
@@ -256,9 +258,161 @@ func TestVerifyCatchesMissingCrossEdge(t *testing.T) {
 	if len(pl.Cross) == 0 {
 		t.Skip("no cross edges to remove")
 	}
+	ce := pl.Cross[0]
 	pl.Cross = pl.Cross[1:]
 	if err := pl.Verify(); err == nil {
 		t.Error("Verify should catch an unprogrammed cross edge")
+	}
+	// Programmed backwards, the edge is one the chain does not have.
+	ce.Src, ce.Dst = ce.Dst, ce.Src
+	ce.SrcPartition, ce.DstPartition = ce.DstPartition, ce.SrcPartition
+	ce.SrcSlot, ce.DstSlot = ce.DstSlot, ce.SrcSlot
+	pl.Cross = append(pl.Cross, ce)
+	if err := pl.Verify(); err == nil || !strings.Contains(err.Error(), "not an NFA edge") {
+		t.Errorf("Verify = %v, want a cross edge that is not an NFA edge", err)
+	}
+}
+
+// relocate moves state s of a mapped placement into the first free slot of
+// partition to.
+func relocate(pl *Placement, s nfa.StateID, to int) {
+	from := &pl.Partitions[pl.PartitionOf[s]]
+	from.Slots[pl.SlotOf[s]] = nfa.None
+	from.Used--
+	p := &pl.Partitions[to]
+	for slot, x := range p.Slots {
+		if x == nfa.None {
+			p.Slots[slot] = s
+			p.Used++
+			pl.PartitionOf[s], pl.SlotOf[s] = int32(to), int32(slot)
+			return
+		}
+	}
+	panic("relocate: partition full")
+}
+
+// TestVerifyCatchesOverBudget breaks exactly one of a partition's four
+// switch budgets (§2.4) in a mapped CA_S placement and expects Verify to
+// name it. Seventeen two-state rules pack into one partition and twenty
+// 240-state chains into one partition each, which fills way 0 and spills
+// into way 1. Moving one end of budget+1 rules to two partitions on the
+// far side — of the same way for G1, of another way for G4 — gives the
+// rules' partition budget+1 distinct signals out (targets moved) or in
+// (sources moved), while each far partition stays within its own budget.
+// ComputeStats must report the same count as the worst partition's.
+func TestVerifyCatchesOverBudget(t *testing.T) {
+	n := nfa.New()
+	for i := 0; i < 17; i++ {
+		n.Union(chainNFA(2)) // rule i is states 2i → 2i+1
+	}
+	for i := 0; i < 20; i++ {
+		n.Union(chainNFA(240))
+	}
+	d := arch.NewDesign(arch.SpaceOpt)
+	for _, tc := range []struct {
+		name        string
+		g4, sources bool
+	}{
+		{"G1-out", false, false},
+		{"G1-in", false, true},
+		{"G4-out", true, false},
+		{"G4-in", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pl := mustMap(t, n, spaceCfg())
+			home := int(pl.PartitionOf[0])
+			level, limit, dir := "G1", d.G1SignalsPerPartition, "out"
+			if tc.g4 {
+				level, limit = "G4", d.G4SignalsPerPartition
+			}
+			if tc.sources {
+				dir = "in"
+			}
+			var far []int
+			for p := range pl.Partitions {
+				otherWay := pl.Partitions[p].Way != pl.Partitions[home].Way
+				if p != home && otherWay == tc.g4 && pl.Partitions[p].Used+limit/2+1 <= arch.PartitionSTEs && len(far) < 2 {
+					far = append(far, p)
+				}
+			}
+			if len(far) < 2 {
+				t.Fatalf("found %d far partitions with room, want 2", len(far))
+			}
+			for i := 0; i <= limit; i++ {
+				s := nfa.StateID(2 * i)
+				if !tc.sources {
+					s++
+				}
+				relocate(pl, s, far[i%2])
+			}
+			pl.DeriveCross()
+			err := pl.Verify()
+			want := fmt.Sprintf("%s %d", dir, limit+1)
+			if err == nil || !strings.Contains(err.Error(), level+" budget") || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Verify = %v, want a %s budget violation naming %q", err, level, want)
+			}
+			st := pl.ComputeStats()
+			worst := st.MaxOutSignals
+			if tc.sources {
+				worst = st.MaxInSignals
+			}
+			if worst != limit+1 {
+				t.Errorf("ComputeStats reports %d signals %s at worst, want %d", worst, dir, limit+1)
+			}
+		})
+	}
+}
+
+// TestRepairMovesStates maps registry Hamming@0.3 (seed 2) on CA_S, whose
+// large components only fit their switch budgets after repair has moved
+// states between the parts of a split.
+func TestRepairMovesStates(t *testing.T) {
+	n, err := workload.ByName("Hamming").Build(2, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := telemetry.NewReqTrace("test")
+	cfg := spaceCfg()
+	cfg.Seed, cfg.Trace = 2, tr
+	if _, _, err := MapOptimized(n, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if st := tr.Report().Stage("map.large"); st == nil || st.Attr("repair_moves") == 0 {
+		t.Fatalf("map.large = %+v, want repair_moves > 0", st)
+	}
+}
+
+// TestConsolidateMergesCrossingPartitions maps registry SPM@0.1 (seed 1)
+// on CA_S and looks for a partition that cross edges of two components
+// touch. A split places each part of a component in a partition of its
+// own and small components have no cross edges, so only consolidation
+// merging two partitions that both carry signals makes one.
+func TestConsolidateMergesCrossingPartitions(t *testing.T) {
+	n, err := workload.ByName("SPM").Build(1, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, _, err := MapOptimized(n, spaceCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, comp := pl.NFA.ConnectedComponents()
+	touched := make([]map[int]bool, len(pl.Partitions))
+	for i := range touched {
+		touched[i] = map[int]bool{}
+	}
+	for _, ce := range pl.Cross {
+		touched[ce.SrcPartition][comp[ce.Src]] = true
+		touched[ce.DstPartition][comp[ce.Src]] = true
+	}
+	merged := 0
+	for _, cs := range touched {
+		if len(cs) > 1 {
+			merged++
+		}
+	}
+	if merged == 0 {
+		t.Fatal("no partition carries the signals of two components: consolidation merged nothing that crosses")
 	}
 }
 

@@ -21,6 +21,7 @@ package mapper
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -216,12 +217,6 @@ func (p *Placement) ComputeStats() Stats {
 		UtilizationMB: p.UtilizationMB(),
 	}
 	st.LocalEdges = p.NFA.NumEdges() - len(p.Cross)
-	outSrc := make([]map[nfa.StateID]bool, len(p.Partitions))
-	inSrc := make([]map[nfa.StateID]bool, len(p.Partitions))
-	for i := range outSrc {
-		outSrc[i] = map[nfa.StateID]bool{}
-		inSrc[i] = map[nfa.StateID]bool{}
-	}
 	for _, ce := range p.Cross {
 		switch ce.Via {
 		case ViaG1:
@@ -231,17 +226,8 @@ func (p *Placement) ComputeStats() Stats {
 		case ViaChained:
 			st.ChainedEdges++
 		}
-		outSrc[ce.SrcPartition][ce.Src] = true
-		inSrc[ce.DstPartition][ce.Src] = true
 	}
-	for i := range p.Partitions {
-		if n := len(outSrc[i]); n > st.MaxOutSignals {
-			st.MaxOutSignals = n
-		}
-		if n := len(inSrc[i]); n > st.MaxInSignals {
-			st.MaxInSignals = n
-		}
-	}
+	st.MaxOutSignals, st.MaxInSignals = p.signals().maxima()
 	if len(p.Partitions) > 0 {
 		used := 0
 		for i := range p.Partitions {
@@ -285,8 +271,11 @@ func (p *Placement) Verify() error {
 			return fmt.Errorf("mapper: partition %d Used=%d but %d slots occupied", i, p.Partitions[i].Used, used)
 		}
 	}
-	// Cross-edge set must exactly equal the NFA's inter-partition edges.
-	crossSet := make(map[[2]nfa.StateID]Via, len(p.Cross))
+	// Cross must be exactly the NFA's inter-partition edges: each entry one
+	// of them, none twice, as many as the signal ledger's pass over the
+	// edges finds.
+	sig := p.signals()
+	crossSet := make(map[[2]nfa.StateID]bool, len(p.Cross))
 	for _, ce := range p.Cross {
 		if p.PartitionOf[ce.Src] != int32(ce.SrcPartition) || p.PartitionOf[ce.Dst] != int32(ce.DstPartition) {
 			return fmt.Errorf("mapper: cross edge %d→%d partition mismatch", ce.Src, ce.Dst)
@@ -295,10 +284,13 @@ func (p *Placement) Verify() error {
 			return fmt.Errorf("mapper: cross edge %d→%d slot mismatch", ce.Src, ce.Dst)
 		}
 		key := [2]nfa.StateID{ce.Src, ce.Dst}
-		if _, dup := crossSet[key]; dup {
+		if crossSet[key] {
 			return fmt.Errorf("mapper: duplicate cross edge %d→%d", ce.Src, ce.Dst)
 		}
-		crossSet[key] = ce.Via
+		crossSet[key] = true
+		if !slices.Contains(p.NFA.States[ce.Src].Out, ce.Dst) {
+			return fmt.Errorf("mapper: cross edge %d→%d is not an NFA edge", ce.Src, ce.Dst)
+		}
 		if ce.SrcPartition == ce.DstPartition {
 			return fmt.Errorf("mapper: cross edge %d→%d within one partition", ce.Src, ce.Dst)
 		}
@@ -307,48 +299,18 @@ func (p *Placement) Verify() error {
 			return fmt.Errorf("mapper: cross edge %d→%d via %v, placement implies %v", ce.Src, ce.Dst, ce.Via, want)
 		}
 	}
-	for u := 0; u < n; u++ {
-		for _, v := range p.NFA.States[u].Out {
-			if p.PartitionOf[u] == p.PartitionOf[v] {
-				continue // local switch handles it
-			}
-			if _, ok := crossSet[[2]nfa.StateID{nfa.StateID(u), v}]; !ok {
-				return fmt.Errorf("mapper: edge %d→%d crosses partitions but is not programmed", u, v)
-			}
-			delete(crossSet, [2]nfa.StateID{nfa.StateID(u), v})
-		}
+	if len(p.Cross) != sig.crossing {
+		return fmt.Errorf("mapper: %d edges cross partitions but %d are programmed", sig.crossing, len(p.Cross))
 	}
-	if len(crossSet) != 0 {
-		return fmt.Errorf("mapper: %d programmed cross edges do not correspond to NFA edges", len(crossSet))
-	}
-	// Budgets.
-	d := p.Design
-	type budget struct{ outG1, outG4, inG1, inG4 map[nfa.StateID]bool }
-	bud := make([]budget, len(p.Partitions))
-	for i := range bud {
-		bud[i] = budget{map[nfa.StateID]bool{}, map[nfa.StateID]bool{}, map[nfa.StateID]bool{}, map[nfa.StateID]bool{}}
-	}
-	for _, ce := range p.Cross {
-		if ce.Via == ViaG1 {
-			bud[ce.SrcPartition].outG1[ce.Src] = true
-			bud[ce.DstPartition].inG1[ce.Src] = true
-		} else {
-			bud[ce.SrcPartition].outG4[ce.Src] = true
-			bud[ce.DstPartition].inG4[ce.Src] = true
-		}
-	}
-	for i, b := range bud {
-		if len(b.outG1) > d.G1SignalsPerPartition || len(b.inG1) > d.G1SignalsPerPartition {
-			return fmt.Errorf("mapper: partition %d exceeds G1 budget (out %d, in %d, limit %d)",
-				i, len(b.outG1), len(b.inG1), d.G1SignalsPerPartition)
-		}
-		limit4 := d.G4SignalsPerPartition
-		if len(b.outG4) > limit4 || len(b.inG4) > limit4 {
-			return fmt.Errorf("mapper: partition %d exceeds G4 budget (out %d, in %d, limit %d)",
-				i, len(b.outG4), len(b.inG4), limit4)
-		}
+	if _, _, err := sig.over(p.Design); err != nil {
+		return fmt.Errorf("mapper: %w", err)
 	}
 	return nil
+}
+
+// signals counts the placement's signals over its real ways.
+func (p *Placement) signals() *signals {
+	return countSignals(p.NFA, p.PartitionOf, len(p.Partitions), func(i int) int { return p.Partitions[i].Way })
 }
 
 // PeakPowerHintW is the compiler's coarse peak-power estimate for OS

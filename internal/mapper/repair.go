@@ -1,39 +1,30 @@
 package mapper
 
 import (
-	"fmt"
 	"sort"
 
 	"cacheautomaton/internal/arch"
 	"cacheautomaton/internal/nfa"
 )
 
-// budgetState tracks per-part switch-signal usage during budget checking
-// and repair: the distinct source states driving out of each part and the
-// distinct external sources arriving, split by switch level.
+// budgetState is one candidate split of a component during tight packing
+// and budget repair: its parts, where each state is, and the virtual way
+// each part would occupy (way 0 until the caller assigns them).
 type budgetState struct {
 	sub    *nfa.NFA
 	parts  [][]int32
-	partOf []int
+	partOf []int32
 	inAdj  [][]int32 // state → in-neighbors
 	wayOf  []int     // part → virtual way
-	outG1  []map[int32]bool
-	outG4  []map[int32]bool
-	inG1   []map[int32]bool
-	inG4   []map[int32]bool
 	// moves counts successful repair relocations (compile telemetry).
 	moves int
 }
 
-func newBudgetState(sub *nfa.NFA, parts [][]int32, order []int, ppw int) *budgetState {
-	k := len(parts)
-	b := &budgetState{sub: sub, parts: parts, partOf: make([]int, sub.NumStates()), wayOf: make([]int, k)}
-	for oi, pi := range order {
-		b.wayOf[pi] = oi / ppw
-	}
+func newBudgetState(sub *nfa.NFA, parts [][]int32) *budgetState {
+	b := &budgetState{sub: sub, parts: parts, partOf: make([]int32, sub.NumStates()), wayOf: make([]int, len(parts))}
 	for pi, vs := range parts {
 		for _, v := range vs {
-			b.partOf[v] = pi
+			b.partOf[v] = int32(pi)
 		}
 	}
 	b.inAdj = make([][]int32, sub.NumStates())
@@ -42,69 +33,66 @@ func newBudgetState(sub *nfa.NFA, parts [][]int32, order []int, ppw int) *budget
 			b.inAdj[v] = append(b.inAdj[v], int32(u))
 		}
 	}
-	b.recompute()
 	return b
 }
 
-func (b *budgetState) recompute() {
+// signals counts the split's signals over its virtual ways.
+func (b *budgetState) signals() *signals {
+	return countSignals(b.sub, b.partOf, len(b.parts), func(p int) int { return b.wayOf[p] })
+}
+
+// order linearizes the parts so heavily-communicating parts land in the
+// same way ("the densely connected arrays for CC4 ... are also allocated
+// to arrays in the same way", §3.3): greedy max-connectivity-to-placed
+// ordering.
+func (b *budgetState) order() []int {
 	k := len(b.parts)
-	b.outG1 = make([]map[int32]bool, k)
-	b.outG4 = make([]map[int32]bool, k)
-	b.inG1 = make([]map[int32]bool, k)
-	b.inG4 = make([]map[int32]bool, k)
-	for i := 0; i < k; i++ {
-		b.outG1[i], b.outG4[i] = map[int32]bool{}, map[int32]bool{}
-		b.inG1[i], b.inG4[i] = map[int32]bool{}, map[int32]bool{}
+	conn := make([][]int, k)
+	for i := range conn {
+		conn[i] = make([]int, k)
 	}
 	for u := range b.sub.States {
-		for _, vv := range b.sub.States[u].Out {
-			v := int(vv)
+		for _, v := range b.sub.States[u].Out {
 			pu, pv := b.partOf[u], b.partOf[v]
-			if pu == pv {
+			if pu != pv {
+				conn[pu][pv]++
+				conn[pv][pu]++
+			}
+		}
+	}
+	placed := make([]bool, k)
+	order := make([]int, 0, k)
+	// Start from the part with highest total connectivity.
+	best, bestC := 0, -1
+	for i := 0; i < k; i++ {
+		t := 0
+		for j := 0; j < k; j++ {
+			t += conn[i][j]
+		}
+		if t > bestC {
+			best, bestC = i, t
+		}
+	}
+	order = append(order, best)
+	placed[best] = true
+	for len(order) < k {
+		next, nextC := -1, -1
+		for i := 0; i < k; i++ {
+			if placed[i] {
 				continue
 			}
-			if b.wayOf[pu] == b.wayOf[pv] {
-				b.outG1[pu][int32(u)] = true
-				b.inG1[pv][int32(u)] = true
-			} else {
-				b.outG4[pu][int32(u)] = true
-				b.inG4[pv][int32(u)] = true
+			t := 0
+			for _, o := range order {
+				t += conn[i][o]
+			}
+			if t > nextC {
+				next, nextC = i, t
 			}
 		}
+		order = append(order, next)
+		placed[next] = true
 	}
-}
-
-// violation returns the first budget violation, or ok=true.
-func (b *budgetState) violation(g1Limit, g4Limit int) (part int, isOut bool, isG4 bool, ok bool) {
-	for i := range b.parts {
-		if len(b.outG1[i]) > g1Limit {
-			return i, true, false, false
-		}
-		if len(b.inG1[i]) > g1Limit {
-			return i, false, false, false
-		}
-		if len(b.outG4[i]) > g4Limit {
-			return i, true, true, false
-		}
-		if len(b.inG4[i]) > g4Limit {
-			return i, false, true, false
-		}
-	}
-	return 0, false, false, true
-}
-
-func (b *budgetState) err(g1Limit, g4Limit int) error {
-	for i := range b.parts {
-		if len(b.outG1[i]) > g1Limit || len(b.inG1[i]) > g1Limit {
-			return fmt.Errorf("partition %d of component: G1 signals out=%d in=%d exceed %d",
-				i, len(b.outG1[i]), len(b.inG1[i]), g1Limit)
-		}
-		if len(b.outG4[i]) > g4Limit || len(b.inG4[i]) > g4Limit {
-			return fmt.Errorf("partition %d of component: G4 signals out=%d in=%d exceed %d",
-				i, len(b.outG4[i]), len(b.inG4[i]), g4Limit)
-		}
-	}
-	return nil
+	return order
 }
 
 // move relocates state v to part q, keeping parts/partOf consistent.
@@ -118,63 +106,49 @@ func (b *budgetState) move(v int32, q int) {
 		}
 	}
 	b.parts[q] = append(b.parts[q], v)
-	b.partOf[v] = q
+	b.partOf[v] = int32(q)
 }
 
 // repairBudgets spreads crossing-signal sources across partitions when a
 // part exceeds its switch budgets — the situation prefix-merged rule sets
 // create, where many hub states (shared prefixes fanning out to rule
 // bodies in other partitions) land in one partition. Each repair move
-// relocates one violating source to the least-loaded partition that can
-// take it. Returns nil when all budgets hold.
-func repairBudgets(b *budgetState, g1Limit, g4Limit, maxMoves int) error {
-	for moves := 0; moves < maxMoves; moves++ {
-		part, isOut, isG4, ok := b.violation(g1Limit, g4Limit)
-		if ok {
-			return nil
-		}
-		var srcSet map[int32]bool
-		switch {
-		case isOut && isG4:
-			srcSet = b.outG4[part]
-		case isOut:
-			srcSet = b.outG1[part]
-		case isG4:
-			srcSet = b.inG4[part]
-		default:
-			srcSet = b.inG1[part]
-		}
-		// Candidate states to move: for out violations, the sources in
-		// this part; for in violations, the external sources (moving one
-		// into this part or its way localizes its signal).
-		var candidates []int32
-		for s := range srcSet {
-			candidates = append(candidates, s)
-		}
-		sort.Slice(candidates, func(a, c int) bool { return candidates[a] < candidates[c] })
-		moved := false
-		for _, s := range candidates {
-			if q := b.bestHome(s, part, isOut, g1Limit, g4Limit); q >= 0 {
-				b.move(s, q)
-				b.recompute()
-				b.moves++
-				moved = true
-				break
-			}
-		}
-		if !moved {
-			return b.err(g1Limit, g4Limit)
+// relocates one source of the first set over budget to the least-loaded
+// partition that can take it, and the split is counted again. Returns nil
+// when all budgets hold, within maxMoves moves.
+func repairBudgets(b *budgetState, d *arch.Design, maxMoves int) error {
+	for {
+		sig := b.signals()
+		part, kind, err := sig.over(d)
+		if err == nil || b.moves == maxMoves || !b.relieve(sig, part, kind, d) {
+			return err
 		}
 	}
-	return b.err(g1Limit, g4Limit)
+}
+
+// relieve moves the first source of the violating set, in ascending state
+// order, that bestHome finds a home for, and reports whether one moved.
+// For out violations the set holds sources in this part; for in
+// violations the external sources, and moving one into this part or its
+// way localizes its signal.
+func (b *budgetState) relieve(sig *signals, part, kind int, d *arch.Design) bool {
+	isOut := kind == outG1 || kind == outG4
+	for _, s := range sig.sets[kind][part] {
+		if q := b.bestHome(sig, s, part, isOut, d); q >= 0 {
+			b.move(s, q)
+			b.moves++
+			return true
+		}
+	}
+	return false
 }
 
 // bestHome finds a partition q that can absorb state s and relieve the
 // violating part: for out violations any other part with room and signal
 // slack; for in violations, prefer parts in the violating part's way (or
 // the part itself) so the arriving signal becomes G1/local.
-func (b *budgetState) bestHome(s int32, violating int, isOut bool, g1Limit, g4Limit int) int {
-	cur := b.partOf[s]
+func (b *budgetState) bestHome(sig *signals, s int32, violating int, isOut bool, d *arch.Design) int {
+	cur := int(b.partOf[s])
 	best, bestScore := -1, -1
 	for q := range b.parts {
 		if q == cur || len(b.parts[q]) >= arch.PartitionSTEs {
@@ -182,7 +156,7 @@ func (b *budgetState) bestHome(s int32, violating int, isOut bool, g1Limit, g4Li
 		}
 		// Headroom on the receiving side (conservative: the moved state
 		// may add one source signal of each kind).
-		if len(b.outG1[q]) >= g1Limit || len(b.outG4[q]) >= g4Limit {
+		if len(sig.sets[outG1][q]) >= limit(outG1, d) || len(sig.sets[outG4][q]) >= limit(outG4, d) {
 			continue
 		}
 		score := 0
@@ -197,7 +171,7 @@ func (b *budgetState) bestHome(s int32, violating int, isOut bool, g1Limit, g4Li
 		}
 		// Prefer parts holding many of s's neighbors (keeps cut small).
 		for _, v := range b.sub.States[s].Out {
-			if b.partOf[v] == q {
+			if int(b.partOf[v]) == q {
 				score++
 			}
 		}
@@ -215,9 +189,10 @@ func (b *budgetState) bestHome(s int32, violating int, isOut bool, g1Limit, g4Li
 // spilling from the smallest part into the fullest non-full part (states
 // with the most neighbors in the target move first, keeping the cut
 // small). The paper's greedy packer achieves near-full partitions for
-// small components; this gives split components the same density. Budgets
-// are re-validated (and repaired) by the caller afterwards.
-func tightPack(b *budgetState) {
+// small components; this gives split components the same density. It
+// returns the non-empty parts; their budgets are validated (and repaired)
+// by the caller afterwards.
+func tightPack(b *budgetState) [][]int32 {
 	moveBudget := 8 * b.sub.NumStates()
 	for moveBudget > 0 {
 		// Whole-part merge: smallest two that fit together.
@@ -272,20 +247,13 @@ func tightPack(b *budgetState) {
 			break
 		}
 	}
-	// Drop emptied parts.
 	var kept [][]int32
 	for _, p := range b.parts {
 		if len(p) > 0 {
 			kept = append(kept, p)
 		}
 	}
-	b.parts = kept
-	for pi, vs := range b.parts {
-		for _, v := range vs {
-			b.partOf[v] = pi
-		}
-	}
-	b.recompute()
+	return kept
 }
 
 func sortedBySize(parts [][]int32) []int {
@@ -319,7 +287,7 @@ func (b *budgetState) bestSpill(p int) int32 {
 	for _, v := range b.parts[p] {
 		score := 0
 		b.neighbors(v, func(w int32) {
-			if b.partOf[w] == p {
+			if int(b.partOf[w]) == p {
 				score--
 			} else {
 				score++
@@ -345,7 +313,7 @@ func (b *budgetState) bestSpillTarget(v int32, exclude int) int {
 		}
 		score := 0
 		b.neighbors(v, func(w int32) {
-			if b.partOf[w] == q {
+			if int(b.partOf[w]) == q {
 				score++
 			}
 		})

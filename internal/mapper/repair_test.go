@@ -2,6 +2,7 @@ package mapper
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cacheautomaton/internal/arch"
@@ -129,13 +130,12 @@ func TestTightPackReachesDensityBound(t *testing.T) {
 		}
 		parts = append(parts, p)
 	}
-	bs := newBudgetState(n, parts, []int{0, 1, 2, 3, 4}, 16)
-	tightPack(bs)
-	if len(bs.parts) != 3 { // ceil(650/254)
-		t.Errorf("tightPack produced %d parts, want 3", len(bs.parts))
+	packed := tightPack(newBudgetState(n, parts))
+	if len(packed) != 3 { // ceil(650/254)
+		t.Errorf("tightPack produced %d parts, want 3", len(packed))
 	}
 	total := 0
-	for _, p := range bs.parts {
+	for _, p := range packed {
 		if len(p) > arch.PartitionSTEs {
 			t.Fatalf("overfull part: %d", len(p))
 		}
@@ -184,7 +184,7 @@ func TestBudgetStateMoveConsistency(t *testing.T) {
 	for v := 260; v < 520; v++ {
 		parts[1] = append(parts[1], int32(v))
 	}
-	bs := newBudgetState(n, parts, []int{0, 1}, 16)
+	bs := newBudgetState(n, parts)
 	bs.move(5, 1)
 	if bs.partOf[5] != 1 {
 		t.Fatal("partOf not updated")
@@ -192,9 +192,13 @@ func TestBudgetStateMoveConsistency(t *testing.T) {
 	if len(bs.parts[0]) != 259 || len(bs.parts[1]) != 261 {
 		t.Fatalf("part sizes wrong: %d/%d", len(bs.parts[0]), len(bs.parts[1]))
 	}
-	bs.recompute()
-	// State 5 now crosses for its chain neighbors 4→5 and 5→6.
-	if len(bs.outG1[0]) == 0 && len(bs.outG4[0]) == 0 {
-		t.Error("crossing sources should be tracked after move")
+	// State 5 now crosses for its chain neighbors 4→5 and 5→6, and 259→260
+	// crosses as before.
+	sig := bs.signals()
+	if got := sig.sets[outG1][0]; !slices.Equal(got, []int32{4, 259}) {
+		t.Errorf("part 0 drives out from %v, want [4 259]", got)
+	}
+	if got := sig.sets[inG1][0]; !slices.Equal(got, []int32{5}) {
+		t.Errorf("part 0 hears from %v, want [5]", got)
 	}
 }

@@ -49,8 +49,6 @@ type Options struct {
 	// PrefixOnly disables suffix merging (the paper's cited state-merging
 	// work is prefix-centric; suffix merging is an extension).
 	PrefixOnly bool
-	// MaxRounds bounds the fixpoint iteration (0 = unlimited).
-	MaxRounds int
 }
 
 // Optimize runs merge rounds until fixpoint and returns the reduced NFA.
@@ -60,9 +58,6 @@ func Optimize(n *nfa.NFA, opts Options) *Result {
 	remap := identity(n.NumStates())
 	res := &Result{}
 	for round := 0; ; round++ {
-		if opts.MaxRounds > 0 && round >= opts.MaxRounds {
-			break
-		}
 		before := cur.NumStates()
 		var m []nfa.StateID
 		cur, m = mergeOnce(cur, false)

@@ -160,19 +160,6 @@ func TestOptimizeDoesNotModifyInput(t *testing.T) {
 	}
 }
 
-func TestMaxRounds(t *testing.T) {
-	var pats []string
-	for i := 0; i < 20; i++ {
-		pats = append(pats, fmt.Sprintf("prefix%02dtail", i))
-	}
-	n, _ := regexc.CompileSet(pats, regexc.Options{})
-	limited := Optimize(n, Options{MaxRounds: 1})
-	unlimited := Optimize(n, Options{})
-	if limited.NFA.NumStates() < unlimited.NFA.NumStates() {
-		t.Error("limited rounds cannot merge more than fixpoint")
-	}
-}
-
 func TestRandomizedLanguagePreservation(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	pieces := []string{"ab", "a+", "[ab]", "c", "(ab|ba)", "a{2,3}", "b?c", ".", "ca*"}
