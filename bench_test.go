@@ -17,6 +17,7 @@ import (
 	"sync"
 	"testing"
 
+	"cacheautomaton/internal/anml"
 	"cacheautomaton/internal/apmodel"
 	"cacheautomaton/internal/arch"
 	"cacheautomaton/internal/baseline"
@@ -326,6 +327,38 @@ func BenchmarkSaveLoad(b *testing.B) {
 		}
 		b.ReportMetric(float64(art.Len()), "artifact-bytes")
 	})
+}
+
+// BenchmarkCompileANML times the ANML front end on the ledger's scan-dense
+// document — the registry's Snort set at scale 0.1 as anml.Write writes
+// it, 1 007 089 bytes: read is anml.Read alone, compile is CompileANML,
+// the read plus mapping and the first machine.
+func BenchmarkCompileANML(b *testing.B) {
+	n, err := workload.ByName("Snort").Build(1, 0.1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := anml.Write(&doc, n, "snort", nil); err != nil {
+		b.Fatal(err)
+	}
+	for _, stage := range []struct {
+		name string
+		run  func(r io.Reader) error
+	}{
+		{"read", func(r io.Reader) error { _, err := anml.Read(r); return err }},
+		{"compile", func(r io.Reader) error { _, err := CompileANML(r, Options{}); return err }},
+	} {
+		b.Run(stage.name, func(b *testing.B) {
+			b.SetBytes(int64(doc.Len()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := stage.run(bytes.NewReader(doc.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkCPUBaselineNFAEngine measures the software active-set engine —

@@ -171,7 +171,9 @@ func CompileRegex(patterns []string, opts Options) (*Automaton, error) {
 func CompileANML(r io.Reader, opts Options) (*Automaton, error) {
 	tr := telemetry.NewReqTrace("compile-anml")
 	sp := tr.StartStage("anml.read")
-	net, err := anml.Read(r)
+	cr := &countingReader{r: r}
+	net, err := anml.Read(cr)
+	sp.SetAttr("bytes", cr.n)
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -179,6 +181,26 @@ func CompileANML(r io.Reader, opts Options) (*Automaton, error) {
 	sp.SetAttr("states", int64(net.NFA.NumStates()))
 	sp.End()
 	return fromNFA(net.NFA, opts, tr)
+}
+
+// countingReader counts the bytes read through it for the anml.read span,
+// and passes on r's length so the reader can still size its buffer once.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+func (c *countingReader) Len() int {
+	if l, ok := c.r.(interface{ Len() int }); ok {
+		return l.Len()
+	}
+	return 0
 }
 
 func fromNFA(n *nfa.NFA, opts Options, tr *telemetry.ReqTrace) (*Automaton, error) {

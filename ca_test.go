@@ -129,9 +129,14 @@ func TestANMLRoundTripThroughFacade(t *testing.T) {
 	if err := a.WriteANML(&buf, "export"); err != nil {
 		t.Fatal(err)
 	}
+	size := buf.Len()
 	b, err := CompileANML(&buf, Options{})
 	if err != nil {
 		t.Fatalf("re-import failed: %v", err)
+	}
+	// The read's span says how much it read, for its ns/byte.
+	if st := b.CompileReport().Stage("anml.read"); st == nil || st.Attr("bytes") != int64(size) || st.Attr("states") != int64(b.States()) {
+		t.Errorf("anml.read = %+v, want bytes=%d states=%d", st, size, b.States())
 	}
 	in := []byte("hello workd")
 	m1, _, _ := a.RunContext(context.Background(), in)

@@ -1,6 +1,9 @@
 package mapper
 
 import (
+	"reflect"
+	"slices"
+
 	"cacheautomaton/internal/arch"
 	"cacheautomaton/internal/nfa"
 	"cacheautomaton/internal/spaceopt"
@@ -40,12 +43,17 @@ func (l OptimizeLevel) String() string {
 // their dense structure leaves no mappable merge.
 //
 // For performance designs it maps the baseline NFA directly.
+//
+// Map is deterministic, so a rung whose automaton equals one that already
+// failed is not mapped again: its span says skipped=1 (on Levenshtein,
+// prefix-only merging often yields the full merge's automaton).
 func MapOptimized(n *nfa.NFA, cfg Config) (*Placement, OptimizeLevel, error) {
 	if cfg.Design == nil || cfg.Design.Kind == arch.PerfOpt {
 		pl, err := Map(n, cfg)
 		return pl, NoMerge, err
 	}
 	var lastErr error
+	var failed []*nfa.NFA
 	for _, level := range []OptimizeLevel{FullMerge, PrefixMerge, NoMerge} {
 		sp := cfg.Trace.StartStage("backoff." + level.String())
 		candidate := n
@@ -57,6 +65,12 @@ func MapOptimized(n *nfa.NFA, cfg Config) (*Placement, OptimizeLevel, error) {
 		}
 		sp.SetAttr("states_in", int64(n.NumStates()))
 		sp.SetAttr("states_out", int64(candidate.NumStates()))
+		if slices.ContainsFunc(failed, func(f *nfa.NFA) bool { return reflect.DeepEqual(f.States, candidate.States) }) {
+			sp.SetAttr("mapped", 0)
+			sp.SetAttr("skipped", 1)
+			sp.End()
+			continue
+		}
 		pl, err := Map(candidate, cfg)
 		if err == nil {
 			sp.SetAttr("mapped", 1)
@@ -66,6 +80,7 @@ func MapOptimized(n *nfa.NFA, cfg Config) (*Placement, OptimizeLevel, error) {
 		sp.SetAttr("mapped", 0)
 		sp.End()
 		lastErr = err
+		failed = append(failed, candidate)
 	}
 	return nil, NoMerge, lastErr
 }
