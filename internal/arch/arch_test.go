@@ -169,53 +169,6 @@ func TestConfigurationTime(t *testing.T) {
 	}
 }
 
-func TestPipelineTrace(t *testing.T) {
-	d := NewDesign(PerfOpt)
-	trace := d.PipelineTrace(4)
-	if len(trace) != 6 { // 4 symbols + 2 fill/drain cycles
-		t.Fatalf("trace length = %d, want 6", len(trace))
-	}
-	// Cycle 0: symbol 0 in match, bubbles elsewhere.
-	if trace[0].Match != 0 || trace[0].GSw != -1 || trace[0].LSw != -1 {
-		t.Errorf("cycle 0 = %+v", trace[0])
-	}
-	// Cycle 2: fully overlapped — three adjacent symbols in flight (§2.5).
-	if trace[2].Match != 2 || trace[2].GSw != 1 || trace[2].LSw != 0 {
-		t.Errorf("cycle 2 = %+v", trace[2])
-	}
-	// One retirement per cycle once full; symbol k retires at cycle k+2.
-	retired := 0
-	for _, s := range trace {
-		if s.Retire >= 0 {
-			if s.Retire != s.Cycle-2 {
-				t.Errorf("symbol %d retired at cycle %d", s.Retire, s.Cycle)
-			}
-			retired++
-		}
-	}
-	if retired != 4 {
-		t.Errorf("retired = %d, want 4", retired)
-	}
-	// Latency: (n+2) periods at 2GHz = 500ps each.
-	approx(t, "latency(4)", d.PipelineLatencyPS(4, TimingOptions{}), 6*500, 0.1)
-	if d.PipelineLatencyPS(0, TimingOptions{}) != 0 {
-		t.Error("zero symbols should take zero time")
-	}
-}
-
-func TestStageDelays(t *testing.T) {
-	d := NewDesign(SpaceOpt)
-	var o TimingOptions
-	if d.StageDelayPS(StageMatch, o) != d.StateMatchPS(o) ||
-		d.StageDelayPS(StageGSwitch, o) != d.GSwitchStagePS(o) ||
-		d.StageDelayPS(StageLSwitch, o) != d.LSwitchStagePS(o) {
-		t.Error("StageDelayPS should dispatch to the stage models")
-	}
-	if StageMatch.String() != "state-match" || StageGSwitch.String() != "G-switch" {
-		t.Error("stage names wrong")
-	}
-}
-
 func TestCapacityClaims(t *testing.T) {
 	s := XeonE5Slice()
 	// §1: a 20MB LLC (8 slices) fully used holds 640K states...

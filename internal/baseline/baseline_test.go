@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"cacheautomaton/internal/nfa"
@@ -203,4 +204,14 @@ func BenchmarkDFAEngine10Rules(b *testing.B) {
 		d.Reset()
 		d.Run(in, false)
 	}
+}
+
+// sortMatches orders matches canonically (offset, state).
+func sortMatches(ms []nfa.Match) {
+	sort.Slice(ms, func(a, b int) bool {
+		if ms[a].Offset != ms[b].Offset {
+			return ms[a].Offset < ms[b].Offset
+		}
+		return ms[a].State < ms[b].State
+	})
 }

@@ -212,9 +212,6 @@ func (e *DFAEngine) buildAlphabetClasses(n *nfa.NFA) {
 // symbolForClass returns a representative symbol of an alphabet class.
 func (e *DFAEngine) symbolForClass(cls int) byte { return e.symbols[cls] }
 
-// NumStates returns the DFA state count.
-func (e *DFAEngine) NumStates() int { return len(e.trans) / e.numClasses }
-
 // NumClasses returns the compressed alphabet size.
 func (e *DFAEngine) NumClasses() int { return e.numClasses }
 

@@ -12,11 +12,7 @@
 // table lookup per symbol.
 package baseline
 
-import (
-	"sort"
-
-	"cacheautomaton/internal/nfa"
-)
+import "cacheautomaton/internal/nfa"
 
 // NFAEngine executes a homogeneous NFA with an explicit active list.
 type NFAEngine struct {
@@ -127,14 +123,4 @@ func (e *NFAEngine) Run(input []byte, collect bool) ([]nfa.Match, int64) {
 		total += int64(n)
 	}
 	return out, total
-}
-
-// sortMatches orders matches canonically (offset, state).
-func sortMatches(ms []nfa.Match) {
-	sort.Slice(ms, func(a, b int) bool {
-		if ms[a].Offset != ms[b].Offset {
-			return ms[a].Offset < ms[b].Offset
-		}
-		return ms[a].State < ms[b].State
-	})
 }

@@ -69,24 +69,9 @@ func (c Class) Union(o Class) Class {
 	return Class{c[0] | o[0], c[1] | o[1], c[2] | o[2], c[3] | o[3]}
 }
 
-// Intersect returns c ∩ o.
-func (c Class) Intersect(o Class) Class {
-	return Class{c[0] & o[0], c[1] & o[1], c[2] & o[2], c[3] & o[3]}
-}
-
 // Complement returns the class of all symbols not in c.
 func (c Class) Complement() Class {
 	return Class{^c[0], ^c[1], ^c[2], ^c[3]}
-}
-
-// Minus returns c \ o.
-func (c Class) Minus(o Class) Class {
-	return Class{c[0] &^ o[0], c[1] &^ o[1], c[2] &^ o[2], c[3] &^ o[3]}
-}
-
-// Overlaps reports whether c ∩ o is non-empty.
-func (c Class) Overlaps(o Class) bool {
-	return c[0]&o[0] != 0 || c[1]&o[1] != 0 || c[2]&o[2] != 0 || c[3]&o[3] != 0
 }
 
 // Symbols returns the members of the class in ascending order.

@@ -55,9 +55,6 @@ func NewCache(dir string) (*Cache, error) {
 	return &Cache{dir: dir}, nil
 }
 
-// Dir returns the cache root.
-func (c *Cache) Dir() string { return c.dir }
-
 // Path returns the file a key maps to, whether or not it exists.
 func (c *Cache) Path(key Key) string {
 	return filepath.Join(c.dir, key.String()+".caf")

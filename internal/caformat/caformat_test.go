@@ -249,7 +249,8 @@ func (failWriter) Write(p []byte) (int, error) { return 0, errors.New("boom") }
 
 func TestCache(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewCache(filepath.Join(dir, "sub", "cache"))
+	root := filepath.Join(dir, "sub", "cache")
+	c, err := NewCache(root)
 	if err != nil {
 		t.Fatalf("NewCache: %v", err)
 	}
@@ -277,7 +278,7 @@ func TestCache(t *testing.T) {
 		t.Fatalf("Get = %q, %v; want %q", got, err, data)
 	}
 	// No stray temp files survive a successful Put.
-	ents, _ := os.ReadDir(c.Dir())
+	ents, _ := os.ReadDir(root)
 	for _, e := range ents {
 		if strings.HasSuffix(e.Name(), ".tmp") {
 			t.Errorf("stray temp file %s", e.Name())

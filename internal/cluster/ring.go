@@ -45,16 +45,6 @@ func NewRing(vnodes int) *Ring {
 	return &Ring{vnodes: vnodes, nodes: make(map[string]bool)}
 }
 
-// Clone returns an independent copy — the Router publishes ring updates
-// by mutating a clone and swapping it in under its lock.
-func (r *Ring) Clone() *Ring {
-	c := &Ring{vnodes: r.vnodes, points: append([]ringPoint(nil), r.points...), nodes: make(map[string]bool, len(r.nodes))}
-	for n := range r.nodes {
-		c.nodes[n] = true
-	}
-	return c
-}
-
 // Add inserts a member at its vnodes ring positions. Adding a present
 // member is a no-op.
 func (r *Ring) Add(node string) {
@@ -116,15 +106,6 @@ func (r *Ring) Owners(key string, n int) []string {
 		i++
 	}
 	return out
-}
-
-// Primary returns the key's first owner ("" on an empty ring).
-func (r *Ring) Primary(key string) string {
-	owners := r.Owners(key, 1)
-	if len(owners) == 0 {
-		return ""
-	}
-	return owners[0]
 }
 
 // keyHash hashes a placement key onto the ring: FNV-1a mixed through

@@ -22,12 +22,12 @@ func TestRingOwnersDistinctAndOrdered(t *testing.T) {
 			}
 			seen[o] = true
 		}
-		if owners[0] != r.Primary(fmt.Sprintf("key%d", i)) {
-			t.Fatalf("Primary disagrees with Owners[0]")
-		}
 	}
 	if got := r.Owners("k", 10); len(got) != 4 {
 		t.Fatalf("asking for more owners than members returned %d, want all 4", len(got))
+	}
+	if got := NewRing(8).Owners("k", 1); len(got) != 0 {
+		t.Fatalf("empty ring returned owners %v", got)
 	}
 }
 
@@ -40,7 +40,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	const keys = 12000
 	for i := 0; i < keys; i++ {
-		counts[r.Primary(fmt.Sprintf("sess/c%08d", i))]++
+		counts[r.Owners(fmt.Sprintf("sess/c%08d", i), 1)[0]]++
 	}
 	for _, n := range nodes {
 		share := float64(counts[n]) / keys
@@ -63,12 +63,12 @@ func TestRingMinimalMovement(t *testing.T) {
 	const keys = 4000
 	before := make([]string, keys)
 	for i := range before {
-		before[i] = r.Primary(fmt.Sprintf("k%d", i))
+		before[i] = r.Owners(fmt.Sprintf("k%d", i), 1)[0]
 	}
 	r.Remove("n2")
 	moved := 0
 	for i := range before {
-		after := r.Primary(fmt.Sprintf("k%d", i))
+		after := r.Owners(fmt.Sprintf("k%d", i), 1)[0]
 		if before[i] == "n2" {
 			if after == "n2" {
 				t.Fatalf("key still owned by removed node")
@@ -84,7 +84,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 	r.Add("n2")
 	for i := range before {
-		if got := r.Primary(fmt.Sprintf("k%d", i)); got != before[i] {
+		if got := r.Owners(fmt.Sprintf("k%d", i), 1)[0]; got != before[i] {
 			t.Fatalf("key k%d owned by %s after rejoin, was %s before the remove", i, got, before[i])
 		}
 	}
@@ -110,15 +110,5 @@ func TestRingDeterminism(t *testing.T) {
 				t.Fatalf("placement of %q diverged: %v vs %v", key, ao, bo)
 			}
 		}
-	}
-}
-
-func TestRingClone(t *testing.T) {
-	r := NewRing(16)
-	r.Add("a")
-	c := r.Clone()
-	c.Add("b")
-	if r.Len() != 1 || c.Len() != 2 {
-		t.Fatalf("clone not independent: orig %d members, clone %d", r.Len(), c.Len())
 	}
 }

@@ -175,9 +175,6 @@ func Enable(in *Injector) { active.Store(in) }
 // Disable removes the active injector; subsequent Checks are no-ops.
 func Disable() { active.Store(nil) }
 
-// Enabled reports whether an injector is installed.
-func Enabled() bool { return active.Load() != nil }
-
 // Check evaluates the named injection point: with no injector enabled it
 // returns nil at the cost of one atomic load; with an injector it may
 // return an injected *Error, sleep, or panic with a *Panic, per the

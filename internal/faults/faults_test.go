@@ -23,8 +23,8 @@ func record(t *testing.T, in *Injector, point string, n int) []bool {
 
 func TestDisabledIsNoop(t *testing.T) {
 	Disable()
-	if Enabled() {
-		t.Fatal("Enabled() true with no injector")
+	if active.Load() != nil {
+		t.Fatal("an injector is still installed after Disable")
 	}
 	for i := 0; i < 1000; i++ {
 		if err := Check("anything.at.all"); err != nil {

@@ -120,17 +120,6 @@ func (n *NFA) StartStates() []StateID {
 	return out
 }
 
-// ReportStates returns the IDs of all reporting states.
-func (n *NFA) ReportStates() []StateID {
-	var out []StateID
-	for i := range n.States {
-		if n.States[i].Report {
-			out = append(out, StateID(i))
-		}
-	}
-	return out
-}
-
 // InEdges returns, for every state, the list of its predecessor states.
 func (n *NFA) InEdges() [][]StateID {
 	in := make([][]StateID, len(n.States))
@@ -217,51 +206,4 @@ func (n *NFA) Union(parts ...*NFA) StateID {
 		}
 	}
 	return first
-}
-
-// RemoveUnreachable drops states not reachable from any start state and
-// returns the new NFA together with a mapping old→new ID (None for removed
-// states).
-func (n *NFA) RemoveUnreachable() (*NFA, []StateID) {
-	reach := make([]bool, len(n.States))
-	var stack []StateID
-	for i := range n.States {
-		if n.States[i].Start != NoStart {
-			reach[i] = true
-			stack = append(stack, StateID(i))
-		}
-	}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range n.States[u].Out {
-			if !reach[v] {
-				reach[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	remap := make([]StateID, len(n.States))
-	out := New()
-	for i := range n.States {
-		if reach[i] {
-			remap[i] = StateID(len(out.States))
-			s := n.States[i]
-			s.Out = nil
-			out.States = append(out.States, s)
-		} else {
-			remap[i] = None
-		}
-	}
-	for i := range n.States {
-		if remap[i] == None {
-			continue
-		}
-		for _, v := range n.States[i].Out {
-			if remap[v] != None {
-				out.AddEdge(remap[i], remap[v])
-			}
-		}
-	}
-	return out, remap
 }

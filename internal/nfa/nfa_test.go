@@ -269,30 +269,6 @@ func TestUnionMany(t *testing.T) {
 	}
 }
 
-func TestRemoveUnreachable(t *testing.T) {
-	n := New()
-	a := n.AddState(State{Class: bitvec.ClassOf('a'), Start: AllInput})
-	b := n.AddState(State{Class: bitvec.ClassOf('b'), Report: true, ReportCode: 1})
-	orphan := n.AddState(State{Class: bitvec.ClassOf('z')})
-	dead := n.AddState(State{Class: bitvec.ClassOf('y')})
-	n.AddEdge(a, b)
-	n.AddEdge(orphan, dead) // unreachable chain
-	pruned, remap := n.RemoveUnreachable()
-	if pruned.NumStates() != 2 {
-		t.Fatalf("pruned states = %d, want 2", pruned.NumStates())
-	}
-	if remap[a] == None || remap[b] == None {
-		t.Fatal("reachable states must survive")
-	}
-	if remap[orphan] != None || remap[dead] != None {
-		t.Fatal("unreachable states must be removed")
-	}
-	ms := RunAll(pruned, []byte("ab"))
-	if len(ms) != 1 || ms[0].Code != 1 {
-		t.Fatalf("pruned NFA semantics broken: %v", ms)
-	}
-}
-
 func TestConnectedComponentsSortedAscending(t *testing.T) {
 	n := New()
 	// CC of size 1.
@@ -410,7 +386,7 @@ func TestWriteDOT(t *testing.T) {
 }
 
 // TestRandomNFAInvariants cross-checks CC decomposition against a reference
-// BFS and validates that RemoveUnreachable preserves match behaviour.
+// BFS.
 func TestRandomNFAInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
@@ -429,19 +405,6 @@ func TestRandomNFAInvariants(t *testing.T) {
 				if compOf[u] != compOf[v] {
 					t.Fatalf("edge %d→%d crosses components", u, v)
 				}
-			}
-		}
-		// Pruning preserves semantics.
-		input := randomInput(r, 200)
-		want := RunAll(n, input)
-		pruned, _ := n.RemoveUnreachable()
-		got := RunAll(pruned, input)
-		if len(got) != len(want) {
-			t.Fatalf("pruning changed match count: %d vs %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Offset != want[i].Offset || got[i].Code != want[i].Code {
-				t.Fatalf("pruning changed match %d: %v vs %v", i, got[i], want[i])
 			}
 		}
 	}

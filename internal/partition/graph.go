@@ -43,9 +43,6 @@ func (g *Graph) TotalVW() int64 {
 	return t
 }
 
-// Degree returns the number of neighbors of v.
-func (g *Graph) Degree(v int32) int { return int(g.XAdj[v+1] - g.XAdj[v]) }
-
 // Builder accumulates edges and produces a Graph. Edges added in either
 // direction are symmetrized and duplicate edges have their weights summed.
 type Builder struct {

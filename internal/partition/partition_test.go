@@ -16,8 +16,10 @@ func TestBuilderCSR(t *testing.T) {
 	if g.NumVertices() != 4 {
 		t.Fatalf("vertices = %d", g.NumVertices())
 	}
-	if g.Degree(0) != 1 || g.Degree(1) != 1 || g.Degree(2) != 1 || g.Degree(3) != 1 {
-		t.Fatalf("degrees wrong: %v", g.XAdj)
+	for v := 0; v < 4; v++ {
+		if deg := g.XAdj[v+1] - g.XAdj[v]; deg != 1 {
+			t.Fatalf("degree of %d = %d, want 1: %v", v, deg, g.XAdj)
+		}
 	}
 	// Edge 0–1 weight 5 visible from both sides.
 	if g.Adj[g.XAdj[0]] != 1 || g.AdjW[g.XAdj[0]] != 5 {

@@ -269,10 +269,18 @@ func TestCompileReportCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range a.ReportStates() {
-		if a.States[id].ReportCode != 7 {
-			t.Errorf("report code = %d, want 7", a.States[id].ReportCode)
+	reports := 0
+	for _, st := range a.States {
+		if !st.Report {
+			continue
 		}
+		reports++
+		if st.ReportCode != 7 {
+			t.Errorf("report code = %d, want 7", st.ReportCode)
+		}
+	}
+	if reports != 2 {
+		t.Errorf("report states = %d, want 2", reports)
 	}
 }
 

@@ -261,9 +261,15 @@ func (s *Server) finishTrace(rt *telemetry.ReqTrace, outcome, msg string) *telem
 	for _, st := range rep.Stages {
 		s.col.StageSeconds.With(st.Name).Observe(st.DurationMS / 1e3)
 	}
-	label := rep.Ruleset
-	if label == "" {
-		label = "none"
+	// Only a rule set the server holds gets its own series: a name a
+	// client made up (a 404, a rejected install) shares "none", so it
+	// cannot use up the vec's bounded label set. The trace keeps the name.
+	s.mu.RLock()
+	_, held := s.rulesets[rep.Ruleset]
+	s.mu.RUnlock()
+	label := "none"
+	if held {
+		label = rep.Ruleset
 	}
 	s.col.RulesetSeconds.With(label).Observe(rep.DurationMS / 1e3)
 	slowMS := float64(s.cfg.SlowRequest) / float64(time.Millisecond)

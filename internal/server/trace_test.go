@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -104,6 +105,49 @@ func TestMatchTraceEndToEnd(t *testing.T) {
 	}
 	if s.col.RulesetSeconds.With("ids").Count() == 0 {
 		t.Fatal("ca_server_ruleset_seconds{ruleset=\"ids\"} empty")
+	}
+}
+
+// TestUnknownRulesetsShareNoneSeries: a rule-set name the server does
+// not hold gets no series of its own, whatever the op, so requests for
+// made-up names cannot push a real rule set's latency into "other". The
+// flight recorder still shows the name that was asked for.
+func TestUnknownRulesetsShareNoneSeries(t *testing.T) {
+	s, ts := testServer(t, Config{Registry: telemetry.NewRegistry()})
+	compileRules(t, ts, "ids", "needle")
+	for i := 0; i < 70; i++ {
+		name := fmt.Sprintf("ghost-%d", i)
+		if code := doJSON(t, "POST", ts.URL+"/match", MatchRequest{Ruleset: name, Input: "x"}, nil); code != http.StatusNotFound {
+			t.Fatalf("match on %s: status %d, want 404", name, code)
+		}
+	}
+	if code := doJSON(t, "POST", ts.URL+"/sessions", map[string]string{"ruleset": "ghost-s"}, nil); code != http.StatusNotFound {
+		t.Fatalf("open on unknown rule set: status %d, want 404", code)
+	}
+	if code := doJSON(t, "DELETE", ts.URL+"/rulesets/ghost-d", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("delete of unknown rule set: status %d, want 404", code)
+	}
+	if code := doJSON(t, "PUT", ts.URL+"/rulesets/ghost-p", CompileRequest{Patterns: []string{"("}}, nil); code != http.StatusUnprocessableEntity {
+		t.Fatalf("uncompilable install: status %d, want 422", code)
+	}
+	if code := doJSON(t, "POST", ts.URL+"/match", MatchRequest{Ruleset: "ids", Input: "a needle"}, nil); code != 200 {
+		t.Fatalf("match on ids: status %d", code)
+	}
+	if got := strings.Join(s.col.RulesetSeconds.Labels(), ","); got != "ids,none" {
+		t.Fatalf("ruleset series = %s, want ids,none", got)
+	}
+	if n := s.col.RulesetSeconds.With("none").Count(); n != 73 {
+		t.Fatalf("none series count = %d, want 73", n)
+	}
+
+	resp, err := http.Post(ts.URL+"/match", "application/json", strings.NewReader(`{"ruleset":"ghost-t","input":"x"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	rep, code := getTrace(t, ts.URL, resp.Header.Get("X-CA-Trace-Id"))
+	if code != 200 || rep.Ruleset != "ghost-t" {
+		t.Fatalf("trace of the 404: status %d, report %+v; want the requested name kept", code, rep)
 	}
 }
 

@@ -113,15 +113,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return h.sum.Value() }
 
-// Mean returns the average observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // ExpBuckets returns bounds start, start*factor, … (n bounds) for
 // activity-style histograms.
 func ExpBuckets(start, factor float64, n int) []float64 {

@@ -80,8 +80,8 @@ func TestMachineCollector(t *testing.T) {
 	if got := c.ActiveStates.Count(); got != 1 {
 		t.Errorf("active-state observations = %d, want 1 (one per non-empty run)", got)
 	}
-	if got := c.ActivePartitions.Mean(); got != 2.5 {
-		t.Errorf("active-partition mean = %v, want 2.5", got)
+	if got := c.ActivePartitions.Sum(); got != 2.5 {
+		t.Errorf("active-partition sum = %v, want 2.5 (one run's mean)", got)
 	}
 	if c.Matches.Value() != 5 || c.OutputBufferInterrupts.Value() != 1 {
 		t.Errorf("matches = %d interrupts = %d", c.Matches.Value(), c.OutputBufferInterrupts.Value())
@@ -92,8 +92,8 @@ func TestMachineCollector(t *testing.T) {
 	if got := c.SymbolsPerSecond.Value(); got != 4 {
 		t.Errorf("symbols/sec = %v, want 4", got)
 	}
-	if got := c.ActiveStates.Mean(); got != 15 {
-		t.Errorf("active-state mean = %v, want 15", got)
+	if got := c.ActiveStates.Sum(); got != 15 {
+		t.Errorf("active-state sum = %v, want 15 (one run's mean)", got)
 	}
 	if got := c.G4Crossings.Value(); got != 3 {
 		t.Errorf("g4 = %d", got)

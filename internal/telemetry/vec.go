@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -86,6 +87,11 @@ func (v *HistogramVec) Labels() []string {
 	return out
 }
 
+// labelEscaper escapes a label value for the text exposition format,
+// which knows exactly three escapes: \\, \" and \n. Every other byte,
+// control characters included, is written as it is.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 func (v *HistogramVec) kind() string     { return "histogram" }
 func (v *HistogramVec) helpText() string { return v.help }
 
@@ -94,7 +100,8 @@ func (v *HistogramVec) writeProm(w io.Writer, name string) error {
 		v.mu.RLock()
 		h := v.series[value]
 		v.mu.RUnlock()
-		lbl := fmt.Sprintf("%s=%q", v.label, value)
+		// A label value must be valid UTF-8; invalid bytes render as U+FFFD.
+		lbl := v.label + `="` + labelEscaper.Replace(strings.ToValidUTF8(value, "\uFFFD")) + `"`
 		var cum int64
 		for i, b := range h.bounds {
 			cum += h.counts[i].Load()

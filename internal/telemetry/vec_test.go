@@ -78,6 +78,34 @@ func TestHistogramVecWriteProm(t *testing.T) {
 	}
 }
 
+// TestHistogramVecLabelEscaping holds label values to the text format's
+// rules: only backslash, double quote and line feed are escaped, and
+// invalid UTF-8 becomes U+FFFD. Any other escape makes Prometheus reject
+// the whole scrape, so one odd rule-set name would hide every metric.
+func TestHistogramVecLabelEscaping(t *testing.T) {
+	for _, tc := range []struct{ value, want string }{
+		{"pets", `pets`},
+		{`we"ird`, `we\"ird`},
+		{`back\slash`, `back\\slash`},
+		{"two\nlines", `two\nlines`},
+		{"a\x01b\rc", "a\x01b\rc"},
+		{"tab\there", "tab\there"},
+		{"caf\u00e9", "caf\u00e9"},
+		{"bad\xffutf8", "bad\uFFFDutf8"},
+	} {
+		reg := NewRegistry()
+		reg.HistogramVec("ca_ruleset_seconds", "", "ruleset", []float64{1}).With(tc.value).Observe(0.5)
+		var b bytes.Buffer
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		want := `ca_ruleset_seconds_count{ruleset="` + tc.want + `"} 1` + "\n"
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("value %q: exposition lacks %q:\n%s", tc.value, want, b.String())
+		}
+	}
+}
+
 func TestHistogramVecJSON(t *testing.T) {
 	reg := NewRegistry()
 	v := reg.HistogramVec("ca_stage_seconds", "", "stage", []float64{1})

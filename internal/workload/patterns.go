@@ -13,7 +13,6 @@ import (
 const (
 	lettersLower = "abcdefghijklmnopqrstuvwxyz"
 	alnum        = "abcdefghijklmnopqrstuvwxyz0123456789"
-	hexDigits    = "0123456789abcdef"
 	aminoAcids   = "ACDEFGHIKLMNPQRSTVWY"
 )
 
