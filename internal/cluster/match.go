@@ -40,7 +40,7 @@ func (r *Router) Match(ctx context.Context, req server.MatchRequest) (*server.Ma
 		node := candidates[next]
 		next++
 		go func() {
-			resp, err := call[server.MatchResponse](ctx, r, node, "match", "", req)
+			resp, err := call[server.MatchResponse](ctx, r, node, "match", "", &req)
 			ch <- result{node: node, resp: resp, err: err}
 		}()
 	}

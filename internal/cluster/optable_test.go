@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -120,5 +123,83 @@ func TestRouterOversizedBody(t *testing.T) {
 	tc.router.handler(1024).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/match", strings.NewReader(body)))
 	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), `"error"`) {
 		t.Fatalf("oversized body = %d %s, want structured 413", rec.Code, rec.Body)
+	}
+}
+
+// TestRouterRepliesByteIdentical: through a router in front of
+// LocalNodes, the replies to match, sessions.feed and sessions.suspend
+// are json.Marshal of what a standalone twin node returns in process,
+// plus "\n" — the bytes json.Encoder wrote before the wire codec, on
+// both the router's client side and its node hop.
+func TestRouterRepliesByteIdentical(t *testing.T) {
+	tc := startCluster(t, 2, fastConfig(nil))
+	tc.waitTable("nodes alive", func(tab Table) bool {
+		return tc.nodeState(tab, "n1") == stateAlive && tc.nodeState(tab, "n2") == stateAlive
+	})
+	ctx := context.Background()
+	twin := server.New(nodeConfig())
+	t.Cleanup(func() { _ = twin.Shutdown(ctx) })
+	for _, c := range []interface {
+		Compile(context.Context, string, server.CompileRequest) (*server.RulesetInfo, error)
+	}{tc.router, twin} {
+		if _, err := c.Compile(ctx, "ids", server.CompileRequest{Patterns: []string{"needle", "a<b>&c"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	routed, err := tc.router.OpenSession(ctx, server.OpenSessionRequest{Ruleset: "ids"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := twin.OpenSession(ctx, server.OpenSessionRequest{Ruleset: "ids"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalid := base64.StdEncoding.EncodeToString([]byte("needle \xff a<b>&c"))
+	for _, st := range []struct {
+		path string
+		body any
+	}{
+		{"/match", server.MatchRequest{Ruleset: "ids", Input: "a needle, a<b>&c \u2028 needle"}},
+		{"/match", server.MatchRequest{Ruleset: "ids", InputB64: invalid, Shards: 2}},
+		{"/sessions/" + routed.Session + "/feed", server.FeedRequest{Chunk: "xx nee"}},
+		{"/sessions/" + routed.Session + "/feed", server.FeedRequest{Chunk: "dle a<b>&c"}},
+		{"/sessions/" + routed.Session + "/suspend", nil},
+	} {
+		var body io.Reader
+		if st.body != nil {
+			data, err := json.Marshal(st.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body = bytes.NewReader(data)
+		}
+		resp, err := tc.client.Post(tc.front.URL+st.path, "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %d %q %v", st.path, resp.StatusCode, got, err)
+		}
+		var v any
+		switch req := st.body.(type) {
+		case server.MatchRequest:
+			v, err = twin.Match(ctx, req)
+		case server.FeedRequest:
+			v, err = twin.Feed(ctx, local.Session, req)
+		default:
+			v, err = twin.Suspend(ctx, local.Session)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, append(want, '\n')) {
+			t.Errorf("POST %s through the router:\ngot  %q\nwant %q", st.path, got, want)
+		}
 	}
 }

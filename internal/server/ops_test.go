@@ -211,6 +211,24 @@ func TestOpTableFramingFailures(t *testing.T) {
 			resp := (&TCPServer{s: s}).dispatch(context.Background(), []byte(`{not json`))
 			return resp.Status, resp.Error
 		}, http.StatusBadRequest, ""},
+		{"tcp oversized line", func(s *Server) (int, string) {
+			// The scanner is where an over-long line dies, so this row
+			// needs the real listener.
+			conn, rd := dialTCP(t, s)
+			wrote := make(chan struct{})
+			go func() {
+				defer close(wrote)
+				_, _ = conn.Write([]byte(`{"op":"match","ruleset":"ids","input":"` + strings.Repeat("x", 200000) + "\"}\n"))
+			}()
+			line, err := rd.ReadBytes('\n')
+			conn.Close() // unblocks a write the server stopped reading
+			<-wrote
+			var resp tcpReply
+			if err != nil || json.Unmarshal(line, &resp) != nil {
+				t.Fatalf("reply %q: %v", line, err)
+			}
+			return resp.Status, resp.Error
+		}, http.StatusRequestEntityTooLarge, ""},
 		{"tcp malformed field", func(s *Server) (int, string) {
 			resp := (&TCPServer{s: s}).dispatch(context.Background(), []byte(`{"op":"match","ruleset":7}`))
 			return resp.Status, resp.Error

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -93,8 +92,8 @@ func (h *Host) serve(ctx context.Context, op *Op, adopt, key string, body []byte
 	return rep
 }
 
-// run decodes the row's request out of body — the one JSON decoder
-// behind every transport — and executes the row.
+// run decodes the row's request out of body — DecodeJSON, the one
+// decoder behind every transport — and executes the row.
 func (h *Host) run(ctx context.Context, op *Op, key string, body []byte, ferr error) (any, error) {
 	if ferr != nil {
 		return nil, ferr
@@ -102,7 +101,7 @@ func (h *Host) run(ctx context.Context, op *Op, key string, body []byte, ferr er
 	var req any
 	if op.New != nil && !(op.Optional && len(bytes.TrimSpace(body)) == 0) {
 		req = op.New()
-		if err := json.Unmarshal(body, req); err != nil {
+		if err := DecodeJSON(body, req); err != nil {
 			return nil, Errorf(http.StatusBadRequest, "bad JSON request: %v", err)
 		}
 	}
