@@ -150,10 +150,14 @@ type Automaton struct {
 	sigNames []string
 }
 
+// newCompileTrace opens the trace of one compile entry point. Tests
+// replace it to finish and read the trace an error return drops.
+var newCompileTrace = telemetry.NewReqTrace
+
 // CompileRegex compiles a rule set (one pattern per entry; matches report
 // the pattern index) and maps it onto the selected design.
 func CompileRegex(patterns []string, opts Options) (*Automaton, error) {
-	tr := telemetry.NewReqTrace("compile-regex")
+	tr := newCompileTrace("compile-regex")
 	n, err := regexc.CompileSet(patterns, regexc.Options{
 		CaseInsensitive:    opts.CaseInsensitive,
 		DotExcludesNewline: opts.DotExcludesNewline,
@@ -169,7 +173,7 @@ func CompileRegex(patterns []string, opts Options) (*Automaton, error) {
 // CompileANML reads an ANML automata network (the Automata Processor's
 // XML interchange format) and maps it.
 func CompileANML(r io.Reader, opts Options) (*Automaton, error) {
-	tr := telemetry.NewReqTrace("compile-anml")
+	tr := newCompileTrace("compile-anml")
 	sp := tr.StartStage("anml.read")
 	cr := &countingReader{r: r}
 	net, err := anml.Read(cr)
@@ -265,7 +269,7 @@ func (a *Automaton) Save(w io.Writer) error {
 // options are ignored — only runtime options (RunObserver) apply.
 // Corrupted input returns a structured error, never a panic.
 func Load(r io.Reader, opts Options) (*Automaton, error) {
-	tr := telemetry.NewReqTrace("load-caformat")
+	tr := newCompileTrace("load-caformat")
 	sp := tr.StartStage("caformat.decode")
 	pl, names, err := caformat.Decode(r)
 	if err != nil {
@@ -549,7 +553,7 @@ func (a *Automaton) WriteDOT(w io.Writer, name string) error {
 // Levenshtein workload of the paper's Table 1, exposed as a library
 // feature; matches report the pattern index.
 func CompileFuzzy(patterns []string, maxDist int, opts Options) (*Automaton, error) {
-	tr := telemetry.NewReqTrace("compile-fuzzy")
+	tr := newCompileTrace("compile-fuzzy")
 	sp := tr.StartStage("fuzzy.build")
 	defer sp.End() // first End wins: the error returns below still close it
 	parts := make([]*nfa.NFA, len(patterns))
@@ -681,7 +685,7 @@ func (a *Automaton) ReplicationFactor(cacheBudgetMB float64) int {
 // sid options) into an automaton whose matches report each rule's sid as
 // the Pattern field.
 func CompileSnortRules(text string, opts Options) (*Automaton, error) {
-	tr := telemetry.NewReqTrace("compile-snort")
+	tr := newCompileTrace("compile-snort")
 	sp := tr.StartStage("snort.parse+compile")
 	defer sp.End() // first End wins: the error returns below still close it
 	rules, err := rulefmt.ParseSnortRules(text)
@@ -702,7 +706,7 @@ func CompileSnortRules(text string, opts Options) (*Automaton, error) {
 // (one "Name:hexsig" per line; ?? wildcards and {n} skips supported).
 // Matches report the signature's index into the returned name list.
 func CompileClamAVDatabase(text string, opts Options) (*Automaton, []string, error) {
-	tr := telemetry.NewReqTrace("compile-clamav")
+	tr := newCompileTrace("compile-clamav")
 	sp := tr.StartStage("clamav.parse+compile")
 	n, names, err := rulefmt.CompileClamAV(text)
 	if err != nil {

@@ -129,6 +129,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 		return 2
 	}
 	logger := slog.New(handler)
+	// 0 in a Config means "use the default", so the flags' "off" values
+	// map to -1: a negative -slow-ms disables slow pinning, and a
+	// -trace-ring of 0 or less disables tracing.
+	slow := time.Duration(*slowMS) * time.Millisecond
+	if *slowMS < 0 {
+		slow = -1
+	}
+	ringSize := *traceRing
+	if ringSize <= 0 {
+		ringSize = -1
+	}
 
 	if *nodes != "" {
 		return runRouter(ctx, routerOpts{
@@ -139,19 +150,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 			heartbeat:    *heartbeat,
 			hedge:        *hedge,
 			drainTimeout: *drainTimeout,
-			slowMS:       *slowMS,
-			traceRing:    *traceRing,
+			slow:         slow,
+			ringSize:     ringSize,
 		}, logger, stdout, stderr, ready)
 	}
 
-	slow := time.Duration(*slowMS) * time.Millisecond
-	if *slowMS < 0 {
-		slow = -1 // disables slow pinning; 0 would mean "use the default"
-	}
-	ringSize := *traceRing
-	if ringSize <= 0 {
-		ringSize = -1 // disables tracing; 0 would mean "use the default"
-	}
 	s := server.New(server.Config{
 		MaxBodyBytes:   *maxBody,
 		MatchWorkers:   *workers,
@@ -284,10 +287,7 @@ func preload(s *server.Server, path, format, name, design string, caseIns bool) 
 	if err != nil {
 		return nil, err
 	}
-	req := server.CompileRequest{Format: format, CaseInsensitive: caseIns}
-	if strings.HasPrefix(design, "s") {
-		req.Design = "space"
-	}
+	req := server.CompileRequest{Format: format, Design: design, CaseInsensitive: caseIns}
 	if format == "regex" {
 		for _, line := range strings.Split(string(data), "\n") {
 			line = strings.TrimSpace(line)

@@ -238,6 +238,16 @@ func TestCadBadInvocations(t *testing.T) {
 		t.Errorf("bad rules: exit %d", code)
 	}
 	errOut.Reset()
+	// Canceled, so a cad that wrongly accepts the design drains at once.
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if code := run(canceled, []string{"-http", "127.0.0.1:0", "-rules", writeFile(t, "ok.txt", "cat\n"), "-design", "bogus"}, &out, &errOut, nil); code != 1 {
+		t.Errorf("unknown design: exit %d", code)
+	}
+	if !strings.Contains(errOut.String(), "unknown design") {
+		t.Errorf("stderr: %q", errOut.String())
+	}
+	errOut.Reset()
 	if code := run(ctx, []string{"-http", "256.256.256.256:1"}, &out, &errOut, nil); code != 1 {
 		t.Errorf("bad listen addr: exit %d", code)
 	}

@@ -23,8 +23,8 @@ type routerOpts struct {
 	heartbeat    time.Duration
 	hedge        time.Duration
 	drainTimeout time.Duration
-	slowMS       int
-	traceRing    int
+	slow         time.Duration
+	ringSize     int
 }
 
 // runRouter is cad's cluster-router mode: instead of serving an
@@ -35,21 +35,13 @@ type routerOpts struct {
 // to route directly. Nodes can join and leave at runtime through
 // POST /cluster/join and DELETE /cluster/nodes/{id}.
 func runRouter(ctx context.Context, opts routerOpts, logger *slog.Logger, stdout, stderr io.Writer, ready func(addrs)) int {
-	slow := time.Duration(opts.slowMS) * time.Millisecond
-	if opts.slowMS < 0 {
-		slow = -1
-	}
-	ringSize := opts.traceRing
-	if ringSize <= 0 {
-		ringSize = -1
-	}
 	r := cluster.NewRouter(cluster.Config{
 		Replicas:          opts.replicas,
 		HeartbeatInterval: opts.heartbeat,
 		HedgeDelay:        opts.hedge,
 		Logger:            logger,
-		SlowRequest:       slow,
-		TraceRingSize:     ringSize,
+		SlowRequest:       opts.slow,
+		TraceRingSize:     opts.ringSize,
 	})
 
 	for _, spec := range strings.Split(opts.nodes, ",") {

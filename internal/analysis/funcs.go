@@ -12,8 +12,8 @@ import (
 // Before it existed each analyzer re-walked pkg→file→decl on its own
 // (and lockorder additionally rebuilt the whole tree once per fixpoint
 // pass); now the walk happens once and the dataflow analyzers
-// (spanbalance, goroutinelife, boundedalloc, singleattempt, seamcover)
-// ask reachability questions against the same graph.
+// (goroutinelife, singleattempt, seamcover) ask reachability questions
+// against the same graph.
 //
 // Functions are keyed by types.Func.FullName(), not object identity:
 // the loader typechecks a package's importable variant and its

@@ -48,7 +48,7 @@ var Order = []Level{
 	{Class: "server.wal.mu", Rank: 80,
 		Note: "WAL framing; callers may append under session or server locks"},
 	{Class: "telemetry.ReqTrace.mu", Rank: 82,
-		Note: "trace state, request or compile; stage spans start under session.mu (walCheckpoint) and under Server.reloadMu (reload compiles inline), and Report locks each Span under it"},
+		Note: "trace state, request or compile; stage spans start under session.mu (walCheckpoint) and under Server.reloadMu (reload compiles inline), and Report and Finish lock each Span under it"},
 	{Class: "telemetry.Span.mu", Rank: 84,
 		Note: "per-span attrs/duration; innermost of the tracing pair"},
 	{Class: "machine.Pool.mu", Rank: 85,

@@ -12,10 +12,9 @@ import (
 
 // TestRepoIsCavetClean is the gate the whole PR hangs on: the repo at
 // HEAD, tests included, produces zero findings from the full
-// eleven-analyzer suite. Any change that introduces a lock inversion, a
-// leaked lease or span, a broken context chain, a dropped durability
-// error, mixed atomics, a bad metric name, an unowned goroutine, an
-// uncapped wire-length allocation, a retried feed RPC, or an
+// eight-analyzer suite. Any change that introduces a lock inversion, a
+// broken context chain, a dropped durability error, mixed atomics, a
+// bad metric name, an unowned goroutine, a retried feed RPC, or an
 // unfaultable egress path fails this test — and therefore the ordinary
 // `go test ./...` run, not just the separate cavet CI step. It also
 // enforces the CI time budget: load plus the full parallel run must

@@ -6,30 +6,24 @@ package suite
 import (
 	"cacheautomaton/internal/analysis"
 	"cacheautomaton/internal/analysis/atomicmix"
-	"cacheautomaton/internal/analysis/boundedalloc"
 	"cacheautomaton/internal/analysis/ctxpropagate"
 	"cacheautomaton/internal/analysis/errdrop"
 	"cacheautomaton/internal/analysis/goroutinelife"
-	"cacheautomaton/internal/analysis/leasebalance"
 	"cacheautomaton/internal/analysis/lockorder"
 	"cacheautomaton/internal/analysis/metricname"
 	"cacheautomaton/internal/analysis/seamcover"
 	"cacheautomaton/internal/analysis/singleattempt"
-	"cacheautomaton/internal/analysis/spanbalance"
 )
 
 // All returns the full analyzer suite in stable order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		lockorder.Analyzer(),
-		leasebalance.Analyzer(),
 		ctxpropagate.Analyzer(),
 		errdrop.Analyzer(),
 		atomicmix.Analyzer(),
 		metricname.Analyzer(),
-		spanbalance.Analyzer(),
 		goroutinelife.Analyzer(),
-		boundedalloc.Analyzer(),
 		singleattempt.Analyzer(),
 		seamcover.Analyzer(),
 	}

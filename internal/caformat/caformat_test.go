@@ -206,6 +206,18 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			t.Fatalf("err = %v, want cannot-fit error", err)
 		}
 	})
+	t.Run("more partitions than states", func(t *testing.T) {
+		// Room for 1000 partitions but one state. Each partition decodes to
+		// a 256-slot array, 256x its 4 bytes on disk, so the count must be
+		// refused before those arrays are allocated.
+		body := make([]byte, 24+4096)
+		for off, v := range map[int]uint32{4: 8, 8: 8, 12: 1, 16: 1000} {
+			body[off], body[off+1], body[off+2], body[off+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+		}
+		if _, _, err := Decode(bytes.NewReader(Frame(body))); err == nil || !strings.Contains(err.Error(), "empty partitions") {
+			t.Fatalf("err = %v, want the partitions-per-state bound", err)
+		}
+	})
 }
 
 // TestDecodeMutatedBodies re-frames single-byte mutations of a valid

@@ -67,8 +67,52 @@ func TestRouterMountsOpTable(t *testing.T) {
 			if len(all) != before+1 || rep == nil || rep.Op != "cluster."+op.Cluster {
 				t.Fatalf("%d new traces, the response's is %+v; want one with op %q", len(all)-before, rep, "cluster."+op.Cluster)
 			}
+			tc.noOpenStage()
 		})
 	}
+}
+
+// noOpenStage fails for every trace, on the router or a node, that
+// Finish had to close a stage of.
+func (tc *testCluster) noOpenStage() {
+	tc.t.Helper()
+	reps := tc.router.Traces().All()
+	for _, node := range tc.nodes {
+		reps = append(reps, node.Srv.Ring().All()...)
+	}
+	for _, rep := range reps {
+		for _, n := range rep.Notes {
+			if n.Key == "open_stage" {
+				tc.t.Errorf("trace %s (%s) finished with stage %s open", rep.ID, rep.Op, n.Value)
+			}
+		}
+	}
+}
+
+// TestRouterErrorPathsEndTheirStages: a 404 through the router ends
+// every stage it opened, on the router and on the node it reached.
+func TestRouterErrorPathsEndTheirStages(t *testing.T) {
+	tc := startCluster(t, 1, fastConfig(nil))
+	tc.waitTable("node alive", func(tab Table) bool { return tc.nodeState(tab, "n1") == stateAlive })
+	if _, err := tc.router.Compile(context.Background(), "ids", server.CompileRequest{Patterns: []string{"needle"}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/match", server.MatchRequest{Ruleset: "nope", Input: "x"}},
+		{"/sessions/c99999999/feed", server.FeedRequest{Chunk: "x"}},
+		{"/sessions", server.OpenSessionRequest{Ruleset: "nope"}},
+	} {
+		if code, _ := tc.do(http.MethodPost, c.path, c.body, nil); code != http.StatusNotFound {
+			t.Errorf("POST %s = %d, want 404", c.path, code)
+		}
+	}
+	if n := len(tc.router.Traces().All()); n < 3 {
+		t.Errorf("the router retained %d traces, want one per 404", n)
+	}
+	tc.noOpenStage()
 }
 
 // panicOn is a transport that panics on any request whose path contains

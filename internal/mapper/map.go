@@ -88,12 +88,15 @@ func Map(n *nfa.NFA, cfg Config) (*Placement, error) {
 
 	// Large components first: they need contiguous way real estate.
 	// Process largest first so alignment holes are created early and then
-	// backfilled by small components.
+	// backfilled by small components. A component that cannot be mapped
+	// still closes the stage with its counters: a failed CA_S rung's
+	// retries and repairs are where its time went.
 	sl := cfg.Trace.StartStage("map.large")
 	sort.SliceStable(big, func(a, b int) bool { return big[a].Size() > big[b].Size() })
+	var err error
 	for _, c := range big {
-		if err := m.mapLargeComponent(c); err != nil {
-			return nil, err
+		if err = m.mapLargeComponent(c); err != nil {
+			break
 		}
 	}
 	sl.SetAttr("split_retries", int64(m.splitRetries))
@@ -102,6 +105,9 @@ func Map(n *nfa.NFA, cfg Config) (*Placement, error) {
 	sl.SetAttr("kway_commits", int64(m.kwayCommits))
 	sl.SetAttr("rescued", int64(m.rescued))
 	sl.End()
+	if err != nil {
+		return nil, err
+	}
 
 	sp := cfg.Trace.StartStage("map.pack")
 	m.packSmallComponents(small)
@@ -117,6 +123,7 @@ func Map(n *nfa.NFA, cfg Config) (*Placement, error) {
 	// The physical budgets are re-checked after final placement; memoized,
 	// so the machines built from this placement do not check again.
 	if err := m.pl.VerifyOnce(); err != nil {
+		sx.End()
 		return nil, err
 	}
 	sx.SetAttr("cross_edges", int64(len(m.pl.Cross)))

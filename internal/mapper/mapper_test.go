@@ -3,6 +3,7 @@ package mapper
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -379,6 +380,54 @@ func TestRepairMovesStates(t *testing.T) {
 	}
 	if st := tr.Report().Stage("map.large"); st == nil || st.Attr("repair_moves") == 0 {
 		t.Fatalf("map.large = %+v, want repair_moves > 0", st)
+	}
+}
+
+// TestBackoffStagesEndInsideTheirRung maps registry Levenshtein@0.4
+// (seed 1) on CA_S: its full merge breaks the §2.4 budget inside
+// map.large, and the unmerged rung maps. Every map.* stage must end
+// inside the backoff.* rung that started it, the failed rung's map.large
+// must still carry its split retries, the trace must finish with no open
+// stage, and its report must not change after Finish.
+func TestBackoffStagesEndInsideTheirRung(t *testing.T) {
+	n, err := workload.ByName("Levenshtein").Build(1, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := telemetry.NewReqTrace("test")
+	cfg := spaceCfg()
+	cfg.Trace = tr
+	if _, level, err := MapOptimized(n, cfg); err != nil || level != NoMerge {
+		t.Fatalf("level = %v, err = %v; want the full merge to fail and no-merge to map", level, err)
+	}
+	r := tr.Done(nil)
+	var rung *telemetry.StageReport
+	failed := 0
+	for i := range r.Stages {
+		st := &r.Stages[i]
+		switch {
+		case strings.HasPrefix(st.Name, "backoff."):
+			rung = st
+		case strings.HasPrefix(st.Name, "map."):
+			if rung == nil || st.StartMS+st.DurationMS > rung.StartMS+rung.DurationMS {
+				t.Fatalf("%s [+%.3f, %.3fms] outlasts its rung %+v", st.Name, st.StartMS, st.DurationMS, rung)
+			}
+			if st.Name == "map.large" && rung.Attr("mapped") == 0 {
+				failed++
+				if st.Attr("split_retries") == 0 {
+					t.Errorf("the failed %s rung's map.large has no split retries: %+v", rung.Name, st)
+				}
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatalf("no rung failed to map:\n%s", r)
+	}
+	for _, note := range r.Notes {
+		t.Errorf("note %s=%s on a finished compile", note.Key, note.Value)
+	}
+	if again := tr.Report(); !reflect.DeepEqual(r, again) {
+		t.Errorf("a finished report changed:\n%s\n%s", r, again)
 	}
 }
 

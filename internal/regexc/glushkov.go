@@ -211,6 +211,7 @@ func CompileSet(patterns []string, opts Options) (*nfa.NFA, error) {
 	for i, pat := range patterns {
 		p, err := Parse(pat, opts)
 		if err != nil {
+			sp.End()
 			return nil, fmt.Errorf("pattern %d: %w", i, err)
 		}
 		parsed[i] = p
@@ -223,6 +224,7 @@ func CompileSet(patterns []string, opts Options) (*nfa.NFA, error) {
 	for i, p := range parsed {
 		one, err := CompileParsed(p, int32(i))
 		if err != nil {
+			sg.End()
 			return nil, fmt.Errorf("pattern %d: %w", i, err)
 		}
 		parts[i] = one
@@ -230,6 +232,7 @@ func CompileSet(patterns []string, opts Options) (*nfa.NFA, error) {
 	out := nfa.New()
 	out.Union(parts...)
 	if err := out.Validate(); err != nil {
+		sg.End()
 		return nil, err
 	}
 	sg.SetAttr("states", int64(out.NumStates()))

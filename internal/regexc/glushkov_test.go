@@ -3,11 +3,14 @@ package regexc
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"cacheautomaton/internal/nfa"
+	"cacheautomaton/internal/telemetry"
 )
 
 // refEnds computes, via direct AST interpretation, the set of positions e
@@ -261,6 +264,24 @@ func TestCompileSet(t *testing.T) {
 	_, err = CompileSet([]string{"ok", "(bad"}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "pattern 1") {
 		t.Errorf("CompileSet error should identify the pattern: %v", err)
+	}
+}
+
+// TestCompileSetErrorEndsItsStage: a parse error ends regexc.parse, so
+// the finished trace names no open stage and its report stays fixed.
+func TestCompileSetErrorEndsItsStage(t *testing.T) {
+	tr := telemetry.NewReqTrace("compile-regex")
+	if _, err := CompileSet([]string{"a", "("}, Options{Trace: tr}); err == nil {
+		t.Fatal(`CompileSet accepted "("`)
+	}
+	tr.Finish("error", "")
+	r := tr.Report()
+	for _, n := range r.Notes {
+		t.Errorf("note %s=%s: a stage was left open", n.Key, n.Value)
+	}
+	time.Sleep(time.Millisecond)
+	if again := tr.Report(); !reflect.DeepEqual(r, again) {
+		t.Errorf("a finished report changed:\n%s\n%s", r, again)
 	}
 }
 

@@ -8,9 +8,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"cacheautomaton/internal/telemetry"
 )
@@ -103,18 +105,33 @@ func canonicalJSON(t *testing.T, v []byte) string {
 
 // accounted checks what serve guarantees for every request whatever its
 // transport or fate: ca_server_requests_total moved by exactly one and
-// exactly one trace landed, under the expected op ("" — none at all).
+// exactly one trace landed, under the expected op ("" — none at all),
+// with every stage ended before the trace finished.
 func accounted(t *testing.T, s *Server, what, traceOp string) {
 	t.Helper()
 	if got := s.col.Requests.Value(); got != 1 {
 		t.Errorf("%s: ca_server_requests_total = %d, want 1", what, got)
 	}
 	recent := s.Ring().Snapshot().Recent
+	noOpenStage(t, what, recent)
 	switch {
 	case traceOp == "" && len(recent) != 0:
 		t.Errorf("%s: %d traces landed, want none", what, len(recent))
 	case traceOp != "" && (len(recent) != 1 || recent[0].Op != traceOp):
 		t.Errorf("%s: traces %+v, want exactly one with op %q", what, recent, traceOp)
+	}
+}
+
+// noOpenStage fails for every trace that Finish had to close a stage
+// of: on every path a test drives, each stage ends before its trace.
+func noOpenStage(t *testing.T, what string, reps []*telemetry.ReqReport) {
+	t.Helper()
+	for _, rep := range reps {
+		for _, n := range rep.Notes {
+			if n.Key == "open_stage" {
+				t.Errorf("%s: trace %s (%s) finished with stage %s open", what, rep.ID, rep.Op, n.Value)
+			}
+		}
 	}
 }
 
@@ -253,6 +270,72 @@ func TestOpTableFramingFailures(t *testing.T) {
 				t.Errorf("ca_server_request_errors_total = %d, want 1", got)
 			}
 		})
+	}
+}
+
+// TestErrorPathsEndTheirStages: a 404 and a timed-out match, on both
+// transports, are one request and one trace each, and every stage they
+// opened is ended before the trace finishes.
+func TestErrorPathsEndTheirStages(t *testing.T) {
+	match, feed := Route("match"), Route("sessions.feed")
+	long := `{"ruleset":"ids","input":"` + strings.Repeat("x", 1<<20) + `"}`
+	for _, c := range []struct {
+		name    string
+		timeout time.Duration
+		do      func(s *Server) int
+		traceOp string
+		status  int
+	}{
+		{"http unknown ruleset", 0, func(s *Server) int {
+			return httpDo(t, s, match, "", `{"ruleset":"nope","input":"x"}`, "").Code
+		}, "match", http.StatusNotFound},
+		{"http unknown session", 0, func(s *Server) int {
+			return httpDo(t, s, feed, "s99999999", `{"chunk":"x"}`, "").Code
+		}, "sessions.feed", http.StatusNotFound},
+		{"tcp unknown ruleset", 0, func(s *Server) int {
+			return (&TCPServer{s: s}).dispatch(context.Background(), tcpLine(t, match, "", `{"ruleset":"nope","input":"x"}`)).Status
+		}, "tcp.match", http.StatusNotFound},
+		{"http timed-out match", time.Nanosecond, func(s *Server) int {
+			return httpDo(t, s, match, "", long, "").Code
+		}, "match", http.StatusGatewayTimeout},
+		{"tcp timed-out match", time.Nanosecond, func(s *Server) int {
+			return (&TCPServer{s: s}).dispatch(context.Background(), tcpLine(t, match, "", long)).Status
+		}, "tcp.match", http.StatusGatewayTimeout},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := opFixture(t, Config{RequestTimeout: c.timeout})
+			if got := c.do(s); got != c.status {
+				t.Errorf("status %d, want %d", got, c.status)
+			}
+			accounted(t, s, c.name, c.traceOp)
+		})
+	}
+}
+
+// midStagePanic is a node whose match panics with its run stage open.
+type midStagePanic struct{ *Server }
+
+func (midStagePanic) Match(ctx context.Context, _ MatchRequest) (*MatchResponse, error) {
+	telemetry.ReqTraceFrom(ctx).StartStage("run")
+	panic("mid-stage")
+}
+
+// TestPanicMidStageKeepsItsNote: a handler that panics never reaches
+// its End, so this is the one path that finishes with an open stage —
+// and the trace names it.
+func TestPanicMidStageKeepsItsNote(t *testing.T) {
+	s := opFixture(t, Config{})
+	h := &Host{API: midStagePanic{s}, Ring: telemetry.NewTraceRing(4, 0)}
+	rep := h.serve(context.Background(), Route("match"), "", "", []byte(`{"ruleset":"ids","input":"x"}`), nil)
+	if rep.err == nil || rep.report == nil || rep.report.Outcome != "panic" {
+		t.Fatalf("reply %+v, want a panic outcome", rep)
+	}
+	want := []telemetry.StrAttr{{Key: "open_stage", Value: "run"}}
+	if !reflect.DeepEqual(rep.report.Notes, want) {
+		t.Errorf("notes = %+v, want %+v", rep.report.Notes, want)
+	}
+	if st := rep.report.Stage("run"); st == nil || st.StartMS+st.DurationMS > rep.report.DurationMS+1e-6 {
+		t.Errorf("run stage %+v outlasts its %.3fms trace", st, rep.report.DurationMS)
 	}
 }
 

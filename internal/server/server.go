@@ -469,7 +469,7 @@ func (s *Server) walAppendRetry(rt *telemetry.ReqTrace, w *wal, rec walRecord) {
 		return aerr
 	})
 	if err != nil {
-		s.log.Warn("wal append failed", "kind", rec.Kind, "attempts", attempts)
+		s.log.Warn("wal append failed", "kind", rec.Kind, "attempts", attempts, "err", err)
 	}
 }
 

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -193,6 +197,46 @@ func TestWALInjectedAppendFault(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].SnapB64 != "BB" {
 		t.Fatalf("replay after injected fault = %+v, want the retried record only", recs)
+	}
+}
+
+// TestWALAppendFailureLogsTheError: the "wal append failed" warning
+// carries the append's error, not only its kind and attempt count.
+func TestWALAppendFailureLogsTheError(t *testing.T) {
+	var logs bytes.Buffer
+	s := New(Config{Registry: telemetry.NewRegistry(), Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	if _, err := s.AttachWAL(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Compile(context.Background(), "ids", CompileRequest{Patterns: []string{"needle"}}); err != nil {
+		t.Fatal(err)
+	}
+	logs.Reset()
+	faults.Enable(faults.NewInjector(1, map[string]faults.Rule{
+		"server.wal.append": {Rate: 1},
+	}))
+	_, err := s.OpenSession(context.Background(), OpenSessionRequest{Ruleset: "ids"})
+	faults.Disable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for dec := json.NewDecoder(&logs); dec.More(); {
+		var line struct{ Msg, Kind, Err string }
+		if err := dec.Decode(&line); err != nil {
+			t.Fatal(err)
+		}
+		if line.Msg != "wal append failed" {
+			continue
+		}
+		failed++
+		if !strings.Contains(line.Err, "injected fault at server.wal.append") {
+			t.Errorf("%s append logged err %q, want the append's error", line.Kind, line.Err)
+		}
+	}
+	if failed == 0 {
+		t.Error(`no "wal append failed" line logged`)
 	}
 }
 

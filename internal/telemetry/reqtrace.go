@@ -204,19 +204,33 @@ func (t *ReqTrace) Annotate(key, value string) {
 
 // Finish closes the trace with an outcome ("ok", "error", "timeout",
 // "fault", "panic") and an optional error message. Finishing twice
-// keeps the first outcome.
+// keeps the first outcome. A stage still open is ended at the Finish
+// instant and named by an open_stage note, so no stage outlasts its
+// trace, a finished report never changes, and a leaked span shows on
+// /debug/requests and in -trace-compile.
 func (t *ReqTrace) Finish(outcome, errmsg string) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	if !t.done {
-		t.done = true
-		t.outcome = outcome
-		t.errmsg = errmsg
-		t.total = time.Since(t.start)
+	defer t.mu.Unlock()
+	if t.done {
+		return
 	}
-	t.mu.Unlock()
+	now := time.Now()
+	t.done = true
+	t.outcome = outcome
+	t.errmsg = errmsg
+	t.total = now.Sub(t.start)
+	for _, s := range t.stages {
+		s.mu.Lock()
+		if !s.done {
+			s.dur = now.Sub(s.start)
+			s.done = true
+			t.notes = append(t.notes, StrAttr{Key: "open_stage", Value: s.name})
+		}
+		s.mu.Unlock()
+	}
 }
 
 // Done finishes the trace — "ok", or "error" with err's message — and
@@ -256,8 +270,8 @@ type StageReport struct {
 
 // Report snapshots the trace. Stages are sorted by start time (name as
 // the tie-break), so concurrent span creation still yields a
-// deterministic report. Unfinished traces and stages report time
-// elapsed so far. Safe on a nil trace (returns nil).
+// deterministic report. An unfinished trace and its open stages report
+// the time elapsed so far. Safe on a nil trace (returns nil).
 func (t *ReqTrace) Report() *ReqReport {
 	if t == nil {
 		return nil

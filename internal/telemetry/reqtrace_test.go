@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -53,6 +54,28 @@ func TestReqTraceInFlightReport(t *testing.T) {
 	}
 	if len(r.Stages) != 1 || r.Stages[0].DurationMS < 0 {
 		t.Fatalf("open stage should report elapsed time, got %+v", r.Stages)
+	}
+}
+
+func TestReqTraceFinishEndsOpenStages(t *testing.T) {
+	rt := NewReqTrace("compile-regex")
+	rt.StartStage("regexc.parse").End()
+	open := rt.StartStage("regexc.glushkov") // leaked: never ended
+	time.Sleep(2 * time.Millisecond)
+	rt.Finish("error", "pattern 1: missing )")
+	first := rt.Report()
+	time.Sleep(2 * time.Millisecond)
+	open.End()
+	rt.Finish("ok", "")
+	if second := rt.Report(); !reflect.DeepEqual(first, second) {
+		t.Fatalf("a finished report changed:\n%s\n%s", first, second)
+	}
+	if len(first.Notes) != 1 || first.Notes[0] != (StrAttr{"open_stage", "regexc.glushkov"}) {
+		t.Fatalf("notes = %+v, want one open_stage=regexc.glushkov", first.Notes)
+	}
+	st := first.Stage("regexc.glushkov")
+	if st == nil || st.DurationMS <= 0 || st.StartMS+st.DurationMS > first.DurationMS+1e-6 {
+		t.Fatalf("open stage %+v must end at the trace's end, %.3fms", st, first.DurationMS)
 	}
 }
 
