@@ -125,9 +125,18 @@ func TestClusterAdminSurface(t *testing.T) {
 }
 
 // TestClusterRouterDrain verifies the router's own graceful stop: after
-// Shutdown every client call sheds with 503 and readiness flips.
+// Shutdown every call that would change something sheds with 503 —
+// leaving the session and the placement in place — readiness flips,
+// and reads keep answering.
 func TestClusterRouterDrain(t *testing.T) {
 	tc := startCluster(t, 1, fastConfig(nil))
+	if code, _ := tc.do(http.MethodPut, "/rulesets/d", server.CompileRequest{Patterns: []string{"dd"}}, nil); code != http.StatusOK {
+		t.Fatalf("compile: %d", code)
+	}
+	var sess server.SessionInfo
+	if code, _ := tc.do(http.MethodPost, "/sessions", server.OpenSessionRequest{Ruleset: "d"}, &sess); code != http.StatusOK {
+		t.Fatalf("open: %d", code)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := tc.router.Shutdown(ctx); err != nil {
@@ -136,11 +145,27 @@ func TestClusterRouterDrain(t *testing.T) {
 	if code, _ := tc.do(http.MethodGet, "/readyz", nil, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz after drain: %d, want 503", code)
 	}
-	if code, _ := tc.do(http.MethodPost, "/sessions", server.OpenSessionRequest{Ruleset: "x"}, nil); code != http.StatusServiceUnavailable {
-		t.Fatalf("open after drain: %d, want 503", code)
+	for _, c := range []struct {
+		method, path string
+		body         any
+	}{
+		{http.MethodPost, "/sessions", server.OpenSessionRequest{Ruleset: "d"}},
+		{http.MethodPost, "/match", server.MatchRequest{Ruleset: "d", Input: "y"}},
+		{http.MethodPost, "/sessions/" + sess.Session + "/feed", server.FeedRequest{Chunk: "dd"}},
+		{http.MethodPost, "/sessions/" + sess.Session + "/suspend", nil},
+		{http.MethodDelete, "/sessions/" + sess.Session, nil},
+		{http.MethodDelete, "/rulesets/d", nil},
+	} {
+		if code, _ := tc.do(c.method, c.path, c.body, nil); code != http.StatusServiceUnavailable {
+			t.Errorf("%s %s after drain: %d, want 503", c.method, c.path, code)
+		}
 	}
-	if code, _ := tc.do(http.MethodPost, "/match", server.MatchRequest{Ruleset: "x", Input: "y"}, nil); code != http.StatusServiceUnavailable {
-		t.Fatalf("match after drain: %d, want 503", code)
+	var sessions []server.SessionInfo
+	if code, _ := tc.do(http.MethodGet, "/sessions", nil, &sessions); code != http.StatusOK || len(sessions) != 1 || sessions[0].Pos != 0 {
+		t.Fatalf("sessions after drain: code %d, %+v; want the one session, unfed", code, sessions)
+	}
+	if code, _ := tc.do(http.MethodGet, "/rulesets/d", nil, nil); code != http.StatusOK {
+		t.Fatalf("rule set after drain: %d, want it still placed", code)
 	}
 	// Idempotent.
 	if err := tc.router.Shutdown(ctx); err != nil {

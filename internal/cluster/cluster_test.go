@@ -176,7 +176,7 @@ func TestClusterPlacementShipsArtifacts(t *testing.T) {
 
 	// The replica installed the shipped artifact; it must not have
 	// recompiled. Its node-local info says Cached (loaded, not built).
-	primary := tc.router.ring.Owners("rs/demo", 3)
+	primary := tc.router.ring.Owners("rs/demo")
 	var replica string
 	for _, h := range holders {
 		if h != primary[0] {
@@ -307,8 +307,10 @@ func TestClusterSessionFailoverOnKill(t *testing.T) {
 		t.Fatalf("premature matches: %+v", r1.Matches)
 	}
 
-	cs := tc.router.lookupSession(sess.Session)
-	cs.mu.Lock()
+	cs, err := tc.router.lockSession(sess.Session)
+	if err != nil {
+		t.Fatal(err)
+	}
 	owner := cs.node
 	cs.mu.Unlock()
 	tc.nodes[owner].Kill()
@@ -358,18 +360,20 @@ func TestClusterMinorityPartitionRefusesPlacement(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Fatal("shed response missing Retry-After")
 	}
+	// A join is a membership change, shed the same way.
+	code, hdr = tc.do(http.MethodPost, "/cluster/join", map[string]string{"id": "n4", "url": "http://127.0.0.1:1"}, nil)
+	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+		t.Fatalf("join in minority partition: status %d, Retry-After %q; want 503 with Retry-After", code, hdr.Get("Retry-After"))
+	}
 	if refused := readCounter(t, tc.reg, "ca_cluster_placements_refused_total"); refused < 1 {
 		t.Fatalf("ca_cluster_placements_refused_total = %d, want >= 1", refused)
 	}
 
 	// Reads still serve if a reachable replica holds the rule set.
-	if tc.router.nodeAlive("n1") {
-		holders := tc.router.matchCandidates("p")
-		if len(holders) > 0 {
-			var mr server.MatchResponse
-			if code, _ := tc.do(http.MethodPost, "/match", server.MatchRequest{Ruleset: "p", Input: "appa"}, &mr); code != http.StatusOK {
-				t.Fatalf("read in minority partition with reachable holder: status %d", code)
-			}
+	if _, err := tc.router.matchCandidates("p"); err == nil {
+		var mr server.MatchResponse
+		if code, _ := tc.do(http.MethodPost, "/match", server.MatchRequest{Ruleset: "p", Input: "appa"}, &mr); code != http.StatusOK {
+			t.Fatalf("read in minority partition with reachable holder: status %d", code)
 		}
 	}
 
@@ -401,11 +405,10 @@ func TestClusterRejoinRebalances(t *testing.T) {
 	onNode := func(node string) int {
 		n := 0
 		for _, id := range ids {
-			cs := tc.router.lookupSession(id)
-			if cs == nil {
+			cs, err := tc.router.lockSession(id)
+			if err != nil {
 				continue
 			}
-			cs.mu.Lock()
 			if cs.node == node {
 				n++
 			}

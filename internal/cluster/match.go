@@ -15,18 +15,9 @@ import (
 // invisible). A failed candidate immediately falls through to the next.
 func (r *Router) Match(ctx context.Context, req server.MatchRequest) (*server.MatchResponse, error) {
 	r.col.Proxied.Inc()
-	r.mu.RLock()
-	draining := r.draining
-	r.mu.RUnlock()
-	if draining {
-		return nil, server.Errorf(http.StatusServiceUnavailable, "router is draining")
-	}
-	candidates := r.matchCandidates(req.Ruleset)
-	if candidates == nil {
-		return nil, server.Errorf(http.StatusNotFound, "no rule set %q", req.Ruleset)
-	}
-	if len(candidates) == 0 {
-		return nil, errRetryAfter("no alive replica holds rule set %q", req.Ruleset)
+	candidates, err := r.matchCandidates(req.Ruleset)
+	if err != nil {
+		return nil, err
 	}
 
 	type result struct {
@@ -97,22 +88,27 @@ func (r *Router) Match(ctx context.Context, req server.MatchRequest) (*server.Ma
 }
 
 // matchCandidates returns the alive holders of a rule set in ring
-// affinity order (nil when the rule set is not placed at all).
-func (r *Router) matchCandidates(name string) []string {
+// order: refused while draining, 404 when the rule set is not placed,
+// shed when no alive node holds it.
+func (r *Router) matchCandidates(name string) ([]string, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	if err := r.refuseLocked(false, ""); err != nil {
+		return nil, err
+	}
 	pr := r.rulesets[name]
 	if pr == nil {
-		return nil
+		return nil, server.Errorf(http.StatusNotFound, "no rule set %q", name)
 	}
-	out := []string{}
-	for _, node := range r.ring.Owners("rs/"+name, r.ring.Len()) {
-		if pr.holders[node] != pr.gen {
-			continue
-		}
-		if m := r.members[node]; m != nil && m.state == stateAlive {
+	owners := r.aliveOwnersLocked("rs/" + name)
+	out := owners[:0]
+	for _, node := range owners {
+		if pr.holders[node] == pr.gen {
 			out = append(out, node)
 		}
 	}
-	return out
+	if len(out) == 0 {
+		return nil, errRetryAfter("no alive replica holds rule set %q", name)
+	}
+	return out, nil
 }

@@ -9,9 +9,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"cacheautomaton/internal/server"
+	"cacheautomaton/internal/telemetry"
 )
 
 // TestRouterMountsOpTable ranges over the node's op table: every row
@@ -245,5 +247,45 @@ func TestRouterRepliesByteIdentical(t *testing.T) {
 		if !bytes.Equal(got, append(want, '\n')) {
 			t.Errorf("POST %s through the router:\ngot  %q\nwant %q", st.path, got, want)
 		}
+	}
+}
+
+// TestNodeClientSendsOnceRowsOnce: against a node that sheds every call
+// with 503, a row marked Once (the feed) is sent exactly once whichever
+// helper sends it, while any other row gets the retry policy's full
+// attempt budget.
+func TestNodeClientSendsOnceRowsOnce(t *testing.T) {
+	var mu sync.Mutex
+	hits := map[string]int{}
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		mu.Lock()
+		hits[req.URL.Path]++
+		mu.Unlock()
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		_, _ = io.WriteString(w, `{"error":"shedding"}`)
+	}))
+	defer node.Close()
+	cfg := fastConfig(telemetry.NewRegistry())
+	r := NewRouter(cfg)
+	ctx := context.Background()
+	defer func() { _ = r.Shutdown(ctx) }()
+	if err := r.AddNode(ctx, "n1", node.URL); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := call[server.FeedResponse](ctx, r, "n1", "sessions.feed", "s1", &server.FeedRequest{Chunk: "x"}); hopStatus(err) != http.StatusServiceUnavailable {
+		t.Fatalf("feed: %v, want the node's 503", err)
+	}
+	if err := r.rpc(ctx, "n1", "sessions.checkpoint", "s1", nil, nil); hopStatus(err) != http.StatusServiceUnavailable {
+		t.Fatalf("checkpoint: %v, want the node's 503", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got := hits["/sessions/s1/feed"]; got != 1 {
+		t.Errorf("sessions.feed sent %d times, want 1: a feed is never resent", got)
+	}
+	if got, want := hits["/sessions/s1/checkpoint"], cfg.RPC.MaxAttempts; got != want {
+		t.Errorf("sessions.checkpoint sent %d times, want the policy's %d attempts", got, want)
 	}
 }

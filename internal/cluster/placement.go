@@ -9,21 +9,18 @@ import (
 )
 
 // Compile places a rule set on the cluster: the primary (the key's
-// first alive ring owner) compiles it, then the compiled-automaton
-// artifact is shipped to the replica owners, which install it without
-// recompiling. A placement change requires quorum.
+// first alive ring owner) compiles it, and each replica owner then gets
+// it the way the reconciler ships one — the compiled-automaton artifact
+// from the primary, installed without recompiling (ensureRuleset). A
+// placement change requires quorum.
 func (r *Router) Compile(ctx context.Context, name string, req server.CompileRequest) (*server.RulesetInfo, error) {
 	r.mu.RLock()
-	draining, quorum := r.draining, r.quorumLocked()
+	err := r.refuseLocked(true, "refusing placement change")
+	targets := r.replicasLocked(name)
 	r.mu.RUnlock()
-	if draining {
-		return nil, server.Errorf(http.StatusServiceUnavailable, "router is draining")
+	if err != nil {
+		return nil, err
 	}
-	if !quorum {
-		r.col.PlacementsRefused.Inc()
-		return nil, errRetryAfter("no quorum: refusing placement change")
-	}
-	targets := r.placementTargets(name)
 	if len(targets) == 0 {
 		return nil, errRetryAfter("no alive node to place rule set %q", name)
 	}
@@ -32,59 +29,29 @@ func (r *Router) Compile(ctx context.Context, name string, req server.CompileReq
 	if err != nil {
 		return nil, err
 	}
-	art, err := call[server.Artifact](ctx, r, primary, "rulesets.artifact", name, nil)
-	if err != nil {
-		return nil, err
-	}
 
 	r.mu.Lock()
 	pr := r.rulesets[name]
 	if pr == nil {
-		pr = &placedRuleset{name: name, holders: make(map[string]int)}
+		pr = &placedRuleset{}
 		r.rulesets[name] = pr
 	}
 	pr.gen++
-	gen := pr.gen
 	pr.req = req
 	pr.info = *info
-	pr.holders = map[string]int{primary: gen}
-	r.ringVersion++
-	r.col.RingVersion.Set(int64(r.ringVersion))
+	pr.holders = map[string]int{primary: pr.gen}
+	r.bumpRingLocked()
 	r.mu.Unlock()
 
 	for _, node := range targets[1:] {
-		if ierr := r.rpc(ctx, node, "rulesets.install", name, art, nil); ierr != nil {
-			// The reconciler retries; the placement is already serving on
-			// the primary.
-			r.log.WarnContext(ctx, "replica install failed", "ruleset", name, "node", node, "error", ierr)
-			continue
+		// The placement already serves on the primary; the reconciler
+		// retries a replica that fails here.
+		if err := r.ensureRuleset(ctx, node, name); err != nil {
+			r.log.WarnContext(ctx, "replica ship failed", "ruleset", name, "node", node, "error", err)
 		}
-		r.col.ArtifactsShipped.Inc()
-		r.mu.Lock()
-		if cur := r.rulesets[name]; cur == pr && pr.gen == gen {
-			pr.holders[node] = gen
-		}
-		r.mu.Unlock()
 	}
 	r.kickReconcile()
 	return info, nil
-}
-
-// placementTargets returns the first Replicas alive ring owners for a
-// rule set.
-func (r *Router) placementTargets(name string) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var targets []string
-	for _, node := range r.ring.Owners("rs/"+name, r.ring.Len()) {
-		if m := r.members[node]; m != nil && m.state == stateAlive {
-			targets = append(targets, node)
-			if len(targets) == r.cfg.Replicas {
-				break
-			}
-		}
-	}
-	return targets
 }
 
 // ensureRuleset makes node hold the current generation of name: it
@@ -151,18 +118,16 @@ func (r *Router) DeleteRuleset(ctx context.Context, name string) error {
 		r.mu.Unlock()
 		return server.Errorf(http.StatusNotFound, "no rule set %q", name)
 	}
-	if !r.quorumLocked() {
-		r.col.PlacementsRefused.Inc()
+	if err := r.refuseLocked(true, "refusing placement change"); err != nil {
 		r.mu.Unlock()
-		return errRetryAfter("no quorum: refusing placement change")
+		return err
 	}
 	holders := make([]string, 0, len(pr.holders))
 	for node := range pr.holders {
 		holders = append(holders, node)
 	}
 	delete(r.rulesets, name)
-	r.ringVersion++
-	r.col.RingVersion.Set(int64(r.ringVersion))
+	r.bumpRingLocked()
 	r.mu.Unlock()
 
 	for _, node := range holders {

@@ -73,37 +73,25 @@ func (r *Ring) Remove(node string) {
 	r.points = kept
 }
 
-// Len returns the member count.
-func (r *Ring) Len() int { return len(r.nodes) }
-
-// Owners returns up to n distinct members for key, clockwise from the
-// key's ring position: the first is the primary, the rest are the
-// successor replicas in failover order. Fewer than n members yields
-// all of them.
-func (r *Ring) Owners(key string, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
+// Owners returns every member for key in ring order, clockwise from
+// the key's ring position: the first is the primary, the rest are the
+// successors in failover order.
+func (r *Ring) Owners(key string) []string {
+	if len(r.points) == 0 {
 		return nil
-	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
 	}
 	h := keyHash(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for range r.points {
+	out := make([]string, 0, len(r.nodes))
+	seen := make(map[string]bool, len(r.nodes))
+	for ; len(out) < len(r.nodes); i++ {
 		if i == len(r.points) {
 			i = 0
 		}
-		node := r.points[i].node
-		if !seen[node] {
+		if node := r.points[i].node; !seen[node] {
 			seen[node] = true
 			out = append(out, node)
-			if len(out) == n {
-				break
-			}
 		}
-		i++
 	}
 	return out
 }

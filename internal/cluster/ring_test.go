@@ -11,9 +11,9 @@ func TestRingOwnersDistinctAndOrdered(t *testing.T) {
 		r.Add(n)
 	}
 	for i := 0; i < 100; i++ {
-		owners := r.Owners(fmt.Sprintf("key%d", i), 3)
-		if len(owners) != 3 {
-			t.Fatalf("Owners returned %d nodes, want 3", len(owners))
+		owners := r.Owners(fmt.Sprintf("key%d", i))
+		if len(owners) != 4 {
+			t.Fatalf("Owners returned %d nodes, want all 4", len(owners))
 		}
 		seen := map[string]bool{}
 		for _, o := range owners {
@@ -23,10 +23,7 @@ func TestRingOwnersDistinctAndOrdered(t *testing.T) {
 			seen[o] = true
 		}
 	}
-	if got := r.Owners("k", 10); len(got) != 4 {
-		t.Fatalf("asking for more owners than members returned %d, want all 4", len(got))
-	}
-	if got := NewRing(8).Owners("k", 1); len(got) != 0 {
+	if got := NewRing(8).Owners("k"); len(got) != 0 {
 		t.Fatalf("empty ring returned owners %v", got)
 	}
 }
@@ -40,7 +37,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	const keys = 12000
 	for i := 0; i < keys; i++ {
-		counts[r.Owners(fmt.Sprintf("sess/c%08d", i), 1)[0]]++
+		counts[r.Owners(fmt.Sprintf("sess/c%08d", i))[0]]++
 	}
 	for _, n := range nodes {
 		share := float64(counts[n]) / keys
@@ -63,12 +60,12 @@ func TestRingMinimalMovement(t *testing.T) {
 	const keys = 4000
 	before := make([]string, keys)
 	for i := range before {
-		before[i] = r.Owners(fmt.Sprintf("k%d", i), 1)[0]
+		before[i] = r.Owners(fmt.Sprintf("k%d", i))[0]
 	}
 	r.Remove("n2")
 	moved := 0
 	for i := range before {
-		after := r.Owners(fmt.Sprintf("k%d", i), 1)[0]
+		after := r.Owners(fmt.Sprintf("k%d", i))[0]
 		if before[i] == "n2" {
 			if after == "n2" {
 				t.Fatalf("key still owned by removed node")
@@ -84,7 +81,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 	r.Add("n2")
 	for i := range before {
-		if got := r.Owners(fmt.Sprintf("k%d", i), 1)[0]; got != before[i] {
+		if got := r.Owners(fmt.Sprintf("k%d", i))[0]; got != before[i] {
 			t.Fatalf("key k%d owned by %s after rejoin, was %s before the remove", i, got, before[i])
 		}
 	}
@@ -101,7 +98,7 @@ func TestRingDeterminism(t *testing.T) {
 	a, b := build(), build()
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("rs/rules-%d", i)
-		ao, bo := a.Owners(key, 2), b.Owners(key, 2)
+		ao, bo := a.Owners(key), b.Owners(key)
 		if len(ao) != len(bo) {
 			t.Fatal("owner count diverged")
 		}

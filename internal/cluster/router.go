@@ -6,6 +6,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -117,7 +118,6 @@ func (m *member) responsive() bool { return m.state == stateAlive || m.state == 
 // definition (for compile fallback when every artifact holder is
 // gone), the primary's info, and which nodes hold which version.
 type placedRuleset struct {
-	name string
 	req  server.CompileRequest
 	info server.RulesetInfo
 	// gen is the cluster placement generation: 1 on first placement,
@@ -214,14 +214,9 @@ func (r *Router) AddNode(ctx context.Context, id, url string) error {
 		return server.Errorf(http.StatusBadRequest, "node id and url are required")
 	}
 	r.mu.Lock()
-	if r.draining {
+	if err := r.refuseLocked(true, "refusing membership change"); err != nil {
 		r.mu.Unlock()
-		return server.Errorf(http.StatusServiceUnavailable, "router is draining")
-	}
-	if len(r.members) > 0 && !r.quorumLocked() {
-		r.col.PlacementsRefused.Inc()
-		r.mu.Unlock()
-		return server.Errorf(http.StatusServiceUnavailable, "no quorum: refusing membership change")
+		return err
 	}
 	m, rejoin := r.members[id]
 	if !rejoin {
@@ -231,8 +226,7 @@ func (r *Router) AddNode(ctx context.Context, id, url string) error {
 	} else {
 		m.url = url
 	}
-	r.ringVersion++
-	r.col.RingVersion.Set(int64(r.ringVersion))
+	r.bumpRingLocked()
 	r.updateMemberGauges()
 	r.mu.Unlock()
 
@@ -260,18 +254,16 @@ func (r *Router) RemoveNode(id string) error {
 		r.mu.Unlock()
 		return server.Errorf(http.StatusNotFound, "no node %q", id)
 	}
-	if !r.quorumLocked() {
-		r.col.PlacementsRefused.Inc()
+	if err := r.refuseLocked(true, "refusing membership change"); err != nil {
 		r.mu.Unlock()
-		return server.Errorf(http.StatusServiceUnavailable, "no quorum: refusing membership change")
+		return err
 	}
 	delete(r.members, id)
 	r.ring.Remove(id)
 	for _, pr := range r.rulesets {
 		delete(pr.holders, id)
 	}
-	r.ringVersion++
-	r.col.RingVersion.Set(int64(r.ringVersion))
+	r.bumpRingLocked()
 	r.updateMemberGauges()
 	r.mu.Unlock()
 	r.kickReconcile()
@@ -280,8 +272,12 @@ func (r *Router) RemoveNode(id string) error {
 }
 
 // Shutdown stops the health checker and flips the router to draining:
-// every subsequent client call is refused with 503. Nodes are not
-// touched — they are independent processes with their own drains.
+// every later call but a read — a match, a session open, feed, suspend
+// or close, a compile or delete, a join or leave — is refused with 503
+// (refuseLocked). Reads keep answering: the rule-set and session lists,
+// a rule set's description, /cluster and the probes.
+// Nodes are not touched — they are independent processes with their own
+// drains.
 func (r *Router) Shutdown(ctx context.Context) error {
 	r.mu.Lock()
 	already := r.draining
@@ -299,10 +295,7 @@ func (r *Router) Shutdown(ctx context.Context) error {
 }
 
 // quorumLocked reports whether the router currently sees a majority of
-// its members (caller holds mu). In a minority partition the router
-// keeps serving reads against reachable replicas but refuses placement
-// changes — compiles, deletes, joins and session moves — so a healed
-// partition cannot discover two divergent placements.
+// its members (caller holds mu).
 func (r *Router) quorumLocked() bool {
 	if len(r.members) == 0 {
 		return true
@@ -316,11 +309,28 @@ func (r *Router) quorumLocked() bool {
 	return responsive > len(r.members)/2
 }
 
-// Quorum reports the router's current majority view.
-func (r *Router) Quorum() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.quorumLocked()
+// refuseLocked is the router's one refusal rule (caller holds mu). A
+// draining router refuses everything but reads. In a minority partition
+// the router keeps serving reads and feeds against reachable nodes, but
+// a placement or membership change — a compile, delete, join or leave,
+// a session move — is counted and shed with Retry-After, so a healed
+// partition cannot discover two divergent placements.
+func (r *Router) refuseLocked(placement bool, format string, args ...any) error {
+	if r.draining {
+		return server.Errorf(http.StatusServiceUnavailable, "router is draining")
+	}
+	if placement && !r.quorumLocked() {
+		r.col.PlacementsRefused.Inc()
+		return errRetryAfter("no quorum: "+format, args...)
+	}
+	return nil
+}
+
+// bumpRingLocked advances the routing table's version (caller holds mu),
+// so clients that cache /cluster re-fetch it.
+func (r *Router) bumpRingLocked() {
+	r.ringVersion++
+	r.col.RingVersion.Set(int64(r.ringVersion))
 }
 
 // transition applies a member state change (caller holds mu).
@@ -334,8 +344,7 @@ func (r *Router) transition(m *member, next string, detail server.ReadyDetail) {
 	}
 	prev := m.state
 	m.state = next
-	r.ringVersion++
-	r.col.RingVersion.Set(int64(r.ringVersion))
+	r.bumpRingLocked()
 	r.log.Info("cluster member state", "node", m.id, "from", prev, "to", next)
 	if prev == stateDead && (next == stateAlive || next == stateNotReady) {
 		// A dead process that answers again restarted empty (kill) or
@@ -477,18 +486,23 @@ func (r *Router) kickReconcile() {
 // from their current one migrate back via planned hand-off.
 func (r *Router) reconcile() {
 	r.mu.RLock()
-	if r.draining {
+	if r.draining || !r.quorumLocked() {
+		// Minority partition: no placement changes, no session moves.
 		r.mu.RUnlock()
 		return
 	}
-	quorum := r.quorumLocked()
 	type shipJob struct {
 		name    string
 		targets []string
 	}
 	var ships []shipJob
-	for name := range r.rulesets {
-		missing := r.missingTargetsLocked(name)
+	for name, pr := range r.rulesets {
+		var missing []string
+		for _, node := range r.replicasLocked(name) {
+			if pr.holders[node] != pr.gen {
+				missing = append(missing, node)
+			}
+		}
 		if len(missing) > 0 {
 			ships = append(ships, shipJob{name, missing})
 		}
@@ -499,10 +513,6 @@ func (r *Router) reconcile() {
 	}
 	r.mu.RUnlock()
 
-	if !quorum {
-		// Minority partition: no placement changes, no session moves.
-		return
-	}
 	work := false
 	for _, job := range ships {
 		for _, node := range job.targets {
@@ -520,19 +530,21 @@ func (r *Router) reconcile() {
 			continue
 		}
 		owner := cs.node
-		preferred := r.preferredNode("sess/" + cs.id)
+		r.mu.RLock()
+		alive := r.aliveOwnersLocked("sess/" + cs.id)
+		r.mu.RUnlock()
 		switch {
-		case preferred == "":
+		case len(alive) == 0:
 			// No alive node at all; feeds will shed until one returns.
-		case !r.nodeAlive(owner):
+		case !slices.Contains(alive, owner):
 			if err := r.failoverLocked(context.Background(), cs, owner); err != nil {
 				r.log.Warn("reconcile: failover failed", "session", cs.id, "from", owner, "error", err)
 			} else {
 				work = true
 			}
-		case preferred != owner:
-			if err := r.migrateLocked(context.Background(), cs, preferred); err != nil {
-				r.log.Warn("reconcile: migration failed", "session", cs.id, "from", owner, "to", preferred, "error", err)
+		case alive[0] != owner:
+			if err := r.migrateLocked(context.Background(), cs, alive[0]); err != nil {
+				r.log.Warn("reconcile: migration failed", "session", cs.id, "from", owner, "to", alive[0], "error", err)
 			} else {
 				work = true
 			}
@@ -544,66 +556,25 @@ func (r *Router) reconcile() {
 	}
 }
 
-// missingTargetsLocked lists the alive nodes that should hold name (its
-// first Replicas alive ring owners) but don't yet (caller holds mu).
-func (r *Router) missingTargetsLocked(name string) []string {
-	pr := r.rulesets[name]
-	if pr == nil {
-		return nil
-	}
-	var missing []string
-	placed := 0
-	for _, node := range r.ring.Owners("rs/"+name, r.ring.Len()) {
-		if placed == r.cfg.Replicas {
-			break
-		}
-		m := r.members[node]
-		if m == nil || m.state != stateAlive {
-			continue
-		}
-		placed++
-		if pr.holders[node] != pr.gen {
-			missing = append(missing, node)
-		}
-	}
-	return missing
-}
-
-// preferredNode returns the first alive ring owner for key ("" when no
-// member is alive).
-func (r *Router) preferredNode(key string) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, node := range r.ring.Owners(key, r.ring.Len()) {
+// aliveOwnersLocked is key's ring order with every member that is not
+// alive left out (caller holds mu) — the one order that placement,
+// session homing, failover and the match fan-out all walk.
+func (r *Router) aliveOwnersLocked(key string) []string {
+	owners := r.ring.Owners(key)
+	alive := owners[:0]
+	for _, node := range owners {
 		if m := r.members[node]; m != nil && m.state == stateAlive {
-			return node
+			alive = append(alive, node)
 		}
 	}
-	return ""
+	return alive
 }
 
-// aliveCandidates returns the alive members in ring-affinity order for
-// key, excluding the given node id.
-func (r *Router) aliveCandidates(key, exclude string) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []string
-	for _, node := range r.ring.Owners(key, r.ring.Len()) {
-		if node == exclude {
-			continue
-		}
-		if m := r.members[node]; m != nil && m.state == stateAlive {
-			out = append(out, node)
-		}
-	}
-	return out
-}
-
-func (r *Router) nodeAlive(id string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	m := r.members[id]
-	return m != nil && m.state == stateAlive
+// replicasLocked is a rule set's replica set: the first Replicas alive
+// owners of its key, the primary first (caller holds mu).
+func (r *Router) replicasLocked(name string) []string {
+	alive := r.aliveOwnersLocked("rs/" + name)
+	return alive[:min(len(alive), r.cfg.Replicas)]
 }
 
 func (r *Router) memberURL(id string) (string, error) {

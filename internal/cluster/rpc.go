@@ -28,13 +28,17 @@ const (
 // by a rule-set name or node-local session id — under the router's
 // retry policy (jittered exponential backoff, per-attempt timeouts).
 // The node's URL re-resolves on every attempt so a rejoin mid-retry
-// lands on the new address. Use only for idempotent calls — feeds go
-// through rpcOnce and recover via checkpoint failover instead.
+// lands on the new address. A row marked Once (the feed) gets a single
+// attempt whichever helper sends it: its recovery is checkpoint
+// failover, never a resend.
 func (r *Router) rpc(ctx context.Context, nodeID, op, key string, in, out any) error {
 	route := server.Route(op)
 	policy := r.cfg.RPC
 	if policy.RetryIf == nil {
 		policy.RetryIf = retryableRPC
+	}
+	if route.Once {
+		policy.MaxAttempts = 1
 	}
 	start := time.Now()
 	attempts, err := policy.Attempts(ctx, func(actx context.Context) error {
@@ -142,30 +146,11 @@ func (r *Router) nodeOpen(ctx context.Context, node, ruleset, snapshot string) (
 	return call[server.SessionInfo](ctx, r, node, "sessions.open", "", server.OpenSessionRequest{Ruleset: ruleset, SnapshotB64: snapshot})
 }
 
-// nodeFeed is deliberately single-attempt: a feed mutates stream state,
-// so a retry after an ambiguous failure could scan the chunk twice and
-// duplicate its matches. Recovery is the checkpoint failover path —
+// nodeFeed sends one feed; its row is Once, so rpc never resends it.
+// A retry after an ambiguous failure could scan the chunk twice and
+// duplicate its matches, so recovery is the checkpoint failover path —
 // resume from the last acked post-feed snapshot and replay the one
 // failed chunk exactly once.
 func (r *Router) nodeFeed(ctx context.Context, node, localID string, req server.FeedRequest) (*server.FeedResponse, error) {
-	url, err := r.memberURL(node)
-	if err != nil {
-		return nil, err
-	}
-	if r.cfg.RPC.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.cfg.RPC.AttemptTimeout)
-		defer cancel()
-	}
-	start := time.Now()
-	var resp server.FeedResponse
-	route := server.Route("sessions.feed")
-	ferr := r.rpcOnce(ctx, node, url, route.Method, route.URLPath(localID), &req, &resp)
-	r.col.RPCs.Inc()
-	r.col.RPCSeconds.Observe(time.Since(start).Seconds())
-	if ferr != nil {
-		r.col.RPCErrors.Inc()
-		return nil, ferr
-	}
-	return &resp, nil
+	return call[server.FeedResponse](ctx, r, node, "sessions.feed", localID, &req)
 }

@@ -32,13 +32,13 @@ import (
 func (r *Router) OpenSession(ctx context.Context, req server.OpenSessionRequest) (*server.SessionInfo, error) {
 	r.col.Proxied.Inc()
 	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		return nil, server.Errorf(http.StatusServiceUnavailable, "router is draining")
+	err := r.refuseLocked(false, "")
+	if err == nil && r.rulesets[req.Ruleset] == nil {
+		err = server.Errorf(http.StatusNotFound, "no rule set %q", req.Ruleset)
 	}
-	if r.rulesets[req.Ruleset] == nil {
+	if err != nil {
 		r.mu.Unlock()
-		return nil, server.Errorf(http.StatusNotFound, "no rule set %q", req.Ruleset)
+		return nil, err
 	}
 	r.nextID++
 	cs := &csession{
@@ -48,28 +48,44 @@ func (r *Router) OpenSession(ctx context.Context, req server.OpenSessionRequest)
 	}
 	r.mu.Unlock()
 
-	var lastErr error
-	for _, node := range r.aliveCandidates("sess/"+cs.id, "") {
-		if err := r.ensureRuleset(ctx, node, cs.ruleset); err != nil {
-			lastErr = err
+	if err := r.home(ctx, cs, ""); err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	r.sessions[cs.id] = cs
+	r.col.Sessions.Set(int64(len(r.sessions)))
+	r.mu.Unlock()
+	return &server.SessionInfo{Session: cs.id, Ruleset: cs.ruleset, Pos: cs.pos}, nil
+}
+
+// errNoHome is home's answer when no alive node is left to try.
+var errNoHome = errRetryAfter("no alive node to open session on")
+
+// home opens the session on its first alive ring owner, other than
+// exclude, that takes it: the rule set is shipped there first, and the
+// node-local session resumes from the session's checkpoint (a fresh
+// stream when there is none). It returns the last node's error, or
+// errNoHome when there was no node to try (cs.mu held, or cs not yet
+// published).
+func (r *Router) home(ctx context.Context, cs *csession, exclude string) error {
+	r.mu.RLock()
+	owners := r.aliveOwnersLocked("sess/" + cs.id)
+	r.mu.RUnlock()
+	err := errNoHome
+	for _, node := range owners {
+		if node == exclude {
 			continue
 		}
-		info, err := r.nodeOpen(ctx, node, cs.ruleset, req.SnapshotB64)
-		if err != nil {
-			lastErr = err
+		if err = r.ensureRuleset(ctx, node, cs.ruleset); err != nil {
 			continue
 		}
-		cs.node, cs.localID, cs.pos = node, info.Session, info.Pos
-		r.mu.Lock()
-		r.sessions[cs.id] = cs
-		r.col.Sessions.Set(int64(len(r.sessions)))
-		r.mu.Unlock()
-		return &server.SessionInfo{Session: cs.id, Ruleset: cs.ruleset, Pos: cs.pos}, nil
+		var info *server.SessionInfo
+		if info, err = r.nodeOpen(ctx, node, cs.ruleset, cs.checkpoint); err == nil {
+			cs.node, cs.localID, cs.pos = node, info.Session, info.Pos
+			return nil
+		}
 	}
-	if lastErr != nil {
-		return nil, lastErr
-	}
-	return nil, errRetryAfter("no alive node to open session on")
+	return err
 }
 
 // Feed forwards one chunk to the session's owner, shipping back the
@@ -78,22 +94,17 @@ func (r *Router) OpenSession(ctx context.Context, req server.OpenSessionRequest)
 // member count, then shed with Retry-After.
 func (r *Router) Feed(ctx context.Context, id string, req server.FeedRequest) (*server.FeedResponse, error) {
 	r.col.Proxied.Inc()
-	cs := r.lookupSession(id)
-	if cs == nil {
-		return nil, server.Errorf(http.StatusNotFound, "no session %q", id)
+	cs, err := r.lockSession(id)
+	if err != nil {
+		return nil, err
 	}
-	req.Checkpoint = true
-	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if cs.closed {
-		return nil, server.Errorf(http.StatusNotFound, "no session %q", id)
-	}
+	req.Checkpoint = true
 	var lastErr error
 	for attempt := 0; attempt <= r.memberCount(); attempt++ {
 		//cavet:ignore singleattempt failover loop re-homes the session to a fresh node (failoverLocked) before every re-attempt; never a same-node blind resend
 		resp, err := r.nodeFeed(ctx, cs.node, cs.localID, req)
 		if err == nil {
-			cs.pos = resp.Pos
 			r.absorbCheckpoint(ctx, cs, resp)
 			resp.SnapshotB64 = "" // cluster-internal; never reaches the client
 			return resp, nil
@@ -117,20 +128,18 @@ func (r *Router) Feed(ctx context.Context, id string, req server.FeedRequest) (*
 	return nil, server.Errorf(http.StatusServiceUnavailable, "feed failed after failover: %v", lastErr)
 }
 
-// absorbCheckpoint updates the session's shipped checkpoint from a
-// successful feed (cs.mu held). A feed response without a snapshot
+// absorbCheckpoint records a successful feed's position and shipped
+// checkpoint (cs.mu held). A feed response without a snapshot
 // (truncated mid-chunk by the execution deadline, or a node-side
-// suspend failure) leaves the stored checkpoint behind the acked
+// suspend failure) would leave the stored checkpoint behind the acked
 // position, so the router refreshes it with an explicit checkpoint
 // call; if even that fails the session is marked stale — exact
 // failover is no longer possible and the next one reports 410 instead
 // of silently rescanning.
 func (r *Router) absorbCheckpoint(ctx context.Context, cs *csession, resp *server.FeedResponse) {
+	cs.pos = resp.Pos
 	if resp.SnapshotB64 != "" && !resp.Truncated {
-		cs.checkpoint = resp.SnapshotB64
-		cs.stale = false
-		r.col.CheckpointsShipped.Inc()
-		r.col.CheckpointBytes.Add(int64(len(resp.SnapshotB64)))
+		r.keep(cs, resp.Pos, resp.SnapshotB64)
 		return
 	}
 	cp, err := call[server.SuspendResponse](ctx, r, cs.node, "sessions.checkpoint", cs.localID, nil)
@@ -139,11 +148,17 @@ func (r *Router) absorbCheckpoint(ctx context.Context, cs *csession, resp *serve
 		r.log.WarnContext(ctx, "checkpoint refresh failed; session not exactly recoverable", "session", cs.id, "node", cs.node, "error", err)
 		return
 	}
-	cs.pos = cp.Pos
-	cs.checkpoint = cp.SnapshotB64
+	r.keep(cs, cp.Pos, cp.SnapshotB64)
+}
+
+// keep records snap as the session's checkpoint at pos — the state a
+// failover resumes from (cs.mu held).
+func (r *Router) keep(cs *csession, pos int64, snap string) {
+	cs.pos = pos
+	cs.checkpoint = snap
 	cs.stale = false
 	r.col.CheckpointsShipped.Inc()
-	r.col.CheckpointBytes.Add(int64(len(cp.SnapshotB64)))
+	r.col.CheckpointBytes.Add(int64(len(snap)))
 }
 
 // failoverLocked moves a session whose owner failed onto a successor,
@@ -151,9 +166,11 @@ func (r *Router) absorbCheckpoint(ctx context.Context, cs *csession, resp *serve
 // are placement changes: a minority-partitioned router sheds them with
 // Retry-After instead of risking a double-serving split brain.
 func (r *Router) failoverLocked(ctx context.Context, cs *csession, failed string) error {
-	if !r.Quorum() {
-		r.col.PlacementsRefused.Inc()
-		return errRetryAfter("no quorum: cannot fail over session %q", cs.id)
+	r.mu.RLock()
+	err := r.refuseLocked(true, "cannot fail over session %q", cs.id)
+	r.mu.RUnlock()
+	if err != nil {
+		return err
 	}
 	if cs.stale || (cs.checkpoint == "" && cs.pos > 0) {
 		r.dropSession(cs)
@@ -161,35 +178,24 @@ func (r *Router) failoverLocked(ctx context.Context, cs *csession, failed string
 	}
 	start := time.Now()
 	oldNode, oldLocal := cs.node, cs.localID
-	var lastErr error
-	for _, node := range r.aliveCandidates("sess/"+cs.id, failed) {
-		if err := r.ensureRuleset(ctx, node, cs.ruleset); err != nil {
-			lastErr = err
-			continue
-		}
-		info, err := r.nodeOpen(ctx, node, cs.ruleset, cs.checkpoint)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		cs.node, cs.localID, cs.pos = node, info.Session, info.Pos
-		r.col.Failovers.Inc()
-		r.col.HandoffSeconds.Observe(time.Since(start).Seconds())
-		r.log.InfoContext(ctx, "session failed over", "session", cs.id, "from", oldNode, "to", node, "pos", cs.pos)
-		// The old node-local session, if its process survived, is stale:
-		// close it best-effort so its lease returns. Never consulted again
-		// either way.
-		go func() {
-			cctx, cancel := context.WithTimeout(context.Background(), time.Second)
-			defer cancel()
-			_ = r.rpc(cctx, oldNode, "sessions.close", oldLocal, nil, nil)
-		}()
-		return nil
+	switch err := r.home(ctx, cs, failed); {
+	case err == errNoHome:
+		return errRetryAfter("no successor for session %q", cs.id)
+	case err != nil:
+		return errRetryAfter("no successor for session %q: %v", cs.id, err)
 	}
-	if lastErr != nil {
-		return errRetryAfter("no successor for session %q: %v", cs.id, lastErr)
-	}
-	return errRetryAfter("no successor for session %q", cs.id)
+	r.col.Failovers.Inc()
+	r.col.HandoffSeconds.Observe(time.Since(start).Seconds())
+	r.log.InfoContext(ctx, "session failed over", "session", cs.id, "from", oldNode, "to", cs.node, "pos", cs.pos)
+	// The old node-local session, if its process survived, is stale:
+	// close it best-effort so its lease returns. Never consulted again
+	// either way.
+	go func() {
+		cctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		_ = r.rpc(cctx, oldNode, "sessions.close", oldLocal, nil, nil)
+	}()
+	return nil
 }
 
 // migrateLocked is the planned hand-off (rebalance after a rejoin):
@@ -199,9 +205,11 @@ func (r *Router) failoverLocked(ctx context.Context, cs *csession, failed string
 // the snapshot is still the freshest state, so the session falls back
 // to ordinary failover from it.
 func (r *Router) migrateLocked(ctx context.Context, cs *csession, target string) error {
-	if !r.Quorum() {
-		r.col.PlacementsRefused.Inc()
-		return errRetryAfter("no quorum: cannot migrate session %q", cs.id)
+	r.mu.RLock()
+	err := r.refuseLocked(true, "cannot migrate session %q", cs.id)
+	r.mu.RUnlock()
+	if err != nil {
+		return err
 	}
 	if err := r.ensureRuleset(ctx, target, cs.ruleset); err != nil {
 		return err
@@ -213,11 +221,7 @@ func (r *Router) migrateLocked(ctx context.Context, cs *csession, target string)
 		// failover from the last shipped checkpoint.
 		return r.failoverLocked(ctx, cs, cs.node)
 	}
-	cs.checkpoint = sus.SnapshotB64
-	cs.pos = sus.Pos
-	cs.stale = false
-	r.col.CheckpointsShipped.Inc()
-	r.col.CheckpointBytes.Add(int64(len(sus.SnapshotB64)))
+	r.keep(cs, sus.Pos, sus.SnapshotB64)
 	oldNode := cs.node
 	info, err := r.nodeOpen(ctx, target, cs.ruleset, sus.SnapshotB64)
 	if err != nil {
@@ -235,15 +239,11 @@ func (r *Router) migrateLocked(ctx context.Context, cs *csession, target string)
 // session. A dead owner degrades to the last shipped checkpoint — the
 // same state a failover would resume from.
 func (r *Router) Suspend(ctx context.Context, id string) (*server.SuspendResponse, error) {
-	cs := r.lookupSession(id)
-	if cs == nil {
-		return nil, server.Errorf(http.StatusNotFound, "no session %q", id)
+	cs, err := r.lockSession(id)
+	if err != nil {
+		return nil, err
 	}
-	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if cs.closed {
-		return nil, server.Errorf(http.StatusNotFound, "no session %q", id)
-	}
 	sus, err := call[server.SuspendResponse](ctx, r, cs.node, "sessions.suspend", cs.localID, nil)
 	if err != nil {
 		if cs.stale || cs.checkpoint == "" {
@@ -258,15 +258,11 @@ func (r *Router) Suspend(ctx context.Context, id string) (*server.SuspendRespons
 // CloseSession closes a cluster session. The node-local close is
 // best-effort: a dead owner's session died with it.
 func (r *Router) CloseSession(ctx context.Context, id string) error {
-	cs := r.lookupSession(id)
-	if cs == nil {
-		return server.Errorf(http.StatusNotFound, "no session %q", id)
+	cs, err := r.lockSession(id)
+	if err != nil {
+		return err
 	}
-	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if cs.closed {
-		return server.Errorf(http.StatusNotFound, "no session %q", id)
-	}
 	node, local := cs.node, cs.localID
 	r.dropSession(cs)
 	if err := r.rpc(ctx, node, "sessions.close", local, nil, nil); err != nil {
@@ -295,10 +291,26 @@ func (r *Router) Sessions() []server.SessionInfo {
 	return out
 }
 
-func (r *Router) lookupSession(id string) *csession {
+// lockSession resolves a client's session id and returns the session
+// locked: refused while the router drains, 404 when the id is unknown
+// or its session closed. The drain check rides the table read lock the
+// lookup takes anyway.
+func (r *Router) lockSession(id string) (*csession, error) {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.sessions[id]
+	err := r.refuseLocked(false, "")
+	cs := r.sessions[id]
+	r.mu.RUnlock()
+	if err != nil {
+		return nil, err
+	}
+	if cs != nil {
+		cs.mu.Lock()
+		if !cs.closed {
+			return cs, nil
+		}
+		cs.mu.Unlock()
+	}
+	return nil, server.Errorf(http.StatusNotFound, "no session %q", id)
 }
 
 // dropSession removes a session from the table (cs.mu held).

@@ -38,6 +38,9 @@ type Op struct {
 	Cluster string
 	// Admin gates the op on the host's bearer token.
 	Admin bool
+	// Once marks a call the router's node client sends a single time,
+	// never retried: a resend could scan a chunk twice.
+	Once bool
 	// New allocates the request the body decodes into (nil: no body);
 	// Optional lets a blank body through as a nil request.
 	New      func() any
@@ -99,7 +102,7 @@ var Ops = []Op{
 		}},
 	{Name: "sessions.list", Method: "GET", Path: "/sessions", TCP: "list_sessions", Cluster: "sessions.list",
 		Run: func(_ context.Context, a API, _ string, _ any) (any, error) { return a.Sessions(), nil }},
-	{Name: "sessions.feed", Method: "POST", Path: "/sessions/{id}/feed", TCP: "feed", Cluster: "sessions.feed", New: body[FeedRequest],
+	{Name: "sessions.feed", Method: "POST", Path: "/sessions/{id}/feed", TCP: "feed", Cluster: "sessions.feed", Once: true, New: body[FeedRequest],
 		Run: func(ctx context.Context, a API, id string, req any) (any, error) {
 			return a.Feed(ctx, id, *req.(*FeedRequest))
 		}},
