@@ -61,10 +61,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
+	"cacheautomaton/internal/rulefmt"
 	"cacheautomaton/internal/server"
 	"cacheautomaton/internal/telemetry"
 )
@@ -289,13 +289,7 @@ func preload(s *server.Server, path, format, name, design string, caseIns bool) 
 	}
 	req := server.CompileRequest{Format: format, Design: design, CaseInsensitive: caseIns}
 	if format == "regex" {
-		for _, line := range strings.Split(string(data), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			req.Patterns = append(req.Patterns, line)
-		}
+		req.Patterns = rulefmt.Patterns(string(data))
 	} else {
 		req.Text = string(data)
 	}

@@ -10,9 +10,9 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -26,6 +26,7 @@ import (
 
 	"cacheautomaton/internal/anml"
 	"cacheautomaton/internal/regexc"
+	"cacheautomaton/internal/rulefmt"
 )
 
 func main() {
@@ -181,37 +182,22 @@ func loadNFA(rules, anmlFile, bench string, scale float64, seed int64, caseIns b
 		}
 		return net.NFA, nil
 	case rules != "":
-		pats, err := readLines(rules)
+		text, err := readFile(rules)
 		if err != nil {
 			return nil, err
 		}
-		return regexc.CompileSet(pats, regexc.Options{CaseInsensitive: caseIns})
+		return regexc.CompileSet(rulefmt.Patterns(string(text)), regexc.Options{CaseInsensitive: caseIns})
 	default:
 		return nil, fmt.Errorf("one of -rules, -anml, -bench is required")
 	}
 }
 
-func readLines(path string) ([]string, error) {
-	var r *bufio.Scanner
+// readFile reads path, or stdin for "-".
+func readFile(path string) ([]byte, error) {
 	if path == "-" {
-		r = bufio.NewScanner(os.Stdin)
-	} else {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = bufio.NewScanner(f)
+		return io.ReadAll(os.Stdin)
 	}
-	r.Buffer(make([]byte, 1<<20), 1<<20)
-	var out []string
-	for r.Scan() {
-		line := strings.TrimSpace(r.Text())
-		if line != "" && !strings.HasPrefix(line, "#") {
-			out = append(out, line)
-		}
-	}
-	return out, r.Err()
+	return os.ReadFile(path)
 }
 
 func fatal(err error) {

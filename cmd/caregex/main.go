@@ -11,10 +11,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"cacheautomaton/internal/anml"
 	"cacheautomaton/internal/regexc"
+	"cacheautomaton/internal/rulefmt"
 	"cacheautomaton/internal/telemetry"
 )
 
@@ -31,13 +31,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var pats []string
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line != "" && !strings.HasPrefix(line, "#") {
-			pats = append(pats, line)
-		}
-	}
+	pats := rulefmt.Patterns(string(data))
 	var tr *telemetry.ReqTrace
 	if *traceCompile {
 		tr = telemetry.NewReqTrace("caregex")

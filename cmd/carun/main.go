@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	ca "cacheautomaton"
+	"cacheautomaton/internal/rulefmt"
 	"cacheautomaton/internal/telemetry"
 )
 
@@ -86,12 +87,12 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		}
 		a, _, err = ca.CompileClamAVDatabase(string(text), opts)
 	case *rules != "":
-		pats, rerr := readLines(*rules)
+		text, rerr := os.ReadFile(*rules)
 		if rerr != nil {
 			fmt.Fprintln(stderr, "carun:", rerr)
 			return 1
 		}
-		a, err = ca.CompileRegex(pats, opts)
+		a, err = ca.CompileRegex(rulefmt.Patterns(string(text)), opts)
 	default:
 		fmt.Fprintln(stderr, "carun: one of -rules, -snort, -clamav is required")
 		return 1
@@ -140,19 +141,4 @@ func readAll(path string, stdin io.Reader) ([]byte, error) {
 		return io.ReadAll(stdin)
 	}
 	return os.ReadFile(path)
-}
-
-func readLines(path string) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line != "" && !strings.HasPrefix(line, "#") {
-			out = append(out, line)
-		}
-	}
-	return out, nil
 }

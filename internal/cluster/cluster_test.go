@@ -245,6 +245,46 @@ func TestClusterTracePropagation(t *testing.T) {
 	}
 }
 
+// TestClusterRPCFaultNotes pins the router's half of fault accounting:
+// with the cluster.rpc seam failing every attempt, a routed /match fails
+// and the router's own trace of it carries one fault=cluster.rpc note per
+// attempt that fired. Heartbeats are slowed to an hour so the match's
+// attempts are the only ones the injector counts.
+func TestClusterRPCFaultNotes(t *testing.T) {
+	cfg := fastConfig(nil)
+	cfg.HeartbeatInterval = time.Hour
+	tc := startCluster(t, 2, cfg)
+	if code, _ := tc.do(http.MethodPut, "/rulesets/rf", server.CompileRequest{Patterns: []string{"r+"}}, nil); code != http.StatusOK {
+		t.Fatalf("compile: %d", code)
+	}
+	tc.waitTable("2 holders", func(tab Table) bool { return len(tab.Rulesets["rf"].Holders) == 2 })
+
+	in := faults.NewInjector(1, map[string]faults.Rule{faultRPC: {Rate: 1}})
+	faults.Enable(in)
+	code, hdr := tc.do(http.MethodPost, "/match", server.MatchRequest{Ruleset: "rf", Input: "rrr"}, nil)
+	faults.Disable()
+	if code < 500 {
+		t.Fatalf("match with every hop faulted: status %d, want 5xx", code)
+	}
+	rep := tc.router.Traces().Find(hdr.Get("X-CA-Trace-Id"))
+	if rep == nil {
+		t.Fatalf("trace %q not in the router's flight recorder", hdr.Get("X-CA-Trace-Id"))
+	}
+	noted := 0
+	for _, n := range rep.Notes {
+		if n.Key == "fault" {
+			if n.Value != faultRPC {
+				t.Errorf("unexpected fault note %q", n.Value)
+			}
+			noted++
+		}
+	}
+	fired := in.Stats()[faultRPC].Errors
+	if fired == 0 || uint64(noted) != fired {
+		t.Fatalf("injector fired %d cluster.rpc faults, the router's trace carries %d notes", fired, noted)
+	}
+}
+
 func TestClusterHedgedMatch(t *testing.T) {
 	cfg := fastConfig(nil)
 	cfg.HedgeDelay = time.Nanosecond // hedge effectively always fires

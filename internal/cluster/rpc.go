@@ -59,13 +59,15 @@ func (r *Router) rpc(ctx context.Context, nodeID, op, key string, in, out any) e
 	return err
 }
 
-// rpcOnce is one attempt: fault seams, trace propagation, JSON in/out
-// through the wire codec, structured errors back out. It never retries.
+// rpcOnce is one attempt: fault seams (noted on the router's trace),
+// trace propagation, JSON in/out through the wire codec, structured
+// errors back out. It never retries.
 func (r *Router) rpcOnce(ctx context.Context, nodeID, url, method, path string, in, out any) error {
-	if err := faults.Check(faultRPC); err != nil {
+	rt := telemetry.ReqTraceFrom(ctx)
+	if err := faults.Check(rt, faultRPC); err != nil {
 		return err
 	}
-	if err := faults.Check(faultRPCPrefix + nodeID); err != nil {
+	if err := faults.Check(rt, faultRPCPrefix+nodeID); err != nil {
 		return err
 	}
 	var body io.Reader
@@ -85,7 +87,7 @@ func (r *Router) rpcOnce(ctx context.Context, nodeID, url, method, path string, 
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if id := telemetry.ReqTraceFrom(ctx).ID(); id != "" {
+	if id := rt.ID(); id != "" {
 		req.Header.Set("X-CA-Trace-Id", id)
 	}
 	resp, err := r.client.Do(req)

@@ -19,33 +19,35 @@ import (
 	"cacheautomaton/internal/telemetry"
 )
 
-// traceChaosRules is the fault plan for the trace-accounting run:
-// errors only, at every seam. Delays and panics are excluded on
-// purpose — this test reconciles the injector's per-point Errors
-// counters against fault annotations on retained traces, and only
-// KindError firings produce exactly one annotation each.
+// traceChaosRules is the fault plan for the trace-accounting run: errors
+// at every seam, and panics too at the six seams whose callers recover
+// into a traced request. Delays are excluded on purpose — this test
+// reconciles the injector's per-point Errors+Panics counters against
+// fault notes on retained traces, and a seam notes each injected error
+// or panic exactly once but never a delay.
 func traceChaosRules() map[string]faults.Rule {
+	const errOrPanic = faults.KindError | faults.KindPanic
 	return map[string]faults.Rule{
-		"server.match":         {Rate: 0.15, Kinds: faults.KindError},
-		"server.feed":          {Rate: 0.10, Kinds: faults.KindError},
-		"server.open":          {Rate: 0.20, Kinds: faults.KindError},
-		"server.suspend":       {Rate: 0.20, Kinds: faults.KindError},
+		"server.match":         {Rate: 0.15, Kinds: errOrPanic},
+		"server.feed":          {Rate: 0.10, Kinds: errOrPanic},
+		"server.open":          {Rate: 0.20, Kinds: errOrPanic},
+		"server.suspend":       {Rate: 0.20, Kinds: errOrPanic},
 		"server.wal.append":    {Rate: 0.05, Kinds: faults.KindError},
 		"machine.pool.get":     {Rate: 0.10, Kinds: faults.KindError},
-		"machine.shard.worker": {Rate: 0.10, Kinds: faults.KindError},
+		"machine.shard.worker": {Rate: 0.10, Kinds: errOrPanic},
 		"server.tcp.conn":      {Rate: 0.50, Kinds: faults.KindError},
 		// The batched one-shot population is small (a quarter of the
 		// clients), so this seam fires at a high rate to make a zero-fire
 		// run statistically negligible.
-		"server.batch.flush": {Rate: 0.5, Kinds: faults.KindError},
+		"server.batch.flush": {Rate: 0.5, Kinds: errOrPanic},
 	}
 }
 
 // TestChaosTraceAccounting proves the flight recorder loses no faults:
-// after a chaos run with errors injected at all eight seams, every
-// fault the injector fired appears as a "fault" annotation on exactly
-// one retained trace — the per-point annotation totals over the ring
-// equal the injector's per-point Errors counters exactly. The ring is
+// after a chaos run with errors injected at all nine seams (and panics
+// at six), every fault the injector fired appears as a "fault" note on
+// exactly one retained trace — the per-point note totals over the ring
+// equal the injector's per-point Errors+Panics counters exactly. The ring is
 // sized far above the fault volume and every faulted trace is pinned,
 // so nothing can be evicted; the injector is disabled before shutdown
 // so no fault fires on an untraced teardown path.
@@ -63,8 +65,8 @@ func TestChaosTraceAccounting(t *testing.T) {
 		Registry:  reg,
 		MaxShards: 4,
 		// Batching on: unsharded one-shots coalesce, so server.batch.flush
-		// fires per batch member. The flusher annotates the faulted
-		// member's trace before the batch's ready broadcast, so the
+		// fires per batch member. The seam notes the faulted member's
+		// trace before the batch's ready broadcast, so the
 		// exact fired==noted reconciliation below holds for this seam too.
 		BatchWindow: 250 * time.Microsecond,
 		// Every faulted trace must survive until the final accounting:
@@ -205,8 +207,8 @@ func TestChaosTraceAccounting(t *testing.T) {
 	// to land on.
 	faults.Disable()
 
-	// Reconcile: per-point fault annotations across all retained traces
-	// must equal the injector's per-point Errors counters.
+	// Reconcile: per-point fault notes across all retained traces must
+	// equal the injector's per-point Errors+Panics counters.
 	noted := make(map[string]uint64)
 	tracesWithFaults := 0
 	for _, rep := range s.Ring().All() {
@@ -228,14 +230,14 @@ func TestChaosTraceAccounting(t *testing.T) {
 	}
 	sort.Strings(points)
 	for _, p := range points {
-		fired := st[p].Errors
+		fired := st[p].Errors + st[p].Panics
 		if fired == 0 {
-			t.Errorf("seam %s fired no errors; the run did not exercise it", p)
+			t.Errorf("seam %s fired no faults; the run did not exercise it", p)
 		}
 		if noted[p] != fired {
-			t.Errorf("seam %s: injector fired %d errors, traces carry %d fault notes", p, fired, noted[p])
+			t.Errorf("seam %s: injector fired %d faults, traces carry %d fault notes", p, fired, noted[p])
 		}
-		t.Logf("  %-22s fired=%d noted=%d", p, fired, noted[p])
+		t.Logf("  %-22s fired=%d (panics=%d) noted=%d", p, fired, st[p].Panics, noted[p])
 	}
 	for p := range noted {
 		if _, ok := st[p]; !ok {

@@ -1,7 +1,7 @@
 // Package faults is a deterministic, stdlib-only fault-injection
 // framework for the serving stack. Code under test declares named
-// injection points at its failure seams — faults.Check("server.feed")
-// before a stream mutation, faults.Check("wal.append") before a WAL
+// injection points at its failure seams — faults.Check(rt, "server.feed")
+// before a stream mutation, faults.Check(rt, "wal.append") before a WAL
 // write — and a chaos harness (or an operator experiment) enables an
 // Injector that turns a seeded, reproducible fraction of those calls
 // into injected I/O errors, delays, or panics.
@@ -23,6 +23,12 @@
 // system exactly as if the operation was never attempted — which is
 // what makes injected errors safely retryable and lets the chaos
 // harness demand bit-identical results under faults.
+//
+// Accounting discipline: a seam notes its own fault. When Check injects
+// an error or a panic it first adds one fault=<point> note to the
+// request trace it was handed, so every fired fault is visible on the
+// flight recorder exactly once and callers that recover or return the
+// fault only classify it.
 package faults
 
 import (
@@ -31,6 +37,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"cacheautomaton/internal/telemetry"
 )
 
 // Kind is a bitmask of fault behaviors a point may inject.
@@ -178,16 +186,18 @@ func Disable() { active.Store(nil) }
 // Check evaluates the named injection point: with no injector enabled it
 // returns nil at the cost of one atomic load; with an injector it may
 // return an injected *Error, sleep, or panic with a *Panic, per the
-// point's Rule and the deterministic (seed, point, index) draw.
-func Check(point string) error {
+// point's Rule and the deterministic (seed, point, index) draw. An
+// injected error or panic is noted on rt as fault=<point> before Check
+// returns or panics (a nil rt notes nothing); a delay is not noted.
+func Check(rt *telemetry.ReqTrace, point string) error {
 	in := active.Load()
 	if in == nil {
 		return nil
 	}
-	return in.check(point)
+	return in.check(rt, point)
 }
 
-func (in *Injector) check(point string) error {
+func (in *Injector) check(rt *telemetry.ReqTrace, point string) error {
 	ps, ok := in.points[point]
 	if !ok {
 		in.mu.Lock()
@@ -211,9 +221,11 @@ func (in *Injector) check(point string) error {
 		return nil
 	case KindPanic:
 		ps.panics.Add(1)
+		rt.Annotate("fault", point)
 		panic(&Panic{Point: point, Index: idx})
 	default:
 		ps.errors.Add(1)
+		rt.Annotate("fault", point)
 		return &Error{Point: point, Index: idx}
 	}
 }
@@ -239,7 +251,7 @@ func IsInjected(err error) bool {
 	return errors.As(err, &fe)
 }
 
-// fnv64 is FNV-1a over s (inlined to keep the package dependency-free).
+// fnv64 is FNV-1a over s.
 func fnv64(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cacheautomaton/internal/telemetry"
 )
 
 // record runs n Checks at point and returns which indexes fired as
@@ -16,7 +18,7 @@ func record(t *testing.T, in *Injector, point string, n int) []bool {
 	defer Disable()
 	fired := make([]bool, n)
 	for i := 0; i < n; i++ {
-		fired[i] = Check(point) != nil
+		fired[i] = Check(nil, point) != nil
 	}
 	return fired
 }
@@ -27,7 +29,7 @@ func TestDisabledIsNoop(t *testing.T) {
 		t.Fatal("an injector is still installed after Disable")
 	}
 	for i := 0; i < 1000; i++ {
-		if err := Check("anything.at.all"); err != nil {
+		if err := Check(nil, "anything.at.all"); err != nil {
 			t.Fatalf("disabled Check returned %v", err)
 		}
 	}
@@ -71,7 +73,7 @@ func TestErrorKindAndIdentity(t *testing.T) {
 	in := NewInjector(1, map[string]Rule{"io.read": {Rate: 1}})
 	Enable(in)
 	defer Disable()
-	err := Check("io.read")
+	err := Check(nil, "io.read")
 	if err == nil {
 		t.Fatal("rate-1 point did not fire")
 	}
@@ -95,7 +97,7 @@ func TestDelayKind(t *testing.T) {
 	Enable(in)
 	defer Disable()
 	for i := 0; i < 20; i++ {
-		if err := Check("slow"); err != nil {
+		if err := Check(nil, "slow"); err != nil {
 			t.Fatalf("delay kind returned error %v", err)
 		}
 	}
@@ -118,8 +120,47 @@ func TestPanicKindCarriesPoint(t *testing.T) {
 			t.Fatal("empty panic description")
 		}
 	}()
-	Check("boom")
+	Check(nil, "boom")
 	t.Fatal("rate-1 panic point did not panic")
+}
+
+// TestCheckNotesFault pins the accounting rule: an injected error or
+// panic notes fault=<point> on the trace Check was handed, once, before
+// Check returns or panics; a delay notes nothing, and a nil trace is fine.
+func TestCheckNotesFault(t *testing.T) {
+	Enable(NewInjector(1, map[string]Rule{
+		"err":   {Rate: 1, Kinds: KindError},
+		"panic": {Rate: 1, Kinds: KindPanic},
+		"delay": {Rate: 1, Kinds: KindDelay, MaxDelay: time.Microsecond},
+	}))
+	defer Disable()
+	faultNotes := func(rt *telemetry.ReqTrace) []string {
+		var out []string
+		for _, n := range rt.Report().Notes {
+			if n.Key == "fault" {
+				out = append(out, n.Value)
+			}
+		}
+		return out
+	}
+
+	rt := telemetry.NewReqTrace("t")
+	if err := Check(rt, "err"); !IsInjected(err) {
+		t.Fatalf("rate-1 error point returned %v", err)
+	}
+	if err := Check(rt, "delay"); err != nil {
+		t.Fatalf("delay point returned %v", err)
+	}
+	func() {
+		defer func() { _ = recover() }()
+		Check(rt, "panic")
+	}()
+	if got := faultNotes(rt); fmt.Sprint(got) != "[err panic]" {
+		t.Fatalf("fault notes = %q, want [err panic]", got)
+	}
+	if err := Check(nil, "err"); !IsInjected(err) {
+		t.Fatalf("nil trace: %v", err)
+	}
 }
 
 func TestMixedKindsAllOccur(t *testing.T) {
@@ -131,7 +172,7 @@ func TestMixedKindsAllOccur(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		func() {
 			defer func() { recover() }()
-			Check("mix")
+			Check(nil, "mix")
 		}()
 	}
 	st := in.Stats()["mix"]
@@ -148,11 +189,11 @@ func TestUnknownPointsNeverFireButAreSeen(t *testing.T) {
 	Enable(in)
 	defer Disable()
 	for i := 0; i < 50; i++ {
-		if err := Check("not.in.plan"); err != nil {
+		if err := Check(nil, "not.in.plan"); err != nil {
 			t.Fatalf("unplanned point fired: %v", err)
 		}
 	}
-	Check("known")
+	Check(nil, "known")
 	seen := in.Seen()
 	want := map[string]bool{"known": false, "not.in.plan": false}
 	for _, s := range seen {
@@ -177,8 +218,8 @@ func TestConcurrentChecksAreSafe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				Check("c")
-				Check("uncovered")
+				Check(nil, "c")
+				Check(nil, "uncovered")
 			}
 		}()
 	}
@@ -197,7 +238,7 @@ func TestKindListDefaultsToError(t *testing.T) {
 func BenchmarkCheckDisabled(b *testing.B) {
 	Disable()
 	for i := 0; i < b.N; i++ {
-		if Check("hot.path") != nil {
+		if Check(nil, "hot.path") != nil {
 			b.Fatal("fired while disabled")
 		}
 	}

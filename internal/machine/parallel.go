@@ -101,16 +101,9 @@ func RunShardedContext(ctx context.Context, ms []*Machine, input []byte) (*Resul
 			defer func() {
 				if r := recover(); r != nil {
 					errs[i] = fmt.Errorf("machine: shard %d worker panic: %v", i, r)
-					if p, ok := r.(*faults.Panic); ok {
-						telemetry.ReqTraceFrom(ctx).Annotate("fault", p.Point)
-					}
 				}
 			}()
-			if err := faults.Check("machine.shard.worker"); err != nil {
-				errs[i] = err
-				if faults.IsInjected(err) {
-					telemetry.ReqTraceFrom(ctx).Annotate("fault", "machine.shard.worker")
-				}
+			if errs[i] = faults.Check(telemetry.ReqTraceFrom(ctx), "machine.shard.worker"); errs[i] != nil {
 				return
 			}
 			m := ms[i]

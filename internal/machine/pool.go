@@ -62,8 +62,8 @@ func NewPool(pl *mapper.Placement, opts Options, maxIdle int) *Pool {
 // list is empty. The machine comes back Reset (offset 0, start states
 // enabled) and is exclusively the caller's until Put. When ctx carries a
 // telemetry.ReqTrace, the checkout is recorded as a "lease" stage span
-// (with whether it hit the free list or built cold) and an injected lease
-// refusal is annotated onto the trace.
+// (with whether it hit the free list or built cold) and the pool seam
+// notes an injected lease refusal on the trace.
 func (p *Pool) GetContext(ctx context.Context) (*Machine, error) {
 	var one [1]*Machine
 	err := p.lease(ctx, one[:]) // fills nothing when it fails
@@ -91,12 +91,9 @@ func (p *Pool) lease(ctx context.Context, ms []*Machine) error {
 	sp.SetAttr("machines", int64(len(ms)))
 	var built int64
 	for i := range ms {
-		m, cold, err := p.get()
+		m, cold, err := p.get(rt)
 		if err != nil {
 			p.PutAll(ms[:i])
-			if faults.IsInjected(err) {
-				rt.Annotate("fault", "machine.pool.get")
-			}
 			return err
 		}
 		if cold {
@@ -109,11 +106,12 @@ func (p *Pool) lease(ctx context.Context, ms []*Machine) error {
 }
 
 // get is the checkout core: one machine, and whether it was built cold.
-func (p *Pool) get() (*Machine, bool, error) {
+// An injected refusal is noted on rt.
+func (p *Pool) get(rt *telemetry.ReqTrace) (*Machine, bool, error) {
 	// Lease-exhaustion injection point. Placed before any accounting so a
 	// refused checkout leaves Gets == Puts — an injected failure must look
 	// exactly like the pool never being asked.
-	if err := faults.Check("machine.pool.get"); err != nil {
+	if err := faults.Check(rt, "machine.pool.get"); err != nil {
 		return nil, false, fmt.Errorf("machine: lease refused: %w", err)
 	}
 	p.mu.Lock()

@@ -319,6 +319,18 @@ func ParseClamAVSignature(sig string, code int32) (*nfa.NFA, string, error) {
 	return a, name, nil
 }
 
+// Patterns splits a regex rule file into its patterns: one per line,
+// trimmed, skipping blank lines and lines starting with '#'.
+func Patterns(text string) []string {
+	var out []string
+	for _, line := range strings.Split(text, "\n") {
+		if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "#") {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
 // CompileClamAV parses a signature database (one "Name:hexsig" per line)
 // into one NFA; signature i reports code i. It returns the NFA and the
 // signature names in code order.

@@ -1,6 +1,7 @@
 package rulefmt
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -161,5 +162,23 @@ Trojan.Foo:dead??beef
 	}
 	if _, _, err := CompileClamAV("Bad:zz"); err == nil || !strings.Contains(err.Error(), "line 1") {
 		t.Errorf("bad db error = %v", err)
+	}
+}
+
+func TestPatterns(t *testing.T) {
+	for _, tc := range []struct {
+		name, text string
+		want       []string
+	}{
+		{"empty", "", nil},
+		{"blank and comment lines only", "\n  \n# a comment\n\t#indented comment\n", nil},
+		{"one per line, trimmed", "  cat \n\tdog.*food\t\n", []string{"cat", "dog.*food"}},
+		{"CRLF line ends", "cat\r\ndog\r\n", []string{"cat", "dog"}},
+		{"no trailing newline", "a\nb", []string{"a", "b"}},
+		{"a # inside a pattern is kept", "a#b\n#c\n", []string{"a#b"}},
+	} {
+		if got := Patterns(tc.text); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: Patterns(%q) = %q, want %q", tc.name, tc.text, got, tc.want)
+		}
 	}
 }

@@ -267,11 +267,11 @@ func (b *batcher) flush(g *batchGen) {
 	l, err := b.rs.a.LeaseContext(runCtx)
 	if err != nil {
 		if faults.IsInjected(err) {
-			// runCtx carries no request trace (it is deliberately detached
-			// from the members' transport contexts), so an injected lease
-			// refusal would otherwise vanish from flight-recorder fault
-			// accounting. It is one fault firing that fails the whole batch:
-			// annotate exactly one member's trace with the pool seam's name.
+			// The one hand-written fault note: runCtx carries no request
+			// trace (it is deliberately detached from the members'
+			// transport contexts), so the pool seam had no trace to note
+			// on. It is one fault firing that fails the whole batch: note
+			// exactly one member's trace with the pool seam's name.
 			g.members[alive[0]].rt.Annotate("fault", "machine.pool.get")
 		}
 		failAll(errc(http.StatusInternalServerError, err, "lease: %v", err))
@@ -324,22 +324,16 @@ func (b *batcher) flush(g *batchGen) {
 
 // checkBatchMember fires the server.batch.flush seam for one member,
 // converting an injected error or panic into that member's failure. The
-// member's trace is annotated before ready is closed, so fault
+// seam notes the member's trace before ready is closed, so fault
 // accounting never races the member's finishTrace.
 func (s *Server) checkBatchMember(mb *batchMember) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.col.Panics.Inc()
-			if p, ok := r.(*faults.Panic); ok {
-				mb.rt.Annotate("fault", p.Point)
-			}
 			err = Errorf(http.StatusInternalServerError, "batch member panic: %v", r)
 		}
 	}()
-	if err := faults.Check("server.batch.flush"); err != nil {
-		if faults.IsInjected(err) {
-			mb.rt.Annotate("fault", "server.batch.flush")
-		}
+	if err := faults.Check(mb.rt, "server.batch.flush"); err != nil {
 		return errc(http.StatusInternalServerError, err, "batch flush: %v", err)
 	}
 	return nil

@@ -395,7 +395,14 @@ func (s *Server) Rulesets() []RulesetInfo {
 }
 
 // DeleteRuleset unloads a rule set. Open sessions on it keep running.
+// Like every mutating op it is refused while draining, so Shutdown waits
+// for its tombstone before it closes the WAL.
 func (s *Server) DeleteRuleset(ctx context.Context, name string) error {
+	done, err := s.begin()
+	if err != nil {
+		return err
+	}
+	defer done()
 	rt := telemetry.ReqTraceFrom(ctx)
 	rt.SetRuleset(name)
 	s.mu.Lock()

@@ -69,9 +69,6 @@ func (h *Host) serve(ctx context.Context, op *Op, adopt, key string, body []byte
 	rep.traceID = rt.ID()
 	defer func() {
 		if rec := recover(); rec != nil {
-			if p, ok := rec.(*faults.Panic); ok {
-				rt.Annotate("fault", p.Point)
-			}
 			rep.out, rep.err = nil, Errorf(http.StatusInternalServerError, "internal panic: %v", rec)
 			rep.report = h.finish(rt, "panic", fmt.Sprint(rec))
 			if h.Col != nil {

@@ -237,6 +237,16 @@ func TestSessionLifecycle(t *testing.T) {
 	if code := doJSON(t, "DELETE", ts.URL+"/sessions/"+sess.Session, nil, nil); code != 200 {
 		t.Fatalf("close: %d", code)
 	}
+	// With nothing open the list is an empty JSON array, never null.
+	resp, err := http.Get(ts.URL + "/sessions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || string(bytes.TrimSpace(body)) != "[]" {
+		t.Fatalf("sessions list after the last close = %q (%v), want []", body, err)
+	}
 	var e struct {
 		Error string `json:"error"`
 	}

@@ -188,10 +188,10 @@ func (t *TCPServer) serveConn(conn *tcpConn) {
 	// Dropped-connection injection point: the conn dies before serving a
 	// line, as if the network reset it — clients must see a clean close,
 	// and the server must leak nothing. No request is in flight yet, so
-	// the fault lands on a synthetic conn-scoped trace.
-	if err := faults.Check("server.tcp.conn"); err != nil {
-		rt := t.s.newTrace("tcp.conn")
-		rt.Annotate("fault", "server.tcp.conn")
+	// the fault lands on a synthetic conn-scoped trace, which only a
+	// fired fault finishes into the ring.
+	rt := t.s.newTrace("tcp.conn")
+	if err := faults.Check(rt, "server.tcp.conn"); err != nil {
 		t.s.finishTrace(rt, "fault", err.Error())
 		return
 	}

@@ -199,12 +199,12 @@ func (w *wal) liveRecords() []walRecord {
 }
 
 // Append encodes and durably appends one record. Injected faults (the
-// "server.wal.append" point) fail before any byte is written, so the
+// "server.wal.append" point, noted on rt) fail before any byte is written, so the
 // log stays consistent and the caller may simply continue — the next
 // checkpoint supersedes the lost one. A real partial write is repaired
 // by truncating back to the last record boundary; if even that fails
 // the WAL fail-stops (appends error out, serving continues).
-func (w *wal) Append(rec walRecord) error {
+func (w *wal) Append(rt *telemetry.ReqTrace, rec walRecord) error {
 	payload, err := json.Marshal(&rec)
 	if err != nil {
 		return fmt.Errorf("wal: encode: %w", err)
@@ -214,7 +214,7 @@ func (w *wal) Append(rec walRecord) error {
 	if w.failed {
 		return fmt.Errorf("wal: fail-stopped after an earlier write error")
 	}
-	if err := faults.Check("server.wal.append"); err != nil {
+	if err := faults.Check(rt, "server.wal.append"); err != nil {
 		if w.col != nil {
 			w.col.WALErrors.Inc()
 		}

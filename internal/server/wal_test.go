@@ -33,7 +33,7 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	must := func(rec walRecord) {
 		t.Helper()
-		if err := w.Append(rec); err != nil {
+		if err := w.Append(nil, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,7 +73,7 @@ func TestWALTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := w.Append(walRecord{Kind: "checkpoint", ID: fmt.Sprintf("s%08d", i+1), Ruleset: "r", SnapB64: "AA"}); err != nil {
+		if err := w.Append(nil, walRecord{Kind: "checkpoint", ID: fmt.Sprintf("s%08d", i+1), Ruleset: "r", SnapB64: "AA"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func TestWALCompaction(t *testing.T) {
 	// Re-checkpoint one session far past the threshold: the live set is
 	// one record, so the file must stay near one record's size.
 	for i := 0; i < 500; i++ {
-		if err := w.Append(walRecord{Kind: "checkpoint", ID: "s00000001", Ruleset: "r", SnapB64: fmt.Sprintf("%04d", i)}); err != nil {
+		if err := w.Append(nil, walRecord{Kind: "checkpoint", ID: "s00000001", Ruleset: "r", SnapB64: fmt.Sprintf("%04d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,7 +178,7 @@ func TestWALInjectedAppendFault(t *testing.T) {
 	faults.Enable(faults.NewInjector(1, map[string]faults.Rule{
 		"server.wal.append": {Rate: 1},
 	}))
-	err = w.Append(walRecord{Kind: "checkpoint", ID: "s00000001", Ruleset: "r", SnapB64: "AA"})
+	err = w.Append(nil, walRecord{Kind: "checkpoint", ID: "s00000001", Ruleset: "r", SnapB64: "AA"})
 	faults.Disable()
 	if !faults.IsInjected(err) {
 		t.Fatalf("err = %v, want injected fault", err)
@@ -187,7 +187,7 @@ func TestWALInjectedAppendFault(t *testing.T) {
 		t.Fatalf("WALErrors = %d, want 1", got)
 	}
 	// The log must still accept the retry.
-	if err := w.Append(walRecord{Kind: "checkpoint", ID: "s00000001", Ruleset: "r", SnapB64: "BB"}); err != nil {
+	if err := w.Append(nil, walRecord{Kind: "checkpoint", ID: "s00000001", Ruleset: "r", SnapB64: "BB"}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -396,6 +396,42 @@ func TestShutdownKeepsCheckpoints(t *testing.T) {
 	got := s2.Sessions()
 	if len(got) != 1 || got[0].Session != info.Session {
 		t.Fatalf("sessions after graceful restart = %+v", got)
+	}
+}
+
+// TestDeleteRulesetRefusedWhileDraining pins the drain gate on delete:
+// after Shutdown has closed the WAL, a delete must answer 503 rather
+// than answer OK and lose its tombstone — a restart from the same WAL
+// then still serves the rule set, exactly as the refusal said.
+func TestDeleteRulesetRefusedWhileDraining(t *testing.T) {
+	dir := t.TempDir()
+	s1 := New(Config{Registry: telemetry.NewRegistry()})
+	if _, err := s1.AttachWAL(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.Compile(context.Background(), "x", CompileRequest{Patterns: []string{"x"}}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.DeleteRuleset(context.Background(), "x"); statusOf(err) != 503 {
+		t.Fatalf("delete after Shutdown = %v, want 503", err)
+	}
+
+	s2 := New(Config{Registry: telemetry.NewRegistry()})
+	if _, err := s2.AttachWAL(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = s2.Shutdown(ctx)
+	})
+	if _, err := s2.Ruleset("x"); err != nil {
+		t.Fatalf("rule set refused a delete but is gone after restart: %v", err)
 	}
 }
 

@@ -288,15 +288,21 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // WriteJSON renders the registry as one JSON object, name → value
 // (histograms become {count, sum, buckets}).
 func (r *Registry) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r.jsonSnapshot())
+}
+
+// jsonSnapshot maps every registered metric's name to its JSON value —
+// the one body behind WriteJSON and the expvar export.
+func (r *Registry) jsonSnapshot() map[string]any {
 	obj := make(map[string]any)
 	for _, name := range r.names() {
 		if m := r.get(name); m != nil {
 			obj[name] = m.jsonValue()
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(obj)
+	return obj
 }
 
 // PublishExpvar publishes the registry under the given expvar name (a
@@ -306,13 +312,5 @@ func (r *Registry) PublishExpvar(name string) {
 	if expvar.Get(name) != nil {
 		return
 	}
-	expvar.Publish(name, expvar.Func(func() any {
-		obj := make(map[string]any)
-		for _, n := range r.names() {
-			if m := r.get(n); m != nil {
-				obj[n] = m.jsonValue()
-			}
-		}
-		return obj
-	}))
+	expvar.Publish(name, expvar.Func(func() any { return r.jsonSnapshot() }))
 }
