@@ -55,6 +55,18 @@ func (d Design) String() string {
 	return "CA_S"
 }
 
+// ParseDesign reads a design by its command-line name: "perf" is CA_P
+// and "space" is CA_S.
+func ParseDesign(name string) (Design, error) {
+	switch name {
+	case "perf":
+		return Performance, nil
+	case "space":
+		return Space, nil
+	}
+	return Performance, fmt.Errorf("unknown design %q (want perf or space)", name)
+}
+
 func (d Design) kind() arch.DesignKind {
 	if d == Performance {
 		return arch.PerfOpt

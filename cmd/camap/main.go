@@ -16,6 +16,7 @@ import (
 	"os"
 	"strings"
 
+	ca "cacheautomaton"
 	"cacheautomaton/internal/arch"
 	"cacheautomaton/internal/bitstream"
 	"cacheautomaton/internal/caformat"
@@ -43,6 +44,11 @@ func main() {
 	dotOut := flag.String("dot", "", "write the partition graph (Graphviz DOT) to this file")
 	traceCompile := flag.Bool("trace-compile", false, "print the compile-pipeline phase breakdown")
 	flag.Parse()
+	picked, err := ca.ParseDesign(*design)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "camap:", err)
+		os.Exit(2)
+	}
 
 	var (
 		pl   *mapper.Placement
@@ -69,7 +75,7 @@ func main() {
 			fatal(err)
 		}
 		kind = arch.PerfOpt
-		if strings.HasPrefix(*design, "s") {
+		if picked == ca.Space {
 			kind = arch.SpaceOpt
 		}
 		before := n.ComputeStats()

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	ca "cacheautomaton"
 	"cacheautomaton/internal/rulefmt"
@@ -54,10 +53,12 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		return 2
 	}
 
-	opts := ca.Options{CaseInsensitive: *caseIns}
-	if strings.HasPrefix(*design, "s") {
-		opts.Design = ca.Space
+	d, err := ca.ParseDesign(*design)
+	if err != nil {
+		fmt.Fprintln(stderr, "carun:", err)
+		return 2
 	}
+	opts := ca.Options{CaseInsensitive: *caseIns, Design: d}
 	if *metricsAddr != "" {
 		opts.RunObserver = telemetry.NewMachineCollector(nil)
 		srv, err := telemetry.Serve(*metricsAddr, nil)
@@ -70,7 +71,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	}
 
 	var a *ca.Automaton
-	var err error
 	switch {
 	case *snort != "":
 		text, rerr := os.ReadFile(*snort)

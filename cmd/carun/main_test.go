@@ -46,9 +46,22 @@ func TestRunRegexRules(t *testing.T) {
 
 func TestRunDesignSelection(t *testing.T) {
 	rules := writeFile(t, "rules.txt", "abc\n")
-	code, out, _ := runCapture(t, []string{"-rules", rules, "-design", "space", "-in", "-"}, "abc")
-	if code != 0 || !strings.Contains(out, "CA_S:") {
-		t.Errorf("space design not selected (exit %d):\n%s", code, out)
+	for _, tc := range []struct {
+		design string
+		code   int
+		want   string
+	}{
+		{"space", 0, "CA_S:"},
+		{"perf", 0, "CA_P:"},
+		// Only the two names parse: not the design's printed name, and
+		// not any word that starts with an s.
+		{"CA_S", 2, `carun: unknown design "CA_S"`},
+		{"sloppy", 2, `carun: unknown design "sloppy"`},
+	} {
+		code, out, errOut := runCapture(t, []string{"-rules", rules, "-design", tc.design, "-in", "-"}, "abc")
+		if code != tc.code || !strings.Contains(out+errOut, tc.want) {
+			t.Errorf("-design %s: exit %d, want %d and %q:\n%s%s", tc.design, code, tc.code, tc.want, out, errOut)
+		}
 	}
 }
 

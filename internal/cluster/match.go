@@ -12,7 +12,9 @@ import (
 // the rule set's primary holder, and if no answer arrives within
 // HedgeDelay a replica is asked too — first good answer wins (matching
 // is deterministic and read-only, so duplicate execution is safe and
-// invisible). A failed candidate immediately falls through to the next.
+// invisible). Each candidate is sent through rpc's retry policy — up to
+// RPC.MaxAttempts with backoff — and only once that candidate has failed
+// for good does the fall-through launch the next.
 func (r *Router) Match(ctx context.Context, req server.MatchRequest) (*server.MatchResponse, error) {
 	r.col.Proxied.Inc()
 	candidates, err := r.matchCandidates(req.Ruleset)

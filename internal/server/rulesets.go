@@ -141,12 +141,11 @@ func (s *Server) install(ctx context.Context, name string, req CompileRequest, a
 		MaxRepeat:          req.MaxRepeat,
 		Seed:               req.Seed,
 	}
-	switch req.Design {
-	case "", "perf":
-	case "space":
-		opts.Design = ca.Space
-	default:
-		return nil, Errorf(http.StatusBadRequest, "unknown design %q (want perf or space)", req.Design)
+	if req.Design != "" {
+		var err error
+		if opts.Design, err = ca.ParseDesign(req.Design); err != nil {
+			return nil, Errorf(http.StatusBadRequest, "%v", err)
+		}
 	}
 	// Validate inputs before consulting the cache so malformed requests
 	// fail identically with and without a cache attached.

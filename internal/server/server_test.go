@@ -112,8 +112,8 @@ func TestCompileFormatsAndErrors(t *testing.T) {
 	if code := doJSON(t, "PUT", ts.URL+"/rulesets/bad", CompileRequest{}, &e); code != 400 {
 		t.Errorf("empty compile: code %d", code)
 	}
-	if code := doJSON(t, "PUT", ts.URL+"/rulesets/bad", CompileRequest{Patterns: []string{"a"}, Design: "quantum"}, &e); code != 400 {
-		t.Errorf("bad design: code %d", code)
+	if code := doJSON(t, "PUT", ts.URL+"/rulesets/bad", CompileRequest{Patterns: []string{"a"}, Design: "quantum"}, &e); code != 400 || e.Error != `unknown design "quantum" (want perf or space)` {
+		t.Errorf("bad design: code %d err %q", code, e.Error)
 	}
 	if code := doJSON(t, "GET", ts.URL+"/rulesets/nope", nil, &e); code != 404 {
 		t.Errorf("missing ruleset: code %d", code)

@@ -75,36 +75,42 @@ func (s *Server) OpenSession(ctx context.Context, req OpenSessionRequest) (*Sess
 	} else if stream, err = rs.a.StreamContext(ctx); err != nil {
 		return nil, Errorf(http.StatusInternalServerError, "stream: %v", err)
 	}
-	s.mu.Lock()
-	if len(s.sessions) >= s.cfg.MaxSessions {
-		s.mu.Unlock()
+	sess := &session{ruleset: req.Ruleset, stream: stream, lastUsed: time.Now()}
+	if err := s.addSession(sess); err != nil {
 		stream.Close()
 		s.col.Rejected.Inc()
-		return nil, Errorf(http.StatusServiceUnavailable, "session limit of %d reached", s.cfg.MaxSessions)
+		return nil, err
 	}
-	s.nextID++
-	sess := &session{
-		id:       fmt.Sprintf("s%08d", s.nextID),
-		ruleset:  req.Ruleset,
-		stream:   stream,
-		lastUsed: time.Now(),
-	}
-	s.sessions[sess.id] = sess
-	s.col.SessionsActive.Set(int64(len(s.sessions)))
-	s.mu.Unlock()
 	s.col.SessionsOpened.Inc()
 	if resumed {
 		s.col.SessionsResumed.Inc()
 	}
-	// The counter mark survives this session's own close tombstone, so a
-	// restarted server never re-issues the id (see walRecord.NextID).
-	n, _ := parseSessionID(sess.id)
-	s.walAppend(rt, walRecord{Kind: "nextid", NextID: n})
+	s.walAppend(rt, markRecord(sess.id))
 	sess.mu.Lock()
 	s.walCheckpoint(rt, sess)
 	sess.mu.Unlock()
 	s.log.InfoContext(ctx, "session opened", "session", sess.id, "ruleset", sess.ruleset, "resumed", resumed)
 	return &SessionInfo{Session: sess.id, Ruleset: sess.ruleset, Pos: stream.Pos()}, nil
+}
+
+// addSession is the one way into the session table: it refuses an
+// open past MaxSessions (503), numbers a session that has no id, refuses
+// an id already open (409), and inserts the session.
+func (s *Server) addSession(sess *session) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.sessions) >= s.cfg.MaxSessions {
+		return Errorf(http.StatusServiceUnavailable, "session limit of %d reached", s.cfg.MaxSessions)
+	}
+	if sess.id == "" {
+		s.nextID++
+		sess.id = fmt.Sprintf("s%08d", s.nextID)
+	} else if _, dup := s.sessions[sess.id]; dup {
+		return Errorf(http.StatusConflict, "session %q is already open", sess.id)
+	}
+	s.sessions[sess.id] = sess
+	s.col.SessionsActive.Set(int64(len(s.sessions)))
+	return nil
 }
 
 // resume decodes a base64 snapshot and resumes it as a stream of rs —

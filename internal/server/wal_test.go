@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -140,6 +141,16 @@ func TestWALCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A closed session leaves no live record, but its number must
+	// survive every compaction below as the session mark.
+	for _, rec := range []walRecord{
+		{Kind: "checkpoint", ID: "s00000007", Ruleset: "r", SnapB64: "AA"},
+		{Kind: "close", ID: "s00000007"},
+	} {
+		if err := w.Append(nil, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// Re-checkpoint one session far past the threshold: the live set is
 	// one record, so the file must stay near one record's size.
 	for i := 0; i < 500; i++ {
@@ -155,12 +166,16 @@ func TestWALCompaction(t *testing.T) {
 	if fi.Size() > 4096 {
 		t.Fatalf("compaction left %d bytes, want <= maxBytes 4096", fi.Size())
 	}
-	_, recs, err := openWAL(dir, 0, col)
+	w, recs, err := openWAL(dir, 0, col)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
 	if len(recs) != 1 || recs[0].SnapB64 != "0499" {
 		t.Fatalf("after compaction replay = %+v, want single latest checkpoint", recs)
+	}
+	if w.next != 7 {
+		t.Fatalf("session mark after compaction = %d, want the closed s00000007's 7", w.next)
 	}
 }
 
@@ -465,7 +480,7 @@ func TestFeedCheckpointIsTheLoggedCheckpoint(t *testing.T) {
 			continue
 		}
 		var logged []string
-		for _, rec := range s.wal.liveRecords() {
+		for _, rec := range s.wal.Load().liveRecords() {
 			if rec.Kind == "checkpoint" && rec.ID == info.Session {
 				logged = append(logged, rec.SnapB64)
 			}
@@ -474,4 +489,121 @@ func TestFeedCheckpointIsTheLoggedCheckpoint(t *testing.T) {
 			t.Fatalf("feed returned %q, the WAL holds %q", fr.SnapshotB64, logged)
 		}
 	}
+}
+
+// TestWALNeverReissuesASessionID: an open whose WAL appends all failed
+// logs nothing for its id, but the session's later checkpoint and close
+// tombstone both name it — so a restarted server must not hand the same
+// id to a new client.
+func TestWALNeverReissuesASessionID(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	s1 := New(Config{Registry: telemetry.NewRegistry()})
+	if _, err := s1.AttachWAL(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.Compile(ctx, "ids", CompileRequest{Patterns: []string{"needle"}}); err != nil {
+		t.Fatal(err)
+	}
+	faults.Enable(faults.NewInjector(1, map[string]faults.Rule{
+		"server.wal.append": {Rate: 1},
+	}))
+	first, err := s1.OpenSession(ctx, OpenSessionRequest{Ruleset: "ids"})
+	faults.Disable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.Feed(ctx, first.Session, FeedRequest{Chunk: "xx needle"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.CloseSession(ctx, first.Session); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := New(Config{Registry: telemetry.NewRegistry()})
+	if _, err := s2.AttachWAL(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s2.Shutdown(ctx) })
+	next, err := s2.OpenSession(ctx, OpenSessionRequest{Ruleset: "ids"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Session == first.Session {
+		t.Fatalf("restarted server re-issued %s", next.Session)
+	}
+}
+
+// FuzzWALReplay opens arbitrary bytes as a session WAL. openWAL must not
+// panic, its session mark must cover every session it returns, and
+// compaction must be a fixed point: reopening the compacted file gives
+// the same live records and the same mark.
+func FuzzWALReplay(f *testing.F) {
+	dir := f.TempDir()
+	w, _, err := openWAL(dir, 0, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, rec := range []walRecord{
+		{Kind: "compile", Name: "ids", Req: &CompileRequest{Patterns: []string{"needle"}}},
+		{Kind: "nextid", NextID: 1},
+		{Kind: "checkpoint", ID: "s00000001", Ruleset: "ids", SnapB64: "AAAA"},
+		{Kind: "checkpoint", ID: "s00000002", Ruleset: "ids", SnapB64: "BBBB"},
+		{Kind: "close", ID: "s00000002"},
+		{Kind: "delete", Name: "gone"},
+	} {
+		if err := w.Append(nil, rec); err != nil {
+			f.Fatal(err)
+		}
+	}
+	w.Close()
+	real, err := os.ReadFile(walPath(dir))
+	if err != nil {
+		f.Fatal(err)
+	}
+	badCRC := bytes.Clone(real)
+	badCRC[len(walMagic)+4] ^= 0xff
+	f.Add(real)
+	f.Add(real[:len(real)-5]) // torn tail
+	f.Add(badCRC)
+	f.Add(append([]byte("CAWAL002"), real[len(walMagic):]...)) // bad magic
+
+	byKey := func(recs []walRecord) map[string]walRecord {
+		m := make(map[string]walRecord, len(recs))
+		for _, rec := range recs {
+			k, _ := rec.key()
+			m[k] = rec
+		}
+		return m
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(walPath(dir), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, recs, err := openWAL(dir, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if n, ok := parseSessionID(rec.ID); ok && n > w.next {
+				t.Fatalf("session mark %d is below %s", w.next, rec.ID)
+			}
+		}
+		mark := w.next
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		w2, recs2, err := openWAL(dir, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w2.Close()
+		if w2.next != mark {
+			t.Fatalf("session mark %d after compaction, %d before", w2.next, mark)
+		}
+		if got, want := byKey(recs2), byKey(recs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("compacted log replays %+v, the original %+v", got, want)
+		}
+	})
 }
