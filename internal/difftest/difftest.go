@@ -39,9 +39,25 @@ const literalAlphabet = "abcxyz012 "
 // any byte by default; the oracle compiles with (?s) to agree).
 const inputAlphabet = literalAlphabet + "\n"
 
+// escapeAlphabet is the input pool for EscapePatterns: the shared
+// alphabet plus upper case for case folding, '_' for \w, and the
+// whitespace both dialects' \s hold. '\v' is left out: regexc's \s follows
+// PCRE and holds it, Go's RE2 \s does not.
+const escapeAlphabet = inputAlphabet + "ABCXYZ_\t\r\f"
+
 // Gen is a deterministic pattern/input generator.
 type Gen struct {
 	rng *rand.Rand
+	// escapes lets genAtom also draw escapes and upper-case literals; it
+	// is set only while EscapePatterns runs, so the other streams draw
+	// what they always drew.
+	escapes bool
+}
+
+// Flags are the compile options a generated case runs under.
+type Flags struct {
+	CaseInsensitive    bool
+	DotExcludesNewline bool
 }
 
 // New returns a generator seeded for reproducibility.
@@ -124,6 +140,30 @@ func (g *Gen) genBoundedAtom(b *strings.Builder, depth int) {
 	}
 }
 
+// EscapePatterns generates between 1 and max patterns like Patterns,
+// whose atoms also draw \d \w \s, \xHH escapes of ASCII bytes and
+// upper-case literals, and the flags to compile them under.
+func (g *Gen) EscapePatterns(max int) ([]string, Flags) {
+	g.escapes = true
+	defer func() { g.escapes = false }()
+	pats := g.Patterns(max)
+	return pats, Flags{CaseInsensitive: g.rng.Intn(2) == 0, DotExcludesNewline: g.rng.Intn(2) == 0}
+}
+
+// genEscape emits a predefined class, an \xHH escape of a byte inputs
+// hold (below 0x80: Go reads \xHH as a rune, so \xff would be U+00FF),
+// or an upper-case literal.
+func (g *Gen) genEscape(b *strings.Builder) {
+	switch g.rng.Intn(3) {
+	case 0:
+		b.WriteString([]string{`\d`, `\w`, `\s`}[g.rng.Intn(3)])
+	case 1:
+		fmt.Fprintf(b, `\x%02x`, escapeAlphabet[g.rng.Intn(len(escapeAlphabet))])
+	default:
+		b.WriteByte("ABCXYZ"[g.rng.Intn(6)])
+	}
+}
+
 // Patterns generates between 1 and max patterns.
 func (g *Gen) Patterns(max int) []string {
 	n := 1 + g.rng.Intn(max)
@@ -186,6 +226,10 @@ func (g *Gen) genRepeat(b *strings.Builder, depth int, required bool) {
 // genAtom emits a literal, class, dot, or (below the depth limit) a
 // parenthesized alternation. All atoms are non-nullable.
 func (g *Gen) genAtom(b *strings.Builder, depth int) {
+	if g.escapes && g.rng.Intn(3) == 0 {
+		g.genEscape(b)
+		return
+	}
 	max := 4
 	if depth <= 0 {
 		max = 3
@@ -243,6 +287,16 @@ func (g *Gen) Input(n int) []byte {
 	return out
 }
 
+// EscapeInput generates n random bytes over the alphabet EscapePatterns
+// cases run on.
+func (g *Gen) EscapeInput(n int) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = escapeAlphabet[g.rng.Intn(len(escapeAlphabet))]
+	}
+	return out
+}
+
 // Chunks splits input at random boundaries (including possible empty
 // chunks) for stream-feeding tests. The concatenation always equals
 // input.
@@ -269,6 +323,22 @@ type Oracle struct {
 // end-anchored oracle form. (?s) aligns '.' with the automaton's
 // any-byte default.
 func NewOracle(patterns []string) (*Oracle, error) {
+	return NewOracleFlags(patterns, Flags{})
+}
+
+// NewOracleFlags is NewOracle for patterns compiled under f:
+// CaseInsensitive is Go's (?i), and DotExcludesNewline drops the (?s).
+func NewOracleFlags(patterns []string, f Flags) (*Oracle, error) {
+	flags := "s"
+	if f.DotExcludesNewline {
+		flags = ""
+	}
+	if f.CaseInsensitive {
+		flags += "i"
+	}
+	if flags != "" {
+		flags = "(?" + flags + ")"
+	}
 	o := &Oracle{
 		res:      make([]*regexp.Regexp, len(patterns)),
 		anchored: make([]bool, len(patterns)),
@@ -278,9 +348,9 @@ func NewOracle(patterns []string) (*Oracle, error) {
 		if core, ok := strings.CutPrefix(p, "^"); ok {
 			// Anchored: the whole prefix must be one match from offset 0.
 			o.anchored[i] = true
-			expr = "(?s)^(?:" + core + ")$"
+			expr = flags + "^(?:" + core + ")$"
 		} else {
-			expr = "(?s)(?:" + p + ")$"
+			expr = flags + "(?:" + p + ")$"
 		}
 		re, err := regexp.Compile(expr)
 		if err != nil {

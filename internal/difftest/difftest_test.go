@@ -82,6 +82,34 @@ func TestDifferentialGeneratedCases(t *testing.T) {
 	}
 }
 
+// TestDifferentialEscapesAndFlags runs the cases the main stream never
+// generates: \d \w \s and ASCII \xHH escapes, upper-case literals, and
+// each case under random CaseInsensitive and DotExcludesNewline, which the
+// oracle reads as (?i) and as dropping (?s).
+func TestDifferentialEscapesAndFlags(t *testing.T) {
+	n := caseCount(t) / 2
+	g := difftest.New(6)
+	for i := 0; i < n; i++ {
+		patterns, flags := g.EscapePatterns(3)
+		input := g.EscapeInput(16 + i%80)
+		oracle, err := difftest.NewOracleFlags(patterns, flags)
+		if err != nil {
+			t.Fatalf("case %d: oracle rejects generated pattern %q: %v", i, patterns, err)
+		}
+		a, err := ca.CompileRegex(patterns, ca.Options{CaseInsensitive: flags.CaseInsensitive, DotExcludesNewline: flags.DotExcludesNewline})
+		if err != nil {
+			t.Fatalf("case %d: CompileRegex(%q, %+v): %v", i, patterns, flags, err)
+		}
+		ms, _, err := a.RunContext(context.Background(), input)
+		if err != nil {
+			t.Fatalf("case %d: Run: %v", i, err)
+		}
+		if d := difftest.Diff(oracle.Reports(input), difftest.Set(toReports(ms))); d != "" {
+			t.Fatalf("case %d: Run diverges from oracle\npatterns=%q flags=%+v\ninput=%q\n%s", i, patterns, flags, input, d)
+		}
+	}
+}
+
 // TestDifferentialRunParallel stretches a sample of generated cases onto
 // inputs long enough for RunSharded to actually shard, and checks the
 // parallel path against the oracle too.

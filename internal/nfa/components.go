@@ -1,6 +1,9 @@
 package nfa
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Component is one weakly-connected component of the transition graph:
 // the atomic mapping unit of the compiler (paper §3.1 — "Since these
@@ -41,41 +44,45 @@ func (n *NFA) ConnectedComponents() ([]Component, []int) {
 			union(int32(u), int32(v))
 		}
 	}
-	rootToIdx := make(map[int32]int)
-	var comps []Component
+	// Number the components by first appearance and count their sizes;
+	// idx[r] is root r's component plus one.
+	idx := make([]int32, len(n.States))
 	compOf := make([]int, len(n.States))
+	var sizes []int
 	for i := range n.States {
 		r := find(int32(i))
-		idx, ok := rootToIdx[r]
-		if !ok {
-			idx = len(comps)
-			rootToIdx[r] = idx
-			comps = append(comps, Component{})
+		if idx[r] == 0 {
+			sizes = append(sizes, 0)
+			idx[r] = int32(len(sizes))
 		}
-		comps[idx].States = append(comps[idx].States, StateID(i))
-		compOf[i] = idx
+		c := int(idx[r]) - 1
+		sizes[c]++
+		compOf[i] = c
 	}
-	// Sort components ascending by size (stable on first state for
-	// determinism), remapping compOf accordingly.
-	order := make([]int, len(comps))
+	// Sort components ascending by size. Numbering by first appearance
+	// is ascending first state, so a stable sort keeps that as the tie
+	// order.
+	order := make([]int, len(sizes))
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ca, cb := comps[order[a]], comps[order[b]]
-		if ca.Size() != cb.Size() {
-			return ca.Size() < cb.Size()
-		}
-		return ca.States[0] < cb.States[0]
-	})
-	sorted := make([]Component, len(comps))
-	newIdx := make([]int, len(comps))
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(sizes[a], sizes[b]) })
+	// Cut every component's state list from one slab, in sorted order.
+	sorted := make([]Component, len(sizes))
+	newIdx := make([]int, len(sizes))
+	at := make([]int, len(sizes)) // where each component's next state goes
+	slab := make([]StateID, len(n.States))
+	off := 0
 	for newI, oldI := range order {
-		sorted[newI] = comps[oldI]
-		newIdx[oldI] = newI
+		sz := sizes[oldI]
+		sorted[newI].States = slab[off : off+sz : off+sz]
+		newIdx[oldI], at[oldI] = newI, off
+		off += sz
 	}
-	for i := range compOf {
-		compOf[i] = newIdx[compOf[i]]
+	for i, c := range compOf {
+		slab[at[c]] = StateID(i)
+		at[c]++
+		compOf[i] = newIdx[c]
 	}
 	return sorted, compOf
 }

@@ -150,6 +150,8 @@ func (n *NFA) Validate() error {
 		return nil
 	}
 	hasStart := false
+	// seen[v] == i+1 marks an edge from state i to v already walked.
+	seen := make([]int32, len(n.States))
 	for i := range n.States {
 		s := &n.States[i]
 		if s.Start != NoStart {
@@ -158,15 +160,14 @@ func (n *NFA) Validate() error {
 		if s.Class.IsEmpty() {
 			return fmt.Errorf("nfa: state %d has an empty symbol class", i)
 		}
-		seen := make(map[StateID]bool, len(s.Out))
 		for _, v := range s.Out {
 			if v < 0 || int(v) >= len(n.States) {
 				return fmt.Errorf("nfa: state %d has out-of-range edge to %d", i, v)
 			}
-			if seen[v] {
+			if seen[v] == int32(i+1) {
 				return fmt.Errorf("nfa: state %d has duplicate edge to %d", i, v)
 			}
-			seen[v] = true
+			seen[v] = int32(i + 1)
 		}
 	}
 	if !hasStart {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -173,8 +174,18 @@ func TestValidate(t *testing.T) {
 	a := n4.AddState(State{Class: bitvec.ClassOf('a'), Start: AllInput})
 	b := n4.AddState(State{Class: bitvec.ClassOf('b')})
 	n4.States[a].Out = []StateID{b, b}
-	if err := n4.Validate(); err == nil {
-		t.Error("duplicate edge should fail validation")
+	if err := n4.Validate(); err == nil || err.Error() != "nfa: state 0 has duplicate edge to 1" {
+		t.Errorf("duplicate edge: %v", err)
+	}
+	// Two states may each have an edge to the same target.
+	n4.States[a].Out = []StateID{b}
+	n4.States[b].Out = []StateID{b, a}
+	if err := n4.Validate(); err != nil {
+		t.Errorf("edges from two states to one target: %v", err)
+	}
+	n4.States[b].Out = []StateID{a, b, a}
+	if err := n4.Validate(); err == nil || err.Error() != "nfa: state 1 has duplicate edge to 0" {
+		t.Errorf("duplicate edge in the second state: %v", err)
 	}
 }
 
@@ -441,4 +452,92 @@ func randomInput(r *rand.Rand, n int) []byte {
 		in[i] = byte('a' + r.Intn(10))
 	}
 	return in
+}
+
+// componentsByMap is ConnectedComponents as it was written before it cut
+// its lists from one slab: a root→index map and one append per state.
+func componentsByMap(n *NFA) ([]Component, []int) {
+	parent := make([]int32, len(n.States))
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for u := range n.States {
+		for _, v := range n.States[u].Out {
+			if ra, rb := find(int32(u)), find(int32(v)); ra != rb {
+				parent[ra] = rb
+			}
+		}
+	}
+	rootToIdx := make(map[int32]int)
+	var comps []Component
+	compOf := make([]int, len(n.States))
+	for i := range n.States {
+		r := find(int32(i))
+		idx, ok := rootToIdx[r]
+		if !ok {
+			idx = len(comps)
+			rootToIdx[r] = idx
+			comps = append(comps, Component{})
+		}
+		comps[idx].States = append(comps[idx].States, StateID(i))
+		compOf[i] = idx
+	}
+	order := make([]int, len(comps))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		ca, cb := comps[order[a]], comps[order[b]]
+		if ca.Size() != cb.Size() {
+			return ca.Size() < cb.Size()
+		}
+		return ca.States[0] < cb.States[0]
+	})
+	sorted := make([]Component, len(comps))
+	newIdx := make([]int, len(comps))
+	for newI, oldI := range order {
+		sorted[newI] = comps[oldI]
+		newIdx[oldI] = newI
+	}
+	for i := range compOf {
+		compOf[i] = newIdx[compOf[i]]
+	}
+	return sorted, compOf
+}
+
+// TestConnectedComponentsMatchesMapForm holds ConnectedComponents to the
+// map form it replaced — the same components in the same order, and the
+// same compOf — on random automata from one component to all singletons,
+// and on their unions.
+func TestConnectedComponentsMatchesMapForm(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	var parts []*NFA
+	for trial := 0; trial < 60; trial++ {
+		n := randomNFA(r, 1+r.Intn(40))
+		for u := range n.States {
+			if r.Intn(3) == 0 {
+				n.States[u].Out = nil
+			}
+		}
+		parts = append(parts, n)
+		all := New()
+		all.Union(parts...)
+		for _, a := range []*NFA{n, all} {
+			gotC, gotOf := a.ConnectedComponents()
+			wantC, wantOf := componentsByMap(a)
+			if !reflect.DeepEqual(gotC, wantC) || !reflect.DeepEqual(gotOf, wantOf) {
+				t.Fatalf("trial %d: components %v %v, map form %v %v", trial, gotC, gotOf, wantC, wantOf)
+			}
+		}
+	}
+	if c, of := New().ConnectedComponents(); len(c) != 0 || len(of) != 0 {
+		t.Errorf("empty NFA: %v %v", c, of)
+	}
 }

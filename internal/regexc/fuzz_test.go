@@ -23,7 +23,7 @@ func FuzzParse(f *testing.F) {
 			return // rejection is fine; panics are not
 		}
 		// Render must not panic either.
-		_ = Render(p.Root)
+		_ = Render(p)
 		a, err := CompileParsed(p, 1)
 		if err != nil {
 			return

@@ -1,193 +1,238 @@
 package regexc
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"cacheautomaton/internal/bitvec"
-
 	"cacheautomaton/internal/nfa"
 )
 
-// glushkov holds the position sets computed by the construction.
-type glushkov struct {
-	leaves []*ClassNode // position p-1 → leaf
-	follow [][]int      // position p-1 → following positions (1-based values)
+// errNullable refuses a pattern that matches the empty string. A pattern
+// without positions is one, so no other check is needed for it.
+var errNullable = errors.New("regexc: pattern matches the empty string, which a streaming automaton cannot report")
+
+// span is a position set: arena[lo:hi], ascending and duplicate-free.
+type span struct{ lo, hi int32 }
+
+func (s span) empty() bool { return s.lo == s.hi }
+
+// posInfo is the Glushkov summary of one subexpression on the stack.
+type posInfo struct {
+	nullable    bool
+	first, last span
 }
 
-type posInfo struct {
-	nullable bool
-	first    []int
-	last     []int
+// edge is one follow pair: position to may follow position from.
+type edge struct{ from, to int32 }
+
+// glushkov is the one pass from a slab to its automaton. Positions are
+// the slab's class nodes in order, so pattern i's states follow pattern
+// i-1's. The first and last sets of every subexpression are spans of
+// one arena; a set that is the union of its operands' sets is their
+// spans written one after another, already ascending because an
+// operand's positions all precede the next operand's. Follow pairs go
+// into one list, cut into the states' Out lists at the end.
+type glushkov struct {
+	stack []posInfo
+	arena []int32
+	edges []edge
+}
+
+// cross records last × first as follow pairs.
+func (g *glushkov) cross(last, first span) {
+	for _, l := range g.arena[last.lo:last.hi] {
+		for _, f := range g.arena[first.lo:first.hi] {
+			g.edges = append(g.edges, edge{l, f})
+		}
+	}
+}
+
+// join is the union of the first (or, with last, the last) sets of ops:
+// the one non-empty span itself, or all of them copied in order to the
+// arena's end.
+func (g *glushkov) join(ops []posInfo, last bool) span {
+	pick := func(o posInfo) span {
+		if last {
+			return o.last
+		}
+		return o.first
+	}
+	var only span
+	n := 0
+	for _, o := range ops {
+		if s := pick(o); !s.empty() {
+			only = s
+			n++
+		}
+	}
+	if n <= 1 {
+		return only
+	}
+	lo := int32(len(g.arena))
+	for _, o := range ops {
+		s := pick(o)
+		g.arena = append(g.arena, g.arena[s.lo:s.hi]...)
+	}
+	return span{lo, int32(len(g.arena))}
+}
+
+// concat folds the operands of a concatenation: follow pairs from every
+// operand's last set that can end right before the next operand to that
+// operand's first set, and the first (last) set from the operands up to
+// (from) the first (last) that cannot be empty.
+func (g *glushkov) concat(ops []posInfo) posInfo {
+	out := posInfo{nullable: true}
+	firstTo, lastFrom := len(ops), 0
+	for j := range ops {
+		if !ops[j].nullable {
+			out.nullable = false
+			firstTo = min(firstTo, j+1)
+			lastFrom = j
+		}
+	}
+	from := 0
+	for j := 1; j < len(ops); j++ {
+		if !ops[j-1].nullable {
+			from = j - 1
+		}
+		for t := from; t < j; t++ {
+			g.cross(ops[t].last, ops[j].first)
+		}
+	}
+	out.first = g.join(ops[:firstTo], false)
+	out.last = g.join(ops[lastFrom:], true)
+	return out
+}
+
+// alt folds the operands of an alternation.
+func (g *glushkov) alt(ops []posInfo) posInfo {
+	out := posInfo{first: g.join(ops, false), last: g.join(ops, true)}
+	for _, o := range ops {
+		out.nullable = out.nullable || o.nullable
+	}
+	return out
+}
+
+// build runs the pass over every pattern in s, whose reports carry
+// reportCode, or with set, their own index. It returns the index of the
+// pattern that fails. A set gives every state a non-nil Out, as the
+// Union it replaces did; a single pattern's states without follows keep
+// nil.
+func (g *glushkov) build(s *slab, reportCode int32, set bool) (*nfa.NFA, int, error) {
+	out := &nfa.NFA{}
+	if s.positions > 0 {
+		out.States = make([]nfa.State, s.positions)
+	}
+	g.edges = make([]edge, 0, s.positions) // most positions have one follower
+	pos, lo := int32(0), 0
+	for i, pat := range s.pats {
+		g.arena, g.stack = g.arena[:0], g.stack[:0]
+		for _, nd := range s.nodes[lo:pat.end] {
+			top := len(g.stack) - 1
+			switch nd.op {
+			case opClass:
+				out.States[pos].Class = s.classes[nd.arg]
+				a := int32(len(g.arena))
+				g.arena = append(g.arena, pos)
+				g.stack = append(g.stack, posInfo{first: span{a, a + 1}, last: span{a, a + 1}})
+				pos++
+			case opEmpty:
+				g.stack = append(g.stack, posInfo{nullable: true})
+			case opStar, opPlus:
+				g.cross(g.stack[top].last, g.stack[top].first)
+				if nd.op == opStar {
+					g.stack[top].nullable = true
+				}
+			case opQuest:
+				g.stack[top].nullable = true
+			case opConcat, opAlt:
+				k := len(g.stack) - int(nd.arg)
+				var r posInfo
+				if nd.op == opConcat {
+					r = g.concat(g.stack[k:])
+				} else {
+					r = g.alt(g.stack[k:])
+				}
+				g.stack = append(g.stack[:k], r)
+			}
+		}
+		lo = pat.end
+		root := g.stack[0]
+		if root.nullable {
+			return nil, i, errNullable
+		}
+		if set {
+			reportCode = int32(i)
+		}
+		start := nfa.AllInput
+		if pat.anchored {
+			start = nfa.StartOfData
+		}
+		for _, f := range g.arena[root.first.lo:root.first.hi] {
+			out.States[f].Start = start
+		}
+		for _, l := range g.arena[root.last.lo:root.last.hi] {
+			out.States[l].Report = true
+			out.States[l].ReportCode = reportCode
+		}
+	}
+	g.cutOut(out.States, set)
+	return out, 0, nil
+}
+
+// cutOut turns the follow pairs into every state's Out: grouped by
+// source (a counting sort), each group sorted and de-duplicated — the
+// ascending, duplicate-free list AddEdge would build — and all of them
+// cut from one slab with their capacities clipped.
+func (g *glushkov) cutOut(states []nfa.State, keepEmpty bool) {
+	// at[i] counts state i's pairs, then is where its group begins, and
+	// after the fill where it ends.
+	at := make([]int32, len(states))
+	for _, e := range g.edges {
+		at[e.from]++
+	}
+	sum := int32(0)
+	for i, c := range at {
+		at[i] = sum
+		sum += c
+	}
+	slab := make([]nfa.StateID, len(g.edges))
+	for _, e := range g.edges {
+		slab[at[e.from]] = nfa.StateID(e.to)
+		at[e.from]++
+	}
+	// Each group is sorted, de-duplicated and packed down to w, and at[i]
+	// becomes its length.
+	w, lo := 0, int32(0)
+	for i := range states {
+		group := slab[lo:at[i]]
+		lo = at[i]
+		slices.Sort(group)
+		group = slices.Compact(group)
+		at[i] = int32(copy(slab[w:], group))
+		w += len(group)
+	}
+	if w < len(slab) {
+		slab = slices.Clone(slab[:w])
+	}
+	w = 0
+	for i := range states {
+		n := w + int(at[i])
+		if n > w || keepEmpty {
+			states[i].Out = slab[w:n:n]
+		}
+		w = n
+	}
 }
 
 // CompileParsed converts a parsed pattern into a homogeneous NFA. Every
 // reporting state carries reportCode.
 func CompileParsed(p *Parsed, reportCode int32) (*nfa.NFA, error) {
-	g := &glushkov{}
-	g.number(p.Root)
-	g.follow = make([][]int, len(g.leaves))
-	info := g.analyze(p.Root)
-	if info.nullable {
-		return nil, fmt.Errorf("regexc: pattern matches the empty string, which a streaming automaton cannot report")
-	}
-	if len(g.leaves) == 0 {
-		return nil, fmt.Errorf("regexc: pattern has no symbols")
-	}
-
-	start := nfa.AllInput
-	if p.Anchored {
-		start = nfa.StartOfData
-	}
-	out := &nfa.NFA{States: make([]nfa.State, len(g.leaves))}
-	for i, leaf := range g.leaves {
-		out.States[i].Class = leaf.Class
-	}
-	for _, f := range info.first {
-		out.States[f-1].Start = start
-	}
-	for _, l := range info.last {
-		out.States[l-1].Report = true
-		out.States[l-1].ReportCode = reportCode
-	}
-	// A follow list is ascending and duplicate-free — already the Out list
-	// AddEdge would build — so every Out is cut from one slab.
-	edges := 0
-	for _, fs := range g.follow {
-		edges += len(fs)
-	}
-	slab := make([]nfa.StateID, edges)
-	for p0, fs := range g.follow {
-		if len(fs) == 0 {
-			continue
-		}
-		o := slab[:len(fs):len(fs)]
-		slab = slab[len(fs):]
-		for j, f := range fs {
-			o[j] = nfa.StateID(f - 1)
-		}
-		out.States[p0].Out = o
-	}
-	return out, nil
-}
-
-// number assigns 1-based positions to class leaves in left-to-right order.
-func (g *glushkov) number(n Node) {
-	switch v := n.(type) {
-	case EmptyNode:
-	case *ClassNode:
-		g.leaves = append(g.leaves, v)
-		v.Pos = len(g.leaves)
-	case *ConcatNode:
-		for _, s := range v.Subs {
-			g.number(s)
-		}
-	case *AltNode:
-		for _, s := range v.Subs {
-			g.number(s)
-		}
-	case *StarNode:
-		g.number(v.Sub)
-	case *PlusNode:
-		g.number(v.Sub)
-	case *QuestNode:
-		g.number(v.Sub)
-	default:
-		panic(fmt.Sprintf("regexc: unknown node %T", n))
-	}
-}
-
-// analyze computes nullable/first/last bottom-up and fills in follow.
-func (g *glushkov) analyze(n Node) posInfo {
-	switch v := n.(type) {
-	case EmptyNode:
-		return posInfo{nullable: true}
-	case *ClassNode:
-		return posInfo{first: []int{v.Pos}, last: []int{v.Pos}}
-	case *ConcatNode:
-		acc := posInfo{nullable: true}
-		for _, s := range v.Subs {
-			si := g.analyze(s)
-			// follow: last(acc) → first(si)
-			for _, l := range acc.last {
-				g.addFollow(l, si.first)
-			}
-			var first []int
-			if acc.nullable {
-				first = unionPos(acc.first, si.first)
-			} else {
-				first = acc.first
-			}
-			var last []int
-			if si.nullable {
-				last = unionPos(si.last, acc.last)
-			} else {
-				last = si.last
-			}
-			acc = posInfo{
-				nullable: acc.nullable && si.nullable,
-				first:    first,
-				last:     last,
-			}
-		}
-		return acc
-	case *AltNode:
-		var acc posInfo
-		for i, s := range v.Subs {
-			si := g.analyze(s)
-			if i == 0 {
-				acc = si
-			} else {
-				acc.nullable = acc.nullable || si.nullable
-				acc.first = unionPos(acc.first, si.first)
-				acc.last = unionPos(acc.last, si.last)
-			}
-		}
-		return acc
-	case *StarNode:
-		si := g.analyze(v.Sub)
-		for _, l := range si.last {
-			g.addFollow(l, si.first)
-		}
-		return posInfo{nullable: true, first: si.first, last: si.last}
-	case *PlusNode:
-		si := g.analyze(v.Sub)
-		for _, l := range si.last {
-			g.addFollow(l, si.first)
-		}
-		return posInfo{nullable: si.nullable, first: si.first, last: si.last}
-	case *QuestNode:
-		si := g.analyze(v.Sub)
-		return posInfo{nullable: true, first: si.first, last: si.last}
-	default:
-		panic(fmt.Sprintf("regexc: unknown node %T", n))
-	}
-}
-
-func (g *glushkov) addFollow(pos int, next []int) {
-	g.follow[pos-1] = unionPos(g.follow[pos-1], next)
-}
-
-// unionPos merges two ascending-unique position lists.
-func unionPos(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	var g glushkov
+	out, _, err := g.build(&p.s, reportCode, false)
+	return out, err
 }
 
 // Compile parses and compiles one pattern into a homogeneous NFA whose
@@ -203,34 +248,34 @@ func Compile(pattern string, reportCode int32, opts Options) (*nfa.NFA, error) {
 // CompileSet compiles a rule set into one NFA: the disjoint union of the
 // per-pattern automata, with report code i for patterns[i]. This mirrors how
 // AP rule sets bundle hundreds-to-thousands of patterns into one machine
-// (paper §1). With Options.Trace set, the parse and Glushkov phases are
-// recorded as separate stage spans.
+// (paper §1). Every pattern is parsed into one slab and the one Glushkov
+// pass writes the whole set. With Options.Trace set, the parse and
+// Glushkov phases are recorded as separate stage spans.
 func CompileSet(patterns []string, opts Options) (*nfa.NFA, error) {
 	sp := opts.Trace.StartStage("regexc.parse")
-	parsed := make([]*Parsed, len(patterns))
+	size := 0
+	for _, pat := range patterns {
+		size += len(pat)
+	}
+	s := newSlab(size, len(patterns))
+	p := newParser("", opts, &s)
 	for i, pat := range patterns {
-		p, err := Parse(pat, opts)
-		if err != nil {
+		p.reset(pat)
+		if err := p.parse(); err != nil {
 			sp.End()
 			return nil, fmt.Errorf("pattern %d: %w", i, err)
 		}
-		parsed[i] = p
 	}
 	sp.SetAttr("patterns", int64(len(patterns)))
 	sp.End()
 
 	sg := opts.Trace.StartStage("regexc.glushkov")
-	parts := make([]*nfa.NFA, len(parsed))
-	for i, p := range parsed {
-		one, err := CompileParsed(p, int32(i))
-		if err != nil {
-			sg.End()
-			return nil, fmt.Errorf("pattern %d: %w", i, err)
-		}
-		parts[i] = one
+	var g glushkov
+	out, bad, err := g.build(&s, 0, true)
+	if err != nil {
+		sg.End()
+		return nil, fmt.Errorf("pattern %d: %w", bad, err)
 	}
-	out := nfa.New()
-	out.Union(parts...)
 	if err := out.Validate(); err != nil {
 		sg.End()
 		return nil, err
@@ -247,17 +292,16 @@ func ParseClass(s string) (bitvec.Class, error) {
 	if s == "*" || s == "." {
 		return bitvec.AllSymbols(), nil
 	}
-	p := &parser{pat: s}
-	node, err := p.parseAtom()
-	if err != nil {
+	var sl slab
+	p := newParser(s, Options{}, &sl)
+	if err := p.parseAtom(); err != nil {
 		return bitvec.Class{}, err
 	}
 	if p.pos != len(p.pat) {
 		return bitvec.Class{}, p.errf("trailing characters in symbol set")
 	}
-	cn, ok := node.(*ClassNode)
-	if !ok {
+	if len(sl.nodes) != 1 || sl.nodes[0].op != opClass {
 		return bitvec.Class{}, fmt.Errorf("regexc: %q is not a symbol set", s)
 	}
-	return cn.Class, nil
+	return sl.classes[sl.nodes[0].arg], nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cacheautomaton/internal/bitvec"
 	"cacheautomaton/internal/nfa"
 	"cacheautomaton/internal/telemetry"
 )
@@ -83,7 +84,7 @@ func refEnds(n Node, in []byte, pos int) map[int]bool {
 // refMatchOffsets returns the set of input offsets at which a match of the
 // pattern ends (the offset of the last matched symbol), considering every
 // start offset for unanchored patterns and only offset 0 for anchored ones.
-func refMatchOffsets(p *Parsed, in []byte) map[int]bool {
+func refMatchOffsets(p *astParsed, in []byte) map[int]bool {
 	out := map[int]bool{}
 	starts := len(in)
 	if p.Anchored {
@@ -120,16 +121,19 @@ func TestGlushkovAgainstReference(t *testing.T) {
 		"aaaaaaab", "abba", "aabbaabb",
 	}
 	for _, pat := range pats {
-		parsed := mustParse(t, pat, Options{})
-		a, err := CompileParsed(parsed, 0)
+		a, err := CompileParsed(mustParse(t, pat, Options{}), 0)
 		if err != nil {
 			t.Fatalf("compile %q: %v", pat, err)
 		}
 		if err := a.Validate(); err != nil {
 			t.Fatalf("compile %q produced invalid NFA: %v", pat, err)
 		}
+		ref, err := parseAST(pat, Options{})
+		if err != nil {
+			t.Fatalf("oracle parse %q: %v", pat, err)
+		}
 		for _, in := range inputs {
-			want := refMatchOffsets(parsed, []byte(in))
+			want := refMatchOffsets(ref, []byte(in))
 			got := nfaMatchOffsets(a, []byte(in))
 			if !sameOffsetSet(got, want) {
 				t.Errorf("pattern %q input %q: offsets %v, want %v", pat, in, keys(got), keys(want))
@@ -138,12 +142,19 @@ func TestGlushkovAgainstReference(t *testing.T) {
 	}
 }
 
+// TestGlushkovRandomizedAgainstReference compiles random trees through
+// their rendered pattern text and holds the automaton to interpreting
+// the tree.
 func TestGlushkovRandomizedAgainstReference(t *testing.T) {
 	r := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 400; trial++ {
 		ast := randomAST(r, 0)
-		parsed := &Parsed{Root: ast, Anchored: r.Intn(2) == 0}
-		a, err := CompileParsed(parsed, 0)
+		parsed := &astParsed{Root: ast, Anchored: r.Intn(2) == 0}
+		pat := renderNode(ast)
+		if parsed.Anchored {
+			pat = "^" + pat
+		}
+		a, err := Compile(pat, 0, Options{})
 		if err != nil {
 			continue // nullable patterns are rejected by design
 		}
@@ -155,7 +166,7 @@ func TestGlushkovRandomizedAgainstReference(t *testing.T) {
 		got := nfaMatchOffsets(a, in)
 		if !sameOffsetSet(got, want) {
 			t.Fatalf("trial %d pattern %s anchored=%v input %q:\n got %v\nwant %v",
-				trial, Render(ast), parsed.Anchored, in, keys(got), keys(want))
+				trial, pat, parsed.Anchored, in, keys(got), keys(want))
 		}
 	}
 }
@@ -191,12 +202,7 @@ func randomAST(r *rand.Rand, depth int) Node {
 }
 
 func randomLeaf(r *rand.Rand) Node {
-	pat := string(rune('a' + r.Intn(3)))
-	p, err := Parse(pat, Options{})
-	if err != nil {
-		panic(err)
-	}
-	return p.Root
+	return &ClassNode{Class: bitvec.ClassOf(byte('a' + r.Intn(3)))}
 }
 
 func TestCompileRejectsNullable(t *testing.T) {
@@ -359,4 +365,16 @@ func keys(m map[int]bool) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// BenchmarkCompileSetColdShape compiles a 2 000-rule set of the
+// benchmark's compile-cold shape.
+func BenchmarkCompileSetColdShape(b *testing.B) {
+	pats := coldShaped(1, 2000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := CompileSet(pats, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

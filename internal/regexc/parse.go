@@ -1,7 +1,23 @@
+// Package regexc compiles regular expressions to homogeneous NFAs via the
+// Glushkov (position) construction. Glushkov automata are naturally in ANML
+// form — every state corresponds to one position in the pattern and carries
+// that position's symbol class — which is exactly the STE representation the
+// Cache Automaton maps into SRAM arrays (paper §2.1). This plays the role
+// of the regex front-end used to produce the Regex-suite benchmarks.
+//
+// A parse is flat: a postfix slab of nodes (an operator and a class index
+// or operand count) beside one class table, so a counted repetition
+// copies its atom's node range. One Glushkov pass runs over the slab with
+// a stack, keeping each subexpression's first and last sets as spans of
+// one position arena and its follow pairs in one edge list, which is
+// grouped, sorted and de-duplicated into the states' Out lists at the
+// end. CompileSet parses a whole rule set into one slab and writes it as
+// one NFA in that one pass.
 package regexc
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"cacheautomaton/internal/bitvec"
@@ -16,9 +32,11 @@ type Options struct {
 	// (false) matches any byte, which is what automata-processing rule sets
 	// (Snort, ClamAV) conventionally use.
 	DotExcludesNewline bool
-	// MaxRepeat caps the n of {m,n} counted repetitions (they are expanded
-	// structurally, so this bounds state blow-up). 0 means the default of
-	// 256.
+	// MaxRepeat caps the n of {m,n} counted repetitions. They are expanded
+	// structurally, so it also bounds state blow-up: a pattern whose
+	// repetitions would expand it past (MaxRepeat+1)·len(pattern)
+	// positions is a ParseError. Only a repetition of a repetition can
+	// reach that bound. 0 means the default of 256.
 	MaxRepeat int
 	// Trace, when non-nil, receives CompileSet's "regexc.parse" and
 	// "regexc.glushkov" stage spans (wall time, pattern and state counts)
@@ -33,37 +51,114 @@ func (o Options) maxRepeat() int {
 	return o.MaxRepeat
 }
 
-// Parsed is the result of parsing one pattern.
+// op is the operator of one slab node.
+type op uint8
+
+const (
+	opClass  op = iota // one position; arg indexes the class table
+	opEmpty            // the empty string
+	opConcat           // the arg operands before it, in sequence
+	opAlt              // any one of the arg operands before it
+	opStar             // zero or more of the operand before it
+	opPlus             // one or more of the operand before it
+	opQuest            // zero or one of the operand before it
+)
+
+// node is one entry of a postfix parse slab. An operator's operands are
+// the subtrees that end just before it: one for the quantifiers, arg for
+// opConcat and opAlt.
+type node struct {
+	op  op
+	arg int32
+}
+
+// slab holds one or more parsed patterns back to back in postfix order,
+// with one class table for all of them. Class nodes are the Glushkov
+// positions, numbered in slab order.
+type slab struct {
+	nodes     []node
+	classes   []bitvec.Class
+	pats      []pattern
+	positions int
+}
+
+// pattern is one pattern's extent in a slab.
+type pattern struct {
+	end      int // one past the pattern's root node
+	anchored bool
+}
+
+// Parsed is the result of parsing one pattern: its postfix slab.
 type Parsed struct {
-	// Root is the AST.
-	Root Node
 	// Anchored is true when the pattern began with '^' (match only at the
 	// start of the input stream).
 	Anchored bool
+	s        slab
 }
 
 type parser struct {
 	pat  string
 	pos  int
 	opts Options
+	s    *slab
+	// positions counts the pattern's positions so far; a counted
+	// repetition may not take it past limit.
+	positions, limit int
+}
+
+// maxCount is the largest count parseInt reads; it caps the expansion
+// bound however large Options.MaxRepeat is.
+const maxCount = 1 << 20
+
+func newParser(pattern string, opts Options, s *slab) *parser {
+	p := &parser{opts: opts, s: s}
+	p.reset(pattern)
+	return p
+}
+
+// reset readies p to parse pattern into its slab.
+func (p *parser) reset(pattern string) {
+	p.pat, p.pos, p.positions = pattern, 0, 0
+	p.limit = (min(p.opts.maxRepeat(), maxCount) + 1) * len(pattern)
+}
+
+// newSlab sizes a slab for patterns of size bytes in all. Without
+// counted repetition a pattern has at most one position per byte, and
+// about one node per byte; the slices grow past that when they must.
+func newSlab(size, patterns int) slab {
+	return slab{
+		nodes:   make([]node, 0, size+size/4+patterns),
+		classes: make([]bitvec.Class, 0, size),
+		pats:    make([]pattern, 0, patterns),
+	}
 }
 
 // Parse parses a single pattern.
 func Parse(pattern string, opts Options) (*Parsed, error) {
-	p := &parser{pat: pattern, opts: opts}
+	out := &Parsed{s: newSlab(len(pattern), 1)}
+	if err := newParser(pattern, opts, &out.s).parse(); err != nil {
+		return nil, err
+	}
+	out.Anchored = out.s.pats[0].anchored
+	return out, nil
+}
+
+// parse appends the pattern to the slab.
+func (p *parser) parse() error {
 	anchored := false
 	if p.peekByte() == '^' {
 		anchored = true
 		p.pos++
 	}
-	root, err := p.parseAlt()
-	if err != nil {
-		return nil, err
+	if err := p.parseAlt(); err != nil {
+		return err
 	}
 	if p.pos != len(p.pat) {
-		return nil, p.errf("unexpected %q", p.pat[p.pos])
+		return p.errf("unexpected %q", p.pat[p.pos])
 	}
-	return &Parsed{Root: root, Anchored: anchored}, nil
+	p.s.pats = append(p.s.pats, pattern{end: len(p.s.nodes), anchored: anchored})
+	p.s.positions += p.positions
+	return nil
 }
 
 func (p *parser) errf(format string, args ...interface{}) error {
@@ -79,82 +174,93 @@ func (p *parser) peekByte() byte {
 
 func (p *parser) eof() bool { return p.pos >= len(p.pat) }
 
-func (p *parser) parseAlt() (Node, error) {
-	first, err := p.parseConcat()
-	if err != nil {
-		return nil, err
-	}
-	if p.peekByte() != '|' {
-		return first, nil
-	}
-	alt := &AltNode{Subs: []Node{first}}
-	for p.peekByte() == '|' {
-		p.pos++
-		sub, err := p.parseConcat()
-		if err != nil {
-			return nil, err
-		}
-		alt.Subs = append(alt.Subs, sub)
-	}
-	return alt, nil
+func (p *parser) emit(o op, arg int) {
+	p.s.nodes = append(p.s.nodes, node{op: o, arg: int32(arg)})
 }
 
-func (p *parser) parseConcat() (Node, error) {
-	var subs []Node
+// emitClass appends one position matching cl.
+func (p *parser) emitClass(cl bitvec.Class) {
+	p.emit(opClass, len(p.s.classes))
+	p.s.classes = append(p.s.classes, cl)
+	p.positions++
+}
+
+// emitList closes a concatenation or alternation of n operands: nothing
+// for one, the empty string for none.
+func (p *parser) emitList(o op, n int) {
+	switch n {
+	case 0:
+		p.emit(opEmpty, 0)
+	case 1:
+	default:
+		p.emit(o, n)
+	}
+}
+
+func (p *parser) parseAlt() error {
+	if err := p.parseConcat(); err != nil {
+		return err
+	}
+	n := 1
+	for p.peekByte() == '|' {
+		p.pos++
+		if err := p.parseConcat(); err != nil {
+			return err
+		}
+		n++
+	}
+	p.emitList(opAlt, n)
+	return nil
+}
+
+func (p *parser) parseConcat() error {
+	n := 0
 	for !p.eof() {
 		c := p.peekByte()
 		if c == '|' || c == ')' {
 			break
 		}
-		atom, err := p.parseRepeat()
-		if err != nil {
-			return nil, err
+		if err := p.parseRepeat(); err != nil {
+			return err
 		}
-		subs = append(subs, atom)
+		n++
 	}
-	switch len(subs) {
-	case 0:
-		return EmptyNode{}, nil
-	case 1:
-		return subs[0], nil
-	default:
-		return &ConcatNode{Subs: subs}, nil
-	}
+	p.emitList(opConcat, n)
+	return nil
 }
 
-func (p *parser) parseRepeat() (Node, error) {
-	atom, err := p.parseAtom()
-	if err != nil {
-		return nil, err
+func (p *parser) parseRepeat() error {
+	start := len(p.s.nodes)
+	if err := p.parseAtom(); err != nil {
+		return err
 	}
 	for !p.eof() {
 		switch p.peekByte() {
 		case '*':
 			p.pos++
-			atom = &StarNode{Sub: atom}
+			p.emit(opStar, 0)
 		case '+':
 			p.pos++
-			atom = &PlusNode{Sub: atom}
+			p.emit(opPlus, 0)
 		case '?':
 			p.pos++
-			atom = &QuestNode{Sub: atom}
+			p.emit(opQuest, 0)
 		case '{':
 			rep, ok, err := p.parseCount()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !ok {
-				return atom, nil // literal '{' was consumed as an atom earlier
+				return nil // literal '{' was consumed as an atom earlier
 			}
-			atom, err = p.expandCount(atom, rep[0], rep[1])
-			if err != nil {
-				return nil, err
+			if err := p.expandCount(start, rep[0], rep[1]); err != nil {
+				return err
 			}
 		default:
-			return atom, nil
+			return nil
 		}
 	}
-	return atom, nil
+	return nil
 }
 
 // parseCount parses {m}, {m,}, or {m,n}. Returns ok=false without consuming
@@ -206,7 +312,7 @@ func (p *parser) parseInt() (int, bool) {
 	v := 0
 	for !p.eof() && p.pat[p.pos] >= '0' && p.pat[p.pos] <= '9' {
 		v = v*10 + int(p.pat[p.pos]-'0')
-		if v > 1<<20 {
+		if v > maxCount {
 			return 0, false
 		}
 		p.pos++
@@ -214,103 +320,131 @@ func (p *parser) parseInt() (int, bool) {
 	return v, p.pos > start
 }
 
-// expandCount rewrites atom{m,n} structurally:
+// copies is how many times atom{m,n} writes its atom: m, then n-m
+// optional ones, or one starred one when n is -1 (unbounded).
+func copies(m, n int) int {
+	if n == -1 {
+		return m + 1
+	}
+	return n
+}
+
+// grow admits an expansion that writes an atom of atomPositions
+// positions k times in place of once, or refuses it when the pattern
+// would pass its position limit.
+func (p *parser) grow(atomPositions, k int) error {
+	if p.positions+(k-1)*atomPositions > p.limit {
+		return p.errf("repeat expands the pattern past %d positions", p.limit)
+	}
+	p.positions += (k - 1) * atomPositions
+	return nil
+}
+
+// expandCount rewrites the atom at nodes[start:]{m,n} structurally, each
+// copy a copy of the atom's node range:
 //
 //	a{3}   → a a a
 //	a{2,4} → a a a? a?
 //	a{2,}  → a a a*
-func (p *parser) expandCount(atom Node, m, n int) (Node, error) {
-	var subs []Node
-	for i := 0; i < m; i++ {
-		subs = append(subs, cloneNode(atom))
-	}
-	switch {
-	case n == -1:
-		subs = append(subs, &StarNode{Sub: cloneNode(atom)})
-	default:
-		for i := m; i < n; i++ {
-			subs = append(subs, &QuestNode{Sub: cloneNode(atom)})
+//
+// An atom without positions matches only the empty string, which any
+// count of it matches too, so it stays as it is.
+func (p *parser) expandCount(start, m, n int) error {
+	atom := p.s.nodes[start:]
+	positions := 0
+	for _, nd := range atom {
+		if nd.op == opClass {
+			positions++
 		}
 	}
-	switch len(subs) {
-	case 0:
-		return EmptyNode{}, nil
-	case 1:
-		return subs[0], nil
-	default:
-		return &ConcatNode{Subs: subs}, nil
+	if positions == 0 {
+		return nil
 	}
+	k := copies(m, n)
+	if err := p.grow(positions, k); err != nil {
+		return err
+	}
+	if k == 0 {
+		p.s.nodes = p.s.nodes[:start]
+		p.emit(opEmpty, 0)
+		return nil
+	}
+	end := len(p.s.nodes)
+	for i := 0; i < k; i++ {
+		if i > 0 {
+			p.s.nodes = append(p.s.nodes, p.s.nodes[start:end]...)
+		}
+		switch {
+		case i >= m && n == -1:
+			p.emit(opStar, 0)
+		case i >= m:
+			p.emit(opQuest, 0)
+		}
+	}
+	p.emitList(opConcat, k)
+	return nil
 }
 
-func cloneNode(n Node) Node {
-	switch v := n.(type) {
-	case EmptyNode:
-		return EmptyNode{}
-	case *ClassNode:
-		return &ClassNode{Class: v.Class}
-	case *ConcatNode:
-		subs := make([]Node, len(v.Subs))
-		for i, s := range v.Subs {
-			subs[i] = cloneNode(s)
-		}
-		return &ConcatNode{Subs: subs}
-	case *AltNode:
-		subs := make([]Node, len(v.Subs))
-		for i, s := range v.Subs {
-			subs[i] = cloneNode(s)
-		}
-		return &AltNode{Subs: subs}
-	case *StarNode:
-		return &StarNode{Sub: cloneNode(v.Sub)}
-	case *PlusNode:
-		return &PlusNode{Sub: cloneNode(v.Sub)}
-	case *QuestNode:
-		return &QuestNode{Sub: cloneNode(v.Sub)}
-	default:
-		panic(fmt.Sprintf("regexc: unknown node %T", n))
-	}
-}
-
-func (p *parser) parseAtom() (Node, error) {
-	c := p.peekByte()
-	switch c {
+func (p *parser) parseAtom() error {
+	switch c := p.peekByte(); c {
 	case '(':
 		p.pos++
-		sub, err := p.parseAlt()
-		if err != nil {
-			return nil, err
+		if err := p.parseAlt(); err != nil {
+			return err
 		}
 		if p.peekByte() != ')' {
-			return nil, p.errf("missing closing parenthesis")
+			return p.errf("missing closing parenthesis")
 		}
 		p.pos++
-		return sub, nil
+		return nil
+	case ')', '*', '+', '?', '$', '^':
+		return p.atomErr(c)
+	default:
+		cl, err := p.parseSymbols()
+		if err != nil {
+			return err
+		}
+		p.emitClass(cl)
+		return nil
+	}
+}
+
+// atomErr is the error for a byte that cannot start an atom.
+func (p *parser) atomErr(c byte) error {
+	switch c {
 	case ')':
-		return nil, p.errf("unmatched ')'")
-	case '*', '+', '?':
-		return nil, p.errf("quantifier %q with nothing to repeat", c)
+		return p.errf("unmatched ')'")
+	case '$':
+		return p.errf("'$' end anchor is not supported by the streaming automaton model")
+	case '^':
+		return p.errf("'^' is only supported at the start of the pattern")
+	default:
+		return p.errf("quantifier %q with nothing to repeat", c)
+	}
+}
+
+// parseSymbols parses an atom that is one symbol class: '.', a bracket
+// expression, an escape or a literal byte.
+func (p *parser) parseSymbols() (bitvec.Class, error) {
+	switch c := p.peekByte(); c {
 	case '.':
 		p.pos++
 		cl := bitvec.AllSymbols()
 		if p.opts.DotExcludesNewline {
 			cl.Remove('\n')
 		}
-		return &ClassNode{Class: cl}, nil
+		return cl, nil
 	case '[':
 		return p.parseClass()
 	case '\\':
 		cl, err := p.parseEscape(false)
 		if err != nil {
-			return nil, err
+			return bitvec.Class{}, err
 		}
-		return &ClassNode{Class: p.fold(cl)}, nil
-	case '$':
-		return nil, p.errf("'$' end anchor is not supported by the streaming automaton model")
-	case '^':
-		return nil, p.errf("'^' is only supported at the start of the pattern")
+		return p.fold(cl), nil
 	default:
 		p.pos++
-		return &ClassNode{Class: p.fold(bitvec.ClassOf(c))}, nil
+		return p.fold(bitvec.ClassOf(c)), nil
 	}
 }
 
@@ -446,6 +580,15 @@ func (p *parser) parsePOSIXClass() (bitvec.Class, error) {
 	}
 }
 
+// firstSymbol is the lowest symbol of a non-empty class.
+func firstSymbol(c bitvec.Class) byte {
+	w := 0
+	for c[w] == 0 {
+		w++
+	}
+	return byte(w*64 + bits.TrailingZeros64(c[w]))
+}
+
 func hexVal(c byte) (byte, bool) {
 	switch {
 	case c >= '0' && c <= '9':
@@ -459,7 +602,7 @@ func hexVal(c byte) (byte, bool) {
 }
 
 // parseClass parses a bracket expression.
-func (p *parser) parseClass() (Node, error) {
+func (p *parser) parseClass() (bitvec.Class, error) {
 	p.pos++ // '['
 	negate := false
 	if p.peekByte() == '^' {
@@ -470,7 +613,7 @@ func (p *parser) parseClass() (Node, error) {
 	first := true
 	for {
 		if p.eof() {
-			return nil, p.errf("missing closing ']'")
+			return bitvec.Class{}, p.errf("missing closing ']'")
 		}
 		c := p.pat[p.pos]
 		if c == ']' && !first {
@@ -482,7 +625,7 @@ func (p *parser) parseClass() (Node, error) {
 		if c == '[' && p.pos+1 < len(p.pat) && p.pat[p.pos+1] == ':' {
 			named, err := p.parsePOSIXClass()
 			if err != nil {
-				return nil, err
+				return bitvec.Class{}, err
 			}
 			cl = cl.Union(named)
 			continue
@@ -492,7 +635,7 @@ func (p *parser) parseClass() (Node, error) {
 			var err error
 			lo, err = p.parseEscape(true)
 			if err != nil {
-				return nil, err
+				return bitvec.Class{}, err
 			}
 		} else {
 			p.pos++
@@ -501,7 +644,7 @@ func (p *parser) parseClass() (Node, error) {
 		// Range?
 		if p.peekByte() == '-' && p.pos+1 < len(p.pat) && p.pat[p.pos+1] != ']' {
 			if lo.Count() != 1 {
-				return nil, p.errf("character class range with multi-char lower bound")
+				return bitvec.Class{}, p.errf("character class range with multi-char lower bound")
 			}
 			p.pos++ // '-'
 			var hi bitvec.Class
@@ -509,18 +652,18 @@ func (p *parser) parseClass() (Node, error) {
 				var err error
 				hi, err = p.parseEscape(true)
 				if err != nil {
-					return nil, err
+					return bitvec.Class{}, err
 				}
 			} else {
 				hi = bitvec.ClassOf(p.pat[p.pos])
 				p.pos++
 			}
 			if hi.Count() != 1 {
-				return nil, p.errf("character class range with multi-char upper bound")
+				return bitvec.Class{}, p.errf("character class range with multi-char upper bound")
 			}
-			loB, hiB := lo.Symbols()[0], hi.Symbols()[0]
+			loB, hiB := firstSymbol(lo), firstSymbol(hi)
 			if hiB < loB {
-				return nil, p.errf("inverted character class range %c-%c", loB, hiB)
+				return bitvec.Class{}, p.errf("inverted character class range %c-%c", loB, hiB)
 			}
 			cl.AddRange(loB, hiB)
 			continue
@@ -532,7 +675,47 @@ func (p *parser) parseClass() (Node, error) {
 		cl = cl.Complement()
 	}
 	if cl.IsEmpty() {
-		return nil, p.errf("empty character class")
+		return bitvec.Class{}, p.errf("empty character class")
 	}
-	return &ClassNode{Class: cl}, nil
+	return cl, nil
+}
+
+// Render returns a canonical textual form of a parse (heavily
+// parenthesized; used in error messages and tests).
+func Render(p *Parsed) string {
+	var stack []string
+	for _, nd := range p.s.nodes {
+		top := len(stack) - 1
+		switch nd.op {
+		case opClass:
+			stack = append(stack, p.s.classes[nd.arg].String())
+		case opEmpty:
+			stack = append(stack, "()")
+		case opStar:
+			stack[top] = "(" + stack[top] + ")*"
+		case opPlus:
+			stack[top] = "(" + stack[top] + ")+"
+		case opQuest:
+			stack[top] = "(" + stack[top] + ")?"
+		case opConcat, opAlt:
+			k := len(stack) - int(nd.arg)
+			s := strings.Join(stack[k:], "")
+			if nd.op == opAlt {
+				s = "(" + strings.Join(stack[k:], "|") + ")"
+			}
+			stack = append(stack[:k], s)
+		}
+	}
+	return stack[0]
+}
+
+// ParseError describes a syntax error with the byte offset in the pattern.
+type ParseError struct {
+	Pattern string
+	Pos     int
+	Msg     string
+}
+
+func (e *ParseError) Error() string {
+	return fmt.Sprintf("regexc: parse error at offset %d in %q: %s", e.Pos, e.Pattern, e.Msg)
 }

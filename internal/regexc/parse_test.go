@@ -16,6 +16,17 @@ func mustParse(t *testing.T, pat string, opts Options) *Parsed {
 	return p
 }
 
+// onlyClass parses pat and returns its class, failing unless the parse
+// is a single position.
+func onlyClass(t *testing.T, pat string, opts Options) bitvec.Class {
+	t.Helper()
+	p := mustParse(t, pat, opts)
+	if len(p.s.nodes) != 1 || p.s.nodes[0].op != opClass {
+		t.Fatalf("Parse(%q) = %s, want one class", pat, Render(p))
+	}
+	return p.s.classes[p.s.nodes[0].arg]
+}
+
 func TestParseBasicForms(t *testing.T) {
 	cases := []struct {
 		pat  string
@@ -41,7 +52,7 @@ func TestParseBasicForms(t *testing.T) {
 	}
 	for _, tc := range cases {
 		p := mustParse(t, tc.pat, Options{})
-		if got := Render(p.Root); got != tc.want {
+		if got := Render(p); got != tc.want {
 			t.Errorf("Render(Parse(%q)) = %q, want %q", tc.pat, got, tc.want)
 		}
 	}
@@ -111,24 +122,19 @@ func TestParseClasses(t *testing.T) {
 		{`[a\-z]`, []byte{'a', '-', 'z'}, []byte{'b'}, 3},
 	}
 	for _, tc := range cases {
-		p := mustParse(t, tc.pat, Options{})
-		cn, ok := p.Root.(*ClassNode)
-		if !ok {
-			t.Errorf("Parse(%q) root is %T, want *ClassNode", tc.pat, p.Root)
-			continue
-		}
+		cl := onlyClass(t, tc.pat, Options{})
 		for _, b := range tc.has {
-			if !cn.Class.Has(b) {
+			if !cl.Has(b) {
 				t.Errorf("%q should match %q", tc.pat, b)
 			}
 		}
 		for _, b := range tc.hasNot {
-			if cn.Class.Has(b) {
+			if cl.Has(b) {
 				t.Errorf("%q should not match %q", tc.pat, b)
 			}
 		}
-		if tc.count >= 0 && cn.Class.Count() != tc.count {
-			t.Errorf("%q class size = %d, want %d", tc.pat, cn.Class.Count(), tc.count)
+		if tc.count >= 0 && cl.Count() != tc.count {
+			t.Errorf("%q class size = %d, want %d", tc.pat, cl.Count(), tc.count)
 		}
 	}
 }
@@ -148,29 +154,36 @@ func TestParseEscapes(t *testing.T) {
 		`\{`:   '{',
 	}
 	for pat, want := range cases {
-		p := mustParse(t, pat, Options{})
-		cn := p.Root.(*ClassNode)
-		if cn.Class.Count() != 1 || !cn.Class.Has(want) {
-			t.Errorf("Parse(%q) = %v, want single %q", pat, cn.Class, want)
+		cl := onlyClass(t, pat, Options{})
+		if cl.Count() != 1 || !cl.Has(want) {
+			t.Errorf("Parse(%q) = %v, want single %q", pat, cl, want)
 		}
 	}
 	// Predefined classes.
 	for pat, wantCount := range map[string]int{`\d`: 10, `\D`: 246, `\w`: 63, `\W`: 193, `\s`: 6, `\S`: 250} {
-		p := mustParse(t, pat, Options{})
-		cn := p.Root.(*ClassNode)
-		if cn.Class.Count() != wantCount {
-			t.Errorf("Parse(%q) class size = %d, want %d", pat, cn.Class.Count(), wantCount)
+		if cl := onlyClass(t, pat, Options{}); cl.Count() != wantCount {
+			t.Errorf("Parse(%q) class size = %d, want %d", pat, cl.Count(), wantCount)
+		}
+	}
+}
+
+// TestSpaceClassIncludesVT pins \s to PCRE's six bytes, vertical tab
+// included. Go's RE2 \s leaves \v out, so the differential generator
+// keeps \v out of its inputs.
+func TestSpaceClassIncludesVT(t *testing.T) {
+	want := bitvec.ClassOf(' ', '\t', '\n', '\r', '\f', '\v')
+	for _, pat := range []string{`\s`, `[\s]`, `[[:space:]]`} {
+		if cl := onlyClass(t, pat, Options{}); cl != want {
+			t.Errorf("Parse(%q) = %v, want %v", pat, cl, want)
 		}
 	}
 }
 
 func TestParseDot(t *testing.T) {
-	p := mustParse(t, ".", Options{})
-	if p.Root.(*ClassNode).Class != bitvec.AllSymbols() {
+	if onlyClass(t, ".", Options{}) != bitvec.AllSymbols() {
 		t.Error("default '.' should match all 256 symbols")
 	}
-	p = mustParse(t, ".", Options{DotExcludesNewline: true})
-	cl := p.Root.(*ClassNode).Class
+	cl := onlyClass(t, ".", Options{DotExcludesNewline: true})
 	if cl.Has('\n') || cl.Count() != 255 {
 		t.Error("DotExcludesNewline '.' wrong")
 	}
@@ -178,17 +191,17 @@ func TestParseDot(t *testing.T) {
 
 func TestParseCaseInsensitive(t *testing.T) {
 	p := mustParse(t, "aB", Options{CaseInsensitive: true})
-	cn := p.Root.(*ConcatNode)
-	c0 := cn.Subs[0].(*ClassNode).Class
-	c1 := cn.Subs[1].(*ClassNode).Class
+	if got := Render(p); got != "[Aa][Bb]" {
+		t.Fatalf("Render(Parse(aB)) = %s, want two folded classes", got)
+	}
+	c0, c1 := p.s.classes[0], p.s.classes[1]
 	if !c0.Has('a') || !c0.Has('A') || c0.Count() != 2 {
 		t.Errorf("fold 'a' wrong: %v", c0)
 	}
 	if !c1.Has('b') || !c1.Has('B') || c1.Count() != 2 {
 		t.Errorf("fold 'B' wrong: %v", c1)
 	}
-	p = mustParse(t, "[a-c]", Options{CaseInsensitive: true})
-	cl := p.Root.(*ClassNode).Class
+	cl := onlyClass(t, "[a-c]", Options{CaseInsensitive: true})
 	if !cl.Has('B') || cl.Count() != 6 {
 		t.Errorf("fold class wrong: %v", cl)
 	}
@@ -227,23 +240,19 @@ func TestPOSIXClasses(t *testing.T) {
 		{"[[:punct:]]", []byte{'!', '~', '@'}, []byte{'a', ' '}, 32},
 	}
 	for _, tc := range cases {
-		p := mustParse(t, tc.pat, Options{})
-		cn, ok := p.Root.(*ClassNode)
-		if !ok {
-			t.Fatalf("%q: not a class node", tc.pat)
-		}
+		cl := onlyClass(t, tc.pat, Options{})
 		for _, b := range tc.has {
-			if !cn.Class.Has(b) {
+			if !cl.Has(b) {
 				t.Errorf("%q should include %q", tc.pat, b)
 			}
 		}
 		for _, b := range tc.not {
-			if cn.Class.Has(b) {
+			if cl.Has(b) {
 				t.Errorf("%q should exclude %q", tc.pat, b)
 			}
 		}
-		if tc.count > 0 && cn.Class.Count() != tc.count {
-			t.Errorf("%q size = %d, want %d", tc.pat, cn.Class.Count(), tc.count)
+		if tc.count > 0 && cl.Count() != tc.count {
+			t.Errorf("%q size = %d, want %d", tc.pat, cl.Count(), tc.count)
 		}
 	}
 	for _, bad := range []string{"[[:nope:]]", "[[:digit]", "[[:"} {

@@ -109,6 +109,17 @@ func TestCompileFormatsAndErrors(t *testing.T) {
 	if code := doJSON(t, "PUT", ts.URL+"/rulesets/bad", CompileRequest{Patterns: []string{"(unclosed"}}, &e); code != 422 || e.Error == "" {
 		t.Errorf("bad pattern: code %d err %q", code, e.Error)
 	}
+	// A nested counted repetition is refused by its expansion bound, also
+	// when the request raises max_repeat: 20 bytes cannot ask for 16.7 M
+	// states.
+	for _, req := range []CompileRequest{
+		{Patterns: []string{"((a{256}){256}){256}"}},
+		{Patterns: []string{"((a{4096}){4096})"}, MaxRepeat: 4096},
+	} {
+		if code := doJSON(t, "PUT", ts.URL+"/rulesets/bad", req, &e); code != 422 || !strings.HasPrefix(e.Error, "compile: ") || !strings.Contains(e.Error, "positions") {
+			t.Errorf("nested repeat %q: code %d err %q", req.Patterns[0], code, e.Error)
+		}
+	}
 	if code := doJSON(t, "PUT", ts.URL+"/rulesets/bad", CompileRequest{}, &e); code != 400 {
 		t.Errorf("empty compile: code %d", code)
 	}
