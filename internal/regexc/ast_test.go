@@ -513,3 +513,24 @@ func compileASTSet(patterns []string, opts Options) (*nfa.NFA, error) {
 	}
 	return out, nil
 }
+
+// parseClassAST is ParseClass on the tree: one atom, which must be a
+// class leaf.
+func parseClassAST(s string) (bitvec.Class, error) {
+	if s == "*" || s == "." {
+		return bitvec.AllSymbols(), nil
+	}
+	p := astParser{newParser(s, Options{}, nil)}
+	n, err := p.parseAtom()
+	if err != nil {
+		return bitvec.Class{}, err
+	}
+	if p.pos != len(p.pat) {
+		return bitvec.Class{}, p.errf("trailing characters in symbol set")
+	}
+	cn, ok := n.(*ClassNode)
+	if !ok {
+		return bitvec.Class{}, fmt.Errorf("regexc: %q is not a symbol set", s)
+	}
+	return cn.Class, nil
+}

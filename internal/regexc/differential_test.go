@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"cacheautomaton/internal/nfa"
 )
 
 // coldShaped is a rule set of the benchmark's compile-cold shape: n rules
@@ -55,6 +57,9 @@ var edgeShapes = []string{
 	".*a.*b", "a+?", "(a|b|c|d|e)(f|g)*", "ab.*cd|ef", "((a)(b))((c)|d)+",
 	"", "a*", "(a|)", "a{0,3}", "()*", "(", "a)", "a{3,2}", "a{999}", "[z-a]",
 	`\q`, "$", "a^", "((a{256}){256}){256}", "((()){256}){256}",
+	"((a|b)*|c)*d", "((a*|b*)*c?)*d", "(a*|b)+c", "((ab)*|(cd)*)*e", "(a*?)*b",
+	"(b(a|c)*)*d", "((a|b)*c(d|e)*)*f", "(a*b*c?)+d", "((a|b)+|(c|d)+)*e", "(b|a*)*c",
+	"(c|(a|b)*)*d", "(x?(a|b)*)+d", "(x?(a|b)*y?)*z",
 }
 
 // sameCompile fails unless the product and the oracle agree on patterns:
@@ -137,6 +142,81 @@ func TestNestedRepeatIsBounded(t *testing.T) {
 	}
 }
 
+// TestRepeatedStarsAreBounded: every star over the same positions asks
+// for the same last × first pairs again, so 2 KB of stacked stars over
+// a 1000-way alternation must not cost 10^8 pairs. The wrapped form adds
+// a new alternative at every level, so no rule about stacked quantifiers
+// alone catches it. A deep nest of alternations must not keep every
+// level's union alive either. A star of a starred expression adds no
+// follow pair, so the stacked form is held to the oracle's one-star NFA.
+func TestRepeatedStarsAreBounded(t *testing.T) {
+	alts := "(" + strings.Repeat("a|", 999) + "a)"
+	wrapped := alts
+	for i := 0; i < 100; i++ {
+		wrapped = "(" + wrapped + "*|b)"
+	}
+	nested := "a"
+	for i := 0; i < 2000; i++ {
+		nested = "(" + nested + "|b)"
+	}
+	for _, c := range []struct {
+		pat, oracle string
+		limit       uint64
+	}{
+		{alts + strings.Repeat("*", 200) + "c", alts + "*c", 96 << 20},
+		{wrapped + "*c", wrapped + "*c", 96 << 20},
+		{nested, nested, 2 << 20},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := Compile(c.pat, 0, Options{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("Compile(%.20q…): %v", c.pat, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > c.limit {
+			t.Errorf("Compile(%.20q…) allocated %d KB, want at most %d", c.pat, grew>>10, c.limit>>10)
+		}
+		ref, err := parseAST(c.oracle, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := compileAST(ref, 0)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Compile(%.20q…) differs from the oracle (oracle error %v)", c.pat, err)
+		}
+	}
+}
+
+// TestCompactKeepsDistinctPairs: crossing the same 300 × 300 sets twenty
+// times keeps the pair list within three times its 90 000 distinct pairs,
+// and the Out lists are the one full set each.
+func TestCompactKeepsDistinctPairs(t *testing.T) {
+	const n = 300
+	g := glushkov{at: make([]int32, n), compactAt: compactFloor}
+	for i := range int32(n) {
+		g.arena = append(g.arena, i)
+	}
+	all := span{0, n}
+	for range 20 {
+		g.cross(all, all)
+		if len(g.edges) > 3*n*n {
+			t.Fatalf("%d pairs kept for %d distinct", len(g.edges), n*n)
+		}
+	}
+	states := make([]nfa.State, n)
+	g.cutOut(states, false)
+	want := make([]nfa.StateID, n)
+	for i := range want {
+		want[i] = nfa.StateID(i)
+	}
+	for i, st := range states {
+		if !reflect.DeepEqual(st.Out, want) {
+			t.Fatalf("state %d Out = %v", i, st.Out)
+		}
+	}
+}
+
 // FuzzCompileSet holds the slab compiler to the AST oracle: the fuzz
 // string is split at newlines into a rule set, and the set and each rule
 // alone must compile to DeepEqual NFAs or fail with the same error.
@@ -145,7 +225,7 @@ func FuzzCompileSet(f *testing.F) {
 	for _, seed := range []string{
 		"a?b?c\n(a*b*)*c\n(ab|a)(bc|c)", "((a|b)*c?)+d\nx(a?b?)*y", "(a{2}){3}\n((a?){2}b){2}",
 		"((a{16}){16}){16}", "(()){8}a\n(a|()){3}", `\x41\d\w\s\.\[`, "[[:alpha:][:digit:]]+\n[^[:space:]]",
-		"AbC\n[a-f]+\n(?i)", "^ab.c\n.*\n", "a{3,}\n{2}\na{,2}",
+		"AbC\n[a-f]+\n(?i)", "^ab.c\n.*\n", "a{3,}\n{2}\na{,2}", "(b|a*)*c\n((a|b)*|c)*d\n(x?(a|b)*y?)*z",
 	} {
 		for flags := uint8(0); flags < 4; flags++ {
 			f.Add(seed, flags)

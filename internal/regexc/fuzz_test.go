@@ -1,6 +1,7 @@
 package regexc
 
 import (
+	"fmt"
 	"testing"
 
 	"cacheautomaton/internal/nfa"
@@ -37,13 +38,17 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzParseClass drives the standalone symbol-set parser (the ANML
-// symbol-set attribute path).
+// symbol-set attribute path) and holds it to the tree parser's answer.
 func FuzzParseClass(f *testing.F) {
-	for _, seed := range []string{"[a-z]", "a", `\x00`, "*", "[^x]", "[]"} {
+	for _, seed := range []string{"[a-z]", "a", `\x00`, "*", "[^x]", "[]", "(a)", "((b))", "(ab)", "()", "(a{2})", "([a-c]{1})", "+", "", "ab", `\q`} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		cl, err := ParseClass(s)
+		want, wantErr := parseClassAST(s)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || cl != want {
+			t.Fatalf("ParseClass(%q) = %v, %v; oracle %v, %v", s, cl, err, want, wantErr)
+		}
 		if err != nil {
 			return
 		}

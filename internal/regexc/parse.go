@@ -11,8 +11,11 @@
 // a stack, keeping each subexpression's first and last sets as spans of
 // one position arena and its follow pairs in one edge list, which is
 // grouped, sorted and de-duplicated into the states' Out lists at the
-// end. CompileSet parses a whole rule set into one slab and writes it as
-// one NFA in that one pass.
+// end. A star skips the pairs an earlier star already added, and the
+// list drops its duplicates whenever it doubles, so repeated stars
+// cannot grow it past a small multiple of the distinct follows.
+// CompileSet parses a whole rule set into one slab and writes it as one
+// NFA in that one pass.
 package regexc
 
 import (
