@@ -252,8 +252,9 @@ func newAutomaton(pl *mapper.Placement, opts Options, tr *telemetry.ReqTrace) (*
 		sb.End()
 		return nil, fmt.Errorf("cacheautomaton: %w", err)
 	}
-	pool.Put(m)
 	sb.SetAttr("partitions", int64(pl.NumPartitions()))
+	sb.SetAttr("classes", int64(m.NumClasses()))
+	pool.Put(m)
 	sb.End()
 	return &Automaton{
 		design:    pl.Design,

@@ -3,6 +3,7 @@ package cacheautomaton
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"go/ast"
 	"go/parser"
@@ -463,6 +464,10 @@ func TestCompileReport(t *testing.T) {
 	if got := r.Stage("machine.build").Attr("partitions"); got != int64(a.Partitions()) {
 		t.Errorf("machine.build partitions = %d, want %d", got, a.Partitions())
 	}
+	// c, a, t, d, o, g, f, and the rest, which only . accepts.
+	if got, want := r.Stage("machine.build").Attr("classes"), symbolClasses(a); got != want || want != 8 {
+		t.Errorf("machine.build classes = %d, want %d (8)", got, want)
+	}
 	// Stages are in execution order on the compile's own clock, inside its
 	// total.
 	for i, st := range r.Stages {
@@ -499,7 +504,25 @@ func TestCompileReport(t *testing.T) {
 	}
 	if lr := la.CompileReport(); lr.Op != "load-caformat" || lr.Stage("caformat.decode").Attr("partitions") != int64(a.Partitions()) || lr.Stage("machine.build") == nil {
 		t.Errorf("load report = %+v", lr)
+	} else if got := lr.Stage("machine.build").Attr("classes"); got != symbolClasses(la) {
+		t.Errorf("load report: machine.build classes = %d, want %d", got, symbolClasses(la))
 	}
+}
+
+// symbolClasses counts a's symbol classes the slow way: the distinct sets
+// of states that accept one symbol.
+func symbolClasses(a *Automaton) int64 {
+	sets := map[string]bool{}
+	for sym := 0; sym < 256; sym++ {
+		var set []byte
+		for s := range a.nfa.States {
+			if a.nfa.States[s].Class.Has(byte(sym)) {
+				set = binary.AppendUvarint(set, uint64(s))
+			}
+		}
+		sets[string(set)] = true
+	}
+	return int64(len(sets))
 }
 
 // recObserver keeps every summary an automaton's machines report.

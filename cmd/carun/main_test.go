@@ -127,7 +127,7 @@ func TestRunTraceCompile(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d", code)
 	}
-	for _, want := range []string{"compile-regex", "  ok  ", "regexc.parse", "patterns=1", "regexc.glushkov", "machine.build"} {
+	for _, want := range []string{"compile-regex", "  ok  ", "regexc.parse", "patterns=1", "regexc.glushkov", "machine.build", "classes=4"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace output missing %q:\n%s", want, out)
 		}

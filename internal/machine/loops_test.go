@@ -72,6 +72,11 @@ func loopTable() []loopRow {
 		rows = append(rows, loopRow{fmt.Sprintf("literal of %d", n), []string{lit},
 			text(lit, lit[:n-1], lit[1:]), n <= 64})
 	}
+	// Forks in word 0 and a ring closing in word 1: a slot finds its
+	// local row by a rank that counts the words below its own.
+	ring100 := literal(100)
+	rows = append(rows, loopRow{"local rows in two words", []string{"x(abc|abd|acd)+y", "(" + ring100 + ")+z"},
+		text("xabcabdacdy", "xabdy", ring100+ring100+"z", ring100), false})
 	return rows
 }
 

@@ -29,8 +29,9 @@ type PoolStats struct {
 // borrowers never share mutable simulator state. Machines are built lazily
 // on demand and recycled through Put up to a bounded idle depth (returns
 // beyond the bound are dropped for the garbage collector), which caps the
-// pool's steady-state memory at maxIdle partitionful of SRAM arrays while
-// letting bursts grow arbitrarily wide.
+// pool's steady-state memory at maxIdle machines — each the programmed
+// rows of its partitions (see New) — while letting bursts grow
+// arbitrarily wide.
 type Pool struct {
 	// Observer, when non-nil, is attached to every machine the pool
 	// builds; set it before the first checkout.

@@ -241,6 +241,28 @@ func stepperTable(t testing.TB) []stepperRow {
 		patterns, input := orderProbe(rng)
 		rows = append(rows, stepperRow{fmt.Sprintf("order probe %d", i), mappedRules(t, patterns...), [][]byte{input}, nil})
 	}
+	// Four branches cut three ways: one partition's G-switch sources
+	// lie in two of its words and lead to different states, so a
+	// source finds its cross-points by a rank that counts the words
+	// below its own.
+	rows = append(rows, stepperRow{"cross sources in two words", mappedRules(t, "q(a{100}z{60}|b{100}y{60}|c{100}x{60}|d{100}w{60})"),
+		[][]byte{randomText(rand.New(rand.NewSource(37)), 3000, []string{"q" + strings.Repeat("a", 100) + strings.Repeat("z", 60),
+			"q" + strings.Repeat("b", 100) + strings.Repeat("y", 60), "q" + strings.Repeat("c", 100) + strings.Repeat("x", 60),
+			"q" + strings.Repeat("d", 100) + strings.Repeat("w", 60), "q" + strings.Repeat("d", 100)})},
+		func(t testing.TB, m *Machine) {
+			for i := range m.parts {
+				words := 0
+				for _, w := range m.parts[i].hasCross {
+					if w != 0 {
+						words++
+					}
+				}
+				if words >= 2 {
+					return
+				}
+			}
+			t.Fatal("no partition has G-switch sources in two words")
+		}})
 	return rows
 }
 
@@ -286,7 +308,7 @@ func holdToStepper(t *testing.T, label string, m *Machine, input []byte, chunk i
 			if j == 0 { // the kernel's walk is known where a run starts
 				walked := 0
 				for w, aw := range m.awake {
-					walked += bits.OnesCount64(aw | m.wake[int(sym)*len(m.awake)+w])
+					walked += bits.OnesCount64(aw | m.wake[int(m.classOf[sym])*len(m.awake)+w])
 				}
 				if walked != need {
 					t.Fatalf("%s: symbol %d walks %d partitions, %d need it", label, i, walked, need)
