@@ -49,7 +49,12 @@ func NewDFAEngine(n *nfa.NFA, maxStates int) (*DFAEngine, error) {
 		maxStates = 1 << 20
 	}
 	e := &DFAEngine{}
-	e.buildAlphabetClasses(n)
+	e.numClasses = nfa.AlphabetClasses(n, &e.classOf)
+	for sym, cls := range e.classOf { // classes are numbered by first symbol
+		if int(cls) == len(e.symbols) {
+			e.symbols = append(e.symbols, byte(sym))
+		}
+	}
 
 	var always []nfa.StateID
 	var startSet []nfa.StateID
@@ -180,33 +185,6 @@ func (e *DFAEngine) buildReports(n *nfa.NFA, sets [][]nfa.StateID) {
 			}
 		}
 	}
-}
-
-// buildAlphabetClasses groups the 256 symbols by identical behaviour across
-// every state's class — symbols in one group are indistinguishable to the
-// automaton.
-func (e *DFAEngine) buildAlphabetClasses(n *nfa.NFA) {
-	sig := make(map[string]uint8)
-	var sb strings.Builder
-	e.symbols = e.symbols[:0]
-	for sym := 0; sym < 256; sym++ {
-		sb.Reset()
-		for i := range n.States {
-			if n.States[i].Class.Has(byte(sym)) {
-				sb.WriteString(strconv.Itoa(i))
-				sb.WriteByte(',')
-			}
-		}
-		k := sb.String()
-		cls, ok := sig[k]
-		if !ok {
-			cls = uint8(len(sig))
-			sig[k] = cls
-			e.symbols = append(e.symbols, byte(sym))
-		}
-		e.classOf[sym] = cls
-	}
-	e.numClasses = len(sig)
 }
 
 // symbolForClass returns a representative symbol of an alphabet class.
