@@ -381,6 +381,19 @@ func ConfigurationTimeMS(partitions int) float64 {
 	return bytes / (configGBps * 1e9) * 1e3
 }
 
+// ConfigurationImageBytes sizes the §2.10 configuration image of a
+// placement: a 56-byte header, then per partition its way, each slot's
+// 32-byte STE column with a flags byte and a 4-byte report code, and
+// each slot's 32-byte local-switch row (STE pages and switch rows
+// dominate: 8 KB each per partition), then 20 bytes per cross edge
+// (source and destination partition and slot, and the switch it takes).
+func ConfigurationImageBytes(partitions, crossEdges int) int64 {
+	perPartition := int64(8) + // way
+		int64(PartitionSTEs)*(32+1+4) + // STE pages + flags + code
+		int64(PartitionSTEs)*32 // local switch rows
+	return 8 + 6*8 + int64(partitions)*perPartition + int64(crossEdges)*20
+}
+
 // CapacitySTEs returns how many STEs fit when the automaton may use
 // nfaWays ways of each of nSlices slices — the §1 capacity comparison:
 // "Typical high-performance processors can have 20-40MB of last level

@@ -169,6 +169,40 @@ func TestConfigurationTime(t *testing.T) {
 	}
 }
 
+// imageSizes pins the §2.10 image size for (partitions, cross edges)
+// pairs: an empty placement, scan-sparse's rule set (1, 0), Snort at
+// scale 0.1 under CA_P (27, 0) and CA_S (20, 69), compile-cold's 2000
+// rules (231, 0), and two shapes with more crossings.
+var imageSizes = []struct {
+	partitions, crossEdges int
+	bytes                  int64
+}{
+	{0, 0, 56},
+	{1, 0, 17_728},
+	{2, 3, 35_460},
+	{20, 69, 354_876},
+	{27, 0, 477_200},
+	{231, 0, 4_082_288},
+	{400, 1000, 7_088_856},
+}
+
+func TestImageSizePinned(t *testing.T) {
+	for _, c := range imageSizes {
+		if got := ConfigurationImageBytes(c.partitions, c.crossEdges); got != c.bytes {
+			t.Errorf("%d partitions, %d cross edges: %d bytes, want %d", c.partitions, c.crossEdges, got, c.bytes)
+		}
+	}
+}
+
+func TestImageSizeTracksPartitions(t *testing.T) {
+	if ConfigurationImageBytes(5, 0) <= ConfigurationImageBytes(1, 0) {
+		t.Error("bigger placements should have bigger images")
+	}
+	if ConfigurationImageBytes(5, 10) <= ConfigurationImageBytes(5, 0) {
+		t.Error("cross edges should add to the image")
+	}
+}
+
 func TestCapacityClaims(t *testing.T) {
 	s := XeonE5Slice()
 	// §1: a 20MB LLC (8 slices) fully used holds 640K states...
