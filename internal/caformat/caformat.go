@@ -8,15 +8,11 @@
 //
 // The format is the repo's cold-start artifact: cad preload and WAL
 // replay load a cached encoding instead of recompiling, and
-// Automaton.Save/Load round-trip through it. It differs from
-// internal/bitstream (the paper's §2.10 hardware configuration image) in
-// three ways that matter for production persistence: it is CRC-guarded
-// so a torn or corrupted file is a structured error instead of silently
-// wrong match sets, it is compact (states are stored once, not as 8 KB
-// partition pages), and it preserves state IDs exactly, so a decoded
-// placement is bit-identical to the encoded one — including the report
-// codes and the per-partition enabled-vector layout that session
-// snapshots depend on.
+// Automaton.Save/Load round-trip through it. A torn or corrupted file is
+// a structured error, not a wrong match set, and state IDs are kept
+// exactly, so a decoded placement is bit-identical to the encoded one —
+// including the report codes and the per-partition enabled-vector layout
+// that session snapshots depend on.
 //
 // On-disk layout (all fixed-width fields little-endian):
 //
