@@ -241,6 +241,16 @@ func IsContextContext(t types.Type) bool {
 	return n.Obj().Pkg().Path() == "context" && n.Obj().Name() == "Context"
 }
 
+// IsFreshRoot reports whether call is context.Background() or
+// context.TODO(): a context no caller can cancel.
+func IsFreshRoot(info *types.Info, call *ast.CallExpr) bool {
+	fn := StaticCallee(info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return false
+	}
+	return fn.Pkg().Path() == "context" && (fn.Name() == "Background" || fn.Name() == "TODO")
+}
+
 // ErrorResultIndex returns the index of the trailing error result of
 // sig, or -1.
 func ErrorResultIndex(sig *types.Signature) int {

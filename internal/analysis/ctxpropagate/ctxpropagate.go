@@ -78,7 +78,7 @@ func checkFunc(u *analysis.Unit, pkg *analysis.Pkg, fd *ast.FuncDecl) []analysis
 		// reviewable decision.
 		for _, arg := range call.Args {
 			inner, ok := ast.Unparen(arg).(*ast.CallExpr)
-			if !ok || !isFreshRoot(pkg.Info, inner) {
+			if !ok || !analysis.IsFreshRoot(pkg.Info, inner) {
 				continue
 			}
 			if callee := analysis.StaticCallee(pkg.Info, call); callee != nil {
@@ -107,16 +107,6 @@ func callTakesCtx(info *types.Info, fn *types.Func) bool {
 		}
 	}
 	return false
-}
-
-// isFreshRoot reports whether call is context.Background() or
-// context.TODO().
-func isFreshRoot(info *types.Info, call *ast.CallExpr) bool {
-	fn := analysis.StaticCallee(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	return fn.Pkg().Path() == "context" && (fn.Name() == "Background" || fn.Name() == "TODO")
 }
 
 func rootName(info *types.Info, call *ast.CallExpr) string {

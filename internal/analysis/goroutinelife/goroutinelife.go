@@ -13,7 +13,9 @@
 //     Waits), or the body itself is a wg.Wait() waiter;
 //  3. context forwarding — the spawned call receives a
 //     context.Context, or the body passes one into a blocking call, so
-//     the work is bounded by the context's deadline/cancel;
+//     the work is bounded by the context's deadline/cancel. A direct
+//     context.Background() or context.TODO() argument is no such bound:
+//     nothing can cancel it;
 //  4. an explicit owner annotation on the `go` statement (or the line
 //     above): //cavet:owner <owner> <reason>, naming the API that
 //     bounds the goroutine's lifetime (e.g. an http.Server whose Close
@@ -169,8 +171,13 @@ func isWaitGroupJoin(info *types.Info, call *ast.CallExpr) bool {
 		(fn.Name() == "Done" || fn.Name() == "Wait")
 }
 
+// anyCtxArg reports whether args pass a context that something can
+// cancel: any context.Context argument but a fresh root.
 func anyCtxArg(info *types.Info, args []ast.Expr) bool {
 	for _, a := range args {
+		if call, ok := ast.Unparen(a).(*ast.CallExpr); ok && analysis.IsFreshRoot(info, call) {
+			continue
+		}
 		if t := info.TypeOf(a); t != nil && analysis.IsContextContext(t) {
 			return true
 		}

@@ -81,6 +81,27 @@ func (s *Server) startCtx(ctx context.Context) {
 	go s.run(ctx)
 }
 
+// startFreshRoot hands the spawned call a context nothing can cancel:
+// no proof.
+func (s *Server) startFreshRoot() {
+	go s.spinCtx(context.Background()) // want "no provable shutdown path"
+}
+
+// startFreshRootLit passes a fresh root into a call inside the body:
+// no proof either.
+func (s *Server) startFreshRootLit() {
+	go func() { // want "no provable shutdown path"
+		s.spinCtx(context.TODO())
+	}()
+}
+
+// spinCtx takes a context and ignores it.
+func (s *Server) spinCtx(context.Context) {
+	for {
+		work()
+	}
+}
+
 // startForward forwards the context into a call inside the body:
 // proof 3.
 func (s *Server) startForward(ctx context.Context) {
