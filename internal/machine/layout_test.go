@@ -202,7 +202,7 @@ func TestAlphabetClassesExact(t *testing.T) {
 		}
 		assertClassesExact(t, spec.Name, build(spec.Name, n))
 	}
-	for _, row := range loopTable() {
+	for _, row := range loopTable(t) {
 		assertClassesExact(t, row.name, loopMachine(t, row))
 	}
 	for label, n := range classEdgeSets() {

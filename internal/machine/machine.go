@@ -34,6 +34,14 @@
 // What such a partition contributes to the per-cycle statistics is a
 // constant, added in closed form (see runBatchN), so the energy model sees
 // every powered partition and the host simulates only the busy ones.
+//
+// A run of many partitions long enough to come back to its configurations
+// goes through a configuration memo (memo.go): a table built lazily over
+// the run, from a configuration's id and the symbol's class to the
+// configuration the step leads to and what the cycle adds to the Result.
+// A miss runs one symbol of runBatchN, so the kernel stays the one
+// definition of a step, and every Result is the kernel's bit for bit. The
+// table lives for one run and is garbage when the run returns.
 package machine
 
 import (
@@ -280,6 +288,11 @@ type Machine struct {
 	// of 20 alternating pairs).
 	oneWord bool
 	word0   *[256]uint64
+	// recording, set while a memo miss runs its one kernel step, is the
+	// memo that report hands the step's reports to as well. memoCounts
+	// totals what the memos of this machine's runs did (see memoCounts).
+	recording  *memo
+	memoCounts memoCounts
 
 	// Observer, when non-nil, hears about every RunContext and RunBatch
 	// of this machine. A Pool sets it on the machines it builds.
@@ -483,6 +496,7 @@ func (m *Machine) setActive() {
 func (m *Machine) Reset() {
 	m.pos, m.basePos, m.baseBuf = 0, 0, 0
 	m.res = Result{}
+	m.recording = nil
 	for i := range m.parts {
 		p := &m.parts[i]
 		for w := 0; w < wordsPerPartition; w++ {
@@ -806,6 +820,10 @@ func (m *Machine) runBatchWord(input []byte) {
 //go:noinline
 func (m *Machine) report(pi int, matched [wordsPerPartition]uint64) {
 	reports := &m.parts[pi].reports
+	if mm := m.recording; mm != nil {
+		mm.pending = append(mm.pending, memoReport{int32(pi), [wordsPerPartition]uint64{
+			matched[0] & reports[0], matched[1] & reports[1], matched[2] & reports[2], matched[3] & reports[3]}})
+	}
 	for w, mw := range matched {
 		for rb := mw & reports[w]; rb != 0; rb &= rb - 1 {
 			m.res.MatchCount++

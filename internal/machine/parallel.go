@@ -86,6 +86,15 @@ func RunShardedContext(ctx context.Context, ms []*Machine, input []byte) (*Resul
 	assumed := make([]*Snapshot, n) // speculated state at shard start
 	endSt := make([]*Snapshot, n)   // state at shard end
 	errs := make([]error, n)
+	// Each worker's configuration memo serves its warm-up, its range and
+	// its repair: one run each. What they did is counted on their machines,
+	// and its sum is observed.
+	memos := make([]*memo, n)
+	var before memoCounts
+	for _, m := range ms[:n] {
+		before = before.plus(m.memoCounts)
+	}
+
 	// Restore re-asserts the always-on start mask, so an all-zero snapshot
 	// is the idle state: only the always-on start states enabled
 	// (startOfData states matter only at offset 0, which Reset handles).
@@ -107,17 +116,22 @@ func RunShardedContext(ctx context.Context, ms []*Machine, input []byte) (*Resul
 				return
 			}
 			m := ms[i]
+			warm := bounds[i]
+			if i > 0 {
+				warm = max(bounds[i]-DefaultShardOverlap, 0)
+			}
+			mm := m.newMemo(bounds[i+1] - warm)
+			memos[i] = mm
 			if i == 0 {
 				m.Reset()
 				assumed[i] = m.Snapshot()
 			} else {
-				warm := max(bounds[i]-DefaultShardOverlap, 0)
 				idleAt := &Snapshot{Pos: int64(warm), Enabled: idle}
-				if _, assumed[i], errs[i] = m.scanFrom(ctx, idleAt, input[warm:bounds[i]]); errs[i] != nil {
+				if _, assumed[i], errs[i] = m.scanFrom(ctx, idleAt, input[warm:bounds[i]], mm); errs[i] != nil {
 					return
 				}
 			}
-			results[i], endSt[i], errs[i] = m.scanFrom(ctx, assumed[i], input[bounds[i]:bounds[i+1]])
+			results[i], endSt[i], errs[i] = m.scanFrom(ctx, assumed[i], input[bounds[i]:bounds[i+1]], mm)
 		}(i)
 	}
 	wg.Wait()
@@ -136,7 +150,7 @@ func RunShardedContext(ctx context.Context, ms []*Machine, input []byte) (*Resul
 			continue
 		}
 		var err error
-		results[i], endSt[i], err = ms[i].scanFrom(ctx, endSt[i-1], input[bounds[i]:bounds[i+1]])
+		results[i], endSt[i], err = ms[i].scanFrom(ctx, endSt[i-1], input[bounds[i]:bounds[i+1]], memos[i])
 		if err != nil {
 			return nil, err
 		}
@@ -149,19 +163,23 @@ func RunShardedContext(ctx context.Context, ms []*Machine, input []byte) (*Resul
 		out.Activity.merge(&results[i].Activity)
 	}
 	ms[0].derive(out, 0, 0)
-	ms[0].observe(&Result{}, out, start)
+	var after memoCounts
+	for _, m := range ms[:n] {
+		after = after.plus(m.memoCounts)
+	}
+	ms[0].observe(&Result{}, out, after.minus(before), start)
 	return out, nil
 }
 
 // scanFrom re-seats the machine on the given architectural state — with
 // fresh accumulators: Restore drops whatever a warm-up or a mis-speculated
-// first attempt collected — scans input, and returns what that range
-// produced together with the state it ended in.
-func (m *Machine) scanFrom(ctx context.Context, from *Snapshot, input []byte) (Result, *Snapshot, error) {
+// first attempt collected — scans input through the worker's memo mm, and
+// returns what that range produced together with the state it ended in.
+func (m *Machine) scanFrom(ctx context.Context, from *Snapshot, input []byte, mm *memo) (Result, *Snapshot, error) {
 	if err := m.Restore(from); err != nil {
 		return Result{}, nil, err
 	}
-	if err := m.scan(ctx, input); err != nil {
+	if err := m.scan(ctx, input, mm); err != nil {
 		return Result{}, nil, err
 	}
 	res := m.res

@@ -72,7 +72,8 @@ func TestMachineCollector(t *testing.T) {
 	// Two cycles: 10 then 20 enabled states, 2 then 3 active partitions.
 	c.ObserveRun(RunSummary{Symbols: 2, Seconds: 0.5, Matches: 5,
 		OutputBufferInterrupts: 1, OutputBufferPeak: 40,
-		SumActiveStates: 30, SumActivePartitions: 5, SumG1Crossings: 1, SumG4Crossings: 3})
+		SumActiveStates: 30, SumActivePartitions: 5, SumG1Crossings: 1, SumG4Crossings: 3,
+		MemoMisses: 7, MemoFlushes: 1, MemoBypassedSymbols: 2})
 	c.ObserveRun(RunSummary{}) // an empty run: counted, no histogram sample
 	if got := c.Runs.Value(); got != 2 {
 		t.Errorf("runs = %d", got)
@@ -100,6 +101,19 @@ func TestMachineCollector(t *testing.T) {
 	}
 	if got := c.OutputBufferHighWater.Value(); got != 40 {
 		t.Errorf("highwater = %d", got)
+	}
+	if c.MemoMisses.Value() != 7 || c.MemoFlushes.Value() != 1 || c.MemoBypassedSymbols.Value() != 2 {
+		t.Errorf("memo misses = %d flushes = %d bypassed = %d", c.MemoMisses.Value(), c.MemoFlushes.Value(), c.MemoBypassedSymbols.Value())
+	}
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"ca_machine_memo_misses_total 7", "ca_machine_memo_flushes_total 1",
+		"ca_machine_memo_bypassed_symbols_total 2"} {
+		if !strings.Contains(text.String(), line+"\n") {
+			t.Errorf("the exposition lacks %q", line)
+		}
 	}
 	// Second collector on the same registry shares instruments.
 	c2 := NewMachineCollector(reg)
