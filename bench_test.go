@@ -202,10 +202,12 @@ func BenchmarkPipelineSnortPerf(b *testing.B) {
 // while every partition was visited every symbol) — and
 // partitions=N/busy is the ledger's scan-dense shape, the registry's
 // Snort rule set over its own input, where a byte visits 9.25 of the 27
-// partitions (8.2–8.3 MB/s; 2.2–2.3 before). Count scans 64 KiB runs, so
-// both partitions=N rows now go through the configuration memo, one cold
-// table per run: on a 2-vCPU host that read the kernel alone at 49–60
-// and 4.0–4.2 MB/s, they read 90–91 and 10.0–11.1.
+// partitions (8.2–8.3 MB/s; 2.2–2.3 before). Count is one run, so both
+// partitions=N rows go through one configuration memo over the whole
+// input: on a 2-vCPU host they read 121–172 and 27.5–31.0 MB/s (two
+// runs, -benchtime 20x), against 85–130 and 10.7–11.0 while Count cut
+// its input into 64 KiB runs, each with a cold table, and 49–60 and
+// 4.0–4.2 for the kernel alone.
 func BenchmarkHostSimulatorThroughput(b *testing.B) {
 	regex := func(patterns ...string) func() (*Automaton, error) {
 		return func() (*Automaton, error) { return CompileRegex(patterns, Options{}) }

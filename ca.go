@@ -106,7 +106,7 @@ type RunSummary = telemetry.RunSummary
 // satisfies it.
 type RunObserver interface {
 	// ObserveRun reports one completed run: a one-shot or sharded run, one
-	// input of a batch, one feed of a stream, or one sub-batch of a Count.
+	// input of a batch, one feed of a stream, or one Count.
 	ObserveRun(RunSummary)
 }
 
@@ -508,8 +508,8 @@ func (a *Automaton) LeaseStats() LeaseStats { return a.pool.Stats() }
 
 // Count processes input without retaining match records (for long
 // streams), returning only statistics. It leases a machine like any other
-// run and feeds it machine.ContextCheckBytes at a time, dropping each
-// sub-batch's matches as it goes, so memory stays O(1) in the match count
+// run and scans the whole input once with collection off (see
+// machine.Machine.CountContext), so memory stays O(1) in the match count
 // and concurrent Count calls run side by side. On cancellation the
 // partial statistics are discarded and ctx's error is returned.
 func (a *Automaton) Count(ctx context.Context, input []byte) (*Stats, error) {
@@ -518,17 +518,11 @@ func (a *Automaton) Count(ctx context.Context, input []byte) (*Stats, error) {
 		return nil, fmt.Errorf("cacheautomaton: %w", err)
 	}
 	defer a.pool.Put(m)
-	for {
-		n := min(len(input), machine.ContextCheckBytes)
-		res, err := m.RunContext(ctx, input[:n])
-		m.DrainMatches() // also leaves nothing for the idle pooled machine to pin
-		if err != nil {
-			return nil, err
-		}
-		if input = input[n:]; len(input) == 0 {
-			return a.statsFrom(res), nil
-		}
+	res, err := m.CountContext(ctx, input)
+	if err != nil {
+		return nil, err
 	}
+	return a.statsFrom(res), nil
 }
 
 // States returns the mapped NFA's state count (after CA_S merging).

@@ -184,9 +184,9 @@ func TestCountLongStream(t *testing.T) {
 	}
 }
 
-// TestCountRetainsNoMatches: Count drops matches as it goes, and the
-// machine it hands back to the pool pins none of them — not even the last
-// sub-batch's (65536 matches here, 1.5 MB of records).
+// TestCountRetainsNoMatches: Count keeps no match records, and the
+// machine it hands back to the pool pins none of them (collected, the
+// 262 144 matches here would be 4 MB of records).
 func TestCountRetainsNoMatches(t *testing.T) {
 	a, err := CompileRegex([]string{"a"}, Options{})
 	if err != nil {
@@ -554,8 +554,7 @@ func statsOfRuns(a *Automaton, runs ...RunSummary) Stats {
 
 // TestRunObserverWiring: every way of running an automaton reports
 // summaries that add up to the Stats it returned — one per one-shot run,
-// per sharded run, per batch input and per stream feed, one per
-// sub-batch of a Count.
+// per sharded run, per batch input, per stream feed and per Count.
 func TestRunObserverWiring(t *testing.T) {
 	ctx := context.Background()
 	obs := &recObserver{}
@@ -634,12 +633,12 @@ func TestRunObserverWiring(t *testing.T) {
 		}
 		check("two stream feeds", 2, st)
 
-		long := bytes.Repeat(in, 3) // more than one ContextCheckBytes sub-batch
+		long := bytes.Repeat(in, 3) // more than one ContextCheckBytes sub-batch, one run
 		cst, err := a.Count(ctx, long)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("Count", (len(long)+machine.ContextCheckBytes-1)/machine.ContextCheckBytes, cst)
+		check("Count", 1, cst)
 	}
 }
 
@@ -718,7 +717,7 @@ func TestOneMachineConfiguration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kernel := map[string]bool{"runBatch": false, "runBatchN": false, "runBatch1": false,
+	kernel := map[string]bool{"scan": false, "runBatchN": false, "runBatch1": false,
 		"runBatchWord": false, "report": false}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {

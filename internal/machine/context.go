@@ -15,13 +15,19 @@ import (
 // well under a millisecond at host simulation speed.
 const ContextCheckBytes = 64 << 10
 
-// scan is the one chunked scan loop, under RunContext (and so RunBatch),
-// the shard workers and their repair pass: a ctx check and the symbol
-// loop per ContextCheckBytes sub-batch, then the derived numbers of m.res
-// brought up to where the loop stopped. A ctx that can never be canceled
-// (Done() == nil) scans the input as a single sub-batch. On cancellation
-// the machine keeps the position it reached. mm, the run's configuration
-// memo, serves every sub-batch when the run has one (see newMemo).
+// scan is the one chunked scan loop, under RunContext (and so RunBatch
+// and CountContext), the shard workers and their repair pass: a ctx check
+// and the symbol loop per ContextCheckBytes sub-batch, then the derived
+// numbers of m.res brought up to where the loop stopped. A ctx that can
+// never be canceled (Done() == nil) scans the input as a single
+// sub-batch. On cancellation the machine keeps the position it reached.
+//
+// One switch picks the loop: mm, the run's configuration memo, when the
+// run has one (see newMemo), or else the loop written for the machine's
+// shape, which New fixed — the whole state in one word, one partition, or
+// many. The three are the same rule — AND the symbol's row with the
+// enabled vector, OR the matched slots' fan-out into next — and differ
+// only in how much state the rule ranges over (TestKernelLoopsAgree).
 func (m *Machine) scan(ctx context.Context, input []byte, mm *memo) error {
 	step := len(input)
 	if ctx.Done() != nil {
@@ -32,17 +38,19 @@ func (m *Machine) scan(ctx context.Context, input []byte, mm *memo) error {
 		if err = ctx.Err(); err != nil {
 			break
 		}
-		n := min(step, len(input))
+		in := input[:min(step, len(input))]
 		switch {
 		case mm != nil:
-			mm.run(input[:n])
-		case len(m.parts) > 1:
-			m.memoCounts.bypassed += int64(n)
-			fallthrough
+			mm.run(in)
+		case m.oneWord:
+			m.runBatchWord(in)
+		case len(m.parts) == 1:
+			m.runBatch1(in)
 		default:
-			m.runBatch(input[:n])
+			m.memoCounts.bypassed += int64(len(in))
+			m.runBatchN(in)
 		}
-		input = input[n:]
+		input = input[len(in):]
 	}
 	m.derive(&m.res, m.basePos, m.baseBuf)
 	return err
@@ -64,6 +72,14 @@ func (m *Machine) RunContext(ctx context.Context, input []byte) (*Result, error)
 	r := m.res
 	m.observe(&before, &r, m.memoCounts.minus(counts), start)
 	return &r, err
+}
+
+// CountContext is RunContext with match collection off for the call: one
+// scan, with one memo, whose memory is O(1) in the match count.
+func (m *Machine) CountContext(ctx context.Context, input []byte) (*Result, error) {
+	defer func(collect bool) { m.opts.CollectMatches = collect }(m.opts.CollectMatches)
+	m.opts.CollectMatches = false
+	return m.RunContext(ctx, input)
 }
 
 // began reads the clock for observe, if anyone is observing.

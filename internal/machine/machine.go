@@ -39,9 +39,10 @@
 // goes through a configuration memo (memo.go): a table built lazily over
 // the run, from a configuration's id and the symbol's class to the
 // configuration the step leads to and what the cycle adds to the Result.
-// A miss runs one symbol of runBatchN, so the kernel stays the one
-// definition of a step, and every Result is the kernel's bit for bit. The
-// table lives for one run and is garbage when the run returns.
+// A miss runs one symbol of runBatchN and a step that reports is never
+// stored, so the kernel stays the one definition of a step and makes every
+// report, and every Result is the kernel's bit for bit. The table lives
+// for one run and is garbage when the run returns.
 package machine
 
 import (
@@ -288,10 +289,7 @@ type Machine struct {
 	// of 20 alternating pairs).
 	oneWord bool
 	word0   *[256]uint64
-	// recording, set while a memo miss runs its one kernel step, is the
-	// memo that report hands the step's reports to as well. memoCounts
-	// totals what the memos of this machine's runs did (see memoCounts).
-	recording  *memo
+	// memoCounts totals what the memos of this machine's runs did.
 	memoCounts memoCounts
 
 	// Observer, when non-nil, hears about every RunContext and RunBatch
@@ -496,7 +494,6 @@ func (m *Machine) setActive() {
 func (m *Machine) Reset() {
 	m.pos, m.basePos, m.baseBuf = 0, 0, 0
 	m.res = Result{}
-	m.recording = nil
 	for i := range m.parts {
 		p := &m.parts[i]
 		for w := 0; w < wordsPerPartition; w++ {
@@ -520,22 +517,6 @@ func (m *Machine) NumClasses() int { return m.numClasses }
 // The hot loop is hand-unrolled over the partition's four words; this
 // compile-time assertion trips if the partition geometry ever changes.
 var _ = [1]struct{}{}[wordsPerPartition-4]
-
-// runBatch runs the symbol loop written for the machine's shape, which
-// New fixed: the whole state in one word, one partition, or many. The
-// three are the same rule — AND the symbol's row with the enabled vector,
-// OR the matched slots' fan-out into next — and differ only in how much
-// state the rule ranges over (TestKernelLoopsAgree).
-func (m *Machine) runBatch(input []byte) {
-	switch {
-	case m.oneWord:
-		m.runBatchWord(input)
-	case len(m.parts) == 1:
-		m.runBatch1(input)
-	default:
-		m.runBatchN(input)
-	}
-}
 
 // runBatchN is the symbol hot loop: one iteration per input byte with all
 // loop-invariant state hoisted into locals, the four-word vector sweeps
@@ -820,10 +801,6 @@ func (m *Machine) runBatchWord(input []byte) {
 //go:noinline
 func (m *Machine) report(pi int, matched [wordsPerPartition]uint64) {
 	reports := &m.parts[pi].reports
-	if mm := m.recording; mm != nil {
-		mm.pending = append(mm.pending, memoReport{int32(pi), [wordsPerPartition]uint64{
-			matched[0] & reports[0], matched[1] & reports[1], matched[2] & reports[2], matched[3] & reports[3]}})
-	}
 	for w, mw := range matched {
 		for rb := mw & reports[w]; rb != 0; rb &= rb - 1 {
 			m.res.MatchCount++

@@ -3,6 +3,7 @@ package machine
 import (
 	"math/bits"
 	"slices"
+	"unsafe"
 )
 
 // The configuration memo: a lazily built deterministic table in front of
@@ -27,10 +28,14 @@ import (
 //     partitions, popcount(awake & startless). Both depend on the
 //     configuration alone because wake never names a startless partition
 //     (see runBatchN for the constants added to both);
-//   - per transition, the G1/G4 wires it drives and the reports it makes,
-//     kept in a side entry that only the few transitions doing either
-//     have. Reports are replayed through report in the (partition, slot)
-//     order the kernel made them.
+//   - per transition, the G1/G4 wires it drives, kept in a side entry
+//     that only the transitions driving one have.
+//
+// A transition whose step reported is not stored: every visit to it
+// misses and runs that one symbol on runBatchN, so every report is made
+// by the kernel. Where the memo pays, runs report on at most 0.1 % of
+// their symbols (at most 254 times in 256 KiB on the registry sets that
+// map to many partitions under CA_P at scale 0.1).
 //
 // The memo lives for one run (see newMemo) and is garbage when the run
 // returns. In prototypes, a table kept per machine raised scan-dense's
@@ -99,7 +104,7 @@ const memoBypass = 1024
 // that would pass it is flushed whole and the run goes on with an empty
 // one, reusing the arrays, so no input makes one run allocate more.
 // A scan of Snort@0.1's 256 KiB input allocates 2.3 MB of memo (813
-// configurations, 6 703 misses), the doubling of its arrays included.
+// configurations, 6 739 misses), the doubling of its arrays included.
 const memoBudget = 4 << 20
 
 // memoStat is what one configuration adds to a cycle's activity, less
@@ -107,26 +112,14 @@ const memoBudget = 4 << 20
 // on it saves (see memoMissCost).
 type memoStat struct{ active, parts, work int32 }
 
-// memoSide is a transition that reports or drives G-switch wires: its
-// next configuration, its G1/G4 counts, and reps[rep:end], the reports
-// it makes.
-type memoSide struct {
-	next, g1, g4, rep, end int32
-}
-
-// memoReport is one partition's reporting slots in one cycle: the
-// matched words, already masked to its reporting slots.
-type memoReport struct {
-	part  int32
-	words [wordsPerPartition]uint64
-}
+// memoSide is a transition that drives G-switch wires: its next
+// configuration and its G1/G4 counts.
+type memoSide struct{ next, g1, g4 int32 }
 
 // memoCounts is what the memo did, for telemetry: lookups that ran the
 // kernel, table flushes, and symbols the kernel ran without the memo (a
 // run too short for it, or the back-off rule).
-type memoCounts struct {
-	misses, flushes, bypassed int64
-}
+type memoCounts struct{ misses, flushes, bypassed int64 }
 
 // memo is one run's configuration table. A configuration's id indexes
 // hashes, keyEnd and stats; its transitions are next[id*nc:][:nc], 0 for
@@ -147,10 +140,8 @@ type memo struct {
 	next   []int32
 	slots  []int32 // open-addressed index by hash: id+1, or 0 for empty
 	sides  []memoSide
-	reps   []memoReport
 
-	kb      []uint64     // the key being built
-	pending []memoReport // the reports of the step being recorded
+	kb []uint64 // the key being built
 	// alloc counts the bytes of every array the memo has made.
 	alloc int
 	// seated is the configuration the machine's vectors hold, or −1 when
@@ -238,12 +229,6 @@ func (mm *memo) run(input []byte) {
 			sd := &mm.sides[-t-1]
 			sumG1 += int64(sd.g1)
 			sumG4 += int64(sd.g4)
-			if sd.rep < sd.end {
-				m.pos = pos + int64(i)
-				for _, r := range mm.reps[sd.rep:sd.end] {
-					m.report(int(r.part), r.words)
-				}
-			}
 			id = sd.next
 		}
 		i++
@@ -286,8 +271,9 @@ func (mm *memo) losing(hits, saved int64) bool {
 }
 
 // miss runs sym, of class c, from configuration from on the kernel,
-// interns where it leads and stores the transition. It returns the new
-// configuration's id, or −1 when it did not fit the table.
+// interns where it leads and stores the transition, unless the step
+// reported. It returns the new configuration's id, or −1 when it did not
+// fit the table.
 func (mm *memo) miss(from int32, c int, sym []byte) int32 {
 	m := mm.m
 	mm.misses++
@@ -295,29 +281,24 @@ func (mm *memo) miss(from int32, c int, sym []byte) int32 {
 	mm.missed += int64(mm.stats[from].work)
 	mm.seat(from)
 	st := &m.res.Activity
-	g1, g4 := st.SumG1Crossings, st.SumG4Crossings
-	mm.pending = mm.pending[:0]
-	m.recording = mm
+	g1, g4, matches := st.SumG1Crossings, st.SumG4Crossings, m.res.MatchCount
 	m.runBatchN(sym)
-	m.recording = nil
 	flushes := m.memoCounts.flushes
 	to := mm.intern(true)
-	if to < 0 || m.memoCounts.flushes != flushes {
-		return to // from is gone with the flushed table
+	if to < 0 || m.memoCounts.flushes != flushes || m.res.MatchCount != matches {
+		return to // from is gone with the flushed table, or the step reported
 	}
 	k := int(from)*mm.nc + c
 	dg1, dg4 := int32(st.SumG1Crossings-g1), int32(st.SumG4Crossings-g4)
-	if dg1 == 0 && dg4 == 0 && len(mm.pending) == 0 {
+	if dg1 == 0 && dg4 == 0 {
 		mm.next[k] = to + 1
 		return to
 	}
-	if !reserve(mm, &mm.sides, 1, 20) || !reserve(mm, &mm.reps, len(mm.pending), 40) {
+	if !reserve(mm, &mm.sides, 1) {
 		mm.flush()
 		return mm.intern(true)
 	}
-	rep := int32(len(mm.reps))
-	mm.reps = append(mm.reps, mm.pending...)
-	mm.sides = append(mm.sides, memoSide{next: to, g1: dg1, g4: dg4, rep: rep, end: int32(len(mm.reps))})
+	mm.sides = append(mm.sides, memoSide{next: to, g1: dg1, g4: dg4})
 	mm.next[k] = -int32(len(mm.sides))
 	return to
 }
@@ -472,9 +453,9 @@ func (mm *memo) place(id int32) {
 // within the budget.
 func (mm *memo) room(n int) bool {
 	c := len(mm.hashes) + 1
-	return reserve(mm, &mm.hashes, 1, 8) && reserve(mm, &mm.keyEnd, 1, 4) &&
-		reserve(mm, &mm.stats, 1, 12) && reserve(mm, &mm.keys, n, 8) &&
-		reserve(mm, &mm.next, mm.nc, 4) && (2*c <= len(mm.slots) || mm.alloc+4*indexSize(len(mm.slots)) <= memoBudget)
+	return reserve(mm, &mm.hashes, 1) && reserve(mm, &mm.keyEnd, 1) &&
+		reserve(mm, &mm.stats, 1) && reserve(mm, &mm.keys, n) &&
+		reserve(mm, &mm.next, mm.nc) && (2*c <= len(mm.slots) || mm.alloc+4*indexSize(len(mm.slots)) <= memoBudget)
 }
 
 // flush empties the table, keeping its arrays.
@@ -482,17 +463,19 @@ func (mm *memo) flush() {
 	mm.m.memoCounts.flushes++
 	mm.hashes, mm.keyEnd, mm.stats = mm.hashes[:0], mm.keyEnd[:0], mm.stats[:0]
 	mm.keys, mm.next = mm.keys[:0], mm.next[:0]
-	mm.sides, mm.reps = mm.sides[:0], mm.reps[:0]
+	mm.sides = mm.sides[:0]
 	clear(mm.slots)
 	mm.seated = -1
 }
 
-// reserve makes room for n more elements of size bytes in *s, doubling
-// its capacity, unless the new array would take mm past memoBudget.
-func reserve[T any](mm *memo, s *[]T, n, size int) bool {
+// reserve makes room for n more elements in *s, doubling its capacity,
+// unless the new array would take mm past memoBudget.
+func reserve[T any](mm *memo, s *[]T, n int) bool {
 	if len(*s)+n <= cap(*s) {
 		return true
 	}
+	var elem T
+	size := int(unsafe.Sizeof(elem))
 	c := max(2*cap(*s), len(*s)+n, 16)
 	if mm.alloc+c*size > memoBudget {
 		return false

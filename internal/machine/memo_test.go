@@ -130,6 +130,53 @@ func TestMemoBytesBounded(t *testing.T) {
 	t.Logf("%d misses, %d flushes, %d bytes allocated", mm.misses, m.memoCounts.flushes, allocated)
 }
 
+// TestMemoStoresNoReport: a transition whose step reported is not
+// stored, so every visit to it runs on the kernel, which makes every
+// report. The CA_S order probe's input is one literal six times over,
+// each copy ending in one reporting cycle from the configuration the
+// copy before it started from; a memo that never backs off must miss on
+// each of those cycles, not on the first copy's alone, and end where
+// runBatchN does.
+func TestMemoStoresNoReport(t *testing.T) {
+	patterns, input := orderProbe(rand.New(rand.NewSource(3)))
+	m, err := New(mappedSpace(t, patterns...), Options{CollectMatches: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NumPartitions() < 2 {
+		t.Fatalf("%d partitions; the memo serves many", m.NumPartitions())
+	}
+	want := driveLoop(m, symbolLoops[0].start, input, len(input))
+
+	m.Reset()
+	mm := m.memoFor(0, false)
+	lit := len(input) / 6
+	for i := 0; i < 6; i++ {
+		misses, matches := mm.misses, len(m.res.Matches)
+		mm.run(input[i*lit : (i+1)*lit])
+		cycles := 0
+		for j, r := range m.res.Matches[matches:] {
+			if j == 0 || r.Offset != m.res.Matches[matches+j-1].Offset {
+				cycles++
+			}
+		}
+		if cycles == 0 {
+			t.Fatalf("copy %d of the literal makes no report", i)
+		}
+		if got := mm.misses - misses; got < int64(cycles) {
+			t.Errorf("copy %d of the literal: %d misses over %d reporting cycles", i, got, cycles)
+		}
+	}
+	m.derive(&m.res, m.basePos, m.baseBuf)
+	assertResultsEqual(t, "memo", &want.res, &m.res)
+	if got := m.Snapshot(); !reflect.DeepEqual(got, want.snap) {
+		t.Errorf("the memo ends in %+v, runBatchN in %+v", got, want.snap)
+	}
+	if m.Pos() != want.pos {
+		t.Errorf("the memo ends at %d, runBatchN at %d", m.Pos(), want.pos)
+	}
+}
+
 // TestObserverSeesMemoCounts: what a run's memo did reaches the Observer
 // beside the Result — the misses of a scan long enough for the memo, the
 // symbols of one too short for it, and the sum over the shard workers of

@@ -57,7 +57,8 @@ type MachineCollector struct {
 	// MemoMisses, MemoFlushes and MemoBypassedSymbols total the
 	// configuration memo's RunSummary fields: how often the memo in front
 	// of the many-partition kernel ran the kernel for a step it had not
-	// seen, flushed its table, or let the kernel scan alone.
+	// seen or one that reports, flushed its table, or let the kernel scan
+	// alone.
 	MemoMisses, MemoFlushes, MemoBypassedSymbols *Counter
 }
 
@@ -86,7 +87,7 @@ func NewMachineCollector(reg *Registry) *MachineCollector {
 			"Peak entries buffered in the 64-deep output buffer."),
 		Runs: reg.Counter("ca_runs_total", "Completed runs."),
 		MemoMisses: reg.Counter("ca_machine_memo_misses_total",
-			"Configuration-memo lookups that ran the kernel for an unseen step."),
+			"Configuration-memo lookups that ran the kernel: an unseen step, or one that reports."),
 		MemoFlushes: reg.Counter("ca_machine_memo_flushes_total",
 			"Configuration-memo tables flushed whole at their byte budget."),
 		MemoBypassedSymbols: reg.Counter("ca_machine_memo_bypassed_symbols_total",
