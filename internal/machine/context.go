@@ -110,6 +110,7 @@ func (m *Machine) observe(before, res *Result, memo memoCounts, start time.Time)
 		SumActivePartitions:    a.SumActivePartitions - b.SumActivePartitions,
 		SumG1Crossings:         a.SumG1Crossings - b.SumG1Crossings,
 		SumG4Crossings:         a.SumG4Crossings - b.SumG4Crossings,
+		MemoHits:               memo.hits,
 		MemoMisses:             memo.misses,
 		MemoFlushes:            memo.flushes,
 		MemoBypassedSymbols:    memo.bypassed,

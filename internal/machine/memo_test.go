@@ -16,9 +16,11 @@ import (
 
 // memoBenchRows are the shapes BenchmarkKernelMemo times: the ledger's
 // scan-dense rule set over a scan's length and over a serving request's,
-// the four registry benchmarks whose configurations seldom come back, and
+// the four registry benchmarks whose configurations seldom come back,
 // ClamAV, whose configurations come back but too seldom to pay for their
-// misses (the two halves of the back-off rule, see memoFresh).
+// misses (the two halves of the back-off rule, see memoFresh), and
+// PowerEN over 64 KiB, a run short enough for the learning allowance to
+// matter.
 func memoBenchRows(b *testing.B) []struct {
 	name string
 	m    *Machine
@@ -34,7 +36,7 @@ func memoBenchRows(b *testing.B) []struct {
 		bench string
 		size  int
 	}{{"Snort", 256 << 10}, {"Snort", 64 << 10}, {"Snort", 1 << 10}, {"Fermi", 256 << 10}, {"SPM", 256 << 10},
-		{"RandomForest", 256 << 10}, {"Protomata", 256 << 10}, {"ClamAV", 256 << 10}} {
+		{"RandomForest", 256 << 10}, {"Protomata", 256 << 10}, {"ClamAV", 256 << 10}, {"PowerEN", 64 << 10}} {
 		spec := workload.ByName(r.bench)
 		n, err := spec.Build(1, 0.1)
 		m, err := New(mapped(b, n, err), Options{CollectMatches: true})
@@ -53,18 +55,26 @@ func memoBenchRows(b *testing.B) []struct {
 // (the memo, or the kernel where a gate turns the memo away) against
 // runBatchN alone over the same input, the two alternating within each
 // iteration so that a change in the host's speed falls on both. It
-// reports ns/byte of each and their ratio.
+// reports ns/byte of each and their ratio, and what the memo cost: the
+// bytes of arrays it made per run, its misses per KiB of input, and the
+// share of the input's symbols it served from its table (0 for a run a
+// gate sent to the kernel).
 func BenchmarkKernelMemo(b *testing.B) {
 	for _, r := range memoBenchRows(b) {
 		b.Run(r.name, func(b *testing.B) {
 			var memo, kernel time.Duration
+			var alloc, misses, hits int64
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < 2; j++ {
 					r.m.Reset()
 					t0 := time.Now()
 					if (i+j)%2 == 0 {
-						r.m.scan(context.Background(), r.in, r.m.newMemo(len(r.in)))
+						mm := r.m.newMemo(len(r.in))
+						r.m.scan(context.Background(), r.in, mm)
 						memo += time.Since(t0)
+						if mm != nil {
+							alloc, misses, hits = alloc+int64(mm.alloc), misses+mm.misses, hits+mm.hits
+						}
 					} else {
 						r.m.runBatchN(r.in)
 						kernel += time.Since(t0)
@@ -75,6 +85,9 @@ func BenchmarkKernelMemo(b *testing.B) {
 			b.ReportMetric(perByte(memo), "memo-ns/byte")
 			b.ReportMetric(perByte(kernel), "runBatchN-ns/byte")
 			b.ReportMetric(float64(memo)/float64(kernel), "memo/runBatchN")
+			b.ReportMetric(float64(alloc)/float64(b.N), "memo-B/run")
+			b.ReportMetric(float64(misses)/float64(b.N)/float64(len(r.in)>>10), "misses/KiB")
+			b.ReportMetric(float64(hits)/float64(b.N*len(r.in)), "hit-ratio")
 			b.ReportMetric(0, "ns/op")
 		})
 	}
@@ -130,6 +143,91 @@ func TestMemoBytesBounded(t *testing.T) {
 	t.Logf("%d misses, %d flushes, %d bytes allocated", mm.misses, m.memoCounts.flushes, allocated)
 }
 
+// TestMemoBytesPerRun: a scan of 256 KiB over Snort@0.1, the ledger's
+// scan-dense shape, through the memo newMemo makes allocates at most
+// 1 MiB in all — a table that gave every configuration a dense row of
+// steps allocated 2.3 MB here — and ends with runBatchN's Result and
+// Snapshot.
+func TestMemoBytesPerRun(t *testing.T) {
+	snort := workload.ByName("Snort")
+	n, err := snort.Build(1, 0.1)
+	m, err := New(mapped(t, n, err), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := snort.Input(1, 256<<10)
+	m.Reset()
+	m.runBatchN(in)
+	m.derive(&m.res, m.basePos, m.baseBuf)
+	want, wantSnap := m.res, m.Snapshot()
+
+	m.Reset()
+	mm := m.newMemo(len(in))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := m.scan(context.Background(), in, mm); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if mm == nil || mm.misses == 0 || mm.hits == 0 {
+		t.Fatal("the scan did not run through a memo")
+	}
+	if allocated := after.TotalAlloc - before.TotalAlloc; allocated > 1<<20 {
+		t.Errorf("the scan allocated %d bytes (%d of them the memo's arrays); want at most 1 MiB", allocated, mm.alloc)
+	}
+	assertResultsEqual(t, "memo", &want, &m.res)
+	if got := m.Snapshot(); !reflect.DeepEqual(got, wantSnap) {
+		t.Errorf("the memo ends in %+v, runBatchN in %+v", got, wantSnap)
+	}
+}
+
+// TestMemoWarmMissesOnlyReports: a memo that never backs off, run a
+// second time over the same input from Reset, has seen every step the
+// input takes, so it misses exactly on the steps that report (which it
+// does not store) — one per reporting cycle — and on no step it stored.
+// That second run is nearly all hits on configurations whose kernel
+// steps went to the first run's Result, so it ends with runBatchN's
+// Result and Snapshot only if the hits count everything, peaks included.
+func TestMemoWarmMissesOnlyReports(t *testing.T) {
+	snort := workload.ByName("Snort")
+	n, err := snort.Build(1, 0.1)
+	m, err := New(mapped(t, n, err), Options{CollectMatches: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := snort.Input(1, 64<<10)
+	m.Reset()
+	m.runBatchN(in)
+	m.derive(&m.res, m.basePos, m.baseBuf)
+	want, wantSnap := m.res, m.Snapshot()
+
+	mm := m.memoFor(0, false)
+	var misses int64
+	for pass := 0; pass < 2; pass++ {
+		m.Reset()
+		misses = mm.misses
+		if err := m.scan(context.Background(), in, mm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.memoCounts.flushes != 0 {
+		t.Fatal("the table was flushed")
+	}
+	cycles := 0
+	for i, r := range m.res.Matches {
+		if i == 0 || r.Offset != m.res.Matches[i-1].Offset {
+			cycles++
+		}
+	}
+	if got := mm.misses - misses; got != int64(cycles) {
+		t.Errorf("a warm pass missed %d times over %d reporting cycles", got, cycles)
+	}
+	assertResultsEqual(t, "warm memo", &want, &m.res)
+	if got := m.Snapshot(); !reflect.DeepEqual(got, wantSnap) {
+		t.Errorf("the warm memo ends in %+v, runBatchN in %+v", got, wantSnap)
+	}
+}
+
 // TestMemoStoresNoReport: a transition whose step reported is not
 // stored, so every visit to it runs on the kernel, which makes every
 // report. The CA_S order probe's input is one literal six times over,
@@ -178,9 +276,12 @@ func TestMemoStoresNoReport(t *testing.T) {
 }
 
 // TestObserverSeesMemoCounts: what a run's memo did reaches the Observer
-// beside the Result — the misses of a scan long enough for the memo, the
-// symbols of one too short for it, and the sum over the shard workers of
-// a sharded run — and the Result stays the kernel's.
+// beside the Result — the hits and misses of a scan long enough for the
+// memo, the symbols of one too short for it, and the sum over the shard
+// workers of a sharded run — and the Result stays the kernel's. Every
+// symbol of a run is a hit, a miss or a bypassed symbol; a sharded run's
+// workers also scan their warm-ups and repairs, which its Result leaves
+// out.
 func TestObserverSeesMemoCounts(t *testing.T) {
 	snort := workload.ByName("Snort")
 	n, err := snort.Build(1, 0.1)
@@ -198,14 +299,19 @@ func TestObserverSeesMemoCounts(t *testing.T) {
 	counts := func() memoCounts { return ms[0].memoCounts.plus(ms[1].memoCounts) }
 	last := func() memoCounts {
 		r := obs.runs[len(obs.runs)-1]
-		return memoCounts{r.MemoMisses, r.MemoFlushes, r.MemoBypassedSymbols}
+		return memoCounts{r.MemoHits, r.MemoMisses, r.MemoFlushes, r.MemoBypassedSymbols}
 	}
+	served := func(c memoCounts) int64 { return c.hits + c.misses + c.bypassed }
+	symbols := func() int64 { return obs.runs[len(obs.runs)-1].Symbols }
 
 	m.Reset()
 	before := counts()
 	res := mustRun(m, in)
-	if got, want := last(), counts().minus(before); got != want || got.misses == 0 {
+	if got, want := last(), counts().minus(before); got != want || got.misses == 0 || got.hits == 0 {
 		t.Errorf("a %d-byte scan reports %+v; its memo did %+v", len(in), got, want)
+	}
+	if got := served(last()); got != symbols() {
+		t.Errorf("a %d-byte scan: hits + misses + bypassed = %d, over %d symbols", len(in), got, symbols())
 	}
 	m.Reset()
 	m.runBatchN(in)
@@ -224,6 +330,9 @@ func TestObserverSeesMemoCounts(t *testing.T) {
 	}
 	if got, want := last(), counts().minus(before); got != want || got.misses == 0 {
 		t.Errorf("a sharded scan reports %+v; its workers' memos did %+v", got, want)
+	}
+	if got := served(last()); got < symbols() {
+		t.Errorf("a sharded scan: hits + misses + bypassed = %d, over %d symbols", got, symbols())
 	}
 }
 

@@ -19,10 +19,12 @@ type RunSummary struct {
 	SumActiveStates, SumDynamicStates, SumActivePartitions int64
 	SumG1Crossings, SumG4Crossings                         int64
 	// The Memo fields say what the run's configuration memo did: the
-	// lookups that ran the kernel, the times its table was flushed whole,
-	// and the symbols the kernel ran without it (a run too short for it,
-	// or one the back-off rule sent to the kernel).
-	MemoMisses, MemoFlushes, MemoBypassedSymbols int64
+	// lookups that found their step, the lookups that ran the kernel, the
+	// times its table was flushed whole, and the symbols the kernel ran
+	// without it (a run too short for it, or one the back-off rule sent to
+	// the kernel). Each symbol of a many-partition run is one of a hit, a
+	// miss or a bypassed symbol.
+	MemoHits, MemoMisses, MemoFlushes, MemoBypassedSymbols int64
 }
 
 // MachineCollector aggregates machine-level run telemetry into a registry.
@@ -54,12 +56,12 @@ type MachineCollector struct {
 	OutputBufferHighWater *Gauge
 	// Runs counts completed runs.
 	Runs *Counter
-	// MemoMisses, MemoFlushes and MemoBypassedSymbols total the
+	// MemoHits, MemoMisses, MemoFlushes and MemoBypassedSymbols total the
 	// configuration memo's RunSummary fields: how often the memo in front
-	// of the many-partition kernel ran the kernel for a step it had not
-	// seen or one that reports, flushed its table, or let the kernel scan
-	// alone.
-	MemoMisses, MemoFlushes, MemoBypassedSymbols *Counter
+	// of the many-partition kernel found a step, ran the kernel for a step
+	// it had not seen or one that reports, flushed its table, or let the
+	// kernel scan alone.
+	MemoHits, MemoMisses, MemoFlushes, MemoBypassedSymbols *Counter
 }
 
 // NewMachineCollector registers the machine run metrics (names prefixed
@@ -86,6 +88,8 @@ func NewMachineCollector(reg *Registry) *MachineCollector {
 		OutputBufferHighWater: reg.Gauge("ca_output_buffer_highwater",
 			"Peak entries buffered in the 64-deep output buffer."),
 		Runs: reg.Counter("ca_runs_total", "Completed runs."),
+		MemoHits: reg.Counter("ca_machine_memo_hits_total",
+			"Configuration-memo lookups that found their step and ran no kernel."),
 		MemoMisses: reg.Counter("ca_machine_memo_misses_total",
 			"Configuration-memo lookups that ran the kernel: an unseen step, or one that reports."),
 		MemoFlushes: reg.Counter("ca_machine_memo_flushes_total",
@@ -114,6 +118,7 @@ func (c *MachineCollector) ObserveRun(r RunSummary) {
 	c.Matches.Add(r.Matches)
 	c.OutputBufferInterrupts.Add(r.OutputBufferInterrupts)
 	c.OutputBufferHighWater.SetMax(r.OutputBufferPeak)
+	c.MemoHits.Add(r.MemoHits)
 	c.MemoMisses.Add(r.MemoMisses)
 	c.MemoFlushes.Add(r.MemoFlushes)
 	c.MemoBypassedSymbols.Add(r.MemoBypassedSymbols)

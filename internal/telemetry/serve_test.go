@@ -73,7 +73,7 @@ func TestMachineCollector(t *testing.T) {
 	c.ObserveRun(RunSummary{Symbols: 2, Seconds: 0.5, Matches: 5,
 		OutputBufferInterrupts: 1, OutputBufferPeak: 40,
 		SumActiveStates: 30, SumActivePartitions: 5, SumG1Crossings: 1, SumG4Crossings: 3,
-		MemoMisses: 7, MemoFlushes: 1, MemoBypassedSymbols: 2})
+		MemoHits: 11, MemoMisses: 7, MemoFlushes: 1, MemoBypassedSymbols: 2})
 	c.ObserveRun(RunSummary{}) // an empty run: counted, no histogram sample
 	if got := c.Runs.Value(); got != 2 {
 		t.Errorf("runs = %d", got)
@@ -102,14 +102,15 @@ func TestMachineCollector(t *testing.T) {
 	if got := c.OutputBufferHighWater.Value(); got != 40 {
 		t.Errorf("highwater = %d", got)
 	}
-	if c.MemoMisses.Value() != 7 || c.MemoFlushes.Value() != 1 || c.MemoBypassedSymbols.Value() != 2 {
-		t.Errorf("memo misses = %d flushes = %d bypassed = %d", c.MemoMisses.Value(), c.MemoFlushes.Value(), c.MemoBypassedSymbols.Value())
+	if c.MemoHits.Value() != 11 || c.MemoMisses.Value() != 7 || c.MemoFlushes.Value() != 1 || c.MemoBypassedSymbols.Value() != 2 {
+		t.Errorf("memo hits = %d misses = %d flushes = %d bypassed = %d",
+			c.MemoHits.Value(), c.MemoMisses.Value(), c.MemoFlushes.Value(), c.MemoBypassedSymbols.Value())
 	}
 	var text strings.Builder
 	if err := reg.WritePrometheus(&text); err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range []string{"ca_machine_memo_misses_total 7", "ca_machine_memo_flushes_total 1",
+	for _, line := range []string{"ca_machine_memo_hits_total 11", "ca_machine_memo_misses_total 7", "ca_machine_memo_flushes_total 1",
 		"ca_machine_memo_bypassed_symbols_total 2"} {
 		if !strings.Contains(text.String(), line+"\n") {
 			t.Errorf("the exposition lacks %q", line)
