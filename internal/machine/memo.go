@@ -27,11 +27,20 @@ import (
 // all the hits, get a dense row of steps, and the others' steps share
 // one open-addressed table. A key is the awake bitset and four words per
 // awake partition, built and compared without packing, and keys live in
-// fixed-size blocks that grow without copying. On that scan the memo
-// allocates 0.65 MB, where dense rows for every configuration took
-// 2.3 MB, and a miss costs about 390 ns, 150 of them the kernel's step,
-// where it cost 580–700 (2-vCPU Xeon at 2.0 GHz, go1.24: best of
-// alternating runs, cold scan less warm scan over the misses).
+// blocks that grow without copying. On that scan the memo allocates
+// 0.68 MB, where dense rows for every configuration took 2.3 MB, and a
+// miss costs about 390 ns, 150 of them the kernel's step, where it cost
+// 580–700 (2-vCPU Xeon at 2.0 GHz, go1.24: best of alternating runs,
+// cold scan less warm scan over the misses).
+//
+// A memo starts cold with every run, so a short run pays for whatever its
+// table makes before the table has earned it. The table makes little
+// until it does: its first key block is 4 KB, the blocks double to 32 KB,
+// and it has no dense rows until its hits have paid for them (see rows).
+// A run whose configurations do not come back is turned away within its
+// first hundred symbols or so and makes at most 128 KiB of arrays over
+// 8 KiB (TestMemoTurnedAwayIsCheap), where the table that gave its first
+// configuration 256 dense rows made 425–457 KB.
 //
 // What a cycle adds to the Result is memoized with it, so a Result is
 // bit-identical to the kernel's:
@@ -59,34 +68,59 @@ import (
 // others cold.
 
 // memoMinBytes is the shortest run the memo serves; shorter ones go
-// straight to runBatchN. A memo starts cold with every run. Through a memo
-// with no length gate (memo/runBatchN, BenchmarkKernelMemo's method, three
-// runs at -benchtime 32x), Snort@0.1 reads 1.01–1.08× at 4 KiB,
-// 0.52–0.80× at 8 KiB, 0.45–0.59× at 16 KiB, 0.32–0.36× at 32 KiB and
-// 0.21–0.23× at 64 KiB, where the dense-row table it replaced read
-// 1.12–1.24×, 1.11–1.20×, 1.13–1.18×, 0.58–0.72× and 0.36–0.37×.
-// PowerEN@0.1 reads 1.20–1.24×, 1.12–1.25×, 0.69–0.75×, 0.53–0.58× and
-// 0.36–0.39×, and ClamAV@0.1 1.92–2.39×, 1.50–1.83×, 1.23–1.39×,
-// 1.20–1.24× and 1.21–1.26×. 16 KiB would now pay on the first two, but
-// compile-cold's 16 KiB probe would then start a cold memo on a
-// 231-partition rule set, which has not been measured.
-const memoMinBytes = 32 << 10
+// straight to runBatchN. Below it, the back-off rule cannot tell a loser
+// in time: at 4 KiB Bro217@0.1, Snort@0.1, TCP@0.1 and PowerEN@0.1 read
+// 1.21–1.35× runBatchN's time through the memo.
+//
+// At 8, 16 and 32 KiB every registry set at 0.1 that maps to many
+// partitions reads at most 1.15× through the memo (memo/runBatchN,
+// BenchmarkKernelMemo's method, medians of five alternating runs of two
+// test binaries at -benchtime 16x, 2-vCPU Xeon, go1.24), where the
+// memo's previous cold start read up to 1.92×: ClamAV@0.1 1.92×, 1.44×
+// and 1.33× → 1.10×, 1.07× and 1.14×; PowerEN@0.1 1.20×, 0.72× and
+// 0.55× → 1.10×, 1.09× and 0.56×; Fermi@0.1 and RandomForest@0.1 1.13–
+// 1.14× → 1.03–1.04× at 8 KiB. compile-cold's shape (coldShape: 2 000
+// rules, 231 partitions) reads 0.44×, 0.47× and 0.39×, so its 16 KiB
+// probe and its 8 and 10 KiB shard runs go through the memo. The price
+// is the short runs of sets that win: at 8 KiB the learning allowance
+// (see memoLearnRun) turns Snort@0.1, Brill@0.1, Bro217@0.1, TCP@0.1,
+// Ranges@0.1 and ExactMatch@0.1 away at 1.02–1.07×, where a memo that
+// kept them read 0.38–0.73×, and ExactMatch@0.1 at 16 KiB too.
+const memoMinBytes = 8 << 10
 
 // The back-off rule: a run goes to the kernel for the next memoBypass
 // symbols when its memo is losing, by either of two triggers.
 //
-//   - Its configurations do not come back: it has interned more than one
-//     for every memoFresh symbols the memo served, past the first
-//     memoFreshSlack. Fermi@0.1, RandomForest@0.1, SPM@0.1 and
-//     Protomata@0.1 intern one on 93–100 % of their symbols and Snort@0.1
-//     on 14 % of its first kilobyte and 2 % of its fourth.
+//   - Its configurations do not come back: in its window, the symbols
+//     since the memo last came back from the kernel (or since the run
+//     began), it has interned more than memoFresh−1 configurations for
+//     every memoFresh symbols served, past the first memoFreshSlack.
+//     Fermi@0.1, RandomForest@0.1, SPM@0.1 and Protomata@0.1 intern one
+//     on 93–100 % of their symbols, and are turned away within 50 or so.
+//     Over their first 4 KiB no set that wins interns more than 6
+//     configurations beyond four in five symbols (Brill@0.1, 72 beyond one
+//     in two), and Hamming@0.1 26 (231). A window that ends without a hit
+//     doubles the next bypass (see memoColdMax), so the sets whose
+//     configurations never come back pay for few windows; one that ends
+//     with hits bypasses memoBypass, and Hamming@0.1, whose
+//     configurations do come back after its first 8 KiB, returns: over
+//     64 KiB it reads 0.45× runBatchN's time, where the trigger that
+//     counted from the run's start turned it away for good at 1.01×.
 //   - Its misses have cost more than its hits saved, by more than a
 //     learning allowance of 1/memoLearn of the kernel's work over the
-//     whole run. Costs are in the kernel's partition visits: a hit saves
-//     its configuration's awake partitions and one more for the step's
-//     fixed work, and a miss costs memoMissCost. A cold table pays for its
+//     whole run, scaled by n/(n+memoLearnRun) for a run of n symbols.
+//     Costs are in the kernel's partition visits: a hit saves its
+//     configuration's awake partitions and one more for the step's fixed
+//     work, and a miss costs memoMissCost. A cold table pays for its
 //     first kilobytes of misses over the run's later symbols, and a run
-//     with too few of them does not.
+//     with too few of them does not. The scale is for that: a table's
+//     learning takes about as many symbols whatever the run's length, so
+//     a short run can afford less of it. ClamAV@0.1 over 8, 16 and 32 KiB
+//     reads 1.10×, 1.07× and 1.14× with it and 1.18×, 1.23× and 1.23×
+//     without; with memoLearnRun 16 KiB, 1.14×, 1.14× and 1.13×, and
+//     PowerEN@0.1 over 16 KiB 1.13×. Over 256 KiB (0.89 of the allowance)
+//     ClamAV@0.1, PowerEN@0.1 and Snort@0.1 hit and miss on the same
+//     symbols as with the allowance unscaled.
 //
 // Each constant was measured with the others held (memo/runBatchN, two or
 // three runs per variant at -benchtime 4x to 16x, over 64 and 256 KiB of
@@ -94,11 +128,13 @@ const memoMinBytes = 32 << 10
 // named did not move):
 //
 //   - With the first trigger off, Fermi, RandomForest, SPM and Protomata
-//     read 0.97–1.60×. With memoFresh 4 they read 0.88–1.19× and with 2
-//     0.87–1.22×, but 2 keeps Brill@0.1 on the memo, at 0.09–0.26×
-//     against 0.84–1.33×. A memoFreshSlack of 4 096 would keep
-//     Hamming@0.1 on it too, at 0.14–0.44×, but then Fermi@0.1 over
-//     64 KiB reads up to 1.44×.
+//     read 0.97–1.60×. Counted over the whole run, one configuration in
+//     two with a memoFreshSlack of 256 read them 0.87–1.22×, kept
+//     Brill@0.1 on the memo at 0.09–0.26× and turned Hamming@0.1 away;
+//     a slack of 4 096 kept Hamming@0.1 on it at 0.14–0.44×, but then
+//     Fermi@0.1 over 64 KiB read up to 1.44×. Counted per window with a
+//     slack of 32 or 64 and no doubling, Fermi@0.1 and RandomForest@0.1
+//     read 1.05–1.37× and made 1–3 MB of memo arrays over 64 KiB.
 //   - With the second trigger off, ClamAV@0.1, whose configurations come
 //     back and yet miss on 23 % of its symbols, reads 1.56–1.77× over
 //     64 KiB. memoMissCost is its price. At 8, ClamAV@0.1 over 256 KiB
@@ -118,26 +154,32 @@ const memoMinBytes = 32 << 10
 // configurations of more than 32 or 64 awake partitions read 1.01× and
 // 1.05×.
 const (
-	memoFresh      = 2
-	memoFreshSlack = 256
+	memoFresh      = 5
+	memoFreshSlack = 8
 	memoMissCost   = 8
 	memoLearn      = 8
+	memoLearnRun   = 32 << 10
 )
 
 // memoBypass is how many symbols the kernel runs on its own when the
 // back-off rule turns the memo away, before the memo looks again.
 const memoBypass = 1024
 
+// memoColdMax bounds how often a bypass doubles: a run turned away after
+// k windows in a row without a hit (see memoFresh) bypasses
+// memoBypass·2^min(k, memoColdMax) symbols.
+const memoColdMax = 6
+
 // memoBudget bounds what one run's memo allocates, in bytes. A table
 // that would pass it is flushed whole and the run goes on with an empty
 // one, reusing the arrays, so no input makes one run allocate more.
-// A scan of Snort@0.1's 256 KiB input allocates 0.65 MB of memo (813
-// configurations, 6 739 misses), the doubling of its arrays included:
-// 213 KB of dense rows, 295 KB of key blocks, 63 KB of step tables and
+// A scan of Snort@0.1's 256 KiB input allocates 0.68 MB of memo (813
+// configurations, 6 739 misses), the growing of its arrays included:
+// 230 KB of dense rows, 295 KB of key blocks, 71 KB of step tables and
 // 81 KB of hashes, configurations and index.
 const memoBudget = 4 << 20
 
-// memoConf is one configuration: where its key starts (see keyOf), what
+// memoConf is one configuration: its key's place in keys (see keyOf), what
 // it adds to a cycle's activity, less the constants runBatchN adds per
 // batch, the partition visits a hit on it saves (see memoMissCost), and
 // the hits on it the Result has not counted yet (see tally).
@@ -150,8 +192,8 @@ type memoConf struct {
 // configuration it leads to, −(k+1) for sides[k], or 0 for not seen.
 //
 // The first memoDense configurations of a table, which take nearly all
-// of its hits, keep their steps in dense rows: configuration id's step on
-// class c is dense[id*nc+c]. On Snort@0.1 over 256 KiB, the first 256 of
+// of its hits, keep their steps in dense rows once the table has earned
+// them (see rows): configuration id's step on class c is dense[id*nc+c]. On Snort@0.1 over 256 KiB, the first 256 of
 // its 813 configurations take 98.6 % of its hits (the first 128, 94 %),
 // and on PowerEN@0.1 the first 256 of 1 145 take 96.8 % (90 %). With 128
 // dense rows in place of 256, the Snort@0.1 scan's memo took 612 KB in
@@ -162,6 +204,22 @@ type memoConf struct {
 // at most half full: a row per configuration would cost each hit a second
 // dependent load, and a dense row each configuration nc entries.
 const memoDense = 256
+
+// A table's dense rows come in two steps, memoDenseFirst and then
+// memoDense, each once the table has earned it (see rows). ClamAV@0.1 has
+// 256 classes, so 256 dense rows are 256 KB: made as soon as it had
+// configurations for them, they read it over 8 KiB 1.66× runBatchN's
+// time, and earned, 1.21× (both with the learning allowance unscaled).
+// Earned by the hits alone (a hit per 16 entries), the rows read
+// Snort@0.1 over 8 KiB 0.86×, where made at once they read 0.72× and
+// earned by hits or by a table that is ahead, 0.78×. The price of earning
+// them is ClamAV@0.1 over 256 KiB, which earns its rows late: 0.79× with
+// rows at once, 0.86× at a hit per 64 entries and 0.91× at one per 16
+// (medians of four to nine alternating runs at -benchtime 16x).
+const (
+	memoDenseFirst = 16
+	memoRowHit     = 64
+)
 
 // memoStep is one entry of steps; an empty entry is all zeros.
 type memoStep struct {
@@ -193,27 +251,39 @@ var _ = [1]struct{}{}[(memoBudget/memoConfBytes)>>24]
 
 const memoConfBytes = int(unsafe.Sizeof(uint64(0))) + int(unsafe.Sizeof(memoConf{}))
 
-// memoKeyBlock is the least number of words in one block of keys (see
-// memoBlocks).
-const memoKeyBlock = 4 << 10
+// memoKeyFirst is the least number of words in the first block of keys,
+// and memoKeyBlock in the largest (see memoBlocks).
+const (
+	memoKeyFirst = 512
+	memoKeyBlock = 4 << 10
+)
 
-// memoBlocks is storage handed out in windows of fixed-size blocks, so
-// that it grows without copying. A window never spans two blocks; a flush
-// hands the blocks out again. A block is 1<<shift words, so that finding
-// a key's block takes no division.
+// memoBlocks is storage handed out in windows of blocks, so that it grows
+// without copying. Blocks double from the first, of first words, to most
+// words, so that a short run pays for a small one. A window never spans
+// two blocks, and is found by its block and its offset in it, packed as
+// block<<memoOffsetBits | offset. A flush hands the blocks out again.
 type memoBlocks struct {
-	list       [][]uint64
-	shift      uint
-	cur, taken int // blocks in use, and words taken from the last
+	list        [][]uint64
+	first, most int
+	cur, taken  int // blocks in use, and words taken from the last
 }
 
-// take returns a window of n words and where it starts, counting from
-// the first block's first word, or false when another block would take
-// mm past memoBudget. n is at most a block's length.
+// memoOffsetBits is how many low bits of a window's place hold its offset
+// in its block.
+const memoOffsetBits = 20
+
+// Every block holds at least memoKeyFirst words, so a place the budget
+// admits fits an int32.
+var _ = [1]struct{}{}[(memoBudget/(8*memoKeyFirst))>>(31-memoOffsetBits)]
+
+// take returns a window of n words and its place, or false when another
+// block would take mm past memoBudget. n is at most the first block's
+// length.
 func (b *memoBlocks) take(mm *memo, n int) ([]uint64, int, bool) {
-	size := 1 << b.shift
-	if b.cur == 0 || b.taken+n > size {
+	if b.cur == 0 || b.taken+n > len(b.list[b.cur-1]) {
 		if b.cur == len(b.list) {
+			size := min(b.first<<min(b.cur, 16), b.most)
 			if mm.alloc+8*size > memoBudget {
 				return nil, 0, false
 			}
@@ -224,7 +294,12 @@ func (b *memoBlocks) take(mm *memo, n int) ([]uint64, int, bool) {
 	}
 	at := b.taken
 	b.taken += n
-	return b.list[b.cur-1][at:b.taken:b.taken], (b.cur-1)<<b.shift + at, true
+	return b.list[b.cur-1][at:b.taken:b.taken], (b.cur-1)<<memoOffsetBits | at, true
+}
+
+// at returns the n words at place p.
+func (b *memoBlocks) at(p, n int) []uint64 {
+	return b.list[p>>memoOffsetBits][p&(1<<memoOffsetBits-1):][:n]
 }
 
 // memo is one run's configuration table. A configuration's id indexes
@@ -241,6 +316,7 @@ type memo struct {
 	confs  []memoConf
 	slots  []int32 // open-addressed index by hash: id+1, or 0 for empty
 	dense  []int32
+	rowed  int32 // configurations with a dense row: ids 0, …, rowed−1
 	steps  []memoStep
 	sides  []memoSide
 	keys   memoBlocks
@@ -257,6 +333,12 @@ type memo struct {
 	// they are ahead of the table (the kernel ran and nothing interned
 	// the result).
 	seated int32
+	// winInterned, winHits and winMisses are interned, hits and misses
+	// when the memo last came back from the kernel: the back-off rule's
+	// window starts there (see memoFresh).
+	winInterned, winHits, winMisses int64
+	// cold counts the windows in a row that ended without a hit.
+	cold int
 	// n is the run's length. interned counts the configurations it
 	// interned, hits its lookups that found their step, saved the
 	// partition visits they saved, misses the lookups that did not, and
@@ -281,7 +363,7 @@ func (m *Machine) newMemo(n int) *memo {
 func (m *Machine) memoFor(n int64, backOff bool) *memo {
 	kb := make([]uint64, len(m.awake)+wordsPerPartition*len(m.parts))
 	mm := &memo{m: m, nc: m.numClasses, backOff: backOff, seated: -1, n: n, kb: kb,
-		keys: memoBlocks{shift: uint(bits.Len(uint(max(memoKeyBlock, len(kb)) - 1)))}}
+		keys: memoBlocks{first: max(memoKeyFirst, len(kb)), most: max(memoKeyBlock, len(kb))}}
 	mm.sizeSteps(memoMinSteps)
 	return mm
 }
@@ -300,39 +382,50 @@ func (c memoCounts) minus(o memoCounts) memoCounts {
 // and its Result as runBatchN would.
 func (mm *memo) run(input []byte) {
 	m := mm.m
-	id := mm.intern(!mm.losing(0, 0))
+	id := mm.intern(!mm.losing())
 	classOf := &m.classOf
 	pos := m.pos
-	confs, dense, nc := mm.confs, mm.dense, mm.nc
+	confs, dense, rowed, nc := mm.confs, mm.dense, mm.rowed, mm.nc
 
 	var hits, saved int64
 	for i := 0; i < len(input); {
 		if id < 0 {
-			n := min(memoBypass, len(input)-i)
+			n := min(memoBypass<<min(mm.cold, memoColdMax), len(input)-i)
 			m.pos = pos + int64(i)
 			m.runBatchN(input[i : i+n])
 			m.memoCounts.bypassed += int64(n)
 			i += n
-			id = mm.intern(!mm.losing(hits, saved))
-			confs, dense = mm.confs, mm.dense
+			mm.winInterned, mm.winHits, mm.winMisses = mm.interned, mm.hits, mm.misses
+			id = mm.intern(!mm.losing())
+			confs, dense, rowed = mm.confs, mm.dense, mm.rowed
 			continue
 		}
 		c := classOf[input[i]]
 		var t int32
-		if id < memoDense {
+		if id < rowed {
 			t = dense[int(id)*nc+int(c)]
 		} else {
 			t = mm.stepAt(stepKey(id, c))
 		}
 		if t == 0 {
-			if mm.losing(hits, saved) {
+			mm.credit(hits, saved)
+			hits, saved = 0, 0
+			if mm.losing() {
 				mm.seat(id)
 				id = -1
+				if mm.hits == mm.winHits {
+					mm.cold++
+				} else {
+					mm.cold = 0
+				}
 				continue
+			}
+			if int(rowed) < min(len(confs), memoDense) {
+				mm.rows(len(confs))
 			}
 			m.pos = pos + int64(i)
 			id = mm.miss(id, c, input[i:i+1])
-			confs, dense = mm.confs, mm.dense
+			confs, dense, rowed = mm.confs, mm.dense, mm.rowed
 			i++
 			continue
 		}
@@ -355,10 +448,16 @@ func (mm *memo) run(input []byte) {
 		mm.seat(id)
 	}
 	m.pos = pos + int64(len(input))
+	mm.credit(hits, saved)
+	mm.tally()
+}
+
+// credit adds a stretch of hits, and the partition visits they saved, to
+// the run's totals.
+func (mm *memo) credit(hits, saved int64) {
 	mm.hits += hits
 	mm.saved += saved
-	m.memoCounts.hits += hits
-	mm.tally()
+	mm.m.memoCounts.hits += hits
 }
 
 // tally adds to the Result the cycles of the hits since the last tally,
@@ -381,23 +480,22 @@ func (mm *memo) tally() {
 	}
 }
 
-// losing applies the back-off rule (see memoFresh) to the run so far:
-// mm's totals and the batch's hits and saved visits.
-func (mm *memo) losing(hits, saved int64) bool {
+// losing applies the back-off rule (see memoFresh) to the run so far.
+func (mm *memo) losing() bool {
 	if !mm.backOff {
 		return false
 	}
-	hits, saved = hits+mm.hits, saved+mm.saved
-	served := hits + mm.misses
-	if memoFresh*mm.interned > served+memoFreshSlack {
+	fresh, served := mm.interned-mm.winInterned, mm.hits-mm.winHits+mm.misses-mm.winMisses
+	if memoFresh*(fresh-memoFreshSlack) > (memoFresh-1)*served {
 		return true
 	}
-	lost := memoMissCost*mm.misses - saved
+	lost := memoMissCost*mm.misses - mm.saved
 	if lost <= 0 {
 		return false
 	}
-	perSymbol := float64(saved+mm.missed) / float64(served)
-	return float64(lost) > float64(mm.n)*perSymbol/memoLearn
+	perSymbol := float64(mm.saved+mm.missed) / float64(mm.hits+mm.misses)
+	n := float64(mm.n)
+	return float64(lost) > n*perSymbol/memoLearn*n/(n+memoLearnRun)
 }
 
 // miss runs sym, of class c, from configuration from on the kernel,
@@ -427,7 +525,7 @@ func (mm *memo) miss(from int32, c uint8, sym []byte) int32 {
 		mm.sides = append(mm.sides, memoSide{next: to, g1: dg1, g4: dg4})
 		step = -int32(len(mm.sides))
 	}
-	if from < memoDense {
+	if from < mm.rowed {
 		mm.dense[int(from)*mm.nc+int(c)] = step
 	} else if !mm.link(stepKey(from, c), step) {
 		mm.flush()
@@ -470,6 +568,45 @@ func (mm *memo) link(k uint32, step int32) bool {
 	mm.put(memoStep{k, step})
 	mm.nsteps++
 	return true
+}
+
+// rows gives configurations rowed, …, n−1, which have none, dense rows,
+// up to memoDenseFirst and then up to memoDense, if the table has earned
+// r rows: its hits have saved more than its misses cost (see
+// memoMissCost), or it has had a hit for every memoRowHit entries of r
+// rows. It moves their steps out of steps, and leaves the rows as they
+// were when the memo's budget does not hold the new arrays.
+func (mm *memo) rows(n int) {
+	nc, have := mm.nc, int(mm.rowed)
+	r := memoDenseFirst
+	if have > 0 {
+		r = memoDense
+	}
+	if mm.saved <= memoMissCost*mm.misses && mm.hits < int64(r*nc/memoRowHit) ||
+		mm.alloc+len(mm.steps)*int(unsafe.Sizeof(memoStep{})) > memoBudget ||
+		cap(mm.dense) < r*nc && !grow(mm, &mm.dense, r*nc) {
+		return
+	}
+	moved := min(n, r)
+	mm.dense, mm.rowed = mm.dense[:moved*nc], int32(moved)
+	clear(mm.dense[have*nc:])
+	old, left := mm.steps, 0
+	for _, e := range old {
+		if e.step != 0 && int(e.key>>8) >= moved {
+			left++
+		}
+	}
+	mm.sizeSteps(max(memoMinSteps, 1<<bits.Len(uint(2*left))))
+	mm.nsteps = left
+	for _, e := range old {
+		if id := int(e.key >> 8); e.step == 0 {
+			continue
+		} else if id < moved {
+			mm.dense[id*nc+int(e.key&0xff)] = e.step
+		} else {
+			mm.put(e)
+		}
+	}
 }
 
 // sizeSteps gives mm an empty steps of size entries, a power of two.
@@ -517,9 +654,8 @@ func (mm *memo) intern(add bool) int32 {
 	}
 	copy(key, kb)
 	id := int32(len(mm.hashes))
-	if id < memoDense {
-		n := len(mm.dense)
-		mm.dense = mm.dense[:n+mm.nc]
+	if n := len(mm.dense); id == mm.rowed && n < cap(mm.dense) {
+		mm.dense, mm.rowed = mm.dense[:n+mm.nc], id+1
 		clear(mm.dense[n:])
 	}
 	mm.interned++
@@ -595,8 +731,7 @@ func (mm *memo) seat(id int32) {
 // the work−1 partitions the bitset names.
 func (mm *memo) keyOf(id int32) []uint64 {
 	cf := &mm.confs[id]
-	at := int(cf.key)
-	return mm.keys.list[at>>mm.keys.shift][at&(1<<mm.keys.shift-1):][:len(mm.m.awake)+wordsPerPartition*int(cf.work-1)]
+	return mm.keys.at(int(cf.key), len(mm.m.awake)+wordsPerPartition*int(cf.work-1))
 }
 
 // index puts id in the hash index, doubling the index when it would be
@@ -628,8 +763,7 @@ func (mm *memo) place(id int32) {
 // room makes room for one more configuration, within the budget, and
 // returns the window for its key of n words and where that starts.
 func (mm *memo) room(n int) ([]uint64, int, bool) {
-	if cap(mm.dense) == 0 && !reserve(mm, &mm.dense, memoDense*mm.nc) ||
-		!reserve(mm, &mm.hashes, 1) || !reserve(mm, &mm.confs, 1) ||
+	if !reserve(mm, &mm.hashes, 1) || !reserve(mm, &mm.confs, 1) ||
 		2*(len(mm.hashes)+1) > len(mm.slots) && mm.alloc+4*indexSize(len(mm.slots)) > memoBudget {
 		return nil, 0, false
 	}
@@ -641,7 +775,7 @@ func (mm *memo) flush() {
 	mm.tally()
 	mm.m.memoCounts.flushes++
 	mm.hashes, mm.confs, mm.dense, mm.sides = mm.hashes[:0], mm.confs[:0], mm.dense[:0], mm.sides[:0]
-	mm.keys.cur, mm.nsteps = 0, 0
+	mm.keys.cur, mm.nsteps, mm.rowed = 0, 0, 0
 	clear(mm.slots)
 	clear(mm.steps)
 	mm.seated = -1
@@ -650,12 +784,14 @@ func (mm *memo) flush() {
 // reserve makes room for n more elements in *s, doubling its capacity,
 // unless the new array would take mm past memoBudget.
 func reserve[T any](mm *memo, s *[]T, n int) bool {
-	if len(*s)+n <= cap(*s) {
-		return true
-	}
+	return len(*s)+n <= cap(*s) || grow(mm, s, max(2*cap(*s), len(*s)+n, 16))
+}
+
+// grow gives *s a capacity of c elements, unless the new array would take
+// mm past memoBudget.
+func grow[T any](mm *memo, s *[]T, c int) bool {
 	var elem T
 	size := int(unsafe.Sizeof(elem))
-	c := max(2*cap(*s), len(*s)+n, 16)
 	if mm.alloc+c*size > memoBudget {
 		return false
 	}

@@ -7,20 +7,24 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"cacheautomaton/internal/mapper"
+	"cacheautomaton/internal/regexc"
 	"cacheautomaton/internal/workload"
 )
 
 // memoBenchRows are the shapes BenchmarkKernelMemo times: the ledger's
-// scan-dense rule set over a scan's length and over a serving request's,
-// the four registry benchmarks whose configurations seldom come back,
+// scan-dense rule set over a scan's length, over memoMinBytes and over a
+// serving request's, below it; the four registry benchmarks whose
+// configurations seldom come back, and Fermi again over memoMinBytes;
 // ClamAV, whose configurations come back but too seldom to pay for their
-// misses (the two halves of the back-off rule, see memoFresh), and
-// PowerEN over 64 KiB, a run short enough for the learning allowance to
-// matter.
+// misses (the two halves of the back-off rule, see memoFresh), over a
+// scan's length and over 16 KiB; PowerEN over 64 KiB, a run short enough
+// for the learning allowance to matter; and compile-cold's shape over its
+// 16 KiB probe.
 func memoBenchRows(b *testing.B) []struct {
 	name string
 	m    *Machine
@@ -35,8 +39,9 @@ func memoBenchRows(b *testing.B) []struct {
 	for _, r := range []struct {
 		bench string
 		size  int
-	}{{"Snort", 256 << 10}, {"Snort", 64 << 10}, {"Snort", 1 << 10}, {"Fermi", 256 << 10}, {"SPM", 256 << 10},
-		{"RandomForest", 256 << 10}, {"Protomata", 256 << 10}, {"ClamAV", 256 << 10}, {"PowerEN", 64 << 10}} {
+	}{{"Snort", 256 << 10}, {"Snort", 64 << 10}, {"Snort", memoMinBytes}, {"Snort", 1 << 10},
+		{"Fermi", 256 << 10}, {"Fermi", memoMinBytes}, {"SPM", 256 << 10}, {"RandomForest", 256 << 10},
+		{"Protomata", 256 << 10}, {"ClamAV", 256 << 10}, {"ClamAV", 16 << 10}, {"PowerEN", 64 << 10}} {
 		spec := workload.ByName(r.bench)
 		n, err := spec.Build(1, 0.1)
 		m, err := New(mapped(b, n, err), Options{CollectMatches: true})
@@ -48,7 +53,67 @@ func memoBenchRows(b *testing.B) []struct {
 		}
 		rows = append(rows, row{fmt.Sprintf("%s@0.1/%dKiB", r.bench, r.size>>10), m, spec.Input(1, r.size)})
 	}
-	return rows
+	pl, in := coldShape(b, 16<<10)
+	m, err := New(pl, Options{CollectMatches: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return append(rows, row{"compile-cold/16KiB", m, in})
+}
+
+// coldShape is the shape of the ledger's compile-cold rule set and probe,
+// generated as its bench generates them: 2 000 rules cycling through a
+// literal path, a class repeat, a five-way alternation behind a shared
+// prefix and a .* gap, and n bytes of 8-byte filler runs with a literal
+// one of the rules matches planted about every 512 bytes, the first a
+// .* rule's. It maps to over two hundred partitions, most of them awake
+// on every symbol.
+func coldShape(t testing.TB, n int) (*mapper.Placement, []byte) {
+	rng := rand.New(rand.NewSource(1))
+	word := func(lo, hi int) string {
+		b := make([]byte, lo+rng.Intn(hi-lo+1))
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(26))
+		}
+		return string(b)
+	}
+	rules, lits := make([]string, 2000), make([]string, 2000)
+	for i := range rules {
+		switch i % 4 {
+		case 0:
+			p, ext := "/"+word(5, 9)+"/"+word(8, 14), word(3, 3)
+			rules[i], lits[i] = p+`\.`+ext, p+"."+ext
+		case 1:
+			w := word(8, 14)
+			rules[i], lits[i] = w+"=[0-9a-f]{8}", w+"=deadbeef"
+		case 2:
+			prefix, alts := word(8, 12), make([]string, 5)
+			for a := range alts {
+				alts[a] = word(6, 10)
+			}
+			rules[i], lits[i] = prefix+"("+strings.Join(alts, "|")+")", prefix+alts[rng.Intn(5)]
+		default:
+			a, b := word(6, 10), word(6, 10)
+			rules[i], lits[i] = a+".*"+b, a+" "+b
+		}
+	}
+	const filler = "abcdefghij xyz 0123456789 qrstuvw "
+	in := make([]byte, 0, n+64)
+	for next := 256; len(in) < n; {
+		if len(in) >= next {
+			lit := lits[3]
+			if next > 256 {
+				lit = lits[rng.Intn(len(lits))]
+			}
+			in = append(in, lit...)
+			next = len(in) + 256 + rng.Intn(512)
+			continue
+		}
+		i := rng.Intn(len(filler) - 8)
+		in = append(in, filler[i:i+8]...)
+	}
+	n2, err := regexc.CompileSet(rules, regexc.Options{})
+	return mapped(t, n2, err), in[:n]
 }
 
 // BenchmarkKernelMemo times a run from Reset through the path scan takes
@@ -178,6 +243,119 @@ func TestMemoBytesPerRun(t *testing.T) {
 	assertResultsEqual(t, "memo", &want, &m.res)
 	if got := m.Snapshot(); !reflect.DeepEqual(got, wantSnap) {
 		t.Errorf("the memo ends in %+v, runBatchN in %+v", got, wantSnap)
+	}
+}
+
+// TestMemoTurnedAwayIsCheap: Fermi@0.1 and RandomForest@0.1, whose
+// configurations never come back, over 8 KiB through the memo newMemo
+// makes: the back-off rule turns each away within its first few hundred
+// symbols, before its table has earned dense rows, so the run makes at
+// most 128 KiB of memo arrays (a memo that gave its first configuration
+// 256 dense rows made 425–457 KB here), and it ends with runBatchN's
+// Result and Snapshot.
+func TestMemoTurnedAwayIsCheap(t *testing.T) {
+	for _, name := range []string{"Fermi", "RandomForest"} {
+		spec := workload.ByName(name)
+		n, err := spec.Build(1, 0.1)
+		m, err := New(mapped(t, n, err), Options{CollectMatches: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := spec.Input(1, 8<<10)
+		m.Reset()
+		m.runBatchN(in)
+		m.derive(&m.res, m.basePos, m.baseBuf)
+		want, wantSnap := m.res, m.Snapshot()
+
+		m.Reset()
+		before := m.memoCounts
+		mm := m.newMemo(len(in))
+		if err := m.scan(context.Background(), in, mm); err != nil {
+			t.Fatal(err)
+		}
+		if mm == nil || mm.misses == 0 {
+			t.Fatalf("%s@0.1: the scan did not run through a memo", name)
+		}
+		got := m.memoCounts.minus(before)
+		if got.bypassed < int64(len(in))*3/4 {
+			t.Errorf("%s@0.1: %d of %d symbols bypassed; the back-off rule did not turn the run away", name, got.bypassed, len(in))
+		}
+		if mm.alloc > 128<<10 {
+			t.Errorf("%s@0.1: a turned-away run made %d bytes of memo arrays over %d misses; want at most 128 KiB", name, mm.alloc, mm.misses)
+		}
+		assertResultsEqual(t, name, &want, &m.res)
+		if got := m.Snapshot(); !reflect.DeepEqual(got, wantSnap) {
+			t.Errorf("%s@0.1: the memo ends in %+v, runBatchN in %+v", name, got, wantSnap)
+		}
+	}
+}
+
+// TestMemoComesBack: Hamming@0.1 interns a configuration on nearly every
+// one of its first few hundred symbols, as the sets whose configurations
+// never come back do, so the back-off rule turns it away; but they do come
+// back, and the fresh-configuration trigger counts from each return, so a
+// run of 64 KiB returns to the memo and serves most of its symbols from
+// the table.
+func TestMemoComesBack(t *testing.T) {
+	spec := workload.ByName("Hamming")
+	n, err := spec.Build(1, 0.1)
+	m, err := New(mapped(t, n, err), Options{CollectMatches: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := spec.Input(1, 64<<10)
+	m.Reset()
+	m.runBatchN(in)
+	m.derive(&m.res, m.basePos, m.baseBuf)
+	want := m.res
+
+	m.Reset()
+	before := m.memoCounts
+	if err := m.scan(context.Background(), in, m.newMemo(len(in))); err != nil {
+		t.Fatal(err)
+	}
+	got := m.memoCounts.minus(before)
+	if got.bypassed == 0 || got.hits < int64(len(in))/2 {
+		t.Errorf("Hamming@0.1 over %d symbols: %+v; want some bypassed and most served by hits", len(in), got)
+	}
+	assertResultsEqual(t, "Hamming", &want, &m.res)
+}
+
+// TestMemoShortRunsMatchKernel: every registry set at 0.1 that maps to
+// many partitions, over memoMinBytes and half as much again, through the
+// memo newMemo makes, ends with runBatchN's Result and Snapshot; and the
+// memo ran.
+func TestMemoShortRunsMatchKernel(t *testing.T) {
+	for _, spec := range workload.All() {
+		n, err := spec.Build(1, 0.1)
+		m, err := New(mapped(t, n, err), Options{CollectMatches: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.NumPartitions() < 2 {
+			continue
+		}
+		for _, size := range []int{memoMinBytes, memoMinBytes * 3 / 2} {
+			in := spec.Input(1, size)
+			m.Reset()
+			m.runBatchN(in)
+			m.derive(&m.res, m.basePos, m.baseBuf)
+			want, wantSnap := m.res, m.Snapshot()
+
+			m.Reset()
+			mm := m.newMemo(len(in))
+			if err := m.scan(context.Background(), in, mm); err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s@0.1 over %d bytes", spec.Name, size)
+			if mm == nil || mm.misses == 0 {
+				t.Fatalf("%s: the scan did not run through a memo", label)
+			}
+			assertResultsEqual(t, label, &want, &m.res)
+			if got := m.Snapshot(); !reflect.DeepEqual(got, wantSnap) {
+				t.Errorf("%s: the memo ends in %+v, runBatchN in %+v", label, got, wantSnap)
+			}
+		}
 	}
 }
 
@@ -338,10 +516,12 @@ func TestObserverSeesMemoCounts(t *testing.T) {
 
 // TestShardedMemoMatchesSequential: shard workers whose warm-up, range and
 // repair each run through one memo give the sequential Result bit for bit
-// — on the ledger's scan-dense rule set, and on a rule set whose q.*zz
-// holds a bit from the first symbol to the last, so that every shard's
+// — on the ledger's scan-dense rule set; on a rule set whose q.*zz holds a
+// bit from the first symbol to the last, so that every shard's
 // speculation misses and its repair runs on the memo its first attempt
-// filled.
+// filled; and on compile-cold's shape over its 16 KiB probe in two
+// shards, whose workers run 8 and 10 KiB, the second repaired, each
+// through a memo.
 func TestShardedMemoMatchesSequential(t *testing.T) {
 	snort := workload.ByName("Snort")
 	sn, err := snort.Build(1, 0.1)
@@ -349,13 +529,16 @@ func TestShardedMemoMatchesSequential(t *testing.T) {
 	held := randomText(rng, 3*memoMinBytes+777, []string{"common07head", "common23head", "q", "z"})
 	held = bytes.ReplaceAll(held, []byte("zz"), []byte("zy"))
 	held[0] = 'q'
+	coldPl, coldIn := coldShape(t, 16<<10)
 	for _, c := range []struct {
-		name  string
-		pl    *mapper.Placement
-		input []byte
+		name   string
+		pl     *mapper.Placement
+		input  []byte
+		shards []int
 	}{
-		{"registry Snort", mapped(t, sn, err), snort.Input(1, 3*memoMinBytes+777)},
-		{"a bit held throughout", mappedRules(t, append(manyLiteralPatterns(40), "q.*zz")...), held},
+		{"registry Snort", mapped(t, sn, err), snort.Input(1, 3*memoMinBytes+777), []int{2, 3}},
+		{"a bit held throughout", mappedRules(t, append(manyLiteralPatterns(40), "q.*zz")...), held, []int{2, 3}},
+		{"compile-cold shape", coldPl, coldIn, []int{2}},
 	} {
 		ms := make([]*Machine, 4)
 		for i := range ms {
@@ -370,15 +553,20 @@ func TestShardedMemoMatchesSequential(t *testing.T) {
 		ms[0].runBatchN(c.input)
 		ms[0].derive(&ms[0].res, ms[0].basePos, ms[0].baseBuf)
 		want := ms[0].res
-		for _, shards := range []int{2, 3} {
-			before := ms[1].memoCounts
+		for _, shards := range c.shards {
+			before := make([]memoCounts, shards)
+			for i := range before {
+				before[i] = ms[1+i].memoCounts
+			}
 			got, err := RunShardedContext(context.Background(), ms[1:1+shards], c.input)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertResultsEqual(t, fmt.Sprintf("%s, %d shards", c.name, shards), &want, got)
-			if ms[1].memoCounts.misses == before.misses {
-				t.Fatalf("%s, %d shards: the first worker's memo missed nothing; it did not run", c.name, shards)
+			for i := range before {
+				if ms[1+i].memoCounts.misses == before[i].misses {
+					t.Fatalf("%s, %d shards: worker %d's memo missed nothing; it did not run", c.name, shards, i)
+				}
 			}
 		}
 	}
