@@ -27,20 +27,19 @@ import (
 // all the hits, get a dense row of steps, and the others' steps share
 // one open-addressed table. A key is the awake bitset and four words per
 // awake partition, built and compared without packing, and keys live in
-// blocks that grow without copying. On that scan the memo allocates
-// 0.68 MB, where dense rows for every configuration took 2.3 MB, and a
-// miss costs about 390 ns, 150 of them the kernel's step, where it cost
+// fixed-size blocks that grow without copying. On that scan the memo
+// allocates 0.71 MB, where dense rows for every configuration took
+// 2.3 MB, and a miss costs about 390 ns, 150 of them the kernel's step, where it cost
 // 580–700 (2-vCPU Xeon at 2.0 GHz, go1.24: best of alternating runs,
 // cold scan less warm scan over the misses).
 //
 // A memo starts cold with every run, so a short run pays for whatever its
 // table makes before the table has earned it. The table makes little
-// until it does: its first key block is 4 KB, the blocks double to 32 KB,
-// and it has no dense rows until its hits have paid for them (see rows).
-// A run whose configurations do not come back is turned away within its
-// first hundred symbols or so and makes at most 128 KiB of arrays over
-// 8 KiB (TestMemoTurnedAwayIsCheap), where the table that gave its first
-// configuration 256 dense rows made 425–457 KB.
+// until it does: it has no dense rows until its hits have paid for them
+// (see rows). A run whose configurations do not come back is turned away
+// within its first hundred symbols or so and makes at most 128 KiB of
+// arrays over 8 KiB (TestMemoTurnedAwayIsCheap), where the table that
+// gave its first configuration 256 dense rows made 425–457 KB.
 //
 // What a cycle adds to the Result is memoized with it, so a Result is
 // bit-identical to the kernel's:
@@ -73,19 +72,20 @@ import (
 // 1.21–1.35× runBatchN's time through the memo.
 //
 // At 8, 16 and 32 KiB every registry set at 0.1 that maps to many
-// partitions reads at most 1.15× through the memo (memo/runBatchN,
-// BenchmarkKernelMemo's method, medians of five alternating runs of two
-// test binaries at -benchtime 16x, 2-vCPU Xeon, go1.24), where the
-// memo's previous cold start read up to 1.92×: ClamAV@0.1 1.92×, 1.44×
-// and 1.33× → 1.10×, 1.07× and 1.14×; PowerEN@0.1 1.20×, 0.72× and
-// 0.55× → 1.10×, 1.09× and 0.56×; Fermi@0.1 and RandomForest@0.1 1.13–
-// 1.14× → 1.03–1.04× at 8 KiB. compile-cold's shape (coldShape: 2 000
-// rules, 231 partitions) reads 0.44×, 0.47× and 0.39×, so its 16 KiB
-// probe and its 8 and 10 KiB shard runs go through the memo. The price
-// is the short runs of sets that win: at 8 KiB the learning allowance
-// (see memoLearnRun) turns Snort@0.1, Brill@0.1, Bro217@0.1, TCP@0.1,
-// Ranges@0.1 and ExactMatch@0.1 away at 1.02–1.07×, where a memo that
-// kept them read 0.38–0.73×, and ExactMatch@0.1 at 16 KiB too.
+// partitions reads at most 1.15× through the memo but ClamAV@0.1 over
+// 8 KiB, 1.22× (memo/runBatchN, BenchmarkKernelMemo's method, medians of
+// three to five alternating runs of the test binaries at -benchtime 16x,
+// 2-vCPU Xeon, go1.24), where the memo's previous cold start read up to
+// 1.92×: ClamAV@0.1 1.92×, 1.44× and 1.33× → 1.22×, 1.10× and 1.09×;
+// PowerEN@0.1 1.20×, 0.72× and 0.55× → 1.09×, 1.07× and 0.54×;
+// Fermi@0.1 and RandomForest@0.1 1.13–1.14× → 1.03–1.05× at 8 KiB.
+// compile-cold's shape (coldShape: 2 000 rules, 231 partitions) reads
+// 0.47×, 0.45× and 0.40×, so its 16 KiB probe and its 8 and 10 KiB shard
+// runs go through the memo. The price is the short runs of sets that win:
+// at 8 KiB the learning allowance (see memoLearnRun) turns Snort@0.1,
+// Brill@0.1, Bro217@0.1, TCP@0.1, Ranges@0.1 and ExactMatch@0.1 away at
+// 1.04–1.12×, where a memo that kept them read 0.38–0.73×, and
+// ExactMatch@0.1 at 16 KiB too.
 const memoMinBytes = 8 << 10
 
 // The back-off rule: a run goes to the kernel for the next memoBypass
@@ -173,9 +173,9 @@ const memoColdMax = 6
 // memoBudget bounds what one run's memo allocates, in bytes. A table
 // that would pass it is flushed whole and the run goes on with an empty
 // one, reusing the arrays, so no input makes one run allocate more.
-// A scan of Snort@0.1's 256 KiB input allocates 0.68 MB of memo (813
+// A scan of Snort@0.1's 256 KiB input allocates 0.71 MB of memo (813
 // configurations, 6 739 misses), the growing of its arrays included:
-// 230 KB of dense rows, 295 KB of key blocks, 71 KB of step tables and
+// 226 KB of dense rows, 295 KB of key blocks, 106 KB of step tables and
 // 81 KB of hashes, configurations and index.
 const memoBudget = 4 << 20
 
@@ -210,12 +210,16 @@ const memoDense = 256
 // 256 classes, so 256 dense rows are 256 KB: made as soon as it had
 // configurations for them, they read it over 8 KiB 1.66× runBatchN's
 // time, and earned, 1.21× (both with the learning allowance unscaled).
-// Earned by the hits alone (a hit per 16 entries), the rows read
-// Snort@0.1 over 8 KiB 0.86×, where made at once they read 0.72× and
-// earned by hits or by a table that is ahead, 0.78×. The price of earning
-// them is ClamAV@0.1 over 256 KiB, which earns its rows late: 0.79× with
-// rows at once, 0.86× at a hit per 64 entries and 0.91× at one per 16
-// (medians of four to nine alternating runs at -benchtime 16x).
+// Rows that double from one as configurations are interned, up to
+// memoDense, read ClamAV@0.1 over 16 KiB 1.19× and over 256 KiB 0.91×,
+// and made Fermi@0.1 and RandomForest@0.1 over 8 KiB, which intern
+// about a hundred configurations before the back-off rule turns them
+// away, 330 KB of memo arrays. Earned by the hits alone (a hit per 16
+// entries), the rows read Snort@0.1 over 8 KiB 0.86×, where made at once
+// they read 0.72× and earned by hits or by a table that is ahead, 0.78×.
+// ClamAV@0.1 over 256 KiB earns its rows within its first 2 KiB and
+// reads 0.81× where rows made at once read 0.79× (medians of twenty
+// alternating runs at -benchtime 32x, the change faster in ten).
 const (
 	memoDenseFirst = 16
 	memoRowHit     = 64
@@ -251,39 +255,27 @@ var _ = [1]struct{}{}[(memoBudget/memoConfBytes)>>24]
 
 const memoConfBytes = int(unsafe.Sizeof(uint64(0))) + int(unsafe.Sizeof(memoConf{}))
 
-// memoKeyFirst is the least number of words in the first block of keys,
-// and memoKeyBlock in the largest (see memoBlocks).
-const (
-	memoKeyFirst = 512
-	memoKeyBlock = 4 << 10
-)
+// memoKeyBlock is the least number of words in one block of keys (see
+// memoBlocks).
+const memoKeyBlock = 4 << 10
 
-// memoBlocks is storage handed out in windows of blocks, so that it grows
-// without copying. Blocks double from the first, of first words, to most
-// words, so that a short run pays for a small one. A window never spans
-// two blocks, and is found by its block and its offset in it, packed as
-// block<<memoOffsetBits | offset. A flush hands the blocks out again.
+// memoBlocks is storage handed out in windows of fixed-size blocks, so
+// that it grows without copying. A window never spans two blocks; a flush
+// hands the blocks out again. A block is 1<<shift words, so that finding
+// a key's block takes no division.
 type memoBlocks struct {
-	list        [][]uint64
-	first, most int
-	cur, taken  int // blocks in use, and words taken from the last
+	list       [][]uint64
+	shift      uint
+	cur, taken int // blocks in use, and words taken from the last
 }
 
-// memoOffsetBits is how many low bits of a window's place hold its offset
-// in its block.
-const memoOffsetBits = 20
-
-// Every block holds at least memoKeyFirst words, so a place the budget
-// admits fits an int32.
-var _ = [1]struct{}{}[(memoBudget/(8*memoKeyFirst))>>(31-memoOffsetBits)]
-
-// take returns a window of n words and its place, or false when another
-// block would take mm past memoBudget. n is at most the first block's
-// length.
+// take returns a window of n words and where it starts, counting from
+// the first block's first word, or false when another block would take
+// mm past memoBudget. n is at most a block's length.
 func (b *memoBlocks) take(mm *memo, n int) ([]uint64, int, bool) {
-	if b.cur == 0 || b.taken+n > len(b.list[b.cur-1]) {
+	size := 1 << b.shift
+	if b.cur == 0 || b.taken+n > size {
 		if b.cur == len(b.list) {
-			size := min(b.first<<min(b.cur, 16), b.most)
 			if mm.alloc+8*size > memoBudget {
 				return nil, 0, false
 			}
@@ -294,12 +286,7 @@ func (b *memoBlocks) take(mm *memo, n int) ([]uint64, int, bool) {
 	}
 	at := b.taken
 	b.taken += n
-	return b.list[b.cur-1][at:b.taken:b.taken], (b.cur-1)<<memoOffsetBits | at, true
-}
-
-// at returns the n words at place p.
-func (b *memoBlocks) at(p, n int) []uint64 {
-	return b.list[p>>memoOffsetBits][p&(1<<memoOffsetBits-1):][:n]
+	return b.list[b.cur-1][at:b.taken:b.taken], (b.cur-1)<<b.shift + at, true
 }
 
 // memo is one run's configuration table. A configuration's id indexes
@@ -315,8 +302,7 @@ type memo struct {
 	hashes []uint64
 	confs  []memoConf
 	slots  []int32 // open-addressed index by hash: id+1, or 0 for empty
-	dense  []int32
-	rowed  int32 // configurations with a dense row: ids 0, …, rowed−1
+	dense  []int32 // the rows of configurations 0, …, len(dense)/nc−1
 	steps  []memoStep
 	sides  []memoSide
 	keys   memoBlocks
@@ -339,13 +325,15 @@ type memo struct {
 	winInterned, winHits, winMisses int64
 	// cold counts the windows in a row that ended without a hit.
 	cold int
-	// n is the run's length. interned counts the configurations it
-	// interned, hits its lookups that found their step, saved the
-	// partition visits they saved, misses the lookups that did not, and
-	// missed the visits of the configurations they started from (see
-	// memoMissCost). What telemetry reads goes to the machine's
-	// memoCounts.
-	n, interned, hits, saved, misses, missed int64
+	// allow is the learning allowance over the kernel's work per symbol
+	// (see memoLearn): n/memoLearn·n/(n+memoLearnRun) for a run of n
+	// symbols. interned counts the configurations the run interned, hits
+	// its lookups that found their step, saved the partition visits they
+	// saved, misses the lookups that did not, and missed the visits of the
+	// configurations they started from (see memoMissCost). What telemetry
+	// reads goes to the machine's memoCounts.
+	allow                                 float64
+	interned, hits, saved, misses, missed int64
 }
 
 // newMemo returns a memo for a run of n symbols on m, or nil when the
@@ -362,8 +350,9 @@ func (m *Machine) newMemo(n int) *memo {
 // memoFresh) with the learning allowance of a run of n symbols.
 func (m *Machine) memoFor(n int64, backOff bool) *memo {
 	kb := make([]uint64, len(m.awake)+wordsPerPartition*len(m.parts))
-	mm := &memo{m: m, nc: m.numClasses, backOff: backOff, seated: -1, n: n, kb: kb,
-		keys: memoBlocks{first: max(memoKeyFirst, len(kb)), most: max(memoKeyBlock, len(kb))}}
+	f := float64(n)
+	mm := &memo{m: m, nc: m.numClasses, backOff: backOff, seated: -1, allow: f / memoLearn * f / (f + memoLearnRun), kb: kb,
+		keys: memoBlocks{shift: uint(bits.Len(uint(max(memoKeyBlock, len(kb)) - 1)))}}
 	mm.sizeSteps(memoMinSteps)
 	return mm
 }
@@ -385,7 +374,7 @@ func (mm *memo) run(input []byte) {
 	id := mm.intern(!mm.losing())
 	classOf := &m.classOf
 	pos := m.pos
-	confs, dense, rowed, nc := mm.confs, mm.dense, mm.rowed, mm.nc
+	confs, dense, nc := mm.confs, mm.dense, mm.nc
 
 	var hits, saved int64
 	for i := 0; i < len(input); {
@@ -397,13 +386,13 @@ func (mm *memo) run(input []byte) {
 			i += n
 			mm.winInterned, mm.winHits, mm.winMisses = mm.interned, mm.hits, mm.misses
 			id = mm.intern(!mm.losing())
-			confs, dense, rowed = mm.confs, mm.dense, mm.rowed
+			confs, dense = mm.confs, mm.dense
 			continue
 		}
 		c := classOf[input[i]]
 		var t int32
-		if id < rowed {
-			t = dense[int(id)*nc+int(c)]
+		if k := uint(id)*uint(nc) + uint(c); k < uint(len(dense)) {
+			t = dense[k] // id has a row
 		} else {
 			t = mm.stepAt(stepKey(id, c))
 		}
@@ -420,12 +409,12 @@ func (mm *memo) run(input []byte) {
 				}
 				continue
 			}
-			if int(rowed) < min(len(confs), memoDense) {
+			if len(dense) < min(len(confs), memoDense)*nc {
 				mm.rows(len(confs))
 			}
 			m.pos = pos + int64(i)
 			id = mm.miss(id, c, input[i:i+1])
-			confs, dense, rowed = mm.confs, mm.dense, mm.rowed
+			confs, dense = mm.confs, mm.dense
 			i++
 			continue
 		}
@@ -490,12 +479,7 @@ func (mm *memo) losing() bool {
 		return true
 	}
 	lost := memoMissCost*mm.misses - mm.saved
-	if lost <= 0 {
-		return false
-	}
-	perSymbol := float64(mm.saved+mm.missed) / float64(mm.hits+mm.misses)
-	n := float64(mm.n)
-	return float64(lost) > n*perSymbol/memoLearn*n/(n+memoLearnRun)
+	return lost > 0 && float64(lost)*float64(mm.hits+mm.misses) > mm.allow*float64(mm.saved+mm.missed)
 }
 
 // miss runs sym, of class c, from configuration from on the kernel,
@@ -525,8 +509,8 @@ func (mm *memo) miss(from int32, c uint8, sym []byte) int32 {
 		mm.sides = append(mm.sides, memoSide{next: to, g1: dg1, g4: dg4})
 		step = -int32(len(mm.sides))
 	}
-	if from < mm.rowed {
-		mm.dense[int(from)*mm.nc+int(c)] = step
+	if k := int(from)*mm.nc + int(c); k < len(mm.dense) {
+		mm.dense[k] = step
 	} else if !mm.link(stepKey(from, c), step) {
 		mm.flush()
 		return mm.intern(true)
@@ -570,25 +554,32 @@ func (mm *memo) link(k uint32, step int32) bool {
 	return true
 }
 
-// rows gives configurations rowed, …, n−1, which have none, dense rows,
-// up to memoDenseFirst and then up to memoDense, if the table has earned
-// r rows: its hits have saved more than its misses cost (see
+// rows gives dense rows to the configurations that have none, up to id
+// n−1: up to memoDenseFirst rows, and then up to memoDense, if the table
+// has earned r rows: its hits have saved more than its misses cost (see
 // memoMissCost), or it has had a hit for every memoRowHit entries of r
-// rows. It moves their steps out of steps, and leaves the rows as they
-// were when the memo's budget does not hold the new arrays.
+// rows. It moves their steps out of steps into a new steps, and leaves the
+// rows as they were when the memo's budget does not hold the new arrays:
+// the dense rows, if they grow, and a steps sized for every step left.
 func (mm *memo) rows(n int) {
-	nc, have := mm.nc, int(mm.rowed)
-	r := memoDenseFirst
+	nc := mm.nc
+	have, r := len(mm.dense)/nc, memoDenseFirst
 	if have > 0 {
 		r = memoDense
 	}
-	if mm.saved <= memoMissCost*mm.misses && mm.hits < int64(r*nc/memoRowHit) ||
-		mm.alloc+len(mm.steps)*int(unsafe.Sizeof(memoStep{})) > memoBudget ||
-		cap(mm.dense) < r*nc && !grow(mm, &mm.dense, r*nc) {
+	if mm.saved <= memoMissCost*mm.misses && mm.hits < int64(r*nc/memoRowHit) {
+		return
+	}
+	size, dense := stepsFor(mm.nsteps), 0
+	if cap(mm.dense) < r*nc {
+		dense = r * nc
+	}
+	if mm.alloc+dense*4+size*int(unsafe.Sizeof(memoStep{})) > memoBudget ||
+		dense > 0 && !grow(mm, &mm.dense, dense) {
 		return
 	}
 	moved := min(n, r)
-	mm.dense, mm.rowed = mm.dense[:moved*nc], int32(moved)
+	mm.dense = mm.dense[:moved*nc]
 	clear(mm.dense[have*nc:])
 	old, left := mm.steps, 0
 	for _, e := range old {
@@ -596,7 +587,7 @@ func (mm *memo) rows(n int) {
 			left++
 		}
 	}
-	mm.sizeSteps(max(memoMinSteps, 1<<bits.Len(uint(2*left))))
+	mm.sizeSteps(stepsFor(left))
 	mm.nsteps = left
 	for _, e := range old {
 		if id := int(e.key >> 8); e.step == 0 {
@@ -608,6 +599,9 @@ func (mm *memo) rows(n int) {
 		}
 	}
 }
+
+// stepsFor is the size of a steps that holds n entries at most half full.
+func stepsFor(n int) int { return max(memoMinSteps, 1<<bits.Len(uint(2*n))) }
 
 // sizeSteps gives mm an empty steps of size entries, a power of two.
 func (mm *memo) sizeSteps(size int) {
@@ -654,8 +648,8 @@ func (mm *memo) intern(add bool) int32 {
 	}
 	copy(key, kb)
 	id := int32(len(mm.hashes))
-	if n := len(mm.dense); id == mm.rowed && n < cap(mm.dense) {
-		mm.dense, mm.rowed = mm.dense[:n+mm.nc], id+1
+	if n := len(mm.dense); n == int(id)*mm.nc && n < cap(mm.dense) {
+		mm.dense = mm.dense[:n+mm.nc]
 		clear(mm.dense[n:])
 	}
 	mm.interned++
@@ -731,7 +725,8 @@ func (mm *memo) seat(id int32) {
 // the work−1 partitions the bitset names.
 func (mm *memo) keyOf(id int32) []uint64 {
 	cf := &mm.confs[id]
-	return mm.keys.at(int(cf.key), len(mm.m.awake)+wordsPerPartition*int(cf.work-1))
+	at := int(cf.key)
+	return mm.keys.list[at>>mm.keys.shift][at&(1<<mm.keys.shift-1):][:len(mm.m.awake)+wordsPerPartition*int(cf.work-1)]
 }
 
 // index puts id in the hash index, doubling the index when it would be
@@ -775,7 +770,7 @@ func (mm *memo) flush() {
 	mm.tally()
 	mm.m.memoCounts.flushes++
 	mm.hashes, mm.confs, mm.dense, mm.sides = mm.hashes[:0], mm.confs[:0], mm.dense[:0], mm.sides[:0]
-	mm.keys.cur, mm.nsteps, mm.rowed = 0, 0, 0
+	mm.keys.cur, mm.nsteps = 0, 0
 	clear(mm.slots)
 	clear(mm.steps)
 	mm.seated = -1

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"cacheautomaton/internal/mapper"
 	"cacheautomaton/internal/regexc"
@@ -17,9 +18,10 @@ import (
 )
 
 // memoBenchRows are the shapes BenchmarkKernelMemo times: the ledger's
-// scan-dense rule set over a scan's length, over memoMinBytes and over a
-// serving request's, below it; the four registry benchmarks whose
-// configurations seldom come back, and Fermi again over memoMinBytes;
+// scan-dense rule set over a scan's length, over 8 KiB, the shortest run
+// the memo serves, and over a serving request's, below it; the four
+// registry benchmarks whose configurations seldom come back, and Fermi
+// again over 8 KiB;
 // ClamAV, whose configurations come back but too seldom to pay for their
 // misses (the two halves of the back-off rule, see memoFresh), over a
 // scan's length and over 16 KiB; PowerEN over 64 KiB, a run short enough
@@ -39,8 +41,8 @@ func memoBenchRows(b *testing.B) []struct {
 	for _, r := range []struct {
 		bench string
 		size  int
-	}{{"Snort", 256 << 10}, {"Snort", 64 << 10}, {"Snort", memoMinBytes}, {"Snort", 1 << 10},
-		{"Fermi", 256 << 10}, {"Fermi", memoMinBytes}, {"SPM", 256 << 10}, {"RandomForest", 256 << 10},
+	}{{"Snort", 256 << 10}, {"Snort", 64 << 10}, {"Snort", 8 << 10}, {"Snort", 1 << 10},
+		{"Fermi", 256 << 10}, {"Fermi", 8 << 10}, {"SPM", 256 << 10}, {"RandomForest", 256 << 10},
 		{"Protomata", 256 << 10}, {"ClamAV", 256 << 10}, {"ClamAV", 16 << 10}, {"PowerEN", 64 << 10}} {
 		spec := workload.ByName(r.bench)
 		n, err := spec.Build(1, 0.1)
@@ -163,8 +165,9 @@ func BenchmarkKernelMemo(b *testing.B) {
 // four to twelve symbols, each holding which of its positions followed
 // its letter — with the gates open, so that every configuration is
 // interned. What the run allocates must stay within memoBudget and a
-// constant for the memo's scratch and the machine's own, the table must
-// have been flushed, and the Result and Snapshot must be runBatchN's.
+// constant for the memo's scratch and the machine's own, the memo's
+// arrays within memoBudget, the table must have been flushed, and the
+// Result and Snapshot must be runBatchN's.
 func TestMemoBytesBounded(t *testing.T) {
 	in := make([]byte, 256<<10)
 	rand.New(rand.NewSource(5)).Read(in)
@@ -198,6 +201,9 @@ func TestMemoBytesBounded(t *testing.T) {
 	if allocated > memoBudget+slack {
 		t.Errorf("the scan allocated %d bytes; the memo's budget is %d", allocated, memoBudget)
 	}
+	if mm.alloc > memoBudget {
+		t.Errorf("the memo made %d bytes of arrays; its budget is %d", mm.alloc, memoBudget)
+	}
 	if m.memoCounts.flushes == 0 {
 		t.Errorf("no flush in %d misses over %d configurations: the rule set fits the budget", mm.misses, len(mm.hashes))
 	}
@@ -206,6 +212,32 @@ func TestMemoBytesBounded(t *testing.T) {
 		t.Errorf("the memo ends in %+v, runBatchN in %+v", got, wantSnap)
 	}
 	t.Logf("%d misses, %d flushes, %d bytes allocated", mm.misses, m.memoCounts.flushes, allocated)
+
+	// A table that earns its dense rows late, with its budget nearly
+	// spent, gets them only if the budget holds them and the steps they
+	// leave behind: Fermi@0.1's table after 4 KiB holds no rows and a
+	// thousand steps or more, and here everything but its steps'
+	// bytes is taken.
+	fermi := workload.ByName("Fermi")
+	fn, err := fermi.Build(1, 0.1)
+	m, err = New(mapped(t, fn, err), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Reset()
+	mm = m.memoFor(0, false)
+	if err := m.scan(context.Background(), fermi.Input(1, 4<<10), mm); err != nil {
+		t.Fatal(err)
+	}
+	if len(mm.dense) != 0 || mm.nsteps < 1<<10 {
+		t.Fatalf("Fermi@0.1's table has %d rows and %d steps; want none and a thousand or more", len(mm.dense)/mm.nc, mm.nsteps)
+	}
+	mm.alloc = memoBudget - len(mm.steps)*int(unsafe.Sizeof(memoStep{}))
+	mm.hits = 1 << 20
+	mm.rows(len(mm.confs))
+	if mm.alloc > memoBudget {
+		t.Errorf("earning rows late took the memo to %d bytes of arrays; its budget is %d", mm.alloc, memoBudget)
+	}
 }
 
 // TestMemoBytesPerRun: a scan of 256 KiB over Snort@0.1, the ledger's
@@ -473,7 +505,7 @@ func TestObserverSeesMemoCounts(t *testing.T) {
 		ms[i].Observer = obs
 	}
 	m := ms[0]
-	in := snort.Input(1, 4*memoMinBytes)
+	in := snort.Input(1, 128<<10)
 	counts := func() memoCounts { return ms[0].memoCounts.plus(ms[1].memoCounts) }
 	last := func() memoCounts {
 		r := obs.runs[len(obs.runs)-1]
@@ -526,7 +558,7 @@ func TestShardedMemoMatchesSequential(t *testing.T) {
 	snort := workload.ByName("Snort")
 	sn, err := snort.Build(1, 0.1)
 	rng := rand.New(rand.NewSource(41))
-	held := randomText(rng, 3*memoMinBytes+777, []string{"common07head", "common23head", "q", "z"})
+	held := randomText(rng, 3*(32<<10)+777, []string{"common07head", "common23head", "q", "z"})
 	held = bytes.ReplaceAll(held, []byte("zz"), []byte("zy"))
 	held[0] = 'q'
 	coldPl, coldIn := coldShape(t, 16<<10)
@@ -536,7 +568,7 @@ func TestShardedMemoMatchesSequential(t *testing.T) {
 		input  []byte
 		shards []int
 	}{
-		{"registry Snort", mapped(t, sn, err), snort.Input(1, 3*memoMinBytes+777), []int{2, 3}},
+		{"registry Snort", mapped(t, sn, err), snort.Input(1, 3*(32<<10)+777), []int{2, 3}},
 		{"a bit held throughout", mappedRules(t, append(manyLiteralPatterns(40), "q.*zz")...), held, []int{2, 3}},
 		{"compile-cold shape", coldPl, coldIn, []int{2}},
 	} {
