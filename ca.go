@@ -113,10 +113,10 @@ type RunObserver interface {
 // Match is one report event.
 type Match struct {
 	// Offset is the input offset of the symbol completing the match.
-	Offset int64
+	Offset int64 `json:"offset"`
 	// Pattern is the rule index (the regex's position in the compiled
 	// set, or the ANML reportcode).
-	Pattern int
+	Pattern int `json:"pattern"`
 }
 
 // Stats summarizes a run with the paper's metrics.

@@ -77,13 +77,9 @@ type MatchStats struct {
 	ModeledSeconds    float64 `json:"modeled_seconds"`
 }
 
-// WireMatch is one report event on the wire.
-type WireMatch struct {
-	// Offset is the input offset of the match's last symbol.
-	Offset int64 `json:"offset"`
-	// Pattern is the rule index (or Snort sid / ClamAV signature index).
-	Pattern int `json:"pattern"`
-}
+// WireMatch is one report event on the wire: the root package's match
+// record, whose json tags are the wire's names.
+type WireMatch = ca.Match
 
 // MatchResponse answers a MatchRequest.
 type MatchResponse struct {
@@ -255,14 +251,6 @@ func textPayloadErr(text string, max int64) error {
 		return Errorf(http.StatusRequestEntityTooLarge, "payload of %d bytes exceeds limit %d", len(text), max)
 	}
 	return nil
-}
-
-func wireMatches(ms []ca.Match) []WireMatch {
-	out := make([]WireMatch, len(ms))
-	for i, m := range ms {
-		out[i] = WireMatch{Offset: m.Offset, Pattern: m.Pattern}
-	}
-	return out
 }
 
 func wireStats(st *ca.Stats) MatchStats {

@@ -316,7 +316,7 @@ func (b *batcher) flush(g *batchGen) {
 			continue
 		}
 		if resps[share[k]] == nil {
-			resps[share[k]] = &MatchResponse{Matches: wireMatches(it.Matches), Stats: wireStats(it.Stats)}
+			resps[share[k]] = &MatchResponse{Matches: it.Matches, Stats: wireStats(it.Stats)}
 		}
 		g.members[i].out = batchOutcome{resp: resps[share[k]], settled: true}
 	}

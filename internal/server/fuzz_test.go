@@ -89,3 +89,43 @@ func FuzzServerMatchRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTCPLine: arbitrary bytes, as one line, at the TCP line framer. The
+// server holds one rule set and one open session under a small body and
+// session cap, so a fuzzed compile or open stays cheap, and it is fresh
+// for each input, so a failure replays from its input alone. The reply
+// must encode, and be either ok with no error or an error with a status
+// of 400 or more; a panic fails the run.
+func FuzzTCPLine(f *testing.F) {
+	seed := opFixture(f, Config{})
+	inputs := opInputs(f, seed)
+	for i := range Ops {
+		if op := &Ops[i]; op.TCP != "" {
+			in := inputs[op.Name]
+			f.Add(tcpLine(f, op, in.key, in.body))
+		}
+	}
+	for _, line := range []string{
+		`{"op":"match","ruleset":7}`,
+		`{"op":"match","ruleset":"ids","input_b64":"!!!"}`,
+		`{"op":"feed","session":"s99999999","chunk":"x"}`,
+		`{"op":"compile","name":"bad","patterns":["("]}`,
+		`{"op":"nope"}`,
+		`{"Op":"PING"}`,
+		`{}`,
+		`[]`,
+		`{not json`,
+	} {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		s := opFixture(t, Config{MaxBodyBytes: 1 << 12, MaxSessions: 4})
+		rep := (&TCPServer{s: s}).dispatch(context.Background(), line)
+		if _, err := json.Marshal(rep); err != nil {
+			t.Fatalf("line %q: reply %+v does not encode: %v", line, rep, err)
+		}
+		if rep.OK != (rep.Error == "") || !rep.OK && rep.Status < 400 {
+			t.Fatalf("line %q: reply ok=%v error=%q status=%d", line, rep.OK, rep.Error, rep.Status)
+		}
+	})
+}

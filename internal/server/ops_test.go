@@ -21,7 +21,7 @@ import (
 // against: rule set "ids" compiled, session s00000001 open on it. Set-up
 // goes through the in-process API, so the request counter is zero and
 // the trace ring empty when the row under test arrives.
-func opFixture(t *testing.T, cfg Config) *Server {
+func opFixture(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	cfg.Registry = telemetry.NewRegistry()
 	s := New(cfg)
@@ -39,7 +39,7 @@ func opFixture(t *testing.T, cfg Config) *Server {
 // path wildcard on HTTP, name/session in the TCP envelope) and the body.
 // A row without an entry fails TestOpTableParity, so a new row cannot
 // land untested.
-func opInputs(t *testing.T, s *Server) map[string]struct{ key, body string } {
+func opInputs(t testing.TB, s *Server) map[string]struct{ key, body string } {
 	art, err := s.Artifact("ids")
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func opInputs(t *testing.T, s *Server) map[string]struct{ key, body string } {
 
 // tcpLine frames a row's request for the line protocol: the body's
 // fields plus the {op,name,session} envelope.
-func tcpLine(t *testing.T, op *Op, key, body string) []byte {
+func tcpLine(t testing.TB, op *Op, key, body string) []byte {
 	t.Helper()
 	line := map[string]any{}
 	if body != "" {

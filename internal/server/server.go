@@ -435,7 +435,7 @@ func (s *Server) Match(ctx context.Context, req MatchRequest) (*MatchResponse, e
 	}
 	s.col.MatchInputBytes.Add(int64(len(input)))
 	s.col.MatchReports.Add(int64(len(ms)))
-	return &MatchResponse{Matches: wireMatches(ms), Stats: wireStats(st)}, nil
+	return &MatchResponse{Matches: ms, Stats: wireStats(st)}, nil
 }
 
 // LeaseStats sums the machine-lease accounting of every loaded rule

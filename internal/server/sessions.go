@@ -225,9 +225,9 @@ func (s *Server) Feed(ctx context.Context, id string, req FeedRequest) (*FeedRes
 		}
 		// Partially consumed: deliver what was matched so the client can
 		// resume from Pos without losing or duplicating reports.
-		return &FeedResponse{Matches: wireMatches(ms), Pos: sess.stream.Pos(), Truncated: true}, nil
+		return &FeedResponse{Matches: ms, Pos: sess.stream.Pos(), Truncated: true}, nil
 	}
-	resp := &FeedResponse{Matches: wireMatches(ms), Pos: sess.stream.Pos()}
+	resp := &FeedResponse{Matches: ms, Pos: sess.stream.Pos()}
 	if req.Checkpoint {
 		// Piggyback the post-feed snapshot for the cluster router's
 		// checkpoint shipping. A failed suspend just omits it — the

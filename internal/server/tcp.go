@@ -4,10 +4,10 @@ import (
 	"bufio"
 	"cmp"
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -35,30 +35,6 @@ type tcpReply struct {
 	Error   string `json:"error,omitempty"`
 	Status  int    `json:"status,omitempty"`
 	TraceID string `json:"trace_id,omitempty"`
-}
-
-// appendLine appends the reply and its newline: the line json.Encoder
-// would write, with Result through AppendJSON. On an error nothing is
-// appended, as Encoder writes nothing.
-func (rep *tcpReply) appendLine(dst []byte) ([]byte, error) {
-	n := len(dst)
-	dst = strconv.AppendBool(append(dst, `{"ok":`...), rep.OK)
-	if rep.Result != nil {
-		var err error
-		if dst, err = AppendJSON(append(dst, `,"result":`...), rep.Result); err != nil {
-			return dst[:n], err
-		}
-	}
-	if rep.Error != "" {
-		dst = appendString(append(dst, `,"error":`...), rep.Error)
-	}
-	if rep.Status != 0 {
-		dst = strconv.AppendInt(append(dst, `,"status":`...), int64(rep.Status), 10)
-	}
-	if rep.TraceID != "" {
-		dst = appendString(append(dst, `,"trace_id":`...), rep.TraceID)
-	}
-	return append(dst, "}\n"...), nil
 }
 
 // tcpEnvelope is the part of a line that picks the row and its key.
@@ -200,19 +176,9 @@ func (t *TCPServer) serveConn(conn *tcpConn) {
 	// base64 expansion and envelope overhead.
 	max := int(t.s.cfg.MaxBodyBytes)*4/3 + 4096
 	sc.Buffer(make([]byte, 0, 64*1024), max)
-	// out is the connection's reply buffer, reused line after line; a
-	// reply that grew it past maxPooledBuffer does not pin it.
-	var out []byte
-	send := func(rep tcpReply) error {
-		var err error
-		if out, err = rep.appendLine(out[:0]); err == nil {
-			_, err = conn.Write(out)
-		}
-		if cap(out) > maxPooledBuffer {
-			out = nil
-		}
-		return err
-	}
+	// Each reply is one json.Encoder line: the object and its newline,
+	// in one Write.
+	enc := json.NewEncoder(conn)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -221,7 +187,7 @@ func (t *TCPServer) serveConn(conn *tcpConn) {
 		if !conn.beginRequest() {
 			return // Shutdown claimed the conn after this line was read
 		}
-		err := send(t.dispatch(t.baseCtx, line))
+		err := enc.Encode(t.dispatch(t.baseCtx, line))
 		if conn.endRequest() || err != nil {
 			return
 		}
@@ -232,12 +198,12 @@ func (t *TCPServer) serveConn(conn *tcpConn) {
 	switch err := sc.Err(); {
 	case errors.Is(err, bufio.ErrTooLong):
 		if conn.beginRequest() {
-			_ = send(tcpAnswer(t.s.host.serve(t.baseCtx, &Op{}, "", "", nil,
+			_ = enc.Encode(tcpAnswer(t.s.host.serve(t.baseCtx, &Op{}, "", "", nil,
 				Errorf(http.StatusRequestEntityTooLarge, "request line exceeds %d bytes", max))))
 			conn.endRequest()
 		}
 	case err != nil && !errors.Is(err, net.ErrClosed):
-		_ = send(tcpReply{Error: "read: " + err.Error(), Status: http.StatusBadRequest})
+		_ = enc.Encode(tcpReply{Error: "read: " + err.Error(), Status: http.StatusBadRequest})
 	}
 }
 
@@ -251,7 +217,7 @@ func (t *TCPServer) dispatch(ctx context.Context, line []byte) tcpReply {
 		key  string
 		ferr error
 	)
-	if err := DecodeJSON(line, &env); err != nil {
+	if err := json.Unmarshal(line, &env); err != nil {
 		op, ferr = &Op{}, Errorf(http.StatusBadRequest, "bad JSON request: %v", err) // nameless: no trace
 	} else if op = tcpOps[env.Op]; op == nil {
 		op = &Op{Name: "tcp." + cmp.Or(env.Op, "unknown")}

@@ -5,21 +5,19 @@ import (
 	"encoding/json"
 	"io"
 	"math"
-	"reflect"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
-	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
 )
 
 // The wire codec: every transport and the router's node client encode
 // and decode through AppendJSON and DecodeJSON. The four hot wire types
-// (MatchRequest, FeedRequest, MatchResponse, FeedResponse) and the TCP
-// envelope take a reflection-free path; everything else, and any input
-// outside the canonical subset DecodeJSON accepts, goes to encoding/json,
+// (MatchRequest, FeedRequest, MatchResponse, FeedResponse) take a
+// reflection-free path; everything else, and any input outside the
+// canonical subset DecodeJSON accepts, goes to encoding/json,
 // which stays the reference: the fast path produces exactly its bytes,
 // its errors and its decoded values (DESIGN.md "The op table", "Wire
 // codec").
@@ -255,16 +253,17 @@ func appendString(dst []byte, s string) []byte {
 }
 
 // DecodeJSON decodes data into v with json.Unmarshal's result. For the
-// hot wire types and the TCP envelope it makes one pass over data, and
-// stores into v only when the whole document is in the canonical
-// subset: one object with nothing but whitespace after it; keys that
-// name a field exactly, or fold to none (their scalar value is
-// skipped); strings with no control byte and valid UTF-8, escapes
-// decoded, so everything AppendJSON writes is in it; integers with no
-// fraction, exponent or overflow; true and false; floats in the JSON
-// grammar. Anything else runs json.Unmarshal on the untouched v, so
-// acceptance, error text and the decoded value are encoding/json's by
-// construction. Decoded strings are copies: nothing aliases data.
+// hot wire types it makes one pass over data, and stores into v only
+// when the whole document is in the canonical subset, which is exactly
+// what AppendJSON writes: one object with nothing but whitespace after
+// it; every key exactly the json name of a field; strings with no
+// control byte and valid UTF-8, escapes decoded, but no \u escape that
+// names a surrogate; integers with no fraction, exponent or overflow;
+// true and false; floats in the JSON grammar. Anything else (a key in
+// another case, an unknown key, a surrogate pair, a TCP line with its
+// envelope) runs json.Unmarshal on the untouched v, so acceptance, error
+// text and the decoded value are encoding/json's by construction.
+// Decoded strings are copies: nothing aliases data.
 func DecodeJSON(data []byte, v any) error {
 	if decodeCanonical(data, v) {
 		return nil
@@ -286,8 +285,6 @@ func decodeCanonical(data []byte, v any) bool {
 		return decodeObject(r, v, (*wireReader).matchResponse)
 	case *FeedResponse:
 		return decodeObject(r, v, (*wireReader).feedResponse)
-	case *tcpEnvelope:
-		return decodeObject(r, v, (*wireReader).tcpEnvelope)
 	}
 	return false
 }
@@ -310,55 +307,8 @@ func decodeObject[T any](r *wireReader, v *T, member func(*wireReader, *T, []byt
 	return true
 }
 
-// Folded json names of each decoded type: a key that is not a field's
-// exact name but folds to one of these is encoding/json's
-// case-insensitive match, which the fast path leaves to it.
-var (
-	matchRequestKeys  = foldedFields[MatchRequest]()
-	feedRequestKeys   = foldedFields[FeedRequest]()
-	matchResponseKeys = foldedFields[MatchResponse]()
-	matchStatsKeys    = foldedFields[MatchStats]()
-	wireMatchKeys     = foldedFields[WireMatch]()
-	feedResponseKeys  = foldedFields[FeedResponse]()
-	tcpEnvelopeKeys   = foldedFields[tcpEnvelope]()
-)
-
-func foldedFields[T any]() []string {
-	t := reflect.TypeFor[T]()
-	out := make([]string, t.NumField())
-	for i := range out {
-		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
-		out[i] = string(appendFolded(nil, []byte(name)))
-	}
-	return out
-}
-
-// appendFolded is encoding/json's key folding: ASCII letters upper-cased,
-// any other rune replaced by the smallest rune of its fold orbit.
-func appendFolded(dst, key []byte) []byte {
-	for i := 0; i < len(key); {
-		if c := key[i]; c < utf8.RuneSelf {
-			if 'a' <= c && c <= 'z' {
-				c -= 'a' - 'A'
-			}
-			dst = append(dst, c)
-			i++
-			continue
-		}
-		r, n := utf8.DecodeRune(key[i:])
-		for {
-			r2 := unicode.SimpleFold(r)
-			if r2 <= r {
-				r = r2
-				break
-			}
-			r = r2
-		}
-		dst = utf8.AppendRune(dst, r)
-		i += n
-	}
-	return dst
-}
+// Each member decoder below consumes the value of a key that is exactly
+// the json name of one of its fields; any other key leaves the fast path.
 
 func (r *wireReader) matchRequest(t *MatchRequest, key []byte) bool {
 	switch string(key) {
@@ -371,7 +321,7 @@ func (r *wireReader) matchRequest(t *MatchRequest, key []byte) bool {
 	case "shards":
 		return readInt(r, &t.Shards)
 	}
-	return r.unknown(key, matchRequestKeys)
+	return false
 }
 
 func (r *wireReader) feedRequest(t *FeedRequest, key []byte) bool {
@@ -383,7 +333,7 @@ func (r *wireReader) feedRequest(t *FeedRequest, key []byte) bool {
 	case "checkpoint":
 		return r.boolean(&t.Checkpoint)
 	}
-	return r.unknown(key, feedRequestKeys)
+	return false
 }
 
 // matchResponse leaves "trace" to encoding/json: it is a field, and the
@@ -395,7 +345,7 @@ func (r *wireReader) matchResponse(t *MatchResponse, key []byte) bool {
 	case "stats":
 		return r.object(func(key []byte) bool { return r.matchStats(&t.Stats, key) })
 	}
-	return r.unknown(key, matchResponseKeys)
+	return false
 }
 
 func (r *wireReader) matchStats(t *MatchStats, key []byte) bool {
@@ -411,7 +361,7 @@ func (r *wireReader) matchStats(t *MatchStats, key []byte) bool {
 	case "modeled_seconds":
 		return r.float(&t.ModeledSeconds)
 	}
-	return r.unknown(key, matchStatsKeys)
+	return false
 }
 
 func (r *wireReader) feedResponse(t *FeedResponse, key []byte) bool {
@@ -425,7 +375,7 @@ func (r *wireReader) feedResponse(t *FeedResponse, key []byte) bool {
 	case "snapshot_b64":
 		return r.str(&t.SnapshotB64)
 	}
-	return r.unknown(key, feedResponseKeys)
+	return false
 }
 
 func (r *wireReader) wireMatch(t *WireMatch, key []byte) bool {
@@ -435,19 +385,7 @@ func (r *wireReader) wireMatch(t *WireMatch, key []byte) bool {
 	case "pattern":
 		return readInt(r, &t.Pattern)
 	}
-	return r.unknown(key, wireMatchKeys)
-}
-
-func (r *wireReader) tcpEnvelope(t *tcpEnvelope, key []byte) bool {
-	switch string(key) {
-	case "op":
-		return r.str(&t.Op)
-	case "name":
-		return r.str(&t.Name)
-	case "session":
-		return r.str(&t.Session)
-	}
-	return r.unknown(key, tcpEnvelopeKeys)
+	return false
 }
 
 // wireReader is DecodeJSON's cursor over one document.
@@ -597,9 +535,8 @@ func (r *wireReader) unescape(start int) ([]byte, bool) {
 }
 
 // escape decodes the escape at r.i onto out, or returns nil for one
-// outside the JSON grammar. As in encoding/json, a \u surrogate joins
-// the \u escape after it when the two form a pair, and otherwise stands
-// alone as U+FFFD.
+// outside the JSON grammar or a \u escape that names a surrogate:
+// AppendJSON writes none, so pairing them is encoding/json's.
 func (r *wireReader) escape(out []byte) []byte {
 	d := r.data[r.i:]
 	if len(d) < 2 {
@@ -620,17 +557,10 @@ func (r *wireReader) escape(out []byte) []byte {
 		out = append(out, '\t')
 	case 'u':
 		rr := u4(d)
-		if rr < 0 {
+		if rr < 0 || utf16.IsSurrogate(rr) {
 			return nil
 		}
 		r.i += 6
-		if utf16.IsSurrogate(rr) {
-			if pair := utf16.DecodeRune(rr, u4(d[6:])); pair != unicode.ReplacementChar {
-				r.i += 6
-				return utf8.AppendRune(out, pair)
-			}
-			rr = unicode.ReplacementChar
-		}
 		return utf8.AppendRune(out, rr)
 	default:
 		return nil
@@ -761,34 +691,4 @@ func (r *wireReader) float(dst *float64) bool {
 	}
 	*dst = f
 	return true
-}
-
-// unknown skips the scalar value of a key that names no field of the
-// type whose folded names are fields; a key that folds to one of them is
-// encoding/json's case-insensitive match, and leaves the fast path.
-func (r *wireReader) unknown(key []byte, fields []string) bool {
-	var arr [32]byte
-	folded := appendFolded(arr[:0], key)
-	for _, f := range fields {
-		if string(folded) == f {
-			return false
-		}
-	}
-	r.space()
-	if r.i == len(r.data) {
-		return false
-	}
-	switch r.data[r.i] {
-	case '"':
-		_, ok := r.rawString()
-		return ok
-	case 't':
-		return r.literal("true")
-	case 'f':
-		return r.literal("false")
-	case 'n':
-		return r.literal("null")
-	}
-	_, _, ok := r.number()
-	return ok
 }

@@ -54,16 +54,10 @@ var wireTargets = []struct {
 		}
 		return &FeedResponse{Matches: filledMatches(), Pos: 77, Truncated: true, SnapshotB64: "b2xk"}
 	}},
-	{"tcpEnvelope", func(filled bool) any {
-		if !filled {
-			return new(tcpEnvelope)
-		}
-		return &tcpEnvelope{Op: "old", Name: "old", Session: "old"}
-	}},
 }
 
 func filledMatches() []WireMatch {
-	ms := []WireMatch{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
+	ms := []WireMatch{{Offset: 1, Pattern: 2}, {Offset: 3, Pattern: 4}, {Offset: 5, Pattern: 6}, {Offset: 7, Pattern: 8}}
 	return ms[:2]
 }
 
@@ -116,8 +110,7 @@ var wireSeeds = []string{
 // must give json.Unmarshal's error (nil or its text) and value.
 // Encoding: values built from the input — strings with invalid UTF-8,
 // <>&, U+2028 and control bytes; floats at 0, 1e-7, 1e21, negatives and
-// the input's own bits — must encode to json.Marshal's bytes, and a TCP
-// reply line to json.Encoder's.
+// the input's own bits — must encode to json.Marshal's bytes.
 func FuzzWireCodec(f *testing.F) {
 	for _, s := range wireSeeds {
 		f.Add([]byte(s))
@@ -170,9 +163,6 @@ func wireValues(data []byte) []any {
 		&FeedResponse{Matches: ms, Pos: -int64(len(data)), Truncated: len(data)%3 == 0, SnapshotB64: half},
 		&FeedResponse{},
 		&MatchResponse{Matches: []WireMatch{}},
-		&tcpReply{OK: true, Result: &MatchResponse{Matches: ms}, TraceID: s},
-		&tcpReply{Error: s, Status: len(data)},
-		&tcpReply{OK: true, Result: "pong"},
 	}
 	for i, f := range floats {
 		out = append(out, &MatchResponse{Matches: ms[:min(i, len(ms))], Stats: MatchStats{
@@ -187,17 +177,8 @@ func wireValues(data []byte) []any {
 func checkEncodes(t *testing.T, v any) {
 	t.Helper()
 	prefix := []byte("prefix:")
-	var got, want []byte
-	var gerr, werr error
-	if rep, ok := v.(*tcpReply); ok {
-		got, gerr = rep.appendLine(prefix)
-		var buf bytes.Buffer
-		werr = json.NewEncoder(&buf).Encode(rep)
-		want = buf.Bytes()
-	} else {
-		got, gerr = AppendJSON(prefix, v)
-		want, werr = json.Marshal(v)
-	}
+	got, gerr := AppendJSON(prefix, v)
+	want, werr := json.Marshal(v)
 	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
 		t.Fatalf("%T %+v: codec error %v, encoding/json %v", v, v, gerr, werr)
 	}
@@ -233,6 +214,35 @@ func checkReadsBack(t *testing.T, v any, data []byte) {
 	}
 	if err := json.Unmarshal(data, want); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("%T %q: one pass %+v, json.Unmarshal %+v (%v)", v, data, got, want, err)
+	}
+}
+
+// TestDecodeOnePassSubset pins the one pass to what AppendJSON writes:
+// a key that is not exactly a field's json name (another case, or a
+// field the type lacks), a \u escape naming a surrogate, paired or
+// alone, and a TCP line with its envelope all leave it, and DecodeJSON
+// then gives json.Unmarshal's value and error.
+func TestDecodeOnePassSubset(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		data string
+		new  func() any
+	}{
+		{"folded key", `{"Ruleset":"x"}`, func() any { return new(MatchRequest) }},
+		{"extra key", `{"op":"match","ruleset":"x","input":"y"}`, func() any { return new(MatchRequest) }},
+		{"surrogate pair", `{"chunk":"\ud83d\ude00"}`, func() any { return new(FeedRequest) }},
+		{"lone surrogate", `{"chunk":"\udc00"}`, func() any { return new(FeedRequest) }},
+		{"TCP match line", string(tcpLine(t, Route("match"), "", `{"ruleset":"ids","input":"a needle"}`)), func() any { return new(MatchRequest) }},
+		{"TCP feed line", string(tcpLine(t, Route("sessions.feed"), "s00000001", `{"chunk":"xx needle"}`)), func() any { return new(FeedRequest) }},
+	} {
+		if decodeCanonical([]byte(tc.data), tc.new()) {
+			t.Errorf("%s: %s stayed on the one pass", tc.name, tc.data)
+		}
+		got, want := tc.new(), tc.new()
+		gerr, werr := DecodeJSON([]byte(tc.data), got), json.Unmarshal([]byte(tc.data), want)
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: DecodeJSON %+v (%v), json.Unmarshal %+v (%v)", tc.name, got, gerr, want, werr)
+		}
 	}
 }
 
