@@ -403,55 +403,6 @@ func (l *Lease) RunContext(ctx context.Context, input []byte) ([]Match, *Stats, 
 	return matchesFrom(res.Matches), l.a.statsFrom(res), nil
 }
 
-// BatchItem is one input's outcome from Lease.RunBatch. Err is set only
-// when that input alone failed (a panic recovered inside its stream);
-// the other items are unaffected.
-type BatchItem struct {
-	Matches []Match
-	Stats   *Stats
-	Err     error
-}
-
-// RunBatch scans every input independently from offset 0 through the
-// leased machine, one after another, returning one item per input in
-// order. Match sets, offsets, and statistics are those of running each
-// input with RunContext on its own lease; what the batch shares is the
-// lease (see machine.RunBatch). Inputs are strings so serving paths avoid
-// a per-request byte-slice copy up front; the scan only reads them. A
-// canceled ctx abandons the whole batch and returns its error.
-func (l *Lease) RunBatch(ctx context.Context, inputs []string) ([]BatchItem, error) {
-	if l.m == nil {
-		return nil, fmt.Errorf("cacheautomaton: use of released lease")
-	}
-	sp := telemetry.ReqTraceFrom(ctx).StartStage("run")
-	var total int64
-	for _, in := range inputs {
-		total += int64(len(in))
-	}
-	sp.SetAttr("bytes", total)
-	sp.SetAttr("streams", int64(len(inputs)))
-	defer sp.End()
-	rs, err := l.m.RunBatch(ctx, inputs)
-	if err != nil {
-		return nil, err
-	}
-	items := make([]BatchItem, len(rs))
-	var matches int64
-	for i := range rs {
-		if rs[i].Err != nil {
-			items[i] = BatchItem{Err: rs[i].Err}
-			continue
-		}
-		items[i] = BatchItem{
-			Matches: matchesFrom(rs[i].Matches),
-			Stats:   l.a.statsFrom(&rs[i].Result),
-		}
-		matches += rs[i].MatchCount
-	}
-	sp.SetAttr("matches", matches)
-	return items, nil
-}
-
 // Release returns the leased machine to the automaton's pool. Release is
 // idempotent; the lease is unusable afterwards.
 func (l *Lease) Release() {

@@ -595,29 +595,6 @@ func TestRunObserverWiring(t *testing.T) {
 		}
 		check("RunParallelContext", 1, pst)
 
-		l, err := a.LeaseContext(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inputs := []string{"a cat", "", "cat cat cat", "no match here", "concat"}
-		items, err := l.RunBatch(ctx, inputs)
-		l.Release()
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs := obs.take()
-		if len(runs) != len(inputs) {
-			t.Fatalf("%d patterns, RunBatch: %d summaries, want %d", len(patterns), len(runs), len(inputs))
-		}
-		for i, it := range items {
-			if it.Err != nil {
-				t.Fatal(it.Err)
-			}
-			if got := statsOfRuns(a, runs[i]); got != *it.Stats {
-				t.Errorf("%d patterns, RunBatch input %d: summary says %+v, item %+v", len(patterns), i, got, it.Stats)
-			}
-		}
-
 		s, err := a.StreamContext(ctx)
 		if err != nil {
 			t.Fatal(err)

@@ -18,8 +18,8 @@
 //
 // Batched serving: -batch-window turns on the request coalescer —
 // concurrent small unsharded /match requests against one rule set wait
-// up to the window and run through one leased machine as a single
-// batched sweep (-batch-max bounds a batch; requests over 256 KiB and
+// up to the window and share one worker slot, each distinct payload
+// scanned once (-batch-max bounds a batch; requests over 256 KiB and
 // deadline-critical ones bypass and serve per-request). Match sets
 // are bit-identical to per-request serving; see the README's "Batched
 // serving" walkthrough.
@@ -108,7 +108,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 	slowMS := fs.Int("slow-ms", 250, "flight-recorder slow threshold in ms: requests at or above it are pinned and logged (<0 disables slow pinning)")
 	traceRing := fs.Int("trace-ring", telemetry.DefaultTraceRingSize, "flight-recorder ring size: last N traces plus last N slow/error traces retained (0 disables tracing)")
 	logFormat := fs.String("log-format", "text", "structured log format on stderr: text or json")
-	batchWindow := fs.Duration("batch-window", 0, "coalesce concurrent small matches into shared batched sweeps, waiting up to this long to fill a batch (0 disables)")
+	batchWindow := fs.Duration("batch-window", 0, "coalesce concurrent small matches into batches sharing one worker slot, waiting up to this long to fill a batch (0 disables)")
 	batchMax := fs.Int("batch-max", 0, "max requests per batch (0 = 64; needs -batch-window)")
 	nodes := fs.String("nodes", "", "router mode: comma-separated id=url cad nodes to route across (e.g. n1=http://10.0.0.1:8480,n2=http://10.0.0.2:8480); -http serves the cluster API instead of a node")
 	replicas := fs.Int("replicas", 0, "router mode: nodes holding each rule set (0 = 2)")

@@ -127,8 +127,8 @@ func TestChaosServingStack(t *testing.T) {
 	// MaxShards must be set explicitly: its default is GOMAXPROCS, which
 	// on a single-core runner clamps every request to one shard and the
 	// machine.shard.worker seam would never fire. BatchWindow turns the
-	// coalescer on so the unsharded one-shot clients ride shared batch
-	// sweeps and the server.batch.flush seam fires per batch member — a
+	// coalescer on so the unsharded one-shot clients ride shared
+	// batches and the server.batch.flush seam fires per batch member — a
 	// faulted member must fail alone, so its client retries while its
 	// batch-mates' matches stay bit-identical to the reference.
 	s := server.New(server.Config{Registry: reg, MaxShards: 4, BatchWindow: 250 * time.Microsecond})

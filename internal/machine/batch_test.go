@@ -11,7 +11,6 @@ import (
 	"cacheautomaton/internal/mapper"
 	"cacheautomaton/internal/nfa"
 	"cacheautomaton/internal/regexc"
-	"cacheautomaton/internal/telemetry"
 )
 
 // batchReference runs each input through its own Reset+RunContext sweep on a
@@ -37,16 +36,13 @@ func batchInputs(rng *rand.Rand, sizes []int, frags []string) []string {
 }
 
 // assertBatch holds every stream of a batch to its reference Result.
-func assertBatch(t *testing.T, label string, want []Result, got []BatchResult) {
+func assertBatch(t *testing.T, label string, want, got []Result) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d results for %d inputs", label, len(got), len(want))
 	}
 	for i := range got {
-		if got[i].Err != nil {
-			t.Fatalf("%s: stream %d failed: %v", label, i, got[i].Err)
-		}
-		assertResultsEqual(t, fmt.Sprintf("%s stream %d", label, i), &want[i], &got[i].Result)
+		assertResultsEqual(t, fmt.Sprintf("%s stream %d", label, i), &want[i], &got[i])
 	}
 }
 
@@ -174,64 +170,6 @@ func TestRunBatchContextCancel(t *testing.T) {
 	m.Reset()
 	got := *mustRun(m, small)
 	assertResultsEqual(t, "post-cancel run", &want, &got)
-}
-
-// panicOnceObserver panics on its nth ObserveRun call — a way to blow
-// up inside exactly one stream of a batch.
-type panicOnceObserver struct {
-	at    int
-	calls int
-}
-
-func (o *panicOnceObserver) ObserveRun(telemetry.RunSummary) {
-	o.calls++
-	if o.calls == o.at {
-		panic("observer blew up")
-	}
-}
-
-// TestRunBatchStreamPanicIsolation: a panic inside one stream's scan
-// fails only that stream — the others still reproduce their reference
-// results exactly, on the same machine, in the same batch.
-func TestRunBatchStreamPanicIsolation(t *testing.T) {
-	patterns := []string{"needle[0-9]", "x[abc]+y"}
-	n, err := regexc.CompileSet(patterns, regexc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := mapper.Map(n, mapper.Config{Design: arch.NewDesign(arch.PerfOpt), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := New(pl, Options{CollectMatches: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(13))
-	inputs := batchInputs(rng, []int{1000, 1000, 1000}, []string{"needle7", "xaby"})
-	want := batchReference(t, ref, inputs)
-
-	// RunBatch reports once per stream, from inside the stream's guarded
-	// scan: the second ObserveRun is stream 1's.
-	m, err := New(pl, Options{CollectMatches: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Observer = &panicOnceObserver{at: 2}
-	got, err := m.RunBatch(context.Background(), inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[1].Err == nil {
-		t.Fatal("stream 1 should have failed")
-	}
-	for _, i := range []int{0, 2} {
-		if got[i].Err != nil {
-			t.Fatalf("stream %d failed: %v", i, got[i].Err)
-		}
-		r := got[i].Result
-		assertResultsEqual(t, fmt.Sprintf("survivor stream %d", i), &want[i], &r)
-	}
 }
 
 // TestRunBatchRandomized sweeps random pattern sets and ragged input

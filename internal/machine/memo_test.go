@@ -630,10 +630,7 @@ func TestRunBatchMemoPerStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out[0].Err != nil {
-		t.Fatal(out[0].Err)
-	}
-	assertResultsEqual(t, "long stream", &whole, &out[0].Result)
+	assertResultsEqual(t, "long stream", &whole, &out[0])
 	if m.memoCounts.misses == before.misses {
 		t.Fatal("long stream: the memo missed nothing; it did not run")
 	}
@@ -644,10 +641,7 @@ func TestRunBatchMemoPerStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range out {
-		if out[i].Err != nil {
-			t.Fatal(out[i].Err)
-		}
-		assertResultsEqual(t, fmt.Sprintf("short stream %d", i), &quarter, &out[i].Result)
+		assertResultsEqual(t, fmt.Sprintf("short stream %d", i), &quarter, &out[i])
 	}
 	if got := m.memoCounts.minus(before); got.misses != 0 || got.bypassed != int64(4*len(short)) {
 		t.Fatalf("short streams: memo counts %+v, want no misses and %d bypassed symbols", got, 4*len(short))

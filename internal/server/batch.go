@@ -13,10 +13,11 @@ import (
 )
 
 // batcher coalesces concurrent small /match requests against one rule
-// set into shared batched machine sweeps. Members accumulate into the
-// current generation until the window elapses or a size/byte cap trips;
-// the flush then runs every member's input through ONE leased machine
-// (ca.Lease.RunBatch) and fans the per-request results back out.
+// set into generations that share one worker slot and one run per
+// distinct input. Members accumulate into the current generation until
+// the window elapses or a size/byte cap trips; the flush then runs each
+// distinct input through Automaton.RunContext, as a lone /match does,
+// and fans the per-request results back out.
 //
 // Lock order: batcher.mu is a leaf (rank 85 in the lockorder table) —
 // nothing blocking, tracing, or metric-flavored happens under it; all
@@ -50,7 +51,7 @@ type batchGen struct {
 	timer    atomic.Pointer[time.Timer]
 	detached atomic.Bool
 	// ready is closed by the flush after every member's outcome is
-	// final AND the machine lease is back in the pool; members read
+	// final AND every machine lease is back in the pool; members read
 	// their slot only after the close, so the array is never appended
 	// to and read concurrently.
 	ready chan struct{}
@@ -59,8 +60,8 @@ type batchGen struct {
 // batchMember is one enqueued request. The member goroutine owns rt and
 // sp; out is written by the flush before ready is closed and read by
 // the member after, with the close as the ordering edge. input is the
-// request's payload kept as a string: the sweep only reads it, so the
-// text-body serving path hands it down with no per-request copy.
+// request's payload kept as a string, the key of the flush's hot-key
+// dedup; it becomes bytes once per distinct input, right before its run.
 type batchMember struct {
 	input string
 	rt    *telemetry.ReqTrace
@@ -122,7 +123,7 @@ func (s *Server) matchBatched(ctx context.Context, rt *telemetry.ReqTrace, b *ba
 		return out.resp, nil
 	case <-ctx.Done():
 		// The flush still settles this member's slot; only this waiter
-		// gives up. Its place in the sweep is wasted, not corrupted.
+		// gives up. Its place in the batch is wasted, not corrupted.
 		sp.End()
 		s.col.Timeouts.Inc()
 		return nil, errc(http.StatusGatewayTimeout, ctx.Err(), "canceled while batched: %v", ctx.Err())
@@ -197,13 +198,13 @@ func (b *batcher) flushTimer(g *batchGen) {
 }
 
 // flush runs one generation: per-member fault seam, one worker slot,
-// one leased machine, one batched sweep, then one broadcast delivery.
-// Failures degrade per member where possible — a seam fault or a
-// recovered stream panic fails only that member — and batch-wide
-// otherwise (no slot, no lease, canceled run). ready is closed in a
-// defer, after the machine is back in the pool and after panic
-// recovery has settled every outstanding member, so lease accounting is
-// settled before any member proceeds and nobody waits forever.
+// one run per distinct input, then one broadcast delivery. A seam fault
+// fails only its member, and a refused lease or a run panic only the
+// members that sent that input; no slot or a canceled run fails the
+// batch. ready is closed in a defer, after every machine is back in the
+// pool and after panic recovery has settled every outstanding member,
+// so lease accounting is settled before any member proceeds and nobody
+// waits forever.
 func (b *batcher) flush(g *batchGen) {
 	s := b.s
 	defer s.ops.Done()
@@ -247,42 +248,26 @@ func (b *batcher) flush(g *batchGen) {
 	if len(alive) == 0 {
 		return
 	}
-	failAll := func(err error) {
+
+	// One worker slot serves the whole batch. The members' transport
+	// contexts stay out of the runs deliberately: one disconnecting
+	// client must not cancel its batch-mates' scans.
+	release, err := s.acquireSlot(context.Background())
+	if err != nil {
 		for _, i := range alive {
 			g.members[i].out = batchOutcome{err: err, settled: true}
 		}
-	}
-
-	// One worker slot and one leased machine serve the whole batch. The
-	// members' transport contexts stay out of the run deliberately: one
-	// disconnecting client must not cancel its batch-mates' sweep.
-	release, err := s.acquireSlot(context.Background())
-	if err != nil {
-		failAll(err)
 		return
 	}
 	defer release()
 	runCtx, cancel := s.opCtx(context.Background())
 	defer cancel()
-	l, err := b.rs.a.LeaseContext(runCtx)
-	if err != nil {
-		if faults.IsInjected(err) {
-			// The one hand-written fault note: runCtx carries no request
-			// trace (it is deliberately detached from the members'
-			// transport contexts), so the pool seam had no trace to note
-			// on. It is one fault firing that fails the whole batch: note
-			// exactly one member's trace with the pool seam's name.
-			g.members[alive[0]].rt.Annotate("fault", "machine.pool.get")
-		}
-		failAll(errc(http.StatusInternalServerError, err, "lease: %v", err))
-		return
-	}
 	// Hot-key dedup: members of one batch carrying byte-identical inputs
-	// share a single stream of the batch and then share its result — the
-	// scan is deterministic, so one run of the bytes IS every duplicate's
-	// bit-identical answer. Outcomes alias the shared match slice and
-	// stats; members only read them, so the sharing is invisible.
-	inputs := make([]string, 0, len(alive))
+	// share a single run and then share its response — the scan is
+	// deterministic, so one run of the bytes IS every duplicate's
+	// bit-identical answer. first holds, per distinct input, the member
+	// that sent it first; share maps each live member to its input.
+	first := make([]int, 0, len(alive))
 	share := make([]int, len(alive))
 	seed := maphash.MakeSeed()
 	seen := make(map[uint64]int, len(alive))
@@ -290,36 +275,50 @@ func (b *batcher) flush(g *batchGen) {
 		in := g.members[i].input
 		h := maphash.String(seed, in)
 		u, dup := seen[h]
-		if !dup || inputs[u] != in {
-			u = len(inputs)
-			inputs = append(inputs, in)
+		if !dup || g.members[first[u]].input != in {
+			u = len(first)
+			first = append(first, i)
 			seen[h] = u
 		}
 		share[k] = u
 	}
-	items, rerr := l.RunBatch(runCtx, inputs)
-	l.Release()
-	if rerr != nil {
-		if runCtx.Err() != nil {
+	outs := make([]batchOutcome, len(first))
+	for u, i := range first {
+		outs[u] = s.runInput(runCtx, b.rs, &g.members[i])
+		if outs[u].err != nil && runCtx.Err() != nil {
+			// The deadline is the batch's: it abandons every input left,
+			// counted as one timeout.
 			s.col.Timeouts.Inc()
-			failAll(errc(http.StatusGatewayTimeout, runCtx.Err(), "batched run canceled: %v", rerr))
-		} else {
-			failAll(errc(http.StatusInternalServerError, rerr, "batched run: %v", rerr))
+			err := errc(http.StatusGatewayTimeout, runCtx.Err(), "batched run canceled: %v", runCtx.Err())
+			for ; u < len(outs); u++ {
+				outs[u] = batchOutcome{err: err}
+			}
+			break
 		}
-		return
 	}
-	resps := make([]*MatchResponse, len(items))
 	for k, i := range alive {
-		it := &items[share[k]]
-		if it.Err != nil {
-			g.members[i].out = batchOutcome{err: errc(http.StatusInternalServerError, it.Err, "batched run: %v", it.Err), settled: true}
-			continue
-		}
-		if resps[share[k]] == nil {
-			resps[share[k]] = &MatchResponse{Matches: it.Matches, Stats: wireStats(it.Stats)}
-		}
-		g.members[i].out = batchOutcome{resp: resps[share[k]], settled: true}
+		g.members[i].out = outs[share[k]]
+		g.members[i].out.settled = true
 	}
+}
+
+// runInput runs one distinct input of a batch as a lone /match runs:
+// one RunContext, under the trace of the member that sent it first, so
+// the lease and run stages and any fault the pool seam notes land on a
+// trace that member's client can fetch. A refused lease or a panic
+// fails only this input's members.
+func (s *Server) runInput(ctx context.Context, rs *ruleset, mb *batchMember) (out batchOutcome) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.col.Panics.Inc()
+			out = batchOutcome{err: Errorf(http.StatusInternalServerError, "batched run panic: %v", r)}
+		}
+	}()
+	ms, st, err := rs.a.RunContext(telemetry.WithReqTrace(ctx, mb.rt), []byte(mb.input))
+	if err != nil {
+		return batchOutcome{err: errc(http.StatusInternalServerError, err, "batched run: %v", err)}
+	}
+	return batchOutcome{resp: &MatchResponse{Matches: ms, Stats: wireStats(st)}}
 }
 
 // checkBatchMember fires the server.batch.flush seam for one member,

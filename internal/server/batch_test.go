@@ -46,7 +46,7 @@ func matchTraced(t *testing.T, s *Server, req MatchRequest) (*MatchResponse, *te
 // differential harness: concurrent batched /match requests must agree
 // with the per-request server AND the Go regexp oracle — bit-identical
 // match sets with correct per-request offsets, even though any number
-// of the requests shared one machine sweep.
+// of the requests shared one batch.
 func TestMatchDifferentialBatched(t *testing.T) {
 	sBat, _ := testServer(t, batchedConfig())
 	sRef, _ := testServer(t, Config{})
@@ -273,87 +273,121 @@ func TestKernelMetricsExported(t *testing.T) {
 	}
 }
 
-// TestBatchMemberFaultIsolation: with the server.batch.flush seam
-// firing errors and panics on roughly half the members, every failed
-// member gets a structured 500, every surviving member's match set is
-// still bit-identical to the per-request reference, nothing is dropped
-// or duplicated, and the machine pool stays balanced.
+// TestBatchMemberFaultIsolation: with the server.batch.flush seam (once
+// per member) or the machine.pool.get seam (once per distinct input's
+// lease) firing errors and panics on roughly half the members, every
+// failed member gets a structured 500, every surviving member's match
+// set is still bit-identical to the per-request reference, nothing is
+// dropped or duplicated, and the machine pool stays balanced. The 32
+// inputs are distinct, so at either seam each injected fault fails
+// exactly one member and is noted on exactly that member's trace.
 func TestBatchMemberFaultIsolation(t *testing.T) {
 	for _, kind := range []struct {
 		name string
 		k    faults.Kind
 	}{{"error", faults.KindError}, {"panic", faults.KindPanic}} {
 		t.Run(kind.name, func(t *testing.T) {
-			s, _ := testServer(t, batchedConfig())
-			if _, err := s.Compile(context.Background(), "smoke", CompileRequest{Patterns: smokePatterns}); err != nil {
-				t.Fatal(err)
+			for _, seam := range []string{"server.batch.flush", "machine.pool.get"} {
+				t.Run(seam, func(t *testing.T) { batchFaultIsolation(t, seam, kind.k) })
 			}
-			ref, _ := testServer(t, Config{})
-			if _, err := ref.Compile(context.Background(), "smoke", CompileRequest{Patterns: smokePatterns}); err != nil {
-				t.Fatal(err)
-			}
-			const members = 32
-			inputs := make([][]byte, members)
-			want := make([][]WireMatch, members)
-			for m := range inputs {
-				inputs[m] = smokeInput(rand.New(rand.NewSource(int64(m)*131+9)), 1024)
-				resp, err := ref.Match(context.Background(), MatchRequest{Ruleset: "smoke", Input: string(inputs[m])})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want[m] = resp.Matches
-			}
-
-			in := faults.NewInjector(0xBA7C, map[string]faults.Rule{
-				"server.batch.flush": {Rate: 0.5, Kinds: kind.k},
-			})
-			faults.Enable(in)
-			defer faults.Disable()
-
-			var wg sync.WaitGroup
-			var mu sync.Mutex
-			failed, ok := 0, 0
-			for m := 0; m < members; m++ {
-				wg.Add(1)
-				go func(m int) {
-					defer wg.Done()
-					resp, err := s.Match(context.Background(), MatchRequest{Ruleset: "smoke", Input: string(inputs[m])})
-					mu.Lock()
-					defer mu.Unlock()
-					if err != nil {
-						if statusOf(err) != 500 {
-							t.Errorf("member %d: status %d, want 500", m, statusOf(err))
-						}
-						failed++
-						return
-					}
-					ok++
-					if len(resp.Matches) != len(want[m]) {
-						t.Errorf("member %d: %d matches, want %d", m, len(resp.Matches), len(want[m]))
-						return
-					}
-					for j := range want[m] {
-						if resp.Matches[j] != want[m][j] {
-							t.Errorf("member %d match %d: %+v, want %+v", m, j, resp.Matches[j], want[m][j])
-							return
-						}
-					}
-				}(m)
-			}
-			wg.Wait()
-			faults.Disable()
-			if failed == 0 || ok == 0 {
-				t.Fatalf("fault mix did not split the batch: %d failed, %d ok", failed, ok)
-			}
-			if kind.k == faults.KindPanic && s.col.Panics.Value() == 0 {
-				t.Fatal("panic kind fired but Panics counter is zero")
-			}
-			if st := s.LeaseStats(); st.Gets != st.Puts {
-				t.Fatalf("lease imbalance: gets %d puts %d", st.Gets, st.Puts)
-			}
-			t.Logf("%s: %d failed, %d ok, batched %d", kind.name, failed, ok, s.col.BatchedRequests.Value())
 		})
 	}
+}
+
+// batchFaultIsolation is one case of TestBatchMemberFaultIsolation: 32
+// batched members with seam firing faults of kind k at rate 0.5.
+func batchFaultIsolation(t *testing.T, seam string, k faults.Kind) {
+	s, _ := testServer(t, batchedConfig())
+	if _, err := s.Compile(context.Background(), "smoke", CompileRequest{Patterns: smokePatterns}); err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := testServer(t, Config{})
+	if _, err := ref.Compile(context.Background(), "smoke", CompileRequest{Patterns: smokePatterns}); err != nil {
+		t.Fatal(err)
+	}
+	const members = 32
+	inputs := make([][]byte, members)
+	want := make([][]WireMatch, members)
+	for m := range inputs {
+		inputs[m] = smokeInput(rand.New(rand.NewSource(int64(m)*131+9)), 1024)
+		resp, err := ref.Match(context.Background(), MatchRequest{Ruleset: "smoke", Input: string(inputs[m])})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[m] = resp.Matches
+	}
+
+	in := faults.NewInjector(0xBA7C, map[string]faults.Rule{
+		seam: {Rate: 0.5, Kinds: k},
+	})
+	faults.Enable(in)
+	defer faults.Disable()
+
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	failed, ok := 0, 0
+	for m := 0; m < members; m++ {
+		wg.Add(1)
+		go func(m int) {
+			defer wg.Done()
+			resp, _, err := matchTraced(t, s, MatchRequest{Ruleset: "smoke", Input: string(inputs[m])})
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				if statusOf(err) != 500 {
+					t.Errorf("member %d: status %d, want 500", m, statusOf(err))
+				}
+				failed++
+				return
+			}
+			ok++
+			if len(resp.Matches) != len(want[m]) {
+				t.Errorf("member %d: %d matches, want %d", m, len(resp.Matches), len(want[m]))
+				return
+			}
+			for j := range want[m] {
+				if resp.Matches[j] != want[m][j] {
+					t.Errorf("member %d match %d: %+v, want %+v", m, j, resp.Matches[j], want[m][j])
+					return
+				}
+			}
+		}(m)
+	}
+	wg.Wait()
+	faults.Disable()
+	if failed == 0 || ok == 0 {
+		t.Fatalf("fault mix did not split the batch: %d failed, %d ok", failed, ok)
+	}
+	fired := in.Stats()[seam].Errors + in.Stats()[seam].Panics
+	if uint64(failed) != fired {
+		t.Errorf("%d members failed, the seam fired %d faults", failed, fired)
+	}
+	var noted, faultedTraces uint64
+	for _, rep := range s.Ring().All() {
+		n := uint64(0)
+		for _, note := range rep.Notes {
+			if note.Key == "fault" {
+				if note.Value != seam {
+					t.Errorf("trace %s notes fault=%s, want %s", rep.ID, note.Value, seam)
+				}
+				n++
+			}
+		}
+		noted += n
+		if n > 0 {
+			faultedTraces++
+		}
+	}
+	if noted != fired || faultedTraces != fired {
+		t.Errorf("the seam fired %d faults, %d retained traces carry %d fault notes", fired, faultedTraces, noted)
+	}
+	if k == faults.KindPanic && s.col.Panics.Value() == 0 {
+		t.Fatal("panic kind fired but Panics counter is zero")
+	}
+	if st := s.LeaseStats(); st.Gets != st.Puts {
+		t.Fatalf("lease imbalance: gets %d puts %d", st.Gets, st.Puts)
+	}
+	t.Logf("%d failed, %d ok, batched %d", failed, ok, s.col.BatchedRequests.Value())
 }
 
 // batchLoad drives clients×perClient small requests and returns the
@@ -468,11 +502,21 @@ func TestBatchedThroughputSmoke(t *testing.T) {
 
 // BenchmarkBatchedServing10k is the acceptance benchmark: 10k
 // concurrent 1KB /match requests against one rule set, batched vs
-// per-request. The bench/ ledger's server.burst64_* rows measure the
-// same two paths on a 64-goroutine burst.
+// per-request. In the plain cases every client sends one payload, which
+// the flush's hot-key dedup collapses to one run per batch; in the
+// /distinct cases each client sends its own, so a batch runs once per
+// member. The bench/ ledger's server.burst64_* rows measure the same two
+// paths on a 64-goroutine burst.
 func BenchmarkBatchedServing10k(b *testing.B) {
 	const concurrent, payload = 10000, 1024
-	input := smokeInput(rand.New(rand.NewSource(2)), payload)
+	same := make([]string, concurrent)
+	distinct := make([]string, concurrent)
+	input := string(smokeInput(rand.New(rand.NewSource(2)), payload))
+	rng := rand.New(rand.NewSource(3))
+	for c := range same {
+		same[c] = input
+		distinct[c] = string(smokeInput(rng, payload))
+	}
 	mk := func(batched bool) *Server {
 		cfg := Config{
 			Registry:      telemetry.NewRegistry(),
@@ -496,8 +540,7 @@ func BenchmarkBatchedServing10k(b *testing.B) {
 		}
 		return s
 	}
-	run := func(b *testing.B, s *Server) {
-		in := string(input)
+	run := func(b *testing.B, s *Server, inputs []string) {
 		b.SetBytes(concurrent * payload)
 		for i := 0; i < b.N; i++ {
 			// Spawn the 10k clients outside the timed region and release
@@ -508,7 +551,7 @@ func BenchmarkBatchedServing10k(b *testing.B) {
 			var ready, done sync.WaitGroup
 			ready.Add(concurrent)
 			done.Add(concurrent)
-			for c := 0; c < concurrent; c++ {
+			for _, in := range inputs {
 				go func() {
 					defer done.Done()
 					ready.Done()
@@ -524,6 +567,8 @@ func BenchmarkBatchedServing10k(b *testing.B) {
 			done.Wait()
 		}
 	}
-	b.Run("per-request", func(b *testing.B) { run(b, mk(false)) })
-	b.Run("batched", func(b *testing.B) { run(b, mk(true)) })
+	b.Run("per-request", func(b *testing.B) { run(b, mk(false), same) })
+	b.Run("batched", func(b *testing.B) { run(b, mk(true), same) })
+	b.Run("per-request/distinct", func(b *testing.B) { run(b, mk(false), distinct) })
+	b.Run("batched/distinct", func(b *testing.B) { run(b, mk(true), distinct) })
 }

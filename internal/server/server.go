@@ -75,8 +75,9 @@ type Config struct {
 	Logger *slog.Logger
 	// BatchWindow enables small-request coalescing: eligible /match
 	// requests against the same rule set that arrive within this window
-	// are packed into one batched machine sweep. 0 (the default) disables
-	// batching entirely and preserves the per-request lease path exactly.
+	// share one worker slot and one run per distinct payload. 0 (the
+	// default) disables batching entirely and preserves the per-request
+	// lease path exactly.
 	BatchWindow time.Duration
 	// BatchMax caps how many requests one batch packs; reaching it
 	// flushes immediately without waiting out the window (default 64).
@@ -368,9 +369,9 @@ func (s *Server) Match(ctx context.Context, req MatchRequest) (*MatchResponse, e
 	if req.Ruleset == "" {
 		return nil, Errorf(http.StatusBadRequest, "missing ruleset")
 	}
-	// The payload stays a string here: the batched path scans it in
-	// place, so a text body reaches the sweep with no per-request copy.
-	// Only the per-request run below materializes bytes.
+	// The payload stays a string here: the batcher keys its hot-key
+	// dedup on it, and either path makes bytes of it once, right before
+	// its run.
 	input := req.Input
 	if req.InputB64 != "" {
 		data, err := payload(req.Input, req.InputB64, s.cfg.MaxBodyBytes)
@@ -388,9 +389,9 @@ func (s *Server) Match(ctx context.Context, req MatchRequest) (*MatchResponse, e
 	if err != nil {
 		return nil, err
 	}
-	// Small unsharded requests coalesce into shared machine sweeps when
-	// batching is on; oversize or deadline-critical requests take the
-	// per-request path below unchanged.
+	// Small unsharded requests coalesce into batches when batching is
+	// on; oversize or deadline-critical requests take the per-request
+	// path below unchanged.
 	if rs.b != nil && s.batchEligible(ctx, req, int64(len(input))) {
 		return s.matchBatched(ctx, rt, rs.b, input)
 	}
